@@ -390,8 +390,7 @@ pub fn run_macro(params: &MacroParams) -> MacroReport {
 
         // query: Zipf-hot AoI probes against truth + twin indexes. The
         // whole tick's probe set goes through `query_visible_batch` —
-        // one shard fan-out and one grid pass per index for all probes,
-        // instead of per probe (the E21 query-stage rewrite).
+        // at most one thread round for all probes.
         profiler.time("query", || {
             let areas: Vec<Aabb> = (0..params.queries_per_tick)
                 .map(|_| {

@@ -61,6 +61,15 @@ fn space_slot(space: Space) -> usize {
     }
 }
 
+/// Finish a probe: the hits of every shard and index, collected in one
+/// buffer, sorted once. Each live entity is in exactly one index per
+/// space and on exactly one shard, so the sorted ids are distinct.
+pub(crate) fn sorted_distinct(mut ids: Vec<EntityId>) -> Vec<EntityId> {
+    ids.sort_unstable();
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    ids
+}
+
 impl Metaverse {
     /// Build with a policy; `cell_size` configures all spatial indexes.
     pub fn new(policy: SyncPolicy, cell_size: f64) -> Self {
@@ -194,73 +203,66 @@ impl Metaverse {
     /// Ground-truth entities of `space` within `area` (its authoritative
     /// residents), excluding retired ones, sorted by id.
     pub fn query_truth(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
-        let mut ids: Vec<EntityId> = self.truth_index[space_slot(space)]
-            .range(area)
-            .into_iter()
-            .filter(|&id| !self.entities.is_retired(id))
-            .collect();
-        ids.sort_unstable();
-        ids
+        let mut ids = Vec::new();
+        self.truth_into(space, area, &mut ids);
+        sorted_distinct(ids)
     }
 
     /// Entities *visible in* `space` within `area`: its own residents
     /// plus materialized twins from the other space — the unified view a
     /// user immersed in that space actually sees.
     pub fn query_visible(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
-        let mut ids = self.query_truth(space, area);
-        ids.extend(
-            self.twin_index[space_slot(space)]
-                .range(area)
-                .into_iter()
-                .filter(|&id| !self.entities.is_retired(id)),
-        );
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        let mut ids = Vec::new();
+        self.visible_into(space, area, &mut ids);
+        sorted_distinct(ids)
     }
 
     /// Batched [`query_truth`]: element `i` equals
-    /// `query_truth(space, &areas[i])`. All probes share one grid pass
-    /// ([`GridIndex::range_batch`]), so wide probes amortize the
-    /// occupied-cell sweep instead of repeating it per query.
+    /// `query_truth(space, &areas[i])`.
     ///
     /// [`query_truth`]: Metaverse::query_truth
     pub fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
-        self.truth_index[space_slot(space)]
-            .range_batch(areas)
-            .into_iter()
-            .map(|hits| {
-                let mut ids: Vec<EntityId> =
-                    hits.into_iter().filter(|&id| !self.entities.is_retired(id)).collect();
-                ids.sort_unstable();
-                ids
-            })
-            .collect()
+        areas.iter().map(|area| self.query_truth(space, area)).collect()
     }
 
     /// Batched [`query_visible`]: element `i` equals
-    /// `query_visible(space, &areas[i])`, with one shared grid pass per
-    /// index for the whole probe set.
+    /// `query_visible(space, &areas[i])`.
     ///
     /// [`query_visible`]: Metaverse::query_visible
     pub fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
-        let slot = space_slot(space);
-        let truth = self.truth_index[slot].range_batch(areas);
-        let twins = self.twin_index[slot].range_batch(areas);
-        truth
-            .into_iter()
-            .zip(twins)
-            .map(|(t, w)| {
-                let mut ids: Vec<EntityId> = t
-                    .into_iter()
-                    .chain(w)
-                    .filter(|&id| !self.entities.is_retired(id))
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            })
-            .collect()
+        areas.iter().map(|area| self.query_visible(space, area)).collect()
+    }
+
+    /// Append `index`'s hits in `area` to `out`, unsorted. [`retire`]
+    /// removes an id from both of its indexes, so every hit is live and
+    /// needs no per-hit lookup.
+    ///
+    /// [`retire`]: Metaverse::retire
+    fn live_into(&self, index: &GridIndex, area: &Aabb, out: &mut Vec<EntityId>) {
+        let start = out.len();
+        index.range_into(area, out);
+        debug_assert!(out[start..].iter().all(|&id| !self.entities.is_retired(id)));
+    }
+
+    /// Append the ground-truth residents of `space` within `area` to
+    /// `out`, unsorted (the per-shard kernel of a truth probe).
+    pub(crate) fn truth_into(&self, space: Space, area: &Aabb, out: &mut Vec<EntityId>) {
+        self.live_into(&self.truth_index[space_slot(space)], area, out);
+    }
+
+    /// Append the twins materialized in `space` within `area` to `out`,
+    /// unsorted — the targets an area effect raised there would hit.
+    pub(crate) fn twins_into(&self, space: Space, area: &Aabb, out: &mut Vec<EntityId>) {
+        self.live_into(&self.twin_index[space_slot(space)], area, out);
+    }
+
+    /// Append everything visible in `space` within `area` to `out`,
+    /// unsorted. The two indexes of a space hold disjoint authority
+    /// classes (residents against twins of the other space's residents),
+    /// so the union needs no dedup.
+    pub(crate) fn visible_into(&self, space: Space, area: &Aabb, out: &mut Vec<EntityId>) {
+        self.truth_into(space, area, out);
+        self.twins_into(space, area, out);
     }
 
     /// Raise an area effect in `space` (e.g. a virtual air-raid). Every
@@ -278,10 +280,10 @@ impl Metaverse {
         now: SimTime,
     ) -> Vec<Command> {
         self.note_area_effect(space, effect, region, now);
-        let mut sorted = self.affected_twins(space, &region);
-        sorted.sort_unstable();
-        let mut commands = Vec::with_capacity(sorted.len());
-        for id in sorted {
+        let mut targets = Vec::new();
+        self.twins_into(space, &region, &mut targets);
+        let mut commands = Vec::with_capacity(targets.len());
+        for id in sorted_distinct(targets) {
             commands.push(self.relay_command(id, action, retire, now));
         }
         commands
@@ -289,7 +291,7 @@ impl Metaverse {
 
     /// Record the area-effect fact on the timeline (first half of
     /// [`area_effect`]; split out so the sharded engine can emit it once
-    /// while fanning the target scan out across shards).
+    /// while scanning every shard for targets).
     ///
     /// [`area_effect`]: Metaverse::area_effect
     pub(crate) fn note_area_effect(&mut self, space: Space, effect: &str, region: Aabb, now: SimTime) {
@@ -300,16 +302,6 @@ impl Metaverse {
             None,
             EventKind::AreaEffect { effect: effect.to_string(), region },
         );
-    }
-
-    /// Live twins materialized in `space` inside `region` — the targets an
-    /// area effect raised in that space would hit (unsorted).
-    pub(crate) fn affected_twins(&self, space: Space, region: &Aabb) -> Vec<EntityId> {
-        self.twin_index[space_slot(space)]
-            .range(region)
-            .into_iter()
-            .filter(|&id| !self.entities.is_retired(id))
-            .collect()
     }
 
     /// Relay one area-effect command to a live entity owned by this
@@ -385,6 +377,26 @@ impl Metaverse {
     /// Drain the event log.
     pub fn drain_events(&mut self) -> Vec<CoEvent> {
         self.bus.drain()
+    }
+
+    /// The two facts the probe path relies on instead of a per-hit
+    /// filter and a dedup: a live entity is in exactly its authority's
+    /// truth index and the other space's twin index (so the two indexes
+    /// of one space are disjoint), and a retired one is in none, at the
+    /// positions the arena holds.
+    #[cfg(test)]
+    pub(crate) fn assert_index_invariants(&self) {
+        for slot in 0..self.entities.len() as u32 {
+            let e = self.entities.get_slot(slot).expect("slot below len");
+            let auth = space_slot(e.kind.authoritative_space());
+            let live = |p: Point| (!e.retired).then_some(p);
+            assert_eq!(self.truth_index[auth].get(e.id), live(e.position), "{e:?}");
+            assert_eq!(self.twin_index[1 - auth].get(e.id), live(e.twin_position), "{e:?}");
+            assert_eq!(self.truth_index[1 - auth].get(e.id), None, "{e:?}");
+            assert_eq!(self.twin_index[auth].get(e.id), None, "{e:?}");
+        }
+        let indexed: usize = self.truth_index.iter().chain(&self.twin_index).map(GridIndex::len).sum();
+        assert_eq!(indexed, 2 * self.live_count());
     }
 }
 

@@ -50,7 +50,6 @@ pub mod engine;
 pub mod entity;
 pub mod events;
 pub mod interest;
-pub mod merge;
 pub mod ops;
 pub mod replicated;
 pub mod sharded;
@@ -64,5 +63,4 @@ pub use engine::{Metaverse, SyncPolicy};
 pub use entity::{Entity, EntityKind};
 pub use events::{Command, CoEvent, EventKind};
 pub use interest::{InterestManager, InterestUpdate};
-pub use merge::KwayMerger;
 pub use sharded::{shard_of, ShardedMetaverse, WriteOp};

@@ -15,12 +15,14 @@ use crate::entity::EntityKind;
 use crate::events::{CoEvent, Command};
 use crate::sharded::{ShardedMetaverse, WriteOp};
 use mv_common::geom::{Aabb, Point};
+use mv_common::hash::FxHasher;
 use mv_common::id::EntityId;
 use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
 use mv_common::{MvResult, Space};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::hash::{Hash, Hasher};
 
 /// One replayable operation. `slot` fields index the list of ids
 /// returned by spawns so far (op sequences stay meaningful without
@@ -167,6 +169,10 @@ pub trait CoSpace {
     fn query_truth(&self, space: Space, area: &Aabb) -> Vec<EntityId>;
     /// Visible-set range query.
     fn query_visible(&self, space: Space, area: &Aabb) -> Vec<EntityId>;
+    /// Batched [`CoSpace::query_truth`].
+    fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>>;
+    /// Batched [`CoSpace::query_visible`].
+    fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>>;
     /// Mean live twin divergence.
     fn mean_divergence(&self) -> f64;
     /// Max live twin divergence.
@@ -208,6 +214,12 @@ impl CoSpace for Metaverse {
     }
     fn query_visible(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
         Metaverse::query_visible(self, space, area)
+    }
+    fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        Metaverse::query_truth_batch(self, space, areas)
+    }
+    fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        Metaverse::query_visible_batch(self, space, areas)
     }
     fn mean_divergence(&self) -> f64 {
         Metaverse::mean_divergence(self)
@@ -256,6 +268,12 @@ impl CoSpace for ShardedMetaverse {
     fn query_visible(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
         ShardedMetaverse::query_visible(self, space, area)
     }
+    fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        ShardedMetaverse::query_truth_batch(self, space, areas)
+    }
+    fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        ShardedMetaverse::query_visible_batch(self, space, areas)
+    }
     fn mean_divergence(&self) -> f64 {
         ShardedMetaverse::mean_divergence(self)
     }
@@ -273,6 +291,25 @@ impl CoSpace for ShardedMetaverse {
     }
 }
 
+/// Fingerprint of a query op: the single probe's result, and a digest
+/// of the batch form run over every area probed so far in the replay.
+/// The sequential engine's batch form is its single probe per area, so
+/// equal fingerprints across engines tie the sharded batch form to the
+/// sharded single probes and to the sequential engine at once — with
+/// batches growing through the sharded engine's inline and threaded
+/// sizes as the replay goes on.
+fn query_fp<E: CoSpace>(engine: &E, seen: &mut Vec<Aabb>, visible: bool, space: Space, area: &Aabb) -> String {
+    seen.push(*area);
+    let (tag, single, batch) = if visible {
+        ("visible", engine.query_visible(space, area), engine.query_visible_batch(space, seen))
+    } else {
+        ("truth", engine.query_truth(space, area), engine.query_truth_batch(space, seen))
+    };
+    let mut digest = FxHasher::default();
+    batch.hash(&mut digest);
+    format!("{tag} {single:?} batch {:016x}", digest.finish())
+}
+
 /// Replay `ops` against an engine; op `i` happens at `t = i` ms. Every
 /// op's observable outcome (return value, query result, command list)
 /// is rendered to a fingerprint string, so two replays are equivalent
@@ -280,6 +317,7 @@ impl CoSpace for ShardedMetaverse {
 /// the first diverging op.
 pub fn replay<E: CoSpace>(engine: &mut E, ops: &[Op]) -> Vec<String> {
     let mut ids: Vec<EntityId> = Vec::new();
+    let mut seen: Vec<Aabb> = Vec::new();
     let mut out = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
         let now = SimTime::from_millis(i as u64);
@@ -299,12 +337,8 @@ pub fn replay<E: CoSpace>(engine: &mut E, ops: &[Op]) -> Vec<String> {
             Op::AreaEffect { space, effect, region, action, retire } => {
                 format!("effect {:?}", engine.area_effect(*space, effect, *region, action, *retire, now))
             }
-            Op::QueryTruth { space, area } => {
-                format!("truth {:?}", engine.query_truth(*space, area))
-            }
-            Op::QueryVisible { space, area } => {
-                format!("visible {:?}", engine.query_visible(*space, area))
-            }
+            Op::QueryTruth { space, area } => query_fp(engine, &mut seen, false, *space, area),
+            Op::QueryVisible { space, area } => query_fp(engine, &mut seen, true, *space, area),
         };
         out.push(fp);
     }
@@ -319,6 +353,7 @@ pub fn replay<E: CoSpace>(engine: &mut E, ops: &[Op]) -> Vec<String> {
 pub fn replay_batched(engine: &mut ShardedMetaverse, ops: &[Op], max_batch: usize) -> Vec<String> {
     assert!(max_batch > 0, "batch size must be positive");
     let mut ids: Vec<EntityId> = Vec::new();
+    let mut seen: Vec<Aabb> = Vec::new();
     let mut out: Vec<Option<String>> = vec![None; ops.len()];
     let mut batch: Vec<(usize, WriteOp)> = Vec::new();
     let flush = |engine: &mut ShardedMetaverse, batch: &mut Vec<(usize, WriteOp)>, out: &mut Vec<Option<String>>| {
@@ -358,12 +393,8 @@ pub fn replay_batched(engine: &mut ShardedMetaverse, ops: &[Op], max_batch: usiz
                             engine.area_effect(*space, effect, *region, action, *retire, now)
                         )
                     }
-                    Op::QueryTruth { space, area } => {
-                        format!("truth {:?}", engine.query_truth(*space, area))
-                    }
-                    Op::QueryVisible { space, area } => {
-                        format!("visible {:?}", engine.query_visible(*space, area))
-                    }
+                    Op::QueryTruth { space, area } => query_fp(engine, &mut seen, false, *space, area),
+                    Op::QueryVisible { space, area } => query_fp(engine, &mut seen, true, *space, area),
                     Op::Move { .. } | Op::Attr { .. } => unreachable!("batched above"),
                 };
                 out[i] = Some(fp);
@@ -491,7 +522,7 @@ mod tests {
                 for space in mv_common::Space::ALL {
                     let visible = mv.query_visible(space, &area);
                     let mut expected = mv.query_truth(space, &area);
-                    expected.extend(mv.affected_twins(space, &area));
+                    mv.twins_into(space, &area, &mut expected);
                     expected.sort_unstable();
                     expected.dedup();
                     prop_assert_eq!(&visible, &expected);

@@ -271,7 +271,7 @@ impl<'a> Workspace<'a> {
 
 /// Walk a `.lock()` receiver chain backwards from token `j` (the last
 /// token of the receiver). Returns the dotted components in source
-/// order, e.g. `self.merge_scratch.lock()` → `["self","merge_scratch"]`
+/// order, e.g. `self.live.lock()` → `["self","live"]`
 /// and `self.shard(i).lock()` → `["self","shard()"]`.
 fn recv_chain(toks: &[Token], j: usize) -> Option<Vec<String>> {
     let mut j = j;

@@ -33,7 +33,7 @@
 //! * `vec-realloc-in-loop` — **advisory**: a fresh `Vec` allocation
 //!   (`Vec::new()`, `vec![…]`, `.collect()`) inside a loop body on a
 //!   scoped hot path; the workspace idiom is a reused scratch buffer
-//!   (see `mv_core::merge`, `ShardedKv::apply_batch`). Advisory rules
+//!   (see `GridIndex::range_into`, `ShardedKv::apply_batch`). Advisory rules
 //!   are printed but never fail `--deny` — they point at churn, not
 //!   bugs.
 //! * `lock-order` — same-lock re-entry and acquisition-order cycles
@@ -128,11 +128,9 @@ pub const CATALOGUE: &[RuleSpec] = &[
             "crates/raft/src/node.rs",
             "crates/raft/src/msg.rs",
             "crates/core/src/replicated.rs",
-            // The ISSUE 8 hot-path rewrites: the SoA entity arena sits
-            // under durable replay, and the k-way merge scratch under
-            // every cross-shard query — both must degrade, not panic.
+            // The SoA entity arena sits under durable replay: it must
+            // degrade, not panic.
             "crates/core/src/arena.rs",
-            "crates/core/src/merge.rs",
             // The ISSUE 9 health layer: the recorder and SLO engine run
             // armed inside every experiment and the macro bench — a
             // monitoring panic must never take down the thing it
@@ -181,7 +179,6 @@ pub const CATALOGUE: &[RuleSpec] = &[
         // elsewhere a fresh Vec per call is usually the right API.
         include: &[
             "crates/core/src/arena.rs",
-            "crates/core/src/merge.rs",
             "crates/core/src/sharded.rs",
             "crates/storage/src/kv.rs",
             "crates/storage/src/sharded_kv.rs",
@@ -1466,7 +1463,7 @@ mod tests {
         "#;
         // In scope: flagged as advisory, three findings (Vec::new,
         // vec!, collect) — the collect() building the iterable is not.
-        let f = unallowed("crates/core/src/merge.rs", src);
+        let f = unallowed("crates/core/src/sharded.rs", src);
         assert_eq!(f.len(), 3, "{f:?}");
         assert!(f.iter().all(|f| f.rule == "vec-realloc-in-loop" && f.advisory), "{f:?}");
         assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), vec![5, 6, 7]);
@@ -1540,13 +1537,11 @@ mod tests {
     }
 
     #[test]
-    fn panic_path_covers_arena_and_merge() {
+    fn panic_path_covers_the_arena() {
         let src = "pub fn f(v: &[u32]) -> u32 { v[0] }";
-        for path in ["crates/core/src/arena.rs", "crates/core/src/merge.rs"] {
-            let f = unallowed(path, src);
-            assert_eq!(f.len(), 1, "{path}: {f:?}");
-            assert_eq!(f[0].rule, "panic-path");
-            assert!(!f[0].advisory, "panic-path stays deniable");
-        }
+        let f = unallowed("crates/core/src/arena.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "panic-path");
+        assert!(!f[0].advisory, "panic-path stays deniable");
     }
 }

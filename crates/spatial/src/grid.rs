@@ -1,14 +1,24 @@
 //! Uniform-grid point index.
 //!
 //! The workhorse for update-intensive movement streams: an update touches
-//! exactly two cells (hash-map buckets), a range query enumerates the
+//! at most two cells (hash-map buckets), a range query enumerates the
 //! covered cells. The grid is the index the co-space engine (`mv-core`)
 //! uses for the physical space by default.
+//!
+//! A bucket holds `(id, point)` pairs, so a probe tests candidates out of
+//! contiguous memory, and a cell strictly inside the probe's cell
+//! rectangle is taken whole: `p ↦ floor(p / cell_size) as i64` is
+//! monotone (division by a positive constant, `floor` and the saturating
+//! cast all are), so `cell_of(p) < cell_of(hi)` implies `p < hi`, and
+//! likewise above `lo`. A NaN coordinate has no order; it is filed under
+//! cell `i64::MIN`, which is never strictly inside any rectangle, so the
+//! point test (false for NaN) keeps it out of every result.
 
 use crate::index::SpatialIndex;
 use mv_common::geom::{Aabb, Point};
 use mv_common::hash::FastMap;
 use mv_common::id::EntityId;
+use std::collections::hash_map::Entry;
 
 /// Integer cell coordinates.
 type Cell = (i64, i64);
@@ -17,8 +27,11 @@ type Cell = (i64, i64);
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell_size: f64,
-    cells: FastMap<Cell, Vec<EntityId>>,
-    positions: FastMap<EntityId, Point>,
+    /// Every entry sits in `cell_of` its stored point; no bucket is empty.
+    cells: FastMap<Cell, Vec<(EntityId, Point)>>,
+    /// Each id's point and its slot in that point's bucket, so a move
+    /// out of a crowded cell costs no scan of the crowd.
+    positions: FastMap<EntityId, (Point, usize)>,
 }
 
 impl GridIndex {
@@ -41,17 +54,22 @@ impl GridIndex {
 
     #[inline]
     fn cell_of(&self, p: Point) -> Cell {
-        ((p.x / self.cell_size).floor() as i64, (p.y / self.cell_size).floor() as i64)
+        let axis = |v: f64| if v.is_nan() { i64::MIN } else { (v / self.cell_size).floor() as i64 };
+        (axis(p.x), axis(p.y))
     }
 
-    fn remove_from_cell(&mut self, cell: Cell, id: EntityId) {
-        if let Some(v) = self.cells.get_mut(&cell) {
-            if let Some(pos) = v.iter().position(|&e| e == id) {
-                v.swap_remove(pos);
+    /// Take the entry at `slot` out of `cell`'s bucket; the bucket's last
+    /// entry fills the hole and learns its new slot.
+    fn unfile(&mut self, cell: Cell, slot: usize) {
+        let Entry::Occupied(mut filed) = self.cells.entry(cell) else { return };
+        let bucket = filed.get_mut();
+        bucket.swap_remove(slot);
+        if let Some(&(moved, _)) = bucket.get(slot) {
+            if let Some(entry) = self.positions.get_mut(&moved) {
+                entry.1 = slot;
             }
-            if v.is_empty() {
-                self.cells.remove(&cell);
-            }
+        } else if bucket.is_empty() {
+            filed.remove();
         }
     }
 
@@ -60,55 +78,42 @@ impl GridIndex {
         self.cells.len()
     }
 
-    /// Shared body of [`SpatialIndex::range`] and
-    /// [`GridIndex::range_batch`]: append `area`'s hits to `out`.
+    /// Append the ids inside `area` (boundary inclusive) to `out`, in
+    /// arbitrary order; `out` is never cleared, so one buffer can collect
+    /// several probes or indexes.
     ///
     /// Huge queries (e.g. `Aabb::everything()`) would enumerate an
     /// astronomically large cell rectangle; when the query covers more
-    /// cells than are occupied, walk the occupied cells instead. The
-    /// sorted occupied-cell list is built lazily at most once and shared
-    /// across a whole batch of probes — with many area-of-interest
-    /// probes per grid pass, the sort amortizes to one `O(c log c)`
-    /// instead of one per wide probe.
-    fn range_one(
-        &self,
-        area: &Aabb,
-        sorted_occupied: &mut Option<Vec<Cell>>,
-        out: &mut Vec<EntityId>,
-    ) {
+    /// cells than are occupied, walk the occupied cells instead.
+    pub fn range_into(&self, area: &Aabb, out: &mut Vec<EntityId>) {
         let lo = self.cell_of(area.lo);
         let hi = self.cell_of(area.hi);
+        let mut take = |(cx, cy): Cell, bucket: &[(EntityId, Point)]| {
+            if lo.0 < cx && cx < hi.0 && lo.1 < cy && cy < hi.1 {
+                out.extend(bucket.iter().map(|e| e.0));
+            } else {
+                out.extend(bucket.iter().filter(|e| area.contains(e.1)).map(|e| e.0));
+            }
+        };
         let span = (hi.0 as i128 - lo.0 as i128 + 1)
             .saturating_mul(hi.1 as i128 - lo.1 as i128 + 1);
         if span > self.cells.len() as i128 {
-            let occupied = sorted_occupied.get_or_insert_with(|| {
-                let mut v: Vec<Cell> = self.cells.keys().copied().collect();
-                v.sort_unstable();
-                v
-            });
-            for &cell in occupied.iter() {
-                if cell.0 < lo.0 || cell.0 > hi.0 || cell.1 < lo.1 || cell.1 > hi.1 {
-                    continue;
-                }
-                for &id in &self.cells[&cell] {
-                    let p = self.positions[&id];
-                    if area.contains(p) {
-                        out.push(id);
-                    }
-                }
+            let mut covered: Vec<(Cell, &[(EntityId, Point)])> = self
+                .cells
+                .iter()
+                .filter(|(c, _)| lo.0 <= c.0 && c.0 <= hi.0 && lo.1 <= c.1 && c.1 <= hi.1)
+                .map(|(c, bucket)| (*c, bucket.as_slice()))
+                .collect();
+            covered.sort_unstable_by_key(|&(c, _)| c);
+            for (cell, bucket) in covered {
+                take(cell, bucket);
             }
             return;
         }
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    for &id in ids {
-                        // Cells on the query boundary need a point check.
-                        let p = self.positions[&id];
-                        if area.contains(p) {
-                            out.push(id);
-                        }
-                    }
+                if let Some(bucket) = self.cells.get(&(cx, cy)) {
+                    take((cx, cy), bucket);
                 }
             }
         }
@@ -117,49 +122,33 @@ impl GridIndex {
 
 impl SpatialIndex for GridIndex {
     fn insert(&mut self, id: EntityId, p: Point) {
-        if let Some(old) = self.positions.insert(id, p) {
-            let old_cell = self.cell_of(old);
-            let new_cell = self.cell_of(p);
-            if old_cell != new_cell {
-                self.remove_from_cell(old_cell, id);
-                self.cells.entry(new_cell).or_default().push(id);
-            }
-            return;
+        let bucket = self.cells.entry(self.cell_of(p)).or_default();
+        bucket.push((id, p));
+        if let Some((old, slot)) = self.positions.insert(id, (p, bucket.len() - 1)) {
+            // Drop the stale entry. After a move within one cell that
+            // lets the fresh entry, the bucket's last, take its slot.
+            self.unfile(self.cell_of(old), slot);
         }
-        let cell = self.cell_of(p);
-        self.cells.entry(cell).or_default().push(id);
+    }
+
+    fn update(&mut self, id: EntityId, p: Point) {
+        self.insert(id, p);
     }
 
     fn remove(&mut self, id: EntityId) -> Option<Point> {
-        let p = self.positions.remove(&id)?;
-        let cell = self.cell_of(p);
-        self.remove_from_cell(cell, id);
+        let (p, slot) = self.positions.remove(&id)?;
+        self.unfile(self.cell_of(p), slot);
         Some(p)
     }
 
     fn get(&self, id: EntityId) -> Option<Point> {
-        self.positions.get(&id).copied()
+        self.positions.get(&id).map(|&(p, _)| p)
     }
 
     fn range(&self, area: &Aabb) -> Vec<EntityId> {
         let mut out = Vec::new();
-        self.range_one(area, &mut None, &mut out);
+        self.range_into(area, &mut out);
         out
-    }
-
-    /// Vectorized probes: one shared occupied-cell pass serves every
-    /// wide probe in the batch; narrow probes still walk their own cell
-    /// rectangles. Element `i` is byte-identical to `range(&areas[i])`.
-    fn range_batch(&self, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
-        let mut sorted_occupied: Option<Vec<Cell>> = None;
-        areas
-            .iter()
-            .map(|area| {
-                let mut out = Vec::new();
-                self.range_one(area, &mut sorted_occupied, &mut out);
-                out
-            })
-            .collect()
     }
 
     fn knn(&self, p: Point, k: usize) -> Vec<EntityId> {
@@ -168,48 +157,49 @@ impl SpatialIndex for GridIndex {
         }
         // Expanding-ring search: examine cells in growing square rings
         // around p; stop once the k-th best distance is no larger than the
-        // closest possible point in the next unexplored ring.
+        // closest possible point in the next unexplored ring, or every
+        // stored point has been seen (each sits in exactly one cell).
         let center = self.cell_of(p);
         let mut best: Vec<(f64, EntityId)> = Vec::with_capacity(k + 1);
+        let mut seen = 0usize;
+        let mut walked = 0usize;
         let mut ring = 0i64;
-        let max_ring = 1 + (self.positions.len() as f64).sqrt() as i64
-            + self
-                .cells
-                .keys()
-                .map(|&(x, y)| (x - center.0).abs().max((y - center.1).abs()))
-                .max()
-                .unwrap_or(0);
-        while ring <= max_ring {
-            // Visit cells at Chebyshev distance `ring` from the center.
-            let visit = |cell: Cell, best: &mut Vec<(f64, EntityId)>| {
-                if let Some(ids) = self.cells.get(&cell) {
-                    for &id in ids {
-                        let d = p.dist_sq(self.positions[&id]);
-                        best.push((d, id));
+        while seen < self.positions.len() {
+            if walked <= self.cells.len() {
+                // Visit cells at Chebyshev distance `ring` from the center
+                // (wrapping: a wrapped cell is merely visited early).
+                let mut visit = |dx: i64, dy: i64| {
+                    walked += 1;
+                    if let Some(bucket) = self.cells.get(&(center.0.wrapping_add(dx), center.1.wrapping_add(dy))) {
+                        seen += bucket.len();
+                        best.extend(bucket.iter().map(|&(id, q)| (p.dist_sq(q), id)));
+                    }
+                };
+                if ring == 0 {
+                    visit(0, 0);
+                } else {
+                    for dx in -ring..=ring {
+                        visit(dx, -ring);
+                        visit(dx, ring);
+                    }
+                    for dy in (-ring + 1)..ring {
+                        visit(-ring, dy);
+                        visit(ring, dy);
                     }
                 }
-            };
-            if ring == 0 {
-                visit(center, &mut best);
             } else {
-                for dx in -ring..=ring {
-                    visit((center.0 + dx, center.1 - ring), &mut best);
-                    visit((center.0 + dx, center.1 + ring), &mut best);
-                }
-                for dy in (-ring + 1)..ring {
-                    visit((center.0 - ring, center.1 + dy), &mut best);
-                    visit((center.0 + ring, center.1 + dy), &mut best);
-                }
+                // Rings over sparse or far-flung data have cost more cell
+                // lookups than there are buckets: one pass over the
+                // buckets is the cheaper way to the same answer.
+                seen = self.positions.len();
+                best.clear();
+                best.extend(self.cells.values().flatten().map(|&(id, q)| (p.dist_sq(q), id)));
             }
             best.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             best.truncate(k);
-            if best.len() == k {
-                // Distance to the nearest edge of the next ring.
-                let next_ring_dist = ring as f64 * self.cell_size;
-                let kth = best[k - 1].0.sqrt();
-                if kth <= next_ring_dist {
-                    break;
-                }
+            // Distance to the nearest edge of the next ring.
+            if best.len() == k && best[k - 1].0.sqrt() <= ring as f64 * self.cell_size {
+                break;
             }
             ring += 1;
         }
@@ -322,58 +312,135 @@ mod tests {
     }
 
     #[test]
-    fn range_batch_matches_per_probe_range_including_wide_probes() {
+    fn wide_probes_walk_occupied_cells_and_match_scan() {
         let mut rng = seeded_rng(8);
         let mut g = GridIndex::new(5.0);
+        let mut s = ScanIndex::new();
+        let wide = [Aabb::centered(Point::ORIGIN, 10_000.0), Aabb::everything()];
+        for area in &wide {
+            assert!(g.range(area).is_empty(), "empty index");
+        }
         for i in 0..400u64 {
-            g.insert(e(i), Point::new(rng.gen_range(-200.0..200.0), rng.gen_range(-200.0..200.0)));
+            let p = Point::new(rng.gen_range(-200.0..200.0), rng.gen_range(-200.0..200.0));
+            g.insert(e(i), p);
+            s.insert(e(i), p);
         }
-        // Mix of narrow probes (rect walk), wide probes (occupied-cell
-        // walk), and the unbounded box.
-        let mut areas: Vec<Aabb> = (0..32)
-            .map(|_| {
-                let c = Point::new(rng.gen_range(-200.0..200.0), rng.gen_range(-200.0..200.0));
-                Aabb::centered(c, rng.gen_range(1.0..30.0))
-            })
-            .collect();
-        areas.push(Aabb::centered(Point::ORIGIN, 10_000.0));
-        areas.push(Aabb::everything());
-        let batch = g.range_batch(&areas);
-        assert_eq!(batch.len(), areas.len());
-        for (i, area) in areas.iter().enumerate() {
-            assert_eq!(batch[i], g.range(area), "probe {i} diverged from range()");
+        for area in &wide {
+            assert_eq!(sorted(g.range(area)), s.range(area));
         }
+        assert_eq!(g.range_batch(&wide), vec![g.range(&wide[0]), g.range(&wide[1])]);
     }
 
     #[test]
-    fn range_batch_on_empty_input_and_empty_index() {
-        let g = GridIndex::new(5.0);
-        assert!(g.range_batch(&[]).is_empty());
-        let probes = [Aabb::centered(Point::ORIGIN, 5.0)];
-        assert_eq!(g.range_batch(&probes), vec![Vec::new()]);
+    fn range_into_appends_and_never_clears() {
+        let mut g = GridIndex::new(10.0);
+        g.insert(e(1), Point::new(5.0, 5.0));
+        g.insert(e(2), Point::new(95.0, 95.0));
+        let mut out = vec![e(77)];
+        g.range_into(&Aabb::centered(Point::new(5.0, 5.0), 1.0), &mut out);
+        g.range_into(&Aabb::centered(Point::new(50.0, 50.0), 1.0), &mut out);
+        g.range_into(&Aabb::centered(Point::new(95.0, 95.0), 1.0), &mut out);
+        assert_eq!(out, vec![e(77), e(1), e(2)]);
+    }
+
+    #[test]
+    fn nan_points_are_stored_but_no_probe_returns_them() {
+        let mut g = GridIndex::new(10.0);
+        g.insert(e(1), Point::new(f64::NAN, f64::NAN));
+        g.insert(e(2), Point::new(5.0, f64::NAN));
+        g.insert(e(3), Point::new(5.0, 5.0));
+        assert_eq!(g.len(), 3);
+        assert!(g.get(e(1)).is_some_and(|p| p.x.is_nan()));
+        // Cell (0, 0) is strictly inside this probe's cell rectangle, so
+        // its bucket is taken without a point test.
+        let around_origin = Aabb::new(Point::new(-25.0, -25.0), Point::new(25.0, 25.0));
+        for area in [around_origin, Aabb::centered(Point::new(5.0, 5.0), 1.0), Aabb::everything()] {
+            assert_eq!(g.range(&area), vec![e(3)]);
+        }
+        // A NaN point that becomes finite is indexed like any other, and
+        // removal finds a NaN point where it was filed.
+        g.update(e(2), Point::new(6.0, 6.0));
+        assert_eq!(sorted(g.range(&around_origin)), vec![e(2), e(3)]);
+        assert!(g.remove(e(1)).is_some_and(|p| p.y.is_nan()));
+        assert_eq!((g.len(), g.occupied_cells()), (2, 1));
+    }
+
+    #[test]
+    fn knn_reaches_far_outliers_without_walking_the_gap() {
+        let mut g = GridIndex::new(1.0);
+        let mut s = ScanIndex::new();
+        let pts = [(0.5, 0.5), (2.5, 0.5), (1.0e12, -1.0e12), (f64::INFINITY, 0.0)];
+        for (i, (x, y)) in pts.iter().enumerate() {
+            g.insert(e(i as u64), Point::new(*x, *y));
+            s.insert(e(i as u64), Point::new(*x, *y));
+        }
+        for k in 1..=5 {
+            assert_eq!(g.knn(Point::ORIGIN, k), s.knn(Point::ORIGIN, k), "k={k}");
+        }
+    }
+
+    /// A coordinate in quarter-cell units, so every fourth value is an
+    /// exact multiple of the cell size.
+    fn quarter(units: i32, cell: f64) -> f64 {
+        f64::from(units) * (cell / 4.0)
     }
 
     proptest! {
         #[test]
-        fn prop_range_batch_equals_scan_per_probe(
-            pts in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..60),
+        fn prop_range_into_equals_scan_on_cell_edges(
+            pts in proptest::collection::vec((-24i32..24, -24i32..24), 1..60),
             probes in proptest::collection::vec(
-                (-50.0f64..50.0, -50.0f64..50.0, 0.1f64..60.0), 1..8),
+                (-26i32..26, -26i32..26, -26i32..26, -26i32..26), 1..10),
             cell in 0.5f64..20.0,
         ) {
             let mut g = GridIndex::new(cell);
             let mut s = ScanIndex::new();
-            for (i, (x, y)) in pts.iter().enumerate() {
-                g.insert(e(i as u64), Point::new(*x, *y));
-                s.insert(e(i as u64), Point::new(*x, *y));
+            for (i, &(x, y)) in pts.iter().enumerate() {
+                let p = Point::new(quarter(x, cell), quarter(y, cell));
+                g.insert(e(i as u64), p);
+                s.insert(e(i as u64), p);
             }
-            let areas: Vec<Aabb> = probes
+            // Corners as drawn: edges on cell edges and on stored points,
+            // zero-area boxes, and boxes inverted on either axis.
+            let areas = probes
                 .iter()
-                .map(|&(x, y, r)| Aabb::centered(Point::new(x, y), r))
-                .collect();
-            let batch = g.range_batch(&areas);
-            for (i, area) in areas.iter().enumerate() {
-                prop_assert_eq!(sorted(batch[i].clone()), sorted(s.range(area)));
+                .map(|&(x0, y0, x1, y1)| Aabb {
+                    lo: Point::new(quarter(x0, cell), quarter(y0, cell)),
+                    hi: Point::new(quarter(x1, cell), quarter(y1, cell)),
+                })
+                .chain([Aabb::everything()]);
+            let mut out = Vec::new();
+            for area in areas {
+                let before = out.len();
+                g.range_into(&area, &mut out);
+                prop_assert_eq!(sorted(out[before..].to_vec()), s.range(&area));
+            }
+        }
+
+        #[test]
+        fn prop_buckets_hold_each_point_once_at_its_current_position(
+            ops in proptest::collection::vec((0u8..3, 0u64..12, -24i32..24, -24i32..24), 1..120),
+            cell in 0.5f64..20.0,
+        ) {
+            let mut g = GridIndex::new(cell);
+            for &(op, id, x, y) in &ops {
+                // Quarter-cell steps make same-cell moves common.
+                let p = Point::new(quarter(x, cell), quarter(y, cell));
+                match op {
+                    0 => g.insert(e(id), p),
+                    1 => g.update(e(id), p),
+                    _ => { g.remove(e(id)); }
+                }
+                let mut filed = 0;
+                for (&c, bucket) in &g.cells {
+                    prop_assert!(!bucket.is_empty());
+                    for (slot, &(id, q)) in bucket.iter().enumerate() {
+                        prop_assert_eq!(g.positions.get(&id), Some(&(q, slot)));
+                        prop_assert_eq!(g.cell_of(q), c);
+                        filed += 1;
+                    }
+                }
+                prop_assert_eq!(filed, g.len());
             }
         }
 

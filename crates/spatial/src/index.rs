@@ -27,10 +27,7 @@ pub trait SpatialIndex {
     fn range(&self, area: &Aabb) -> Vec<EntityId>;
 
     /// Answer many range probes at once; element `i` equals
-    /// `self.range(&areas[i])`. The default is the probe-at-a-time
-    /// loop; indexes override it when a shared pass over their
-    /// structure amortizes per-probe setup (see
-    /// [`crate::GridIndex::range_batch`]).
+    /// `self.range(&areas[i])`.
     fn range_batch(&self, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
         areas.iter().map(|a| self.range(a)).collect()
     }
