@@ -141,6 +141,10 @@ pub struct E19Cell {
     /// single-shard commits, two for cross-shard, at
     /// [`crate::exp_durable::SYNC_LATENCY_US`] each.
     pub mean_commit_us: f64,
+    /// Chains the automatic collector visited (`core.txn.gc_chains_visited`).
+    pub gc_visited: u64,
+    /// Versions it dropped (`core.txn.gc_versions_auto`).
+    pub gc_dropped: u64,
     /// Engine bytes ⊕ MVCC chain digest — the determinism witness.
     pub digest: u64,
 }
@@ -233,6 +237,8 @@ pub fn e19_cell(shards: usize, pool: usize, groups: usize, seed: u64) -> E19Cell
         mean_commit_us: (single as f64 + 2.0 * cross as f64)
             * crate::exp_durable::SYNC_LATENCY_US
             / done as f64,
+        gc_visited: dm.txn_stats().get("gc_chains_visited"),
+        gc_dropped: dm.txn_stats().get("gc_versions_auto"),
         digest: fx_hash_one(&dm.state_encoding()) ^ dm.txn_digest(),
     }
 }
@@ -251,6 +257,8 @@ pub fn e19() -> Vec<Table> {
             "abort_rate",
             "cross_shard",
             "mean_commit_us",
+            "gc_visited",
+            "gc_dropped",
             "digest",
         ],
     );
@@ -266,6 +274,8 @@ pub fn e19() -> Vec<Table> {
                 pct(c.aborted as f64 / c.offered as f64),
                 pct(c.cross_share),
                 f2(c.mean_commit_us),
+                n(c.gc_visited),
+                n(c.gc_dropped),
                 format!("{:016x}", c.digest),
             ]);
         }

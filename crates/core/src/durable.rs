@@ -749,10 +749,7 @@ impl DurableMetaverse {
         // chains in the same maximally-trimmed state the live path's
         // per-commit collector maintains (the differential harness
         // compares chain digests against a live twin).
-        let trimmed = txns.mvcc.auto_gc();
-        if trimmed > 0 {
-            txns.stats.add("gc_versions_auto", trimmed as u64);
-        }
+        txns.auto_gc();
         // Regenerated events are not "new" mutations — clear them, then
         // rebuild the materialized store from the recovered entities.
         engine.drain_events();

@@ -42,7 +42,9 @@
 //! GC is automatic: every commit and abort collects at the oldest live
 //! snapshot's begin timestamp (a long-running transaction pins the
 //! horizon), and recovery finishes with one collection pass so rebuilt
-//! chains land in the same trimmed state.
+//! chains land in the same trimmed state. A pass visits only the chains
+//! that hold garbage at its horizon, so ending a transaction costs what
+//! the transaction wrote, whatever the size of the store.
 
 use crate::durable::{DurableMetaverse, DurableOp};
 use bytes::Bytes;
@@ -153,6 +155,17 @@ impl TxnState {
             self.mvcc.install_version(&k, v, commit_ts);
         }
         self.stats.incr("recovered_commits");
+    }
+
+    /// Run the automatic collector (see [`ShardedMvcc::auto_gc`]) and
+    /// count what it did; returns the versions dropped.
+    pub(crate) fn auto_gc(&mut self) -> usize {
+        let pass = self.mvcc.auto_gc();
+        if pass.visited > 0 {
+            self.stats.add("gc_chains_visited", pass.visited as u64);
+            self.stats.add("gc_versions_auto", pass.dropped as u64);
+        }
+        pass.dropped
     }
 
     /// Install the single-key version a *plain* (non-transactional)
@@ -311,14 +324,14 @@ impl DurableMetaverse {
         // Phase 1a: validate + write-lock every participant shard
         // (write shards, plus read shards for serializable validation),
         // in ascending index order so concurrent preparers cannot
-        // deadlock.
-        let participants = self.txns.mvcc.participants(&inner);
-        for (i, &si) in participants.iter().enumerate() {
+        // deadlock. The key sets are routed to shards once, here.
+        let parts = self.txns.mvcc.route(&inner);
+        for (i, part) in parts.iter().enumerate() {
             let prep_span = match (&self.tracer, root) {
                 (Some(tr), Some(c)) => Some(tr.child(c, "txn.prepare", now)),
                 _ => None,
             };
-            match self.txns.mvcc.prepare_shard(&inner, si) {
+            match self.txns.mvcc.prepare(&inner, part) {
                 Ok(()) => {
                     if let (Some(tr), Some(s)) = (&self.tracer, prep_span) {
                         tr.close(s, now, "prepared");
@@ -328,9 +341,9 @@ impl DurableMetaverse {
                     if let (Some(tr), Some(s)) = (&self.tracer, prep_span) {
                         tr.close(s, now, "conflict");
                     }
-                    self.txns.mvcc.release(&inner, participants.get(..i).unwrap_or(&[]));
-                    self.txns.mvcc.finish(inner.id);
-                    self.auto_gc();
+                    self.txns.mvcc.release(txn_id, parts.get(..i).unwrap_or(&[]));
+                    self.txns.mvcc.finish(txn_id);
+                    self.txns.auto_gc();
                     self.txns.stats.incr("aborted_conflict");
                     if let (Some(tr), Some(c)) = (&self.tracer, root) {
                         tr.event(c, "txn.abort", now, "conflict");
@@ -346,22 +359,16 @@ impl DurableMetaverse {
         // transaction takes the fast path: prepare and decision ride
         // *one* batch and one sync — batch recovery is all-or-nothing,
         // so "decision durable ⟹ prepare durable" still holds.
-        let write_shards = self.txns.mvcc.write_shards(&inner);
-        let by_shard = self.ops_by_shard(&ops, &write_shards);
-        let fast_path = by_shard.len() == 1;
-        for (logged, (si, shard_ops)) in by_shard.iter().enumerate() {
-            self.log(&DurableOp::TxnPrepare {
-                txn: inner.id.raw(),
-                shard: wire_u32(*si),
-                ops: shard_ops.clone(),
-                ts: now,
-            });
+        let prepares = self.prepare_records(txn_id.raw(), ops, now);
+        let write_shards = prepares.len();
+        for (logged, prepare) in prepares.iter().enumerate() {
+            self.log(prepare);
             self.txns.stats.incr("prepares_logged");
             if crash == Some(TxnCrashPoint::AfterPrepare(logged + 1)) {
                 return crashed(self, root);
             }
         }
-        if !by_shard.is_empty() && !fast_path {
+        if write_shards > 1 {
             self.wal.sync();
             self.txns.stats.incr("commit_syncs");
         }
@@ -371,9 +378,9 @@ impl DurableMetaverse {
 
         // Phase 2: the decision. Its sync is the commit point.
         let commit_ts = self.txns.mvcc.oracle().next(now);
-        if !by_shard.is_empty() {
+        if write_shards > 0 {
             self.log(&DurableOp::TxnDecision {
-                txn: inner.id.raw(),
+                txn: txn_id.raw(),
                 commit: true,
                 commit_ts,
                 ts: now,
@@ -391,16 +398,17 @@ impl DurableMetaverse {
 
         // Apply: install versions at the decision timestamp, replay the
         // buffered ops into the engine in prepare-record order.
-        self.txns.mvcc.install(&inner, commit_ts);
-        for (_, shard_ops) in by_shard {
-            for op in shard_ops {
+        self.txns.mvcc.install(txn_id, parts, commit_ts);
+        for prepare in prepares {
+            let DurableOp::TxnPrepare { ops, .. } = prepare else { continue };
+            for op in ops {
                 Self::replay(&mut self.engine, &mut self.ids, op);
             }
         }
-        self.txns.mvcc.finish(inner.id);
-        self.auto_gc();
+        self.txns.mvcc.finish(txn_id);
+        self.txns.auto_gc();
         self.txns.stats.incr("committed");
-        match write_shards.len() {
+        match write_shards {
             0 => self.txns.stats.incr("readonly_commits"),
             1 => self.txns.stats.incr("single_shard_commits"),
             _ => self.txns.stats.incr("cross_shard_commits"),
@@ -416,7 +424,7 @@ impl DurableMetaverse {
     /// logged — begin/read/write touch no shared state).
     pub fn abort_txn(&mut self, txn: MetaTxn, now: SimTime) {
         self.txns.mvcc.finish(txn.inner.id);
-        self.auto_gc();
+        self.txns.auto_gc();
         self.txns.stats.incr("aborted_explicit");
         if let (Some(tr), Some(c)) = (&self.tracer, txn.root) {
             tr.event(c, "txn.abort", now, "explicit");
@@ -424,26 +432,27 @@ impl DurableMetaverse {
         }
     }
 
-    /// Group `ops` by write shard, in `write_shards` (ascending) order,
-    /// preserving program order within each shard.
-    fn ops_by_shard(
-        &self,
-        ops: &[DurableOp],
-        write_shards: &[usize],
-    ) -> Vec<(usize, Vec<DurableOp>)> {
+    /// `txn`'s buffered ops as its [`DurableOp::TxnPrepare`] records:
+    /// one per write shard in ascending shard order, program order kept
+    /// within each. An op routes by its entity id, exactly as its MVCC
+    /// key does (see [`txn_route`]).
+    fn prepare_records(&self, txn: u64, ops: Vec<DurableOp>, now: SimTime) -> Vec<DurableOp> {
         let n = self.txns.mvcc.shard_count();
-        write_shards
-            .iter()
-            .map(|&si| {
-                let shard_ops = ops
-                    .iter()
-                    .filter(|op| {
-                        mvcc_kv_for(op).is_some_and(|(key, _)| txn_route(&key, n) == si)
-                    })
-                    .cloned()
-                    .collect();
-                (si, shard_ops)
-            })
+        let mut by_shard: Vec<Vec<DurableOp>> = vec![Vec::new(); n];
+        for op in ops {
+            let (DurableOp::Position { id, .. } | DurableOp::Attr { id, .. }) = &op else {
+                continue;
+            };
+            let si = mv_storage::sharded_kv::shard_of_key(&id.raw().to_le_bytes(), n);
+            if let Some(shard_ops) = by_shard.get_mut(si) {
+                shard_ops.push(op);
+            }
+        }
+        by_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, shard_ops)| !shard_ops.is_empty())
+            .map(|(si, ops)| DurableOp::TxnPrepare { txn, shard: wire_u32(si), ops, ts: now })
             .collect()
     }
 
@@ -474,7 +483,7 @@ impl DurableMetaverse {
     /// runs the automatic collector (see [`Self::txn_auto_gc`]), which
     /// tracks the oldest live snapshot by itself.
     pub fn txn_gc(&mut self, horizon: u64) -> usize {
-        self.txns.mvcc.gc(horizon)
+        self.txns.mvcc.gc(horizon).dropped
     }
 
     /// Run the automatic collector now: GC at the oldest live
@@ -482,24 +491,13 @@ impl DurableMetaverse {
     /// transaction is open). A long-running transaction pins the
     /// horizon — nothing it could still read is collected.
     pub fn txn_auto_gc(&mut self) -> usize {
-        let dropped = self.txns.mvcc.auto_gc();
-        if dropped > 0 {
-            self.txns.stats.add("gc_versions_auto", dropped as u64);
-        }
-        dropped
+        self.txns.auto_gc()
     }
 
     /// Begin timestamp of the oldest open transaction, if any (the
     /// automatic GC horizon clamp).
     pub fn txn_oldest_live_snapshot(&self) -> Option<u64> {
         self.txns.mvcc.oldest_live_snapshot()
-    }
-
-    fn auto_gc(&mut self) {
-        let dropped = self.txns.mvcc.auto_gc();
-        if dropped > 0 {
-            self.txns.stats.add("gc_versions_auto", dropped as u64);
-        }
     }
 
     /// Prepared-but-undecided locks (0 whenever no commit is mid-flight
@@ -873,5 +871,79 @@ mod tests {
         assert_eq!(dm.txn_gc(dm.txn_current_ts()), 0, "nothing left for the manual horizon");
         let mut check = dm.txn(t(20));
         assert_eq!(dm.txn_read_attr(&mut check, ids[0], "gold"), Some(9.0));
+    }
+
+    /// What [`purchase_script`] counted.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct GcWork {
+        visited: u64,
+        dropped: u64,
+        committed: u64,
+    }
+
+    /// The flash-sale shape (groups of 8 same-snapshot purchases on a
+    /// few hot products, first committer wins) against a seeded pool of
+    /// `pool` entities; only the first 64 are ever bought from or by.
+    /// Returns the collector's counters and the versions installed.
+    fn purchase_script(pool: usize, groups: u64) -> (GcWork, u64) {
+        let (mut dm, ids) = world(4, pool);
+        let mut init = dm.txn(t(2));
+        for &id in &ids {
+            init.write_attr(id, "stock", 1e9, t(2));
+            init.write_attr(id, "revenue", 0.0, t(2));
+        }
+        dm.commit_txn(init, t(2)).expect("seed txn runs alone");
+        // `world` wrote one plain `gold` version per entity.
+        let mut installed = 3 * pool as u64;
+        let mut lcg = 0x9E37_79B9_7F4A_7C15u64;
+        let mut pick = |n: u64| {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((lcg >> 33) % n) as usize
+        };
+        for g in 0..groups {
+            let now = t(3 + g);
+            let mut group = Vec::new();
+            for _ in 0..8 {
+                let (product, buyer) = (ids[pick(4)], ids[8 + pick(56)]);
+                let mut txn = dm.txn(now);
+                let stock = dm.txn_read_attr(&mut txn, product, "stock").expect("seeded");
+                let revenue = dm.txn_read_attr(&mut txn, product, "revenue").expect("seeded");
+                let gold = dm.txn_read_attr(&mut txn, buyer, "gold").expect("seeded");
+                txn.write_attr(product, "stock", stock - 1.0, now);
+                txn.write_attr(product, "revenue", revenue + 5.0, now);
+                txn.write_attr(buyer, "gold", gold - 5.0, now);
+                group.push(txn);
+            }
+            for txn in group {
+                let writes = txn.write_count() as u64;
+                if dm.commit_txn(txn, now).is_ok() {
+                    installed += writes;
+                }
+            }
+        }
+        let stats = dm.txn_stats();
+        let work = GcWork {
+            visited: stats.get("gc_chains_visited"),
+            dropped: stats.get("gc_versions_auto"),
+            committed: stats.get("committed"),
+        };
+        (work, installed)
+    }
+
+    /// Commit cost follows the transaction, not the store: the same
+    /// script collects the same versions from the same number of chain
+    /// visits whether 64 or 16 384 entities' chains sit in the store —
+    /// and never visits more chains than versions were installed (each
+    /// visit drops at least one). Counts, no clock.
+    #[test]
+    fn gc_work_is_independent_of_store_size() {
+        let (small, small_installed) = purchase_script(64, 1_000);
+        let (large, large_installed) = purchase_script(16_384, 1_000);
+        println!("pool=64:    {small:?} installed={small_installed}");
+        println!("pool=16384: {large:?} installed={large_installed}");
+        assert_eq!(small, large);
+        assert!((1_000..8_000).contains(&small.committed), "some purchases win, some conflict");
+        assert!(small.visited > 0 && small.visited <= small.dropped, "{small:?}");
+        assert!(small.dropped <= small_installed && large.dropped <= large_installed);
     }
 }

@@ -24,5 +24,5 @@ pub mod mvcc;
 pub mod sharded;
 
 pub use distributed::{CommitProtocol, DistributedSim, SimParams, TxnReport};
-pub use mvcc::{IsolationLevel, MvccStore, Transaction};
-pub use sharded::{ShardRouter, ShardedMvcc};
+pub use mvcc::{GcPass, IsolationLevel, MvccStore, Transaction};
+pub use sharded::{ShardRouter, ShardSets, ShardedMvcc};

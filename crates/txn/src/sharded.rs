@@ -15,7 +15,7 @@
 //! engine passes `ShardedKv`'s hash so version chains and KV rows for
 //! one entity land on the same shard index).
 
-use crate::mvcc::{IsolationLevel, MvccStore, Transaction};
+use crate::mvcc::{GcPass, IsolationLevel, MvccStore, Transaction};
 use bytes::Bytes;
 use mv_common::hash::fx_hash_one;
 use mv_common::id::{IdGen, TxnId};
@@ -32,6 +32,16 @@ pub type ShardRouter = fn(&[u8], usize) -> usize;
 /// The default router: Fx hash of the whole key.
 pub fn fx_router(key: &[u8], shards: usize) -> usize {
     (fx_hash_one(&key) % shards.max(1) as u64) as usize
+}
+
+/// One participant shard's share of a transaction's key sets, each in
+/// key order. [`ShardedMvcc::route`] builds the whole partition once per
+/// commit; prepare, install and release all take it from there.
+#[derive(Debug)]
+pub struct ShardSets {
+    shard: usize,
+    reads: Vec<Bytes>,
+    writes: Vec<(Bytes, Option<Bytes>)>,
 }
 
 /// N MVCC stores behind a router, sharing one oracle. See the module
@@ -103,9 +113,16 @@ impl ShardedMvcc {
     /// [`ShardedMvcc::finish`] (or a [`ShardedMvcc::commit_at`] /
     /// release path that calls it) retires the transaction.
     pub fn begin(&self) -> Transaction {
+        // Id and snapshot are drawn under the registry lock, so both are
+        // monotone in registration order: the first entry is the oldest.
+        let mut live = self.live.lock();
         let id: TxnId = self.ids.next();
         let begin_ts = self.oracle.current();
-        self.live.lock().insert(id.raw(), begin_ts);
+        debug_assert!(
+            live.last_key_value().is_none_or(|(last, ts)| *last < id.raw() && *ts <= begin_ts),
+            "txn ids and begin timestamps are both monotone"
+        );
+        live.insert(id.raw(), begin_ts);
         Transaction::with_snapshot(id, begin_ts)
     }
 
@@ -118,7 +135,7 @@ impl ShardedMvcc {
 
     /// The begin timestamp of the oldest still-live snapshot, if any.
     pub fn oldest_live_snapshot(&self) -> Option<u64> {
-        self.live.lock().values().copied().min()
+        self.live.lock().values().next().copied()
     }
 
     /// Number of begun-but-unfinished transactions.
@@ -130,13 +147,14 @@ impl ShardedMvcc {
     /// snapshot can observe below: the oldest live begin timestamp, or
     /// the oracle's current timestamp when nothing is live. Callers no
     /// longer pick a horizon by hand — a long-running transaction
-    /// simply pins it. Returns total versions dropped.
-    pub fn auto_gc(&self) -> usize {
-        let horizon = match self.oldest_live_snapshot() {
-            Some(oldest) => oldest.min(self.oracle.current()),
-            None => self.oracle.current(),
-        };
-        self.gc(horizon)
+    /// simply pins it.
+    pub fn auto_gc(&self) -> GcPass {
+        self.gc(self.auto_horizon())
+    }
+
+    fn auto_horizon(&self) -> u64 {
+        let current = self.oracle.current();
+        self.oldest_live_snapshot().map_or(current, |oldest| oldest.min(current))
     }
 
     /// Read `key` inside `txn`, routed to its shard.
@@ -159,69 +177,55 @@ impl ShardedMvcc {
         self.read_at(key, self.oracle.current())
     }
 
-    /// Shard indices `txn` must prepare on: every shard holding a write
-    /// (these get durable prepare records) plus, under serializable
-    /// validation, every shard holding a read. Sorted ascending so lock
+    /// Route `txn`'s key sets to shards, once: one [`ShardSets`] per
+    /// participant — every shard holding a write (these get durable
+    /// prepare records) plus, under serializable validation, every
+    /// shard holding a read. Ascending by shard index so lock
     /// acquisition order is deterministic (no deadlock between
     /// concurrent preparers).
-    pub fn participants(&self, txn: &Transaction) -> Vec<usize> {
-        let mut out: Vec<usize> = txn.write_set().map(|(k, _)| self.shard_of(k)).collect();
-        if self.stores().any(|s| s.level() == IsolationLevel::Serializable) {
-            out.extend(txn.read_keys().map(|k| self.shard_of(k)));
+    pub fn route(&self, txn: &Transaction) -> Vec<ShardSets> {
+        let mut parts: Vec<ShardSets> = (0..self.shard_count())
+            .map(|shard| ShardSets { shard, reads: Vec::new(), writes: Vec::new() })
+            .collect();
+        for (key, value) in txn.write_set() {
+            if let Some(part) = parts.get_mut(self.shard_of(key)) {
+                part.writes.push((key.clone(), value.clone()));
+            }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+        if self.head.level() == IsolationLevel::Serializable {
+            for key in txn.read_keys() {
+                if let Some(part) = parts.get_mut(self.shard_of(key)) {
+                    part.reads.push(key.clone());
+                }
+            }
+        }
+        parts.retain(|part| !(part.reads.is_empty() && part.writes.is_empty()));
+        parts
     }
 
-    /// Shard indices holding writes of `txn` (the set that needs
-    /// durable prepare records and phase-2 installs), sorted.
-    pub fn write_shards(&self, txn: &Transaction) -> Vec<usize> {
-        let mut out: Vec<usize> = txn.write_set().map(|(k, _)| self.shard_of(k)).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// `txn`'s buffered writes owned by shard `si`, in key order.
-    pub fn shard_writes(&self, txn: &Transaction, si: usize) -> Vec<(Bytes, Option<Bytes>)> {
-        txn.write_set()
-            .filter(|(k, _)| self.shard_of(k) == si)
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// `txn`'s recorded reads owned by shard `si`, in key order.
-    pub fn shard_reads(&self, txn: &Transaction, si: usize) -> Vec<Bytes> {
-        txn.read_keys().filter(|k| self.shard_of(k) == si).cloned().collect()
-    }
-
-    /// Phase 1 on shard `si`: validate `txn`'s reads/writes there and
-    /// write-lock the writes.
-    pub fn prepare_shard(&self, txn: &Transaction, si: usize) -> MvResult<()> {
-        let reads = self.shard_reads(txn, si);
-        let writes: Vec<Bytes> = self.shard_writes(txn, si).into_iter().map(|(k, _)| k).collect();
-        self.store_at(si).prepare(txn, &reads, &writes)
+    /// Phase 1 on one participant: validate `txn`'s reads/writes there
+    /// and write-lock the writes.
+    pub fn prepare(&self, txn: &Transaction, part: &ShardSets) -> MvResult<()> {
+        self.store_at(part.shard).prepare(txn, &part.reads, &part.writes)
     }
 
     /// Phase 2 (commit) on every write shard: install versions at
     /// `commit_ts` and drop the locks.
-    pub fn install(&self, txn: &Transaction, commit_ts: u64) {
-        for si in self.write_shards(txn) {
-            let writes = self.shard_writes(txn, si);
-            self.store_at(si).install_prepared(txn.id, &writes, commit_ts);
+    pub fn install(&self, txn_id: TxnId, parts: Vec<ShardSets>, commit_ts: u64) {
+        for part in parts {
+            if !part.writes.is_empty() {
+                self.store_at(part.shard).install_prepared(txn_id, part.writes, commit_ts);
+            }
         }
     }
 
-    /// Phase 2 (abort): release locks on shards `0..=locked_up_to`
-    /// (prepare acquires in ascending participant order, so a failure
-    /// at participant k leaves exactly the participants before k
-    /// locked).
-    pub fn release(&self, txn: &Transaction, participants: &[usize]) {
-        for &si in participants {
-            let writes: Vec<Bytes> =
-                self.shard_writes(txn, si).into_iter().map(|(k, _)| k).collect();
-            self.store_at(si).release_prepared(txn.id, &writes);
+    /// Phase 2 (abort): release the locks held on `prepared` — the
+    /// participants that did prepare (prepare acquires in ascending
+    /// participant order, so a failure at participant k leaves exactly
+    /// the participants before k locked).
+    pub fn release(&self, txn_id: TxnId, prepared: &[ShardSets]) {
+        for part in prepared {
+            self.store_at(part.shard).release_prepared(txn_id, &part.writes);
         }
     }
 
@@ -235,16 +239,16 @@ impl ShardedMvcc {
     /// prepare everywhere, then install at one fresh timestamp (or
     /// release everything and return the validation error).
     pub fn commit_at(&self, txn: Transaction, now: SimTime) -> MvResult<u64> {
-        let participants = self.participants(&txn);
-        for (i, &si) in participants.iter().enumerate() {
-            if let Err(e) = self.prepare_shard(&txn, si) {
-                self.release(&txn, participants.get(..i).unwrap_or_default());
+        let parts = self.route(&txn);
+        for (i, part) in parts.iter().enumerate() {
+            if let Err(e) = self.prepare(&txn, part) {
+                self.release(txn.id, parts.get(..i).unwrap_or_default());
                 self.finish(txn.id);
                 return Err(e);
             }
         }
         let commit_ts = self.oracle.next(now);
-        self.install(&txn, commit_ts);
+        self.install(txn.id, parts, commit_ts);
         self.finish(txn.id);
         Ok(commit_ts)
     }
@@ -255,9 +259,16 @@ impl ShardedMvcc {
         self.ids.next()
     }
 
-    /// Garbage-collect every shard at `horizon`; total versions dropped.
-    pub fn gc(&self, horizon: u64) -> usize {
-        self.stores().map(|s| s.gc(horizon)).sum()
+    /// Garbage-collect every shard at `horizon`; the shards' passes
+    /// summed.
+    pub fn gc(&self, horizon: u64) -> GcPass {
+        let mut pass = GcPass::default();
+        for store in self.stores() {
+            let shard_pass = store.gc(horizon);
+            pass.visited += shard_pass.visited;
+            pass.dropped += shard_pass.dropped;
+        }
+        pass
     }
 
     /// Live keys across all shards.
@@ -362,9 +373,9 @@ mod tests {
 
         let mut blocker = db.begin();
         blocker.write(b("key7"), b("x"));
-        let bp = db.participants(&blocker);
-        for &si in &bp {
-            db.prepare_shard(&blocker, si).unwrap();
+        let bp = db.route(&blocker);
+        for part in &bp {
+            db.prepare(&blocker, part).unwrap();
         }
 
         // A txn spanning many shards including the locked key must fail
@@ -377,7 +388,7 @@ mod tests {
         assert!(db.commit_at(t, SimTime::ZERO).is_err());
         assert_eq!(db.lock_count(), before, "failed commit released its own locks");
 
-        db.release(&blocker, &bp);
+        db.release(blocker.id, &bp);
         assert_eq!(db.lock_count(), 0);
     }
 
@@ -393,7 +404,7 @@ mod tests {
         assert!(db.version_count() >= 10);
         assert_eq!(db.live_snapshot_count(), 0, "commit_at retires its txn");
         // Nothing is live, so the collector trims to one version per key.
-        assert!(db.auto_gc() > 0);
+        assert!(db.auto_gc().dropped > 0);
         assert_eq!(db.version_count(), 1);
         assert_eq!(db.read_latest(b"hot"), Some(Bytes::from(vec![9u8])));
     }
@@ -424,7 +435,7 @@ mod tests {
         // Retiring the reader releases the pin; the chain collapses.
         db.finish(reader.id);
         assert_eq!(db.live_snapshot_count(), 0);
-        assert!(db.auto_gc() > 0);
+        assert!(db.auto_gc().dropped > 0);
         assert_eq!(db.version_count(), 1);
     }
 
@@ -459,5 +470,97 @@ mod tests {
         t.write(b("k1"), b("v9"));
         a.commit_at(t, SimTime::from_micros(8)).unwrap();
         assert_ne!(a.digest(), b_.digest());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The reference-oracle property across shards: two stores run
+        /// the same script of commits, deletes, direct installs, held
+        /// and retired snapshots; one collects with `gc`/`auto_gc`, the
+        /// other with the whole-store walk at the same horizons. They
+        /// must agree shard by shard, chain by chain, and on every
+        /// count.
+        #[test]
+        fn gc_matches_the_whole_store_walk_at_every_shard_count(
+            ops in proptest::collection::vec(
+                (0u8..8, 0u8..6, 0u8..6, 0u8..200, 0.0f64..1.2),
+                1..80,
+            ),
+        ) {
+            for shards in [1usize, 2, 4] {
+                let (fast, walk) = (db(shards), db(shards));
+                let (mut held_fast, mut held_walk) = (Vec::new(), Vec::new());
+                for (op, k1, k2, val, frac) in &ops {
+                    let key = |k: &u8| Bytes::from(format!("key{k}"));
+                    let now = SimTime::from_micros(u64::from(*val));
+                    let mut outcomes = Vec::new();
+                    for (dbx, held) in [(&fast, &mut held_fast), (&walk, &mut held_walk)] {
+                        match op {
+                            // Write two keys / delete one and write the other.
+                            0 | 1 => {
+                                let mut t = dbx.begin();
+                                if *op == 0 {
+                                    t.write(key(k1), Bytes::from(vec![*val]));
+                                } else {
+                                    t.delete(key(k1));
+                                }
+                                t.write(key(k2), Bytes::from(vec![*val]));
+                                outcomes.push(dbx.commit_at(t, now).is_ok());
+                            }
+                            2 => {
+                                let value = (*val % 2 == 0).then(|| Bytes::from(vec![*val]));
+                                let ts = dbx.oracle().current() + 1 + u64::from(*val % 3);
+                                dbx.install_version(&key(k1), value, ts);
+                            }
+                            // Begin and hold: pins the automatic horizon.
+                            3 => held.push(dbx.begin()),
+                            4 if !held.is_empty() => {
+                                let t = held.remove(usize::from(*val) % held.len());
+                                dbx.finish(t.id);
+                            }
+                            // A held (stale) snapshot races a commit: may conflict.
+                            5 if !held.is_empty() => {
+                                let mut t = held.remove(usize::from(*val) % held.len());
+                                dbx.read(&mut t, &key(k1));
+                                t.write(key(k2), Bytes::from(vec![*val]));
+                                outcomes.push(dbx.commit_at(t, now).is_ok());
+                            }
+                            _ => {}
+                        }
+                    }
+                    prop_assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "outcomes differ");
+                    let horizon = match op {
+                        6 => Some(fast.auto_horizon()),
+                        7 => Some((fast.oracle().current() as f64 * frac) as u64),
+                        _ => None,
+                    };
+                    if let Some(h) = horizon {
+                        let pass = if *op == 6 { fast.auto_gc() } else { fast.gc(h) };
+                        let walked: usize = walk.stores().map(|s| s.gc_by_walk(h)).sum();
+                        prop_assert_eq!(pass.dropped, walked, "shards={} horizon={}", shards, h);
+                        prop_assert!(pass.visited <= pass.dropped);
+                    }
+                    for (a, b) in fast.stores().zip(walk.stores()) {
+                        prop_assert_eq!(a.chain_dump(), b.chain_dump(), "shards={}", shards);
+                    }
+                    prop_assert_eq!(fast.digest(), walk.digest());
+                    prop_assert_eq!(fast.key_count(), walk.key_count());
+                    prop_assert_eq!(fast.version_count(), walk.version_count());
+                }
+                // Everything retired: the final pass leaves one live
+                // version per surviving key on both sides.
+                for t in held_fast.drain(..) {
+                    fast.finish(t.id);
+                }
+                let now = walk.oracle().current();
+                let walked: usize = walk.stores().map(|s| s.gc_by_walk(now)).sum();
+                prop_assert_eq!(fast.auto_gc().dropped, walked);
+                prop_assert_eq!(fast.digest(), walk.digest());
+                prop_assert_eq!(fast.version_count(), fast.key_count());
+            }
+        }
     }
 }
