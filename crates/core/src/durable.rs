@@ -21,7 +21,7 @@
 //! makes checkable byte-for-byte (`tests/fault_recovery.rs` does).
 
 use crate::arena::EntityRef;
-use crate::entity::EntityKind;
+use crate::entity::{Entity, EntityKind};
 use crate::events::Command;
 use crate::sharded::{ShardedMetaverse, WriteOp};
 use mv_common::geom::{Aabb, Point};
@@ -386,6 +386,31 @@ fn encode_entity(out: &mut Vec<u8>, e: EntityRef<'_>) {
     }
     out.push(u8::from(e.retired));
 }
+
+/// Inverse of [`encode_entity`].
+fn decode_entity(r: &mut SliceReader<'_>) -> Option<Entity> {
+    let mut e = Entity::new(
+        EntityId::new(r.u64()?),
+        read_str(r)?,
+        kind_from_tag(r.u8()?)?,
+        read_point(r)?,
+    );
+    e.twin_position = read_point(r)?;
+    for _ in 0..r.u32()? {
+        let name = read_str(r)?;
+        e.attrs.insert(name, r.f64()?);
+    }
+    e.retired = match r.u8()? {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
+    Some(e)
+}
+
+/// The engine counters [`DurableMetaverse::state_encoding`] carries
+/// (`Counters` keys are static, so a decoded name must be one of these).
+const ENGINE_COUNTERS: [&str; 3] = ["commands", "suppressed_syncs", "sync_msgs"];
 
 /// The durable engine: a [`ShardedMetaverse`] whose mutations are
 /// logged (group-commit WAL) before application and whose event log
@@ -822,6 +847,61 @@ impl DurableMetaverse {
         out
     }
 
+    /// The inverse of [`Self::state_encoding`]: an engine that re-encodes
+    /// to `bytes` and behaves from there as the encoded one would. Every
+    /// position and attribute gets one plain MVCC version at the restored
+    /// clock (chains are not in the encoding), which also carries the
+    /// timestamp oracle past it. The engine's own WAL starts empty and is
+    /// **not** a recovery source for the restored state — whoever holds
+    /// `bytes` is (for a replica: the raft log and its snapshot).
+    ///
+    /// Total on hostile input: `None` on structural damage, never a
+    /// panic, no allocation sized by a length field. Well-formed bytes
+    /// that `state_encoding` never produces (a wrong live count, a
+    /// repeated attribute name) may restore to an engine that encodes
+    /// differently; snapshot install compares the re-encoding.
+    pub(crate) fn restore(shards: usize, bytes: &[u8]) -> Option<Self> {
+        let mut r = SliceReader::new(bytes);
+        if r.u8()? != 1 {
+            return None;
+        }
+        let clock = SimTime(r.u64()?);
+        let _live = r.u64()?;
+        let count = r.u64()?;
+        let mut entities = Vec::new();
+        while (entities.len() as u64) < count {
+            let e = decode_entity(&mut r)?;
+            // Ids are dense in spawn order; anything else would collide
+            // in the arena or desynchronise the id generator.
+            if e.id.raw() != entities.len() as u64 {
+                return None;
+            }
+            entities.push(e);
+        }
+        let mut counters = Vec::new();
+        for _ in 0..r.u32()? {
+            let name = read_str(&mut r)?;
+            let name = ENGINE_COUNTERS.iter().find(|known| **known == name)?;
+            counters.push((*name, r.u64()?));
+        }
+        if !r.done() {
+            return None;
+        }
+        let mut dm = DurableMetaverse::with_defaults(shards);
+        dm.ids = entities.iter().map(|e| e.id).collect();
+        for e in &entities {
+            dm.txns.install_plain(&DurableOp::Position { id: e.id, position: e.position, ts: clock });
+            for (name, value) in &e.attrs {
+                let (name, value) = (name.clone(), *value);
+                dm.txns.install_plain(&DurableOp::Attr { id: e.id, name, value, ts: clock });
+            }
+        }
+        dm.engine = ShardedMetaverse::restore(shards, clock, entities, &counters);
+        let records = dm.snapshot_records(&dm.ids);
+        dm.kv.apply_batch(&records);
+        Some(dm)
+    }
+
     /// Hash of [`Self::state_encoding`] (cheap equality witness).
     pub fn state_digest(&self) -> u64 {
         let mut h = FxHasher::default();
@@ -1072,6 +1152,106 @@ mod tests {
         dm.crash_and_recover();
         let recovered = dm.kv().get(&id.raw().to_le_bytes()).expect("snapshot rebuilt");
         assert_eq!(snapshot, recovered, "KV snapshot identical after recovery");
+    }
+
+    /// Drive `dm` with a [`crate::ops`] script (slots index `dm.ids()`,
+    /// op `i` happens at `t0 + i` ms); one fingerprint per op.
+    fn drive(dm: &mut DurableMetaverse, ops: &[crate::ops::Op], t0: usize) -> Vec<String> {
+        use crate::ops::Op;
+        let mut fps = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let now = t((t0 + i) as u64);
+            fps.push(match op {
+                Op::Spawn { name, kind, position } => {
+                    format!("spawn {:?}", dm.spawn(name.clone(), *kind, *position, now))
+                }
+                Op::Move { slot, position } => {
+                    format!("move {:?}", dm.update_position(dm.ids()[*slot], *position, now))
+                }
+                Op::Attr { slot, name, value } => {
+                    format!("attr {:?}", dm.update_attr(dm.ids()[*slot], name, *value, now))
+                }
+                Op::Retire { slot } => format!("retire {:?}", dm.retire(dm.ids()[*slot], now)),
+                Op::AreaEffect { space, effect, region, action, retire } => {
+                    format!("effect {:?}", dm.area_effect(*space, effect, *region, action, *retire, now))
+                }
+                Op::QueryTruth { space, area } => format!("truth {:?}", dm.engine().query_truth(*space, area)),
+                Op::QueryVisible { space, area } => {
+                    format!("visible {:?}", dm.engine().query_visible(*space, area))
+                }
+            });
+        }
+        fps
+    }
+
+    #[test]
+    fn restore_then_any_suffix_matches_the_engine_that_never_stopped() {
+        use crate::ops::{gen_ops, Op};
+        for seed in [3u64, 17, 4242] {
+            let mut ops = gen_ops(&mut mv_common::seeded_rng(seed), 240, 150.0);
+            // What the generator does not produce: a twin left behind its
+            // truth (a move under the 1 m bound), NaN coordinates.
+            let at = ops.len() / 4;
+            ops.splice(
+                at..at,
+                [
+                    Op::Move { slot: 0, position: p(70.0, 70.0) },
+                    Op::Move { slot: 0, position: p(70.4, 70.0) },
+                    Op::Spawn { name: "nowhere".into(), kind: EntityKind::Avatar, position: p(f64::NAN, f64::NAN) },
+                    Op::Move { slot: 0, position: p(f64::NAN, 3.0) },
+                ],
+            );
+            for shards in [1usize, 2, 4] {
+                for cut in [0, at + 2, at + 4, ops.len() / 2, ops.len()] {
+                    let label = format!("seed {seed}, {shards} shards, restored after op {cut}");
+                    let mut kept = DurableMetaverse::with_defaults(shards);
+                    drive(&mut kept, &ops[..cut], 0);
+                    let bytes = kept.state_encoding();
+                    let mut restored = DurableMetaverse::restore(shards, &bytes).expect(&label);
+                    assert_eq!(restored.state_encoding(), bytes, "{label}");
+                    assert_eq!(restored.ids(), kept.ids(), "{label}");
+                    assert_eq!(
+                        drive(&mut restored, &ops[cut..], cut),
+                        drive(&mut kept, &ops[cut..], cut),
+                        "{label}"
+                    );
+                    assert_eq!(restored.state_encoding(), kept.state_encoding(), "{label}");
+                    if cut == ops.len() / 2 {
+                        let e = kept.engine();
+                        assert!(e.live_count() < kept.ids().len(), "{label}: nothing retired yet");
+                        assert!(e.stats().get("commands") > 0, "{label}: no area effect hit anyone");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_refuses_hostile_bytes_without_panicking() {
+        let mut dm = DurableMetaverse::with_defaults(2);
+        let id = dm.spawn("a", EntityKind::Person, p(1.0, 2.0), t(1));
+        dm.spawn("b", EntityKind::Avatar, p(3.0, 4.0), t(2));
+        dm.update_attr(id, "hp", 0.5, t(3)).unwrap();
+        let bytes = dm.state_encoding();
+        for cut in 0..bytes.len() {
+            assert!(DurableMetaverse::restore(2, &bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        // An entity count far beyond what the buffer holds.
+        let mut hostile = bytes.clone();
+        hostile[17..25].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(DurableMetaverse::restore(2, &hostile).is_none());
+        // Entity ids must be 0, 1, 2… in order.
+        let mut swapped = bytes.clone();
+        swapped[25] = 1;
+        assert!(DurableMetaverse::restore(2, &swapped).is_none());
+        // A counter this engine does not keep.
+        let mut renamed = bytes.clone();
+        let at = renamed.windows(9).position(|w| w == b"sync_msgs").expect("counter name");
+        renamed[at] = b'x';
+        assert!(DurableMetaverse::restore(2, &renamed).is_none());
+        let mut bad_version = bytes.clone();
+        bad_version[0] = 9;
+        assert!(DurableMetaverse::restore(2, &bad_version).is_none());
     }
 
     #[test]

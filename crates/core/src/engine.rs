@@ -114,16 +114,27 @@ impl Metaverse {
 
     /// Insert an entity whose id was allocated elsewhere (the sharded
     /// engine allocates ids globally, then routes each entity to its
-    /// owner shard). Identical materialization semantics to [`spawn`].
+    /// owner shard). Identical materialization semantics to [`spawn`];
+    /// a restored entity may also arrive retired (it enters no index) or
+    /// with a twin that lags its truth.
     ///
     /// [`spawn`]: Metaverse::spawn
     pub(crate) fn insert_prebuilt(&mut self, entity: Entity, now: SimTime) {
         self.advance(now);
         let id = entity.id;
-        let position = entity.position;
         let auth = entity.kind.authoritative_space();
-        self.truth_index[space_slot(auth)].insert(id, position);
-        self.twin_index[space_slot(auth.other())].insert(id, position);
+        if !entity.retired {
+            // Matched, not indexed: snapshot restore comes through here,
+            // and its path carries no panic-capable indexing.
+            let ([truth_phys, truth_virt], [twin_phys, twin_virt]) =
+                (&mut self.truth_index, &mut self.twin_index);
+            let (truth, twin) = match auth {
+                Space::Physical => (truth_phys, twin_virt),
+                Space::Virtual => (truth_virt, twin_phys),
+            };
+            truth.insert(id, entity.position);
+            twin.insert(id, entity.twin_position);
+        }
         self.entities.insert(entity);
         self.bus.emit(now, auth, Some(id), EventKind::Moved);
     }

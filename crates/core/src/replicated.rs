@@ -19,26 +19,33 @@
 //! the fault harness (`tests/raft_failover.rs`) checks exactly that
 //! after every fault boundary.
 //!
-//! Snapshots reuse the engine's canonical encodings: a snapshot is the
-//! full committed command history plus the `state_encoding()` of the
-//! resulting engine. Install replays the history into a fresh engine
-//! and *verifies* the encoding byte-for-byte before accepting — a
-//! diverged snapshot is refused loudly rather than installed silently.
-//! (A page-image snapshot would replace the history; the op-prefix form
-//! keeps the integrity check and stays proportional to history length,
-//! which the compaction threshold bounds.)
+//! Snapshots carry state, not history: a snapshot is a version byte, an
+//! fx checksum and the engine's `state_encoding()`, so its size — and
+//! the cost of taking, shipping and installing one — follows the number
+//! of entities, not the age of the region. Install verifies the checksum,
+//! rebuilds an engine from the encoding (`DurableMetaverse::restore`) and
+//! *re-encodes* it: anything but the same bytes back is refused loudly
+//! rather than installed silently.
+//!
+//! The commands themselves are kept once, region-wide, by raft index
+//! (`CommittedLog`): the first replica to apply an index records its
+//! command, every other apply of that index is compared against it (log
+//! matching, checked at every apply), and the audit calls
+//! ([`ReplicatedMetaverse::history_hash`],
+//! [`ReplicatedMetaverse::replica_applied`]) read a replica's history as
+//! "the committed commands up to its applied index".
 //!
 //! Faults arrive through [`FaultTarget`]: a node crash bumps the
 //! transport epoch, crashes the raft WAL (losing its unsynced tail) and
 //! discards the replica's entire engine; restart folds the surviving
 //! raft records back and rebuilds the engine by replay (or snapshot
-//! install, for a node flagged `wipe_on_crash` that lost its disk too).
-//! The replica's fresh `TimestampOracle` is re-anchored with
-//! `advance_past` so recovered MVCC versions never run backwards.
+//! install, for a node flagged `wipe_on_crash` that lost its disk too);
+//! a restored engine's timestamp oracle starts past the restored clock,
+//! so MVCC versions written after recovery never run backwards.
 
 use crate::durable::{DurableMetaverse, DurableOp};
-use mv_common::time::TS_SEQ_BITS;
-use mv_common::codec::wire_u32;
+use bytes::Bytes;
+use mv_common::hash::{fx_hash_one, FxHasher};
 use mv_common::id::NodeId;
 use mv_common::time::{SimDuration, SimTime};
 use mv_net::fault::FaultTarget;
@@ -48,29 +55,23 @@ use mv_raft::{RaftConfig, RaftMsg, RaftNode};
 
 pub use mv_raft::RaftConfig as RaftTuning;
 use rand::rngs::StdRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hasher as _;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// First byte of every snapshot (1 was the framed-history form).
+const SNAPSHOT_VERSION: u8 = 2;
+/// Version byte plus the little-endian fx hash of the state bytes.
+const SNAPSHOT_HEADER: usize = 9;
 
-fn read_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let chunk: [u8; 4] = buf.get(*at..*at + 4)?.try_into().ok()?;
-    *at += 4;
-    Some(u32::from_le_bytes(chunk))
-}
-
-/// One replica's deterministic state machine: the durable engine plus
-/// the committed command history that produced it (the snapshot body).
+/// One replica's deterministic state machine: the durable engine, fed
+/// committed commands in index order.
 struct MetaverseSm {
     dm: DurableMetaverse,
-    /// Every applied command, in commit order (no-ops excluded).
-    history: Vec<Vec<u8>>,
 }
 
 impl MetaverseSm {
     fn new(shards: usize) -> Self {
-        MetaverseSm { dm: DurableMetaverse::with_defaults(shards), history: Vec::new() }
+        MetaverseSm { dm: DurableMetaverse::with_defaults(shards) }
     }
 
     /// Apply one committed command. Unknown/transactional frames are
@@ -95,61 +96,83 @@ impl MetaverseSm {
             }
             DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => return false,
         }
-        self.history.push(cmd.to_vec());
         true
     }
 
-    /// Snapshot = framed command history + the engine encoding it must
-    /// reproduce.
+    /// `version ‖ fx checksum ‖ state_encoding()`.
     fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, wire_u32(self.history.len()));
-        for cmd in &self.history {
-            put_u32(&mut out, wire_u32(cmd.len()));
-            out.extend_from_slice(cmd);
-        }
         let state = self.dm.state_encoding();
-        put_u32(&mut out, wire_u32(state.len()));
+        let mut out = Vec::with_capacity(SNAPSHOT_HEADER + state.len());
+        out.push(SNAPSHOT_VERSION);
+        out.extend_from_slice(&fx_hash_one(&state).to_le_bytes());
         out.extend_from_slice(&state);
         out
     }
 
-    /// Rebuild from a snapshot: replay the history into a fresh engine
-    /// and verify it reproduces the recorded encoding byte-for-byte.
-    /// `None` on structural damage *or* divergence.
+    /// Rebuild from a snapshot. The checksum catches damage (a flipped
+    /// coordinate bit is still a well-formed state); the re-encoding
+    /// catches bytes that no engine produces and any drift between
+    /// `state_encoding` and `restore`. `None` on either, or on structural
+    /// damage.
     fn install(shards: usize, bytes: &[u8]) -> Option<MetaverseSm> {
-        let mut at = 0usize;
-        let count = read_u32(bytes, &mut at)? as usize;
-        let mut sm = MetaverseSm::new(shards);
-        for _ in 0..count {
-            let len = read_u32(bytes, &mut at)? as usize;
-            let cmd = bytes.get(at..at.checked_add(len)?)?.to_vec();
-            at += len;
-            if !sm.apply(&cmd) {
-                return None;
-            }
-        }
-        let state_len = read_u32(bytes, &mut at)? as usize;
-        let state = bytes.get(at..at.checked_add(state_len)?)?;
-        if at + state_len != bytes.len() || sm.dm.state_encoding() != state {
+        let sum: [u8; 8] = bytes.get(1..SNAPSHOT_HEADER)?.try_into().ok()?;
+        let state = bytes.get(SNAPSHOT_HEADER..)?;
+        if bytes.first() != Some(&SNAPSHOT_VERSION) || fx_hash_one(&state) != u64::from_le_bytes(sum) {
             return None;
         }
-        sm.reanchor_oracle();
-        Some(sm)
+        let dm = DurableMetaverse::restore(shards, state)?;
+        (dm.state_encoding() == state).then_some(MetaverseSm { dm })
+    }
+}
+
+/// The region's committed commands, kept once for every replica and
+/// outside every snapshot. Raft's log-matching property says index `k`
+/// holds the same command on every node that commits it; this is where
+/// that is checked, and what the audit calls read.
+#[derive(Default)]
+struct CommittedLog {
+    /// `cmds[k - 1]` is the command committed at raft index `k` (empty
+    /// for a leader's no-op).
+    cmds: Vec<Bytes>,
+    /// The first index each command committed at. Commands arrive from
+    /// clients, so the map keeps the collision-resistant default hasher;
+    /// it is probed, never iterated.
+    first_index: HashMap<Bytes, u64>,
+}
+
+impl CommittedLog {
+    /// A replica applies `cmd` at `index`: the first to get there records
+    /// it, everyone after must bring the same bytes. `false` = they did
+    /// not, or `index` skipped ahead of anything a replica ever applied.
+    /// A different command rewrites the history from `index` on — what
+    /// the replicas hold now is what the audit calls must describe, and
+    /// a region that lost a majority of its disks does restart its log.
+    fn observe(&mut self, index: u64, cmd: &[u8]) -> bool {
+        let Some(at) = index.checked_sub(1).and_then(|at| usize::try_from(at).ok()) else {
+            return false;
+        };
+        if self.cmds.get(at).is_some_and(|seen| seen.as_ref() == cmd) {
+            return true;
+        }
+        let first_there = at == self.cmds.len();
+        if at > self.cmds.len() {
+            return false;
+        }
+        for (gone, was) in self.cmds.drain(at..).zip(index..) {
+            if self.first_index.get(&gone) == Some(&was) {
+                self.first_index.remove(&gone);
+            }
+        }
+        let cmd = Bytes::copy_from_slice(cmd);
+        self.first_index.entry(cmd.clone()).or_insert(index);
+        self.cmds.push(cmd);
+        first_there
     }
 
-    /// Push the fresh oracle past every replayed op timestamp so MVCC
-    /// commit timestamps allocated after recovery never run backwards
-    /// relative to pre-crash ones.
-    fn reanchor_oracle(&mut self) {
-        let max_ts = self
-            .history
-            .iter()
-            .filter_map(|c| DurableOp::decode(c))
-            .map(|op| op.ts().as_micros())
-            .max()
-            .unwrap_or(0);
-        self.dm.txns.mvcc.oracle().advance_past(max_ts << TS_SEQ_BITS);
+    /// The commands at indices `..= applied`, oldest first.
+    fn prefix(&self, applied: u64) -> &[Bytes] {
+        let end = usize::try_from(applied).unwrap_or(usize::MAX).min(self.cmds.len());
+        self.cmds.get(..end).unwrap_or_default()
     }
 }
 
@@ -215,9 +238,13 @@ pub struct ReplicatedMetaverse {
     /// histogram, and `down_replicas`/`commit_lag`/`term`/`has_leader`
     /// gauges.
     stats: StatSet,
-    /// Client writes awaiting commit at their proposing leader:
-    /// `(leader, index, cmd, submitted_at)`.
-    pending: Vec<(NodeId, u64, Vec<u8>, SimTime)>,
+    /// Client writes awaiting commit, keyed by where they were proposed:
+    /// `(leader, index) → (cmd, submitted_at)`. The entry goes when that
+    /// leader applies (or installs past) that index, whatever committed
+    /// there — so a deposed leader's proposals do not linger.
+    pending: BTreeMap<(NodeId, u64), (Vec<u8>, SimTime)>,
+    /// Every committed command, once (see [`CommittedLog`]).
+    committed: CommittedLog,
     /// Commands acknowledged to the client, in ack order. The safety
     /// harness checks every one survives on every replica.
     acked: Vec<Vec<u8>>,
@@ -332,7 +359,8 @@ impl ReplicatedMetaverse {
             replicas,
             registry,
             stats,
-            pending: Vec::new(),
+            pending: BTreeMap::new(),
+            committed: CommittedLog::default(),
             acked: Vec::new(),
             leaders_by_term: BTreeMap::new(),
             violations: Vec::new(),
@@ -359,15 +387,6 @@ impl ReplicatedMetaverse {
         self.replicas.iter().find(|s| s.up && s.node.is_leader()).map(|s| s.node.id())
     }
 
-    /// The leader whose read lease is currently valid (safe local
-    /// reads), if any.
-    pub fn lease_holder(&self, now: SimTime) -> Option<NodeId> {
-        self.replicas
-            .iter()
-            .find(|s| s.up && s.node.is_leader() && s.node.lease_valid(now))
-            .map(|s| s.node.id())
-    }
-
     /// Submit one client op. Returns the raft index it was proposed at,
     /// or `None` when no up replica currently leads (the client must
     /// retry — that window is the measured unavailability).
@@ -385,7 +404,7 @@ impl ReplicatedMetaverse {
             self.stats.incr("submit_unavailable");
             return None;
         };
-        self.pending.push((leader, index, cmd, now));
+        self.pending.insert((leader, index), (cmd, now));
         Some(index)
     }
 
@@ -410,38 +429,28 @@ impl ReplicatedMetaverse {
         self.replicas.iter().map(|s| s.sm.as_ref().map(|sm| sm.dm.state_digest())).collect()
     }
 
-    /// Per-replica committed-log digests (up replicas only).
-    pub fn committed_digests(&self) -> Vec<Option<u64>> {
-        self.replicas
-            .iter()
-            .map(|s| s.up.then(|| s.node.committed_digest()))
-            .collect()
+    /// Replica `i`'s applied index, `None` while it is down.
+    fn applied_index(&self, i: usize) -> Option<u64> {
+        let slot = self.replicas.get(i)?;
+        slot.sm.as_ref().map(|_| slot.applied_raft)
     }
 
-    /// Hash of replica `i`'s full applied-command history (`None` while
-    /// down). Compaction-invariant, so equal hashes across replicas
-    /// mean the same committed commands applied in the same order.
+    /// Hash of replica `i`'s applied-command history — the committed
+    /// commands up to its applied index, in order (`None` while down).
+    /// Compaction-invariant, so equal hashes across replicas mean the
+    /// same committed commands applied in the same order.
     pub fn history_hash(&self, i: usize) -> Option<u64> {
-        use std::hash::Hasher as _;
-        let sm = self.replicas.get(i)?.sm.as_ref()?;
-        let mut h = mv_common::hash::FxHasher::default();
-        for cmd in &sm.history {
+        let mut h = FxHasher::default();
+        for cmd in self.committed.prefix(self.applied_index(i)?) {
             h.write(cmd);
         }
         Some(h.finish())
     }
 
-    /// Number of commands replica `i` has applied (`None` while down).
-    pub fn history_len(&self, i: usize) -> Option<usize> {
-        Some(self.replicas.get(i)?.sm.as_ref()?.history.len())
-    }
-
     /// Does `cmd` appear in replica `i`'s applied history?
     pub fn replica_applied(&self, i: usize, cmd: &[u8]) -> bool {
-        self.replicas
-            .get(i)
-            .and_then(|s| s.sm.as_ref())
-            .is_some_and(|sm| sm.history.iter().any(|c| c == cmd))
+        let first = self.committed.first_index.get(cmd);
+        first.is_some_and(|&k| self.applied_index(i).is_some_and(|applied| k <= applied))
     }
 
     /// Number of replicas currently up.
@@ -572,6 +581,9 @@ impl ReplicatedMetaverse {
                     Some(sm) => {
                         slot.sm = Some(sm);
                         slot.applied_raft = base;
+                        // Its proposals at or below `base` will never be
+                        // applied one by one; the client retries them.
+                        self.pending.retain(|&(leader, index), _| leader != id || index > base);
                         self.log.push(format!("{now} install {id:?} base={base}"));
                     }
                     None => {
@@ -582,26 +594,34 @@ impl ReplicatedMetaverse {
             }
             let Some(sm) = slot.sm.as_mut() else { continue };
             let committed = slot.node.take_committed();
+            let applied_any = !committed.is_empty();
             for (index, cmd) in committed {
                 slot.applied_raft = index;
+                if !self.committed.observe(index, &cmd) {
+                    self.violations.push(format!(
+                        "{now} {id:?}: index {index} committed a different command than on another replica"
+                    ));
+                }
                 if !cmd.is_empty() {
                     sm.apply(&cmd);
-                    // The proposing leader's commit is the client ack.
-                    let acked = &mut self.acked;
-                    let stats = &mut self.stats;
-                    self.pending.retain(|(leader, idx, pcmd, submitted)| {
-                        let ours = *leader == id && *idx == index && *pcmd == cmd;
-                        if ours {
-                            acked.push(pcmd.clone());
-                            stats.incr("acks");
-                            stats.observe("ack_ms", now.since(*submitted).as_millis_f64());
-                        }
-                        !ours
-                    });
+                }
+                // The proposing leader's commit is the client ack — if
+                // what committed at its index is what it proposed.
+                if let Some((proposed, submitted)) = self.pending.remove(&(id, index)) {
+                    if proposed == cmd {
+                        self.stats.incr("acks");
+                        self.stats.observe("ack_ms", now.since(submitted).as_millis_f64());
+                        self.acked.push(proposed);
+                    }
                 }
             }
+            if applied_any {
+                // Nothing consumes a replica's co-space events; left alone
+                // they would pile up for the life of the region.
+                sm.dm.engine.drain_events();
+            }
             if slot.applied_raft.saturating_sub(slot.node.base_index()) > compact_threshold {
-                slot.node.compact(slot.applied_raft, sm.snapshot(), now);
+                slot.node.compact(slot.applied_raft, sm.snapshot().into(), now);
                 self.log.push(format!(
                     "{now} compact {id:?} base={}",
                     slot.node.base_index()
@@ -715,33 +735,186 @@ mod tests {
         assert!(w.violations().is_empty(), "{:?}", w.violations());
     }
 
-    #[test]
-    fn snapshot_install_verifies_and_refuses_damage() {
+    /// A state with everything the encoding can hold: attributes, a
+    /// retired entity, a twin lagging its truth, a NaN coordinate, an
+    /// area effect's retirements and every counter.
+    fn rich_sm() -> MetaverseSm {
+        use mv_common::geom::Aabb;
+        use mv_common::id::EntityId;
         let mut sm = MetaverseSm::new(2);
-        for i in 0..3 {
-            assert!(sm.apply(&spawn_op(i, SimTime::from_millis(i + 1)).encode()));
+        let t = SimTime::from_millis;
+        for i in 0..6 {
+            assert!(sm.apply(&spawn_op(i, t(i + 1)).encode()));
         }
-        let snap = sm.snapshot();
-        let rebuilt = MetaverseSm::install(2, &snap).expect("clean install");
-        assert_eq!(rebuilt.dm.state_encoding(), sm.dm.state_encoding());
-        // Any flipped byte must refuse, not silently diverge.
-        let mut bad = snap.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0xFF;
-        assert!(MetaverseSm::install(2, &bad).is_none());
-        assert!(MetaverseSm::install(2, &snap[..snap.len() - 2]).is_none());
+        let id = EntityId::new;
+        let ops = [
+            DurableOp::Attr { id: id(0), name: "hp".into(), value: 0.5, ts: t(10) },
+            DurableOp::Position { id: id(1), position: Point::new(40.0, 2.0), ts: t(11) },
+            // Under the 1 m bound: the twin stays behind.
+            DurableOp::Position { id: id(1), position: Point::new(40.4, 2.0), ts: t(12) },
+            DurableOp::Position { id: id(2), position: Point::new(f64::NAN, 1.0), ts: t(13) },
+            DurableOp::Retire { id: id(3), ts: t(14) },
+            DurableOp::AreaEffect {
+                space: Space::Physical,
+                effect: "raid".into(),
+                region: Aabb::new(Point::new(3.5, -1.0), Point::new(5.5, 1.0)),
+                action: "perish".into(),
+                retire: true,
+                ts: t(15),
+            },
+        ];
+        for op in ops {
+            assert!(sm.apply(&op.encode()), "{op:?}");
+        }
+        sm
     }
 
     #[test]
-    fn oracle_reanchors_past_replayed_timestamps() {
+    fn snapshot_install_verifies_and_refuses_damage() {
+        let sm = rich_sm();
+        assert_eq!(sm.dm.engine().live_count(), 3, "one retired by hand, two by the raid");
+        let snap = sm.snapshot();
+        let rebuilt = MetaverseSm::install(2, &snap).expect("clean install");
+        assert_eq!(rebuilt.dm.state_encoding(), sm.dm.state_encoding());
+        // Every truncation and every single-byte flip must refuse, not
+        // panic and not silently diverge.
+        for cut in 0..snap.len() {
+            assert!(MetaverseSm::install(2, &snap[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut bad = snap.clone();
+        for at in 0..snap.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                bad[at] ^= mask;
+                assert!(MetaverseSm::install(2, &bad).is_none(), "byte {at} ^ {mask:#x}");
+                bad[at] ^= mask;
+            }
+        }
+        let mut trailing = snap.clone();
+        trailing.push(0);
+        assert!(MetaverseSm::install(2, &trailing).is_none());
+    }
+
+    #[test]
+    fn well_formed_bytes_no_engine_produces_are_refused_by_the_re_encoding() {
+        // A correct checksum over a state whose live count lies: restore
+        // accepts the structure, the re-encoding does not match.
+        let sm = rich_sm();
+        let mut state = sm.dm.state_encoding();
+        state[9] ^= 1; // low byte of the live count
+        let mut forged = vec![SNAPSHOT_VERSION];
+        forged.extend_from_slice(&fx_hash_one(&state).to_le_bytes());
+        forged.extend_from_slice(&state);
+        assert!(DurableMetaverse::restore(2, &state).is_some());
+        assert!(MetaverseSm::install(2, &forged).is_none());
+    }
+
+    #[test]
+    fn restored_oracle_starts_past_the_restored_clock() {
         let mut sm = MetaverseSm::new(2);
         sm.apply(&spawn_op(0, SimTime::from_millis(500)).encode());
         let snap = sm.snapshot();
         let rebuilt = MetaverseSm::install(2, &snap).expect("install");
         let anchored = rebuilt.dm.txns.mvcc.oracle().current();
         assert!(
-            anchored >= SimTime::from_millis(500).as_micros() << TS_SEQ_BITS,
-            "oracle must not run behind replayed history: {anchored}"
+            anchored >= SimTime::from_millis(500).as_micros() << mv_common::time::TS_SEQ_BITS,
+            "oracle must not run behind the restored state: {anchored}"
         );
+    }
+
+    #[test]
+    fn the_committed_log_catches_a_replica_that_applies_something_else() {
+        let mut log = CommittedLog::default();
+        assert!(log.observe(1, b""), "a no-op keeps the indices dense");
+        assert!(log.observe(2, b"a"));
+        assert!(log.observe(2, b"a"), "a second replica agreeing");
+        assert!(!log.observe(4, b"c"), "nobody applied index 3");
+        assert!(log.observe(3, b"a"));
+        assert_eq!(log.first_index.get(&b"a"[..]), Some(&2), "first commit wins");
+        assert_eq!(log.prefix(2).len(), 2);
+        assert_eq!(log.prefix(99).len(), 3);
+        // Log matching broken: reported, and the history follows the
+        // replica that rewrote it.
+        assert!(!log.observe(2, b"b"));
+        assert_eq!(log.prefix(99), [Bytes::new(), Bytes::from_static(b"b")]);
+        assert_eq!(log.first_index.get(&b"a"[..]), None);
+        assert_eq!(log.first_index.get(&b"b"[..]), Some(&2));
+    }
+
+    /// `rate` ops per sim-ms for `load_ms`: the first 64 spawn a pool,
+    /// the rest alternate moves and `hp` writes over it, so the state's
+    /// size stops growing while the history keeps doing so.
+    fn steady_load(w: &mut ReplicatedMetaverse, rate: u64, load_ms: u64) {
+        use mv_common::id::EntityId;
+        const POOL: u64 = 64;
+        drive(w, 0, 1_000);
+        let mut k = 0u64;
+        for ms in 1_000..1_000 + load_ms {
+            for _ in 0..rate {
+                let ts = SimTime::from_micros(ms * 1_000 + k % rate);
+                let id = EntityId::new(k % POOL);
+                let op = if k < POOL {
+                    spawn_op(k, ts)
+                } else if (k / POOL) % 2 == 1 {
+                    DurableOp::Attr { id, name: "hp".into(), value: k as f64, ts }
+                } else {
+                    DurableOp::Position { id, position: Point::new(k as f64, 1.0), ts }
+                };
+                assert!(w.submit(&op, ts).is_some(), "quiet network keeps its leader");
+                k += 1;
+            }
+            w.tick(SimTime::from_millis(ms));
+        }
+        drive(w, 1_000 + load_ms, 1_500 + load_ms);
+    }
+
+    #[test]
+    fn replication_work_is_independent_of_history() {
+        let counter = |w: &ReplicatedMetaverse, name: &str| w.registry().counter_get(name) as f64;
+        let mut snapshot_len = Vec::new();
+        for load_ms in [2_000, 20_000] {
+            let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 11);
+            steady_load(&mut w, 2, load_ms);
+            assert_eq!(w.acked().len() as u64, 2 * load_ms);
+            assert!(w.violations().is_empty(), "{:?}", w.violations());
+            let peers = (w.members().len() - 1) as f64;
+            let per_commit = counter(&w, "raft.node.entries_sent") / counter(&w, "raft.node.entries_committed");
+            assert!(per_commit <= peers + 0.1, "{load_ms} sim-ms: each entry sent {per_commit} times");
+            let lens: Vec<usize> =
+                w.replicas.iter().map(|s| s.sm.as_ref().expect("up").snapshot().len()).collect();
+            assert!(lens.iter().all(|l| *l == lens[0]), "{lens:?}");
+            snapshot_len.push(lens[0]);
+            assert_eq!(w.region_stats().gauge("pending_submits"), 0.0);
+        }
+        assert_eq!(snapshot_len[0], snapshot_len[1], "ten times the history, the same state");
+    }
+
+    #[test]
+    fn a_wiped_replica_is_sent_about_one_snapshot_per_install() {
+        let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 11);
+        let victim = NodeId::new(1);
+        w.set_wipe_on_crash(victim, true);
+        steady_load(&mut w, 2, 500);
+        w.on_node_crash(victim);
+        drive(&mut w, 2_000, 3_000);
+        w.on_node_restart(victim);
+        drive(&mut w, 3_000, 4_000);
+        let sent = w.registry().counter_get("raft.node.snapshots_sent");
+        let installed = w.registry().counter_get("raft.node.snapshots_installed");
+        assert!(installed >= 1, "the wiped replica caught up by install");
+        assert!(sent <= 2 * installed, "{sent} snapshots sent for {installed} installs");
+        let digests = w.replica_digests();
+        assert!(digests.iter().all(|d| d.is_some() && *d == digests[0]), "{digests:?}");
+        assert!(w.violations().is_empty(), "{:?}", w.violations());
+    }
+
+    #[test]
+    fn replica_event_backlog_stays_empty() {
+        let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 5);
+        steady_load(&mut w, 10, 1_000);
+        assert_eq!(w.acked().len(), 10_000);
+        for slot in &mut w.replicas {
+            let sm = slot.sm.as_mut().expect("up");
+            assert!(sm.dm.engine.drain_events().is_empty(), "{:?} kept events", slot.node.id());
+        }
     }
 }

@@ -150,6 +150,39 @@ impl ShardedMetaverse {
         ShardedMetaverse::new(SyncPolicy::default(), 50.0, shards)
     }
 
+    /// Rebuild an engine from what `DurableMetaverse::state_encoding`
+    /// records of one: the clock, every entity ever spawned (entity `i`
+    /// carries id `i`, the caller checks) and the counter totals. Each
+    /// entity is materialised on its owner shard as a spawn would, the id
+    /// generator resumes after the last id, the totals land on shard 0
+    /// (only their sum is observable) and the events the rebuild
+    /// regenerates are dropped.
+    pub(crate) fn restore(
+        shards: usize,
+        clock: SimTime,
+        entities: Vec<Entity>,
+        counters: &[(&'static str, u64)],
+    ) -> Self {
+        let mut mv = ShardedMetaverse::with_defaults(shards);
+        mv.clock = clock;
+        mv.ids = IdGen::starting_at(entities.len() as u64);
+        for entity in entities {
+            let owner = mv.owner(entity.id);
+            if let Some(shard) = mv.shards.get_mut(owner) {
+                shard.insert_prebuilt(entity, clock);
+            }
+        }
+        for shard in &mut mv.shards {
+            shard.drain_events();
+        }
+        if let Some(first) = mv.shards.first_mut() {
+            for &(name, total) in counters {
+                first.stats.add(name, total);
+            }
+        }
+        mv
+    }
+
     /// Number of owner shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -5,6 +5,7 @@
 //! network), so no wire codec is needed — [`RaftMsg::wire_bytes`]
 //! charges a faithful serialized size against link bandwidth instead.
 
+use bytes::Bytes;
 use mv_common::id::NodeId;
 
 /// One replicated log entry: the term it was proposed in plus opaque
@@ -70,8 +71,9 @@ pub enum RaftMsg {
         base_index: u64,
         /// Term of that entry.
         base_term: u64,
-        /// Opaque state-machine snapshot payload.
-        data: Vec<u8>,
+        /// Opaque state-machine snapshot payload (a shared buffer: one
+        /// compaction's bytes serve every peer that needs them).
+        data: Bytes,
     },
     /// InstallSnapshot response.
     SnapReply {

@@ -18,6 +18,7 @@
 use crate::msg::{LogEntry, Outgoing, RaftMsg};
 use crate::record::{FoldedState, RaftRecord};
 use crate::{mix, unit_f64};
+use bytes::Bytes;
 use mv_common::id::NodeId;
 use mv_common::time::{SimDuration, SimTime};
 use mv_obs::{SharedRegistry, SharedTracer, StatSet};
@@ -62,6 +63,34 @@ pub enum Role {
     Leader,
 }
 
+/// How the leader is feeding one peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PeerState {
+    /// The peer's log position is unconfirmed (new leader, a refusal) or
+    /// it has been silent for a heartbeat interval: one append per
+    /// heartbeat, none in between, until an append succeeds.
+    Probe,
+    /// Pipelined: `next` runs ahead of `matched`, each tick ships what
+    /// is unsent, and a reply only confirms.
+    Replicate,
+    /// An InstallSnapshot left at `sent`: heartbeats only until its
+    /// reply arrives or a heartbeat interval lapses.
+    Snapshot { sent: SimTime },
+}
+
+/// The leader's view of one peer.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    /// Highest index known replicated on the peer (commit-rule input).
+    matched: u64,
+    /// First index not yet sent. In [`PeerState::Replicate`] it moves
+    /// when entries are sent, not when they are acknowledged.
+    next: u64,
+    state: PeerState,
+    /// Freshest same-term reply (lease input; silence demotes to probe).
+    last_ack: Option<SimTime>,
+}
+
 /// See the module docs. One instance per region replica.
 pub struct RaftNode {
     id: NodeId,
@@ -75,7 +104,7 @@ pub struct RaftNode {
     /// Last index covered by `snapshot` (0 = none).
     base_index: u64,
     base_term: u64,
-    snapshot: Option<Vec<u8>>,
+    snapshot: Option<Bytes>,
     /// Entries above `base_index`.
     log: Vec<LogEntry>,
     /// The node's "disk".
@@ -87,12 +116,10 @@ pub struct RaftNode {
     /// Everything at or below this was handed to the embedder.
     applied_index: u64,
     votes: Vec<NodeId>,
-    next_index: BTreeMap<NodeId, u64>,
-    match_index: BTreeMap<NodeId, u64>,
+    /// Per-peer replication progress; filled on election, empty otherwise.
+    progress: BTreeMap<NodeId, Progress>,
     election_deadline: SimTime,
     heartbeat_due: SimTime,
-    /// Freshest same-term acknowledgement per peer (lease input).
-    last_ack: BTreeMap<NodeId, SimTime>,
     /// An accepted snapshot the embedder has not yet installed.
     pending_install: bool,
     /// Open `raft.election` span, if an election is in flight.
@@ -130,11 +157,9 @@ impl RaftNode {
             commit_index: 0,
             applied_index: 0,
             votes: Vec::new(),
-            next_index: BTreeMap::new(),
-            match_index: BTreeMap::new(),
+            progress: BTreeMap::new(),
             election_deadline: SimTime::ZERO,
             heartbeat_due: SimTime::ZERO,
-            last_ack: BTreeMap::new(),
             pending_install: false,
             election_span: None,
             election_started: None,
@@ -197,11 +222,6 @@ impl RaftNode {
     /// Last index covered by the local snapshot (0 = none).
     pub fn base_index(&self) -> u64 {
         self.base_index
-    }
-
-    /// The stored snapshot payload, if any.
-    pub fn snapshot_data(&self) -> Option<&[u8]> {
-        self.snapshot.as_deref()
     }
 
     /// Group size (peers + self).
@@ -267,7 +287,7 @@ impl RaftNode {
         self.voted = None;
         self.role = Role::Follower;
         self.votes.clear();
-        self.last_ack.clear();
+        self.progress.clear();
         self.election_deadline = now + self.election_timeout(term);
         self.persist_hard_state(now);
     }
@@ -281,14 +301,36 @@ impl RaftNode {
     // -- timers ----------------------------------------------------------
 
     /// Advance timers to `now`: start an election when the timeout
-    /// lapses, send heartbeats when leading. Returns messages to ship.
+    /// lapses; when leading, ship unsent entries to every replicating
+    /// peer and, once per heartbeat interval, one append to every peer.
+    /// Returns messages to ship.
     pub fn tick(&mut self, now: SimTime) -> Vec<Outgoing> {
         let mut out = Vec::new();
         match self.role {
             Role::Leader => {
-                if now >= self.heartbeat_due {
+                let heartbeat = now >= self.heartbeat_due;
+                if heartbeat {
                     self.heartbeat_due = now + self.cfg.heartbeat;
-                    self.broadcast_appends(now, &mut out);
+                }
+                let (last, interval) = (self.last_index(), self.cfg.heartbeat);
+                for i in 0..self.peers.len() {
+                    let Some(&p) = self.peers.get(i) else { break };
+                    let Some(pr) = self.progress.get_mut(&p) else { continue };
+                    if heartbeat {
+                        let lapsed = |t: SimTime| now.since(t) >= interval;
+                        match pr.state {
+                            PeerState::Replicate if pr.last_ack.is_none_or(lapsed) => {
+                                pr.state = PeerState::Probe;
+                            }
+                            PeerState::Snapshot { sent } if lapsed(sent) => {
+                                pr.state = PeerState::Probe;
+                            }
+                            _ => {}
+                        }
+                    } else if pr.state != PeerState::Replicate || pr.next > last {
+                        continue;
+                    }
+                    out.extend(self.append_for(p));
                 }
             }
             Role::Follower | Role::Candidate => {
@@ -342,10 +384,14 @@ impl RaftNode {
             self.stats.observe("election_ms", now.since(started).as_millis_f64());
         }
         self.close_election(now, "won");
-        let next = self.last_index() + 1;
-        self.next_index = self.peers.iter().map(|&p| (p, next)).collect();
-        self.match_index = self.peers.iter().map(|&p| (p, 0)).collect();
-        self.last_ack.clear();
+        // Nothing is known about any peer's log yet: probe from our tail.
+        let fresh = Progress {
+            matched: 0,
+            next: self.last_index() + 1,
+            state: PeerState::Probe,
+            last_ack: None,
+        };
+        self.progress = self.peers.iter().map(|&p| (p, fresh)).collect();
         // A no-op entry gives the new term something to commit (§5.4.2:
         // older-term entries only commit transitively through it).
         let index = self.last_index() + 1;
@@ -353,45 +399,36 @@ impl RaftNode {
         self.persist(&[RaftRecord::Entry { index, term: self.term, cmd: Vec::new() }], now);
         self.advance_commit(now);
         self.heartbeat_due = now + self.cfg.heartbeat;
-        self.broadcast_appends(now, out);
-    }
-
-    fn broadcast_appends(&mut self, now: SimTime, out: &mut Vec<Outgoing>) {
-        for p in self.peers.clone() {
-            out.extend(self.append_for(p, now));
+        for i in 0..self.peers.len() {
+            let Some(&p) = self.peers.get(i) else { break };
+            out.extend(self.append_for(p));
         }
     }
 
-    /// Build the AppendEntries (or InstallSnapshot) currently owed to
-    /// peer `p`.
-    fn append_for(&mut self, p: NodeId, now: SimTime) -> Option<Outgoing> {
-        let next = *self.next_index.get(&p)?;
-        if next <= self.base_index {
-            // The peer needs entries we compacted away: ship the
-            // snapshot instead.
-            let data = self.snapshot.clone()?;
-            self.stats.incr("snapshots_sent");
-            self.trace_instant("raft.snapshot", now, "sent");
-            return Some(Outgoing {
-                to: p,
-                msg: RaftMsg::Snap {
-                    term: self.term,
-                    base_index: self.base_index,
-                    base_term: self.base_term,
-                    data,
-                },
-            });
-        }
-        let prev_index = next - 1;
+    /// The AppendEntries owed to peer `p`: the entries from its `next`
+    /// (at most `max_batch`, possibly none — a heartbeat). A replicating
+    /// peer's `next` moves past them at once, so each entry is sent once
+    /// unless a refusal backs `next` off. For a peer whose `next` was
+    /// compacted away this is a bare heartbeat at our tail: if the peer
+    /// is alive it refuses, and the refusal is answered with the
+    /// snapshot ([`Self::on_append_reply`]) — a dead peer is never sent
+    /// one.
+    fn append_for(&mut self, p: NodeId) -> Option<Outgoing> {
+        let pr = *self.progress.get(&p)?;
+        let bare = pr.next <= self.base_index || matches!(pr.state, PeerState::Snapshot { .. });
+        let prev_index = if bare { self.last_index() } else { pr.next - 1 };
         let prev_term = self.term_at(prev_index)?;
-        let from = (next - self.base_index - 1) as usize;
+        let from = (prev_index - self.base_index) as usize;
         let entries: Vec<LogEntry> =
             self.log.get(from..).unwrap_or_default().iter().take(self.cfg.max_batch).cloned().collect();
-        if !entries.is_empty() {
+        if entries.is_empty() {
+            self.stats.incr("heartbeats_sent");
+        } else {
             self.stats.incr("appends_sent");
             self.stats.add("entries_sent", entries.len() as u64);
-        } else {
-            self.stats.incr("heartbeats_sent");
+            if pr.state == PeerState::Replicate {
+                self.progress.get_mut(&p)?.next += entries.len() as u64;
+            }
         }
         Some(Outgoing {
             to: p,
@@ -401,6 +438,24 @@ impl RaftNode {
                 prev_term,
                 entries,
                 commit: self.commit_index,
+            },
+        })
+    }
+
+    /// Ship the snapshot to peer `p` and stop feeding it entries until
+    /// the install is acknowledged (or a heartbeat interval lapses).
+    fn snapshot_for(&mut self, p: NodeId, now: SimTime) -> Option<Outgoing> {
+        let data = self.snapshot.clone()?;
+        self.progress.get_mut(&p)?.state = PeerState::Snapshot { sent: now };
+        self.stats.incr("snapshots_sent");
+        self.trace_instant("raft.snapshot", now, "sent");
+        Some(Outgoing {
+            to: p,
+            msg: RaftMsg::Snap {
+                term: self.term,
+                base_index: self.base_index,
+                base_term: self.base_term,
+                data,
             },
         })
     }
@@ -443,7 +498,7 @@ impl RaftNode {
         if needed == 0 {
             return true;
         }
-        let mut acks: Vec<SimTime> = self.last_ack.values().copied().collect();
+        let mut acks: Vec<SimTime> = self.progress.values().filter_map(|p| p.last_ack).collect();
         acks.sort_unstable_by(|a, b| b.cmp(a));
         match acks.get(needed - 1) {
             Some(&kth) => now < kth + self.cfg.election_min,
@@ -468,7 +523,7 @@ impl RaftNode {
 
     /// An accepted InstallSnapshot the embedder has not yet applied:
     /// returns `(base_index, base_term, payload)` once per install.
-    pub fn take_pending_install(&mut self) -> Option<(u64, u64, Vec<u8>)> {
+    pub fn take_pending_install(&mut self) -> Option<(u64, u64, Bytes)> {
         if !self.pending_install {
             return None;
         }
@@ -481,7 +536,7 @@ impl RaftNode {
     /// discarded and the WAL is rewritten to the compact image —
     /// snapshot record, hard state, surviving entries — so recovery
     /// replay stays proportional to the live suffix.
-    pub fn compact(&mut self, index: u64, snapshot: Vec<u8>, now: SimTime) {
+    pub fn compact(&mut self, index: u64, snapshot: Bytes, now: SimTime) {
         if index <= self.base_index || index > self.applied_index {
             return;
         }
@@ -694,20 +749,34 @@ impl RaftNode {
         if self.role != Role::Leader || term != self.term {
             return;
         }
-        self.last_ack.insert(from, now);
         if ok {
             self.on_reply_progress(from, term, match_index, now, out);
-        } else {
-            // Back off next_index to the follower's hint and retry
-            // immediately (the hint only ever decreases, so this
-            // terminates).
-            let next = self.next_index.entry(from).or_insert(1);
-            *next = (match_index + 1).min((*next).saturating_sub(1).max(1));
-            out.extend(self.append_for(from, now));
+            return;
+        }
+        let base = self.base_index;
+        let Some(pr) = self.progress.get_mut(&from) else { return };
+        pr.last_ack = Some(now);
+        if matches!(pr.state, PeerState::Snapshot { .. }) {
+            return; // refusing the heartbeats that cover an install in flight
+        }
+        // The hint names the peer's tail, so a refusal that does not
+        // lower `next` is the echo of an append sent before the back-off.
+        let news = match_index + 1 < pr.next;
+        if news {
+            pr.next = match_index + 1;
+            pr.state = PeerState::Probe;
+        }
+        if pr.next <= base {
+            // A live peer behind our compacted prefix.
+            out.extend(self.snapshot_for(from, now));
+        } else if news {
+            out.extend(self.append_for(from));
         }
     }
 
-    /// Success progress shared by AppendReply and SnapReply.
+    /// Success progress shared by AppendReply and SnapReply: confirm what
+    /// the peer holds, resume pipelining, and send on only if entries
+    /// beyond `next` remain.
     fn on_reply_progress(
         &mut self,
         from: NodeId,
@@ -719,19 +788,15 @@ impl RaftNode {
         if self.role != Role::Leader || term != self.term {
             return;
         }
-        self.last_ack.insert(from, now);
-        let m = self.match_index.entry(from).or_insert(0);
-        if match_index > *m {
-            *m = match_index;
-        }
-        let next = self.next_index.entry(from).or_insert(1);
-        if match_index + 1 > *next {
-            *next = match_index + 1;
-        }
+        let Some(pr) = self.progress.get_mut(&from) else { return };
+        pr.last_ack = Some(now);
+        pr.matched = pr.matched.max(match_index);
+        pr.next = pr.next.max(match_index + 1);
+        pr.state = PeerState::Replicate;
+        let unsent = pr.next <= self.base_index + self.log.len() as u64;
         self.advance_commit(now);
-        // More to send? Keep the pipe full without waiting a heartbeat.
-        if *self.next_index.get(&from).unwrap_or(&u64::MAX) <= self.last_index() {
-            out.extend(self.append_for(from, now));
+        if unsent {
+            out.extend(self.append_for(from));
         }
     }
 
@@ -741,7 +806,7 @@ impl RaftNode {
         if self.role != Role::Leader {
             return;
         }
-        let mut matches: Vec<u64> = self.match_index.values().copied().collect();
+        let mut matches: Vec<u64> = self.progress.values().map(|p| p.matched).collect();
         matches.push(self.last_index());
         matches.sort_unstable_by(|a, b| b.cmp(a));
         let Some(&candidate) = matches.get(self.majority() - 1) else { return };
@@ -760,7 +825,7 @@ impl RaftNode {
         term: u64,
         base_index: u64,
         base_term: u64,
-        data: Vec<u8>,
+        data: Bytes,
         now: SimTime,
         out: &mut Vec<Outgoing>,
     ) {
@@ -843,9 +908,7 @@ impl RaftNode {
         self.commit_index = self.base_index;
         self.applied_index = self.base_index;
         self.votes.clear();
-        self.next_index.clear();
-        self.match_index.clear();
-        self.last_ack.clear();
+        self.progress.clear();
         self.pending_install = self.snapshot.is_some();
         self.election_span = None;
         self.election_deadline = now + self.election_timeout(self.term);
@@ -1016,7 +1079,7 @@ mod tests {
             let n = &mut c.nodes[li];
             n.take_committed();
             let a = n.commit_index();
-            n.compact(a, b"sm-snapshot".to_vec(), now);
+            n.compact(a, "sm-snapshot".into(), now);
             a
         };
         assert_eq!(c.nodes[li].base_index(), applied);
@@ -1029,9 +1092,137 @@ mod tests {
         assert!(f.base_index() >= applied, "snapshot installed");
         let (bi, _bt, data) = f.take_pending_install().expect("pending install for embedder");
         assert_eq!(bi, applied);
-        assert_eq!(data, b"sm-snapshot".to_vec());
+        assert_eq!(&data[..], b"sm-snapshot");
         let d = c.nodes[li].committed_digest();
         assert_eq!(c.nodes[fi].committed_digest(), d, "wiped node reconverges");
+    }
+
+    /// A settled 3-group whose leader is then driven by hand: returns
+    /// the cluster, the leader's slot and one follower's.
+    fn led_cluster() -> (Cluster, usize, usize) {
+        let mut c = Cluster::new(3);
+        let li = c.run_until_leader(1_000);
+        c.run_ms(100);
+        (c, li, (li + 1) % 3)
+    }
+
+    /// Deliver `msg` from node `from` to node `to`, returning the replies.
+    fn deliver(c: &mut Cluster, from: usize, to: usize, msg: RaftMsg) -> Vec<RaftMsg> {
+        let (from_id, now) = (c.nodes[from].id(), c.now);
+        c.nodes[to].handle(from_id, msg, now).into_iter().map(|o| o.msg).collect()
+    }
+
+    /// One leader tick at the next millisecond; messages for `held` are
+    /// returned instead of delivered, everything else settles at once.
+    fn leader_tick(c: &mut Cluster, li: usize, held: usize) -> Vec<RaftMsg> {
+        c.now += SimDuration::from_millis(1);
+        let (leader_id, held_id, now) = (c.nodes[li].id(), c.nodes[held].id(), c.now);
+        let (kept, rest): (Vec<_>, Vec<_>) =
+            c.nodes[li].tick(now).into_iter().partition(|o| o.to == held_id);
+        settle(&mut c.nodes, rest.into_iter().map(|o| (leader_id, o)).collect(), now);
+        kept.into_iter().map(|o| o.msg).collect()
+    }
+
+    #[test]
+    fn a_lost_append_is_refused_backed_off_and_resent() {
+        let (mut c, li, fi) = led_cluster();
+        let fid = c.nodes[fi].id();
+        assert_eq!(c.nodes[li].progress[&fid].state, PeerState::Replicate);
+        let a = c.nodes[li].client_append(b"a".to_vec(), c.now).unwrap();
+        let lost = leader_tick(&mut c, li, fi);
+        assert!(matches!(&lost[..], [RaftMsg::Append { entries, .. }] if entries.len() == 1));
+        assert_eq!(c.nodes[li].progress[&fid].next, a + 1, "sent is sent: next moved on");
+        // The next append names a predecessor the follower never got.
+        let b = c.nodes[li].client_append(b"b".to_vec(), c.now).unwrap();
+        let mut sent = leader_tick(&mut c, li, fi);
+        assert!(matches!(&sent[..], [RaftMsg::Append { prev_index, .. }] if *prev_index == a));
+        let refusal = deliver(&mut c, li, fi, sent.remove(0));
+        assert!(matches!(&refusal[..], [RaftMsg::AppendReply { ok: false, match_index, .. }] if *match_index == a - 1));
+        let mut resent = deliver(&mut c, fi, li, refusal[0].clone());
+        assert!(
+            matches!(&resent[..], [RaftMsg::Append { prev_index, entries, .. }] if *prev_index == a - 1 && entries.len() == 2),
+            "{resent:?}"
+        );
+        assert_eq!(c.nodes[li].progress[&fid].state, PeerState::Probe);
+        // The echo of an append sent before the back-off changes nothing.
+        assert!(deliver(&mut c, fi, li, refusal[0].clone()).is_empty());
+        let ok = deliver(&mut c, li, fi, resent.remove(0));
+        assert!(deliver(&mut c, fi, li, ok[0].clone()).is_empty(), "nothing beyond next remains");
+        let pr = c.nodes[li].progress[&fid];
+        assert_eq!((pr.state, pr.matched, pr.next), (PeerState::Replicate, b, b + 1));
+        assert_eq!(c.nodes[fi].last_index(), b);
+    }
+
+    #[test]
+    fn a_silent_peer_gets_one_append_per_heartbeat() {
+        let (mut c, li, fi) = led_cluster();
+        let fid = c.nodes[fi].id();
+        // The first silent interval: still replicating, still fed.
+        for _ in 0..60 {
+            c.nodes[li].client_append(b"x".to_vec(), c.now).unwrap();
+            leader_tick(&mut c, li, fi);
+        }
+        assert_eq!(c.nodes[li].progress[&fid].state, PeerState::Probe);
+        let mut to_silent = 0;
+        for _ in 0..500 {
+            c.nodes[li].client_append(b"x".to_vec(), c.now).unwrap();
+            to_silent += leader_tick(&mut c, li, fi).len();
+        }
+        assert_eq!(to_silent, 10, "500 ms of load, 10 heartbeats");
+        assert!(c.nodes[li].commit_index() >= 550, "the other follower is a majority");
+    }
+
+    #[test]
+    fn exactly_one_snapshot_is_in_flight() {
+        let (mut c, li, fi) = led_cluster();
+        let fid = c.nodes[fi].id();
+        for i in 0..8u8 {
+            c.nodes[li].client_append(vec![i], c.now).unwrap();
+            c.run_ms(5);
+        }
+        let now = c.now;
+        c.nodes[li].take_committed();
+        let base = c.nodes[li].commit_index();
+        c.nodes[li].compact(base, "state".into(), now);
+        c.nodes[fi].wipe(now);
+        // Collect what the wiped follower is sent over three heartbeat
+        // intervals; it answers appends (refusing them) but every
+        // snapshot is lost on the way.
+        let (mut snaps_by_interval, mut entries_sent) = (vec![0usize; 3], 0);
+        for ms in 0..150 {
+            c.nodes[li].client_append(b"x".to_vec(), c.now).unwrap();
+            let mut inbox = leader_tick(&mut c, li, fi);
+            while let Some(msg) = inbox.pop() {
+                match msg {
+                    RaftMsg::Snap { .. } => snaps_by_interval[ms / 50] += 1,
+                    RaftMsg::Append { ref entries, .. } => {
+                        // Until its first refusal the leader does not
+                        // know the peer fell behind the base.
+                        if snaps_by_interval[0] > 0 {
+                            entries_sent += entries.len();
+                        }
+                        for reply in deliver(&mut c, li, fi, msg) {
+                            inbox.extend(deliver(&mut c, fi, li, reply));
+                        }
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert_eq!(snaps_by_interval.iter().sum::<usize>(), 3, "{snaps_by_interval:?}");
+        assert!(snaps_by_interval.iter().all(|&n| n <= 1), "{snaps_by_interval:?}");
+        assert_eq!(entries_sent, 0, "a peer waiting for a snapshot is sent heartbeats only");
+        assert!(matches!(c.nodes[li].progress[&fid].state, PeerState::Snapshot { .. }));
+        // Once one arrives the peer is fed entries again.
+        let (leader_id, term, now) = (c.nodes[li].id(), c.nodes[li].term(), c.now);
+        let snap = c.nodes[li].snapshot_for(fid, now).expect("snapshot");
+        assert!(matches!(snap.msg, RaftMsg::Snap { .. }));
+        let reply = deliver(&mut c, li, fi, snap.msg);
+        assert!(matches!(&reply[..], [RaftMsg::SnapReply { match_index, .. }] if *match_index == base));
+        let more = deliver(&mut c, fi, li, reply[0].clone());
+        assert!(matches!(&more[..], [RaftMsg::Append { prev_index, entries, .. }] if *prev_index == base && !entries.is_empty()));
+        assert_eq!(c.nodes[li].progress[&fid].state, PeerState::Replicate);
+        assert_eq!((c.nodes[fi].leader_hint(), c.nodes[fi].term()), (Some(leader_id), term));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! (`mv-lint`'s panic-path rule audits this file).
 
 use crate::msg::LogEntry;
+use bytes::Bytes;
 use mv_common::codec::wire_u32;
 use mv_common::id::NodeId;
 
@@ -49,8 +50,9 @@ pub enum RaftRecord {
         index: u64,
         /// Term of that entry.
         term: u64,
-        /// Opaque state-machine snapshot payload.
-        data: Vec<u8>,
+        /// Opaque state-machine snapshot payload (shared, not copied,
+        /// between the node, its messages and this record).
+        data: Bytes,
     },
 }
 
@@ -154,7 +156,7 @@ impl RaftRecord {
             }
             2 => RaftRecord::Entry { index: r.u64()?, term: r.u64()?, cmd: r.bytes()? },
             3 => RaftRecord::Truncate { from: r.u64()? },
-            4 => RaftRecord::Snapshot { index: r.u64()?, term: r.u64()?, data: r.bytes()? },
+            4 => RaftRecord::Snapshot { index: r.u64()?, term: r.u64()?, data: r.bytes()?.into() },
             _ => return None,
         };
         r.done().then_some(rec)
@@ -177,7 +179,7 @@ pub struct FoldedState {
     /// Term of the entry at `base_index`.
     pub base_term: u64,
     /// Snapshot payload, if one was taken.
-    pub snapshot: Option<Vec<u8>>,
+    pub snapshot: Option<Bytes>,
     /// Entries above `base_index`, in index order.
     pub log: Vec<LogEntry>,
 }
@@ -243,7 +245,7 @@ mod tests {
             RaftRecord::Entry { index: 3, term: 2, cmd: b"hello".to_vec() },
             RaftRecord::Entry { index: 4, term: 2, cmd: Vec::new() },
             RaftRecord::Truncate { from: 4 },
-            RaftRecord::Snapshot { index: 9, term: 3, data: vec![1, 2, 3] },
+            RaftRecord::Snapshot { index: 9, term: 3, data: vec![1, 2, 3].into() },
         ];
         for rec in recs {
             let bytes = rec.encode();
@@ -279,7 +281,7 @@ mod tests {
             RaftRecord::Truncate { from: 3 }.encode(),
             RaftRecord::Entry { index: 3, term: 2, cmd: b"c2".to_vec() }.encode(),
             RaftRecord::HardState { term: 2, voted: None }.encode(),
-            RaftRecord::Snapshot { index: 1, term: 1, data: b"snap".to_vec() }.encode(),
+            RaftRecord::Snapshot { index: 1, term: 1, data: "snap".into() }.encode(),
         ];
         let st = FoldedState::from_records(img.iter().map(Vec::as_slice));
         assert_eq!(st.term, 2);

@@ -106,6 +106,8 @@ struct RunResult {
     members: usize,
     log_hash: u64,
     applied_all: bool,
+    /// Proposals still waiting for their leader's commit at the end.
+    pending_submits: f64,
 }
 
 fn run(scenario: Scenario, replicas: usize, seed: u64) -> RunResult {
@@ -180,6 +182,7 @@ fn run(scenario: Scenario, replicas: usize, seed: u64) -> RunResult {
         members: n,
         log_hash: fx_hash_one(&w.region.log),
         applied_all,
+        pending_submits: w.region.region_stats().gauge("pending_submits"),
     }
 }
 
@@ -206,6 +209,10 @@ fn assert_safety(r: &RunResult, label: &str) {
         r.history_hashes.iter().all(|h| h.is_some() && *h == r.history_hashes[0]),
         "{label}: applied histories diverged: {:?}",
         r.history_hashes
+    );
+    assert_eq!(
+        r.pending_submits, 0.0,
+        "{label}: a proposal outlived its leader's term in the pending set"
     );
 }
 
