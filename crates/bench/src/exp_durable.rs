@@ -70,7 +70,7 @@ fn run_group_commit(recs: &[WalRecord], batch: usize) -> (f64, u64) {
     }
     wal.sync();
     let cpu = t0.elapsed().as_secs_f64();
-    assert_eq!(wal.durable().len(), recs.len());
+    assert_eq!(wal.durable().count(), recs.len());
     (cpu, wal.stats.get("batches"))
 }
 

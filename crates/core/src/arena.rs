@@ -54,19 +54,6 @@ impl EntityRef<'_> {
     pub fn attr(&self, name: &str) -> f64 {
         self.attrs.get(name).copied().unwrap_or(0.0)
     }
-
-    /// Copy into the owned form.
-    pub fn to_entity(&self) -> Entity {
-        Entity {
-            id: self.id,
-            name: self.name.to_owned(),
-            kind: self.kind,
-            position: self.position,
-            twin_position: self.twin_position,
-            attrs: self.attrs.clone(),
-            retired: self.retired,
-        }
-    }
 }
 
 /// The struct-of-arrays arena (see module docs). Slots are never

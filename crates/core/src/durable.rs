@@ -33,7 +33,7 @@ use mv_common::{MvResult, Space};
 use mv_obs::{SharedTracer, TraceCtx};
 use mv_storage::codec::SliceReader;
 use mv_storage::kv::KvConfig;
-use mv_storage::wal::{RecoveryReport, WalRecord};
+use mv_storage::wal::{RecoveryReport, WalRecord, WalRecordRef};
 use mv_storage::{GroupCommitPolicy, GroupCommitWal, ShardedKv};
 use std::hash::Hasher as _;
 
@@ -423,8 +423,6 @@ pub struct DurableMetaverse {
     kv: ShardedKv,
     /// Spawn-ordered entity ids (replay re-derives the same sequence).
     pub(crate) ids: Vec<EntityId>,
-    /// Next WAL key (unique per logged op).
-    lsn: u64,
     engine_shards: usize,
     kv_config: KvConfig,
     kv_shards: usize,
@@ -455,7 +453,6 @@ impl DurableMetaverse {
             wal: GroupCommitWal::with_policy(wal_policy),
             kv: ShardedKv::new(kv_shards, kv_config),
             ids: Vec::new(),
-            lsn: 0,
             engine_shards,
             kv_config,
             kv_shards,
@@ -525,11 +522,11 @@ impl DurableMetaverse {
 
     /// Log one op carrying its causal context: the WAL opens a
     /// `storage.wal.group_commit` span that closes when the op's batch
-    /// seals (its duration is the group-commit wait the op paid).
+    /// seals (its duration is the group-commit wait the op paid). The
+    /// record carries no key: replay follows log order.
     pub(crate) fn log_with(&mut self, op: &DurableOp, ctx: Option<TraceCtx>) {
-        let key = self.lsn.to_le_bytes().to_vec();
-        self.lsn += 1;
-        self.wal.append_traced(WalRecord::Put { key, value: op.encode() }, op.ts(), ctx);
+        let record = WalRecord::Put { key: Vec::new(), value: op.encode() };
+        self.wal.append_traced(record, op.ts(), ctx);
     }
 
     /// Resolve the context for one ingested op: adopt the caller's, or
@@ -579,13 +576,14 @@ impl DurableMetaverse {
     /// replay order is append order, which `apply_batch`'s stable
     /// partitioning preserves per entity).
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
-        for op in ops {
-            self.log(&DurableOp::from_write(op));
+        let logged: Vec<DurableOp> = ops.iter().map(DurableOp::from_write).collect();
+        for op in &logged {
+            self.log(op);
         }
         let results = self.engine.apply_batch(ops);
-        for (op, r) in ops.iter().zip(&results) {
+        for (op, r) in logged.iter().zip(&results) {
             if r.is_ok() {
-                self.txns.install_plain(&DurableOp::from_write(op));
+                self.txns.install_plain(op);
             }
         }
         results
@@ -724,6 +722,9 @@ impl DurableMetaverse {
     /// (per [`Self::state_encoding`]) to the pre-crash engine at the
     /// last durable point.
     ///
+    /// Replay holds no history: each op decodes from the record the log
+    /// lends it, and the events it regenerates are dropped every batch.
+    ///
     /// Transactional records resolve in-doubt state here: a
     /// [`DurableOp::TxnPrepare`] is buffered, never applied on its own;
     /// a [`DurableOp::TxnDecision`] with `commit` replays the buffered
@@ -733,88 +734,90 @@ impl DurableMetaverse {
     /// `core.txn.indoubt_aborted` stat.
     pub fn crash_and_recover(&mut self) -> RecoveryReport {
         let report = self.wal.crash_with_report();
-        let mut engine = ShardedMetaverse::with_defaults(self.engine_shards);
-        let mut ids = Vec::new();
-        let mut txns = crate::txn::TxnState::new(self.kv_shards);
+        let wal = std::mem::take(&mut self.wal);
+        self.engine = ShardedMetaverse::with_defaults(self.engine_shards);
+        self.ids.clear();
+        self.txns = crate::txn::TxnState::new(self.kv_shards);
         let mut prepared: mv_common::hash::FastMap<u64, Vec<DurableOp>> =
             mv_common::hash::FastMap::default();
-        for rec in self.wal.durable() {
-            let WalRecord::Put { value, .. } = rec else { continue };
-            let Some(op) = DurableOp::decode(value) else { continue };
-            match op {
-                DurableOp::TxnPrepare { txn, ops, .. } => {
-                    prepared.entry(txn).or_default().extend(ops);
-                }
-                DurableOp::TxnDecision { txn, commit, commit_ts, .. } => {
-                    // A decision with no buffered prepares is hostile or
-                    // duplicated input — there is nothing to apply.
-                    let Some(ops) = prepared.remove(&txn) else { continue };
-                    if commit {
-                        txns.install_recovered(&ops, commit_ts);
-                        for op in ops {
-                            Self::replay(&mut engine, &mut ids, op);
-                        }
-                    } else {
-                        txns.stats.incr("recovered_aborts");
+        for batch in wal.durable_batches() {
+            for rec in batch {
+                let WalRecordRef::Put { value, .. } = rec else { continue };
+                let Some(op) = DurableOp::decode(value) else { continue };
+                match op {
+                    DurableOp::TxnPrepare { txn, ops, .. } => {
+                        prepared.entry(txn).or_default().extend(ops);
                     }
-                }
-                other => {
-                    // Recovery mirrors the live path: a plain write that
-                    // the engine accepts reinstalls its MVCC version at
-                    // the same oracle-drawn timestamp.
-                    if Self::replay(&mut engine, &mut ids, other.clone()) {
-                        txns.install_plain(&other);
+                    DurableOp::TxnDecision { txn, commit, commit_ts, .. } => {
+                        // A decision with no buffered prepares is hostile
+                        // or duplicated input — there is nothing to apply.
+                        let Some(ops) = prepared.remove(&txn) else { continue };
+                        if commit {
+                            self.txns.install_recovered(&ops, commit_ts);
+                            for op in &ops {
+                                self.replay(op);
+                            }
+                        } else {
+                            self.txns.stats.incr("recovered_aborts");
+                        }
+                    }
+                    other => {
+                        self.apply_unlogged(&other);
                     }
                 }
             }
+            self.engine.discard_events();
         }
-        txns.stats.add("indoubt_aborted", prepared.len() as u64);
+        self.wal = wal;
+        self.txns.stats.add("indoubt_aborted", prepared.len() as u64);
         // Every pre-crash transaction is dead, so nothing pins the GC
         // horizon: one final automatic collection lands the rebuilt
         // chains in the same maximally-trimmed state the live path's
         // per-commit collector maintains (the differential harness
         // compares chain digests against a live twin).
-        txns.auto_gc();
-        // Regenerated events are not "new" mutations — clear them, then
-        // rebuild the materialized store from the recovered entities.
-        engine.drain_events();
-        self.engine = engine;
-        self.ids = ids;
-        self.txns = txns;
-        self.lsn = self.wal.durable().len() as u64;
+        self.txns.auto_gc();
+        // Rebuild the materialized store from the recovered entities.
         self.kv = ShardedKv::new(self.kv_shards, self.kv_config);
-        let records = self.snapshot_records(&self.ids.clone());
+        let records = self.snapshot_records(&self.ids);
         self.kv.apply_batch(&records);
         report
     }
 
-    /// Re-execute one recovered op. Errors are deliberately swallowed:
-    /// an op that failed pre-crash (e.g. an update racing a retire)
-    /// fails identically on replay — determinism, not error handling,
-    /// is what recovery needs. Returns whether the engine accepted the
-    /// op (recovery uses this to mirror the live path's conditional
-    /// MVCC install). Transactional envelopes are never applied here
+    /// Apply one plain op without logging it, as the live path applies it:
+    /// the engine, then — if it accepts — the op's MVCC version. Recovery
+    /// replays through here, and so does a replica (its raft log, not this
+    /// WAL, is what it recovers from). Returns whether the engine accepted.
+    pub(crate) fn apply_unlogged(&mut self, op: &DurableOp) -> bool {
+        let accepted = self.replay(op);
+        if accepted {
+            self.txns.install_plain(op);
+        }
+        accepted
+    }
+
+    /// Re-execute one op on the engine alone. Errors are deliberately
+    /// swallowed: an op that failed pre-crash (e.g. an update racing a
+    /// retire) fails identically on replay — determinism, not error
+    /// handling, is what recovery needs. Returns whether the engine
+    /// accepted the op. Transactional envelopes are never applied here
     /// (`crash_and_recover` resolves them; the live commit path replays
     /// their leaf ops directly).
-    pub(crate) fn replay(
-        engine: &mut ShardedMetaverse,
-        ids: &mut Vec<EntityId>,
-        op: DurableOp,
-    ) -> bool {
+    pub(crate) fn replay(&mut self, op: &DurableOp) -> bool {
+        let engine = &mut self.engine;
         match op {
             DurableOp::Spawn { name, kind, position, ts } => {
-                ids.push(engine.spawn(name, kind, position, ts));
+                self.ids.push(engine.spawn(name.clone(), *kind, *position, *ts));
                 true
             }
             DurableOp::Position { id, position, ts } => {
-                engine.update_position(id, position, ts).is_ok()
+                engine.update_position(*id, *position, *ts).is_ok()
             }
             DurableOp::Attr { id, name, value, ts } => {
-                engine.update_attr(id, &name, value, ts).is_ok()
+                engine.update_attr(*id, name, *value, *ts).is_ok()
             }
-            DurableOp::Retire { id, ts } => engine.retire(id, ts).is_ok(),
+            DurableOp::Retire { id, ts } => engine.retire(*id, *ts).is_ok(),
             DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
-                let _ = engine.area_effect(space, &effect, region, &action, retire, ts);
+                let _ = engine.area_effect(*space, effect, *region, action, *retire, *ts);
                 true
             }
             DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => false,

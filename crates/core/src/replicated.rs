@@ -74,29 +74,18 @@ impl MetaverseSm {
         MetaverseSm { dm: DurableMetaverse::with_defaults(shards) }
     }
 
-    /// Apply one committed command. Unknown/transactional frames are
-    /// refused (`false`) — the replicated log carries only plain ops.
+    /// Apply one committed command through the engine's unlogged path —
+    /// the raft log is the replica's recovery source, so its own WAL
+    /// stays empty. Unknown/transactional frames are refused (`false`) —
+    /// the replicated log carries only plain ops.
     fn apply(&mut self, cmd: &[u8]) -> bool {
-        let Some(op) = DurableOp::decode(cmd) else { return false };
-        match op {
-            DurableOp::Spawn { name, kind, position, ts } => {
-                self.dm.spawn(name, kind, position, ts);
+        match DurableOp::decode(cmd) {
+            Some(DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. }) | None => false,
+            Some(op) => {
+                self.dm.apply_unlogged(&op);
+                true
             }
-            DurableOp::Position { id, position, ts } => {
-                let _ = self.dm.update_position(id, position, ts);
-            }
-            DurableOp::Attr { id, name, value, ts } => {
-                let _ = self.dm.update_attr(id, &name, value, ts);
-            }
-            DurableOp::Retire { id, ts } => {
-                let _ = self.dm.retire(id, ts);
-            }
-            DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
-                let _ = self.dm.area_effect(space, &effect, region, &action, retire, ts);
-            }
-            DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => return false,
         }
-        true
     }
 
     /// `version ‖ fx checksum ‖ state_encoding()`.
@@ -618,7 +607,7 @@ impl ReplicatedMetaverse {
             if applied_any {
                 // Nothing consumes a replica's co-space events; left alone
                 // they would pile up for the life of the region.
-                sm.dm.engine.drain_events();
+                sm.dm.engine.discard_events();
             }
             if slot.applied_raft.saturating_sub(slot.node.base_index()) > compact_threshold {
                 slot.node.compact(slot.applied_raft, sm.snapshot().into(), now);
@@ -915,6 +904,25 @@ mod tests {
         for slot in &mut w.replicas {
             let sm = slot.sm.as_mut().expect("up");
             assert!(sm.dm.engine.drain_events().is_empty(), "{:?} kept events", slot.node.id());
+        }
+    }
+
+    /// What a replica holds follows its state, not the commands it has
+    /// applied: ten times the history leaves its engine's own WAL empty
+    /// and one MVCC version per written key.
+    #[test]
+    fn replica_engines_hold_no_log_and_one_version_per_key() {
+        for load_ms in [200, 2_000] {
+            let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 11);
+            steady_load(&mut w, 2, load_ms);
+            assert_eq!(w.acked().len() as u64, 2 * load_ms);
+            for slot in &w.replicas {
+                let dm = &slot.sm.as_ref().expect("up").dm;
+                assert_eq!(dm.wal.len(), 0, "{load_ms} sim-ms: a replica logged its applies");
+                // 64 positions + 64 `hp` attributes.
+                assert_eq!(dm.txn_version_count(), 128, "{load_ms} sim-ms");
+                assert_eq!(dm.txn_stats().get("plain_versions"), 2 * load_ms - 64);
+            }
         }
     }
 }

@@ -219,11 +219,6 @@ impl ShardedMetaverse {
         &self.last_shard_walls
     }
 
-    /// Live entities per shard (occupancy of the hash partitioning).
-    pub fn shard_live_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(Metaverse::live_count).collect()
-    }
-
     fn advance(&mut self, now: SimTime) {
         self.clock = self.clock.max(now);
     }
@@ -550,6 +545,15 @@ impl ShardedMetaverse {
             })
             .collect()
     }
+
+    /// Drop every shard's buffered events unread — no tagging, no sort —
+    /// where nothing consumes them (recovery's replay, a replica's apply).
+    /// Ids advance as a drain would have numbered them.
+    pub fn discard_events(&mut self) {
+        for shard in &mut self.shards {
+            self.next_event += shard.drain_events().len() as u64;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -654,6 +658,25 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(run(), first);
         }
+    }
+
+    #[test]
+    fn discarded_events_number_later_ones_as_a_drain_would() {
+        let later = |discard: bool| {
+            let mut mv = ShardedMetaverse::with_defaults(4);
+            for i in 0..8 {
+                mv.spawn(format!("e{i}"), EntityKind::Person, Point::ORIGIN, t(0));
+            }
+            mv.update_position(EntityId::new(3), Point::new(90.0, 0.0), t(1)).unwrap();
+            if discard {
+                mv.discard_events();
+            } else {
+                assert!(!mv.drain_events().is_empty());
+            }
+            mv.update_position(EntityId::new(5), Point::new(90.0, 0.0), t(2)).unwrap();
+            format!("{:?}", mv.drain_events())
+        };
+        assert_eq!(later(true), later(false));
     }
 
     #[test]

@@ -34,10 +34,14 @@
 //! installs a single-op committed version at a fresh oracle timestamp,
 //! live and on recovery alike — a transactional snapshot can never
 //! observe a torn read from a bypassing write (the anomaly DESIGN.md
-//! §10 used to document). Keys written *only* at spawn time still read
-//! through to the engine; a key's chain begins at its first write of
-//! either kind, and a snapshot older than the chain reads
-//! absent-at-snapshot, never a newer live value.
+//! §10 used to document). While no snapshot is live, that version
+//! replaces the key's head instead of lengthening its chain, so plain
+//! ingest holds one version per key whatever its history; while one is
+//! live, versions append and the collector takes them once it ends.
+//! Keys written *only* at spawn time still read through to the engine;
+//! a key's chain begins at its first write of either kind, and a
+//! snapshot older than the chain reads absent-at-snapshot, never a
+//! newer live value.
 //!
 //! GC is automatic: every commit and abort collects at the oldest live
 //! snapshot's begin timestamp (a long-running transaction pins the
@@ -53,7 +57,7 @@ use mv_common::codec::wire_u32;
 use mv_common::id::EntityId;
 use mv_common::time::SimTime;
 use mv_common::{MvError, MvResult};
-use mv_obs::{SharedRegistry, StatSet, TraceCtx};
+use mv_obs::{StatSet, TraceCtx};
 use mv_txn::mvcc::Transaction;
 use mv_txn::{IsolationLevel, ShardedMvcc};
 use std::collections::BTreeMap;
@@ -172,14 +176,16 @@ impl TxnState {
     /// write produces, at a fresh commit timestamp drawn from the op's
     /// own time. Plain ingest and transactional commits now share one
     /// version store, so a transactional snapshot can never observe a
-    /// torn read from a bypassing write (the old §10 anomaly). Called on
+    /// torn read from a bypassing write (the old §10 anomaly). With no
+    /// snapshot live the version replaces the key's head instead of
+    /// growing its chain (see [`ShardedMvcc::install_plain`]). Called on
     /// the live path after the engine accepts the write, and on recovery
     /// after a successful replay — same order, same timestamps, so the
     /// rebuilt chains stay byte-identical.
     pub(crate) fn install_plain(&mut self, op: &DurableOp) {
         if let Some((k, v)) = mvcc_kv_for(op) {
             let commit_ts = self.mvcc.oracle().next(op.ts());
-            self.mvcc.install_version(&k, v, commit_ts);
+            self.mvcc.install_plain(&k, v, commit_ts);
             self.stats.incr("plain_versions");
         }
     }
@@ -399,10 +405,10 @@ impl DurableMetaverse {
         // Apply: install versions at the decision timestamp, replay the
         // buffered ops into the engine in prepare-record order.
         self.txns.mvcc.install(txn_id, parts, commit_ts);
-        for prepare in prepares {
+        for prepare in &prepares {
             let DurableOp::TxnPrepare { ops, .. } = prepare else { continue };
             for op in ops {
-                Self::replay(&mut self.engine, &mut self.ids, op);
+                self.replay(op);
             }
         }
         self.txns.mvcc.finish(txn_id);
@@ -459,12 +465,6 @@ impl DurableMetaverse {
     /// The `core.txn.*` counters.
     pub fn txn_stats(&self) -> &StatSet {
         &self.txns.stats
-    }
-
-    /// Route the txn counters into a shared registry (merging whatever
-    /// was already recorded).
-    pub fn attach_txn_registry(&mut self, registry: &SharedRegistry) {
-        self.txns.stats.attach(registry);
     }
 
     /// Current oracle timestamp (every committed txn so far is ≤ this).
@@ -680,6 +680,67 @@ mod tests {
         dm.crash_and_recover();
         assert_eq!(dm.txn_digest(), chains, "plain versions rebuilt identically");
         assert!(dm.txn_stats().get("plain_versions") > 0);
+    }
+
+    /// MVCC memory follows the keys written, not the writes: with no
+    /// snapshot live, 1× and 10× the same plain writes leave one version
+    /// per key, live and recovered alike, and recovery's collector finds
+    /// nothing left to take.
+    #[test]
+    fn plain_write_versions_are_independent_of_history() {
+        let versions = |rounds: u64| {
+            let mut dm = DurableMetaverse::with_defaults(4);
+            let ids: Vec<EntityId> = (0..16)
+                .map(|i| dm.spawn(format!("e{i}"), EntityKind::Avatar, Point::ORIGIN, t(1)))
+                .collect();
+            for r in 0..rounds {
+                let (now, position) = (t(2 + r), Point::new(1.0, r as f64));
+                let batch: Vec<WriteOp> =
+                    ids.iter().map(|&id| WriteOp::Position { id, position, ts: now }).collect();
+                assert!(dm.apply_batch(&batch).iter().all(|r| r.is_ok()));
+                for &id in &ids {
+                    dm.update_attr(id, "hp", r as f64, now).expect("live entity");
+                    dm.update_position(id, Point::new(r as f64, 2.0), now).expect("live entity");
+                }
+            }
+            dm.commit(t(100));
+            let (live, chains) = (dm.txn_version_count(), dm.txn_digest());
+            dm.crash_and_recover();
+            assert_eq!(dm.txn_digest(), chains, "{rounds}×: recovered chains are the live ones");
+            assert_eq!(dm.txn_stats().get("plain_versions"), 3 * 16 * rounds);
+            assert_eq!(dm.txn_stats().get("gc_versions_auto"), 0, "{rounds}×");
+            live
+        };
+        assert_eq!(versions(1), 32, "one version per position and per attribute");
+        assert_eq!(versions(10), 32);
+    }
+
+    /// A snapshot open across plain writes keeps what it can read: the
+    /// writes append behind it and it still reads its own value. Once it
+    /// ends the collector takes the pinned versions, and later plain
+    /// writes replace heads again.
+    #[test]
+    fn a_live_snapshot_pins_plain_versions_until_it_ends() {
+        let (mut dm, ids) = world(2, 4);
+        assert_eq!(dm.txn_version_count(), 4, "world() wrote one plain `gold` each");
+        let mut reader = dm.txn(t(2));
+        assert_eq!(dm.txn_read_attr(&mut reader, ids[0], "gold"), Some(100.0));
+        for i in 0..10u64 {
+            for &id in &ids {
+                dm.update_attr(id, "gold", i as f64, t(3 + i)).expect("live entity");
+            }
+        }
+        assert_eq!(dm.txn_version_count(), 4 * 11, "every write kept behind the snapshot");
+        assert_eq!(dm.txn_read_attr(&mut reader, ids[0], "gold"), Some(100.0));
+
+        dm.abort_txn(reader, t(20));
+        assert_eq!(dm.txn_version_count(), 4, "the collector took every pinned version");
+        for &id in &ids {
+            dm.update_attr(id, "gold", 7.0, t(21)).expect("live entity");
+        }
+        assert_eq!(dm.txn_version_count(), 4, "nothing live: writes replace heads");
+        let mut after = dm.txn(t(22));
+        assert_eq!(dm.txn_read_attr(&mut after, ids[0], "gold"), Some(7.0));
     }
 
     #[test]

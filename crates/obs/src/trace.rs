@@ -17,7 +17,7 @@
 //! runs produce byte-identical span logs ([`Tracer::log_hash`]).
 
 use crate::registry::LogHistogram;
-use mv_common::hash::fx_hash_one;
+use mv_common::hash::{fx_hash_one, FastMap};
 use mv_common::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -83,9 +83,18 @@ pub struct Tracer {
     sample_every: u64,
     /// Calls seen by `maybe_trace` (the sampling counter).
     minted_calls: u64,
-    open: BTreeMap<u64, OpenSpan>,
+    /// Open spans by id. Nothing iterates them (they are only inserted,
+    /// removed and counted), so order is never observable.
+    open: FastMap<u64, OpenSpan>,
     closed: Vec<SpanRecord>,
 }
+
+/// Span records a sampled tracer has room for before its span log first
+/// grows (144 KiB). A growth in mid-run can land just past a buffer the
+/// traced path is growing too — a group-commit log of a few MB — so the
+/// allocator must copy that buffer on its next growth; on E18d's 40 000
+/// appends one such copy reads as 13 % of "tracing overhead".
+const SPAN_LOG_RESERVE: usize = 2048;
 
 impl Tracer {
     /// A tracer that traces every operation.
@@ -97,7 +106,7 @@ impl Tracer {
     /// calls (`k == 0` or `1` ⇒ every call). Spans opened under an
     /// already-minted context are always recorded regardless of `k`.
     pub fn sampled(k: u64) -> Self {
-        Tracer { sample_every: k, ..Self::default() }
+        Tracer { sample_every: k, closed: Vec::with_capacity(SPAN_LOG_RESERVE), ..Self::default() }
     }
 
     /// Sampling root mint: returns a context for every k-th call.
@@ -274,16 +283,18 @@ impl Tracer {
 /// engine, and the bench driver all write into the same span log.
 ///
 /// Sampling is decided *outside* the lock: the rate is cached at
-/// construction and the call counter is an atomic, so a sampled-out
-/// [`Self::maybe_trace`] on a hot ingest path costs one fetch-add — the
-/// lock is only taken for roots that are actually minted.
+/// construction and a shared countdown says how many calls remain
+/// before the next minted root, so a sampled-out [`Self::maybe_trace`]
+/// on a hot ingest path costs one load and one store — no locked
+/// instruction, no division — and the lock is only taken for roots that
+/// are actually minted.
 #[derive(Debug, Clone, Default)]
 pub struct SharedTracer {
     inner: Arc<Mutex<Tracer>>,
     /// Cached sampling rate (0/1 ⇒ trace every call).
     sample_every: u64,
-    /// Lock-free `maybe_trace` call counter.
-    calls: Arc<AtomicU64>,
+    /// `maybe_trace` calls left to skip before the next minted root.
+    skip: Arc<AtomicU64>,
 }
 
 impl SharedTracer {
@@ -297,7 +308,7 @@ impl SharedTracer {
         SharedTracer {
             inner: Arc::new(Mutex::new(Tracer::sampled(k))),
             sample_every: k,
-            calls: Arc::new(AtomicU64::new(0)),
+            skip: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -306,16 +317,24 @@ impl SharedTracer {
         f(&mut self.inner.lock())
     }
 
-    /// See [`Tracer::maybe_trace`] — here the sampled-out case never
-    /// takes the lock. (The sims are single-threaded, so the relaxed
-    /// counter is deterministic.)
+    /// See [`Tracer::maybe_trace`] — the same calls are sampled, and the
+    /// sampled-out case never takes the lock. The countdown is a plain
+    /// load and store, not a read-modify-write: every caller runs on its
+    /// simulation's one thread, so the sequence is deterministic. (Two
+    /// threads racing here could skip or mint one root too many; they
+    /// could never corrupt the span log, which stays behind the lock.)
+    #[inline]
     pub fn maybe_trace(&self, name: &'static str, at: SimTime) -> Option<TraceCtx> {
         // lint:allow(relaxed-ordering): sampled-out fast path must not synchronize; the sims are single-threaded so the count stays deterministic
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        if self.sample_every > 1 && !call.is_multiple_of(self.sample_every) {
-            return None;
+        let (skip, order) = (&*self.skip, Ordering::Relaxed);
+        match skip.load(order) {
+            0 => skip.store(self.sample_every.saturating_sub(1), order),
+            left => {
+                skip.store(left - 1, order);
+                return None;
+            }
         }
-        Some(self.inner.lock().start_trace(name, at))
+        Some(self.start_trace(name, at))
     }
 
     /// See [`Tracer::start_trace`].
@@ -451,6 +470,19 @@ mod tests {
         let mut all = Tracer::sampled(1);
         assert!(all.maybe_trace("in", t(0)).is_some());
         assert!(all.maybe_trace("in", t(1)).is_some());
+
+        // The shared tracer's countdown mints on the same calls, across
+        // clones, at every rate.
+        for k in [0u64, 1, 2, 4, 64] {
+            let (mut plain, shared) = (Tracer::sampled(k), SharedTracer::sampled(k));
+            let clone = shared.clone();
+            for i in 0..200 {
+                let via = if i % 3 == 0 { &clone } else { &shared };
+                let expect = plain.maybe_trace("in", t(i)).is_some();
+                assert_eq!(via.maybe_trace("in", t(i)).is_some(), expect, "k={k} call {i}");
+            }
+            assert_eq!(shared.trace_count(), plain.trace_count(), "k={k}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use mv_common::id::NodeId;
 use mv_common::time::{SimDuration, SimTime};
 use mv_obs::{SharedRegistry, SharedTracer, StatSet};
-use mv_storage::wal::WalRecord;
+use mv_storage::wal::{WalRecord, WalRecordRef};
 use mv_storage::{GroupCommitPolicy, GroupCommitWal};
 use std::collections::BTreeMap;
 
@@ -893,9 +893,9 @@ impl RaftNode {
     /// [`Self::take_pending_install`] (set when a snapshot survived)
     /// plus re-delivered committed entries.
     pub fn restart(&mut self, now: SimTime) {
-        let folded = FoldedState::from_records(self.wal.durable().iter().filter_map(|r| {
-            let WalRecord::Put { value, .. } = r else { return None };
-            Some(value.as_slice())
+        let folded = FoldedState::from_records(self.wal.durable().filter_map(|r| match r {
+            WalRecordRef::Put { value, .. } => Some(value),
+            WalRecordRef::Delete { .. } => None,
         }));
         self.term = folded.term;
         self.voted = folded.voted;

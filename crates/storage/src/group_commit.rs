@@ -16,6 +16,11 @@
 //! *entire* batch — never a prefix of it. The unsynced pending tail is
 //! lost wholesale on crash, exactly like the record WAL's unsynced tail.
 //!
+//! **The byte image is the only copy.** A record lives once, as bytes in
+//! its batch frame. Readers borrow [`WalRecordRef`]s from the validating
+//! walk recovery truncates with, re-run by every [`GroupCommitWal::durable`]
+//! call, so nothing is decoded into a second list or copied on recovery.
+//!
 //! Sealing is driven by a [`GroupCommitPolicy`]: a batch closes when it
 //! reaches `max_records`, `max_bytes`, or its oldest pending record has
 //! waited `max_delay` of virtual time — the classic throughput/latency
@@ -72,22 +77,19 @@ impl GroupCommitPolicy {
 #[derive(Debug, Default)]
 pub struct GroupCommitWal {
     policy: GroupCommitPolicy,
-    /// Records made durable by sealed batches, in append order.
-    sealed: Vec<WalRecord>,
-    /// Record count of each sealed batch, in seal order (batch
-    /// boundaries inside `sealed`).
-    batch_sizes: Vec<usize>,
-    /// Appended but not yet sealed — lost wholesale on crash.
-    pending: Vec<WalRecord>,
+    /// Records in the sealed batches of `log`.
+    sealed: usize,
+    /// Records appended but not yet sealed — lost wholesale on crash.
+    pending: usize,
     /// Encoded payload bytes of the pending batch (records are encoded
     /// on append; sealing only frames + checksums the accumulated
     /// payload — the per-batch, not per-record, commit cost).
     pending_payload: Vec<u8>,
     /// Virtual arrival time of the oldest pending record.
     pending_since: Option<SimTime>,
-    /// Byte-encoded image of the sealed batches (checksummed frames).
+    /// The sealed batches as checksummed frames — the only copy of the
+    /// durable records ([`Self::durable`] decodes them in place).
     log: Vec<u8>,
-    last_recovery: Option<RecoveryReport>,
     /// Span collector for traced appends (see [`Self::set_tracer`]).
     tracer: Option<SharedTracer>,
     /// Latest virtual time this WAL has observed (append/tick). `sync()`
@@ -122,7 +124,7 @@ impl GroupCommitWal {
     /// Records appended but not yet sealed into a durable batch — the
     /// group-commit queue depth health probes watch.
     pub fn queue_depth(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// Encoded bytes of the unsealed pending batch.
@@ -162,7 +164,7 @@ impl GroupCommitWal {
         if let Some(slot) = self.pending_payload.get_mut(start..start + 4) {
             slot.copy_from_slice(&rec_len.to_le_bytes());
         }
-        self.pending.push(rec);
+        self.pending += 1;
         self.maybe_seal(now)
     }
 
@@ -177,7 +179,7 @@ impl GroupCommitWal {
         let Some(since) = self.pending_since else {
             return false;
         };
-        let trigger = if self.pending.len() >= self.policy.max_records {
+        let trigger = if self.pending >= self.policy.max_records {
             "trigger_records"
         } else if self.pending_payload.len() >= self.policy.max_bytes {
             "trigger_bytes"
@@ -194,7 +196,7 @@ impl GroupCommitWal {
     /// Force-seal whatever is pending (the explicit group commit).
     /// No-op on an empty pending set.
     pub fn sync(&mut self) {
-        if !self.pending.is_empty() {
+        if self.pending > 0 {
             self.stats.incr("trigger_explicit");
             self.seal();
         }
@@ -202,48 +204,52 @@ impl GroupCommitWal {
 
     /// Seal the pending records into one checksummed batch frame.
     fn seal(&mut self) {
-        let count = self.pending.len();
+        let count = self.pending;
         debug_assert!(count > 0, "seal() requires pending records");
         // Every traced record in this batch becomes durable now: its
-        // group-commit wait ends at the seal instant.
-        if let Some(tr) = &self.tracer {
-            for span in self.pending_spans.drain(..) {
-                tr.close(span, self.clock, "sealed");
-            }
-        } else {
-            self.pending_spans.clear();
+        // group-commit wait ends at the seal instant. One lock closes them all.
+        if let (Some(tr), false) = (&self.tracer, self.pending_spans.is_empty()) {
+            let (spans, clock) = (&self.pending_spans, self.clock);
+            tr.with(|t| spans.iter().for_each(|&span| t.close(span, clock, "sealed")));
         }
-        let payload = std::mem::take(&mut self.pending_payload);
+        self.pending_spans.clear();
+        let payload = &self.pending_payload;
         self.log.extend_from_slice(&wire_u32(count).to_le_bytes());
         self.log.extend_from_slice(&wire_u32(payload.len()).to_le_bytes());
-        self.log.extend_from_slice(&checksum(&payload).to_le_bytes());
-        self.log.extend_from_slice(&payload);
-        self.sealed.append(&mut self.pending);
-        self.batch_sizes.push(count);
+        self.log.extend_from_slice(&checksum(payload).to_le_bytes());
+        self.log.extend_from_slice(payload);
+        let framed = BATCH_HEADER + payload.len();
+        self.pending_payload.clear();
+        self.sealed += count;
+        self.pending = 0;
         self.pending_since = None;
         self.stats.incr("batches");
         self.stats.add("records_synced", count as u64);
-        self.stats.add("synced_bytes", (BATCH_HEADER + payload.len()) as u64);
+        self.stats.add("synced_bytes", framed as u64);
     }
 
-    /// Records that would survive a crash (whole sealed batches).
-    pub fn durable(&self) -> &[WalRecord] {
-        &self.sealed
+    /// Records that would survive a crash, borrowed from the byte log in
+    /// append order. Every call re-validates the frames it walks, so
+    /// damage done since the last crash (a flipped bit, a torn tail)
+    /// ends the walk before the damaged batch — never part-way through
+    /// one, and never with a panic.
+    pub fn durable(&self) -> impl Iterator<Item = WalRecordRef<'_>> {
+        self.durable_batches().flatten()
     }
 
-    /// Record counts of the sealed batches, in seal order.
-    pub fn batch_sizes(&self) -> &[usize] {
-        &self.batch_sizes
+    /// [`Self::durable`] one sealed batch at a time, in seal order.
+    pub fn durable_batches(&self) -> impl Iterator<Item = impl Iterator<Item = WalRecordRef<'_>>> {
+        batches(&self.log).map_while(Result::ok).map(|(_, payload)| records(payload))
     }
 
     /// Appended-but-unsealed record count (lost wholesale on crash).
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// Total appended records (sealed + pending).
     pub fn len(&self) -> usize {
-        self.sealed.len() + self.pending.len()
+        self.sealed + self.pending
     }
 
     /// True when nothing has been appended.
@@ -275,9 +281,10 @@ impl GroupCommitWal {
     }
 
     /// Simulate a crash: the pending tail is lost, and the sealed
-    /// batches are re-read from the (possibly corrupted) byte log. The
-    /// log is truncated at the first corrupt *batch*; a damaged batch is
-    /// dropped in full along with everything after it.
+    /// batches are re-validated in the (possibly corrupted) byte log.
+    /// The log is truncated at the first corrupt *batch*; a damaged
+    /// batch is dropped in full along with everything after it. No
+    /// record is copied: the surviving frames stay where they are.
     pub fn crash_with_report(&mut self) -> RecoveryReport {
         // The pending tail dies with the crash; its spans must not leak.
         if let Some(tr) = &self.tracer {
@@ -287,81 +294,67 @@ impl GroupCommitWal {
         } else {
             self.pending_spans.clear();
         }
-        let (batches, report) = decode_batches(&self.log);
+        let mut report =
+            RecoveryReport { replayed: 0, valid_bytes: 0, dropped_bytes: 0, corruption: None };
+        for batch in batches(&self.log) {
+            match batch {
+                Ok((count, payload)) => {
+                    report.replayed += count;
+                    report.valid_bytes += BATCH_HEADER + payload.len();
+                }
+                Err(corruption) => report.corruption = Some(corruption),
+            }
+        }
+        report.dropped_bytes = self.log.len() - report.valid_bytes;
         self.log.truncate(report.valid_bytes);
-        self.batch_sizes = batches.iter().map(Vec::len).collect();
-        self.sealed = batches.into_iter().flatten().collect();
-        self.pending.clear();
+        self.sealed = report.replayed;
+        self.pending = 0;
         self.pending_payload.clear();
         self.pending_since = None;
-        self.last_recovery = Some(report);
         report
-    }
-
-    /// Report of the most recent recovery, if any.
-    pub fn last_recovery(&self) -> Option<RecoveryReport> {
-        self.last_recovery
     }
 }
 
-/// Scan a batch log, returning the intact batch prefix and a report.
-/// Validation is all-or-nothing per batch frame: a torn tail, checksum
-/// mismatch, or undecodable record drops the whole batch and stops.
-fn decode_batches(log: &[u8]) -> (Vec<Vec<WalRecord>>, RecoveryReport) {
-    let mut batches = Vec::new();
-    let mut replayed = 0usize;
-    let mut at = 0usize;
-    let mut corruption = None;
-    'scan: while at < log.len() {
-        let (Some(count), Some(len), Some(sum)) = (
-            codec::read_u32_le(log, at),
-            codec::read_u32_le(log, at + 4),
-            codec::read_u64_le(log, at + 8),
-        ) else {
-            corruption = Some(Corruption::TornTail { at });
-            break;
-        };
-        let (count, len) = (count as usize, len as usize);
-        let Some(payload) = log.get(at + BATCH_HEADER..at + BATCH_HEADER + len) else {
-            corruption = Some(Corruption::TornTail { at });
-            break;
-        };
-        if checksum(payload) != sum {
-            corruption = Some(Corruption::ChecksumMismatch { at });
-            break;
-        }
-        // Split the payload back into records, borrowed-first: the walk
-        // validates every record as a zero-copy [`WalRecordRef`] view
-        // over the log, and copies into owned records only once the
-        // whole batch has proven intact — a damaged batch allocates
-        // nothing. The count field sits outside the checksummed payload,
-        // so clamp the preallocation by what the payload could possibly
-        // hold (≥ 4 bytes per record); a damaged count then fails the
-        // record walk instead of provoking a monster allocation.
-        let mut refs = Vec::with_capacity(count.min(payload.len() / 4 + 1));
-        let mut pr = codec::SliceReader::new(payload);
-        for _ in 0..count {
-            let Some(rec) = pr.chunk().and_then(decode_payload_ref) else {
-                corruption = Some(Corruption::ChecksumMismatch { at });
-                break 'scan;
-            };
-            refs.push(rec);
-        }
-        if !pr.done() {
-            corruption = Some(Corruption::ChecksumMismatch { at });
-            break;
-        }
-        replayed += refs.len();
-        batches.push(refs.iter().map(WalRecordRef::to_owned).collect());
-        at += BATCH_HEADER + len;
-    }
-    let report = RecoveryReport {
-        replayed,
-        valid_bytes: at,
-        dropped_bytes: log.len() - at,
-        corruption,
+/// The one validating walk over a batch log: each intact batch's
+/// `(record count, payload)` in order, then — if the walk stopped short
+/// of the end — one `Err` saying why. Whole batches or nothing.
+fn batches(log: &[u8]) -> impl Iterator<Item = Result<(usize, &[u8]), Corruption>> {
+    let mut at = Some(0);
+    std::iter::from_fn(move || {
+        let start = at.filter(|&start| start < log.len())?;
+        let batch = batch_at(log, start);
+        at = batch.ok().map(|(_, payload)| start + BATCH_HEADER + payload.len());
+        Some(batch)
+    })
+}
+
+/// Validate the frame at `at`: whole, checksum intact, and splitting
+/// into exactly its record count of well-formed records. The count sits
+/// outside the checksummed payload, so a damaged one fails the split
+/// (which stops at the first record the payload cannot hold) instead of
+/// sizing anything.
+fn batch_at(log: &[u8], at: usize) -> Result<(usize, &[u8]), Corruption> {
+    let (Some(count), Some(len), Some(sum)) = (
+        codec::read_u32_le(log, at),
+        codec::read_u32_le(log, at + 4),
+        codec::read_u64_le(log, at + 8),
+    ) else {
+        return Err(Corruption::TornTail { at });
     };
-    (batches, report)
+    let (count, len) = (count as usize, len as usize);
+    let payload = log.get(at + BATCH_HEADER..at + BATCH_HEADER + len);
+    let payload = payload.ok_or(Corruption::TornTail { at })?;
+    let mut walk = codec::SliceReader::new(payload);
+    let intact = checksum(payload) == sum
+        && (0..count).all(|_| walk.chunk().and_then(decode_payload_ref).is_some())
+        && walk.done();
+    intact.then_some((count, payload)).ok_or(Corruption::ChecksumMismatch { at })
+}
+
+/// The records of a payload [`batch_at`] validated, borrowed in place.
+fn records(payload: &[u8]) -> impl Iterator<Item = WalRecordRef<'_>> {
+    let mut walk = codec::SliceReader::new(payload);
+    std::iter::from_fn(move || walk.chunk().and_then(decode_payload_ref))
 }
 
 #[cfg(test)]
@@ -377,6 +370,47 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    /// The durable records, copied out for comparison.
+    fn durable(wal: &GroupCommitWal) -> Vec<WalRecord> {
+        wal.durable().map(|r| r.to_owned()).collect()
+    }
+
+    /// Record counts of the intact batches, in seal order.
+    fn batch_sizes(wal: &GroupCommitWal) -> Vec<usize> {
+        wal.durable_batches().map(Iterator::count).collect()
+    }
+
+    /// `(records so far, end byte)` after each intact batch, from `(0, 0)`.
+    fn bounds_of(wal: &GroupCommitWal) -> Vec<(usize, usize)> {
+        let mut bounds = vec![(0, 0)];
+        for (count, payload) in batches(&wal.log).map_while(Result::ok) {
+            let (records, end) = bounds[bounds.len() - 1];
+            bounds.push((records + count, end + BATCH_HEADER + payload.len()));
+        }
+        bounds
+    }
+
+    /// The last boundary at or before byte `at`: what survives damage there.
+    fn survivors(bounds: &[(usize, usize)], at: usize) -> (usize, usize) {
+        bounds.iter().rev().find(|&&(_, end)| end <= at).copied().unwrap_or((0, 0))
+    }
+
+    /// Six records sealed as batches of 1, 2 and 3, with their bounds.
+    fn small_log() -> (GroupCommitWal, Vec<WalRecord>, Vec<(usize, usize)>) {
+        let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(usize::MAX));
+        let records: Vec<WalRecord> = (0..6).map(put).collect();
+        let mut next = records.iter();
+        for size in [1, 2, 3] {
+            for rec in next.by_ref().take(size) {
+                wal.append(rec.clone(), t(0));
+            }
+            wal.sync();
+        }
+        let bounds = bounds_of(&wal);
+        assert_eq!(bounds.iter().map(|b| b.0).collect::<Vec<_>>(), [0, 1, 3, 6]);
+        (wal, records, bounds)
+    }
+
     #[test]
     fn record_count_trigger_seals_batches() {
         let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(4));
@@ -384,13 +418,13 @@ mod tests {
             let sealed = wal.append(put(i), t(0));
             assert_eq!(sealed, i % 4 == 3, "append {i}");
         }
-        assert_eq!(wal.durable().len(), 8);
+        assert_eq!(wal.durable().count(), 8);
         assert_eq!(wal.pending_len(), 2);
-        assert_eq!(wal.batch_sizes(), &[4, 4]);
+        assert_eq!(batch_sizes(&wal), [4, 4]);
         assert_eq!(wal.stats.get("trigger_records"), 2);
         wal.sync();
-        assert_eq!(wal.durable().len(), 10);
-        assert_eq!(wal.batch_sizes(), &[4, 4, 2]);
+        assert_eq!(durable(&wal), (0..10).map(put).collect::<Vec<_>>());
+        assert_eq!(batch_sizes(&wal), [4, 4, 2]);
         assert_eq!(wal.stats.get("trigger_explicit"), 1);
     }
 
@@ -422,7 +456,7 @@ mod tests {
         assert!(!wal.append(put(0), t(0)));
         assert!(!wal.tick(t(4)), "deadline not yet reached");
         assert!(wal.tick(t(5)), "5 ms deadline seals the batch");
-        assert_eq!(wal.durable().len(), 1);
+        assert_eq!(wal.durable().count(), 1);
         assert_eq!(wal.stats.get("trigger_deadline"), 1);
         // Empty pending: ticks are no-ops.
         assert!(!wal.tick(t(100)));
@@ -438,51 +472,50 @@ mod tests {
         let report = wal.crash_with_report();
         assert_eq!(report.replayed, 4);
         assert_eq!(report.corruption, None);
-        assert_eq!(wal.durable().len(), 4);
-        assert_eq!(wal.pending_len(), 0);
+        assert_eq!(durable(&wal), (0..4).map(put).collect::<Vec<_>>());
+        assert_eq!((wal.pending_len(), wal.len()), (0, 4));
     }
 
-    /// The satellite claim: crash mid-batch loses the whole batch, never
-    /// a prefix of it — `durable()` only ever shrinks by whole batches.
+    /// Crash mid-batch loses the whole batch, never a prefix of it —
+    /// `durable()` only ever shrinks by whole batches. Every truncation
+    /// of a log of 1-, 2- and 3-record batches.
     #[test]
     fn torn_write_mid_batch_drops_the_whole_batch() {
-        let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(4));
-        for i in 0..8 {
-            wal.append(put(i), t(0));
+        let full = small_log().0.encoded_len();
+        for keep in 0..=full {
+            let (mut wal, records, bounds) = small_log();
+            wal.inject_torn_write(keep);
+            let report = wal.crash_with_report();
+            let (kept, intact) = survivors(&bounds, keep);
+            assert_eq!(report.replayed, kept, "torn at {keep}");
+            assert_eq!((report.valid_bytes, report.dropped_bytes), (intact, keep - intact));
+            let torn = (keep > intact).then_some(Corruption::TornTail { at: intact });
+            assert_eq!(report.corruption, torn, "torn at {keep}");
+            assert_eq!(durable(&wal), records[..kept], "torn at {keep}");
+            assert_eq!(wal.len(), kept);
         }
-        assert_eq!(wal.batch_sizes(), &[4, 4]);
-        let full = wal.encoded_len();
-        // Tear inside the *second* batch frame (anywhere past the first).
-        let first_batch_end = full / 2;
-        wal.inject_torn_write(full - 3);
-        let report = wal.crash_with_report();
-        assert_eq!(report.replayed, 4, "second batch dropped in full");
-        assert_eq!(wal.durable().len(), 4);
-        assert_eq!(wal.batch_sizes(), &[4]);
-        assert!(matches!(report.corruption, Some(Corruption::TornTail { at }) if at <= first_batch_end));
-        // Never a prefix of a batch: replayed is a sum of whole batches.
-        assert_eq!(report.replayed % 4, 0);
     }
 
+    /// Three flips of every byte of the same log: the damaged batch and
+    /// everything after it go, the batches before it stay, and a second
+    /// crash is a fixed point (the damage was excised).
     #[test]
     fn bit_flip_in_a_batch_truncates_at_that_batch() {
-        let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(2));
-        for i in 0..6 {
-            wal.append(put(i), t(0));
+        let len = small_log().0.encoded_len();
+        for at in 0..len {
+            for bit in [0u8, 4, 7] {
+                let (mut wal, records, bounds) = small_log();
+                assert!(wal.inject_bit_flip(at, bit));
+                let report = wal.crash_with_report();
+                let (kept, intact) = survivors(&bounds, at);
+                let label = format!("byte {at} bit {bit}");
+                assert_eq!((report.replayed, report.valid_bytes), (kept, intact), "{label}");
+                assert!(report.corruption.is_some(), "{label}");
+                assert_eq!(durable(&wal), records[..kept], "{label}");
+                let again = wal.crash_with_report();
+                assert_eq!((again.replayed, again.corruption), (kept, None));
+            }
         }
-        assert_eq!(wal.batch_sizes(), &[2, 2, 2]);
-        // Find the second frame's offset by decoding lengths.
-        let log_len = wal.encoded_len();
-        assert!(wal.inject_bit_flip(log_len / 2, 1));
-        let report = wal.crash_with_report();
-        assert!(report.corruption.is_some());
-        assert_eq!(report.replayed % 2, 0, "only whole batches replay");
-        assert!(report.replayed < 6);
-        // Second crash is a fixed point (damage excised).
-        let again = wal.crash_with_report();
-        assert_eq!(again.replayed, report.replayed);
-        assert_eq!(again.corruption, None);
-        assert_eq!(wal.last_recovery(), Some(again));
     }
 
     proptest! {
@@ -492,6 +525,7 @@ mod tests {
             n_records in 1usize..40,
             batch in 1usize..8,
             offset_frac in 0.0f64..1.0,
+            later_frac in 0.0f64..1.0,
             bit in 0u8..8,
         ) {
             let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(batch));
@@ -500,29 +534,37 @@ mod tests {
                 wal.append(rec.clone(), t(0));
             }
             wal.sync();
-            let sizes = wal.batch_sizes().to_vec();
-            prop_assert_eq!(sizes.iter().sum::<usize>(), n_records);
+            let bounds = bounds_of(&wal);
+            prop_assert_eq!(bounds.last().map(|b| b.0), Some(n_records));
             let offset = ((wal.encoded_len() as f64 - 1.0) * offset_frac) as usize;
             prop_assert!(wal.inject_bit_flip(offset, bit));
             let report = wal.crash_with_report();
             // Detected, and the surviving records are exactly the
-            // concatenation of some prefix of whole batches.
+            // concatenation of the whole batches before the flip.
             prop_assert!(report.corruption.is_some());
-            let mut acc = 0usize;
-            let valid_boundaries: Vec<usize> = std::iter::once(0)
-                .chain(sizes.iter().map(|s| { acc += s; acc }))
-                .collect();
-            prop_assert!(
-                valid_boundaries.contains(&report.replayed),
-                "replayed {} must fall on a batch boundary {:?}",
-                report.replayed, valid_boundaries
-            );
-            prop_assert_eq!(wal.durable(), &records[..report.replayed]);
+            let (kept, _) = survivors(&bounds, offset);
+            prop_assert_eq!(report.replayed, kept);
+            prop_assert_eq!(durable(&wal), &records[..kept]);
+
+            // Damage after the crash, with no second crash: `durable()`
+            // re-validates and stops before the damaged batch.
+            if wal.encoded_len() > 0 {
+                let at = ((wal.encoded_len() as f64 - 1.0) * later_frac) as usize;
+                prop_assert!(wal.inject_bit_flip(at, bit));
+                let (before, _) = survivors(&bounds, at);
+                prop_assert_eq!(durable(&wal), &records[..before]);
+            }
         }
     }
 
     #[test]
     fn hostile_batch_headers_recover_cleanly_instead_of_panicking() {
+        let walk_of = |log: &[u8]| {
+            let mut walk = batches(log);
+            let stop = walk.next().and_then(Result::err);
+            assert_eq!(walk.next(), None);
+            stop
+        };
         // count = u32::MAX over a tiny (checksum-valid) payload: the
         // record walk must run off the payload end and drop the batch —
         // no monster allocation, no slice panic.
@@ -534,23 +576,17 @@ mod tests {
         log.extend_from_slice(&wire_u32(payload.len()).to_le_bytes());
         log.extend_from_slice(&checksum(&payload).to_le_bytes());
         log.extend_from_slice(&payload);
-        let (batches, report) = decode_batches(&log);
-        assert!(batches.is_empty());
-        assert_eq!(report.corruption, Some(Corruption::ChecksumMismatch { at: 0 }));
+        assert_eq!(walk_of(&log), Some(Corruption::ChecksumMismatch { at: 0 }));
 
         // Batch length of u32::MAX: a torn tail, not an OOB read.
         let mut log = Vec::new();
         log.extend_from_slice(&1u32.to_le_bytes());
         log.extend_from_slice(&u32::MAX.to_le_bytes());
         log.extend_from_slice(&0u64.to_le_bytes());
-        let (batches, report) = decode_batches(&log);
-        assert!(batches.is_empty());
-        assert_eq!(report.corruption, Some(Corruption::TornTail { at: 0 }));
+        assert_eq!(walk_of(&log), Some(Corruption::TornTail { at: 0 }));
 
         // A header shorter than BATCH_HEADER bytes: torn tail too.
-        let (batches, report) = decode_batches(&[1, 2, 3]);
-        assert!(batches.is_empty());
-        assert_eq!(report.corruption, Some(Corruption::TornTail { at: 0 }));
+        assert_eq!(walk_of(&[1, 2, 3]), Some(Corruption::TornTail { at: 0 }));
     }
 
     #[test]
@@ -619,8 +655,8 @@ mod tests {
             single.append(put(i), t(0));
         }
         grouped.sync();
-        assert_eq!(grouped.durable().len(), 64);
-        assert_eq!(single.durable().len(), 64);
+        assert_eq!(durable(&grouped), durable(&single));
+        assert_eq!(grouped.durable().count(), 64);
         assert_eq!(grouped.stats.get("batches"), 1);
         assert_eq!(single.stats.get("batches"), 64);
         assert_eq!(

@@ -200,13 +200,6 @@ impl ShardedKv {
         merged
     }
 
-    /// Force-freeze every shard's memtable.
-    pub fn flush_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.flush();
-        }
-    }
-
     /// Major-compact every shard.
     pub fn compact_all(&mut self) {
         for shard in &mut self.shards {

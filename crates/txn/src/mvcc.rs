@@ -79,7 +79,8 @@ struct Inner {
     /// `ripe_ts` is `Some`, and its entry never goes stale: installs
     /// append, and appending to a listed chain does not move its ripe
     /// timestamp. An unlisted chain is one live non-tombstone version,
-    /// which no horizon trims.
+    /// which no horizon trims (and which `install_unread` may overwrite
+    /// with another).
     ripe: BinaryHeap<Reverse<(u64, Bytes)>>,
     /// Prepared-but-undecided write locks (2PC phase 1).
     locks: FastMap<Bytes, TxnId>,
@@ -176,11 +177,6 @@ impl Transaction {
     /// Buffer a delete.
     pub fn delete(&mut self, key: impl Into<Bytes>) {
         self.writes.insert(key.into(), None);
-    }
-
-    /// Record a read (done automatically by [`MvccStore::read`]).
-    pub fn record_read(&mut self, key: impl Into<Bytes>) {
-        self.reads.insert(key.into());
     }
 
     /// Keys read so far, in key order.
@@ -372,6 +368,26 @@ impl MvccStore {
     pub fn install_version(&self, key: impl Into<Bytes>, value: Option<Bytes>, commit_ts: u64) {
         self.oracle.advance_past(commit_ts);
         self.inner.lock().push_version(key.into(), Version { commit_ts, value });
+    }
+
+    /// [`Self::install_version`] when no snapshot is live to read the
+    /// version this one supersedes: a chain that is one live version is
+    /// overwritten in place — what `gc` at the current timestamp would
+    /// leave after the append — and stays unlisted. Any other chain, or a
+    /// tombstone, appends. A bare store cannot see live snapshots, so the
+    /// public entry is [`crate::ShardedMvcc::install_plain`], which holds
+    /// the registry and checks it.
+    pub(crate) fn install_unread(&self, key: &[u8], value: Option<Bytes>, commit_ts: u64) {
+        self.oracle.advance_past(commit_ts);
+        let mut g = self.inner.lock();
+        if let Some([head]) = g.chains.get_mut(key).map(Vec::as_mut_slice) {
+            if head.value.is_some() && value.is_some() {
+                debug_assert!(head.commit_ts <= commit_ts, "version chains are ascending");
+                *head = Version { commit_ts, value };
+                return;
+            }
+        }
+        g.push_version(Bytes::copy_from_slice(key), Version { commit_ts, value });
     }
 
     /// Locks currently held (prepared-but-undecided keys).

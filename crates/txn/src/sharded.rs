@@ -235,6 +235,20 @@ impl ShardedMvcc {
         self.store_for(key).install_version(Bytes::copy_from_slice(key), value, commit_ts);
     }
 
+    /// Install a non-transactional write at `commit_ts`, drawn from the
+    /// oracle just before. With no snapshot live *now*, none can read the
+    /// version it supersedes (one beginning later reads at a `begin_ts` ≥
+    /// `commit_ts`), so the head is replaced in place
+    /// ([`MvccStore::install_unread`]); otherwise the version appends.
+    pub fn install_plain(&self, key: &[u8], value: Option<Bytes>, commit_ts: u64) {
+        let store = self.store_for(key);
+        if self.live.lock().is_empty() {
+            store.install_unread(key, value, commit_ts);
+        } else {
+            store.install_version(Bytes::copy_from_slice(key), value, commit_ts);
+        }
+    }
+
     /// One-call atomic commit across all shards at sim time `now` —
     /// prepare everywhere, then install at one fresh timestamp (or
     /// release everything and return the validation error).
@@ -251,12 +265,6 @@ impl ShardedMvcc {
         self.install(txn.id, parts, commit_ts);
         self.finish(txn.id);
         Ok(commit_ts)
-    }
-
-    /// Allocate a fresh transaction id (for embedders minting their own
-    /// handles).
-    pub fn next_txn_id(&self) -> TxnId {
-        self.ids.next()
     }
 
     /// Garbage-collect every shard at `horizon`; the shards' passes
@@ -561,6 +569,57 @@ mod tests {
                 prop_assert_eq!(fast.digest(), walk.digest());
                 prop_assert_eq!(fast.version_count(), fast.key_count());
             }
+        }
+
+        /// The plain-write rule against its definition: one store takes
+        /// plain writes through `install_plain`, the other appends them
+        /// with `install_version`. Every held snapshot reads the same
+        /// from both after every step, the first never holds more
+        /// versions, and once every snapshot ends one collection leaves
+        /// both with the same chains — one version per key.
+        #[test]
+        fn plain_installs_read_as_appends_then_collect(
+            ops in proptest::collection::vec((0u8..4, 0u8..6, 0u8..200), 1..80),
+        ) {
+            let (inplace, append) = (db(2), db(2));
+            let (mut held_in, mut held_ap) = (Vec::new(), Vec::new());
+            let keys: Vec<Bytes> = (0..6).map(|k| Bytes::from(format!("key{k}"))).collect();
+            for (op, k, val) in &ops {
+                match op {
+                    0 | 1 => {
+                        let (key, value) = (&keys[usize::from(*k)], Some(Bytes::from(vec![*val])));
+                        let now = SimTime::from_micros(u64::from(*val));
+                        inplace.install_plain(key, value.clone(), inplace.oracle().next(now));
+                        append.install_version(key, value, append.oracle().next(now));
+                    }
+                    2 => {
+                        held_in.push(inplace.begin());
+                        held_ap.push(append.begin());
+                    }
+                    _ if !held_in.is_empty() => {
+                        let i = usize::from(*val) % held_in.len();
+                        inplace.finish(held_in.remove(i).id);
+                        append.finish(held_ap.remove(i).id);
+                    }
+                    _ => {}
+                }
+                for (a, b) in held_in.iter_mut().zip(held_ap.iter_mut()) {
+                    for key in &keys {
+                        prop_assert_eq!(inplace.read(a, key), append.read(b, key));
+                    }
+                }
+                prop_assert!(inplace.version_count() <= append.version_count());
+            }
+            for t in held_in {
+                inplace.finish(t.id);
+            }
+            for t in held_ap {
+                append.finish(t.id);
+            }
+            inplace.auto_gc();
+            append.auto_gc();
+            prop_assert_eq!(inplace.digest(), append.digest());
+            prop_assert_eq!(inplace.version_count(), inplace.key_count());
         }
     }
 }

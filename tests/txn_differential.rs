@@ -33,7 +33,7 @@ use mv_common::id::EntityId;
 use mv_common::time::SimTime;
 use mv_core::entity::EntityKind;
 use mv_core::{DurableMetaverse, DurableOp, TxnCrashPoint};
-use mv_storage::wal::WalRecord;
+use mv_storage::wal::WalRecordRef;
 use mv_storage::GroupCommitPolicy;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -133,8 +133,8 @@ fn world(shards: usize, entities: usize) -> (DurableMetaverse, Vec<EntityId>) {
 /// Was a commit decision for `txn_id` durable? (The authoritative
 /// post-recovery outcome of a crashed commit.)
 fn decision_durable(dm: &DurableMetaverse, txn_id: u64) -> Option<u64> {
-    dm.wal.durable().iter().find_map(|rec| {
-        let WalRecord::Put { value, .. } = rec else { return None };
+    dm.wal.durable().find_map(|rec| {
+        let WalRecordRef::Put { value, .. } = rec else { return None };
         match DurableOp::decode(value) {
             Some(DurableOp::TxnDecision { txn, commit: true, commit_ts, .. }) if txn == txn_id => {
                 Some(commit_ts)
