@@ -5,20 +5,23 @@
 //! closes the gap: every mutation is encoded as a [`DurableOp`] and
 //! appended to a group-commit WAL (`mv_storage::GroupCommitWal`)
 //! *before* it is applied to the [`ShardedMetaverse`]; `commit` seals
-//! the batch and drains the engine's merged event log into a sharded
-//! LSM store (`mv_storage::ShardedKv`) as materialized entity
-//! snapshots. The write path is therefore log-then-apply with a
+//! the batch. The write path is therefore log-then-apply with a
 //! per-batch (not per-record) sync cost — the durable ingest fast path
 //! E17 measures.
 //!
-//! **Recovery is replay.** [`DurableMetaverse::crash_and_recover`]
-//! discards all volatile state, recovers the WAL (PR 2 semantics:
-//! truncate at the first corrupt *batch*, lose the unsynced tail
-//! wholesale), and replays the surviving ops into a fresh engine. The
-//! engine is deterministic — same ops, same order, same state — so the
-//! recovered state is *byte-identical* to the pre-crash engine at the
-//! last durable point, which [`DurableMetaverse::state_encoding`]
-//! makes checkable byte-for-byte (`tests/fault_recovery.rs` does).
+//! **The log is the store.** A commit also seals a verified checkpoint
+//! image of the engine and its MVCC heads as a WAL batch of its own, and
+//! trims the log behind it, once the log since the newest image is as
+//! large as that image: memory and recovery follow live state.
+//!
+//! **Recovery is the newest image plus replay.**
+//! [`DurableMetaverse::crash_and_recover`] discards all volatile state,
+//! recovers the WAL (truncate at the first corrupt *batch*, lose the
+//! unsynced tail wholesale), restores the newest intact image and replays
+//! the ops after it. The engine is deterministic, so the recovered state
+//! is *byte-identical* to the pre-crash engine at the last durable point
+//! ([`DurableMetaverse::state_encoding`]; `tests/fault_recovery.rs`
+//! checks it against a replay of the whole log).
 
 use crate::arena::EntityRef;
 use crate::entity::{Entity, EntityKind};
@@ -26,7 +29,7 @@ use crate::events::Command;
 use crate::sharded::{ShardedMetaverse, WriteOp};
 use mv_common::geom::{Aabb, Point};
 use mv_common::codec::wire_u32;
-use mv_common::hash::FxHasher;
+use mv_common::hash::{fx_hash_one, FxHasher};
 use mv_common::id::EntityId;
 use mv_common::time::SimTime;
 use mv_common::{MvResult, Space};
@@ -167,13 +170,33 @@ impl DurableOp {
 // Hand-rolled little-endian framing (tag byte + fields, strings as
 // `[len u32][bytes]`) so the WAL image and the state encoding are stable
 // across compiler/serde versions — "byte-identical" must mean bytes.
+// Tags 1–7 are ops; tag 8 is a checkpoint image, which is a whole state
+// and never decodes as an op.
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// First byte of a checkpoint image.
+const CHECKPOINT_TAG: u8 = 8;
+/// Image layout version (the byte after the tag).
+const IMAGE_VERSION: u8 = 1;
+/// Tag, version, then the fx checksum of everything after it.
+const IMAGE_HEADER: usize = 10;
+
+/// The Fx checksum of an image's body (length included).
+pub(crate) fn image_checksum(body: &[u8]) -> u64 {
+    fx_hash_one(&body)
+}
+
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// `[len u32][bytes]`, the framing [`SliceReader::chunk`] reads.
+pub(crate) fn put_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, wire_u32(bytes.len()));
+    out.extend_from_slice(bytes);
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -181,8 +204,7 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, wire_u32(s.len()));
-    out.extend_from_slice(s.as_bytes());
+    put_chunk(out, s.as_bytes());
 }
 
 fn put_point(out: &mut Vec<u8>, p: Point) {
@@ -371,8 +393,8 @@ impl DurableOp {
     }
 }
 
-/// Canonical byte encoding of one entity (the KV snapshot value, and a
-/// section of [`DurableMetaverse::state_encoding`]).
+/// Canonical byte encoding of one entity (a section of
+/// [`DurableMetaverse::state_encoding`]).
 fn encode_entity(out: &mut Vec<u8>, e: EntityRef<'_>) {
     put_u64(out, e.id.raw());
     put_str(out, e.name);
@@ -408,24 +430,53 @@ fn decode_entity(r: &mut SliceReader<'_>) -> Option<Entity> {
     Some(e)
 }
 
+/// [`DurableMetaverse::state_encoding`] of `engine` with entities `ids`,
+/// appended to `out`; `each` sees every entity encoded and its index.
+fn encode_state(
+    engine: &ShardedMetaverse,
+    ids: &[EntityId],
+    out: &mut Vec<u8>,
+    mut each: impl FnMut(usize, EntityRef<'_>),
+) {
+    out.push(1); // version
+    put_u64(out, engine.now().as_micros());
+    put_u64(out, engine.live_count() as u64);
+    put_u64(out, ids.len() as u64);
+    for (i, id) in ids.iter().enumerate() {
+        if let Ok(e) = engine.entity(*id) {
+            encode_entity(out, e);
+            each(i, e);
+        }
+    }
+    let stats = engine.stats();
+    let entries: Vec<(&str, u64)> = stats.iter().collect();
+    put_u32(out, wire_u32(entries.len()));
+    for (name, value) in entries {
+        put_str(out, name);
+        put_u64(out, value);
+    }
+}
+
 /// The engine counters [`DurableMetaverse::state_encoding`] carries
 /// (`Counters` keys are static, so a decoded name must be one of these).
 const ENGINE_COUNTERS: [&str; 3] = ["commands", "suppressed_syncs", "sync_msgs"];
 
 /// The durable engine: a [`ShardedMetaverse`] whose mutations are
-/// logged (group-commit WAL) before application and whose event log
-/// drains into a sharded LSM store at each commit.
+/// logged (group-commit WAL) before application, and whose log is
+/// trimmed behind checkpoint images (see the module docs).
 pub struct DurableMetaverse {
     pub(crate) engine: ShardedMetaverse,
     /// The group-commit log. Public so fault tests can inject
     /// corruption between commit and recovery.
     pub wal: GroupCommitWal,
+    /// Always empty (see [`Self::kv`]).
     kv: ShardedKv,
     /// Spawn-ordered entity ids (replay re-derives the same sequence).
     pub(crate) ids: Vec<EntityId>,
     engine_shards: usize,
-    kv_config: KvConfig,
-    kv_shards: usize,
+    txn_shards: usize,
+    /// Bytes of the newest image encoded or restored (0: none yet).
+    image_len: usize,
     /// Span collector; ops without a caller-supplied context mint a
     /// (possibly sampled) `core.durable.ingest` root here.
     pub(crate) tracer: Option<SharedTracer>,
@@ -435,27 +486,28 @@ pub struct DurableMetaverse {
 }
 
 impl DurableMetaverse {
-    /// Build with `shards` engine shards, the same number of KV shards,
-    /// and default WAL/KV tuning.
+    /// Build with `shards` engine and MVCC shards and the default WAL
+    /// policy.
     pub fn with_defaults(shards: usize) -> Self {
         Self::new(shards, shards, KvConfig::default(), GroupCommitPolicy::default())
     }
 
-    /// Build with explicit engine/KV shard counts and tuning.
+    /// Build with explicit shard counts and WAL policy. `kv_shards` sizes
+    /// the MVCC shards; `_kv_config` is ignored (the engine keeps no KV).
     pub fn new(
         engine_shards: usize,
         kv_shards: usize,
-        kv_config: KvConfig,
+        _kv_config: KvConfig,
         wal_policy: GroupCommitPolicy,
     ) -> Self {
         DurableMetaverse {
             engine: ShardedMetaverse::with_defaults(engine_shards),
             wal: GroupCommitWal::with_policy(wal_policy),
-            kv: ShardedKv::new(kv_shards, kv_config),
+            kv: ShardedKv::with_defaults(1),
             ids: Vec::new(),
             engine_shards,
-            kv_config,
-            kv_shards,
+            txn_shards: kv_shards,
+            image_len: 0,
             tracer: None,
             txns: crate::txn::TxnState::new(kv_shards),
         }
@@ -482,24 +534,19 @@ impl DurableMetaverse {
         &self.engine
     }
 
-    /// The materialized entity store.
+    /// An empty KV store, kept for callers that read its stats: the log
+    /// of checkpoint images and ops is the engine's store.
     pub fn kv(&self) -> &ShardedKv {
         &self.kv
     }
 
     /// Publish the engine's health gauges into `stats` (the caller
     /// picks the prefix, e.g. `core.durable`): group-commit queue depth
-    /// and bytes, compaction debt (LSM runs beyond one per shard —
-    /// what `compact_all` would merge away), and memtable fill. Called
-    /// once per health tick so `mv_obs::MetricWindows` sees a fresh
-    /// value every roll.
+    /// and bytes. Called once per health tick so `mv_obs::MetricWindows`
+    /// sees a fresh value every roll.
     pub fn publish_health_gauges(&self, stats: &mut mv_obs::StatSet) {
         stats.set_gauge("wal_queue_depth", self.wal.queue_depth() as f64);
         stats.set_gauge("wal_queued_bytes", self.wal.queued_bytes() as f64);
-        let runs: usize = self.kv.run_counts().iter().sum();
-        let debt = runs.saturating_sub(self.kv.shard_count());
-        stats.set_gauge("compaction_debt", debt as f64);
-        stats.set_gauge("memtable_bytes", self.kv.memtable_bytes() as f64);
     }
 
     /// Spawn-ordered ids of every entity ever registered.
@@ -507,12 +554,11 @@ impl DurableMetaverse {
         &self.ids
     }
 
-    /// Serial/parallel batch application on both the engine and the KV
-    /// shards (serial mode is what honest per-shard timing needs; see
+    /// Serial/parallel batch application on the engine's shards (serial
+    /// mode is what honest per-shard timing needs; see
     /// `ShardedMetaverse::set_parallel_apply`).
     pub fn set_parallel_apply(&mut self, on: bool) {
         self.engine.set_parallel_apply(on);
-        self.kv.set_parallel_apply(on);
     }
 
     /// Log one op (not yet durable — `commit` seals the batch).
@@ -678,52 +724,44 @@ impl DurableMetaverse {
         self.engine.area_effect(space, effect, region, action, retire, now)
     }
 
-    /// Group commit: seal the pending WAL batch, then drain the engine's
-    /// merged event log into the KV store as entity snapshots. Returns
-    /// the number of events drained.
+    /// Group commit: seal the pending WAL batch, then
+    /// [`Self::drain_to_storage`]. Returns the number of events dropped.
     pub fn commit(&mut self, _now: SimTime) -> usize {
         self.wal.sync();
         self.drain_to_storage()
     }
 
-    /// Drain the engine's merged event log and write one snapshot per
-    /// touched entity into the sharded KV (batched, so the per-shard
-    /// stores apply their partitions with the ownership discipline E17
-    /// times). Returns the number of events drained.
+    /// The storage half of [`Self::commit`]: drop the engine's events
+    /// (nothing reads them) and, on the first commit and once the log is
+    /// twice the newest image, seal a new image as a batch of its own and
+    /// trim every batch before it. Returns the number of events dropped.
     pub fn drain_to_storage(&mut self) -> usize {
-        let events = self.engine.drain_events();
-        let mut touched: Vec<EntityId> =
-            events.iter().filter_map(|e| e.entity).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let records = self.snapshot_records(&touched);
-        self.kv.apply_batch(&records);
-        events.len()
+        let events = self.engine.discard_events();
+        if self.wal.encoded_len() >= 2 * self.image_len {
+            // No public call returns between a transaction's prepare and
+            // its decision (a simulated crash must be recovered first),
+            // so no image can split one.
+            debug_assert_eq!(self.txns.mvcc.lock_count(), 0, "checkpoint inside a 2PC commit");
+            let image = self.checkpoint_image();
+            let now = self.engine.now();
+            self.wal.seal_fence(WalRecord::Put { key: Vec::new(), value: image }, now);
+        }
+        events
     }
 
-    /// KV snapshot records for the given entities (key = raw id bytes,
-    /// value = canonical entity encoding).
-    fn snapshot_records(&self, ids: &[EntityId]) -> Vec<WalRecord> {
-        ids.iter()
-            .filter_map(|id| self.engine.entity(*id).ok())
-            .map(|e| {
-                let mut value = Vec::new();
-                encode_entity(&mut value, e);
-                WalRecord::Put { key: e.id.raw().to_le_bytes().to_vec(), value }
-            })
-            .collect()
-    }
-
-    /// Simulate a crash and recover: all volatile state (engine, KV,
-    /// MVCC chains, unsynced WAL tail) is discarded; the WAL is
-    /// recovered (truncating at the first corrupt batch) and the
-    /// surviving ops replay into a fresh engine; the KV is rebuilt from
-    /// the recovered entities. The replayed engine is byte-identical
-    /// (per [`Self::state_encoding`]) to the pre-crash engine at the
-    /// last durable point.
-    ///
-    /// Replay holds no history: each op decodes from the record the log
-    /// lends it, and the events it regenerates are dropped every batch.
+    /// Simulate a crash and recover: all volatile state (engine, MVCC
+    /// chains, unsynced WAL tail) is discarded; the WAL is recovered
+    /// (truncating at the first corrupt batch); the newest intact image
+    /// is restored from the bytes the log lends, and the ops after it
+    /// replay. The result equals the pre-crash engine at the last durable
+    /// point, and a replay of the whole log, in [`Self::state_encoding`]
+    /// and `txn_digest`. A torn image batch is dropped, and recovery
+    /// starts from the older image the trim had not removed; an image
+    /// damaged *after* its trim leaves nothing to replay onto, so the
+    /// report names the corruption and the engine is empty. An image the
+    /// log's checksum passes but `restore` refuses is damage too:
+    /// the log is truncated at its batch and the report names that
+    /// offset. `replayed` counts the records from the restored image on.
     ///
     /// Transactional records resolve in-doubt state here: a
     /// [`DurableOp::TxnPrepare`] is buffered, never applied on its own;
@@ -733,15 +771,36 @@ impl DurableMetaverse {
     /// of the log are *presumed aborts* — discarded and counted in the
     /// `core.txn.indoubt_aborted` stat.
     pub fn crash_and_recover(&mut self) -> RecoveryReport {
-        let report = self.wal.crash_with_report();
-        let wal = std::mem::take(&mut self.wal);
+        let mut report = self.wal.crash_with_report();
+        let mut wal = std::mem::take(&mut self.wal);
         self.engine = ShardedMetaverse::with_defaults(self.engine_shards);
         self.ids.clear();
-        self.txns = crate::txn::TxnState::new(self.kv_shards);
+        self.txns = crate::txn::TxnState::new(self.txn_shards);
+        self.image_len = 0;
+        fn image_of(rec: WalRecordRef<'_>) -> Option<&[u8]> {
+            match rec {
+                WalRecordRef::Put { value, .. } if value.first() == Some(&CHECKPOINT_TAG) => Some(value),
+                _ => None,
+            }
+        }
+        // Restore the newest image. An image is sealed alone, so a batch
+        // holding one starts with it; one that passed the log's checksum
+        // but not its own is damage, and goes with everything after it.
+        let start = loop {
+            let batches = wal.durable_batches().enumerate();
+            let newest = batches.filter_map(|(i, mut b)| Some((i, image_of(b.next()?)?))).last();
+            let Some((i, image)) = newest else { break 0 };
+            if self.restore(image).is_some() {
+                break i;
+            }
+            wal.refuse_batch(i, &mut report);
+        };
+        report.replayed = 0;
         let mut prepared: mv_common::hash::FastMap<u64, Vec<DurableOp>> =
             mv_common::hash::FastMap::default();
-        for batch in wal.durable_batches() {
+        for batch in wal.durable_batches().skip(start) {
             for rec in batch {
+                report.replayed += 1;
                 let WalRecordRef::Put { value, .. } = rec else { continue };
                 let Some(op) = DurableOp::decode(value) else { continue };
                 match op {
@@ -762,7 +821,9 @@ impl DurableMetaverse {
                         }
                     }
                     other => {
-                        self.apply_unlogged(&other);
+                        if self.replay(&other) {
+                            self.txns.install_plain(&other);
+                        }
                     }
                 }
             }
@@ -776,23 +837,7 @@ impl DurableMetaverse {
         // per-commit collector maintains (the differential harness
         // compares chain digests against a live twin).
         self.txns.auto_gc();
-        // Rebuild the materialized store from the recovered entities.
-        self.kv = ShardedKv::new(self.kv_shards, self.kv_config);
-        let records = self.snapshot_records(&self.ids);
-        self.kv.apply_batch(&records);
         report
-    }
-
-    /// Apply one plain op without logging it, as the live path applies it:
-    /// the engine, then — if it accepts — the op's MVCC version. Recovery
-    /// replays through here, and so does a replica (its raft log, not this
-    /// WAL, is what it recovers from). Returns whether the engine accepted.
-    pub(crate) fn apply_unlogged(&mut self, op: &DurableOp) -> bool {
-        let accepted = self.replay(op);
-        if accepted {
-            self.txns.install_plain(op);
-        }
-        accepted
     }
 
     /// Re-execute one op on the engine alone. Errors are deliberately
@@ -801,7 +846,7 @@ impl DurableMetaverse {
     /// handling, is what recovery needs. Returns whether the engine
     /// accepted the op. Transactional envelopes are never applied here
     /// (`crash_and_recover` resolves them; the live commit path replays
-    /// their leaf ops directly).
+    /// their leaf ops directly). A replica applies through here too.
     pub(crate) fn replay(&mut self, op: &DurableOp) -> bool {
         let engine = &mut self.engine;
         match op {
@@ -831,40 +876,53 @@ impl DurableMetaverse {
     /// byte-for-byte across crash/recovery.
     pub fn state_encoding(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.push(1); // version
-        put_u64(&mut out, self.engine.now().as_micros());
-        put_u64(&mut out, self.engine.live_count() as u64);
-        put_u64(&mut out, self.ids.len() as u64);
-        for id in &self.ids {
-            if let Ok(e) = self.engine.entity(*id) {
-                encode_entity(&mut out, e);
-            }
-        }
-        let stats = self.engine.stats();
-        let entries: Vec<(&str, u64)> = stats.iter().collect();
-        put_u32(&mut out, wire_u32(entries.len()));
-        for (name, value) in entries {
-            put_str(&mut out, name);
-            put_u64(&mut out, value);
-        }
+        encode_state(&self.engine, &self.ids, &mut out, |_, _| {});
         out
     }
 
-    /// The inverse of [`Self::state_encoding`]: an engine that re-encodes
-    /// to `bytes` and behaves from there as the encoded one would. Every
-    /// position and attribute gets one plain MVCC version at the restored
-    /// clock (chains are not in the encoding), which also carries the
-    /// timestamp oracle past it. The engine's own WAL starts empty and is
-    /// **not** a recovery source for the restored state — whoever holds
-    /// `bytes` is (for a replica: the raft log and its snapshot).
-    ///
-    /// Total on hostile input: `None` on structural damage, never a
-    /// panic, no allocation sized by a length field. Well-formed bytes
-    /// that `state_encoding` never produces (a wrong live count, a
-    /// repeated attribute name) may restore to an engine that encodes
-    /// differently; snapshot install compares the re-encoding.
-    pub(crate) fn restore(shards: usize, bytes: &[u8]) -> Option<Self> {
-        let mut r = SliceReader::new(bytes);
+    /// The checkpoint image, also a replica's raft snapshot: tag 8, a
+    /// version, the fx checksum of the rest, [`Self::state_encoding`],
+    /// then the MVCC state a replay of the whole log would leave — the
+    /// oracle's timestamp, the next event id, and every chain's head (a
+    /// crash ends every transaction; see `txn::Heads`).
+    pub(crate) fn checkpoint_image(&mut self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.image_len + self.image_len / 8);
+        out.extend_from_slice(&[CHECKPOINT_TAG, IMAGE_VERSION]);
+        out.resize(IMAGE_HEADER, 0);
+        let DurableMetaverse { engine, ids, txns, .. } = self;
+        let oracle = txns.mvcc.oracle().current();
+        let mut heads = crate::txn::Heads::of(&mut txns.mvcc, ids.len());
+        let mut mvcc = Vec::new();
+        encode_state(engine, ids, &mut out, |i, e| heads.put_entity(&mut mvcc, i, e));
+        put_u64(&mut out, oracle);
+        put_u64(&mut out, engine.next_event());
+        out.extend_from_slice(&mvcc);
+        heads.put_extras(&mut out);
+        let sum = image_checksum(out.get(IMAGE_HEADER..).unwrap_or_default());
+        if let Some(slot) = out.get_mut(2..IMAGE_HEADER) {
+            slot.copy_from_slice(&sum.to_le_bytes());
+        }
+        self.image_len = out.len();
+        out
+    }
+
+    /// The inverse of [`Self::checkpoint_image`]: replace the engine, ids
+    /// and MVCC store (not the WAL) with those `image` encodes, which from
+    /// there behave as the encoded ones would. Total on hostile input:
+    /// `None`, with `self` untouched, on a wrong tag, version or checksum
+    /// or on structural damage — never a panic, and no allocation sized by
+    /// a length field. Well-formed bytes that no engine produces (a wrong
+    /// live count, a repeated attribute name) may restore to an engine
+    /// that encodes differently; snapshot install compares the re-encoding.
+    pub(crate) fn restore(&mut self, image: &[u8]) -> Option<()> {
+        let ([CHECKPOINT_TAG, IMAGE_VERSION, sum @ ..], body) = image.split_at_checked(IMAGE_HEADER)?
+        else {
+            return None;
+        };
+        if image_checksum(body) != u64::from_le_bytes(sum.try_into().ok()?) {
+            return None;
+        }
+        let mut r = SliceReader::new(body);
         if r.u8()? != 1 {
             return None;
         }
@@ -887,22 +945,19 @@ impl DurableMetaverse {
             let name = ENGINE_COUNTERS.iter().find(|known| **known == name)?;
             counters.push((*name, r.u64()?));
         }
+        let (oracle, next_event) = (r.u64()?, r.u64()?);
+        let txns = crate::txn::TxnState::new(self.txn_shards);
+        txns.decode_heads(&mut r, &entities)?;
         if !r.done() {
             return None;
         }
-        let mut dm = DurableMetaverse::with_defaults(shards);
-        dm.ids = entities.iter().map(|e| e.id).collect();
-        for e in &entities {
-            dm.txns.install_plain(&DurableOp::Position { id: e.id, position: e.position, ts: clock });
-            for (name, value) in &e.attrs {
-                let (name, value) = (name.clone(), *value);
-                dm.txns.install_plain(&DurableOp::Attr { id: e.id, name, value, ts: clock });
-            }
-        }
-        dm.engine = ShardedMetaverse::restore(shards, clock, entities, &counters);
-        let records = dm.snapshot_records(&dm.ids);
-        dm.kv.apply_batch(&records);
-        Some(dm)
+        txns.mvcc.oracle().advance_past(oracle);
+        self.ids = entities.iter().map(|e| e.id).collect();
+        self.engine =
+            ShardedMetaverse::restore(self.engine_shards, clock, entities, &counters, next_event);
+        self.txns = txns;
+        self.image_len = image.len();
+        Some(())
     }
 
     /// Hash of [`Self::state_encoding`] (cheap equality witness).
@@ -916,6 +971,7 @@ impl DurableMetaverse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mv_storage::wal::Corruption;
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -1054,7 +1110,8 @@ mod tests {
             DurableOp::TxnDecision { txn: 501, commit: true, commit_ts: 999, ts: t(2) };
         dm.log(&orphan_prepare);
         dm.log(&stray_decision);
-        dm.commit(t(2));
+        // Seal without a checkpoint: an image would supersede the orphan.
+        dm.wal.sync();
 
         dm.crash_and_recover();
         assert_eq!(dm.state_encoding(), baseline, "neither record mutated the engine");
@@ -1145,18 +1202,6 @@ mod tests {
         assert_eq!(tracer.trace_count(), 3);
     }
 
-    #[test]
-    fn recovery_rebuilds_kv_snapshots() {
-        let mut dm = DurableMetaverse::with_defaults(2);
-        let id = dm.spawn("alice", EntityKind::Person, p(1.0, 1.0), t(1));
-        dm.update_attr(id, "score", 7.0, t(2)).unwrap();
-        dm.commit(t(2));
-        let snapshot = dm.kv().get(&id.raw().to_le_bytes()).expect("snapshot present");
-        dm.crash_and_recover();
-        let recovered = dm.kv().get(&id.raw().to_le_bytes()).expect("snapshot rebuilt");
-        assert_eq!(snapshot, recovered, "KV snapshot identical after recovery");
-    }
-
     /// Drive `dm` with a [`crate::ops`] script (slots index `dm.ids()`,
     /// op `i` happens at `t0 + i` ms); one fingerprint per op.
     fn drive(dm: &mut DurableMetaverse, ops: &[crate::ops::Op], t0: usize) -> Vec<String> {
@@ -1209,9 +1254,10 @@ mod tests {
                     let label = format!("seed {seed}, {shards} shards, restored after op {cut}");
                     let mut kept = DurableMetaverse::with_defaults(shards);
                     drive(&mut kept, &ops[..cut], 0);
-                    let bytes = kept.state_encoding();
-                    let mut restored = DurableMetaverse::restore(shards, &bytes).expect(&label);
-                    assert_eq!(restored.state_encoding(), bytes, "{label}");
+                    let image = kept.checkpoint_image();
+                    let mut restored = DurableMetaverse::with_defaults(shards);
+                    restored.restore(&image).expect(&label);
+                    assert_eq!(restored.checkpoint_image(), image, "{label}");
                     assert_eq!(restored.ids(), kept.ids(), "{label}");
                     assert_eq!(
                         drive(&mut restored, &ops[cut..], cut),
@@ -1219,6 +1265,7 @@ mod tests {
                         "{label}"
                     );
                     assert_eq!(restored.state_encoding(), kept.state_encoding(), "{label}");
+                    assert_eq!(restored.txn_digest(), kept.txn_digest(), "{label}");
                     if cut == ops.len() / 2 {
                         let e = kept.engine();
                         assert!(e.live_count() < kept.ids().len(), "{label}: nothing retired yet");
@@ -1229,32 +1276,118 @@ mod tests {
         }
     }
 
+    /// Recompute an image's checksum after the test edited its body, so
+    /// the edit reaches the structural decoder.
+    fn reseal(image: &mut [u8]) {
+        let sum = image_checksum(&image[IMAGE_HEADER..]);
+        image[2..IMAGE_HEADER].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn restore_refuses_hostile_bytes_without_panicking() {
         let mut dm = DurableMetaverse::with_defaults(2);
         let id = dm.spawn("a", EntityKind::Person, p(1.0, 2.0), t(1));
         dm.spawn("b", EntityKind::Avatar, p(3.0, 4.0), t(2));
         dm.update_attr(id, "hp", 0.5, t(3)).unwrap();
-        let bytes = dm.state_encoding();
-        for cut in 0..bytes.len() {
-            assert!(DurableMetaverse::restore(2, &bytes[..cut]).is_none(), "cut at {cut}");
+        dm.update_position(id, p(5.0, 6.0), t(4)).unwrap();
+        // A transaction writing an attribute of a retired entity leaves a
+        // chain under no entity field: the image spells it out.
+        dm.retire(id, t(5)).unwrap();
+        let mut txn = dm.txn(t(6));
+        txn.write_attr(id, "loot", 9.0, t(6));
+        txn.write_attr(id, "hp", 0.25, t(6));
+        dm.commit_txn(txn, t(6)).unwrap();
+        // A read-only commit moves the oracle past every head.
+        let reader = dm.txn(t(7));
+        dm.commit_txn(reader, t(7)).unwrap();
+        let image = dm.checkpoint_image();
+        let mut restored = DurableMetaverse::with_defaults(2);
+        restored.restore(&image).expect("clean image");
+        assert_eq!(restored.txn_digest(), dm.txn_digest());
+        assert_eq!(restored.txn_current_ts(), dm.txn_current_ts());
+        assert_eq!(restored.checkpoint_image(), image);
+
+        let refuses = |bytes: &[u8], what: &str| {
+            assert!(DurableMetaverse::with_defaults(2).restore(bytes).is_none(), "{what}");
+        };
+        for cut in 0..image.len() {
+            refuses(&image[..cut], &format!("cut at {cut}"));
+            // Past the checksum, the structure itself must refuse.
+            if cut >= IMAGE_HEADER {
+                let mut resealed = image[..cut].to_vec();
+                reseal(&mut resealed);
+                refuses(&resealed, &format!("resealed cut at {cut}"));
+            }
         }
+        let mut flipped = image.clone();
+        for at in 0..image.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                flipped[at] ^= mask;
+                refuses(&flipped, &format!("byte {at} ^ {mask:#x}"));
+                // A resealed flip may decode (a coordinate is any f64),
+                // but never panics.
+                reseal(&mut flipped);
+                let _ = DurableMetaverse::with_defaults(2).restore(&flipped);
+                flipped.copy_from_slice(&image);
+            }
+        }
+        let state = IMAGE_HEADER;
+        let edit = |at: usize, bytes: &[u8]| {
+            let mut edited = image.clone();
+            edited[at..at + bytes.len()].copy_from_slice(bytes);
+            reseal(&mut edited);
+            edited
+        };
         // An entity count far beyond what the buffer holds.
-        let mut hostile = bytes.clone();
-        hostile[17..25].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(DurableMetaverse::restore(2, &hostile).is_none());
+        refuses(&edit(state + 17, &u64::MAX.to_le_bytes()), "entity count u64::MAX");
         // Entity ids must be 0, 1, 2… in order.
-        let mut swapped = bytes.clone();
-        swapped[25] = 1;
-        assert!(DurableMetaverse::restore(2, &swapped).is_none());
+        refuses(&edit(state + 25, &[1]), "entity ids out of order");
         // A counter this engine does not keep.
-        let mut renamed = bytes.clone();
-        let at = renamed.windows(9).position(|w| w == b"sync_msgs").expect("counter name");
-        renamed[at] = b'x';
-        assert!(DurableMetaverse::restore(2, &renamed).is_none());
-        let mut bad_version = bytes.clone();
-        bad_version[0] = 9;
-        assert!(DurableMetaverse::restore(2, &bad_version).is_none());
+        let at = image.windows(9).position(|w| w == b"sync_msgs").expect("counter name");
+        refuses(&edit(at, b"x"), "unknown counter");
+        refuses(&edit(state, &[9]), "state version");
+        refuses(&edit(1, &[9]), "image version");
+        // The image ends with its one extra chain: count, key
+        // `[1][id]loot`, timestamp, 8-byte value.
+        let extras = image.len() - (4 + 4 + 13 + 8 + 4 + 8);
+        assert_eq!(image[extras..extras + 4], 1u32.to_le_bytes());
+        refuses(&edit(extras, &u32::MAX.to_le_bytes()), "extra count u32::MAX");
+        refuses(&edit(extras, &2u32.to_le_bytes()), "extra count past the buffer");
+    }
+
+    /// An image the log's checksum passes but `restore` refuses is
+    /// damage at its batch: the log is truncated there, the report names
+    /// the offset, and recovery starts from the image before it — or,
+    /// when the trim left none, from nothing.
+    #[test]
+    fn an_image_restore_refuses_truncates_the_log_at_its_batch() {
+        let mut dm = DurableMetaverse::with_defaults(2);
+        let id = dm.spawn("a", EntityKind::Person, p(0.0, 0.0), t(1));
+        dm.commit(t(1));
+        dm.update_position(id, p(1.0, 1.0), t(2)).unwrap();
+        dm.wal.sync();
+        let kept = dm.state_encoding();
+        let at = dm.wal.encoded_len();
+        let mut bad = dm.checkpoint_image();
+        *bad.last_mut().unwrap() ^= 1;
+        let bad = WalRecord::Put { key: Vec::new(), value: bad };
+        dm.wal.append(bad.clone(), t(2));
+        dm.wal.sync();
+        dm.update_attr(id, "hp", 0.5, t(3)).unwrap();
+        dm.wal.sync();
+        let report = dm.crash_and_recover();
+        assert_eq!(report.corruption, Some(Corruption::ChecksumMismatch { at }));
+        assert_eq!((report.replayed, report.valid_bytes, dm.wal.encoded_len()), (2, at, at));
+        assert_eq!(dm.state_encoding(), kept);
+
+        // Sealed as a fence, the refused image was the log's only one.
+        dm.wal.seal_fence(bad, t(4));
+        dm.update_attr(id, "hp", 0.25, t(4)).unwrap();
+        dm.wal.sync();
+        let report = dm.crash_and_recover();
+        assert_eq!(report.corruption, Some(Corruption::ChecksumMismatch { at: 0 }));
+        assert_eq!((report.replayed, dm.wal.len(), dm.ids().len()), (0, 0, 0));
+        assert_eq!(dm.state_encoding(), DurableMetaverse::with_defaults(2).state_encoding());
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //! the fault harness (`tests/raft_failover.rs`) checks exactly that
 //! after every fault boundary.
 //!
-//! Snapshots carry state, not history: a snapshot is a version byte, an
-//! fx checksum and the engine's `state_encoding()`, so its size — and
-//! the cost of taking, shipping and installing one — follows the number
-//! of entities, not the age of the region. Install verifies the checksum,
-//! rebuilds an engine from the encoding (`DurableMetaverse::restore`) and
-//! *re-encodes* it: anything but the same bytes back is refused loudly
-//! rather than installed silently.
+//! Snapshots carry state, not history: a snapshot is the engine's
+//! checkpoint image — the durable log's own verified codec (version, fx
+//! checksum, state encoding, MVCC heads) — so its size, and the cost of
+//! taking, shipping and installing one, follows the entities, not the
+//! age of the region. Install verifies the checksum, rebuilds an engine
+//! from the image (`DurableMetaverse::restore`) and *re-encodes* it:
+//! anything but the same bytes back is refused loudly rather than
+//! installed silently.
 //!
 //! The commands themselves are kept once, region-wide, by raft index
 //! (`CommittedLog`): the first replica to apply an index records its
@@ -40,12 +41,12 @@
 //! discards the replica's entire engine; restart folds the surviving
 //! raft records back and rebuilds the engine by replay (or snapshot
 //! install, for a node flagged `wipe_on_crash` that lost its disk too);
-//! a restored engine's timestamp oracle starts past the restored clock,
-//! so MVCC versions written after recovery never run backwards.
+//! an installed engine holds the source's MVCC heads and timestamp
+//! oracle exactly, so versions written after it never run backwards.
 
 use crate::durable::{DurableMetaverse, DurableOp};
 use bytes::Bytes;
-use mv_common::hash::{fx_hash_one, FxHasher};
+use mv_common::hash::FxHasher;
 use mv_common::id::NodeId;
 use mv_common::time::{SimDuration, SimTime};
 use mv_net::fault::FaultTarget;
@@ -58,11 +59,6 @@ use rand::rngs::StdRng;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher as _;
 
-/// First byte of every snapshot (1 was the framed-history form).
-const SNAPSHOT_VERSION: u8 = 2;
-/// Version byte plus the little-endian fx hash of the state bytes.
-const SNAPSHOT_HEADER: usize = 9;
-
 /// One replica's deterministic state machine: the durable engine, fed
 /// committed commands in index order.
 struct MetaverseSm {
@@ -74,43 +70,35 @@ impl MetaverseSm {
         MetaverseSm { dm: DurableMetaverse::with_defaults(shards) }
     }
 
-    /// Apply one committed command through the engine's unlogged path —
-    /// the raft log is the replica's recovery source, so its own WAL
-    /// stays empty. Unknown/transactional frames are refused (`false`) —
-    /// the replicated log carries only plain ops.
+    /// Apply one committed command to the engine alone: the raft log is
+    /// the replica's recovery source, so its own WAL stays empty, and a
+    /// replica runs no transactions, so it keeps no version chains — its
+    /// snapshots carry no heads to walk. Unknown/transactional frames are
+    /// refused (`false`) — the replicated log carries only plain ops.
     fn apply(&mut self, cmd: &[u8]) -> bool {
         match DurableOp::decode(cmd) {
             Some(DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. }) | None => false,
             Some(op) => {
-                self.dm.apply_unlogged(&op);
+                DurableMetaverse::replay(&mut self.dm, &op);
                 true
             }
         }
     }
 
-    /// `version ‖ fx checksum ‖ state_encoding()`.
-    fn snapshot(&self) -> Vec<u8> {
-        let state = self.dm.state_encoding();
-        let mut out = Vec::with_capacity(SNAPSHOT_HEADER + state.len());
-        out.push(SNAPSHOT_VERSION);
-        out.extend_from_slice(&fx_hash_one(&state).to_le_bytes());
-        out.extend_from_slice(&state);
-        out
+    /// The engine's checkpoint image.
+    fn snapshot(&mut self) -> Vec<u8> {
+        self.dm.checkpoint_image()
     }
 
-    /// Rebuild from a snapshot. The checksum catches damage (a flipped
-    /// coordinate bit is still a well-formed state); the re-encoding
-    /// catches bytes that no engine produces and any drift between
-    /// `state_encoding` and `restore`. `None` on either, or on structural
-    /// damage.
+    /// Rebuild from a snapshot. The image's checksum catches damage (a
+    /// flipped coordinate bit is still a well-formed state); the
+    /// re-encoding catches bytes that no engine produces and any drift
+    /// between the image's encoder and decoder. `None` on either, or on
+    /// structural damage.
     fn install(shards: usize, bytes: &[u8]) -> Option<MetaverseSm> {
-        let sum: [u8; 8] = bytes.get(1..SNAPSHOT_HEADER)?.try_into().ok()?;
-        let state = bytes.get(SNAPSHOT_HEADER..)?;
-        if bytes.first() != Some(&SNAPSHOT_VERSION) || fx_hash_one(&state) != u64::from_le_bytes(sum) {
-            return None;
-        }
-        let dm = DurableMetaverse::restore(shards, state)?;
-        (dm.state_encoding() == state).then_some(MetaverseSm { dm })
+        let mut dm = DurableMetaverse::with_defaults(shards);
+        dm.restore(bytes)?;
+        (dm.checkpoint_image() == bytes).then_some(MetaverseSm { dm })
     }
 }
 
@@ -760,7 +748,7 @@ mod tests {
 
     #[test]
     fn snapshot_install_verifies_and_refuses_damage() {
-        let sm = rich_sm();
+        let mut sm = rich_sm();
         assert_eq!(sm.dm.engine().live_count(), 3, "one retired by hand, two by the raid");
         let snap = sm.snapshot();
         let rebuilt = MetaverseSm::install(2, &snap).expect("clean install");
@@ -787,27 +775,39 @@ mod tests {
     fn well_formed_bytes_no_engine_produces_are_refused_by_the_re_encoding() {
         // A correct checksum over a state whose live count lies: restore
         // accepts the structure, the re-encoding does not match.
-        let sm = rich_sm();
-        let mut state = sm.dm.state_encoding();
-        state[9] ^= 1; // low byte of the live count
-        let mut forged = vec![SNAPSHOT_VERSION];
-        forged.extend_from_slice(&fx_hash_one(&state).to_le_bytes());
-        forged.extend_from_slice(&state);
-        assert!(DurableMetaverse::restore(2, &state).is_some());
+        let mut sm = rich_sm();
+        let mut forged = sm.snapshot();
+        forged[10 + 9] ^= 1; // low byte of the state section's live count
+        let sum = crate::durable::image_checksum(&forged[10..]);
+        forged[2..10].copy_from_slice(&sum.to_le_bytes());
+        assert!(DurableMetaverse::with_defaults(2).restore(&forged).is_some());
         assert!(MetaverseSm::install(2, &forged).is_none());
     }
 
+    /// A replica installed from a snapshot holds the source's version
+    /// chains and oracle, not versions made up at the restored clock: a
+    /// replica's (it keeps none), and a durable engine's, whose plain
+    /// writes and transactions left heads.
     #[test]
-    fn restored_oracle_starts_past_the_restored_clock() {
-        let mut sm = MetaverseSm::new(2);
-        sm.apply(&spawn_op(0, SimTime::from_millis(500)).encode());
-        let snap = sm.snapshot();
-        let rebuilt = MetaverseSm::install(2, &snap).expect("install");
-        let anchored = rebuilt.dm.txns.mvcc.oracle().current();
-        assert!(
-            anchored >= SimTime::from_millis(500).as_micros() << mv_common::time::TS_SEQ_BITS,
-            "oracle must not run behind the restored state: {anchored}"
-        );
+    fn snapshot_install_keeps_the_sources_version_chains() {
+        let mut sm = rich_sm();
+        let rebuilt = MetaverseSm::install(2, &sm.snapshot()).expect("install");
+        assert_eq!(rebuilt.dm.txn_digest(), sm.dm.txn_digest());
+        assert_eq!(rebuilt.dm.txn_current_ts(), sm.dm.txn_current_ts());
+
+        let mut source = DurableMetaverse::with_defaults(2);
+        let t = SimTime::from_millis;
+        let ids: Vec<_> = (0..4).map(|i| source.spawn(format!("e{i}"), EntityKind::Avatar, Point::ORIGIN, t(1))).collect();
+        source.update_position(ids[0], Point::new(3.0, 4.0), t(2)).unwrap();
+        source.update_attr(ids[1], "hp", 0.5, t(2)).unwrap();
+        let mut txn = source.txn(t(3));
+        txn.write_attr(ids[2], "gold", 9.0, t(3));
+        txn.write_attr(ids[3], "gold", 1.0, t(3));
+        source.commit_txn(txn, t(3)).unwrap();
+        let installed = MetaverseSm::install(2, &source.checkpoint_image()).expect("install");
+        assert_eq!(installed.dm.txn_digest(), source.txn_digest());
+        assert_eq!(installed.dm.txn_version_count(), 4);
+        assert_eq!(installed.dm.txn_current_ts(), source.txn_current_ts());
     }
 
     #[test]
@@ -869,7 +869,7 @@ mod tests {
             let per_commit = counter(&w, "raft.node.entries_sent") / counter(&w, "raft.node.entries_committed");
             assert!(per_commit <= peers + 0.1, "{load_ms} sim-ms: each entry sent {per_commit} times");
             let lens: Vec<usize> =
-                w.replicas.iter().map(|s| s.sm.as_ref().expect("up").snapshot().len()).collect();
+                w.replicas.iter_mut().map(|s| s.sm.as_mut().expect("up").snapshot().len()).collect();
             assert!(lens.iter().all(|l| *l == lens[0]), "{lens:?}");
             snapshot_len.push(lens[0]);
             assert_eq!(w.region_stats().gauge("pending_submits"), 0.0);
@@ -909,9 +909,9 @@ mod tests {
 
     /// What a replica holds follows its state, not the commands it has
     /// applied: ten times the history leaves its engine's own WAL empty
-    /// and one MVCC version per written key.
+    /// and no version chains (it runs no transactions).
     #[test]
-    fn replica_engines_hold_no_log_and_one_version_per_key() {
+    fn replica_engines_hold_no_log_and_no_versions() {
         for load_ms in [200, 2_000] {
             let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 11);
             steady_load(&mut w, 2, load_ms);
@@ -919,9 +919,8 @@ mod tests {
             for slot in &w.replicas {
                 let dm = &slot.sm.as_ref().expect("up").dm;
                 assert_eq!(dm.wal.len(), 0, "{load_ms} sim-ms: a replica logged its applies");
-                // 64 positions + 64 `hp` attributes.
-                assert_eq!(dm.txn_version_count(), 128, "{load_ms} sim-ms");
-                assert_eq!(dm.txn_stats().get("plain_versions"), 2 * load_ms - 64);
+                assert_eq!(dm.txn_version_count(), 0, "{load_ms} sim-ms");
+                assert_eq!(dm.txn_stats().get("plain_versions"), 0, "{load_ms} sim-ms");
             }
         }
     }

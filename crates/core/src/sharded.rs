@@ -150,9 +150,9 @@ impl ShardedMetaverse {
         ShardedMetaverse::new(SyncPolicy::default(), 50.0, shards)
     }
 
-    /// Rebuild an engine from what `DurableMetaverse::state_encoding`
-    /// records of one: the clock, every entity ever spawned (entity `i`
-    /// carries id `i`, the caller checks) and the counter totals. Each
+    /// Rebuild an engine from what a checkpoint image records of one: the
+    /// clock, every entity ever spawned (entity `i` carries id `i`, the
+    /// caller checks), the counter totals and the next event id. Each
     /// entity is materialised on its owner shard as a spawn would, the id
     /// generator resumes after the last id, the totals land on shard 0
     /// (only their sum is observable) and the events the rebuild
@@ -162,9 +162,11 @@ impl ShardedMetaverse {
         clock: SimTime,
         entities: Vec<Entity>,
         counters: &[(&'static str, u64)],
+        next_event: u64,
     ) -> Self {
         let mut mv = ShardedMetaverse::with_defaults(shards);
         mv.clock = clock;
+        mv.next_event = next_event;
         mv.ids = IdGen::starting_at(entities.len() as u64);
         for entity in entities {
             let owner = mv.owner(entity.id);
@@ -547,12 +549,18 @@ impl ShardedMetaverse {
     }
 
     /// Drop every shard's buffered events unread — no tagging, no sort —
-    /// where nothing consumes them (recovery's replay, a replica's apply).
-    /// Ids advance as a drain would have numbered them.
-    pub fn discard_events(&mut self) {
-        for shard in &mut self.shards {
-            self.next_event += shard.drain_events().len() as u64;
-        }
+    /// where nothing consumes them (a durable engine's commit, recovery's
+    /// replay, a replica's apply). Ids advance as a drain would have
+    /// numbered them. Returns how many were dropped.
+    pub fn discard_events(&mut self) -> usize {
+        let dropped: usize = self.shards.iter_mut().map(|s| s.drain_events().len()).sum();
+        self.next_event += dropped as u64;
+        dropped
+    }
+
+    /// The id the next drained event will get.
+    pub(crate) fn next_event(&self) -> u64 {
+        self.next_event
     }
 }
 

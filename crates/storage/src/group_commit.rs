@@ -21,6 +21,9 @@
 //! walk recovery truncates with, re-run by every [`GroupCommitWal::durable`]
 //! call, so nothing is decoded into a second list or copied on recovery.
 //!
+//! **The log is trimmed behind a fence:** a record that stands in for
+//! everything before it (a checkpoint image; [`GroupCommitWal::seal_fence`]).
+//!
 //! Sealing is driven by a [`GroupCommitPolicy`]: a batch closes when it
 //! reaches `max_records`, `max_bytes`, or its oldest pending record has
 //! waited `max_delay` of virtual time — the classic throughput/latency
@@ -202,6 +205,20 @@ impl GroupCommitWal {
         }
     }
 
+    /// Seal `rec` as a batch of its own — the fence — after whatever was
+    /// pending, and only then drop every batch before it (Raft's log
+    /// compaction, the fence as its snapshot record): a crash in between
+    /// loses the trim, never the fence's predecessors. `len()` counts
+    /// what the trim left; `stats` keep counting every batch sealed.
+    pub fn seal_fence(&mut self, rec: WalRecord, now: SimTime) {
+        self.sync();
+        let fence = self.log.len();
+        self.append(rec, now);
+        self.sync();
+        self.log.drain(..fence);
+        self.sealed = 1;
+    }
+
     /// Seal the pending records into one checksummed batch frame.
     fn seal(&mut self) {
         let count = self.pending;
@@ -312,6 +329,26 @@ impl GroupCommitWal {
         self.pending_payload.clear();
         self.pending_since = None;
         report
+    }
+
+    /// After [`Self::crash_with_report`]: treat intact batch `index`,
+    /// whose contents the caller refuses, as that recovery's first
+    /// corrupt batch — it goes with every batch after it, and `report`
+    /// says so. No-op past the last batch.
+    pub fn refuse_batch(&mut self, index: usize, report: &mut RecoveryReport) {
+        let (mut at, mut kept) = (0, 0);
+        for (count, payload) in batches(&self.log).map_while(Result::ok).take(index) {
+            at += BATCH_HEADER + payload.len();
+            kept += count;
+        }
+        if at < self.log.len() {
+            report.corruption = Some(Corruption::ChecksumMismatch { at });
+            report.replayed = kept;
+            report.valid_bytes = at;
+            report.dropped_bytes += self.log.len() - at;
+            self.log.truncate(at);
+            self.sealed = kept;
+        }
     }
 }
 
@@ -587,6 +624,46 @@ mod tests {
 
         // A header shorter than BATCH_HEADER bytes: torn tail too.
         assert_eq!(walk_of(&[1, 2, 3]), Some(Corruption::TornTail { at: 0 }));
+    }
+
+    /// A fence seals alone, after whatever was pending, and the batches
+    /// before it go; counts follow the trim, stats keep counting.
+    #[test]
+    fn a_fence_seals_alone_then_trims_what_came_before() {
+        let (mut wal, _, _) = small_log();
+        wal.append(put(6), t(1));
+        wal.seal_fence(put(7), t(1));
+        assert_eq!(batch_sizes(&wal), [1], "the pending record sealed, then was trimmed");
+        assert_eq!((wal.len(), wal.stats.get("batches")), (1, 5));
+        wal.append(put(8), t(2));
+        wal.sync();
+        assert_eq!(durable(&wal), [put(7), put(8)]);
+        let fence_end = bounds_of(&wal)[1].1;
+        assert_eq!(wal.crash_with_report().replayed, 2, "a trimmed log recovers as it is");
+        // Damage inside the fence leaves nothing: what it replaced is gone.
+        wal.inject_bit_flip(fence_end - 1, 0);
+        assert_eq!((wal.crash_with_report().replayed, wal.len()), (0, 0));
+    }
+
+    /// A refused batch is recovery's first damage: it and everything
+    /// after it go, and the report reads as if its checksum had failed.
+    #[test]
+    fn a_refused_batch_truncates_like_a_corrupt_one() {
+        let (mut wal, records, bounds) = small_log();
+        wal.inject_torn_write(bounds[3].1 - 1);
+        let mut report = wal.crash_with_report();
+        assert_eq!(report.corruption, Some(Corruption::TornTail { at: bounds[2].1 }));
+        wal.refuse_batch(1, &mut report);
+        let expected = RecoveryReport {
+            replayed: 1,
+            valid_bytes: bounds[1].1,
+            dropped_bytes: bounds[3].1 - 1 - bounds[1].1,
+            corruption: Some(Corruption::ChecksumMismatch { at: bounds[1].1 }),
+        };
+        assert_eq!(report, expected);
+        assert_eq!((durable(&wal), wal.len()), (records[..1].to_vec(), 1));
+        wal.refuse_batch(1, &mut report);
+        assert_eq!(report, expected, "past the last batch: no-op");
     }
 
     #[test]

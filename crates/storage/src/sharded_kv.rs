@@ -200,18 +200,6 @@ impl ShardedKv {
         merged
     }
 
-    /// Major-compact every shard.
-    pub fn compact_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.compact();
-        }
-    }
-
-    /// Immutable run count per shard (diagnostics).
-    pub fn run_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(KvStore::run_count).collect()
-    }
-
     /// Total bytes held in immutable runs across all shards.
     pub fn run_bytes(&self) -> usize {
         self.shards.iter().map(KvStore::run_bytes).sum()

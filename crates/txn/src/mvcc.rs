@@ -268,6 +268,18 @@ impl MvccStore {
         self.read_at(key, self.oracle.current())
     }
 
+    /// Call `f` with every key's head — its newest version and commit
+    /// timestamp, unless that is a tombstone: what a collection at the
+    /// current timestamp leaves of the chain — in no particular order.
+    /// `&mut` access reads the chains without taking the lock.
+    pub fn for_each_head<'a>(&'a mut self, mut f: impl FnMut(&'a Bytes, u64, &'a Bytes)) {
+        for (key, chain) in self.inner.get_mut().chains.iter() {
+            if let Some(Version { commit_ts, value: Some(value) }) = chain.last() {
+                f(key, *commit_ts, value);
+            }
+        }
+    }
+
     /// Buffer a write inside the transaction.
     pub fn write(&self, txn: &mut Transaction, key: impl Into<Bytes>, value: impl Into<Bytes>) {
         txn.write(key, value);

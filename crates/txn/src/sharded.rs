@@ -177,6 +177,13 @@ impl ShardedMvcc {
         self.read_at(key, self.oracle.current())
     }
 
+    /// [`MvccStore::for_each_head`] over every shard.
+    pub fn for_each_head<'a>(&'a mut self, mut f: impl FnMut(&'a Bytes, u64, &'a Bytes)) {
+        for store in std::iter::once(&mut self.head).chain(self.rest.iter_mut()) {
+            store.for_each_head(&mut f);
+        }
+    }
+
     /// Route `txn`'s key sets to shards, once: one [`ShardSets`] per
     /// participant — every shard holding a write (these get durable
     /// prepare records) plus, under serializable validation, every
@@ -239,7 +246,7 @@ impl ShardedMvcc {
     /// oracle just before. With no snapshot live *now*, none can read the
     /// version it supersedes (one beginning later reads at a `begin_ts` ≥
     /// `commit_ts`), so the head is replaced in place
-    /// ([`MvccStore::install_unread`]); otherwise the version appends.
+    /// (`MvccStore::install_unread`); otherwise the version appends.
     pub fn install_plain(&self, key: &[u8], value: Option<Bytes>, commit_ts: u64) {
         let store = self.store_for(key);
         if self.live.lock().is_empty() {

@@ -276,19 +276,21 @@ fn partition_and_crash_recover_to_exact_state() {
 // The scripted-world tests above exercise *network* faults; the tests
 // below exercise *storage* faults through `DurableMetaverse`: every
 // engine mutation is logged to a group-commit WAL before application,
-// and recovery replays the surviving log into a fresh engine. The claim
-// (ISSUE 3 acceptance): the recovered state is byte-identical to the
-// pre-crash engine at the last durable horizon, and a crash mid-batch
-// loses the whole batch — recovery always lands exactly on a commit
-// point, never between two.
+// and recovery restores the newest checkpoint image in the surviving log
+// and replays what follows it. The claims: the recovered state is
+// byte-identical to the pre-crash engine at the last durable horizon,
+// and to a replay of the whole log by an engine that never checkpointed;
+// a crash mid-batch loses the whole batch — recovery always lands
+// exactly on a commit point, never between two.
 
 mod durable_engine {
     use mv_common::geom::{Aabb, Point};
     use mv_common::id::EntityId;
     use mv_common::time::SimTime;
     use mv_common::Space;
-    use mv_core::{DurableMetaverse, EntityKind, WriteOp};
+    use mv_core::{DurableMetaverse, EntityKind, TxnCrashPoint, WriteOp};
     use mv_storage::kv::KvConfig;
+    use mv_storage::wal::{WalRecord, WalRecordRef};
     use mv_storage::GroupCommitPolicy;
 
     const SHARDS: usize = 4;
@@ -306,7 +308,7 @@ mod durable_engine {
         let mut dm = DurableMetaverse::new(
             SHARDS,
             SHARDS,
-            KvConfig { memtable_budget: 4 << 10, ..KvConfig::default() },
+            KvConfig::default(),
             GroupCommitPolicy::by_records(usize::MAX),
         );
         let ids: Vec<EntityId> = (0..ENTITIES)
@@ -434,8 +436,8 @@ mod durable_engine {
     #[test]
     fn same_ops_same_bytes_across_independent_runs() {
         // The recovery guarantee rests on replay determinism: two
-        // engines fed the same ops — one via crash replay — are
-        // byte-identical, including the KV snapshot store.
+        // engines fed the same ops — one via crash recovery — are
+        // byte-identical, version chains included.
         let mut a = build();
         a.commit(t(3));
         let mut b = build();
@@ -443,10 +445,202 @@ mod durable_engine {
         assert_eq!(a.state_encoding(), b.state_encoding());
         a.crash_and_recover();
         assert_eq!(a.state_encoding(), b.state_encoding());
-        for id in b.ids() {
-            let key = id.raw().to_le_bytes();
-            assert_eq!(a.kv().get(&key), b.kv().get(&key), "KV snapshot for {id:?}");
+        assert_eq!(a.txn_digest(), b.txn_digest());
+    }
+
+    /// Round `r` of writes: a quarter of the entities move (the retired
+    /// ones refuse) and an eighth change `morale`.
+    fn round(dm: &mut DurableMetaverse, r: u64) {
+        let now = t(10 + r);
+        let quarter = dm.ids().iter().skip(r as usize % 4).step_by(4);
+        let ops: Vec<WriteOp> = quarter
+            .clone()
+            .map(|&id| WriteOp::Position {
+                id,
+                position: Point::new(id.raw() as f64 + 20.0, (r % 7) as f64 * 10.0),
+                ts: now,
+            })
+            .chain(quarter.step_by(2).map(|&id| WriteOp::Attr {
+                id,
+                name: "morale".into(),
+                value: r as f64,
+                ts: now,
+            }))
+            .collect();
+        dm.apply_batch(&ops);
+    }
+
+    /// `commit`, reporting whether it sealed a checkpoint: the image is a
+    /// batch of its own, so two batches sealed instead of one.
+    fn commit_checkpointed(dm: &mut DurableMetaverse, now: SimTime) -> bool {
+        let before = dm.wal.stats.get("batches");
+        dm.commit(now);
+        dm.wal.stats.get("batches") == before + 2
+    }
+
+    /// What recovery leaves: engine bytes, chain digest, in-doubt count.
+    fn recovered(dm: &mut DurableMetaverse) -> (Vec<u8>, u64, u64) {
+        dm.crash_and_recover();
+        (dm.state_encoding(), dm.txn_digest(), dm.txn_stats().get("indoubt_aborted"))
+    }
+
+    /// The reference: `build()` and `rounds` rounds on an engine that
+    /// only ever syncs — it never checkpoints, so its recovery replays
+    /// the whole log.
+    fn full_replay(rounds: u64) -> (Vec<u8>, u64, u64) {
+        let mut dm = build();
+        dm.wal.sync();
+        for r in 0..rounds {
+            round(&mut dm, r);
+            dm.wal.sync();
         }
+        recovered(&mut dm)
+    }
+
+    /// `build()`, committed, then rounds committed until a commit takes
+    /// the second checkpoint. Returns that round and the engine.
+    fn to_second_checkpoint() -> (u64, DurableMetaverse) {
+        let mut dm = build();
+        assert!(commit_checkpointed(&mut dm, t(3)), "the first commit checkpoints");
+        for r in 0..100 {
+            round(&mut dm, r);
+            if commit_checkpointed(&mut dm, t(10 + r)) {
+                return (r, dm);
+            }
+        }
+        panic!("no second checkpoint in 100 rounds");
+    }
+
+    /// Every crash point around the fence recovers what a replay of the
+    /// whole log recovers: before the image seals, after it seals but
+    /// before the trim, with the image torn and the older log intact,
+    /// and with the log trimmed to exactly the image and its suffix.
+    #[test]
+    fn crash_points_around_the_checkpoint_fence_recover_as_full_replay() {
+        let (due, mut checkpointed) = to_second_checkpoint();
+        let image = match checkpointed.wal.durable().next() {
+            Some(WalRecordRef::Put { value, .. }) => value.to_vec(),
+            other => panic!("the trimmed log starts with the image, not {other:?}"),
+        };
+        assert_eq!(checkpointed.wal.durable_batches().count(), 1, "trimmed to the image");
+        // Up to the round whose commit is due a checkpoint, then sealed
+        // with `wal.sync()` alone: the checkpoint never happened.
+        let before_seal = || {
+            let mut dm = build();
+            dm.commit(t(3));
+            for r in 0..due {
+                round(&mut dm, r);
+                dm.commit(t(10 + r));
+            }
+            round(&mut dm, due);
+            dm.wal.sync();
+            dm
+        };
+        let reference = full_replay(due + 1);
+
+        assert_eq!(recovered(&mut before_seal()), reference, "crash before the image seals");
+
+        let sealed_untrimmed = || {
+            let mut dm = before_seal();
+            let older_log = dm.wal.encoded_len();
+            dm.wal.append(WalRecord::Put { key: Vec::new(), value: image.clone() }, t(10 + due));
+            dm.wal.sync();
+            (dm, older_log)
+        };
+        let (mut dm, _) = sealed_untrimmed();
+        assert_eq!(recovered(&mut dm), reference, "crash after the seal, before the trim");
+
+        let (mut dm, older_log) = sealed_untrimmed();
+        dm.wal.inject_torn_write(older_log + image.len() / 2);
+        assert!(dm.crash_and_recover().corruption.is_some());
+        assert_eq!(recovered(&mut dm), reference, "image torn, older log intact");
+
+        assert_eq!(recovered(&mut checkpointed), reference, "log trimmed to the image");
+        round(&mut checkpointed, due + 1);
+        checkpointed.commit(t(11 + due));
+        assert_eq!(checkpointed.wal.durable_batches().count(), 2, "the image and one suffix batch");
+        assert_eq!(recovered(&mut checkpointed), full_replay(due + 2), "image plus suffix");
+    }
+
+    /// The image is the only copy of what it replaced: damaged after the
+    /// trim, it leaves nothing to replay onto. Recovery says so and yields
+    /// the empty engine, never one no commit produced.
+    #[test]
+    fn a_checkpoint_damaged_after_its_trim_recovers_to_nothing() {
+        let (due, mut dm) = to_second_checkpoint();
+        round(&mut dm, due + 1);
+        dm.commit(t(11 + due));
+        assert!(dm.wal.inject_bit_flip(40, 1), "a byte inside the image");
+        let report = dm.crash_and_recover();
+        assert!(report.corruption.is_some());
+        assert_eq!(report.replayed, 0);
+        let empty = DurableMetaverse::with_defaults(SHARDS);
+        assert_eq!(dm.state_encoding(), empty.state_encoding());
+        assert_eq!(dm.txn_digest(), empty.txn_digest());
+        assert!(dm.ids().is_empty());
+    }
+
+    /// A checkpoint sealed by the commit just before a crashing
+    /// cross-shard transaction changes nothing the crash sweep recovers:
+    /// engine bytes, chains and the presumed-abort count all equal the
+    /// sweep on an engine that never checkpointed.
+    #[test]
+    fn a_checkpoint_before_a_crashing_commit_recovers_as_full_replay() {
+        let run = |checkpoint: bool, point: TxnCrashPoint| {
+            let mut dm = build();
+            if checkpoint {
+                assert!(commit_checkpointed(&mut dm, t(3)));
+            } else {
+                dm.wal.sync();
+            }
+            let mut txn = dm.txn(t(4));
+            for &id in &dm.ids()[32..48] {
+                txn.write_attr(id, "gold", id.raw() as f64, t(4));
+            }
+            let outcome = dm.commit_txn_crashing(txn, t(4), Some(point)).expect("no contention");
+            (outcome, recovered(&mut dm))
+        };
+        let mut indoubt = 0;
+        for point in TxnCrashPoint::sweep(SHARDS) {
+            let (outcome, with_image) = run(true, point);
+            assert_eq!(outcome, None, "{point:?} fires");
+            assert_eq!(with_image, run(false, point).1, "{point:?}");
+            indoubt += with_image.2;
+        }
+        assert_eq!(indoubt, 2, "two points leave durable prepares in doubt");
+    }
+
+    /// Recovery work follows live state, not history: the same entities
+    /// and keys reached by 10× the commits leave the same number of
+    /// records to recover, give or take one checkpoint interval.
+    #[test]
+    fn recovery_work_is_independent_of_history() {
+        let recover = |rounds: u64| {
+            let mut dm = build();
+            dm.commit(t(3));
+            let (mut checkpoints, mut last) = (Vec::new(), 0);
+            for r in 0..rounds {
+                round(&mut dm, r);
+                if commit_checkpointed(&mut dm, t(10 + r)) {
+                    checkpoints.push(r - last);
+                    last = r;
+                }
+            }
+            let versions = dm.txn_version_count();
+            let records = dm.crash_and_recover().replayed;
+            assert_eq!(dm.txn_version_count(), versions, "{rounds} rounds");
+            (records, versions, checkpoints)
+        };
+        let (short, short_keys, _) = recover(32);
+        let (long, long_keys, intervals) = recover(320);
+        assert_eq!(short_keys, long_keys, "the same live keys");
+        // Each round logs a record per fourth entity and per eighth.
+        let per_round = ENTITIES / 4 + ENTITIES / 8;
+        let interval = *intervals.iter().max().expect("checkpoints") as usize;
+        println!("records to recover: {short} after 32 rounds, {long} after 320; {intervals:?}");
+        assert!(intervals.len() >= 10, "{intervals:?}");
+        assert!(long.abs_diff(short) <= interval * per_round, "{short} vs {long} records");
+        assert!(long <= 1 + (interval + 1) * per_round, "{long} records");
     }
 }
 
