@@ -13,7 +13,10 @@ use mv_common::seeded_rng;
 use mv_common::table::{f2, n, pct, speedup, Table};
 use mv_common::time::SimTime;
 use mv_dissem::payload::MediaResolution;
-use mv_dissem::{Bound, CoherencyServer, DeltaCodec, LinkScheduler, Priority, SchedPolicy, TxRequest};
+use mv_dissem::{
+    Bound, CoherencyServer, DeltaCodec, LinkScheduler, OutMsg, Priority, SchedPolicy, TxRequest,
+};
+use mv_net::Retention;
 
 /// Run E3: bound sweep, object-count scaling, delta/LOD payload savings.
 pub fn e3() -> Vec<Table> {
@@ -172,14 +175,16 @@ pub fn e4() -> Vec<Table> {
         &["updates_while_offline", "objects", "replayed_msgs", "msgs_saved"],
     );
     for &(updates, objects) in &[(1_000u64, 100u64), (10_000, 100), (10_000, 1_000)] {
-        let mut mgr = mv_dissem::OutboxManager::new();
+        let mut outbox = Retention::new();
         let c = ClientId::new(1);
-        mgr.register(c);
-        mgr.disconnect(c);
+        outbox.register(c);
+        outbox.disconnect(c);
         for i in 0..updates {
-            mgr.push(c, ObjectId::new(i % objects), i as f64, Priority::Normal);
+            let (object, value) = (ObjectId::new(i % objects), i as f64);
+            let msg = OutMsg { object, value, priority: Priority::Normal, seq: i + 1, ctx: None };
+            outbox.offer(c, msg);
         }
-        let replay = mgr.reconnect(c).len() as u64;
+        let replay = outbox.reconnect(c).len() as u64;
         resume_t.row(&[
             n(updates),
             n(objects),

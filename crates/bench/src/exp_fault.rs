@@ -64,7 +64,7 @@ impl World {
         );
         net.set_group(CLIENT_NODE, 1).unwrap();
         let mut ps = PushServer::new(SERVER, RetryPolicy::default(), seed, 64);
-        ps.register(CLIENT, CLIENT_NODE);
+        ps.outbox.register(CLIENT, CLIENT_NODE);
         World {
             net,
             rng: seeded_rng(seed),
@@ -99,15 +99,15 @@ impl World {
         self.truth
             .iter()
             .map(|(&o, &v)| match self.replica.get(ObjectId::new(o)) {
-                Some(r) => (v - r).abs(),
+                Some(r) => (v - r.value).abs(),
                 None => v.abs(),
             })
             .fold(0.0, f64::max)
     }
 
     fn pump(&mut self, now: SimTime) {
-        for (_client, msg) in self.ps.poll(&mut self.net, &mut self.rng, now) {
-            if self.replica.apply(&msg) {
+        for (_client, msg) in self.ps.outbox.poll(&mut self.net, &mut self.rng, now) {
+            if self.replica.accept(&msg) {
                 self.log.push(format!("apply obj={} seq={}", msg.object.raw(), msg.seq));
             }
         }
@@ -151,7 +151,7 @@ fn run_cell(seed: u64, loss: f64, part_ms: u64) -> CellResult {
     sim.run_to_completion();
 
     let w = &sim.world;
-    let t = &w.ps.transport.stats;
+    let t = &w.ps.outbox.transport.stats;
     CellResult {
         max_div: w.max_div_during_fault,
         reconverge_ms: w.reconverged_at_ms.map(|at| at - heal_ms),

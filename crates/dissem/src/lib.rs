@@ -21,12 +21,13 @@
 //!   image/video" escape hatch).
 //! * [`sched`] — priority/deadline transmission scheduling over a
 //!   bandwidth-limited uplink (E4).
-//! * [`resume`] — disruption-tolerant client outboxes with
-//!   newest-value-wins merging, after ICeDB (the paper's reference \[92\]).
-//! * [`reliable`] — outbox pushes carried over `mv-net`'s reliable
-//!   transport, with a client-side [`reliable::Replica`] deduplicating
-//!   by outbox sequence so a flapping client converges to exactly the
-//!   retained state.
+//! * [`resume`] — the retention policy for disruption-tolerant client
+//!   outboxes: newest value per object, replayed most critical first,
+//!   after ICeDB (the paper's reference \[92\]).
+//! * [`reliable`] — [`PushServer`] numbers pushes and hands them to
+//!   `mv-net`'s shared client outbox; the client-side [`Replica`] is
+//!   `mv-net`'s newest-`seq` inbox, so a flapping client converges to
+//!   exactly the retained state.
 
 pub mod coherency;
 pub mod payload;
@@ -37,5 +38,5 @@ pub mod sched;
 pub use coherency::{Bound, CoherencyServer, PushMsg};
 pub use payload::{DeltaCodec, MediaResolution, StateVector};
 pub use reliable::{PushServer, Replica};
-pub use resume::OutboxManager;
+pub use resume::OutMsg;
 pub use sched::{LinkScheduler, Priority, SchedPolicy, TxRequest};

@@ -1,78 +1,46 @@
-//! Outbox dissemination over the reliable transport.
+//! Outbox dissemination over `mv-net`'s client-delivery path.
 //!
-//! [`crate::resume::OutboxManager`] decides *what* a client should
-//! eventually see (newest value per object, priority-ordered replay);
-//! this module decides *how it survives the trip*: every push and every
-//! reconnect replay rides [`mv_net::ReliableTransport`], so lost
-//! messages retransmit, a message the transport gives up on is
-//! re-buffered into the outbox (newest-wins), and the client-side
-//! [`Replica`] deduplicates at the application level by outbox sequence
-//! number — the end-to-end effect is that a flapping client converges to
-//! exactly the retained state, applying each retained update once.
-//!
-//! Two dedup layers on purpose: the transport deduplicates per-transport
-//! sequence number, but a message that *expires* and is later replayed
-//! gets a fresh transport sequence — only the outbox `seq` carried in
-//! the payload identifies it across attempts. See DESIGN.md ("Fault
-//! model") for the guarantee boundary.
+//! [`crate::resume`] decides *what* a client should eventually see
+//! (newest value per object, priority-ordered replay); [`mv_net::Outbox`]
+//! decides *how it survives the trip*: every push and every reconnect
+//! replay rides the reliable transport, so lost messages retransmit, a
+//! message the transport gives up on is retained again (newest-wins), and
+//! the client-side [`Replica`] accepts each object's updates in `seq`
+//! order only — the end-to-end effect is that a flapping client
+//! converges to exactly the retained state, applying each retained
+//! update once. This module adds dissem's numbering: one `seq` per push.
 
-use crate::resume::{OutMsg, OutboxManager};
+use crate::resume::OutMsg;
 use crate::sched::Priority;
-use mv_common::hash::FastMap;
 use mv_common::id::{ClientId, NodeId, ObjectId};
-use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
-use mv_net::reliable::Event;
-use mv_net::{Network, ReliableTransport, RetryPolicy};
-use mv_obs::{SharedTracer, TraceCtx};
+use mv_net::{Inbox, Network, Outbox, RetryPolicy};
+use mv_obs::TraceCtx;
 use rand::Rng;
 
-/// Server side: outbox retention wired onto reliable delivery.
+/// Server side: pushes numbered and handed to the shared outbox.
 #[derive(Debug)]
 pub struct PushServer {
-    /// The server's node in the simulated network.
-    server: NodeId,
-    /// Wire bytes charged per push message.
-    msg_bytes: u64,
-    /// Retention/merge policy (what each client still needs to see).
-    pub outbox: OutboxManager,
-    /// Delivery machinery (retries, dedup, expiry).
-    pub transport: ReliableTransport<OutMsg>,
-    /// client → its network node.
-    routes: FastMap<ClientId, NodeId>,
-    /// network node → client (for mapping transport events back).
-    clients_by_node: FastMap<NodeId, ClientId>,
+    /// Client routing, retention, expiry and replay.
+    pub outbox: Outbox<OutMsg>,
+    /// Sequence number of the newest push.
+    seq: u64,
 }
+
+/// Client-side replica of pushed object values: the newest [`OutMsg`]
+/// per object, so replayed, duplicated or superseded messages count as
+/// `stale` and each retained update mutates the replica at most once.
+pub type Replica = Inbox<OutMsg>;
 
 impl PushServer {
     /// A server at `server`, shipping `msg_bytes`-sized messages under
     /// `policy`; `seed` pins the transport's retry jitter.
     pub fn new(server: NodeId, policy: RetryPolicy, seed: u64, msg_bytes: u64) -> Self {
-        PushServer {
-            server,
-            msg_bytes,
-            outbox: OutboxManager::new(),
-            transport: ReliableTransport::new(policy, seed),
-            routes: FastMap::default(),
-            clients_by_node: FastMap::default(),
-        }
-    }
-
-    /// Register a client living at `node` (starts connected).
-    pub fn register(&mut self, client: ClientId, node: NodeId) {
-        self.outbox.register(client);
-        self.routes.insert(client, node);
-        self.clients_by_node.insert(node, client);
-    }
-
-    /// Collect spans for traced pushes: the underlying transport gets
-    /// the tracer, and outbox replays/rebuffers log events on it.
-    pub fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.transport.set_tracer(tracer);
+        PushServer { outbox: Outbox::new(server, policy, seed, msg_bytes), seq: 0 }
     }
 
     /// Push a value to a client: delivered over the transport when the
-    /// outbox says the client is connected, buffered otherwise.
+    /// client is connected, retained otherwise.
     #[allow(clippy::too_many_arguments)]
     pub fn push<R: Rng + ?Sized>(
         &mut self,
@@ -88,9 +56,9 @@ impl PushServer {
     }
 
     /// [`Self::push`] carrying the update's causal context: the context
-    /// rides in the [`OutMsg`] through outbox buffering, newest-wins
-    /// merges, expiry rebuffers, and reconnect replays, so every
-    /// transport attempt for this value hangs off the same trace.
+    /// rides in the [`OutMsg`] through retention, newest-wins merges,
+    /// expiry, and reconnect replays, so every transport attempt for
+    /// this value hangs off the same trace.
     #[allow(clippy::too_many_arguments)]
     pub fn push_traced<R: Rng + ?Sized>(
         &mut self,
@@ -103,160 +71,9 @@ impl PushServer {
         now: SimTime,
         ctx: Option<TraceCtx>,
     ) {
-        if let Some(msg) = self.outbox.push_traced(client, object, value, priority, ctx) {
-            self.ship(net, rng, client, msg, now);
-        }
-    }
-
-    /// Mark a client disconnected: pushes buffer from here on.
-    pub fn disconnect(&mut self, client: ClientId) {
-        self.outbox.disconnect(client);
-    }
-
-    /// Total messages buffered across every client's outbox — the
-    /// dissemination-depth health probe (`OutboxManager::total_backlog`).
-    pub fn outbox_depth(&self) -> usize {
-        self.outbox.total_backlog()
-    }
-
-    /// Reconnect a client and ship its backlog, most critical first
-    /// (the outbox's pinned `(priority, object)` order). Returns how
-    /// many messages were replayed onto the wire.
-    pub fn reconnect<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        rng: &mut R,
-        client: ClientId,
-        now: SimTime,
-    ) -> usize {
-        let backlog = self.outbox.reconnect(client);
-        let n = backlog.len();
-        for msg in backlog {
-            // Replay is a visible causal step: the value sat in the
-            // outbox between its original push and this ship.
-            if let (Some(tr), Some(c)) = (self.transport.tracer().cloned(), msg.ctx) {
-                tr.event(c, "dissem.outbox.replay", now, "ok");
-            }
-            self.ship(net, rng, client, msg, now);
-        }
-        n
-    }
-
-    fn ship<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        rng: &mut R,
-        client: ClientId,
-        msg: OutMsg,
-        now: SimTime,
-    ) {
-        let Some(&node) = self.routes.get(&client) else {
-            return;
-        };
-        let ctx = msg.ctx;
-        self.transport.send_traced(net, rng, self.server, node, msg, self.msg_bytes, now, ctx);
-    }
-
-    /// Earliest pending transport work; drive the clock here and `poll`.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.transport.next_wakeup()
-    }
-
-    /// Pump the transport up to `now`. Messages that arrived at a client
-    /// node are returned for the client side to [`Replica::apply`];
-    /// messages the transport gave up on are re-buffered into the outbox
-    /// (newest-wins) and the client is marked disconnected — the next
-    /// [`reconnect`](Self::reconnect) replays them.
-    pub fn poll<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        rng: &mut R,
-        now: SimTime,
-    ) -> Vec<(ClientId, OutMsg)> {
-        let mut arrived = Vec::new();
-        for ev in self.transport.poll(net, rng, now) {
-            match ev {
-                Event::Delivered { dst, payload, .. } => {
-                    if let Some(&client) = self.clients_by_node.get(&dst) {
-                        arrived.push((client, payload));
-                    }
-                }
-                Event::Expired { dst, payload, at, .. } => {
-                    if let Some(&client) = self.clients_by_node.get(&dst) {
-                        if let (Some(tr), Some(c)) = (self.transport.tracer().cloned(), payload.ctx)
-                        {
-                            tr.event(c, "dissem.outbox.rebuffer", at, "ok");
-                        }
-                        self.outbox.rebuffer(client, payload);
-                    }
-                }
-            }
-        }
-        arrived
-    }
-
-    /// A node crashed: drop the transport's volatile state for it and,
-    /// if a client lived there, start buffering for it. Call from
-    /// `FaultTarget::on_node_crash`.
-    pub fn on_node_crash(&mut self, node: NodeId) {
-        self.transport.on_node_crash(node);
-        if let Some(&client) = self.clients_by_node.get(&node) {
-            self.outbox.disconnect(client);
-        }
-    }
-}
-
-/// Client-side replica of pushed object values, deduplicated at the
-/// application level: each object keeps the highest outbox `seq` seen,
-/// so replayed/duplicated messages are absorbed (`stale` counter) and
-/// each retained update mutates the replica at most once.
-#[derive(Debug, Default)]
-pub struct Replica {
-    state: FastMap<ObjectId, (u64, f64)>,
-    /// `applied` / `stale` counters.
-    pub stats: Counters,
-}
-
-impl Replica {
-    /// An empty replica.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Apply a delivered message; returns false (and counts `stale`)
-    /// when an equal-or-newer seq for the object was already applied.
-    pub fn apply(&mut self, msg: &OutMsg) -> bool {
-        match self.state.get(&msg.object) {
-            Some(&(seq, _)) if seq >= msg.seq => {
-                self.stats.incr("stale");
-                false
-            }
-            _ => {
-                self.state.insert(msg.object, (msg.seq, msg.value));
-                self.stats.incr("applied");
-                true
-            }
-        }
-    }
-
-    /// Current value of an object, if any update has arrived.
-    pub fn get(&self, object: ObjectId) -> Option<f64> {
-        self.state.get(&object).map(|&(_, v)| v)
-    }
-
-    /// Number of objects with a value.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True when no update has been applied.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// Drop all state (a client crash loses its replica).
-    pub fn clear(&mut self) {
-        self.state.clear();
+        self.seq += 1;
+        let msg = OutMsg { object, value, priority, seq: self.seq, ctx };
+        self.outbox.offer(net, rng, client, msg, now);
     }
 }
 
@@ -287,9 +104,9 @@ mod tests {
         net: &mut Network,
         rng: &mut rand::rngs::StdRng,
     ) {
-        while let Some(at) = ps.next_wakeup() {
-            for (_client, msg) in ps.poll(net, rng, at) {
-                replica.apply(&msg);
+        while let Some(at) = ps.outbox.next_wakeup() {
+            for (_client, msg) in ps.outbox.poll(net, rng, at) {
+                replica.accept(&msg);
             }
         }
     }
@@ -300,13 +117,13 @@ mod tests {
         let mut ps = PushServer::new(server, RetryPolicy::default(), 1, 64);
         let mut rng = seeded_rng(1);
         let client = ClientId::new(1);
-        ps.register(client, node);
+        ps.outbox.register(client, node);
         ps.push(&mut net, &mut rng, client, ObjectId::new(7), 3.5, Priority::Normal, SimTime::ZERO);
         let mut replica = Replica::new();
         drain(&mut ps, &mut replica, &mut net, &mut rng);
-        assert_eq!(replica.get(ObjectId::new(7)), Some(3.5));
-        assert_eq!(replica.stats.get("applied"), 1);
-        assert_eq!(ps.transport.stats.get("delivered"), 1);
+        assert_eq!(replica.get(ObjectId::new(7)).map(|m| m.value), Some(3.5));
+        assert_eq!(replica.stats.get("accepted"), 1);
+        assert_eq!(ps.outbox.transport.stats.get("delivered"), 1);
     }
 
     #[test]
@@ -315,10 +132,10 @@ mod tests {
         let mut ps = PushServer::new(server, RetryPolicy::default(), 9, 64);
         let mut rng = seeded_rng(9);
         let client = ClientId::new(1);
-        ps.register(client, node);
+        ps.outbox.register(client, node);
 
         // Client drops off; the link also partitions.
-        ps.disconnect(client);
+        ps.outbox.disconnect(client);
         net.sever(0, 1);
         for i in 0..10u64 {
             // Two updates per object: only the newest is retained.
@@ -334,11 +151,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(ps.outbox.backlog(client), 10);
+        assert_eq!(ps.outbox.retention.backlog(client), 10);
 
         // Heal + reconnect: the retained backlog replays reliably.
         net.heal(0, 1);
-        let replayed = ps.reconnect(&mut net, &mut rng, client, SimTime::from_secs(1));
+        let replayed = ps.outbox.reconnect(&mut net, &mut rng, client, SimTime::from_secs(1));
         assert_eq!(replayed, 10);
         let mut replica = Replica::new();
         drain(&mut ps, &mut replica, &mut net, &mut rng);
@@ -346,9 +163,9 @@ mod tests {
         // Every object holds exactly its newest value, applied once.
         assert_eq!(replica.len(), 10);
         for i in 0..10u64 {
-            assert_eq!(replica.get(ObjectId::new(i)), Some((i * 10 + 1) as f64));
+            assert_eq!(replica.get(ObjectId::new(i)).map(|m| m.value), Some((i * 10 + 1) as f64));
         }
-        assert_eq!(replica.stats.get("applied"), 10, "each retained update applied once");
+        assert_eq!(replica.stats.get("accepted"), 10, "each retained update applied once");
         assert_eq!(replica.stats.get("stale"), 0);
     }
 
@@ -360,7 +177,7 @@ mod tests {
         let mut ps = PushServer::new(server, policy, 4, 64);
         let mut rng = seeded_rng(4);
         let client = ClientId::new(1);
-        ps.register(client, node);
+        ps.outbox.register(client, node);
 
         // The server still believes the client is connected, but the
         // network has already partitioned: the send expires.
@@ -369,17 +186,17 @@ mod tests {
         let mut replica = Replica::new();
         drain(&mut ps, &mut replica, &mut net, &mut rng);
         assert!(replica.is_empty());
-        assert_eq!(ps.transport.stats.get("expired"), 1);
-        assert_eq!(ps.outbox.backlog(client), 1, "expired message re-buffered");
-        assert!(!ps.outbox.is_connected(client), "expiry implies disconnection");
+        assert_eq!(ps.outbox.transport.stats.get("expired"), 1);
+        assert_eq!(ps.outbox.retention.backlog(client), 1, "expired message re-buffered");
+        assert!(!ps.outbox.retention.is_connected(client), "expiry implies disconnection");
 
         // A newer value supersedes the re-buffered one while offline.
         ps.push(&mut net, &mut rng, client, ObjectId::new(1), 2.0, Priority::Normal, SimTime::ZERO);
         net.heal(0, 1);
-        ps.reconnect(&mut net, &mut rng, client, SimTime::from_secs(5));
+        ps.outbox.reconnect(&mut net, &mut rng, client, SimTime::from_secs(5));
         drain(&mut ps, &mut replica, &mut net, &mut rng);
-        assert_eq!(replica.get(ObjectId::new(1)), Some(2.0));
-        assert_eq!(replica.stats.get("applied"), 1);
+        assert_eq!(replica.get(ObjectId::new(1)).map(|m| m.value), Some(2.0));
+        assert_eq!(replica.stats.get("accepted"), 1);
     }
 
     #[test]
@@ -389,7 +206,7 @@ mod tests {
             let mut ps = PushServer::new(server, RetryPolicy::default(), 77, 64);
             let mut rng = seeded_rng(77);
             let client = ClientId::new(1);
-            ps.register(client, node);
+            ps.outbox.register(client, node);
             for i in 0..20u64 {
                 ps.push(
                     &mut net,
@@ -404,9 +221,11 @@ mod tests {
             let mut replica = Replica::new();
             drain(&mut ps, &mut replica, &mut net, &mut rng);
             (
-                format!("{:?}", ps.transport.stats),
+                format!("{:?}", ps.outbox.transport.stats),
                 format!("{:?}", replica.stats),
-                (0..5u64).map(|i| replica.get(ObjectId::new(i))).collect::<Vec<_>>(),
+                (0..5u64)
+                    .map(|i| replica.get(ObjectId::new(i)).map(|m| m.value))
+                    .collect::<Vec<_>>(),
             )
         };
         assert_eq!(run(), run());

@@ -1,19 +1,22 @@
-//! Disruption-tolerant per-client outboxes.
+//! Disruption-tolerant client outboxes: dissem's retention policy.
 //!
 //! §IV-C points to *"methods developed for intermittently-connected and
 //! disruptive networks \[92\]"* (ICeDB). Mobile co-space clients drop off
 //! cellular links constantly; while a client is disconnected the server
-//! buffers its pushes in an outbox that (a) keeps only the newest value
+//! retains its pushes in an outbox that (a) keeps only the newest value
 //! per object — stale intermediate values are useless to a reconnecting
 //! client — and (b) releases the backlog in priority order on reconnect.
+//!
+//! The outbox itself is `mv-net`'s [`mv_net::Retention`]; this module is
+//! the policy it runs with: [`OutMsg`] is retained by object and replayed
+//! by `(priority, object)`.
 
 use crate::sched::Priority;
-use mv_common::hash::FastMap;
-use mv_common::id::{ClientId, ObjectId};
-use mv_common::metrics::Counters;
+use mv_common::id::ObjectId;
+use mv_net::Retained;
 use mv_obs::TraceCtx;
 
-/// One buffered (or delivered) outbox message.
+/// One retained (or delivered) outbox message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutMsg {
     /// Target object.
@@ -29,139 +32,32 @@ pub struct OutMsg {
     pub ctx: Option<TraceCtx>,
 }
 
-#[derive(Debug, Default)]
-struct Outbox {
-    connected: bool,
-    /// object → buffered message (newest-wins).
-    pending: FastMap<ObjectId, OutMsg>,
-}
-
-/// Manages outboxes for many clients.
-#[derive(Debug, Default)]
-pub struct OutboxManager {
-    clients: FastMap<ClientId, Outbox>,
-    seq: u64,
-    /// `delivered`, `buffered`, `merged` (overwrites saved) counters.
-    pub stats: Counters,
-}
-
-impl OutboxManager {
-    /// An empty manager.
-    pub fn new() -> Self {
-        Self::default()
+/// Newest value per object; replay most critical first, ties broken by
+/// object id. Object keys are unique within a backlog, so the replay
+/// order is total: two runs that retained the same messages (in any
+/// insertion order) replay them identically.
+impl Retained for OutMsg {
+    type Key = ObjectId;
+    type Order = (Priority, ObjectId);
+    fn key(&self) -> ObjectId {
+        self.object
     }
-
-    /// Register a client (starts connected).
-    pub fn register(&mut self, client: ClientId) {
-        self.clients.entry(client).or_insert(Outbox { connected: true, pending: FastMap::default() });
+    fn seq(&self) -> u64 {
+        self.seq
     }
-
-    /// Mark a client disconnected; pushes start buffering.
-    pub fn disconnect(&mut self, client: ClientId) {
-        if let Some(o) = self.clients.get_mut(&client) {
-            o.connected = false;
-        }
+    fn order(&self) -> (Priority, ObjectId) {
+        (self.priority, self.object)
     }
-
-    /// Is the client currently connected?
-    pub fn is_connected(&self, client: ClientId) -> bool {
-        self.clients.get(&client).is_some_and(|o| o.connected)
-    }
-
-    /// Number of messages waiting for a client.
-    pub fn backlog(&self, client: ClientId) -> usize {
-        self.clients.get(&client).map_or(0, |o| o.pending.len())
-    }
-
-    /// Total messages buffered across every client — the outbox-depth
-    /// health probe.
-    pub fn total_backlog(&self) -> usize {
-        self.clients.values().map(|o| o.pending.len()).sum()
-    }
-
-    /// Push a value to a client. Returns `Some(msg)` if deliverable now,
-    /// `None` if buffered (client offline or unknown).
-    pub fn push(
-        &mut self,
-        client: ClientId,
-        object: ObjectId,
-        value: f64,
-        priority: Priority,
-    ) -> Option<OutMsg> {
-        self.push_traced(client, object, value, priority, None)
-    }
-
-    /// [`Self::push`] carrying the update's causal context; the context
-    /// rides in the [`OutMsg`] through buffering, merges, and replay.
-    pub fn push_traced(
-        &mut self,
-        client: ClientId,
-        object: ObjectId,
-        value: f64,
-        priority: Priority,
-        ctx: Option<TraceCtx>,
-    ) -> Option<OutMsg> {
-        self.seq += 1;
-        let msg = OutMsg { object, value, priority, seq: self.seq, ctx };
-        let outbox = self.clients.get_mut(&client)?;
-        if outbox.connected {
-            self.stats.incr("delivered");
-            Some(msg)
-        } else {
-            if outbox.pending.insert(object, msg).is_some() {
-                self.stats.incr("merged"); // an older buffered value died
-            } else {
-                self.stats.incr("buffered");
-            }
-            None
-        }
-    }
-
-    /// Take back a message whose delivery failed (e.g. the reliable
-    /// transport gave up on it): the client is marked disconnected and
-    /// the message re-buffered — unless a newer value for the same
-    /// object is already waiting, in which case the stale one dies
-    /// (newest-wins, judged by `seq`).
-    pub fn rebuffer(&mut self, client: ClientId, msg: OutMsg) {
-        let Some(outbox) = self.clients.get_mut(&client) else {
-            return;
-        };
-        outbox.connected = false;
-        match outbox.pending.get(&msg.object) {
-            Some(existing) if existing.seq >= msg.seq => {
-                self.stats.incr("merged");
-            }
-            _ => {
-                if outbox.pending.insert(msg.object, msg).is_some() {
-                    self.stats.incr("merged");
-                } else {
-                    self.stats.incr("buffered");
-                }
-            }
-        }
-    }
-
-    /// Reconnect a client: returns the backlog and marks the client
-    /// connected. Replay order is **pinned**: ascending `(priority,
-    /// object id)` — most critical first, ties broken by object id.
-    /// Object keys are unique within an outbox, so this is a total
-    /// order: two runs that buffered the same messages (in any
-    /// insertion order) replay them identically.
-    pub fn reconnect(&mut self, client: ClientId) -> Vec<OutMsg> {
-        let Some(outbox) = self.clients.get_mut(&client) else {
-            return Vec::new();
-        };
-        outbox.connected = true;
-        let mut msgs: Vec<OutMsg> = outbox.pending.drain().map(|(_, m)| m).collect();
-        msgs.sort_by_key(|m| (m.priority, m.object));
-        self.stats.add("delivered", msgs.len() as u64);
-        msgs
+    fn ctx(&self) -> Option<TraceCtx> {
+        self.ctx
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mv_common::id::ClientId;
+    use mv_net::Retention;
 
     fn c(i: u64) -> ClientId {
         ClientId::new(i)
@@ -170,29 +66,53 @@ mod tests {
         ObjectId::new(i)
     }
 
+    /// The retention rule with dissem's numbering: one `seq` per push.
+    #[derive(Default)]
+    struct Mgr {
+        outbox: Retention<OutMsg>,
+        seq: u64,
+    }
+
+    impl Mgr {
+        fn push(
+            &mut self,
+            client: ClientId,
+            object: ObjectId,
+            value: f64,
+            priority: Priority,
+        ) -> Option<OutMsg> {
+            self.seq += 1;
+            self.outbox.offer(client, OutMsg { object, value, priority, seq: self.seq, ctx: None })
+        }
+    }
+
+    fn registered(client: ClientId) -> Mgr {
+        let mut m = Mgr::default();
+        m.outbox.register(client);
+        m
+    }
+
     #[test]
     fn connected_clients_get_immediate_delivery() {
-        let mut m = OutboxManager::new();
-        m.register(c(1));
+        let mut m = registered(c(1));
         let msg = m.push(c(1), o(1), 5.0, Priority::Normal);
         assert!(msg.is_some());
-        assert_eq!(m.stats.get("delivered"), 1);
-        assert_eq!(m.backlog(c(1)), 0);
+        assert_eq!(m.outbox.stats.get("shipped"), 1);
+        assert_eq!(m.outbox.backlog(c(1)), 0);
     }
 
     #[test]
     fn disconnected_pushes_buffer_and_merge() {
-        let mut m = OutboxManager::new();
-        m.register(c(1));
-        m.disconnect(c(1));
+        let mut m = registered(c(1));
+        m.outbox.disconnect(c(1));
         assert!(m.push(c(1), o(1), 1.0, Priority::Normal).is_none());
         assert!(m.push(c(1), o(1), 2.0, Priority::Normal).is_none());
         assert!(m.push(c(1), o(1), 3.0, Priority::Normal).is_none());
         assert!(m.push(c(1), o(2), 9.0, Priority::Normal).is_none());
         // Three updates to o(1) collapse into one buffered message.
-        assert_eq!(m.backlog(c(1)), 2);
-        assert_eq!(m.stats.get("merged"), 2);
-        let replay = m.reconnect(c(1));
+        assert_eq!(m.outbox.backlog(c(1)), 2);
+        assert_eq!(m.outbox.stats.get("merged"), 2);
+        let replay = m.outbox.reconnect(c(1));
         assert_eq!(replay.len(), 2);
         let o1 = replay.iter().find(|r| r.object == o(1)).unwrap();
         assert_eq!(o1.value, 3.0); // newest wins
@@ -200,24 +120,23 @@ mod tests {
 
     #[test]
     fn replay_is_priority_ordered() {
-        let mut m = OutboxManager::new();
-        m.register(c(1));
-        m.disconnect(c(1));
+        let mut m = registered(c(1));
+        m.outbox.disconnect(c(1));
         m.push(c(1), o(3), 1.0, Priority::Bulk);
         m.push(c(1), o(1), 2.0, Priority::Critical);
         m.push(c(1), o(2), 3.0, Priority::High);
-        let replay = m.reconnect(c(1));
+        let replay = m.outbox.reconnect(c(1));
         let prios: Vec<Priority> = replay.iter().map(|r| r.priority).collect();
         assert_eq!(prios, vec![Priority::Critical, Priority::High, Priority::Bulk]);
-        assert!(m.is_connected(c(1)));
+        assert!(m.outbox.is_connected(c(1)));
     }
 
     #[test]
     fn unknown_client_is_dropped_silently() {
-        let mut m = OutboxManager::new();
+        let mut m = Mgr::default();
         assert!(m.push(c(9), o(1), 1.0, Priority::Normal).is_none());
-        assert!(m.reconnect(c(9)).is_empty());
-        assert!(!m.is_connected(c(9)));
+        assert!(m.outbox.reconnect(c(9)).is_empty());
+        assert!(!m.outbox.is_connected(c(9)));
     }
 
     #[test]
@@ -230,13 +149,13 @@ mod tests {
             [vec![0, 1, 2, 3, 4], vec![4, 3, 2, 1, 0], vec![2, 0, 4, 1, 3]];
         let mut replays = Vec::new();
         for order in &orders {
-            let mut m = OutboxManager::new();
-            m.register(c(1));
-            m.disconnect(c(1));
+            let mut m = registered(c(1));
+            m.outbox.disconnect(c(1));
             for &i in order {
                 m.push(c(1), o(objects[i]), objects[i] as f64, Priority::Normal);
             }
-            let replay: Vec<u64> = m.reconnect(c(1)).iter().map(|r| r.object.raw()).collect();
+            let replay: Vec<u64> =
+                m.outbox.reconnect(c(1)).iter().map(|r| r.object.raw()).collect();
             replays.push(replay);
         }
         assert_eq!(replays[0], vec![1, 3, 5, 7, 9], "ascending object id");
@@ -246,30 +165,28 @@ mod tests {
 
     #[test]
     fn rebuffer_keeps_the_newest_value_and_disconnects() {
-        let mut m = OutboxManager::new();
-        m.register(c(1));
+        let mut m = registered(c(1));
         // A delivered message later bounces (transport gave up on it).
         let stale = m.push(c(1), o(1), 1.0, Priority::Normal).unwrap();
         let fresh = m.push(c(1), o(1), 2.0, Priority::Normal).unwrap();
-        m.rebuffer(c(1), fresh);
-        assert!(!m.is_connected(c(1)));
+        m.outbox.rebuffer(c(1), fresh);
+        assert!(!m.outbox.is_connected(c(1)));
         // The older bounce must not clobber the newer buffered value.
-        m.rebuffer(c(1), stale);
-        let replay = m.reconnect(c(1));
+        m.outbox.rebuffer(c(1), stale);
+        let replay = m.outbox.reconnect(c(1));
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].value, 2.0);
         // Unknown clients are ignored.
-        m.rebuffer(c(9), stale);
-        assert_eq!(m.backlog(c(9)), 0);
+        m.outbox.rebuffer(c(9), stale);
+        assert_eq!(m.outbox.backlog(c(9)), 0);
     }
 
     #[test]
     fn reconnect_resumes_immediate_delivery() {
-        let mut m = OutboxManager::new();
-        m.register(c(1));
-        m.disconnect(c(1));
+        let mut m = registered(c(1));
+        m.outbox.disconnect(c(1));
         m.push(c(1), o(1), 1.0, Priority::Normal);
-        m.reconnect(c(1));
+        m.outbox.reconnect(c(1));
         assert!(m.push(c(1), o(1), 2.0, Priority::Normal).is_some());
     }
 }

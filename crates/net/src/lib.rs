@@ -27,11 +27,17 @@
 //! * [`reliable`] — at-least-once delivery over the lossy network:
 //!   sender sequence numbers, timeouts with capped exponential backoff
 //!   and deterministic jitter, bounded retries, receiver-side dedup and
-//!   crash epochs (§IV-C's "disruptive networks" machinery).
+//!   crash epochs (§IV-C's "disruptive networks" machinery);
+//! * [`outbox`] — the one client-delivery path on top of it: per-client
+//!   routing, ship-or-retain, expiry re-retention and pinned-order replay
+//!   ([`outbox::Outbox`]), and the client-side newest-`seq` dedup
+//!   ([`outbox::Inbox`]); each message type's [`outbox::Retained`] impl
+//!   is its policy (retention key and replay order).
 
 pub mod fault;
 pub mod link;
 pub mod network;
+pub mod outbox;
 pub mod p2p;
 pub mod reliable;
 pub mod sim;
@@ -40,6 +46,7 @@ pub mod topology;
 pub use fault::{Fault, FaultPlan, FaultTarget};
 pub use link::{LinkClass, LinkSpec};
 pub use network::{Delivery, Network};
+pub use outbox::{Inbox, Outbox, Retained, Retention};
 pub use p2p::ChordRing;
 pub use reliable::{Event as ReliableEvent, ReliableTransport, RetryPolicy};
 pub use sim::Sim;

@@ -11,9 +11,10 @@
 //! and two shards' histograms merge bucket-wise. The raw-sample type
 //! stays around for bench post-processing where exact quantiles matter.
 //!
-//! [`StatSet`] is the registry-backed drop-in for the ad-hoc
-//! `Counters` fields that `Network`, `ReliableTransport`, and
-//! `ReliableBroker` used to carry: same `incr`/`add`/`get` surface,
+//! [`StatSet`] is the registry-backed drop-in for ad-hoc `Counters`
+//! fields, used by `Network`, `ReliableTransport`, and the client outbox
+//! that `dissem` and `pubsub` deliver through (`mv_net::outbox`): same
+//! `incr`/`add`/`get` surface,
 //! deterministic `Debug`, but the values live in a [`Registry`] under
 //! `<prefix>.<name>` — attach all three components to one
 //! [`SharedRegistry`] and a single snapshot reports every layer without
@@ -427,8 +428,8 @@ impl SharedRegistry {
 }
 
 /// A component-scoped view of a [`SharedRegistry`]: the drop-in for the
-/// ad-hoc `Counters` fields on `Network`, `ReliableTransport`, and
-/// `ReliableBroker`. Keeps the `incr`/`add`/`get` surface and a
+/// ad-hoc `Counters` fields on `Network`, `ReliableTransport`, and the
+/// client outbox. Keeps the `incr`/`add`/`get` surface and a
 /// deterministic `Debug`, but the values live under
 /// `<prefix>.<name>` in the registry, so components sharing one
 /// registry report through one snapshot — no hand-merging, no double

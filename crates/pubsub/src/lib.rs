@@ -17,9 +17,10 @@
 //!   equivalent by property tests and ~orders faster in E15;
 //! * [`broker`] — a broker tree with subscription covering so events only
 //!   travel toward interested subtrees (the P2P overlay sketch);
-//! * [`reliable`] — a matcher-backed broker delivering over `mv-net`'s
-//!   reliable transport, with per-client retention for disconnected
-//!   subscribers and client-side `pub_id` dedup ([`reliable::InboxDedup`]).
+//! * [`reliable`] — a matcher-backed broker delivering through `mv-net`'s
+//!   shared client outbox: every matched publication is retained by
+//!   `pub_id` for disconnected subscribers and replayed in `pub_id`
+//!   order, with client-side `pub_id` dedup ([`reliable::InboxDedup`]).
 
 pub mod broker;
 pub mod matcher;

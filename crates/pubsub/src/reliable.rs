@@ -1,36 +1,35 @@
-//! A single matcher-backed broker delivering over the reliable transport.
+//! A single matcher-backed broker delivering over `mv-net`'s
+//! client-delivery path.
 //!
 //! [`crate::broker::BrokerTree`] studies *routing* (which subtrees an
 //! event must visit); this module studies *delivery*: once the matcher
 //! says a client is interested, the notification still has to cross a
-//! lossy, partitioning network. Each matched publication is assigned a
-//! monotone `pub_id` and either shipped over
-//! [`mv_net::ReliableTransport`] (connected clients) or retained in a
-//! per-client queue (disconnected clients, and messages the transport
-//! gave up on). Reconnect replays the retained queue in ascending
-//! `pub_id` order — a total, pinned order — and the client-side
-//! [`InboxDedup`] drops `pub_id`s it has already seen, so a flapping
-//! client processes every retained publication exactly once even when
-//! transport-level retries or replays duplicate the bytes.
+//! lossy, partitioning network. Each publication is assigned a monotone
+//! `pub_id` and every matched client's copy goes to [`mv_net::Outbox`],
+//! which ships it (connected clients) or retains it (disconnected
+//! clients, and messages the transport gave up on). [`PubMsg`] is the
+//! policy: it is retained by `pub_id`, so every matched publication
+//! survives, and reconnect replays in ascending `pub_id` order — a total,
+//! pinned order. The client-side [`InboxDedup`] drops `pub_id`s it has
+//! already seen, so a flapping client processes every retained
+//! publication exactly once even when transport-level retries or replays
+//! duplicate the bytes.
 
 use crate::matcher::{IndexedMatcher, Matcher};
 use crate::publication::Publication;
 use crate::subscription::Subscription;
-use mv_common::hash::{FastMap, FastSet};
 use mv_common::id::{ClientId, NodeId};
-use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
-use mv_net::reliable::Event;
-use mv_net::{Network, ReliableTransport, RetryPolicy};
-use mv_obs::{SharedRegistry, SharedTracer, StatSet, TraceCtx};
+use mv_net::{Inbox, Network, Outbox, Retained, RetryPolicy};
+use mv_obs::{SharedRegistry, StatSet, TraceCtx};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One matched notification in flight (or retained).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PubMsg {
-    /// Broker-assigned monotone id: the app-level dedup key and the
-    /// replay order.
+    /// Broker-assigned monotone id: the retention key, the app-level
+    /// dedup key and the replay order.
     pub pub_id: u64,
     /// The matched publication.
     pub publication: Publication,
@@ -39,28 +38,37 @@ pub struct PubMsg {
     pub ctx: Option<TraceCtx>,
 }
 
-#[derive(Debug)]
-struct ClientState {
-    node: NodeId,
-    connected: bool,
-    /// pub_id → message, kept while the client is unreachable.
-    /// BTreeMap so replay is ascending-`pub_id` by construction.
-    retained: BTreeMap<u64, PubMsg>,
+/// Every publication kept (`pub_id` keys are unique), replayed in
+/// `pub_id` order.
+impl Retained for PubMsg {
+    type Key = u64;
+    type Order = u64;
+    fn key(&self) -> u64 {
+        self.pub_id
+    }
+    fn seq(&self) -> u64 {
+        self.pub_id
+    }
+    fn order(&self) -> u64 {
+        self.pub_id
+    }
+    fn ctx(&self) -> Option<TraceCtx> {
+        self.ctx
+    }
 }
 
-/// Broker: matcher + reliable delivery + per-client retention.
+/// Client-side inbox dedup: processes each `pub_id` once, however many
+/// times the bytes arrive (transport retries, reconnect replays).
+pub type InboxDedup = Inbox<PubMsg>;
+
+/// Broker: matcher + the shared client outbox.
 #[derive(Debug)]
 pub struct ReliableBroker {
-    node: NodeId,
-    msg_bytes: u64,
     matcher: IndexedMatcher,
-    clients: FastMap<ClientId, ClientState>,
-    by_node: FastMap<NodeId, ClientId>,
-    /// Delivery machinery (retries, transport dedup, expiry).
-    pub transport: ReliableTransport<PubMsg>,
+    /// Client routing, retention, expiry and replay.
+    pub outbox: Outbox<PubMsg>,
     next_pub_id: u64,
-    /// `matched`, `shipped`, `retained`, `replayed` counters.
-    /// Registry-backed (`pubsub.broker.*`).
+    /// `matched` counter, registry-backed (`pubsub.broker.*`).
     pub stats: StatSet,
 }
 
@@ -69,37 +77,18 @@ impl ReliableBroker {
     /// `seed` pins the transport's retry jitter.
     pub fn new(node: NodeId, policy: RetryPolicy, seed: u64, msg_bytes: u64) -> Self {
         ReliableBroker {
-            node,
-            msg_bytes,
             matcher: IndexedMatcher::new(),
-            clients: FastMap::default(),
-            by_node: FastMap::default(),
-            transport: ReliableTransport::new(policy, seed),
+            outbox: Outbox::new(node, policy, seed, msg_bytes),
             next_pub_id: 0,
             stats: StatSet::new("pubsub.broker"),
         }
     }
 
-    /// Collect spans for traced publishes (forwarded to the transport;
-    /// retention/replay steps log events on the same tracer).
-    pub fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.transport.set_tracer(tracer);
-    }
-
-    /// Re-home the broker's and its transport's counters onto one
-    /// shared registry (values carry over).
+    /// Re-home the broker's, its outbox's and its transport's counters
+    /// onto one shared registry (values carry over).
     pub fn attach_registry(&mut self, registry: &SharedRegistry) {
         self.stats.attach(registry);
-        self.transport.attach_registry(registry);
-    }
-
-    /// Register a client living at `client_node` (starts connected).
-    pub fn register(&mut self, client: ClientId, client_node: NodeId) {
-        self.clients.insert(
-            client,
-            ClientState { node: client_node, connected: true, retained: BTreeMap::new() },
-        );
-        self.by_node.insert(client_node, client);
+        self.outbox.attach_registry(registry);
     }
 
     /// Attach a subscription (routed by its `client` field).
@@ -107,34 +96,8 @@ impl ReliableBroker {
         self.matcher.add(sub);
     }
 
-    /// Mark a client disconnected: its notifications retain from now on.
-    pub fn disconnect(&mut self, client: ClientId) {
-        if let Some(c) = self.clients.get_mut(&client) {
-            c.connected = false;
-        }
-    }
-
-    /// Publications a client has waiting.
-    pub fn retained(&self, client: ClientId) -> usize {
-        self.clients.get(&client).map_or(0, |c| c.retained.len())
-    }
-
-    /// Total retained publications across every client — the broker's
-    /// outbox-depth health probe.
-    pub fn retained_total(&self) -> usize {
-        self.clients.values().map(|c| c.retained.len()).sum()
-    }
-
-    /// Publish the broker's health gauges into its own stat set
-    /// (`pubsub.broker.retained_depth`); the `replayed` counter already
-    /// gives the redelivery rate once windowed.
-    pub fn publish_health_gauges(&mut self) {
-        let depth = self.retained_total() as f64;
-        self.stats.set_gauge("retained_depth", depth);
-    }
-
-    /// Publish: match, assign a `pub_id`, and ship or retain per client.
-    /// Returns the `pub_id` (also when nothing matched).
+    /// Publish: match, assign a `pub_id`, and offer it to each matched
+    /// client. Returns the `pub_id` (also when nothing matched).
     pub fn publish<R: Rng + ?Sized>(
         &mut self,
         net: &mut Network,
@@ -169,145 +132,9 @@ impl ReliableBroker {
         for client in matched {
             self.stats.incr("matched");
             let msg = PubMsg { pub_id, publication: p.clone(), ctx };
-            self.dispatch(net, rng, client, msg, now);
+            self.outbox.offer(net, rng, client, msg, now);
         }
         pub_id
-    }
-
-    fn dispatch<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        rng: &mut R,
-        client: ClientId,
-        msg: PubMsg,
-        now: SimTime,
-    ) {
-        let Some(state) = self.clients.get_mut(&client) else {
-            return;
-        };
-        if state.connected {
-            let dst = state.node;
-            self.stats.incr("shipped");
-            let ctx = msg.ctx;
-            self.transport.send_traced(net, rng, self.node, dst, msg, self.msg_bytes, now, ctx);
-        } else {
-            self.stats.incr("retained");
-            if let (Some(tr), Some(c)) = (self.transport.tracer().cloned(), msg.ctx) {
-                tr.event(c, "pubsub.broker.retain", now, "ok");
-            }
-            state.retained.insert(msg.pub_id, msg);
-        }
-    }
-
-    /// Reconnect a client and replay everything retained for it, in
-    /// ascending `pub_id` order. Returns how many were replayed.
-    pub fn reconnect<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        rng: &mut R,
-        client: ClientId,
-        now: SimTime,
-    ) -> usize {
-        let Some(state) = self.clients.get_mut(&client) else {
-            return 0;
-        };
-        state.connected = true;
-        let backlog: Vec<PubMsg> = std::mem::take(&mut state.retained).into_values().collect();
-        let dst = state.node;
-        let n = backlog.len();
-        for msg in backlog {
-            self.stats.incr("replayed");
-            if let (Some(tr), Some(c)) = (self.transport.tracer().cloned(), msg.ctx) {
-                tr.event(c, "pubsub.broker.replay", now, "ok");
-            }
-            let ctx = msg.ctx;
-            self.transport.send_traced(net, rng, self.node, dst, msg, self.msg_bytes, now, ctx);
-        }
-        n
-    }
-
-    /// Earliest pending transport work; drive the clock here and `poll`.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.transport.next_wakeup()
-    }
-
-    /// Pump the transport up to `now`. Arrivals are returned for the
-    /// client side ([`InboxDedup::accept`] decides whether to process);
-    /// expired messages are retained again and the client marked
-    /// disconnected, so the next reconnect redelivers them.
-    pub fn poll<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        rng: &mut R,
-        now: SimTime,
-    ) -> Vec<(ClientId, PubMsg)> {
-        let mut arrived = Vec::new();
-        for ev in self.transport.poll(net, rng, now) {
-            match ev {
-                Event::Delivered { dst, payload, .. } => {
-                    if let Some(&client) = self.by_node.get(&dst) {
-                        arrived.push((client, payload));
-                    }
-                }
-                Event::Expired { dst, payload, .. } => {
-                    if let Some(&client) = self.by_node.get(&dst) {
-                        if let Some(state) = self.clients.get_mut(&client) {
-                            state.connected = false;
-                            self.stats.incr("retained");
-                            state.retained.insert(payload.pub_id, payload);
-                        }
-                    }
-                }
-            }
-        }
-        arrived
-    }
-
-    /// A node crashed: drop the transport's volatile state for it and,
-    /// if a client lived there, retain for it. Call from
-    /// `FaultTarget::on_node_crash`.
-    pub fn on_node_crash(&mut self, node: NodeId) {
-        self.transport.on_node_crash(node);
-        if let Some(&client) = self.by_node.get(&node) {
-            self.disconnect(client);
-        }
-    }
-}
-
-/// Client-side inbox dedup: processes each `pub_id` once, however many
-/// times the bytes arrive (transport retries, reconnect replays).
-#[derive(Debug, Default)]
-pub struct InboxDedup {
-    seen: FastSet<u64>,
-    /// `accepted` / `duplicates` counters.
-    pub stats: Counters,
-}
-
-impl InboxDedup {
-    /// An empty inbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True exactly once per `pub_id`; repeats count as `duplicates`.
-    pub fn accept(&mut self, pub_id: u64) -> bool {
-        if self.seen.insert(pub_id) {
-            self.stats.incr("accepted");
-            true
-        } else {
-            self.stats.incr("duplicates");
-            false
-        }
-    }
-
-    /// Distinct publications processed.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True when nothing has been processed.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
     }
 }
 
@@ -339,9 +166,9 @@ mod tests {
         rng: &mut rand::rngs::StdRng,
     ) -> Vec<u64> {
         let mut processed = Vec::new();
-        while let Some(at) = broker.next_wakeup() {
-            for (_client, msg) in broker.poll(net, rng, at) {
-                if inbox.accept(msg.pub_id) {
+        while let Some(at) = broker.outbox.next_wakeup() {
+            for (_client, msg) in broker.outbox.poll(net, rng, at) {
+                if inbox.accept(&msg) {
                     processed.push(msg.pub_id);
                 }
             }
@@ -359,7 +186,7 @@ mod tests {
         let mut broker = ReliableBroker::new(bnode, RetryPolicy::default(), 1, 128);
         let mut rng = seeded_rng(1);
         let client = ClientId::new(1);
-        broker.register(client, cnode);
+        broker.outbox.register(client, cnode);
         broker.subscribe(Subscription::new(client).with_term("sale"));
         broker.publish(&mut net, &mut rng, sale(0), SimTime::ZERO);
         broker.publish(&mut net, &mut rng, Publication::new(SimTime::ZERO).term("game"), SimTime::ZERO);
@@ -375,14 +202,14 @@ mod tests {
         let mut broker = ReliableBroker::new(bnode, RetryPolicy::default(), 2, 128);
         let mut rng = seeded_rng(2);
         let client = ClientId::new(1);
-        broker.register(client, cnode);
+        broker.outbox.register(client, cnode);
         broker.subscribe(Subscription::new(client).with_term("sale"));
         broker.subscribe(Subscription::new(client)); // unfiltered — also matches
         broker.publish(&mut net, &mut rng, sale(0), SimTime::ZERO);
         let mut inbox = InboxDedup::new();
         let processed = drain(&mut broker, &mut inbox, &mut net, &mut rng);
         assert_eq!(processed, vec![0]);
-        assert_eq!(inbox.stats.get("duplicates"), 0, "broker collapses per-client fan-out");
+        assert_eq!(inbox.stats.get("stale"), 0, "broker collapses per-client fan-out");
     }
 
     #[test]
@@ -391,7 +218,7 @@ mod tests {
         let mut broker = ReliableBroker::new(bnode, RetryPolicy::default(), 8, 128);
         let mut rng = seeded_rng(8);
         let client = ClientId::new(1);
-        broker.register(client, cnode);
+        broker.outbox.register(client, cnode);
         broker.subscribe(Subscription::new(client).with_term("sale"));
         let mut inbox = InboxDedup::new();
 
@@ -402,18 +229,18 @@ mod tests {
         drain(&mut broker, &mut inbox, &mut net, &mut rng);
 
         // Phase 2: client flaps off; publications retain.
-        broker.disconnect(client);
+        broker.outbox.disconnect(client);
         net.sever(0, 1);
         for i in 5..12 {
             broker.publish(&mut net, &mut rng, sale(i), SimTime::from_millis(i));
         }
-        assert_eq!(broker.retained(client), 7);
+        assert_eq!(broker.outbox.retention.backlog(client), 7);
 
         // Phase 3: heal + reconnect; the retained backlog is re-sent in
         // ascending pub_id order (arrival order may still shuffle under
         // loss — the guarantee is exactly-once, not ordered delivery).
         net.heal(0, 1);
-        assert_eq!(broker.reconnect(&mut net, &mut rng, client, SimTime::from_secs(1)), 7);
+        assert_eq!(broker.outbox.reconnect(&mut net, &mut rng, client, SimTime::from_secs(1)), 7);
         let mut replayed = drain(&mut broker, &mut inbox, &mut net, &mut rng);
         replayed.sort_unstable();
         assert_eq!(replayed, (5..12).collect::<Vec<u64>>(), "every retained pub, none twice");
@@ -421,7 +248,29 @@ mod tests {
         // Every matched publication processed exactly once.
         assert_eq!(inbox.len(), 12);
         assert_eq!(inbox.stats.get("accepted"), 12);
-        assert_eq!(broker.retained(client), 0);
+        assert_eq!(broker.outbox.retention.backlog(client), 0);
+    }
+
+    #[test]
+    fn re_registering_a_disconnected_client_keeps_its_retained_publications() {
+        let (mut net, bnode, cnode) = world(0.0);
+        let mut broker = ReliableBroker::new(bnode, RetryPolicy::default(), 5, 128);
+        let mut rng = seeded_rng(5);
+        let client = ClientId::new(1);
+        broker.outbox.register(client, cnode);
+        broker.subscribe(Subscription::new(client).with_term("sale"));
+        broker.outbox.disconnect(client);
+        for i in 0..4 {
+            broker.publish(&mut net, &mut rng, sale(i), SimTime::from_millis(i));
+        }
+        // The client's registration is repeated (say, by a session
+        // layer that re-announces it) while it is still away.
+        broker.outbox.register(client, cnode);
+        assert!(!broker.outbox.retention.is_connected(client));
+        assert_eq!(broker.outbox.reconnect(&mut net, &mut rng, client, SimTime::from_secs(1)), 4);
+        let mut inbox = InboxDedup::new();
+        let processed = drain(&mut broker, &mut inbox, &mut net, &mut rng);
+        assert_eq!(processed, vec![0, 1, 2, 3], "every retained publication replayed");
     }
 
     #[test]
@@ -431,7 +280,7 @@ mod tests {
         let mut broker = ReliableBroker::new(bnode, policy, 3, 128);
         let mut rng = seeded_rng(3);
         let client = ClientId::new(1);
-        broker.register(client, cnode);
+        broker.outbox.register(client, cnode);
         broker.subscribe(Subscription::new(client).with_term("sale"));
 
         // Partition strikes before the broker learns of it.
@@ -440,11 +289,11 @@ mod tests {
         let mut inbox = InboxDedup::new();
         drain(&mut broker, &mut inbox, &mut net, &mut rng);
         assert!(inbox.is_empty());
-        assert_eq!(broker.transport.stats.get("expired"), 1);
-        assert_eq!(broker.retained(client), 1, "expired notification retained");
+        assert_eq!(broker.outbox.transport.stats.get("expired"), 1);
+        assert_eq!(broker.outbox.retention.backlog(client), 1, "expired notification retained");
 
         net.heal(0, 1);
-        broker.reconnect(&mut net, &mut rng, client, SimTime::from_secs(10));
+        broker.outbox.reconnect(&mut net, &mut rng, client, SimTime::from_secs(10));
         let processed = drain(&mut broker, &mut inbox, &mut net, &mut rng);
         assert_eq!(processed, vec![0]);
     }
@@ -456,14 +305,15 @@ mod tests {
             let mut broker = ReliableBroker::new(bnode, RetryPolicy::default(), 42, 128);
             let mut rng = seeded_rng(42);
             let client = ClientId::new(1);
-            broker.register(client, cnode);
+            broker.outbox.register(client, cnode);
             broker.subscribe(Subscription::new(client).with_term("sale"));
             let mut inbox = InboxDedup::new();
             for i in 0..15 {
                 broker.publish(&mut net, &mut rng, sale(i), SimTime::from_millis(i));
             }
             let processed = drain(&mut broker, &mut inbox, &mut net, &mut rng);
-            (processed, format!("{:?}", broker.transport.stats), format!("{:?}", broker.stats))
+            let transport = format!("{:?}", broker.outbox.transport.stats);
+            (processed, transport, format!("{:?}", broker.stats))
         };
         assert_eq!(run(), run());
     }
