@@ -31,7 +31,7 @@ use mv_common::id::{EntityId, NodeId};
 use mv_common::seeded_rng;
 use mv_common::table::{f2, n, pct, Table};
 use mv_common::time::{SimDuration, SimTime};
-use mv_core::{DurableMetaverse, EntityKind};
+use mv_core::{DurableMetaverse, DurableOp, EntityKind};
 use mv_net::{FaultPlan, FaultTarget, LinkSpec, Network, ReliableTransport, RetryPolicy, Sim};
 use mv_net::reliable::Event;
 use mv_obs::{LogHistogram, SharedTracer, SpanRecord, TickProfiler, TraceCtx};
@@ -171,8 +171,8 @@ impl World {
                 match ev {
                     Event::Delivered { at, payload, ctx, .. } => {
                         let id = self.ids[payload.entity];
-                        let pos = mv_common::geom::Point::new(payload.value, 0.0);
-                        self.dm.update_position_traced(id, pos, at, ctx).unwrap();
+                        let position = mv_common::geom::Point::new(payload.value, 0.0);
+                        self.dm.apply(&DurableOp::Position { id, position, ts: at }, ctx).unwrap();
                         if let Some(c) = ctx {
                             self.to_commit.push(c.trace);
                         }

@@ -18,8 +18,9 @@
 //!   every experiment harness;
 //! * [`table`] — a tiny fixed-width table printer for experiment output;
 //! * [`error`] — the workspace-wide error type [`MvError`];
-//! * [`codec`] — checked narrowing helpers ([`codec::wire_u32`]) for the
-//!   `u32` wire fields every encoder writes.
+//! * [`codec`] — the one little-endian codec: checked narrowing
+//!   ([`codec::wire_u32`]), the `put_*` writers and the total
+//!   [`codec::SliceReader`] every encoder and decoder uses.
 //!
 //! The paper ("The Metaverse Data Deluge", ICDE 2023) describes data that
 //! lives in two interacting spaces; the [`Space`] enum is the tag used

@@ -24,17 +24,16 @@
 //! checks it against a replay of the whole log).
 
 use crate::arena::EntityRef;
+use crate::engine::{not_a_write, Applied};
 use crate::entity::{Entity, EntityKind};
-use crate::events::Command;
 use crate::sharded::{ShardedMetaverse, WriteOp};
+use mv_common::codec::{put_chunk, put_f64, put_u32, put_u64, wire_u32, SliceReader};
 use mv_common::geom::{Aabb, Point};
-use mv_common::codec::wire_u32;
 use mv_common::hash::{fx_hash_one, FxHasher};
 use mv_common::id::EntityId;
 use mv_common::time::SimTime;
 use mv_common::{MvResult, Space};
 use mv_obs::{SharedTracer, TraceCtx};
-use mv_storage::codec::SliceReader;
 use mv_storage::kv::KvConfig;
 use mv_storage::wal::{RecoveryReport, WalRecord, WalRecordRef};
 use mv_storage::{GroupCommitPolicy, GroupCommitWal, ShardedKv};
@@ -152,6 +151,16 @@ impl DurableOp {
         matches!(self, DurableOp::Position { .. } | DurableOp::Attr { .. })
     }
 
+    /// The one entity a move, attribute write or retire addresses
+    /// (decides its owner shard); `None` for every other op.
+    pub fn entity(&self) -> Option<EntityId> {
+        match self {
+            DurableOp::Position { id, .. } | DurableOp::Attr { id, .. } => Some(*id),
+            DurableOp::Retire { id, .. } => Some(*id),
+            _ => None,
+        }
+    }
+
     /// Lift a batched engine write into its logged form.
     pub fn from_write(op: &WriteOp) -> DurableOp {
         match op {
@@ -183,24 +192,6 @@ const IMAGE_HEADER: usize = 10;
 /// The Fx checksum of an image's body (length included).
 pub(crate) fn image_checksum(body: &[u8]) -> u64 {
     fx_hash_one(&body)
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// `[len u32][bytes]`, the framing [`SliceReader::chunk`] reads.
-pub(crate) fn put_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, wire_u32(bytes.len()));
-    out.extend_from_slice(bytes);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -477,8 +468,8 @@ pub struct DurableMetaverse {
     txn_shards: usize,
     /// Bytes of the newest image encoded or restored (0: none yet).
     image_len: usize,
-    /// Span collector; ops without a caller-supplied context mint a
-    /// (possibly sampled) `core.durable.ingest` root here.
+    /// Span collector (see [`Self::set_tracer`] for which ops mint a
+    /// `core.durable.ingest` root).
     pub(crate) tracer: Option<SharedTracer>,
     /// Transactional state: the sharded MVCC overlay and its counters
     /// (see `crate::txn`).
@@ -513,11 +504,14 @@ impl DurableMetaverse {
         }
     }
 
-    /// Install a span collector. Ops arriving *with* a [`TraceCtx`]
-    /// (e.g. delivered over the reliable transport) keep it; ops
-    /// arriving without one mint a `core.durable.ingest` root, subject
-    /// to the tracer's sampling rate. The WAL shares the tracer so each
-    /// logged op gets a `storage.wal.group_commit` span.
+    /// Install a span collector. An op applied *with* a [`TraceCtx`]
+    /// (e.g. delivered over the reliable transport) keeps it. A move or
+    /// attribute write applied alone without one — through
+    /// [`Self::apply`] or [`Self::update_attr`], not in an
+    /// [`Self::apply_batch`] — mints a `core.durable.ingest` root,
+    /// subject to the tracer's sampling rate; spawns, retires, area
+    /// effects and batches mint none. The WAL shares the tracer, so each
+    /// op logged with a context gets a `storage.wal.group_commit` span.
     pub fn set_tracer(&mut self, tracer: SharedTracer) {
         self.wal.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
@@ -528,8 +522,8 @@ impl DurableMetaverse {
         self.tracer.as_ref()
     }
 
-    /// The wrapped engine (read-only: mutations must go through the
-    /// logging methods or they will not survive a crash).
+    /// The wrapped engine (read-only: mutations must go through
+    /// [`Self::apply`] or they will not survive a crash).
     pub fn engine(&self) -> &ShardedMetaverse {
         &self.engine
     }
@@ -561,49 +555,60 @@ impl DurableMetaverse {
         self.engine.set_parallel_apply(on);
     }
 
-    /// Log one op (not yet durable — `commit` seals the batch).
-    pub(crate) fn log(&mut self, op: &DurableOp) {
-        self.log_with(op, None);
-    }
-
-    /// Log one op carrying its causal context: the WAL opens a
-    /// `storage.wal.group_commit` span that closes when the op's batch
-    /// seals (its duration is the group-commit wait the op paid). The
-    /// record carries no key: replay follows log order.
-    pub(crate) fn log_with(&mut self, op: &DurableOp, ctx: Option<TraceCtx>) {
+    /// Log one op (not yet durable — `commit` seals the batch). An op
+    /// carrying a causal context gets a `storage.wal.group_commit` span
+    /// that closes when its batch seals (its duration is the group-commit
+    /// wait the op paid). The record carries no key: replay follows log
+    /// order.
+    pub(crate) fn log(&mut self, op: &DurableOp, ctx: Option<TraceCtx>) {
         let record = WalRecord::Put { key: Vec::new(), value: op.encode() };
         self.wal.append_traced(record, op.ts(), ctx);
     }
 
-    /// Resolve the context for one ingested op: adopt the caller's, or
-    /// mint a sampled `core.durable.ingest` root. Returns `(ctx,
-    /// minted_root)` — a minted root is owned here and closed by
-    /// [`Self::finish_ingest`].
-    fn ingest_ctx(&self, ctx: Option<TraceCtx>, now: SimTime) -> (Option<TraceCtx>, Option<u64>) {
-        if ctx.is_some() {
+    /// Resolve the context for one applied op: adopt the caller's, or,
+    /// for a move or attribute write, mint a sampled
+    /// `core.durable.ingest` root. Returns `(ctx, minted_root)` — a
+    /// minted root is owned here and closed by [`Self::apply`].
+    fn ingest_ctx(&self, op: &DurableOp, ctx: Option<TraceCtx>) -> (Option<TraceCtx>, Option<u64>) {
+        if ctx.is_some() || !op.is_txn_leaf() {
             return (ctx, None);
         }
         let Some(tr) = &self.tracer else { return (None, None) };
-        match tr.maybe_trace("core.durable.ingest", now) {
+        match tr.maybe_trace("core.durable.ingest", op.ts()) {
             Some(c) => (Some(c), Some(c.span)),
             None => (None, None),
         }
     }
 
-    /// Mark the apply instant under `ctx` and close a root this engine
-    /// minted (caller-supplied roots stay open — the caller owns their
-    /// end-to-end lifetime).
-    fn finish_ingest(&self, ctx: Option<TraceCtx>, minted: Option<u64>, now: SimTime, ok: bool) {
-        let Some(tr) = &self.tracer else { return };
-        if let Some(c) = ctx {
-            tr.event(c, "core.durable.apply", now, if ok { "ok" } else { "err" });
+    /// The one write path: log `op`, apply it to the engine, give an
+    /// accepted move or attribute write its plain MVCC head, and trace it
+    /// under `ctx` (see [`Self::set_tracer`]). A transaction record is
+    /// refused unlogged: it commits through [`Self::commit_txn`].
+    pub fn apply(&mut self, op: &DurableOp, ctx: Option<TraceCtx>) -> MvResult<Applied> {
+        if let DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } = op {
+            return Err(not_a_write());
         }
-        if let Some(root) = minted {
-            tr.close(root, now, "applied");
+        let (ctx, minted) = self.ingest_ctx(op, ctx);
+        self.log(op, ctx);
+        let applied = self.replay(op);
+        if applied.is_ok() {
+            self.txns.install_plain(op);
         }
+        // Mark the apply instant under `ctx`, and close a root minted here
+        // (a caller's root stays open: the caller owns its lifetime).
+        if let Some(tr) = &self.tracer {
+            if let Some(c) = ctx {
+                tr.event(c, "core.durable.apply", op.ts(), if applied.is_ok() { "ok" } else { "err" });
+            }
+            if let Some(root) = minted {
+                tr.close(root, op.ts(), "applied");
+            }
+        }
+        applied
     }
 
-    /// Logged spawn.
+    /// Logged spawn ([`Self::apply`]). Ids are dense in spawn order, so
+    /// the new entity's id is the count of those before it.
     pub fn spawn(
         &mut self,
         name: impl Into<String>,
@@ -611,20 +616,28 @@ impl DurableMetaverse {
         position: Point,
         now: SimTime,
     ) -> EntityId {
-        let name = name.into();
-        self.log(&DurableOp::Spawn { name: name.clone(), kind, position, ts: now });
-        let id = self.engine.spawn(name, kind, position, now);
-        self.ids.push(id);
+        let id = EntityId::new(self.ids.len() as u64);
+        let spawned = self.apply(&DurableOp::Spawn { name: name.into(), kind, position, ts: now }, None);
+        debug_assert_eq!(spawned, Ok(Applied::Spawned(id)));
         id
     }
 
-    /// Logged batched writes (each op is logged individually — per-key
-    /// replay order is append order, which `apply_batch`'s stable
-    /// partitioning preserves per entity).
+    /// Logged attribute write ([`Self::apply`]); `Ok(true)` when a sync
+    /// message crossed the boundary.
+    pub fn update_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) -> MvResult<bool> {
+        let op = DurableOp::Attr { id, name: name.to_string(), value, ts: now };
+        self.apply(&op, None).map(|applied| applied == Applied::Synced(true))
+    }
+
+    /// Logged batched writes: each op is logged individually, and the
+    /// shards apply the batch in parallel, each op through
+    /// [`Metaverse::apply`](crate::Metaverse::apply) (per-entity replay
+    /// order is append order, which the batch's stable partitioning
+    /// preserves). Ops in a batch mint no ingest roots.
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
         let logged: Vec<DurableOp> = ops.iter().map(DurableOp::from_write).collect();
         for op in &logged {
-            self.log(op);
+            self.log(op, None);
         }
         let results = self.engine.apply_batch(ops);
         for (op, r) in logged.iter().zip(&results) {
@@ -633,95 +646,6 @@ impl DurableMetaverse {
             }
         }
         results
-    }
-
-    /// Logged ground-truth move.
-    pub fn update_position(
-        &mut self,
-        id: EntityId,
-        position: Point,
-        now: SimTime,
-    ) -> MvResult<bool> {
-        self.update_position_traced(id, position, now, None)
-    }
-
-    /// [`Self::update_position`] carrying (or minting) a causal context:
-    /// the WAL span, the apply event, and — for minted roots — the
-    /// ingest root all land in the installed tracer.
-    pub fn update_position_traced(
-        &mut self,
-        id: EntityId,
-        position: Point,
-        now: SimTime,
-        ctx: Option<TraceCtx>,
-    ) -> MvResult<bool> {
-        let (ctx, minted) = self.ingest_ctx(ctx, now);
-        let op = DurableOp::Position { id, position, ts: now };
-        self.log_with(&op, ctx);
-        let r = self.engine.update_position(id, position, now);
-        if r.is_ok() {
-            self.txns.install_plain(&op);
-        }
-        self.finish_ingest(ctx, minted, now, r.is_ok());
-        r
-    }
-
-    /// Logged attribute write.
-    pub fn update_attr(
-        &mut self,
-        id: EntityId,
-        name: &str,
-        value: f64,
-        now: SimTime,
-    ) -> MvResult<bool> {
-        self.update_attr_traced(id, name, value, now, None)
-    }
-
-    /// [`Self::update_attr`] carrying (or minting) a causal context.
-    pub fn update_attr_traced(
-        &mut self,
-        id: EntityId,
-        name: &str,
-        value: f64,
-        now: SimTime,
-        ctx: Option<TraceCtx>,
-    ) -> MvResult<bool> {
-        let (ctx, minted) = self.ingest_ctx(ctx, now);
-        let op = DurableOp::Attr { id, name: name.to_string(), value, ts: now };
-        self.log_with(&op, ctx);
-        let r = self.engine.update_attr(id, name, value, now);
-        if r.is_ok() {
-            self.txns.install_plain(&op);
-        }
-        self.finish_ingest(ctx, minted, now, r.is_ok());
-        r
-    }
-
-    /// Logged retire.
-    pub fn retire(&mut self, id: EntityId, now: SimTime) -> MvResult<()> {
-        self.log(&DurableOp::Retire { id, ts: now });
-        self.engine.retire(id, now)
-    }
-
-    /// Logged area effect.
-    pub fn area_effect(
-        &mut self,
-        space: Space,
-        effect: &str,
-        region: Aabb,
-        action: &str,
-        retire: bool,
-        now: SimTime,
-    ) -> Vec<Command> {
-        self.log(&DurableOp::AreaEffect {
-            space,
-            effect: effect.to_string(),
-            region,
-            action: action.to_string(),
-            retire,
-            ts: now,
-        });
-        self.engine.area_effect(space, effect, region, action, retire, now)
     }
 
     /// Group commit: seal the pending WAL batch, then
@@ -814,14 +738,14 @@ impl DurableMetaverse {
                         if commit {
                             self.txns.install_recovered(&ops, commit_ts);
                             for op in &ops {
-                                self.replay(op);
+                                let _ = self.replay(op);
                             }
                         } else {
                             self.txns.stats.incr("recovered_aborts");
                         }
                     }
                     other => {
-                        if self.replay(&other) {
+                        if self.replay(&other).is_ok() {
                             self.txns.install_plain(&other);
                         }
                     }
@@ -840,33 +764,18 @@ impl DurableMetaverse {
         report
     }
 
-    /// Re-execute one op on the engine alone. Errors are deliberately
-    /// swallowed: an op that failed pre-crash (e.g. an update racing a
-    /// retire) fails identically on replay — determinism, not error
-    /// handling, is what recovery needs. Returns whether the engine
-    /// accepted the op. Transactional envelopes are never applied here
-    /// (`crash_and_recover` resolves them; the live commit path replays
-    /// their leaf ops directly). A replica applies through here too.
-    pub(crate) fn replay(&mut self, op: &DurableOp) -> bool {
-        let engine = &mut self.engine;
-        match op {
-            DurableOp::Spawn { name, kind, position, ts } => {
-                self.ids.push(engine.spawn(name.clone(), *kind, *position, *ts));
-                true
-            }
-            DurableOp::Position { id, position, ts } => {
-                engine.update_position(*id, *position, *ts).is_ok()
-            }
-            DurableOp::Attr { id, name, value, ts } => {
-                engine.update_attr(*id, name, *value, *ts).is_ok()
-            }
-            DurableOp::Retire { id, ts } => engine.retire(*id, *ts).is_ok(),
-            DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
-                let _ = engine.area_effect(*space, effect, *region, action, *retire, *ts);
-                true
-            }
-            DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => false,
+    /// Apply one op to the engine alone — no log record, no MVCC head,
+    /// no span — and record a spawn's id. Recovery, the 2PC commit and a
+    /// replica apply through here, and their callers drop the engine's
+    /// errors: an op that failed pre-crash (an update racing a retire)
+    /// fails identically on replay — determinism, not error handling, is
+    /// what recovery needs.
+    pub(crate) fn replay(&mut self, op: &DurableOp) -> MvResult<Applied> {
+        let applied = self.engine.apply(op);
+        if let Ok(Applied::Spawned(id)) = &applied {
+            self.ids.push(*id);
         }
+        applied
     }
 
     /// Canonical byte encoding of the whole engine state: clock, live
@@ -1108,8 +1017,8 @@ mod tests {
         };
         let stray_decision =
             DurableOp::TxnDecision { txn: 501, commit: true, commit_ts: 999, ts: t(2) };
-        dm.log(&orphan_prepare);
-        dm.log(&stray_decision);
+        dm.log(&orphan_prepare, None);
+        dm.log(&stray_decision, None);
         // Seal without a checkpoint: an image would supersede the orphan.
         dm.wal.sync();
 
@@ -1152,13 +1061,13 @@ mod tests {
             .collect();
         dm.apply_batch(&ops);
         dm.update_attr(ids[0], "health", 0.5, t(3)).unwrap();
-        dm.retire(ids[1], t(3)).unwrap();
+        dm.apply(&DurableOp::Retire { id: ids[1], ts: t(3) }, None).unwrap();
         dm.commit(t(3));
         let committed = dm.state_encoding();
         let committed_digest = dm.state_digest();
 
         // Uncommitted tail: must vanish on crash.
-        dm.update_position(ids[2], p(999.0, 999.0), t(4)).unwrap();
+        dm.apply(&DurableOp::Position { id: ids[2], position: p(999.0, 999.0), ts: t(4) }, None).unwrap();
         dm.spawn("ghost", EntityKind::Avatar, p(0.0, 0.0), t(4));
         assert_ne!(dm.state_encoding(), committed);
 
@@ -1179,8 +1088,8 @@ mod tests {
 
         // Context-less updates mint their own ingest roots and close
         // them at apply; the WAL spans close when `commit` seals.
-        dm.update_position(id, p(1.0, 1.0), t(2)).unwrap();
-        dm.update_attr_traced(id, "hp", 0.5, t(3), None).unwrap();
+        dm.apply(&DurableOp::Position { id, position: p(1.0, 1.0), ts: t(2) }, None).unwrap();
+        dm.update_attr(id, "hp", 0.5, t(3)).unwrap();
         dm.commit(t(3));
         assert_eq!(tracer.open_count(), 0, "no leaked spans");
         let recs = tracer.records();
@@ -1194,7 +1103,7 @@ mod tests {
         // A caller-supplied root is adopted, not closed: the caller owns
         // the update's end-to-end lifetime.
         let root = tracer.start_trace("test.e2e", t(4));
-        dm.update_position_traced(id, p(2.0, 2.0), t(4), Some(root)).unwrap();
+        dm.apply(&DurableOp::Position { id, position: p(2.0, 2.0), ts: t(4) }, Some(root)).unwrap();
         assert_eq!(tracer.open_count(), 2, "caller root + pending wal span");
         dm.commit(t(4));
         tracer.close(root.span, t(5), "ok");
@@ -1202,39 +1111,9 @@ mod tests {
         assert_eq!(tracer.trace_count(), 3);
     }
 
-    /// Drive `dm` with a [`crate::ops`] script (slots index `dm.ids()`,
-    /// op `i` happens at `t0 + i` ms); one fingerprint per op.
-    fn drive(dm: &mut DurableMetaverse, ops: &[crate::ops::Op], t0: usize) -> Vec<String> {
-        use crate::ops::Op;
-        let mut fps = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let now = t((t0 + i) as u64);
-            fps.push(match op {
-                Op::Spawn { name, kind, position } => {
-                    format!("spawn {:?}", dm.spawn(name.clone(), *kind, *position, now))
-                }
-                Op::Move { slot, position } => {
-                    format!("move {:?}", dm.update_position(dm.ids()[*slot], *position, now))
-                }
-                Op::Attr { slot, name, value } => {
-                    format!("attr {:?}", dm.update_attr(dm.ids()[*slot], name, *value, now))
-                }
-                Op::Retire { slot } => format!("retire {:?}", dm.retire(dm.ids()[*slot], now)),
-                Op::AreaEffect { space, effect, region, action, retire } => {
-                    format!("effect {:?}", dm.area_effect(*space, effect, *region, action, *retire, now))
-                }
-                Op::QueryTruth { space, area } => format!("truth {:?}", dm.engine().query_truth(*space, area)),
-                Op::QueryVisible { space, area } => {
-                    format!("visible {:?}", dm.engine().query_visible(*space, area))
-                }
-            });
-        }
-        fps
-    }
-
     #[test]
     fn restore_then_any_suffix_matches_the_engine_that_never_stopped() {
-        use crate::ops::{gen_ops, Op};
+        use crate::ops::{gen_ops, Op, Replay};
         for seed in [3u64, 17, 4242] {
             let mut ops = gen_ops(&mut mv_common::seeded_rng(seed), 240, 150.0);
             // What the generator does not produce: a twin left behind its
@@ -1253,15 +1132,16 @@ mod tests {
                 for cut in [0, at + 2, at + 4, ops.len() / 2, ops.len()] {
                     let label = format!("seed {seed}, {shards} shards, restored after op {cut}");
                     let mut kept = DurableMetaverse::with_defaults(shards);
-                    drive(&mut kept, &ops[..cut], 0);
+                    let mut script = Replay::default();
+                    script.run(&mut kept, &ops[..cut]);
                     let image = kept.checkpoint_image();
                     let mut restored = DurableMetaverse::with_defaults(shards);
                     restored.restore(&image).expect(&label);
                     assert_eq!(restored.checkpoint_image(), image, "{label}");
                     assert_eq!(restored.ids(), kept.ids(), "{label}");
                     assert_eq!(
-                        drive(&mut restored, &ops[cut..], cut),
-                        drive(&mut kept, &ops[cut..], cut),
+                        script.clone().run(&mut restored, &ops[cut..]),
+                        script.run(&mut kept, &ops[cut..]),
                         "{label}"
                     );
                     assert_eq!(restored.state_encoding(), kept.state_encoding(), "{label}");
@@ -1289,14 +1169,23 @@ mod tests {
         let id = dm.spawn("a", EntityKind::Person, p(1.0, 2.0), t(1));
         dm.spawn("b", EntityKind::Avatar, p(3.0, 4.0), t(2));
         dm.update_attr(id, "hp", 0.5, t(3)).unwrap();
-        dm.update_position(id, p(5.0, 6.0), t(4)).unwrap();
-        // A transaction writing an attribute of a retired entity leaves a
-        // chain under no entity field: the image spells it out.
-        dm.retire(id, t(5)).unwrap();
-        let mut txn = dm.txn(t(6));
-        txn.write_attr(id, "loot", 9.0, t(6));
-        txn.write_attr(id, "hp", 0.25, t(6));
-        dm.commit_txn(txn, t(6)).unwrap();
+        dm.apply(&DurableOp::Position { id, position: p(5.0, 6.0), ts: t(4) }, None).unwrap();
+        // A committed transaction that wrote an attribute of a retired
+        // entity leaves a chain under no entity field: the image spells it
+        // out. `commit_txn` refuses such a write, so the records go into
+        // the log by hand, and recovery commits them as a hostile log
+        // would have it.
+        dm.apply(&DurableOp::Retire { id, ts: t(5) }, None).unwrap();
+        let ops = vec![
+            DurableOp::Attr { id, name: "loot".into(), value: 9.0, ts: t(6) },
+            DurableOp::Attr { id, name: "hp".into(), value: 0.25, ts: t(6) },
+        ];
+        let commit_ts = dm.txn_current_ts() + 1;
+        dm.log(&DurableOp::TxnPrepare { txn: 1, shard: 0, ops, ts: t(6) }, None);
+        dm.log(&DurableOp::TxnDecision { txn: 1, commit: true, commit_ts, ts: t(6) }, None);
+        dm.wal.sync();
+        dm.crash_and_recover();
+        assert_eq!(dm.txn_stats().get("recovered_commits"), 1);
         // A read-only commit moves the oracle past every head.
         let reader = dm.txn(t(7));
         dm.commit_txn(reader, t(7)).unwrap();
@@ -1364,7 +1253,7 @@ mod tests {
         let mut dm = DurableMetaverse::with_defaults(2);
         let id = dm.spawn("a", EntityKind::Person, p(0.0, 0.0), t(1));
         dm.commit(t(1));
-        dm.update_position(id, p(1.0, 1.0), t(2)).unwrap();
+        dm.apply(&DurableOp::Position { id, position: p(1.0, 1.0), ts: t(2) }, None).unwrap();
         dm.wal.sync();
         let kept = dm.state_encoding();
         let at = dm.wal.encoded_len();
@@ -1399,14 +1288,15 @@ mod tests {
             for i in 0..24 {
                 dm.spawn(format!("troop{i}"), EntityKind::Person, p(i as f64, i as f64), t(1));
             }
-            dm.area_effect(
-                Space::Virtual,
-                "air_raid",
-                Aabb::new(p(0.0, 0.0), p(11.5, 11.5)),
-                "perish",
-                true,
-                t(2),
-            );
+            let raid = DurableOp::AreaEffect {
+                space: Space::Virtual,
+                effect: "air_raid".into(),
+                region: Aabb::new(p(0.0, 0.0), p(11.5, 11.5)),
+                action: "perish".into(),
+                retire: true,
+                ts: t(2),
+            };
+            dm.apply(&raid, None).unwrap();
             dm.commit(t(2));
             dm
         };

@@ -10,6 +10,7 @@
 //! physical actors.
 
 use crate::arena::{EntityArena, EntityRef};
+use crate::durable::DurableOp;
 use crate::entity::{Entity, EntityKind};
 use crate::events::{Command, CoEvent, EventBus, EventKind};
 use mv_common::geom::{Aabb, Point};
@@ -36,6 +37,21 @@ impl Default for SyncPolicy {
     }
 }
 
+/// What one applied [`DurableOp`] did — the outcome every layer's
+/// `apply` returns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// A spawn registered the entity with this id.
+    Spawned(EntityId),
+    /// A move or attribute write landed; `true` when a sync message
+    /// crossed the boundary.
+    Synced(bool),
+    /// A retire took the entity out of both spaces.
+    Retired,
+    /// An area effect relayed these commands, in id order.
+    Commands(Vec<Command>),
+}
+
 /// The co-space engine.
 pub struct Metaverse {
     policy: SyncPolicy,
@@ -59,6 +75,27 @@ fn space_slot(space: Space) -> usize {
         Space::Physical => 0,
         Space::Virtual => 1,
     }
+}
+
+/// The two indexes an entity whose authority is `auth` lives in: that
+/// space's truth index and the other space's twin index. Matched, not
+/// indexed, so the write and restore paths carry no panic-capable
+/// indexing.
+fn auth_indexes<'a>(
+    truth: &'a mut [GridIndex; 2],
+    twin: &'a mut [GridIndex; 2],
+    auth: Space,
+) -> (&'a mut GridIndex, &'a mut GridIndex) {
+    let ([truth_phys, truth_virt], [twin_phys, twin_virt]) = (truth, twin);
+    match auth {
+        Space::Physical => (truth_phys, twin_virt),
+        Space::Virtual => (truth_virt, twin_phys),
+    }
+}
+
+/// The refusal of a transaction record where an engine write belongs.
+pub(crate) fn not_a_write() -> MvError {
+    MvError::InvalidArgument("a transaction record commits through commit_txn".into())
 }
 
 /// Finish a probe: the hits of every shard and index, collected in one
@@ -124,14 +161,7 @@ impl Metaverse {
         let id = entity.id;
         let auth = entity.kind.authoritative_space();
         if !entity.retired {
-            // Matched, not indexed: snapshot restore comes through here,
-            // and its path carries no panic-capable indexing.
-            let ([truth_phys, truth_virt], [twin_phys, twin_virt]) =
-                (&mut self.truth_index, &mut self.twin_index);
-            let (truth, twin) = match auth {
-                Space::Physical => (truth_phys, twin_virt),
-                Space::Virtual => (truth_virt, twin_phys),
-            };
+            let (truth, twin) = auth_indexes(&mut self.truth_index, &mut self.twin_index, auth);
             truth.insert(id, entity.position);
             twin.insert(id, entity.twin_position);
         }
@@ -150,12 +180,32 @@ impl Metaverse {
         self.entities.live_count()
     }
 
-    /// Move an entity's ground truth (in its authoritative space). The
-    /// twin in the other space syncs only if the coherency bound is
-    /// violated. Returns true when a sync message crossed the boundary.
-    pub fn update_position(&mut self, id: EntityId, position: Point, now: SimTime) -> MvResult<bool> {
-        self.advance(now);
-        let policy = self.policy;
+    /// Apply one op: the single dispatch from a [`DurableOp`] onto the
+    /// typed writes below. A transaction record is not an engine write
+    /// (it commits through `DurableMetaverse::commit_txn`) and is refused
+    /// untouched.
+    pub fn apply(&mut self, op: &DurableOp) -> MvResult<Applied> {
+        match op {
+            DurableOp::Spawn { name, kind, position, ts } => {
+                Ok(Applied::Spawned(self.spawn(name.clone(), *kind, *position, *ts)))
+            }
+            DurableOp::Position { id, position, ts } => {
+                self.update_position(*id, *position, *ts).map(Applied::Synced)
+            }
+            DurableOp::Attr { id, name, value, ts } => {
+                self.update_attr(*id, name, *value, *ts).map(Applied::Synced)
+            }
+            DurableOp::Retire { id, ts } => self.retire(*id, *ts).map(|()| Applied::Retired),
+            DurableOp::AreaEffect { space, effect, region, action, retire, ts } => Ok(
+                Applied::Commands(self.area_effect(*space, effect, *region, action, *retire, *ts)),
+            ),
+            DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => Err(not_a_write()),
+        }
+    }
+
+    /// The slot of a live entity, or the refusal every write to an
+    /// unknown or retired entity returns.
+    pub(crate) fn live_slot(&self, id: EntityId) -> MvResult<u32> {
         let slot = self
             .entities
             .slot_of(id)
@@ -163,13 +213,23 @@ impl Metaverse {
         if self.entities.retired(slot) {
             return Err(MvError::IllegalState(format!("entity {id} is retired")));
         }
+        Ok(slot)
+    }
+
+    /// Move an entity's ground truth (in its authoritative space). The
+    /// twin in the other space syncs only if the coherency bound is
+    /// violated. Returns true when a sync message crossed the boundary.
+    pub fn update_position(&mut self, id: EntityId, position: Point, now: SimTime) -> MvResult<bool> {
+        self.advance(now);
+        let slot = self.live_slot(id)?;
         self.entities.set_position(slot, position);
         let auth = self.entities.kind(slot).authoritative_space();
-        self.truth_index[space_slot(auth)].update(id, position);
-        let diverged = self.entities.divergence(slot) > policy.position_bound;
+        let (truth, twin) = auth_indexes(&mut self.truth_index, &mut self.twin_index, auth);
+        truth.update(id, position);
+        let diverged = self.entities.divergence(slot) > self.policy.position_bound;
         if diverged {
             self.entities.set_twin_position(slot, position);
-            self.twin_index[space_slot(auth.other())].update(id, position);
+            twin.update(id, position);
             self.stats.incr("sync_msgs");
             self.bus.emit(now, auth.other(), Some(id), EventKind::TwinSynced);
         } else {
@@ -185,17 +245,10 @@ impl Metaverse {
     /// [`update_position`]: Metaverse::update_position
     pub fn update_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) -> MvResult<bool> {
         self.advance(now);
-        let policy = self.policy;
-        let slot = self
-            .entities
-            .slot_of(id)
-            .ok_or(MvError::not_found("entity", id.raw()))?;
-        if self.entities.retired(slot) {
-            return Err(MvError::IllegalState(format!("entity {id} is retired")));
-        }
+        let slot = self.live_slot(id)?;
         let old = self.entities.attr(slot, name);
         self.entities.set_attr(slot, name, value);
-        let relayed = (value - old).abs() > policy.attr_bound;
+        let relayed = (value - old).abs() > self.policy.attr_bound;
         if relayed {
             let auth = self.entities.kind(slot).authoritative_space();
             self.stats.incr("sync_msgs");
@@ -226,22 +279,6 @@ impl Metaverse {
         let mut ids = Vec::new();
         self.visible_into(space, area, &mut ids);
         sorted_distinct(ids)
-    }
-
-    /// Batched [`query_truth`]: element `i` equals
-    /// `query_truth(space, &areas[i])`.
-    ///
-    /// [`query_truth`]: Metaverse::query_truth
-    pub fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
-        areas.iter().map(|area| self.query_truth(space, area)).collect()
-    }
-
-    /// Batched [`query_visible`]: element `i` equals
-    /// `query_visible(space, &areas[i])`.
-    ///
-    /// [`query_visible`]: Metaverse::query_visible
-    pub fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
-        areas.iter().map(|area| self.query_visible(space, area)).collect()
     }
 
     /// Append `index`'s hits in `area` to `out`, unsorted. [`retire`]
@@ -293,11 +330,8 @@ impl Metaverse {
         self.note_area_effect(space, effect, region, now);
         let mut targets = Vec::new();
         self.twins_into(space, &region, &mut targets);
-        let mut commands = Vec::with_capacity(targets.len());
-        for id in sorted_distinct(targets) {
-            commands.push(self.relay_command(id, action, retire, now));
-        }
-        commands
+        let targets = sorted_distinct(targets).into_iter();
+        targets.filter_map(|id| self.relay_command(id, action, retire, now)).collect()
     }
 
     /// Record the area-effect fact on the timeline (first half of
@@ -317,11 +351,12 @@ impl Metaverse {
 
     /// Relay one area-effect command to a live entity owned by this
     /// engine, retiring it when requested (second half of
-    /// [`area_effect`]).
+    /// [`area_effect`]). Every target comes from a twin index, which
+    /// holds live entities only, so `None` (an unknown id) never happens.
     ///
     /// [`area_effect`]: Metaverse::area_effect
-    pub(crate) fn relay_command(&mut self, id: EntityId, action: &str, retire: bool, now: SimTime) -> Command {
-        let slot = self.entities.slot_of(id).expect("affected twin is registered");
+    pub(crate) fn relay_command(&mut self, id: EntityId, action: &str, retire: bool, now: SimTime) -> Option<Command> {
+        let slot = self.entities.slot_of(id)?;
         let target_space = self.entities.kind(slot).authoritative_space();
         let command = Command {
             target_space,
@@ -331,9 +366,10 @@ impl Metaverse {
         };
         self.stats.incr("commands");
         if retire {
-            self.retire(id, now).expect("entity exists and is live");
+            let retired = self.retire(id, now);
+            debug_assert!(retired.is_ok(), "an area-effect target is live");
         }
-        command
+        Some(command)
     }
 
     /// Retire an entity from both spaces.
@@ -348,8 +384,9 @@ impl Metaverse {
         }
         self.entities.retire(slot);
         let auth = self.entities.kind(slot).authoritative_space();
-        self.truth_index[space_slot(auth)].remove(id);
-        self.twin_index[space_slot(auth.other())].remove(id);
+        let (truth, twin) = auth_indexes(&mut self.truth_index, &mut self.twin_index, auth);
+        truth.remove(id);
+        twin.remove(id);
         self.bus.emit(now, auth, Some(id), EventKind::Retired);
         Ok(())
     }

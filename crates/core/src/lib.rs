@@ -16,7 +16,8 @@
 //! * [`engine`] — [`engine::Metaverse`]: entity registry, one spatial
 //!   index per space, coherency-bounded twin synchronization
 //!   (physical→virtual, §IV-C), virtual→physical command relay, and
-//!   divergence accounting;
+//!   divergence accounting; `Metaverse::apply` is the one dispatch from
+//!   a [`DurableOp`] onto those writes, which every layer routes to;
 //! * [`interest`] — per-user area-of-interest management so each user's
 //!   update stream scales with local density, not world population (the
 //!   MMO "consistency across multiple virtual views" problem);
@@ -59,7 +60,7 @@ pub use arena::{EntityArena, EntityRef};
 pub use durable::{DurableMetaverse, DurableOp};
 pub use replicated::{RegionConfig, ReplicatedMetaverse};
 pub use txn::{MetaTxn, TxnCrashPoint};
-pub use engine::{Metaverse, SyncPolicy};
+pub use engine::{Applied, Metaverse, SyncPolicy};
 pub use entity::{Entity, EntityKind};
 pub use events::{Command, CoEvent, EventKind};
 pub use interest::{InterestManager, InterestUpdate};

@@ -6,18 +6,20 @@
 //! (2) a seeded generator producing arbitrary-but-valid op sequences
 //! (slots reference previously spawned entities, so error paths like
 //! "move a retired entity" arise organically), and (3) a [`CoSpace`]
-//! facade implemented by both [`Metaverse`] and [`ShardedMetaverse`] so
-//! one replay loop drives either engine and yields comparable
-//! fingerprints. `tests/sharded_differential.rs` is the consumer.
+//! facade implemented by [`Metaverse`], [`ShardedMetaverse`] and
+//! [`DurableMetaverse`] so one replay loop drives any engine — each
+//! write a [`DurableOp`] through the engine's one `apply` — and yields
+//! comparable fingerprints. `tests/sharded_differential.rs` is the
+//! consumer.
 
-use crate::engine::Metaverse;
+use crate::durable::{DurableMetaverse, DurableOp};
+use crate::engine::{Applied, Metaverse};
 use crate::entity::EntityKind;
-use crate::events::{CoEvent, Command};
+use crate::events::CoEvent;
 use crate::sharded::{ShardedMetaverse, WriteOp};
 use mv_common::geom::{Aabb, Point};
 use mv_common::hash::FxHasher;
 use mv_common::id::EntityId;
-use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
 use mv_common::{MvResult, Space};
 use rand::rngs::StdRng;
@@ -143,71 +145,57 @@ pub fn gen_ops(rng: &mut StdRng, count: usize, world: f64) -> Vec<Op> {
     ops
 }
 
-/// The engine surface the replayer drives — implemented by the
-/// sequential [`Metaverse`] and the [`ShardedMetaverse`], which is the
-/// whole point: one op sequence, two engines, comparable outcomes.
+impl Op {
+    /// The write this op makes at `ts`, its slots resolved against the
+    /// spawned `ids`; `None` for a query.
+    fn write(&self, ids: &[EntityId], ts: SimTime) -> Option<DurableOp> {
+        Some(match self {
+            Op::Spawn { name, kind, position } => {
+                DurableOp::Spawn { name: name.clone(), kind: *kind, position: *position, ts }
+            }
+            Op::Move { slot, position } => DurableOp::Position { id: ids[*slot], position: *position, ts },
+            Op::Attr { slot, name, value } => {
+                DurableOp::Attr { id: ids[*slot], name: name.clone(), value: *value, ts }
+            }
+            Op::Retire { slot } => DurableOp::Retire { id: ids[*slot], ts },
+            Op::AreaEffect { space, effect, region, action, retire } => DurableOp::AreaEffect {
+                space: *space,
+                effect: effect.clone(),
+                region: *region,
+                action: action.clone(),
+                retire: *retire,
+                ts,
+            },
+            Op::QueryTruth { .. } | Op::QueryVisible { .. } => return None,
+        })
+    }
+}
+
+/// The engine surface the replayer drives — one write entry point and
+/// the probes — implemented by the sequential [`Metaverse`], the
+/// [`ShardedMetaverse`] and the [`DurableMetaverse`], which is the whole
+/// point: one op sequence, several engines, comparable outcomes.
 pub trait CoSpace {
-    /// Register an entity.
-    fn spawn(&mut self, name: &str, kind: EntityKind, position: Point, now: SimTime) -> EntityId;
-    /// Move ground truth.
-    fn update_position(&mut self, id: EntityId, position: Point, now: SimTime) -> MvResult<bool>;
-    /// Write an attribute.
-    fn update_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) -> MvResult<bool>;
-    /// Retire an entity.
-    fn retire(&mut self, id: EntityId, now: SimTime) -> MvResult<()>;
-    /// Raise an area effect.
-    fn area_effect(
-        &mut self,
-        space: Space,
-        effect: &str,
-        region: Aabb,
-        action: &str,
-        retire: bool,
-        now: SimTime,
-    ) -> Vec<Command>;
+    /// Apply one write: the engine's one write entry point.
+    fn apply(&mut self, op: &DurableOp) -> MvResult<Applied>;
     /// Ground-truth range query.
     fn query_truth(&self, space: Space, area: &Aabb) -> Vec<EntityId>;
     /// Visible-set range query.
     fn query_visible(&self, space: Space, area: &Aabb) -> Vec<EntityId>;
-    /// Batched [`CoSpace::query_truth`].
-    fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>>;
-    /// Batched [`CoSpace::query_visible`].
-    fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>>;
-    /// Mean live twin divergence.
-    fn mean_divergence(&self) -> f64;
-    /// Max live twin divergence.
-    fn max_divergence(&self) -> f64;
-    /// Live entity count.
-    fn live_count(&self) -> usize;
-    /// Counter totals.
-    fn counters(&self) -> Counters;
-    /// Drain the event log.
-    fn drain_events(&mut self) -> Vec<CoEvent>;
+    /// Batched [`CoSpace::query_truth`]: one single probe per area,
+    /// unless the engine has a batch form of its own.
+    fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        areas.iter().map(|area| self.query_truth(space, area)).collect()
+    }
+    /// Batched [`CoSpace::query_visible`] (as [`CoSpace::query_truth_batch`]).
+    fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        areas.iter().map(|area| self.query_visible(space, area)).collect()
+    }
 }
 
 impl CoSpace for Metaverse {
-    fn spawn(&mut self, name: &str, kind: EntityKind, position: Point, now: SimTime) -> EntityId {
-        Metaverse::spawn(self, name, kind, position, now)
-    }
-    fn update_position(&mut self, id: EntityId, position: Point, now: SimTime) -> MvResult<bool> {
-        Metaverse::update_position(self, id, position, now)
-    }
-    fn update_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) -> MvResult<bool> {
-        Metaverse::update_attr(self, id, name, value, now)
-    }
-    fn retire(&mut self, id: EntityId, now: SimTime) -> MvResult<()> {
-        Metaverse::retire(self, id, now)
-    }
-    fn area_effect(
-        &mut self,
-        space: Space,
-        effect: &str,
-        region: Aabb,
-        action: &str,
-        retire: bool,
-        now: SimTime,
-    ) -> Vec<Command> {
-        Metaverse::area_effect(self, space, effect, region, action, retire, now)
+    fn apply(&mut self, op: &DurableOp) -> MvResult<Applied> {
+        Metaverse::apply(self, op)
     }
     fn query_truth(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
         Metaverse::query_truth(self, space, area)
@@ -215,52 +203,11 @@ impl CoSpace for Metaverse {
     fn query_visible(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
         Metaverse::query_visible(self, space, area)
     }
-    fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
-        Metaverse::query_truth_batch(self, space, areas)
-    }
-    fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
-        Metaverse::query_visible_batch(self, space, areas)
-    }
-    fn mean_divergence(&self) -> f64 {
-        Metaverse::mean_divergence(self)
-    }
-    fn max_divergence(&self) -> f64 {
-        Metaverse::max_divergence(self)
-    }
-    fn live_count(&self) -> usize {
-        Metaverse::live_count(self)
-    }
-    fn counters(&self) -> Counters {
-        self.stats.clone()
-    }
-    fn drain_events(&mut self) -> Vec<CoEvent> {
-        Metaverse::drain_events(self)
-    }
 }
 
 impl CoSpace for ShardedMetaverse {
-    fn spawn(&mut self, name: &str, kind: EntityKind, position: Point, now: SimTime) -> EntityId {
-        ShardedMetaverse::spawn(self, name, kind, position, now)
-    }
-    fn update_position(&mut self, id: EntityId, position: Point, now: SimTime) -> MvResult<bool> {
-        ShardedMetaverse::update_position(self, id, position, now)
-    }
-    fn update_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) -> MvResult<bool> {
-        ShardedMetaverse::update_attr(self, id, name, value, now)
-    }
-    fn retire(&mut self, id: EntityId, now: SimTime) -> MvResult<()> {
-        ShardedMetaverse::retire(self, id, now)
-    }
-    fn area_effect(
-        &mut self,
-        space: Space,
-        effect: &str,
-        region: Aabb,
-        action: &str,
-        retire: bool,
-        now: SimTime,
-    ) -> Vec<Command> {
-        ShardedMetaverse::area_effect(self, space, effect, region, action, retire, now)
+    fn apply(&mut self, op: &DurableOp) -> MvResult<Applied> {
+        ShardedMetaverse::apply(self, op)
     }
     fn query_truth(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
         ShardedMetaverse::query_truth(self, space, area)
@@ -274,20 +221,25 @@ impl CoSpace for ShardedMetaverse {
     fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
         ShardedMetaverse::query_visible_batch(self, space, areas)
     }
-    fn mean_divergence(&self) -> f64 {
-        ShardedMetaverse::mean_divergence(self)
+}
+
+/// Writes are logged ([`DurableMetaverse::apply`]); reads go to the
+/// engine.
+impl CoSpace for DurableMetaverse {
+    fn apply(&mut self, op: &DurableOp) -> MvResult<Applied> {
+        DurableMetaverse::apply(self, op, None)
     }
-    fn max_divergence(&self) -> f64 {
-        ShardedMetaverse::max_divergence(self)
+    fn query_truth(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
+        self.engine().query_truth(space, area)
     }
-    fn live_count(&self) -> usize {
-        ShardedMetaverse::live_count(self)
+    fn query_visible(&self, space: Space, area: &Aabb) -> Vec<EntityId> {
+        self.engine().query_visible(space, area)
     }
-    fn counters(&self) -> Counters {
-        self.stats()
+    fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        self.engine().query_truth_batch(space, areas)
     }
-    fn drain_events(&mut self) -> Vec<CoEvent> {
-        ShardedMetaverse::drain_events(self)
+    fn query_visible_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+        self.engine().query_visible_batch(space, areas)
     }
 }
 
@@ -310,39 +262,54 @@ fn query_fp<E: CoSpace>(engine: &E, seen: &mut Vec<Aabb>, visible: bool, space: 
     format!("{tag} {single:?} batch {:016x}", digest.finish())
 }
 
-/// Replay `ops` against an engine; op `i` happens at `t = i` ms. Every
-/// op's observable outcome (return value, query result, command list)
-/// is rendered to a fingerprint string, so two replays are equivalent
-/// iff their fingerprint vectors are equal — and a mismatch pinpoints
-/// the first diverging op.
-pub fn replay<E: CoSpace>(engine: &mut E, ops: &[Op]) -> Vec<String> {
-    let mut ids: Vec<EntityId> = Vec::new();
-    let mut seen: Vec<Aabb> = Vec::new();
-    let mut out = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let now = SimTime::from_millis(i as u64);
-        let fp = match op {
-            Op::Spawn { name, kind, position } => {
-                let id = engine.spawn(name, *kind, *position, now);
-                ids.push(id);
-                format!("spawn {id:?}")
-            }
-            Op::Move { slot, position } => {
-                format!("move {:?}", engine.update_position(ids[*slot], *position, now))
-            }
-            Op::Attr { slot, name, value } => {
-                format!("attr {:?}", engine.update_attr(ids[*slot], name, *value, now))
-            }
-            Op::Retire { slot } => format!("retire {:?}", engine.retire(ids[*slot], now)),
-            Op::AreaEffect { space, effect, region, action, retire } => {
-                format!("effect {:?}", engine.area_effect(*space, effect, *region, action, *retire, now))
-            }
-            Op::QueryTruth { space, area } => query_fp(engine, &mut seen, false, *space, area),
-            Op::QueryVisible { space, area } => query_fp(engine, &mut seen, true, *space, area),
-        };
-        out.push(fp);
+/// A replay in progress: the ids spawns returned and the areas probed
+/// so far, and the index of the next op (op `i` happens at `t = i` ms).
+/// A script replayed in pieces renders what one run renders — on one
+/// engine, or on an engine restored between the pieces and driven by a
+/// clone of this state.
+#[derive(Debug, Clone, Default)]
+pub struct Replay {
+    ids: Vec<EntityId>,
+    seen: Vec<Aabb>,
+    next: u64,
+}
+
+impl Replay {
+    /// Replay `ops` against an engine: every op's observable outcome
+    /// (the write's `apply` result, the query's result) is rendered to a
+    /// fingerprint string, so two replays are equivalent iff their
+    /// fingerprint vectors are equal — and a mismatch pinpoints the first
+    /// diverging op.
+    pub fn run<E: CoSpace>(&mut self, engine: &mut E, ops: &[Op]) -> Vec<String> {
+        ops.iter().map(|op| self.step(engine, op)).collect()
     }
-    out
+
+    /// The time of the next op, and advance past it.
+    fn tick(&mut self) -> SimTime {
+        self.next += 1;
+        SimTime::from_millis(self.next - 1)
+    }
+
+    /// One op's fingerprint; a spawn's id joins the slot table.
+    fn step<E: CoSpace>(&mut self, engine: &mut E, op: &Op) -> String {
+        let now = self.tick();
+        match op {
+            Op::QueryTruth { space, area } => query_fp(engine, &mut self.seen, false, *space, area),
+            Op::QueryVisible { space, area } => query_fp(engine, &mut self.seen, true, *space, area),
+            write => {
+                let applied = engine.apply(&write.write(&self.ids, now).expect("not a query"));
+                if let Ok(Applied::Spawned(id)) = &applied {
+                    self.ids.push(*id);
+                }
+                format!("{applied:?}")
+            }
+        }
+    }
+}
+
+/// Replay `ops` against a fresh engine (see [`Replay::run`]).
+pub fn replay<E: CoSpace>(engine: &mut E, ops: &[Op]) -> Vec<String> {
+    Replay::default().run(engine, ops)
 }
 
 /// Replay for the sharded engine with consecutive `Move`/`Attr` ops
@@ -352,8 +319,7 @@ pub fn replay<E: CoSpace>(engine: &mut E, ops: &[Op]) -> Vec<String> {
 /// batch results come back in submission order.
 pub fn replay_batched(engine: &mut ShardedMetaverse, ops: &[Op], max_batch: usize) -> Vec<String> {
     assert!(max_batch > 0, "batch size must be positive");
-    let mut ids: Vec<EntityId> = Vec::new();
-    let mut seen: Vec<Aabb> = Vec::new();
+    let mut script = Replay::default();
     let mut out: Vec<Option<String>> = vec![None; ops.len()];
     let mut batch: Vec<(usize, WriteOp)> = Vec::new();
     let flush = |engine: &mut ShardedMetaverse, batch: &mut Vec<(usize, WriteOp)>, out: &mut Vec<Option<String>>| {
@@ -361,43 +327,23 @@ pub fn replay_batched(engine: &mut ShardedMetaverse, ops: &[Op], max_batch: usiz
             return;
         }
         let write_ops: Vec<WriteOp> = batch.iter().map(|(_, w)| w.clone()).collect();
-        for ((i, w), result) in batch.drain(..).zip(engine.apply_batch(&write_ops)) {
-            let tag = match w {
-                WriteOp::Position { .. } => "move",
-                WriteOp::Attr { .. } => "attr",
-            };
-            out[i] = Some(format!("{tag} {result:?}"));
+        for ((i, _), result) in batch.drain(..).zip(engine.apply_batch(&write_ops)) {
+            out[i] = Some(format!("{:?}", result.map(Applied::Synced)));
         }
     };
     for (i, op) in ops.iter().enumerate() {
-        let now = SimTime::from_millis(i as u64);
         match op {
             Op::Move { slot, position } => {
-                batch.push((i, WriteOp::Position { id: ids[*slot], position: *position, ts: now }));
+                let (id, ts) = (script.ids[*slot], script.tick());
+                batch.push((i, WriteOp::Position { id, position: *position, ts }));
             }
             Op::Attr { slot, name, value } => {
-                batch.push((i, WriteOp::Attr { id: ids[*slot], name: name.clone(), value: *value, ts: now }));
+                let (id, ts) = (script.ids[*slot], script.tick());
+                batch.push((i, WriteOp::Attr { id, name: name.clone(), value: *value, ts }));
             }
             other => {
                 flush(engine, &mut batch, &mut out);
-                let fp = match other {
-                    Op::Spawn { name, kind, position } => {
-                        let id = engine.spawn(name.as_str(), *kind, *position, now);
-                        ids.push(id);
-                        format!("spawn {id:?}")
-                    }
-                    Op::Retire { slot } => format!("retire {:?}", engine.retire(ids[*slot], now)),
-                    Op::AreaEffect { space, effect, region, action, retire } => {
-                        format!(
-                            "effect {:?}",
-                            engine.area_effect(*space, effect, *region, action, *retire, now)
-                        )
-                    }
-                    Op::QueryTruth { space, area } => query_fp(engine, &mut seen, false, *space, area),
-                    Op::QueryVisible { space, area } => query_fp(engine, &mut seen, true, *space, area),
-                    Op::Move { .. } | Op::Attr { .. } => unreachable!("batched above"),
-                };
-                out[i] = Some(fp);
+                out[i] = Some(script.step(engine, other));
             }
         }
         if batch.len() >= max_batch {
@@ -500,7 +446,7 @@ mod tests {
         let mut mv = Metaverse::with_defaults();
         let ops = gen_ops(&mut seeded_rng(11), 60, 100.0);
         replay(&mut mv, &ops);
-        let events = CoSpace::drain_events(&mut mv);
+        let events = mv.drain_events();
         let mut reversed = events.clone();
         reversed.reverse();
         assert_eq!(canonical_log(&events), canonical_log(&reversed));

@@ -73,16 +73,12 @@ impl MetaverseSm {
     /// Apply one committed command to the engine alone: the raft log is
     /// the replica's recovery source, so its own WAL stays empty, and a
     /// replica runs no transactions, so it keeps no version chains — its
-    /// snapshots carry no heads to walk. Unknown/transactional frames are
-    /// refused (`false`) — the replicated log carries only plain ops.
+    /// snapshots carry no heads to walk. `false` when the engine refused
+    /// the command, or it does not decode; the engine refuses
+    /// transactional frames untouched — the replicated log carries only
+    /// plain ops.
     fn apply(&mut self, cmd: &[u8]) -> bool {
-        match DurableOp::decode(cmd) {
-            Some(DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. }) | None => false,
-            Some(op) => {
-                DurableMetaverse::replay(&mut self.dm, &op);
-                true
-            }
-        }
+        DurableOp::decode(cmd).is_some_and(|op| self.dm.replay(&op).is_ok())
     }
 
     /// The engine's checkpoint image.
@@ -798,7 +794,8 @@ mod tests {
         let mut source = DurableMetaverse::with_defaults(2);
         let t = SimTime::from_millis;
         let ids: Vec<_> = (0..4).map(|i| source.spawn(format!("e{i}"), EntityKind::Avatar, Point::ORIGIN, t(1))).collect();
-        source.update_position(ids[0], Point::new(3.0, 4.0), t(2)).unwrap();
+        let moved = DurableOp::Position { id: ids[0], position: Point::new(3.0, 4.0), ts: t(2) };
+        source.apply(&moved, None).unwrap();
         source.update_attr(ids[1], "hp", 0.5, t(2)).unwrap();
         let mut txn = source.txn(t(3));
         txn.write_attr(ids[2], "gold", 9.0, t(3));

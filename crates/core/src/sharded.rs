@@ -30,15 +30,16 @@
 //! [`GridIndex`]: mv_spatial::GridIndex
 
 use crate::arena::EntityRef;
-use crate::engine::{sorted_distinct, Metaverse, SyncPolicy};
+use crate::durable::DurableOp;
+use crate::engine::{not_a_write, sorted_distinct, Applied, Metaverse, SyncPolicy};
 use crate::entity::{Entity, EntityKind};
-use crate::events::{CoEvent, Command};
+use crate::events::CoEvent;
 use mv_common::geom::{Aabb, Point};
 use mv_common::id::{EntityId, EventId, IdGen};
 use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
 use mv_common::Space;
-use mv_common::MvResult;
+use mv_common::{MvError, MvResult};
 use mv_obs::SharedTracer;
 use std::time::Instant;
 
@@ -169,8 +170,7 @@ impl ShardedMetaverse {
         mv.next_event = next_event;
         mv.ids = IdGen::starting_at(entities.len() as u64);
         for entity in entities {
-            let owner = mv.owner(entity.id);
-            if let Some(shard) = mv.shards.get_mut(owner) {
+            if let Ok(shard) = mv.owner_shard(entity.id) {
                 shard.insert_prebuilt(entity, clock);
             }
         }
@@ -229,21 +229,50 @@ impl ShardedMetaverse {
         shard_of(id, self.shards.len())
     }
 
-    /// Register an entity. Ids are allocated by a single global
-    /// generator, so spawn order yields the same dense ids the
-    /// sequential engine would assign.
-    pub fn spawn(
-        &mut self,
-        name: impl Into<String>,
-        kind: EntityKind,
-        position: Point,
-        now: SimTime,
-    ) -> EntityId {
-        self.advance(now);
-        let id: EntityId = self.ids.next();
+    /// The shard that owns `id`. Always present (`shard_of` is taken
+    /// mod the shard count); looked up, not indexed, because recovery
+    /// applies through here.
+    fn owner_shard(&mut self, id: EntityId) -> MvResult<&mut Metaverse> {
         let owner = self.owner(id);
-        self.shards[owner].insert_prebuilt(Entity::new(id, name, kind, position), now);
-        id
+        self.shards.get_mut(owner).ok_or(MvError::not_found("entity", id.raw()))
+    }
+
+    /// Apply one op. A spawn takes its id from the global generator, so
+    /// spawn order yields the dense ids the sequential engine assigns; an
+    /// area effect scans every shard's twin index for targets, then
+    /// commands (and retires) each through its owner shard in id order —
+    /// the commands the sequential engine emits; every other op goes to
+    /// its owner shard's [`Metaverse::apply`].
+    pub fn apply(&mut self, op: &DurableOp) -> MvResult<Applied> {
+        match op {
+            DurableOp::Spawn { name, kind, position, ts } => {
+                self.advance(*ts);
+                let id: EntityId = self.ids.next();
+                if let Ok(shard) = self.owner_shard(id) {
+                    shard.insert_prebuilt(Entity::new(id, name.clone(), *kind, *position), *ts);
+                }
+                Ok(Applied::Spawned(id))
+            }
+            DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
+                self.advance(*ts);
+                // The area-effect fact is a global (entity-less) event;
+                // record it once. Shard 0 hosts globals so the merged log
+                // sees it exactly once, like the sequential engine's does.
+                if let Some(first) = self.shards.first_mut() {
+                    first.note_area_effect(*space, effect, *region, *ts);
+                }
+                let targets = self.probe(|shard, ids| shard.twins_into(*space, region, ids));
+                let commands = targets.into_iter().filter_map(|id| {
+                    self.owner_shard(id).ok()?.relay_command(id, action, *retire, *ts)
+                });
+                Ok(Applied::Commands(commands.collect()))
+            }
+            _ => {
+                let id = op.entity().ok_or_else(not_a_write)?;
+                self.advance(op.ts());
+                self.owner_shard(id)?.apply(op)
+            }
+        }
     }
 
     /// Register many entities at once: ids are assigned in input order
@@ -281,7 +310,8 @@ impl ShardedMetaverse {
     /// order) and the shard queues run on scoped threads. Returns one
     /// result per op, in input order, identical to applying the ops
     /// one-by-one on the sequential engine: `Ok(synced)` or the
-    /// per-entity error.
+    /// per-entity error. Each op is lifted to its logged form and applied
+    /// through [`Metaverse::apply`].
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
         let n = self.shards.len();
         if let Some(max_ts) = ops.iter().map(WriteOp::ts).max() {
@@ -307,7 +337,8 @@ impl ShardedMetaverse {
             let out: Vec<(usize, MvResult<bool>)> = queue
                 .iter()
                 // lint:allow(panic-path): queue indices were produced by enumerating this same ops slice above
-                .map(|&i| (i, Self::apply_one(shard, &ops[i])))
+                .map(|&i| (i, DurableOp::from_write(&ops[i])))
+                .map(|(i, op)| (i, shard.apply(&op).map(|applied| applied == Applied::Synced(true))))
                 .collect();
             (out, t0.elapsed().as_secs_f64())
         };
@@ -349,32 +380,11 @@ impl ShardedMetaverse {
             .collect()
     }
 
-    fn apply_one(shard: &mut Metaverse, op: &WriteOp) -> MvResult<bool> {
-        match op {
-            WriteOp::Position { id, position, ts } => shard.update_position(*id, *position, *ts),
-            WriteOp::Attr { id, name, value, ts } => shard.update_attr(*id, name, *value, *ts),
-        }
-    }
-
-    /// Move one entity's ground truth (routes to the owner shard).
-    pub fn update_position(&mut self, id: EntityId, position: Point, now: SimTime) -> MvResult<bool> {
-        self.advance(now);
-        let owner = self.owner(id);
-        self.shards[owner].update_position(id, position, now)
-    }
-
-    /// Update one entity's attribute (routes to the owner shard).
-    pub fn update_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) -> MvResult<bool> {
-        self.advance(now);
-        let owner = self.owner(id);
-        self.shards[owner].update_attr(id, name, value, now)
-    }
-
-    /// Retire an entity from both spaces (routes to the owner shard).
-    pub fn retire(&mut self, id: EntityId, now: SimTime) -> MvResult<()> {
-        self.advance(now);
-        let owner = self.owner(id);
-        self.shards[owner].retire(id, now)
+    /// `Ok` when `id` names a live entity, else the refusal a write to
+    /// it gets (what a transaction checks its writes against).
+    pub(crate) fn live(&self, id: EntityId) -> MvResult<()> {
+        let shard = self.shards.get(self.owner(id)).ok_or(MvError::not_found("entity", id.raw()))?;
+        shard.live_slot(id).map(drop)
     }
 
     /// Access an entity as a borrowed column view (routes to the owner
@@ -460,33 +470,6 @@ impl ShardedMetaverse {
         self.probe_batch(areas, |area| self.query_visible(space, area))
     }
 
-    /// Raise an area effect in `space`: the target scan visits every
-    /// shard's twin index, then each victim is commanded/retired
-    /// through its owner shard, in id order — the same commands (same
-    /// order) the sequential engine emits.
-    pub fn area_effect(
-        &mut self,
-        space: Space,
-        effect: &str,
-        region: Aabb,
-        action: &str,
-        retire: bool,
-        now: SimTime,
-    ) -> Vec<Command> {
-        self.advance(now);
-        // The area-effect fact is a global (entity-less) event; record it
-        // once. Shard 0 hosts globals so the merged log sees it exactly
-        // once, like the sequential engine's log does.
-        self.shards[0].note_area_effect(space, effect, region, now);
-        self.probe(|shard, ids| shard.twins_into(space, &region, ids))
-            .into_iter()
-            .map(|id| {
-                let owner = self.owner(id);
-                self.shards[owner].relay_command(id, action, retire, now)
-            })
-            .collect()
-    }
-
     /// Mean twin divergence over live entities across all shards.
     pub fn mean_divergence(&self) -> f64 {
         let (sum, count) = self
@@ -567,9 +550,42 @@ impl ShardedMetaverse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::Command;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// The typed writes these tests drive, each one call into
+    /// [`ShardedMetaverse::apply`].
+    trait TypedWrites {
+        fn spawn(&mut self, name: impl Into<String>, kind: EntityKind, position: Point, ts: SimTime) -> EntityId;
+        fn update_position(&mut self, id: EntityId, position: Point, ts: SimTime) -> MvResult<Applied>;
+        fn retire(&mut self, id: EntityId, ts: SimTime) -> MvResult<Applied>;
+        fn area_effect(&mut self, space: Space, region: Aabb, ts: SimTime) -> Vec<Command>;
+    }
+
+    impl TypedWrites for ShardedMetaverse {
+        fn spawn(&mut self, name: impl Into<String>, kind: EntityKind, position: Point, ts: SimTime) -> EntityId {
+            match self.apply(&DurableOp::Spawn { name: name.into(), kind, position, ts }) {
+                Ok(Applied::Spawned(id)) => id,
+                other => panic!("a spawn returned {other:?}"),
+            }
+        }
+        fn update_position(&mut self, id: EntityId, position: Point, ts: SimTime) -> MvResult<Applied> {
+            self.apply(&DurableOp::Position { id, position, ts })
+        }
+        fn retire(&mut self, id: EntityId, ts: SimTime) -> MvResult<Applied> {
+            self.apply(&DurableOp::Retire { id, ts })
+        }
+        /// A retiring "raid" relaying "perish".
+        fn area_effect(&mut self, space: Space, region: Aabb, ts: SimTime) -> Vec<Command> {
+            let (effect, action) = ("raid".to_string(), "perish".to_string());
+            match self.apply(&DurableOp::AreaEffect { space, effect, region, action, retire: true, ts }) {
+                Ok(Applied::Commands(commands)) => commands,
+                other => panic!("an area effect returned {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -659,7 +675,7 @@ mod tests {
                 .map(|&id| WriteOp::Position { id, position: Point::new(50.0, 50.0), ts: t(1) })
                 .collect();
             mv.apply_batch(&ops);
-            mv.area_effect(Space::Virtual, "raid", Aabb::centered(Point::new(50.0, 50.0), 10.0), "perish", true, t(2));
+            mv.area_effect(Space::Virtual, Aabb::centered(Point::new(50.0, 50.0), 10.0), t(2));
             format!("{:?}", mv.drain_events())
         };
         let first = run();

@@ -30,9 +30,10 @@
 //! byte-identical recovery.
 //!
 //! Plain (non-transactional) writes share the version store: every
-//! engine-accepted `update_attr`/`update_position`/`apply_batch` write
-//! installs a single-op committed version at a fresh oracle timestamp,
-//! live and on recovery alike — a transactional snapshot can never
+//! engine-accepted move or attribute write (`DurableMetaverse::apply`,
+//! `update_attr`, `apply_batch`) installs a single-op committed version
+//! at a fresh oracle timestamp, live and on recovery alike — a
+//! transactional snapshot can never
 //! observe a torn read from a bypassing write (the anomaly DESIGN.md
 //! §10 used to document). While no snapshot is live, that version
 //! replaces the key's head instead of lengthening its chain, so plain
@@ -51,16 +52,15 @@
 //! the transaction wrote, whatever the size of the store.
 
 use crate::arena::EntityRef;
-use crate::durable::{put_chunk, put_u32, put_u64, DurableMetaverse, DurableOp};
+use crate::durable::{DurableMetaverse, DurableOp};
 use crate::entity::Entity;
 use bytes::Bytes;
 use mv_common::geom::Point;
-use mv_common::codec::wire_u32;
-use mv_common::id::EntityId;
+use mv_common::codec::{put_chunk, put_u32, put_u64, wire_u32, SliceReader};
+use mv_common::id::{EntityId, TxnId};
 use mv_common::time::SimTime;
 use mv_common::{MvError, MvResult};
 use mv_obs::{StatSet, TraceCtx};
-use mv_storage::codec::SliceReader;
 use mv_txn::mvcc::Transaction;
 use mv_txn::{IsolationLevel, ShardedMvcc};
 use std::collections::BTreeMap;
@@ -155,7 +155,8 @@ type Head<'a> = (u64, &'a Bytes);
 /// order of the engine's own entity list — per entity in id order, its
 /// position, then each attribute in name order — so no key is sorted. A
 /// head is absent, equal to the field the engine holds (timestamp only),
-/// or spelled out (a transaction wrote an entity the engine had retired).
+/// or spelled out (a committed transaction in a hand-written log wrote an
+/// entity the engine had retired; `commit_txn` refuses that write).
 /// Chains under no entity field follow in key order. One walk of the
 /// store buckets the heads by entity for the image's pass over them.
 pub(crate) struct Heads<'a> {
@@ -438,9 +439,10 @@ impl DurableMetaverse {
     }
 
     /// Commit `txn` with cross-shard 2PC (see the module docs). Returns
-    /// the commit timestamp; [`MvError::Conflict`] aborts the
-    /// transaction cleanly (nothing logged, nothing applied, no locks
-    /// left behind).
+    /// the commit timestamp. A write to an unknown or retired entity
+    /// aborts the transaction with the error the plain write would
+    /// return, and [`MvError::Conflict`] aborts it too — cleanly, either
+    /// way: nothing logged, nothing applied, no locks left behind.
     pub fn commit_txn(&mut self, txn: MetaTxn, now: SimTime) -> MvResult<u64> {
         // `None` only happens when a crash point fires; there is none.
         self.commit_txn_crashing(txn, now, None).map(|ts| ts.unwrap_or(0))
@@ -458,6 +460,13 @@ impl DurableMetaverse {
     ) -> MvResult<Option<u64>> {
         let MetaTxn { inner, ops, root } = txn;
         let txn_id = inner.id;
+        // Phase 0: every write must be one the engine accepts, checked
+        // before any lock or log record — the plain path's refusal.
+        let refused = ops.iter().filter_map(DurableOp::entity).find_map(|id| self.engine.live(id).err());
+        if let Some(e) = refused {
+            self.end_aborted(txn_id, root, now, "aborted_refused");
+            return Err(e);
+        }
         let crashed = move |dm: &mut Self, root: Option<TraceCtx>| {
             // The snapshot is retired even on a simulated process kill:
             // recovery rebuilds `TxnState` wholesale, but the surviving
@@ -491,13 +500,7 @@ impl DurableMetaverse {
                         tr.close(s, now, "conflict");
                     }
                     self.txns.mvcc.release(txn_id, parts.get(..i).unwrap_or(&[]));
-                    self.txns.mvcc.finish(txn_id);
-                    self.txns.auto_gc();
-                    self.txns.stats.incr("aborted_conflict");
-                    if let (Some(tr), Some(c)) = (&self.tracer, root) {
-                        tr.event(c, "txn.abort", now, "conflict");
-                        tr.close(c.span, now, "aborted");
-                    }
+                    self.end_aborted(txn_id, root, now, "aborted_conflict");
                     return Err(e);
                 }
             }
@@ -511,7 +514,7 @@ impl DurableMetaverse {
         let prepares = self.prepare_records(txn_id.raw(), ops, now);
         let write_shards = prepares.len();
         for (logged, prepare) in prepares.iter().enumerate() {
-            self.log(prepare);
+            self.log(prepare, None);
             self.txns.stats.incr("prepares_logged");
             if crash == Some(TxnCrashPoint::AfterPrepare(logged + 1)) {
                 return crashed(self, root);
@@ -528,12 +531,8 @@ impl DurableMetaverse {
         // Phase 2: the decision. Its sync is the commit point.
         let commit_ts = self.txns.mvcc.oracle().next(now);
         if write_shards > 0 {
-            self.log(&DurableOp::TxnDecision {
-                txn: txn_id.raw(),
-                commit: true,
-                commit_ts,
-                ts: now,
-            });
+            let decision = DurableOp::TxnDecision { txn: txn_id.raw(), commit: true, commit_ts, ts: now };
+            self.log(&decision, None);
             self.txns.stats.incr("decisions_logged");
             if crash == Some(TxnCrashPoint::AfterDecisionAppend) {
                 return crashed(self, root);
@@ -546,14 +545,16 @@ impl DurableMetaverse {
         }
 
         // Apply: install versions at the decision timestamp, replay the
-        // buffered ops into the engine in prepare-record order. Nothing
-        // reads the events the replay makes, so they go at once rather
-        // than pile up until the next `commit`.
+        // buffered ops into the engine in prepare-record order (phase 0
+        // checked that the engine accepts each). Nothing reads the events
+        // the replay makes, so they go at once rather than pile up until
+        // the next `commit`.
         self.txns.mvcc.install(txn_id, parts, commit_ts);
         for prepare in &prepares {
             let DurableOp::TxnPrepare { ops, .. } = prepare else { continue };
             for op in ops {
-                self.replay(op);
+                let applied = self.replay(op);
+                debug_assert!(applied.is_ok(), "a checked write was refused: {applied:?}");
             }
         }
         self.engine.discard_events();
@@ -575,11 +576,18 @@ impl DurableMetaverse {
     /// Abort an open transaction explicitly (nothing was locked or
     /// logged — begin/read/write touch no shared state).
     pub fn abort_txn(&mut self, txn: MetaTxn, now: SimTime) {
-        self.txns.mvcc.finish(txn.inner.id);
+        self.end_aborted(txn.inner.id, txn.root, now, "aborted_explicit");
+    }
+
+    /// End an aborted transaction holding no locks: finish its snapshot,
+    /// collect, count it under `counter` (`aborted_<why>`) and close its
+    /// root span with the reason `<why>`.
+    fn end_aborted(&mut self, id: TxnId, root: Option<TraceCtx>, now: SimTime, counter: &'static str) {
+        self.txns.mvcc.finish(id);
         self.txns.auto_gc();
-        self.txns.stats.incr("aborted_explicit");
-        if let (Some(tr), Some(c)) = (&self.tracer, txn.root) {
-            tr.event(c, "txn.abort", now, "explicit");
+        self.txns.stats.incr(counter);
+        if let (Some(tr), Some(c)) = (&self.tracer, root) {
+            tr.event(c, "txn.abort", now, counter.trim_start_matches("aborted_"));
             tr.close(c.span, now, "aborted");
         }
     }
@@ -592,9 +600,7 @@ impl DurableMetaverse {
         let n = self.txns.mvcc.shard_count();
         let mut by_shard: Vec<Vec<DurableOp>> = vec![Vec::new(); n];
         for op in ops {
-            let (DurableOp::Position { id, .. } | DurableOp::Attr { id, .. }) = &op else {
-                continue;
-            };
+            let Some(id) = op.entity() else { continue };
             let si = mv_storage::sharded_kv::shard_of_key(&id.raw().to_le_bytes(), n);
             if let Some(shard_ops) = by_shard.get_mut(si) {
                 shard_ops.push(op);
@@ -795,6 +801,38 @@ mod tests {
         assert!(dm.txn_stats().get("gc_versions_auto") > 0);
     }
 
+    /// A transaction writing a retired or unknown entity aborts with the
+    /// refusal the plain write gets, before any lock or log record: the
+    /// engine and the next snapshot keep the value from before.
+    #[test]
+    fn a_transaction_cannot_write_a_retired_entity() {
+        let mut dm = DurableMetaverse::with_defaults(2);
+        let id = dm.spawn("p", EntityKind::Product, Point::ORIGIN, t(1));
+        dm.update_attr(id, "stock", 5.0, t(2)).unwrap();
+        dm.apply(&DurableOp::Retire { id, ts: t(3) }, None).unwrap();
+        let logged = dm.wal.len();
+        let mut txn = dm.txn(t(4));
+        txn.write_attr(id, "stock", 4.0, t(4));
+        let refused = dm.commit_txn(txn, t(4)).unwrap_err();
+        assert!(matches!(refused, MvError::IllegalState(_)), "got {refused:?}");
+        assert_eq!(dm.wal.len(), logged, "nothing logged");
+        assert_eq!((dm.txn_lock_count(), dm.txn_oldest_live_snapshot()), (0, None));
+        assert_eq!(dm.txn_stats().get("aborted_refused"), 1);
+        let mut reader = dm.txn(t(5));
+        assert_eq!(dm.txn_read_attr(&mut reader, id, "stock"), Some(5.0));
+        dm.abort_txn(reader, t(5));
+        assert_eq!(dm.engine().entity(id).unwrap().attr("stock"), 5.0);
+        assert_eq!(dm.update_attr(id, "stock", 4.0, t(6)), Err(refused));
+
+        let unknown = EntityId::new(99);
+        let mut txn = dm.txn(t(7));
+        txn.write_position(unknown, Point::ORIGIN, t(7));
+        let plain = dm.apply(&DurableOp::Position { id: unknown, position: Point::ORIGIN, ts: t(7) }, None);
+        assert_eq!(dm.commit_txn(txn, t(7)).map(drop), plain.map(drop));
+        assert_eq!(dm.txn_stats().get("aborted_refused"), 2);
+        assert_eq!(dm.txn_lock_count(), 0);
+    }
+
     #[test]
     fn txn_snapshot_never_observes_a_bypassing_plain_write() {
         let (mut dm, ids) = world(2, 2);
@@ -804,7 +842,8 @@ mod tests {
 
         // Plain writes land *after* the snapshot, bypassing 2PC...
         dm.update_attr(ids[0], "gold", 9_999.0, t(3)).unwrap();
-        dm.update_position(ids[0], Point::new(777.0, 777.0), t(3)).unwrap();
+        let id = ids[0];
+        dm.apply(&DurableOp::Position { id, position: Point::new(777.0, 777.0), ts: t(3) }, None).unwrap();
         let batch = vec![WriteOp::Attr { id: ids[0], name: "gold".into(), value: 4_242.0, ts: t(4) }];
         assert!(dm.apply_batch(&batch).iter().all(|r| r.is_ok()));
 
@@ -852,7 +891,8 @@ mod tests {
                 assert!(dm.apply_batch(&batch).iter().all(|r| r.is_ok()));
                 for &id in &ids {
                     dm.update_attr(id, "hp", r as f64, now).expect("live entity");
-                    dm.update_position(id, Point::new(r as f64, 2.0), now).expect("live entity");
+                    let position = Point::new(r as f64, 2.0);
+                    dm.apply(&DurableOp::Position { id, position, ts: now }, None).expect("live entity");
                 }
             }
             dm.commit(t(100));

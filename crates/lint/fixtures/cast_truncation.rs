@@ -1,6 +1,6 @@
 //! cast-truncation fixture: narrowing `as` casts on codec/recovery
 //! paths, where the workspace idiom is checked `try_from`. The fake
-//! path places this at `crates/storage/src/codec.rs`, inside scope.
+//! path places this at `crates/common/src/codec.rs`, inside scope.
 
 pub fn encode(buf: &[u8], out: &mut Vec<u8>) {
     let len = buf.len() as u32; //~DENY(cast-truncation)

@@ -118,7 +118,7 @@ pub const CATALOGUE: &[RuleSpec] = &[
         include: &[
             "crates/storage/src/wal.rs",
             "crates/storage/src/group_commit.rs",
-            "crates/storage/src/codec.rs",
+            "crates/common/src/codec.rs",
             "crates/net/src/reliable.rs",
             "crates/core/src/durable.rs",
             "crates/core/src/txn.rs",
@@ -223,7 +223,7 @@ pub const CATALOGUE: &[RuleSpec] = &[
         include: &[
             "crates/storage/src/wal.rs",
             "crates/storage/src/group_commit.rs",
-            "crates/storage/src/codec.rs",
+            "crates/common/src/codec.rs",
             "crates/storage/src/organization.rs",
             "crates/core/src/durable.rs",
             "crates/core/src/txn.rs",

@@ -159,7 +159,7 @@ fn span_leak_positive_negative_and_allow() {
 
 #[test]
 fn cast_truncation_positive_negative_and_allow() {
-    check("cast_truncation.rs", "crates/storage/src/codec.rs");
+    check("cast_truncation.rs", "crates/common/src/codec.rs");
 }
 
 #[test]
@@ -253,7 +253,7 @@ fn workspace_report_is_deterministic() {
         ("crates/fake/src/lock_order_b.rs", fixture("lock_order_b.rs")),
         ("crates/core/src/fake_gas.rs", fixture("guard_across_sync.rs")),
         ("crates/fake/src/span_leak.rs", fixture("span_leak.rs")),
-        ("crates/storage/src/codec.rs", fixture("cast_truncation.rs")),
+        ("crates/common/src/codec.rs", fixture("cast_truncation.rs")),
     ]
     .into_iter()
     .map(|(p, s)| (p.to_string(), s))

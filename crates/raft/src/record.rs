@@ -12,7 +12,7 @@
 
 use crate::msg::LogEntry;
 use bytes::Bytes;
-use mv_common::codec::wire_u32;
+use mv_common::codec::{put_chunk, put_u64, SliceReader};
 use mv_common::id::NodeId;
 
 /// One durable raft state change — the unit of recovery replay.
@@ -56,61 +56,6 @@ pub enum RaftRecord {
     },
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, wire_u32(b.len()));
-    out.extend_from_slice(b);
-}
-
-/// Checked little-endian cursor (same discipline as `DurableOp`'s
-/// reader: every read is bounds-checked, hostile lengths refuse).
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let chunk = self.buf.get(self.at..self.at.checked_add(n)?)?;
-        self.at += n;
-        Some(chunk)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).and_then(|b| b.first().copied())
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let chunk: [u8; 4] = self.take(4)?.try_into().ok()?;
-        Some(u32::from_le_bytes(chunk))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let chunk: [u8; 8] = self.take(8)?.try_into().ok()?;
-        Some(u64::from_le_bytes(chunk))
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Some(self.take(len)?.to_vec())
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-}
-
 impl RaftRecord {
     /// Encode into the canonical byte form (a WAL record value).
     pub fn encode(&self) -> Vec<u8> {
@@ -126,7 +71,7 @@ impl RaftRecord {
                 out.push(2);
                 put_u64(&mut out, *index);
                 put_u64(&mut out, *term);
-                put_bytes(&mut out, cmd);
+                put_chunk(&mut out, cmd);
             }
             RaftRecord::Truncate { from } => {
                 out.push(3);
@@ -136,7 +81,7 @@ impl RaftRecord {
                 out.push(4);
                 put_u64(&mut out, *index);
                 put_u64(&mut out, *term);
-                put_bytes(&mut out, data);
+                put_chunk(&mut out, data);
             }
         }
         out
@@ -144,7 +89,7 @@ impl RaftRecord {
 
     /// Decode the canonical byte form; `None` on any structural damage.
     pub fn decode(bytes: &[u8]) -> Option<RaftRecord> {
-        let mut r = Reader::new(bytes);
+        let mut r = SliceReader::new(bytes);
         let rec = match r.u8()? {
             1 => {
                 let term = r.u64()?;
@@ -154,9 +99,12 @@ impl RaftRecord {
                 };
                 RaftRecord::HardState { term, voted }
             }
-            2 => RaftRecord::Entry { index: r.u64()?, term: r.u64()?, cmd: r.bytes()? },
+            2 => RaftRecord::Entry { index: r.u64()?, term: r.u64()?, cmd: r.chunk()?.to_vec() },
             3 => RaftRecord::Truncate { from: r.u64()? },
-            4 => RaftRecord::Snapshot { index: r.u64()?, term: r.u64()?, data: r.bytes()?.into() },
+            4 => {
+                let (index, term) = (r.u64()?, r.u64()?);
+                RaftRecord::Snapshot { index, term, data: Bytes::copy_from_slice(r.chunk()?) }
+            }
             _ => return None,
         };
         r.done().then_some(rec)

@@ -29,12 +29,11 @@
 //! waited `max_delay` of virtual time — the classic throughput/latency
 //! trigger triple — or when the caller forces `sync()`.
 
-use crate::codec;
 use crate::wal::{
     checksum, decode_payload_ref, encode_payload, Corruption, RecoveryReport, WalRecord,
     WalRecordRef,
 };
-use mv_common::codec::wire_u32;
+use mv_common::codec::{put_u32, put_u64, read_u32_le, read_u64_le, wire_u32, SliceReader};
 use mv_common::metrics::Counters;
 use mv_common::time::{SimDuration, SimTime};
 use mv_obs::{SharedTracer, TraceCtx};
@@ -231,9 +230,9 @@ impl GroupCommitWal {
         }
         self.pending_spans.clear();
         let payload = &self.pending_payload;
-        self.log.extend_from_slice(&wire_u32(count).to_le_bytes());
-        self.log.extend_from_slice(&wire_u32(payload.len()).to_le_bytes());
-        self.log.extend_from_slice(&checksum(payload).to_le_bytes());
+        put_u32(&mut self.log, wire_u32(count));
+        put_u32(&mut self.log, wire_u32(payload.len()));
+        put_u64(&mut self.log, checksum(payload));
         self.log.extend_from_slice(payload);
         let framed = BATCH_HEADER + payload.len();
         self.pending_payload.clear();
@@ -372,16 +371,16 @@ fn batches(log: &[u8]) -> impl Iterator<Item = Result<(usize, &[u8]), Corruption
 /// sizing anything.
 fn batch_at(log: &[u8], at: usize) -> Result<(usize, &[u8]), Corruption> {
     let (Some(count), Some(len), Some(sum)) = (
-        codec::read_u32_le(log, at),
-        codec::read_u32_le(log, at + 4),
-        codec::read_u64_le(log, at + 8),
+        read_u32_le(log, at),
+        read_u32_le(log, at + 4),
+        read_u64_le(log, at + 8),
     ) else {
         return Err(Corruption::TornTail { at });
     };
     let (count, len) = (count as usize, len as usize);
     let payload = log.get(at + BATCH_HEADER..at + BATCH_HEADER + len);
     let payload = payload.ok_or(Corruption::TornTail { at })?;
-    let mut walk = codec::SliceReader::new(payload);
+    let mut walk = SliceReader::new(payload);
     let intact = checksum(payload) == sum
         && (0..count).all(|_| walk.chunk().and_then(decode_payload_ref).is_some())
         && walk.done();
@@ -390,7 +389,7 @@ fn batch_at(log: &[u8], at: usize) -> Result<(usize, &[u8]), Corruption> {
 
 /// The records of a payload [`batch_at`] validated, borrowed in place.
 fn records(payload: &[u8]) -> impl Iterator<Item = WalRecordRef<'_>> {
-    let mut walk = codec::SliceReader::new(payload);
+    let mut walk = SliceReader::new(payload);
     std::iter::from_fn(move || walk.chunk().and_then(decode_payload_ref))
 }
 

@@ -31,7 +31,6 @@
 pub mod block;
 pub mod bloom;
 pub mod bufferpool;
-pub mod codec;
 pub mod group_commit;
 pub mod kv;
 pub mod object;

@@ -15,9 +15,8 @@
 //! after is dropped rather than replayed as garbage — and reports what
 //! it did in a [`RecoveryReport`].
 
-use crate::codec;
 use crate::kv::KvStore;
-use mv_common::codec::wire_u32;
+use mv_common::codec::{put_chunk, put_u32, put_u64, read_u32_le, read_u64_le, wire_u32, SliceReader};
 use bytes::Bytes;
 use mv_common::hash::FxHasher;
 use serde::{Deserialize, Serialize};
@@ -125,15 +124,12 @@ pub(crate) fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
     match rec {
         WalRecord::Put { key, value } => {
             out.push(1);
-            out.extend_from_slice(&wire_u32(key.len()).to_le_bytes());
-            out.extend_from_slice(key);
-            out.extend_from_slice(&wire_u32(value.len()).to_le_bytes());
-            out.extend_from_slice(value);
+            put_chunk(out, key);
+            put_chunk(out, value);
         }
         WalRecord::Delete { key } => {
             out.push(2);
-            out.extend_from_slice(&wire_u32(key.len()).to_le_bytes());
-            out.extend_from_slice(key);
+            put_chunk(out, key);
         }
     }
 }
@@ -141,8 +137,8 @@ pub(crate) fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
 fn append_frame(log: &mut Vec<u8>, rec: &WalRecord) {
     let mut payload = Vec::new();
     encode_payload(rec, &mut payload);
-    log.extend_from_slice(&wire_u32(payload.len()).to_le_bytes());
-    log.extend_from_slice(&checksum(&payload).to_le_bytes());
+    put_u32(log, wire_u32(payload.len()));
+    put_u64(log, checksum(&payload));
     log.extend_from_slice(&payload);
 }
 
@@ -151,7 +147,7 @@ fn append_frame(log: &mut Vec<u8>, rec: &WalRecord) {
 /// but recovery must never panic on hostile bytes). Nothing is copied:
 /// the returned record borrows `payload`.
 pub(crate) fn decode_payload_ref(payload: &[u8]) -> Option<WalRecordRef<'_>> {
-    let mut r = codec::SliceReader::new(payload);
+    let mut r = SliceReader::new(payload);
     let rec = match r.u8()? {
         1 => WalRecordRef::Put { key: r.chunk()?, value: r.chunk()? },
         2 => WalRecordRef::Delete { key: r.chunk()? },
@@ -171,7 +167,7 @@ fn decode_log(log: &[u8]) -> (Vec<WalRecord>, RecoveryReport) {
     let mut at = 0usize;
     let mut corruption = None;
     while at < log.len() {
-        let (Some(len), Some(sum)) = (codec::read_u32_le(log, at), codec::read_u64_le(log, at + 4))
+        let (Some(len), Some(sum)) = (read_u32_le(log, at), read_u64_le(log, at + 4))
         else {
             corruption = Some(Corruption::TornTail { at });
             break;

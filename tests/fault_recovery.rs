@@ -291,7 +291,7 @@ mod durable_engine {
     use mv_common::id::EntityId;
     use mv_common::time::SimTime;
     use mv_common::Space;
-    use mv_core::{DurableMetaverse, EntityKind, TxnCrashPoint, WriteOp};
+    use mv_core::{DurableMetaverse, DurableOp, EntityKind, TxnCrashPoint, WriteOp};
     use mv_storage::kv::KvConfig;
     use mv_storage::wal::{WalRecord, WalRecordRef};
     use mv_storage::GroupCommitPolicy;
@@ -344,14 +344,15 @@ mod durable_engine {
             r.expect("all entities live");
         }
         // An area effect retires a handful through their owner shards.
-        dm.area_effect(
-            Space::Virtual,
-            "air_raid",
-            Aabb::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)),
-            "perish",
-            true,
-            t(3),
-        );
+        let raid = DurableOp::AreaEffect {
+            space: Space::Virtual,
+            effect: "air_raid".into(),
+            region: Aabb::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)),
+            action: "perish".into(),
+            retire: true,
+            ts: t(3),
+        };
+        dm.apply(&raid, None).unwrap();
         dm
     }
 
@@ -392,7 +393,7 @@ mod durable_engine {
 
         // A second committed batch of work…
         let id = dm.ids()[10];
-        dm.update_position(id, Point::new(500.0, 500.0), t(5)).unwrap();
+        dm.apply(&DurableOp::Position { id, position: Point::new(500.0, 500.0), ts: t(5) }, None).unwrap();
         dm.update_attr(id, "health", 0.1, t(5)).unwrap();
         dm.commit(t(5));
         let after_second_commit = dm.state_encoding();
