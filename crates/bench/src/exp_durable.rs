@@ -6,7 +6,8 @@
 //!   every record a full frame encode, a checksum pass, and a device
 //!   flush. Coalescing records into one checksum-framed batch per sync
 //!   amortizes all three; on the critical-path model the durable ingest
-//!   rate rises ≥ 5× by batch 256.
+//!   rate rises ≥ 5× by batch 256. The baseline is the same
+//!   `GroupCommitWal` at batch 1.
 //! * **E17b — sharded durable apply.** Draining the log into a
 //!   key-hash-sharded LSM scales the apply stage with the shard count
 //!   (per-batch critical path = slowest shard), the same ownership
@@ -28,7 +29,7 @@ use bytes::Bytes;
 use mv_common::table::{f2, n, pct, Table};
 use mv_common::time::SimTime;
 use mv_storage::kv::KvConfig;
-use mv_storage::{GroupCommitPolicy, GroupCommitWal, KvStore, ShardedKv, Wal, WalRecord};
+use mv_storage::{GroupCommitPolicy, GroupCommitWal, KvStore, ShardedKv, WalRecord};
 use std::time::Instant;
 
 /// Modelled device-flush latency charged per `sync()`, in microseconds
@@ -46,21 +47,8 @@ fn records(count: usize) -> Vec<WalRecord> {
         .collect()
 }
 
-/// Record-at-a-time baseline: append + sync per record. Returns
-/// `(cpu seconds, sync count)`.
-fn run_record_at_a_time(recs: &[WalRecord]) -> (f64, u64) {
-    let mut wal = Wal::new();
-    let t0 = Instant::now();
-    for rec in recs {
-        wal.append(rec.clone());
-        wal.sync();
-    }
-    let cpu = t0.elapsed().as_secs_f64();
-    assert_eq!(wal.durable().len(), recs.len());
-    (cpu, recs.len() as u64)
-}
-
-/// Group commit at a fixed record trigger. Returns
+/// Group commit at a fixed record trigger (batch 1 is the
+/// record-at-a-time baseline: one batch, one sync per record). Returns
 /// `(cpu seconds, sync count)`.
 fn run_group_commit(recs: &[WalRecord], batch: usize) -> (f64, u64) {
     let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(batch));
@@ -83,7 +71,7 @@ fn model_s(cpu_s: f64, syncs: u64) -> f64 {
 /// `count` records at `batch`. Returns (baseline tput, grouped tput).
 fn measure_group_commit(count: usize, batch: usize) -> (f64, f64) {
     let recs = records(count);
-    let (base_cpu, base_syncs) = run_record_at_a_time(&recs);
+    let (base_cpu, base_syncs) = run_group_commit(&recs, 1);
     let (grp_cpu, grp_syncs) = run_group_commit(&recs, batch);
     let base = count as f64 / model_s(base_cpu, base_syncs);
     let grp = count as f64 / model_s(grp_cpu, grp_syncs);

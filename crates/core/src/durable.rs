@@ -668,7 +668,7 @@ impl DurableMetaverse {
             debug_assert_eq!(self.txns.mvcc.lock_count(), 0, "checkpoint inside a 2PC commit");
             let image = self.checkpoint_image();
             let now = self.engine.now();
-            self.wal.seal_fence(WalRecord::Put { key: Vec::new(), value: image }, now);
+            self.wal.seal_fence([WalRecord::Put { key: Vec::new(), value: image }], now);
         }
         events
     }
@@ -1270,7 +1270,7 @@ mod tests {
         assert_eq!(dm.state_encoding(), kept);
 
         // Sealed as a fence, the refused image was the log's only one.
-        dm.wal.seal_fence(bad, t(4));
+        dm.wal.seal_fence([bad], t(4));
         dm.update_attr(id, "hp", 0.25, t(4)).unwrap();
         dm.wal.sync();
         let report = dm.crash_and_recover();

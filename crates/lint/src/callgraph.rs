@@ -95,7 +95,7 @@ const STD_SHADOWED: &[&str] = &[
     "extend", "contains", "position", "last", "count", "split", "rsplit", "trim", "parse",
     "sum", "rev", "zip", "chain", "flatten", "any", "all", "min", "max", "retain", "drain",
     "clear", "resize", "sort", "starts_with", "ends_with", "enumerate", "skip", "peekable",
-    "and_then", "map_err", "ok_or", "unwrap_or", "unwrap_or_else", "unwrap_or_default",
+    "and_then", "map_err", "ok_or", "unwrap_or", "unwrap_or_else", "unwrap_or_default", "append",
 ];
 
 /// A lock acquisition and the token range its guard stays live for.

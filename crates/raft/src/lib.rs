@@ -29,7 +29,9 @@
 //!   on them (a vote is granted only after the vote is durable; an
 //!   append is acknowledged only after the entries are). A crash drops
 //!   volatile role/commit state; [`RaftNode::restart`] folds the
-//!   durable records back into term/vote/log/snapshot.
+//!   durable records back into term/vote/log/snapshot. Compaction and an
+//!   accepted snapshot trim the WAL by sealing that state as one fence
+//!   batch (`seal_fence`), which drops every batch before it.
 //! * **Commit rule.** The leader advances the commit index to the
 //!   highest index replicated on a majority *whose entry term is the
 //!   leader's current term* (Raft §5.4.2 — older-term entries commit

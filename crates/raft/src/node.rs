@@ -13,7 +13,8 @@
 //! role, commit index, peer bookkeeping, unsynced WAL tail — and
 //! [`RaftNode::restart`] folds the surviving records back; a wiped node
 //! ([`RaftNode::wipe`]) restarts empty and catches up via snapshot
-//! install.
+//! install. The WAL is trimmed only by a fence (`seal_fence`), at
+//! [`RaftNode::compact`] and at an accepted snapshot.
 
 use crate::msg::{LogEntry, Outgoing, RaftMsg};
 use crate::record::{FoldedState, RaftRecord};
@@ -151,7 +152,7 @@ impl RaftNode {
             base_term: 0,
             snapshot: None,
             log: Vec::new(),
-            wal: GroupCommitWal::with_policy(GroupCommitPolicy::by_records(usize::MAX)),
+            wal: Self::empty_disk(),
             role: Role::Follower,
             leader_hint: None,
             commit_index: 0,
@@ -168,6 +169,11 @@ impl RaftNode {
         };
         node.election_deadline = now + node.election_timeout(0);
         node
+    }
+
+    /// A new disk: a WAL that seals only when the protocol syncs.
+    fn empty_disk() -> GroupCommitWal {
+        GroupCommitWal::with_policy(GroupCommitPolicy::by_records(usize::MAX))
     }
 
     /// Collect `raft.election/append/commit/snapshot` spans here.
@@ -267,9 +273,16 @@ impl RaftNode {
             return;
         }
         for rec in recs {
-            self.wal.append(WalRecord::Put { key: Vec::new(), value: rec.encode() }, now);
+            self.wal.append(wal_record(rec), now);
         }
         self.wal.sync();
+        self.stats.add("wal_records", recs.len() as u64);
+    }
+
+    /// [`Self::persist`] `recs` as the WAL's fence: they stand in for
+    /// everything logged before them, so once they seal that goes.
+    fn persist_fence(&mut self, recs: &[RaftRecord], now: SimTime) {
+        self.wal.seal_fence(recs.iter().map(wal_record), now);
         self.stats.add("wal_records", recs.len() as u64);
     }
 
@@ -533,9 +546,10 @@ impl RaftNode {
 
     /// Compact the log: `snapshot` covers everything up to `index`
     /// (which must be applied). Entries at or below `index` are
-    /// discarded and the WAL is rewritten to the compact image —
-    /// snapshot record, hard state, surviving entries — so recovery
-    /// replay stays proportional to the live suffix.
+    /// discarded, and the WAL is trimmed by a fence
+    /// (`GroupCommitWal::seal_fence`): snapshot record, hard state and
+    /// surviving entries seal as one batch, then every batch before it
+    /// goes — so recovery replay stays proportional to the live suffix.
     pub fn compact(&mut self, index: u64, snapshot: Bytes, now: SimTime) {
         if index <= self.base_index || index > self.applied_index {
             return;
@@ -548,8 +562,6 @@ impl RaftNode {
         self.snapshot = Some(snapshot.clone());
         self.stats.incr("compactions");
         self.trace_instant("raft.snapshot", now, "compacted");
-        // Rewrite the WAL as a fresh compact image.
-        self.wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(usize::MAX));
         let mut recs = vec![
             RaftRecord::Snapshot { index, term, data: snapshot },
             RaftRecord::HardState { term: self.term, voted: self.voted },
@@ -561,7 +573,7 @@ impl RaftNode {
                 cmd: e.cmd.clone(),
             });
         }
-        self.persist(&recs, now);
+        self.persist_fence(&recs, now);
     }
 
     // -- message handling ------------------------------------------------
@@ -861,9 +873,7 @@ impl RaftNode {
         self.pending_install = true;
         self.stats.incr("snapshots_installed");
         self.trace_instant("raft.snapshot", now, "installed");
-        // Rewrite the WAL as the fresh image.
-        self.wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(usize::MAX));
-        self.persist(
+        self.persist_fence(
             &[
                 RaftRecord::Snapshot { index: base_index, term: base_term, data },
                 RaftRecord::HardState { term: self.term, voted: self.voted },
@@ -919,7 +929,7 @@ impl RaftNode {
     /// The node restarts empty and catches up via snapshot install or
     /// full log backfill.
     pub fn wipe(&mut self, now: SimTime) {
-        self.wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(usize::MAX));
+        self.wal = Self::empty_disk();
         self.term = 0;
         self.voted = None;
         self.base_index = 0;
@@ -950,6 +960,11 @@ impl RaftNode {
         }
         h.finish()
     }
+}
+
+/// A raft record as the WAL logs it: keyless, like every `DurableOp`.
+fn wal_record(rec: &RaftRecord) -> WalRecord {
+    WalRecord::Put { key: Vec::new(), value: rec.encode() }
 }
 
 #[cfg(test)]
@@ -1223,6 +1238,120 @@ mod tests {
         assert!(matches!(&more[..], [RaftMsg::Append { prev_index, entries, .. }] if *prev_index == base && !entries.is_empty()));
         assert_eq!(c.nodes[li].progress[&fid].state, PeerState::Replicate);
         assert_eq!((c.nodes[fi].leader_hint(), c.nodes[fi].term()), (Some(leader_id), term));
+    }
+
+    /// What `crash` + `restart` must bring back: term, vote, snapshot
+    /// base and log end.
+    fn durable_view(n: &RaftNode) -> (u64, Option<NodeId>, u64, u64) {
+        (n.term, n.voted, n.base_index, n.last_index())
+    }
+
+    /// Commit `count` one-byte commands through the leader.
+    fn commit_commands(c: &mut Cluster, li: usize, count: u8) {
+        for i in 0..count {
+            c.nodes[li].client_append(vec![i], c.now).unwrap();
+            c.run_ms(5);
+        }
+        c.run_ms(60);
+    }
+
+    /// Apply node `i`'s committed entries and compact at `index`.
+    fn apply_and_compact(c: &mut Cluster, i: usize, index: u64, snapshot: &[u8]) {
+        let now = c.now;
+        c.nodes[i].take_committed();
+        c.nodes[i].compact(index, Bytes::copy_from_slice(snapshot), now);
+    }
+
+    #[test]
+    fn a_node_restarts_from_its_compaction_fence() {
+        let (mut c, li, fi) = led_cluster();
+        commit_commands(&mut c, li, 8);
+        let commit = c.nodes[fi].commit_index();
+        // Compact below the commit point, so entries survive in the fence.
+        apply_and_compact(&mut c, fi, commit - 3, b"state");
+        let f = &mut c.nodes[fi];
+        assert_eq!(f.wal.durable_batches().count(), 1, "the fence alone");
+        let (view, digest) = (durable_view(f), f.committed_digest());
+        let base_term = f.base_term;
+        f.crash();
+        f.restart(c.now);
+        assert_eq!(durable_view(f), view);
+        assert_eq!(f.take_pending_install(), Some((commit - 3, base_term, "state".into())));
+        c.run_ms(60);
+        assert_eq!(c.nodes[fi].commit_index(), commit, "re-committed from the leader");
+        assert_eq!(c.nodes[fi].committed_digest(), digest);
+    }
+
+    #[test]
+    fn a_node_restarts_from_an_accepted_snapshot() {
+        let (mut c, li, fi) = led_cluster();
+        commit_commands(&mut c, li, 8);
+        let base = c.nodes[li].commit_index();
+        apply_and_compact(&mut c, li, base, b"state");
+        c.nodes[fi].wipe(c.now);
+        let (fid, now) = (c.nodes[fi].id(), c.now);
+        let snap = c.nodes[li].snapshot_for(fid, now).expect("snapshot").msg;
+        let reply = deliver(&mut c, li, fi, snap);
+        assert!(matches!(&reply[..], [RaftMsg::SnapReply { match_index, .. }] if *match_index == base));
+        let f = &mut c.nodes[fi];
+        assert_eq!(f.wal.durable_batches().count(), 1, "the fence alone");
+        let (view, digest) = (durable_view(f), f.committed_digest());
+        f.crash();
+        f.restart(c.now);
+        assert_eq!(durable_view(f), view);
+        assert_eq!(view.2, base);
+        let (bi, _, data) = c.nodes[fi].take_pending_install().expect("pending install");
+        assert_eq!((bi, &data[..]), (base, &b"state"[..]));
+        assert_eq!(c.nodes[fi].committed_digest(), digest);
+        c.run_ms(100);
+        assert_eq!(c.nodes[fi].committed_digest(), c.nodes[li].committed_digest());
+    }
+
+    /// Work does not grow with history: after each compaction the WAL is
+    /// one batch, and after 10× the compactions it is the size it was
+    /// after one (within one batch), while the bytes ever synced grow.
+    #[test]
+    fn the_raft_log_after_a_trim_is_independent_of_history() {
+        let (mut c, li, fi) = led_cluster();
+        let mut after = Vec::new();
+        for _ in 0..10 {
+            commit_commands(&mut c, li, 16);
+            for i in [li, fi] {
+                let index = c.nodes[i].commit_index();
+                apply_and_compact(&mut c, i, index, &[7; 32]);
+                assert_eq!(c.nodes[i].wal.durable_batches().count(), 1, "node {i}");
+            }
+            let w = &c.nodes[fi].wal;
+            after.push((w.encoded_len(), w.durable().count(), w.stats.get("synced_bytes")));
+        }
+        let ((one, one_records, one_synced), (ten, ten_records, ten_synced)) = (after[0], after[9]);
+        assert!(ten.abs_diff(one) <= one, "{one} B after 1 compaction, {ten} B after 10");
+        assert_eq!(ten_records, one_records, "recovery folds the same records");
+        assert!(ten_synced >= 5 * one_synced, "{one_synced} B synced after 1, {ten_synced} after 10");
+    }
+
+    /// The single-copy limit: once the fence's trim has run, the fence is
+    /// the node's only copy. Torn after the trim, it restarts the node
+    /// empty, as a wipe does, and the group brings it back by snapshot.
+    #[test]
+    fn a_fence_torn_after_its_trim_restarts_the_node_empty() {
+        let (mut c, li, fi) = led_cluster();
+        commit_commands(&mut c, li, 8);
+        for i in [li, fi] {
+            let index = c.nodes[i].commit_index();
+            apply_and_compact(&mut c, i, index, b"state");
+        }
+        let f = &mut c.nodes[fi];
+        let torn = f.wal.encoded_len() - 1;
+        f.wal.inject_torn_write(torn);
+        f.crash();
+        f.restart(c.now);
+        assert_eq!(durable_view(f), (0, None, 0, 0), "empty, as after a wipe");
+        assert_eq!(f.take_pending_install(), None);
+        c.run_ms(500);
+        let f = &mut c.nodes[fi];
+        assert!(f.take_pending_install().is_some(), "rebuilt from a snapshot");
+        assert_eq!(c.nodes[fi].committed_digest(), c.nodes[li].committed_digest());
     }
 
     #[test]

@@ -1,28 +1,33 @@
-//! Group-commit write-ahead logging.
+//! The write-ahead log: group commit.
 //!
-//! The record-at-a-time [`crate::wal::Wal`] pays a full frame header, a
-//! checksum pass, and — on real hardware — a device flush *per record*.
-//! At deluge ingest rates the flush dominates: §IV-F's "massive volumes
-//! of data … generated continuously at rapid speed" cannot be made
-//! durable one fsync at a time. [`GroupCommitWal`] coalesces appended
-//! records into an in-memory batch and seals the whole batch into a
-//! single checksum-framed unit per `sync()` — one header, one checksum
-//! pass, one (simulated) device flush, amortized over the batch
-//! (GlassDB-style batching, applied to the log; cf. E5b).
+//! Syncing a log record at a time pays a frame header, a checksum pass,
+//! and — on real hardware — a device flush *per record*. At deluge
+//! ingest rates the flush dominates: §IV-F's "massive volumes of data …
+//! generated continuously at rapid speed" cannot be made durable one
+//! fsync at a time. [`GroupCommitWal`] coalesces appended records into
+//! an in-memory batch and seals the whole batch into a single
+//! checksum-framed unit per `sync()` — one header, one checksum pass,
+//! one (simulated) device flush, amortized over the batch (GlassDB-style
+//! batching, applied to the log; cf. E5b). Record at a time is the same
+//! log at `GroupCommitPolicy::by_records(1)`: E17a's baseline.
 //!
 //! **Atomicity unit = the batch.** A batch frame is
 //! `[count u32][len u32][checksum u64][records…]`; recovery validates
 //! whole frames, so a crash mid-batch (torn write, bit rot) loses the
 //! *entire* batch — never a prefix of it. The unsynced pending tail is
-//! lost wholesale on crash, exactly like the record WAL's unsynced tail.
+//! lost wholesale on crash.
 //!
 //! **The byte image is the only copy.** A record lives once, as bytes in
 //! its batch frame. Readers borrow [`WalRecordRef`]s from the validating
 //! walk recovery truncates with, re-run by every [`GroupCommitWal::durable`]
 //! call, so nothing is decoded into a second list or copied on recovery.
 //!
-//! **The log is trimmed behind a fence:** a record that stands in for
-//! everything before it (a checkpoint image; [`GroupCommitWal::seal_fence`]).
+//! **The log is trimmed behind a fence:** a batch that stands in for
+//! everything before it (a checkpoint image, or a raft node's snapshot
+//! record with the state that survives it; [`GroupCommitWal::seal_fence`]).
+//! Besides the fence, only a crash's truncation,
+//! [`GroupCommitWal::refuse_batch`] and the fault injectors drop durable
+//! bytes.
 //!
 //! Sealing is driven by a [`GroupCommitPolicy`]: a batch closes when it
 //! reaches `max_records`, `max_bytes`, or its oldest pending record has
@@ -108,19 +113,10 @@ pub struct GroupCommitWal {
 }
 
 impl GroupCommitWal {
-    /// An empty log with the default policy.
-    pub fn new() -> Self {
-        Self::with_policy(GroupCommitPolicy::default())
-    }
-
-    /// An empty log with an explicit trigger policy.
+    /// An empty log with an explicit trigger policy (`Default` is the
+    /// default policy).
     pub fn with_policy(policy: GroupCommitPolicy) -> Self {
         GroupCommitWal { policy, ..Default::default() }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> GroupCommitPolicy {
-        self.policy
     }
 
     /// Records appended but not yet sealed into a durable batch — the
@@ -153,6 +149,12 @@ impl GroupCommitWal {
 
     /// [`Self::append`] carrying the record's causal context.
     pub fn append_traced(&mut self, rec: WalRecord, now: SimTime, ctx: Option<TraceCtx>) -> bool {
+        self.push(rec, now, ctx);
+        self.maybe_seal(now)
+    }
+
+    /// Encode `rec` into the pending batch, checking no trigger.
+    fn push(&mut self, rec: WalRecord, now: SimTime, ctx: Option<TraceCtx>) {
         self.clock = self.clock.max(now);
         if let (Some(tr), Some(c)) = (&self.tracer, ctx) {
             self.pending_spans.push(tr.child(c, "storage.wal.group_commit", now));
@@ -167,7 +169,6 @@ impl GroupCommitWal {
             slot.copy_from_slice(&rec_len.to_le_bytes());
         }
         self.pending += 1;
-        self.maybe_seal(now)
     }
 
     /// Check the deadline trigger without appending (call on timer
@@ -204,18 +205,29 @@ impl GroupCommitWal {
         }
     }
 
-    /// Seal `rec` as a batch of its own — the fence — after whatever was
-    /// pending, and only then drop every batch before it (Raft's log
-    /// compaction, the fence as its snapshot record): a crash in between
-    /// loses the trim, never the fence's predecessors. `len()` counts
-    /// what the trim left; `stats` keep counting every batch sealed.
-    pub fn seal_fence(&mut self, rec: WalRecord, now: SimTime) {
+    /// Seal the records of `fence` as one batch of their own after
+    /// whatever was pending, and only then drop every batch before it
+    /// (Raft's log compaction, the fence as its snapshot record): a crash
+    /// in between loses the trim, never the fence's predecessors. An
+    /// empty fence stands in for nothing, so it seals and trims nothing.
+    /// `len()` counts what the trim left; `stats` keep counting every
+    /// batch sealed.
+    pub fn seal_fence(&mut self, fence: impl IntoIterator<Item = WalRecord>, now: SimTime) {
+        let mut fence = fence.into_iter().peekable();
+        if fence.peek().is_none() {
+            return;
+        }
         self.sync();
-        let fence = self.log.len();
-        self.append(rec, now);
-        self.sync();
-        self.log.drain(..fence);
-        self.sealed = 1;
+        let start = self.log.len();
+        for rec in fence {
+            self.push(rec, now, None);
+        }
+        let count = self.pending;
+        if !self.maybe_seal(now) {
+            self.sync();
+        }
+        self.log.drain(..start);
+        self.sealed = count;
     }
 
     /// Seal the pending records into one checksummed batch frame.
@@ -256,11 +268,6 @@ impl GroupCommitWal {
     /// [`Self::durable`] one sealed batch at a time, in seal order.
     pub fn durable_batches(&self) -> impl Iterator<Item = impl Iterator<Item = WalRecordRef<'_>>> {
         batches(&self.log).map_while(Result::ok).map(|(_, payload)| records(payload))
-    }
-
-    /// Appended-but-unsealed record count (lost wholesale on crash).
-    pub fn pending_len(&self) -> usize {
-        self.pending
     }
 
     /// Total appended records (sealed + pending).
@@ -396,10 +403,33 @@ fn records(payload: &[u8]) -> impl Iterator<Item = WalRecordRef<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::KvStore;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn put(i: u32) -> WalRecord {
         WalRecord::Put { key: format!("k{i}").into_bytes(), value: format!("v{i}").into_bytes() }
+    }
+
+    /// A put (`op` 0) or a delete (any other `op`) of `key`.
+    fn write(op: u8, key: &str, value: &str) -> WalRecord {
+        let key = key.as_bytes().to_vec();
+        match op {
+            0 => WalRecord::Put { key, value: value.as_bytes().to_vec() },
+            _ => WalRecord::Delete { key },
+        }
+    }
+
+    /// The durable records replayed into a fresh store, as recovery would.
+    fn replay(wal: &GroupCommitWal) -> KvStore {
+        let mut kv = KvStore::new();
+        for rec in wal.durable() {
+            match rec {
+                WalRecordRef::Put { key, value } => kv.put(key.to_vec(), value.to_vec()),
+                WalRecordRef::Delete { key } => kv.delete(key.to_vec()),
+            }
+        }
+        kv
     }
 
     fn t(ms: u64) -> SimTime {
@@ -455,7 +485,7 @@ mod tests {
             assert_eq!(sealed, i % 4 == 3, "append {i}");
         }
         assert_eq!(wal.durable().count(), 8);
-        assert_eq!(wal.pending_len(), 2);
+        assert_eq!(wal.queue_depth(), 2);
         assert_eq!(batch_sizes(&wal), [4, 4]);
         assert_eq!(wal.stats.get("trigger_records"), 2);
         wal.sync();
@@ -480,6 +510,56 @@ mod tests {
         }
         assert!(sealed, "64-byte trigger must fire well before 20 records");
         assert_eq!(wal.stats.get("trigger_bytes"), 1);
+    }
+
+    #[test]
+    fn deletes_replay_correctly() {
+        let mut wal = GroupCommitWal::default();
+        let writes = [write(0, "a", "1"), write(1, "a", ""), write(0, "a", "2"), write(1, "a", "")];
+        for rec in &writes {
+            wal.append(rec.clone(), t(0));
+        }
+        wal.sync();
+        assert_eq!(wal.crash_with_report().replayed, 4);
+        assert_eq!(durable(&wal), writes);
+        assert_eq!(replay(&wal).get(b"a"), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Mixed puts and deletes at a random sync cadence, then a crash:
+        /// exactly the records up to the last sync survive, and they
+        /// replay to the store as of that sync.
+        #[test]
+        fn prop_crash_preserves_exactly_the_committed_prefix(
+            ops in proptest::collection::vec((0u8..2, "[a-c]{1,2}", "[x-z]{1,2}"), 1..60),
+            commit_every in 1usize..8,
+        ) {
+            let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(usize::MAX));
+            let (mut logged, mut committed) = (Vec::new(), 0);
+            for (i, (op, k, v)) in ops.iter().enumerate() {
+                logged.push(write(*op, k, v));
+                wal.append(write(*op, k, v), t(0));
+                if (i + 1) % commit_every == 0 {
+                    wal.sync();
+                    committed = logged.len();
+                }
+            }
+            let report = wal.crash_with_report();
+            prop_assert_eq!((report.replayed, report.corruption), (committed, None));
+            prop_assert_eq!(durable(&wal), &logged[..committed]);
+            // Shadow model of the store as of the last sync.
+            let mut model: BTreeMap<&str, Option<&str>> = BTreeMap::new();
+            for (op, k, v) in &ops[..committed] {
+                model.insert(k, (*op == 0).then_some(v.as_str()));
+            }
+            let kv = replay(&wal);
+            for (op, k, _) in &ops {
+                let expected = model.get(k.as_str()).copied().flatten();
+                let got = kv.get(k.as_bytes());
+                prop_assert_eq!(got.as_deref(), expected.map(str::as_bytes), "key {} op {}", k, op);
+            }
+        }
     }
 
     #[test]
@@ -509,7 +589,7 @@ mod tests {
         assert_eq!(report.replayed, 4);
         assert_eq!(report.corruption, None);
         assert_eq!(durable(&wal), (0..4).map(put).collect::<Vec<_>>());
-        assert_eq!((wal.pending_len(), wal.len()), (0, 4));
+        assert_eq!((wal.queue_depth(), wal.len()), (0, 4));
     }
 
     /// Crash mid-batch loses the whole batch, never a prefix of it —
@@ -623,6 +703,21 @@ mod tests {
 
         // A header shorter than BATCH_HEADER bytes: torn tail too.
         assert_eq!(walk_of(&[1, 2, 3]), Some(Corruption::TornTail { at: 0 }));
+
+        // Header and checksum valid, but the one record's key length runs
+        // past the payload: the record does not decode, so the batch goes.
+        let mut record = vec![1u8];
+        record.extend_from_slice(&u32::MAX.to_le_bytes());
+        record.extend_from_slice(b"k");
+        let mut payload = Vec::new();
+        put_u32(&mut payload, wire_u32(record.len()));
+        payload.extend_from_slice(&record);
+        let mut log = Vec::new();
+        put_u32(&mut log, 1);
+        put_u32(&mut log, wire_u32(payload.len()));
+        put_u64(&mut log, checksum(&payload));
+        log.extend_from_slice(&payload);
+        assert_eq!(walk_of(&log), Some(Corruption::ChecksumMismatch { at: 0 }));
     }
 
     /// A fence seals alone, after whatever was pending, and the batches
@@ -631,7 +726,7 @@ mod tests {
     fn a_fence_seals_alone_then_trims_what_came_before() {
         let (mut wal, _, _) = small_log();
         wal.append(put(6), t(1));
-        wal.seal_fence(put(7), t(1));
+        wal.seal_fence([put(7)], t(1));
         assert_eq!(batch_sizes(&wal), [1], "the pending record sealed, then was trimmed");
         assert_eq!((wal.len(), wal.stats.get("batches")), (1, 5));
         wal.append(put(8), t(2));
@@ -642,6 +737,39 @@ mod tests {
         // Damage inside the fence leaves nothing: what it replaced is gone.
         wal.inject_bit_flip(fence_end - 1, 0);
         assert_eq!((wal.crash_with_report().replayed, wal.len()), (0, 0));
+    }
+
+    /// A fence of several records is one batch, whatever the policy:
+    /// `len()` counts its records, and damage to it leaves none of them.
+    #[test]
+    fn a_fence_of_several_records_seals_as_one_batch() {
+        let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(2));
+        for i in 0..5 {
+            wal.append(put(i), t(0));
+        }
+        wal.seal_fence((5..8).map(put), t(1));
+        assert_eq!(batch_sizes(&wal), [3], "one batch, though the policy seals at 2");
+        assert_eq!((wal.len(), wal.queue_depth()), (3, 0));
+        assert_eq!(durable(&wal), (5..8).map(put).collect::<Vec<_>>());
+        assert_eq!(wal.stats.get("batches"), 4, "2 full, the pending one, the fence");
+        wal.append(put(8), t(2));
+        wal.sync();
+        assert_eq!(wal.crash_with_report().replayed, 4);
+        wal.inject_torn_write(bounds_of(&wal)[1].1 - 1);
+        assert_eq!((wal.crash_with_report().replayed, wal.len()), (0, 0));
+    }
+
+    /// An empty fence stands in for nothing: nothing seals, nothing is
+    /// trimmed, and the pending tail stays pending.
+    #[test]
+    fn an_empty_fence_trims_nothing() {
+        let (mut wal, records, _) = small_log();
+        wal.append(put(6), t(1));
+        let (bytes, batches) = (wal.encoded_len(), wal.stats.get("batches"));
+        wal.seal_fence([], t(1));
+        assert_eq!((wal.encoded_len(), wal.stats.get("batches")), (bytes, batches));
+        assert_eq!((wal.len(), wal.queue_depth()), (7, 1));
+        assert_eq!(durable(&wal), records);
     }
 
     /// A refused batch is recovery's first damage: it and everything
@@ -667,7 +795,7 @@ mod tests {
 
     #[test]
     fn empty_and_never_synced_logs_recover_clean() {
-        let mut wal = GroupCommitWal::new();
+        let mut wal = GroupCommitWal::default();
         let report = wal.crash_with_report();
         assert_eq!(
             report,

@@ -13,10 +13,12 @@
 //! * [`sharded_kv`] — the KV store partitioned across key-hash shards
 //!   with the `mv_core::sharded` ownership discipline (durable ingest
 //!   fast path, E17);
-//! * [`wal`] — a write-ahead log with crash/recovery simulation;
-//! * [`group_commit`] — the batched WAL: records coalesce into one
-//!   checksum-framed batch per sync, with byte/record/deadline triggers
-//!   and whole-batch crash atomicity;
+//! * [`group_commit`] — the write-ahead log: records coalesce into one
+//!   checksum-framed batch per sync, with byte/record/deadline triggers,
+//!   whole-batch crash atomicity, and `seal_fence` as the one way to
+//!   trim it;
+//! * [`wal`] — the logged record, its payload codec, and the recovery
+//!   report;
 //! * [`bloom`] — double-hashed bloom filters for the LSM read path;
 //! * [`object`] — a content-addressed object store with refcounted
 //!   deduplication (shared avatar assets land here in E13);
@@ -46,4 +48,4 @@ pub use kv::{KvConfig, KvStore};
 pub use object::ObjectStore;
 pub use organization::{DataOrganization, Layout};
 pub use sharded_kv::ShardedKv;
-pub use wal::{RecoveryReport, Wal, WalRecord, WalRecordRef};
+pub use wal::{RecoveryReport, WalRecord, WalRecordRef};

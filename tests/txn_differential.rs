@@ -453,5 +453,5 @@ fn recovery_then_more_commits_stays_serializable() {
     // Recovery ran at least once (the spec injects three crash txns) and
     // the world still quiesces clean.
     assert_eq!(dm.txn_lock_count(), 0);
-    assert_eq!(dm.wal.pending_len(), 0);
+    assert_eq!(dm.wal.queue_depth(), 0);
 }
