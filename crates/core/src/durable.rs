@@ -422,21 +422,21 @@ fn decode_entity(r: &mut SliceReader<'_>) -> Option<Entity> {
 }
 
 /// [`DurableMetaverse::state_encoding`] of `engine` with entities `ids`,
-/// appended to `out`; `each` sees every entity encoded and its index.
+/// appended to `out`; `each` sees every entity encoded.
 fn encode_state(
     engine: &ShardedMetaverse,
     ids: &[EntityId],
     out: &mut Vec<u8>,
-    mut each: impl FnMut(usize, EntityRef<'_>),
+    mut each: impl FnMut(EntityRef<'_>),
 ) {
     out.push(1); // version
     put_u64(out, engine.now().as_micros());
     put_u64(out, engine.live_count() as u64);
     put_u64(out, ids.len() as u64);
-    for (i, id) in ids.iter().enumerate() {
+    for id in ids {
         if let Ok(e) = engine.entity(*id) {
             encode_entity(out, e);
-            each(i, e);
+            each(e);
         }
     }
     let stats = engine.stats();
@@ -581,7 +581,7 @@ impl DurableMetaverse {
     }
 
     /// The one write path: log `op`, apply it to the engine, give an
-    /// accepted move or attribute write its plain MVCC head, and trace it
+    /// accepted move or attribute write its MVCC head, and trace it
     /// under `ctx` (see [`Self::set_tracer`]). A transaction record is
     /// refused unlogged: it commits through [`Self::commit_txn`].
     pub fn apply(&mut self, op: &DurableOp, ctx: Option<TraceCtx>) -> MvResult<Applied> {
@@ -590,9 +590,10 @@ impl DurableMetaverse {
         }
         let (ctx, minted) = self.ingest_ctx(op, ctx);
         self.log(op, ctx);
+        let live = self.txns.save_before_images(&self.engine, [op]);
         let applied = self.replay(op);
         if applied.is_ok() {
-            self.txns.install_plain(op);
+            self.txns.plain_written(&self.engine, [op], live);
         }
         // Mark the apply instant under `ctx`, and close a root minted here
         // (a caller's root stays open: the caller owns its lifetime).
@@ -633,18 +634,17 @@ impl DurableMetaverse {
     /// shards apply the batch in parallel, each op through
     /// [`Metaverse::apply`](crate::Metaverse::apply) (per-entity replay
     /// order is append order, which the batch's stable partitioning
-    /// preserves). Ops in a batch mint no ingest roots.
+    /// preserves); then one pass in op order gives the accepted ops their
+    /// MVCC heads. Ops in a batch mint no ingest roots.
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
         let logged: Vec<DurableOp> = ops.iter().map(DurableOp::from_write).collect();
         for op in &logged {
             self.log(op, None);
         }
+        let live = self.txns.save_before_images(&self.engine, &logged);
         let results = self.engine.apply_batch(ops);
-        for (op, r) in logged.iter().zip(&results) {
-            if r.is_ok() {
-                self.txns.install_plain(op);
-            }
-        }
+        let accepted = logged.iter().zip(&results).filter(|(_, r)| r.is_ok()).map(|(op, _)| op);
+        self.txns.plain_written(&self.engine, accepted, live);
         results
     }
 
@@ -690,7 +690,8 @@ impl DurableMetaverse {
     /// Transactional records resolve in-doubt state here: a
     /// [`DurableOp::TxnPrepare`] is buffered, never applied on its own;
     /// a [`DurableOp::TxnDecision`] with `commit` replays the buffered
-    /// ops (engine + MVCC chains, at the recorded `commit_ts`); an abort
+    /// ops and heads what the engine applied at the recorded `commit_ts`
+    /// (no snapshot survives a crash to need a chain); an abort
     /// decision discards them; and prepares still unresolved at the end
     /// of the log are *presumed aborts* — discarded and counted in the
     /// `core.txn.indoubt_aborted` stat.
@@ -736,17 +737,20 @@ impl DurableMetaverse {
                         // or duplicated input — there is nothing to apply.
                         let Some(ops) = prepared.remove(&txn) else { continue };
                         if commit {
-                            self.txns.install_recovered(&ops, commit_ts);
                             for op in &ops {
-                                let _ = self.replay(op);
+                                if self.replay(op).is_ok() {
+                                    self.txns.stamp_commit(op, commit_ts);
+                                }
                             }
+                            self.txns.mvcc.oracle().advance_past(commit_ts);
+                            self.txns.stats.incr("recovered_commits");
                         } else {
                             self.txns.stats.incr("recovered_aborts");
                         }
                     }
                     other => {
                         if self.replay(&other).is_ok() {
-                            self.txns.install_plain(&other);
+                            self.txns.plain_written(&self.engine, [&other], false);
                         }
                     }
                 }
@@ -755,12 +759,6 @@ impl DurableMetaverse {
         }
         self.wal = wal;
         self.txns.stats.add("indoubt_aborted", prepared.len() as u64);
-        // Every pre-crash transaction is dead, so nothing pins the GC
-        // horizon: one final automatic collection lands the rebuilt
-        // chains in the same maximally-trimmed state the live path's
-        // per-commit collector maintains (the differential harness
-        // compares chain digests against a live twin).
-        self.txns.auto_gc();
         report
     }
 
@@ -785,28 +783,27 @@ impl DurableMetaverse {
     /// byte-for-byte across crash/recovery.
     pub fn state_encoding(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_state(&self.engine, &self.ids, &mut out, |_, _| {});
+        encode_state(&self.engine, &self.ids, &mut out, |_| {});
         out
     }
 
     /// The checkpoint image, also a replica's raft snapshot: tag 8, a
     /// version, the fx checksum of the rest, [`Self::state_encoding`],
     /// then the MVCC state a replay of the whole log would leave — the
-    /// oracle's timestamp, the next event id, and every chain's head (a
-    /// crash ends every transaction; see `txn::Heads`).
+    /// oracle's timestamp, the next event id, each field's head timestamp
+    /// (a crash ends every snapshot; see `TxnState::put_heads`) and an
+    /// empty extras list.
     pub(crate) fn checkpoint_image(&mut self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.image_len + self.image_len / 8);
         out.extend_from_slice(&[CHECKPOINT_TAG, IMAGE_VERSION]);
         out.resize(IMAGE_HEADER, 0);
         let DurableMetaverse { engine, ids, txns, .. } = self;
-        let oracle = txns.mvcc.oracle().current();
-        let mut heads = crate::txn::Heads::of(&mut txns.mvcc, ids.len());
-        let mut mvcc = Vec::new();
-        encode_state(engine, ids, &mut out, |i, e| heads.put_entity(&mut mvcc, i, e));
-        put_u64(&mut out, oracle);
+        let mut heads = Vec::new();
+        encode_state(engine, ids, &mut out, |e| txns.put_heads(&mut heads, e));
+        put_u64(&mut out, txns.mvcc.oracle().current());
         put_u64(&mut out, engine.next_event());
-        out.extend_from_slice(&mvcc);
-        heads.put_extras(&mut out);
+        out.extend_from_slice(&heads);
+        put_u32(&mut out, 0);
         let sum = image_checksum(out.get(IMAGE_HEADER..).unwrap_or_default());
         if let Some(slot) = out.get_mut(2..IMAGE_HEADER) {
             slot.copy_from_slice(&sum.to_le_bytes());
@@ -855,7 +852,7 @@ impl DurableMetaverse {
             counters.push((*name, r.u64()?));
         }
         let (oracle, next_event) = (r.u64()?, r.u64()?);
-        let txns = crate::txn::TxnState::new(self.txn_shards);
+        let mut txns = crate::txn::TxnState::new(self.txn_shards);
         txns.decode_heads(&mut r, &entities)?;
         if !r.done() {
             return None;
@@ -1170,12 +1167,13 @@ mod tests {
         dm.spawn("b", EntityKind::Avatar, p(3.0, 4.0), t(2));
         dm.update_attr(id, "hp", 0.5, t(3)).unwrap();
         dm.apply(&DurableOp::Position { id, position: p(5.0, 6.0), ts: t(4) }, None).unwrap();
-        // A committed transaction that wrote an attribute of a retired
-        // entity leaves a chain under no entity field: the image spells it
-        // out. `commit_txn` refuses such a write, so the records go into
-        // the log by hand, and recovery commits them as a hostile log
-        // would have it.
+        // A committed transaction that wrote attributes of a retired
+        // entity. `commit_txn` refuses such a write, so the records go
+        // into the log by hand, and recovery commits them as a hostile log
+        // would have it. The engine refuses both writes, so neither gets a
+        // head: a snapshot reads no `loot` and the engine's `hp`.
         dm.apply(&DurableOp::Retire { id, ts: t(5) }, None).unwrap();
+        let heads = dm.txn_digest();
         let ops = vec![
             DurableOp::Attr { id, name: "loot".into(), value: 9.0, ts: t(6) },
             DurableOp::Attr { id, name: "hp".into(), value: 0.25, ts: t(6) },
@@ -1186,8 +1184,10 @@ mod tests {
         dm.wal.sync();
         dm.crash_and_recover();
         assert_eq!(dm.txn_stats().get("recovered_commits"), 1);
-        // A read-only commit moves the oracle past every head.
-        let reader = dm.txn(t(7));
+        assert_eq!(dm.txn_digest(), heads, "the refused writes left no head");
+        let mut reader = dm.txn(t(7));
+        assert_eq!(dm.txn_read_attr(&mut reader, id, "loot"), None);
+        assert_eq!(dm.txn_read_attr(&mut reader, id, "hp"), Some(0.5));
         dm.commit_txn(reader, t(7)).unwrap();
         let image = dm.checkpoint_image();
         let mut restored = DurableMetaverse::with_defaults(2);
@@ -1236,12 +1236,19 @@ mod tests {
         refuses(&edit(at, b"x"), "unknown counter");
         refuses(&edit(state, &[9]), "state version");
         refuses(&edit(1, &[9]), "image version");
-        // The image ends with its one extra chain: count, key
-        // `[1][id]loot`, timestamp, 8-byte value.
-        let extras = image.len() - (4 + 4 + 13 + 8 + 4 + 8);
-        assert_eq!(image[extras..extras + 4], 1u32.to_le_bytes());
-        refuses(&edit(extras, &u32::MAX.to_le_bytes()), "extra count u32::MAX");
-        refuses(&edit(extras, &2u32.to_le_bytes()), "extra count past the buffer");
+        // The image ends with its extras count: every head is an engine
+        // field, so it is 0.
+        let extras = image.len() - 4;
+        assert_eq!(image[extras..], 0u32.to_le_bytes());
+        for count in [1, u32::MAX] {
+            refuses(&edit(extras, &count.to_le_bytes()), "a non-zero extras count is refused");
+        }
+        // The heads follow the state, the oracle and the next event id;
+        // the first is `a`'s position: tag 1 (the field) and a timestamp.
+        let heads = IMAGE_HEADER + dm.state_encoding().len() + 16;
+        assert_eq!(image[heads], 1);
+        refuses(&edit(heads, &[2]), "a head spelled out rather than the field");
+        refuses(&edit(heads + 1, &0u64.to_le_bytes()), "a head at timestamp 0");
     }
 
     /// An image the log's checksum passes but `restore` refuses is

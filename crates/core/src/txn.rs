@@ -29,34 +29,34 @@
 //! `tests/txn_differential.rs` sweeps every crash boundary and checks
 //! byte-identical recovery.
 //!
-//! Plain (non-transactional) writes share the version store: every
-//! engine-accepted move or attribute write (`DurableMetaverse::apply`,
-//! `update_attr`, `apply_batch`) installs a single-op committed version
-//! at a fresh oracle timestamp, live and on recovery alike — a
-//! transactional snapshot can never
-//! observe a torn read from a bypassing write (the anomaly DESIGN.md
-//! §10 used to document). While no snapshot is live, that version
-//! replaces the key's head instead of lengthening its chain, so plain
-//! ingest holds one version per key whatever its history; while one is
-//! live, versions append and the collector takes them once it ends.
-//! Keys written *only* at spawn time still read through to the engine;
-//! a key's chain begins at its first write of either kind, and a
-//! snapshot older than the chain reads absent-at-snapshot, never a
-//! newer live value.
+//! A key's newest version — its *head* — is the engine's own field plus
+//! a commit timestamp in a dense column here, by entity id. Every
+//! engine-accepted plain write (`DurableMetaverse::apply`, `update_attr`,
+//! `apply_batch`) stamps its column at a fresh oracle timestamp, live and
+//! on recovery alike, so a transactional snapshot never observes a torn
+//! read from a bypassing write (the anomaly DESIGN.md §10 used to
+//! document). With no snapshot live that is all it does. While one is,
+//! the write first saves the head it supersedes as its key's first chain
+//! version (a before-image), then appends its own, so a snapshot reads
+//! what it began with and validation sees every later write. A field at
+//! timestamp 0 — written only at spawn — reads through to the engine and
+//! saves nothing: a snapshot older than a key's chain reads
+//! absent-at-snapshot, never a newer live value.
 //!
 //! GC is automatic: every commit and abort collects at the oldest live
 //! snapshot's begin timestamp (a long-running transaction pins the
-//! horizon), and recovery finishes with one collection pass so rebuilt
-//! chains land in the same trimmed state. A pass visits only the chains
-//! that hold garbage at its horizon, so ending a transaction costs what
-//! the transaction wrote, whatever the size of the store.
+//! horizon), or empties the chains when none is live. A pass visits only
+//! the chains that hold garbage at its horizon, so ending a transaction
+//! costs what the transaction wrote, whatever the size of the store.
 
 use crate::arena::EntityRef;
 use crate::durable::{DurableMetaverse, DurableOp};
 use crate::entity::Entity;
+use crate::sharded::ShardedMetaverse;
 use bytes::Bytes;
+use mv_common::codec::{put_u64, wire_u32, SliceReader};
 use mv_common::geom::Point;
-use mv_common::codec::{put_chunk, put_u32, put_u64, wire_u32, SliceReader};
+use mv_common::hash::FastMap;
 use mv_common::id::{EntityId, TxnId};
 use mv_common::time::SimTime;
 use mv_common::{MvError, MvResult};
@@ -75,23 +75,6 @@ use std::collections::BTreeMap;
 const KEY_POSITION: u8 = 0;
 const KEY_ATTR: u8 = 1;
 
-/// MVCC key for an entity's ground-truth position.
-pub(crate) fn pos_key(id: EntityId) -> Vec<u8> {
-    let mut k = Vec::with_capacity(9);
-    k.push(KEY_POSITION);
-    k.extend_from_slice(&id.raw().to_le_bytes());
-    k
-}
-
-/// MVCC key for one entity attribute.
-pub(crate) fn attr_key(id: EntityId, name: &str) -> Vec<u8> {
-    let mut k = Vec::with_capacity(9 + name.len());
-    k.push(KEY_ATTR);
-    k.extend_from_slice(&id.raw().to_le_bytes());
-    k.extend_from_slice(name.as_bytes());
-    k
-}
-
 /// Shard router: hash the embedded entity-id bytes exactly as the KV
 /// shards do, so MVCC and KV agree on placement.
 pub(crate) fn txn_route(key: &[u8], shards: usize) -> usize {
@@ -104,20 +87,11 @@ fn f64_value(v: f64) -> Bytes {
 }
 
 fn decode_f64(b: &Bytes) -> Option<f64> {
-    let arr: [u8; 8] = b.as_ref().try_into().ok()?;
-    Some(f64::from_le_bytes(arr))
-}
-
-fn point_bytes(p: Point) -> [u8; 16] {
-    let mut out = [0; 16];
-    let (x, y) = out.split_at_mut(8);
-    x.copy_from_slice(&p.x.to_le_bytes());
-    y.copy_from_slice(&p.y.to_le_bytes());
-    out
+    b.as_ref().try_into().ok().map(f64::from_le_bytes)
 }
 
 fn point_value(p: Point) -> Bytes {
-    Bytes::copy_from_slice(&point_bytes(p))
+    Bytes::from([p.x.to_le_bytes(), p.y.to_le_bytes()].concat())
 }
 
 fn decode_point(b: &Bytes) -> Option<Point> {
@@ -126,124 +100,92 @@ fn decode_point(b: &Bytes) -> Option<Point> {
     (b.len() == 16).then(|| Point::new(f64::from_le_bytes(x), f64::from_le_bytes(y)))
 }
 
-/// How an image writes one MVCC head (see [`Heads`]): no chain, equal to
-/// the engine's field (timestamp only), or spelled out.
+/// How an image writes one head: none (timestamp 0), or the engine's
+/// field at the timestamp that follows.
 const HEAD_NONE: u8 = 0;
 const HEAD_AS_FIELD: u8 = 1;
-const HEAD_VALUE: u8 = 2;
 
-/// One head of an image; `field` is the engine's value of its field.
-fn put_head(out: &mut Vec<u8>, head: Option<(u64, &Bytes)>, field: &[u8]) {
-    match head {
-        None => out.push(HEAD_NONE),
-        Some((ts, value)) if value.as_ref() == field => {
-            out.push(HEAD_AS_FIELD);
-            put_u64(out, ts);
+/// The engine field a move or an attribute write addresses: what one
+/// MVCC key versions.
+#[derive(Debug, Clone, Copy)]
+enum Field<'a> {
+    Position(EntityId),
+    Attr(EntityId, &'a str),
+}
+
+impl<'a> Field<'a> {
+    /// The field `op` writes, if it is a transactional leaf op.
+    fn of(op: &'a DurableOp) -> Option<Self> {
+        match op {
+            DurableOp::Position { id, .. } => Some(Field::Position(*id)),
+            DurableOp::Attr { id, name, .. } => Some(Field::Attr(*id, name)),
+            _ => None,
         }
-        Some((ts, value)) => {
-            out.push(HEAD_VALUE);
-            put_u64(out, ts);
-            put_chunk(out, value);
+    }
+
+    /// The field `key` names (the inverse of [`Self::key`]).
+    fn of_key(key: &'a [u8]) -> Option<Self> {
+        let id = EntityId::new(u64::from_le_bytes(key.get(1..9)?.try_into().ok()?));
+        match (*key.first()?, key.get(9..)?) {
+            (KEY_POSITION, []) => Some(Field::Position(id)),
+            (KEY_ATTR, name) => Some(Field::Attr(id, std::str::from_utf8(name).ok()?)),
+            _ => None,
         }
+    }
+
+    fn entity(self) -> EntityId {
+        let (Field::Position(id) | Field::Attr(id, _)) = self;
+        id
+    }
+
+    /// The field's MVCC key.
+    fn key(self) -> Vec<u8> {
+        let (tag, name) = match self {
+            Field::Position(_) => (KEY_POSITION, ""),
+            Field::Attr(_, name) => (KEY_ATTR, name),
+        };
+        [[tag].as_slice(), &self.entity().raw().to_le_bytes(), name.as_bytes()].concat()
+    }
+
+    /// The field's value in `e`, as a version holds it.
+    fn value(self, e: EntityRef<'_>) -> Option<Bytes> {
+        match self {
+            Field::Position(_) => Some(point_value(e.position)),
+            Field::Attr(_, name) => e.attrs.get(name).map(|v| f64_value(*v)),
+        }
+    }
+
+    /// The field's value in `engine`.
+    fn current(self, engine: &ShardedMetaverse) -> Option<Bytes> {
+        engine.entity(self.entity()).ok().and_then(|e| self.value(e))
+    }
+
+    /// Entity `id`'s fields in image order: its position, then each of
+    /// `attrs` in name order.
+    fn all(id: EntityId, attrs: &'a BTreeMap<String, f64>) -> impl Iterator<Item = Field<'a>> {
+        std::iter::once(Field::Position(id)).chain(attrs.keys().map(move |name| Field::Attr(id, name)))
     }
 }
 
-/// One MVCC head: its commit timestamp and value.
-type Head<'a> = (u64, &'a Bytes);
-
-/// The MVCC section of a checkpoint image: every chain's head, in the
-/// order of the engine's own entity list — per entity in id order, its
-/// position, then each attribute in name order — so no key is sorted. A
-/// head is absent, equal to the field the engine holds (timestamp only),
-/// or spelled out (a committed transaction in a hand-written log wrote an
-/// entity the engine had retired; `commit_txn` refuses that write).
-/// Chains under no entity field follow in key order. One walk of the
-/// store buckets the heads by entity for the image's pass over them.
-pub(crate) struct Heads<'a> {
-    /// Each entity's heads, as a list threaded through `heads`.
-    newest: Vec<Option<usize>>,
-    heads: Vec<(&'a Bytes, Head<'a>, Option<usize>)>,
-    extras: BTreeMap<&'a Bytes, Head<'a>>,
+/// `column[row]`, the column grown with defaults to hold it.
+fn grown<T: Default>(column: &mut Vec<T>, row: usize) -> Option<&mut T> {
+    if column.len() <= row {
+        column.resize_with(row.saturating_add(1), T::default);
+    }
+    column.get_mut(row)
 }
 
-impl<'a> Heads<'a> {
-    /// Bucket every head of `mvcc` by entity `0..n`; `&mut` spares the
-    /// walk the shard locks.
-    pub(crate) fn of(mvcc: &'a mut ShardedMvcc, n: usize) -> Self {
-        let mut all = Heads { newest: vec![None; n], heads: Vec::new(), extras: BTreeMap::new() };
-        mvcc.for_each_head(|key, ts, value| {
-            let id = key.get(1..9).and_then(|id| id.try_into().ok()).map(u64::from_le_bytes);
-            let at = all.heads.len();
-            match id.and_then(|id| usize::try_from(id).ok()).and_then(|id| all.newest.get_mut(id)) {
-                Some(newest) => all.heads.push((key, (ts, value), newest.replace(at))),
-                None => {
-                    all.extras.insert(key, (ts, value));
-                }
-            }
-        });
-        all
-    }
-
-    /// Write entity `i`'s heads; `e` is that entity in the engine. Its
-    /// heads that name no field of it join the extras.
-    pub(crate) fn put_entity(&mut self, out: &mut Vec<u8>, i: usize, e: EntityRef<'_>) {
-        let names = |key: &[u8], tag: u8, name: &[u8]| key.first() == Some(&tag) && key.get(9..) == Some(name);
-        let pos = self.of_entity(i).find(|(key, _)| names(key, KEY_POSITION, b""));
-        put_head(out, pos.map(|(_, head)| head), &point_bytes(e.position));
-        let mut named = usize::from(pos.is_some());
-        for (name, value) in e.attrs {
-            let head = self.of_entity(i).find(|(key, _)| names(key, KEY_ATTR, name.as_bytes()));
-            named += usize::from(head.is_some());
-            put_head(out, head.map(|(_, head)| head), &value.to_le_bytes());
-        }
-        if self.of_entity(i).nth(named).is_some() {
-            let field = |key: &[u8]| {
-                let attr = std::str::from_utf8(key.get(9..).unwrap_or_default());
-                names(key, KEY_POSITION, b"")
-                    || key.first() == Some(&KEY_ATTR) && attr.is_ok_and(|a| e.attrs.contains_key(a))
-            };
-            let unnamed: Vec<_> = self.of_entity(i).filter(|(key, _)| !field(key)).collect();
-            self.extras.extend(unnamed);
-        }
-    }
-
-    /// Entity `i`'s heads, last bucketed first.
-    fn of_entity(&self, i: usize) -> impl Iterator<Item = (&'a Bytes, Head<'a>)> + '_ {
-        let mut at = self.newest.get(i).copied().flatten();
-        std::iter::from_fn(move || {
-            let (key, head, older) = self.heads.get(at?)?;
-            at = *older;
-            Some((*key, *head))
-        })
-    }
-
-    /// Write the chains no entity field names, in key order.
-    pub(crate) fn put_extras(self, out: &mut Vec<u8>) {
-        put_u32(out, wire_u32(self.extras.len()));
-        for (key, (ts, value)) in self.extras {
-            put_chunk(out, key);
-            put_u64(out, ts);
-            put_chunk(out, value);
-        }
-    }
-}
-
-/// The MVCC key + value a transactional leaf op writes.
-pub(crate) fn mvcc_kv_for(op: &DurableOp) -> Option<(Vec<u8>, Option<Bytes>)> {
-    match op {
-        DurableOp::Position { id, position, .. } => Some((pos_key(*id), Some(point_value(*position)))),
-        DurableOp::Attr { id, name, value, .. } => {
-            Some((attr_key(*id, name), Some(f64_value(*value))))
-        }
-        _ => None,
-    }
-}
-
-/// Transactional state owned by [`DurableMetaverse`]: the sharded MVCC
-/// overlay (serializable) and the `core.txn.*` counters.
+/// Transactional state owned by [`DurableMetaverse`]: the heads'
+/// timestamp columns, the sharded MVCC chains that hold versions while
+/// a snapshot is live (serializable), and the `core.txn.*` counters.
 pub(crate) struct TxnState {
     pub(crate) mvcc: ShardedMvcc,
     pub(crate) stats: StatSet,
+    /// By entity id: the position head's commit timestamp (0: none).
+    position_ts: Vec<u64>,
+    /// By entity id: each attribute head's name (interned) and timestamp.
+    attr_ts: Vec<Vec<(u32, u64)>>,
+    names: FastMap<Box<str>, u32>,
 }
 
 impl TxnState {
@@ -251,30 +193,99 @@ impl TxnState {
         TxnState {
             mvcc: ShardedMvcc::new(shards.max(1), IsolationLevel::Serializable, txn_route),
             stats: StatSet::new("core.txn"),
+            position_ts: Vec::new(),
+            attr_ts: Vec::new(),
+            names: FastMap::default(),
         }
     }
 
-    /// Recovery: install the MVCC versions a decided-commit transaction
-    /// wrote, deduplicated to the final value per key (the live path
-    /// installs from the write buffer, which holds final values only —
-    /// the rebuilt chains must match it version-for-version).
-    pub(crate) fn install_recovered(&mut self, ops: &[DurableOp], commit_ts: u64) {
-        let mut final_writes: BTreeMap<Vec<u8>, Option<Bytes>> = BTreeMap::new();
-        for op in ops {
-            if let Some((k, v)) = mvcc_kv_for(op) {
-                final_writes.insert(k, v);
+    /// Commit timestamp of `field`'s head; 0 when it has none.
+    fn head_ts(&self, field: Field<'_>) -> u64 {
+        let row = usize::try_from(field.entity().raw()).unwrap_or(usize::MAX);
+        match field {
+            Field::Position(_) => self.position_ts.get(row).copied(),
+            Field::Attr(_, name) => self.names.get(name).and_then(|n| {
+                Some(self.attr_ts.get(row)?.iter().find(|head| head.0 == *n)?.1)
+            }),
+        }
+        .unwrap_or(0)
+    }
+
+    /// Make `ts` the commit timestamp of `field`'s head.
+    fn stamp(&mut self, field: Field<'_>, ts: u64) {
+        let row = usize::try_from(field.entity().raw()).unwrap_or(usize::MAX);
+        let Field::Attr(_, name) = field else {
+            if let Some(slot) = grown(&mut self.position_ts, row) {
+                *slot = ts;
+            }
+            return;
+        };
+        let fresh = wire_u32(self.names.len());
+        let name = match self.names.get(name) {
+            Some(&n) => n,
+            None => *self.names.entry(name.into()).or_insert(fresh),
+        };
+        let Some(heads) = grown(&mut self.attr_ts, row) else { return };
+        match heads.iter_mut().find(|head| head.0 == name) {
+            Some(head) => head.1 = ts,
+            None => heads.push((name, ts)),
+        }
+    }
+
+    /// A committed transaction's `op`, which the engine applied, heads
+    /// its field at `commit_ts`.
+    pub(crate) fn stamp_commit(&mut self, op: &DurableOp, commit_ts: u64) {
+        if let Some(field) = Field::of(op) {
+            self.stamp(field, commit_ts);
+        }
+    }
+
+    /// Whether a snapshot is live; if one is, before `ops` overwrite their
+    /// fields in `engine`, start each key's chain, if it has none, with the
+    /// head the write supersedes. A field with no head keeps nothing.
+    pub(crate) fn save_before_images<'a>(&self, engine: &ShardedMetaverse, ops: impl IntoIterator<Item = &'a DurableOp>) -> bool {
+        let live = self.mvcc.live_snapshot_count() > 0;
+        for field in ops.into_iter().take_while(|_| live).filter_map(Field::of) {
+            if let Some((value, ts)) = self.head_of(engine, field) {
+                self.mvcc.save_before_image(&field.key(), value, ts);
             }
         }
-        for (k, v) in final_writes {
-            self.mvcc.install_version(&k, v, commit_ts);
-        }
-        self.stats.incr("recovered_commits");
+        live
     }
 
-    /// Run the automatic collector (see [`ShardedMvcc::auto_gc`]) and
-    /// count what it did; returns the versions dropped.
-    pub(crate) fn auto_gc(&mut self) -> usize {
-        let pass = self.mvcc.auto_gc();
+    /// `field`'s head as a version: its value in `engine` and its commit
+    /// timestamp; `None` when it has no head.
+    fn head_of(&self, engine: &ShardedMetaverse, field: Field<'_>) -> Option<(Bytes, u64)> {
+        let ts = Some(self.head_ts(field)).filter(|ts| *ts > 0)?;
+        Some((field.current(engine)?, ts))
+    }
+
+    /// The plain writes `accepted` (applied to `engine`, in op order)
+    /// each head their field at a fresh oracle timestamp drawn from the
+    /// op's own time — live and on recovery alike, so the timestamps
+    /// match. With a snapshot `live`, each also appends its version to
+    /// the key's chain, after [`Self::save_before_images`].
+    pub(crate) fn plain_written<'a>(&mut self, engine: &ShardedMetaverse, accepted: impl IntoIterator<Item = &'a DurableOp>, live: bool) {
+        let mut written = 0;
+        for (op, field) in accepted.into_iter().filter_map(|op| Some((op, Field::of(op)?))) {
+            let ts = self.mvcc.oracle().next(op.ts());
+            if let Some(value) = live.then(|| field.current(engine)).flatten() {
+                self.mvcc.install_version(&field.key(), Some(value), ts);
+            }
+            self.stamp(field, ts);
+            written += 1;
+        }
+        if written > 0 {
+            self.stats.add("plain_versions", written);
+        }
+    }
+
+    /// Collect once a transaction ends: at the oldest live snapshot's
+    /// begin timestamp, or, with none live, empty the chains, counted as
+    /// a collection at the current timestamp. Returns the versions
+    /// dropped.
+    pub(crate) fn collect(&mut self) -> usize {
+        let pass = if self.mvcc.live_snapshot_count() > 0 { self.mvcc.auto_gc() } else { self.mvcc.clear() };
         if pass.visited > 0 {
             self.stats.add("gc_chains_visited", pass.visited as u64);
             self.stats.add("gc_versions_auto", pass.dropped as u64);
@@ -282,56 +293,38 @@ impl TxnState {
         pass.dropped
     }
 
-    /// Install the heads [`Heads`] wrote for the image's decoded
-    /// `entities` into this (fresh) store, each as a one-version chain.
-    /// `None` on damage: an unknown head tag, or extra keys out of order
-    /// or naming a chain already installed.
-    pub(crate) fn decode_heads(&self, r: &mut SliceReader<'_>, entities: &[Entity]) -> Option<()> {
-        let install = |r: &mut SliceReader<'_>, key: &[u8], field: &[u8]| {
-            let (ts, value) = match r.u8()? {
-                HEAD_NONE => return Some(()),
-                HEAD_AS_FIELD => (r.u64()?, field),
-                HEAD_VALUE => (r.u64()?, r.chunk()?),
-                _ => return None,
-            };
-            self.mvcc.install_version(key, Some(Bytes::copy_from_slice(value)), ts);
-            Some(())
-        };
-        for e in entities {
-            install(r, &pos_key(e.id), &point_bytes(e.position))?;
-            for (name, value) in &e.attrs {
-                install(r, &attr_key(e.id, name), &value.to_le_bytes())?;
-            }
-        }
-        let mut last: &[u8] = &[];
-        for _ in 0..r.u32()? {
-            let key = r.chunk()?;
-            if key <= last || self.mvcc.read_latest(key).is_some() {
-                return None;
-            }
-            last = key;
-            let (ts, value) = (r.u64()?, r.chunk()?);
-            self.mvcc.install_version(key, Some(Bytes::copy_from_slice(value)), ts);
-        }
-        Some(())
+    /// Every head, as `(key, commit_ts, value)`, with the values `engine`
+    /// holds for entities `ids`.
+    fn heads(&self, engine: &ShardedMetaverse, ids: &[EntityId]) -> Vec<(Bytes, u64, Bytes)> {
+        let entities = ids.iter().filter_map(|id| engine.entity(*id).ok());
+        let fields = entities.flat_map(|e| Field::all(e.id, e.attrs).map(move |field| (field, e)));
+        let heads = fields.map(|(field, e)| (field, self.head_ts(field), e)).filter(|(_, ts, _)| *ts > 0);
+        heads.filter_map(|(field, ts, e)| Some((Bytes::from(field.key()), ts, field.value(e)?))).collect()
     }
 
-    /// Install the single-key version a *plain* (non-transactional)
-    /// write produces, at a fresh commit timestamp drawn from the op's
-    /// own time. Plain ingest and transactional commits now share one
-    /// version store, so a transactional snapshot can never observe a
-    /// torn read from a bypassing write (the old §10 anomaly). With no
-    /// snapshot live the version replaces the key's head instead of
-    /// growing its chain (see [`ShardedMvcc::install_plain`]). Called on
-    /// the live path after the engine accepts the write, and on recovery
-    /// after a successful replay — same order, same timestamps, so the
-    /// rebuilt chains stay byte-identical.
-    pub(crate) fn install_plain(&mut self, op: &DurableOp) {
-        if let Some((k, v)) = mvcc_kv_for(op) {
-            let commit_ts = self.mvcc.oracle().next(op.ts());
-            self.mvcc.install_plain(&k, v, commit_ts);
-            self.stats.incr("plain_versions");
+    /// Write `e`'s heads into an image: its position's, then each
+    /// attribute's in name order.
+    pub(crate) fn put_heads(&self, out: &mut Vec<u8>, e: EntityRef<'_>) {
+        for ts in Field::all(e.id, e.attrs).map(|field| self.head_ts(field)) {
+            out.push(if ts == 0 { HEAD_NONE } else { HEAD_AS_FIELD });
+            if ts > 0 {
+                put_u64(out, ts);
+            }
         }
+    }
+
+    /// Read back what [`Self::put_heads`] wrote for the image's decoded
+    /// `entities`, then the image's extras list, which is empty. `None`
+    /// on damage: an unknown tag, a head at timestamp 0, or any extras.
+    pub(crate) fn decode_heads(&mut self, r: &mut SliceReader<'_>, entities: &[Entity]) -> Option<()> {
+        for field in entities.iter().flat_map(|e| Field::all(e.id, &e.attrs)) {
+            match r.u8()? {
+                HEAD_NONE => {}
+                HEAD_AS_FIELD => self.stamp(field, r.u64().filter(|ts| *ts > 0)?),
+                _ => return None,
+            }
+        }
+        (r.u32()? == 0).then_some(())
     }
 }
 
@@ -359,13 +352,13 @@ impl MetaTxn {
 
     /// Buffer an attribute write.
     pub fn write_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) {
-        self.inner.write(attr_key(id, name), f64_value(value));
+        self.inner.write(Field::Attr(id, name).key(), f64_value(value));
         self.ops.push(DurableOp::Attr { id, name: name.to_string(), value, ts: now });
     }
 
     /// Buffer a ground-truth position write.
     pub fn write_position(&mut self, id: EntityId, position: Point, now: SimTime) {
-        self.inner.write(pos_key(id), point_value(position));
+        self.inner.write(Field::Position(id).key(), point_value(position));
         self.ops.push(DurableOp::Position { id, position, ts: now });
     }
 
@@ -416,26 +409,32 @@ impl DurableMetaverse {
         MetaTxn { inner: self.txns.mvcc.begin(), ops: Vec::new(), root }
     }
 
-    /// Read an attribute inside `txn`: buffered write, else snapshot
-    /// version, else (for keys with no version chain at all — written
-    /// only at spawn time) the live engine value. `None` =
-    /// entity/attribute absent at the snapshot.
+    /// Read an attribute inside `txn`: buffered write, else the version
+    /// in the key's chain its snapshot sees, else (a key with no chain)
+    /// the engine's value, if its head is no newer than the snapshot.
+    /// `None` = entity/attribute absent at the snapshot.
     pub fn txn_read_attr(&self, txn: &mut MetaTxn, id: EntityId, name: &str) -> Option<f64> {
-        let key = attr_key(id, name);
-        match self.txns.mvcc.read_versioned(&mut txn.inner, &key) {
+        let field = Field::Attr(id, name);
+        match self.txns.mvcc.read_versioned(&mut txn.inner, &field.key()) {
             Some(visible) => visible.as_ref().and_then(decode_f64),
-            None => self.engine.entity(id).ok().and_then(|e| e.attrs.get(name).copied()),
+            None => self.head_at(txn, field)?.attrs.get(name).copied(),
         }
     }
 
-    /// Read a ground-truth position inside `txn` (same fallback rules as
+    /// Read a ground-truth position inside `txn` (same rules as
     /// [`Self::txn_read_attr`]).
     pub fn txn_read_position(&self, txn: &mut MetaTxn, id: EntityId) -> Option<Point> {
-        let key = pos_key(id);
-        match self.txns.mvcc.read_versioned(&mut txn.inner, &key) {
+        let field = Field::Position(id);
+        match self.txns.mvcc.read_versioned(&mut txn.inner, &field.key()) {
             Some(visible) => visible.as_ref().and_then(decode_point),
-            None => self.engine.entity(id).ok().map(|e| e.position),
+            None => self.head_at(txn, field).map(|e| e.position),
         }
+    }
+
+    /// The entity holding `field` — a key with no chain — when its head
+    /// is no newer than `txn`'s snapshot.
+    fn head_at(&self, txn: &MetaTxn, field: Field<'_>) -> Option<EntityRef<'_>> {
+        (self.txns.head_ts(field) <= txn.begin_ts()).then(|| self.engine.entity(field.entity()).ok())?
     }
 
     /// Commit `txn` with cross-shard 2PC (see the module docs). Returns
@@ -506,6 +505,15 @@ impl DurableMetaverse {
             }
         }
 
+        // A transaction begun before a recovery is no live snapshot of the
+        // recovered store: a write since may be a head with no chain.
+        let newer = |key: &Bytes| Field::of_key(key).is_some_and(|f| self.txns.head_ts(f) > inner.begin_ts());
+        if inner.read_keys().chain(inner.write_set().map(|(k, _)| k)).any(newer) {
+            self.txns.mvcc.release(txn_id, &parts);
+            self.end_aborted(txn_id, root, now, "aborted_conflict");
+            return Err(MvError::Conflict("a head is newer than the snapshot".into()));
+        }
+
         // Phase 1b: durable prepare records, one per write shard, in
         // shard order — the order recovery replays in. A single-shard
         // transaction takes the fast path: prepare and decision ride
@@ -544,22 +552,27 @@ impl DurableMetaverse {
             return crashed(self, root);
         }
 
-        // Apply: install versions at the decision timestamp, replay the
-        // buffered ops into the engine in prepare-record order (phase 0
-        // checked that the engine accepts each). Nothing reads the events
-        // the replay makes, so they go at once rather than pile up until
-        // the next `commit`.
-        self.txns.mvcc.install(txn_id, parts, commit_ts);
+        // Apply: install versions at the decision timestamp, each after the
+        // head it supersedes, replay the buffered ops into the engine in
+        // prepare-record order (phase 0 checked that the engine accepts
+        // each) and stamp their heads. Nothing reads the events the replay
+        // makes, so they go at once rather than pile up until the next
+        // `commit`.
+        let before = |key: &[u8]| Field::of_key(key).and_then(|field| self.txns.head_of(&self.engine, field));
+        self.txns.mvcc.install(txn_id, parts, commit_ts, before);
         for prepare in &prepares {
             let DurableOp::TxnPrepare { ops, .. } = prepare else { continue };
             for op in ops {
                 let applied = self.replay(op);
                 debug_assert!(applied.is_ok(), "a checked write was refused: {applied:?}");
+                if applied.is_ok() {
+                    self.txns.stamp_commit(op, commit_ts);
+                }
             }
         }
         self.engine.discard_events();
         self.txns.mvcc.finish(txn_id);
-        self.txns.auto_gc();
+        self.txns.collect();
         self.txns.stats.incr("committed");
         match write_shards {
             0 => self.txns.stats.incr("readonly_commits"),
@@ -584,7 +597,7 @@ impl DurableMetaverse {
     /// root span with the reason `<why>`.
     fn end_aborted(&mut self, id: TxnId, root: Option<TraceCtx>, now: SimTime, counter: &'static str) {
         self.txns.mvcc.finish(id);
-        self.txns.auto_gc();
+        self.txns.collect();
         self.txns.stats.incr(counter);
         if let (Some(tr), Some(c)) = (&self.tracer, root) {
             tr.event(c, "txn.abort", now, counter.trim_start_matches("aborted_"));
@@ -628,10 +641,11 @@ impl DurableMetaverse {
         self.txns.mvcc.oracle().current()
     }
 
-    /// Deterministic digest of the MVCC version chains (compared across
-    /// crash/recovery by the differential harness).
+    /// Deterministic digest of the MVCC version chains — the physical
+    /// chains, and each head with none as a one-version chain (compared
+    /// across crash/recovery by the differential harness).
     pub fn txn_digest(&self) -> u64 {
-        self.txns.mvcc.digest()
+        self.txns.mvcc.digest(self.txns.heads(&self.engine, &self.ids))
     }
 
     /// Garbage-collect version chains at an explicit `horizon`;
@@ -643,11 +657,11 @@ impl DurableMetaverse {
     }
 
     /// Run the automatic collector now: GC at the oldest live
-    /// snapshot's begin timestamp (or the oracle's current time when no
-    /// transaction is open). A long-running transaction pins the
-    /// horizon — nothing it could still read is collected.
+    /// snapshot's begin timestamp (with no transaction open, the chains
+    /// go). A long-running transaction pins the horizon — nothing it
+    /// could still read is collected.
     pub fn txn_auto_gc(&mut self) -> usize {
-        self.txns.auto_gc()
+        self.txns.collect()
     }
 
     /// Begin timestamp of the oldest open transaction, if any (the
@@ -662,9 +676,12 @@ impl DurableMetaverse {
         self.txns.mvcc.lock_count()
     }
 
-    /// Live MVCC version count (GC pressure metric).
+    /// Live MVCC version count (GC pressure metric): the chains'
+    /// versions, plus one for each head with no chain (every chain ends
+    /// in a head).
     pub fn txn_version_count(&self) -> usize {
-        self.txns.mvcc.version_count()
+        let heads = self.txns.heads(&self.engine, &self.ids).len();
+        (self.txns.mvcc.version_count() + heads).saturating_sub(self.txns.mvcc.key_count())
     }
 
     /// Convenience retry loop: run `body` against fresh transactions
@@ -935,6 +952,54 @@ mod tests {
         assert_eq!(dm.txn_read_attr(&mut after, ids[0], "gold"), Some(7.0));
     }
 
+    /// With no snapshot live, a plain write stamps its head's timestamp
+    /// and builds no chain: 1× and 10× the same writes, through all
+    /// three entry points, leave `mv-txn`'s store empty while the 32
+    /// heads read as versions. A live snapshot then keeps every write
+    /// behind its before-image and still reads its own value; once it
+    /// ends the store is empty again.
+    #[test]
+    fn idle_plain_writes_hold_no_chains() {
+        let physical = |dm: &DurableMetaverse| (dm.txns.mvcc.key_count(), dm.txns.mvcc.version_count());
+        for rounds in [1u64, 10] {
+            let mut dm = DurableMetaverse::with_defaults(4);
+            let ids: Vec<EntityId> = (0..16)
+                .map(|i| dm.spawn(format!("e{i}"), EntityKind::Avatar, Point::ORIGIN, t(1)))
+                .collect();
+            let write = |dm: &mut DurableMetaverse, r: u64| {
+                let (now, position) = (t(2 + r), Point::new(1.0, r as f64));
+                let batch: Vec<WriteOp> =
+                    ids.iter().map(|&id| WriteOp::Position { id, position, ts: now }).collect();
+                assert!(dm.apply_batch(&batch).iter().all(|r| r.is_ok()));
+                for &id in &ids {
+                    dm.update_attr(id, "hp", r as f64, now).expect("live entity");
+                    let position = Point::new(r as f64, 2.0);
+                    dm.apply(&DurableOp::Position { id, position, ts: now }, None).expect("live entity");
+                }
+            };
+            for r in 0..rounds {
+                write(&mut dm, r);
+            }
+            assert_eq!(dm.txn_stats().get("plain_versions"), 3 * 16 * rounds);
+            assert_eq!(physical(&dm), (0, 0), "{rounds}×: no chain without a snapshot");
+            assert_eq!(dm.txn_version_count(), 32, "{rounds}×: one head per position and attribute");
+
+            let mut reader = dm.txn(t(50));
+            let hp = dm.txn_read_attr(&mut reader, ids[0], "hp");
+            for r in rounds..rounds + 3 {
+                write(&mut dm, r);
+            }
+            // Each position: its before-image and two writes a round; each
+            // `hp`: its before-image and one write a round.
+            assert_eq!(physical(&dm), (32, 16 * 7 + 16 * 4), "{rounds}×");
+            assert_eq!(dm.txn_version_count(), 16 * 7 + 16 * 4);
+            assert_eq!(dm.txn_read_attr(&mut reader, ids[0], "hp"), hp);
+            dm.abort_txn(reader, t(60));
+            assert_eq!(physical(&dm), (0, 0), "{rounds}×: the chains went with the snapshot");
+            assert_eq!(dm.txn_version_count(), 32);
+        }
+    }
+
     /// Nothing reads a durable engine's co-space events, so committed
     /// transactions leave none behind, however many run between commits.
     #[test]
@@ -1005,11 +1070,11 @@ mod tests {
         // that genuinely spans two shards — a single-shard txn takes
         // the one-sync fast path and its crash would lose the tail
         // instead of leaving prepares in doubt.
-        let s1 = txn_route(&attr_key(ids[1], "gold"), 4);
+        let s1 = txn_route(&Field::Attr(ids[1], "gold").key(), 4);
         let far = ids
             .iter()
             .copied()
-            .find(|&id| txn_route(&attr_key(id, "gold"), 4) != s1)
+            .find(|&id| txn_route(&Field::Attr(id, "gold").key(), 4) != s1)
             .expect("some entity routes to another shard");
         let mut doomed = dm.txn(t(3));
         let b = dm.txn_read_attr(&mut doomed, ids[1], "gold").expect("seeded");
@@ -1062,11 +1127,11 @@ mod tests {
         assert_eq!(dm.txn_stats().get("single_shard_commits"), 1);
 
         // A write set spanning two shards → prepare sync + decision sync.
-        let s0 = txn_route(&attr_key(ids[0], "gold"), 4);
+        let s0 = txn_route(&Field::Attr(ids[0], "gold").key(), 4);
         let far = ids
             .iter()
             .copied()
-            .find(|&id| txn_route(&attr_key(id, "gold"), 4) != s0)
+            .find(|&id| txn_route(&Field::Attr(id, "gold").key(), 4) != s0)
             .expect("some entity routes to another shard");
         let mut cross = dm.txn(t(3));
         let b = dm.txn_read_attr(&mut cross, ids[0], "gold").expect("seeded");
@@ -1213,5 +1278,248 @@ mod tests {
         assert!((1_000..8_000).contains(&small.committed), "some purchases win, some conflict");
         assert!(small.visited > 0 && small.visited <= small.dropped, "{small:?}");
         assert!(small.dropped <= small_installed && large.dropped <= large_installed);
+    }
+
+    /// The chain store as it was before heads moved into the columns,
+    /// driven beside a [`DurableMetaverse`]: every accepted write installs
+    /// a version (`install_version`), a plain write with no snapshot live
+    /// replaces its key's head (what `gc` at its timestamp leaves after
+    /// the append), and every transaction's end runs `auto_gc`.
+    struct Reference {
+        mvcc: ShardedMvcc,
+        /// Each key's newest version: what a recovery rebuilds.
+        heads: BTreeMap<Vec<u8>, (u64, Bytes)>,
+    }
+
+    /// A held transaction on both sides; `ids` are the entities the
+    /// reference's commit checks the engine accepts writes to.
+    struct Held {
+        txn: MetaTxn,
+        reference: Transaction,
+        ids: Vec<EntityId>,
+    }
+
+    /// What a write of `x` to `field` logs, and the value its version
+    /// holds.
+    fn write_of(field: Field<'static>, x: f64, now: SimTime) -> (DurableOp, Bytes) {
+        match field {
+            Field::Position(id) => {
+                let position = Point::new(x, 1.0);
+                (DurableOp::Position { id, position, ts: now }, point_value(position))
+            }
+            Field::Attr(id, name) => (DurableOp::Attr { id, name: name.into(), value: x, ts: now }, f64_value(x)),
+        }
+    }
+
+    /// `field` as `txn` reads it, as version bytes.
+    fn read(dm: &DurableMetaverse, txn: &mut MetaTxn, field: Field<'_>) -> Option<Bytes> {
+        match field {
+            Field::Position(id) => dm.txn_read_position(txn, id).map(point_value),
+            Field::Attr(id, name) => dm.txn_read_attr(txn, id, name).map(f64_value),
+        }
+    }
+
+    impl Reference {
+        fn new(shards: usize) -> Self {
+            let mvcc = ShardedMvcc::new(shards, IsolationLevel::Serializable, txn_route);
+            Reference { mvcc, heads: BTreeMap::new() }
+        }
+
+        /// A plain write `op` the engine accepted.
+        fn plain(&mut self, op: &DurableOp, value: Bytes) {
+            let Some(field) = Field::of(op) else { return };
+            let ts = self.mvcc.oracle().next(op.ts());
+            self.mvcc.install_version(&field.key(), Some(value.clone()), ts);
+            if self.mvcc.live_snapshot_count() == 0 {
+                self.mvcc.gc(ts);
+            }
+            self.heads.insert(field.key(), (ts, value));
+        }
+
+        /// A snapshot read: the chain's version, else the engine's value.
+        fn read(&self, dm: &DurableMetaverse, txn: &mut Transaction, field: Field<'_>) -> Option<Bytes> {
+            match self.mvcc.read_versioned(txn, &field.key()) {
+                Some(visible) => visible,
+                None => field.current(&dm.engine),
+            }
+        }
+
+        /// Commit `held` as `commit_txn` did: refuse a write the engine
+        /// refuses, validate, install, collect. `Err(retryable)`.
+        fn commit(&mut self, dm: &DurableMetaverse, held: &Held, now: SimTime) -> Result<u64, bool> {
+            let txn = &held.reference;
+            let outcome = if held.ids.iter().any(|id| dm.engine.live(*id).is_err()) {
+                Err(false)
+            } else {
+                let parts = self.mvcc.route(txn);
+                match parts.iter().position(|part| self.mvcc.prepare(txn, part).is_err()) {
+                    Some(failed) => {
+                        self.mvcc.release(txn.id, &parts[..failed]);
+                        Err(true)
+                    }
+                    None => {
+                        let ts = self.mvcc.oracle().next(now);
+                        for (key, value) in txn.write_set() {
+                            self.heads.insert(key.to_vec(), (ts, value.clone().expect("no deletes")));
+                        }
+                        self.mvcc.install(txn.id, parts, ts, |_| None);
+                        Ok(ts)
+                    }
+                }
+            };
+            self.end(txn.id);
+            outcome
+        }
+
+        fn end(&mut self, id: TxnId) {
+            self.mvcc.finish(id);
+            self.mvcc.auto_gc();
+        }
+
+        /// After `dm` recovered: every snapshot gone, each key's newest
+        /// version left. The oracle is the recovered one, which the log
+        /// and the image set as before.
+        fn recovered(&mut self, dm: &DurableMetaverse) {
+            let fresh = Reference::new(self.mvcc.shard_count());
+            fresh.mvcc.oracle().advance_past(dm.txn_current_ts());
+            for (key, (ts, value)) in &self.heads {
+                fresh.mvcc.install_version(key, Some(value.clone()), *ts);
+            }
+            self.mvcc = fresh.mvcc;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The head columns against the chain store they replaced: a
+        /// script of transaction begins, reads, writes, commits and
+        /// aborts, plain `apply`, `update_attr` and `apply_batch` writes
+        /// (some to retired or unknown entities), retires, checkpointing
+        /// commits and crashes. After every step every open snapshot
+        /// reads every field as the reference does, every outcome and
+        /// read matches, and so do `txn_digest`, `txn_version_count` and
+        /// the oracle. With no transaction open, `mv-txn` holds no chain.
+        #[test]
+        fn heads_read_as_the_chain_store(
+            steps in proptest::collection::vec((0u8..10, 0u8..8, 0u8..8, 0u8..64), 1..60),
+        ) {
+            let mut dm = DurableMetaverse::with_defaults(2);
+            let mut reference = Reference::new(2);
+            let mut ids: Vec<EntityId> = (0..6)
+                .map(|i| dm.spawn(format!("e{i}"), EntityKind::Avatar, Point::new(i as f64, 0.0), t(1)))
+                .collect();
+            ids.push(EntityId::new(99));
+            let field = |e: u8, f: u8| {
+                let id = ids[usize::from(e) % ids.len()];
+                match f % 3 {
+                    0 => Field::Position(id),
+                    1 => Field::Attr(id, "gold"),
+                    _ => Field::Attr(id, "hp"),
+                }
+            };
+            let mut held: Vec<Held> = Vec::new();
+            for (step, &(kind, a, b, x)) in steps.iter().enumerate() {
+                let now = t(2 + step as u64);
+                let pick = usize::from(a) % held.len().max(1);
+                match kind {
+                    0 if held.len() < 4 => {
+                        let txn = dm.txn(now);
+                        held.push(Held { txn, reference: reference.mvcc.begin(), ids: Vec::new() });
+                    }
+                    1 if !held.is_empty() => {
+                        let h = &mut held[pick];
+                        let got = read(&dm, &mut h.txn, field(b, x));
+                        let want = reference.read(&dm, &mut h.reference, field(b, x));
+                        proptest::prop_assert_eq!(got, want, "read at step {}", step);
+                    }
+                    2 if !held.is_empty() => {
+                        let h = &mut held[pick];
+                        let (op, value) = write_of(field(b, x), f64::from(x), now);
+                        match &op {
+                            DurableOp::Position { id, position, .. } => h.txn.write_position(*id, *position, now),
+                            DurableOp::Attr { id, name, value, .. } => h.txn.write_attr(*id, name, *value, now),
+                            _ => unreachable!("a leaf op"),
+                        }
+                        h.reference.write(field(b, x).key(), value);
+                        h.ids.extend(op.entity());
+                    }
+                    3 if !held.is_empty() => {
+                        let h = held.remove(pick);
+                        let want = reference.commit(&dm, &h, now);
+                        let got = dm.commit_txn(h.txn, now).map_err(|e| e.is_retryable());
+                        proptest::prop_assert_eq!(got, want, "commit at step {}", step);
+                    }
+                    4 if !held.is_empty() => {
+                        let h = held.remove(pick);
+                        reference.end(h.reference.id);
+                        dm.abort_txn(h.txn, now);
+                    }
+                    5 => {
+                        let (op, value) = write_of(field(b, a), f64::from(x), now);
+                        let accepted = match &op {
+                            DurableOp::Attr { id, name, value, .. } if x % 2 == 1 => {
+                                dm.update_attr(*id, name, *value, now).is_ok()
+                            }
+                            _ => dm.apply(&op, None).is_ok(),
+                        };
+                        if accepted {
+                            reference.plain(&op, value);
+                        }
+                    }
+                    6 => {
+                        let writes: Vec<(DurableOp, Bytes)> =
+                            (0..3u8).map(|i| write_of(field(b + i, a + i), f64::from(x + i), now)).collect();
+                        let batch: Vec<WriteOp> = writes
+                            .iter()
+                            .map(|(op, _)| match op.clone() {
+                                DurableOp::Position { id, position, ts } => WriteOp::Position { id, position, ts },
+                                DurableOp::Attr { id, name, value, ts } => WriteOp::Attr { id, name, value, ts },
+                                _ => unreachable!("a leaf op"),
+                            })
+                            .collect();
+                        for ((op, value), r) in writes.into_iter().zip(dm.apply_batch(&batch)) {
+                            if r.is_ok() {
+                                reference.plain(&op, value);
+                            }
+                        }
+                    }
+                    7 if x % 4 == 0 => {
+                        let _ = dm.apply(&DurableOp::Retire { id: field(b, 0).entity(), ts: now }, None);
+                    }
+                    8 => {
+                        dm.commit(now);
+                    }
+                    // Held transactions outlive the crash: no snapshot
+                    // of the recovered store, they validate against it.
+                    9 => {
+                        dm.commit(now);
+                        dm.crash_and_recover();
+                        reference.recovered(&dm);
+                    }
+                    _ => {}
+                }
+                for h in &held {
+                    let (id, begin) = (h.txn.inner.id, h.txn.begin_ts());
+                    for e in 0..7 {
+                        for f in 0..3 {
+                            let mut probe = MetaTxn { inner: Transaction::with_snapshot(id, begin), ops: Vec::new(), root: None };
+                            let mut reference_probe = Transaction::with_snapshot(h.reference.id, begin);
+                            proptest::prop_assert_eq!(
+                                read(&dm, &mut probe, field(e, f)),
+                                reference.read(&dm, &mut reference_probe, field(e, f)),
+                                "snapshot {} reads entity {} field {} after step {}", begin, e, f, step
+                            );
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(dm.txn_digest(), reference.mvcc.digest([]), "after step {}", step);
+                proptest::prop_assert_eq!(dm.txn_version_count(), reference.mvcc.version_count());
+                proptest::prop_assert_eq!(dm.txn_current_ts(), reference.mvcc.oracle().current());
+                if held.is_empty() {
+                    proptest::prop_assert_eq!(dm.txns.mvcc.key_count(), 0, "a chain with no snapshot open");
+                }
+            }
+        }
     }
 }

@@ -40,7 +40,7 @@ use std::hash::Hasher as _;
 use std::sync::Arc;
 
 /// A committed version.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Version {
     commit_ts: u64,
     value: Option<Bytes>, // None = deletion
@@ -69,6 +69,12 @@ pub struct GcPass {
     pub dropped: usize,
 }
 
+impl std::iter::Sum for GcPass {
+    fn sum<I: Iterator<Item = GcPass>>(passes: I) -> GcPass {
+        passes.fold(GcPass::default(), |a, b| GcPass { visited: a.visited + b.visited, dropped: a.dropped + b.dropped })
+    }
+}
+
 /// Mutex-guarded store state.
 #[derive(Debug, Default)]
 struct Inner {
@@ -79,8 +85,7 @@ struct Inner {
     /// `ripe_ts` is `Some`, and its entry never goes stale: installs
     /// append, and appending to a listed chain does not move its ripe
     /// timestamp. An unlisted chain is one live non-tombstone version,
-    /// which no horizon trims (and which `install_unread` may overwrite
-    /// with another).
+    /// which no horizon trims.
     ripe: BinaryHeap<Reverse<(u64, Bytes)>>,
     /// Prepared-but-undecided write locks (2PC phase 1).
     locks: FastMap<Bytes, TxnId>,
@@ -268,18 +273,6 @@ impl MvccStore {
         self.read_at(key, self.oracle.current())
     }
 
-    /// Call `f` with every key's head — its newest version and commit
-    /// timestamp, unless that is a tombstone: what a collection at the
-    /// current timestamp leaves of the chain — in no particular order.
-    /// `&mut` access reads the chains without taking the lock.
-    pub fn for_each_head<'a>(&'a mut self, mut f: impl FnMut(&'a Bytes, u64, &'a Bytes)) {
-        for (key, chain) in self.inner.get_mut().chains.iter() {
-            if let Some(Version { commit_ts, value: Some(value) }) = chain.last() {
-                f(key, *commit_ts, value);
-            }
-        }
-    }
-
     /// Buffer a write inside the transaction.
     pub fn write(&self, txn: &mut Transaction, key: impl Into<Bytes>, value: impl Into<Bytes>) {
         txn.write(key, value);
@@ -346,17 +339,23 @@ impl MvccStore {
 
     /// Phase 2 (commit): install `writes` at `commit_ts` and release the
     /// locks `txn` holds on them. The coordinator allocates `commit_ts`
-    /// from the shared oracle once per transaction.
+    /// from the shared oracle once per transaction. A key with no chain
+    /// first gets the head `before` finds for it, as
+    /// [`Self::save_before_image`] would save it.
     pub fn install_prepared(
         &self,
         txn_id: TxnId,
         writes: Vec<(Bytes, Option<Bytes>)>,
         commit_ts: u64,
+        before: impl Fn(&[u8]) -> Option<(Bytes, u64)>,
     ) {
         let mut g = self.inner.lock();
         for (key, value) in writes {
             if g.locks.get(&key) == Some(&txn_id) {
                 g.locks.remove(&key);
+            }
+            if let Some((head, ts)) = (!g.chains.contains_key(&key)).then(|| before(&key)).flatten() {
+                g.push_version(key.clone(), Version { commit_ts: ts, value: Some(head) });
             }
             g.push_version(key, Version { commit_ts, value });
         }
@@ -382,24 +381,14 @@ impl MvccStore {
         self.inner.lock().push_version(key.into(), Version { commit_ts, value });
     }
 
-    /// [`Self::install_version`] when no snapshot is live to read the
-    /// version this one supersedes: a chain that is one live version is
-    /// overwritten in place — what `gc` at the current timestamp would
-    /// leave after the append — and stays unlisted. Any other chain, or a
-    /// tombstone, appends. A bare store cannot see live snapshots, so the
-    /// public entry is [`crate::ShardedMvcc::install_plain`], which holds
-    /// the registry and checks it.
-    pub(crate) fn install_unread(&self, key: &[u8], value: Option<Bytes>, commit_ts: u64) {
-        self.oracle.advance_past(commit_ts);
+    /// Start `key`'s chain with `value` at `commit_ts` — the head a
+    /// write is about to supersede, kept outside the store until now —
+    /// unless the key already has a chain, which then ends in that head.
+    pub fn save_before_image(&self, key: &[u8], value: Bytes, commit_ts: u64) {
         let mut g = self.inner.lock();
-        if let Some([head]) = g.chains.get_mut(key).map(Vec::as_mut_slice) {
-            if head.value.is_some() && value.is_some() {
-                debug_assert!(head.commit_ts <= commit_ts, "version chains are ascending");
-                *head = Version { commit_ts, value };
-                return;
-            }
+        if !g.chains.contains_key(key) {
+            g.push_version(Bytes::copy_from_slice(key), Version { commit_ts, value: Some(value) });
         }
-        g.push_version(Bytes::copy_from_slice(key), Version { commit_ts, value });
     }
 
     /// Locks currently held (prepared-but-undecided keys).
@@ -444,6 +433,19 @@ impl MvccStore {
                 }
             }
         }
+        pass
+    }
+
+    /// Drop every chain — no snapshot is live to read one — counting what
+    /// [`Self::gc`] at the current timestamp would: each ripe chain
+    /// visited, and all of it dropped but a live newest version.
+    pub fn clear(&self) -> GcPass {
+        let g = &mut *self.inner.lock();
+        let live_head = |chain: &[Version]| usize::from(chain.last().is_some_and(|v| v.value.is_some()));
+        let pass = g.chains.values().filter(|chain| ripe_ts(chain).is_some())
+            .map(|chain| GcPass { visited: 1, dropped: chain.len() - live_head(chain) }).sum();
+        g.chains.clear();
+        g.ripe.clear();
         pass
     }
 
@@ -503,27 +505,31 @@ impl MvccStore {
     }
 
     /// Deterministic digest of the committed state: chains folded in
-    /// key order, versions in chain order. Two stores with equal
-    /// digests hold the same versioned history — the differential
-    /// harness compares these across crash/recovery.
-    pub fn digest(&self) -> u64 {
+    /// key order, versions in chain order. `heads` are newest versions
+    /// kept outside the store, `(key, commit_ts, value)`: a key with no
+    /// chain here reads as its head alone, and a chain ends in its head.
+    /// Two stores with equal digests hold the same versioned history —
+    /// the differential harness compares these across crash/recovery.
+    pub fn digest(&self, heads: &[(Bytes, u64, Bytes)]) -> u64 {
         let g = self.inner.lock();
-        let mut keys: Vec<&Bytes> = g.chains.keys().collect();
-        keys.sort_unstable();
+        let mut alone = Vec::new();
+        for (key, commit_ts, value) in heads {
+            let head = Version { commit_ts: *commit_ts, value: Some(value.clone()) };
+            match g.chains.get(key) {
+                Some(chain) => debug_assert_eq!(chain.last(), Some(&head), "a chain ends in its head"),
+                None => alone.push((key, [head])),
+            }
+        }
+        let alone = alone.iter().map(|(key, head)| (*key, head.as_slice()));
+        let mut sorted: Vec<(&Bytes, &[Version])> = g.chains.iter().map(|(k, c)| (k, c.as_slice())).chain(alone).collect();
+        sorted.sort_unstable_by_key(|(key, _)| *key);
         let mut h = mv_common::hash::FxHasher::default();
-        for key in keys {
+        for (key, chain) in sorted {
             h.write(key);
-            if let Some(chain) = g.chains.get(key) {
-                for v in chain {
-                    h.write_u64(v.commit_ts);
-                    match &v.value {
-                        Some(b) => {
-                            h.write_u8(1);
-                            h.write(b);
-                        }
-                        None => h.write_u8(0),
-                    }
-                }
+            for v in chain {
+                h.write_u64(v.commit_ts);
+                h.write_u8(u8::from(v.value.is_some()));
+                h.write(v.value.as_deref().unwrap_or_default());
             }
         }
         h.finish()
@@ -766,7 +772,7 @@ mod tests {
         assert_eq!(db.lock_count(), 0);
         db.prepare(&t2, &[], &w2).unwrap();
         let ts = db.oracle().next(SimTime::ZERO);
-        db.install_prepared(t2.id, w2, ts);
+        db.install_prepared(t2.id, w2, ts, |_| None);
         assert_eq!(db.lock_count(), 0);
         assert_eq!(db.read_latest(b"k"), Some(b("2")));
     }
@@ -819,7 +825,7 @@ mod tests {
         assert_eq!(pass.dropped, walk.gc_by_walk(horizon), "versions dropped at {horizon}");
         assert!(pass.visited <= pass.dropped, "a visit that dropped nothing: {pass:?}");
         assert_eq!(fast.chain_dump(), walk.chain_dump(), "chains after gc({horizon})");
-        assert_eq!(fast.digest(), walk.digest());
+        assert_eq!(fast.digest(&[]), walk.digest(&[]));
         pass
     }
 
