@@ -55,6 +55,20 @@ pub fn put_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Append the chunk `write` encodes, in place: a length placeholder,
+/// then `write`'s bytes, then the length patched in — the bytes
+/// [`put_chunk`] writes for them, without building them apart first.
+pub fn put_chunk_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    put_u32(out, 0);
+    write(out);
+    let len = wire_u32(out.len() - start - 4);
+    // The slot always exists: the placeholder was pushed just above.
+    if let Some(slot) = out.get_mut(start..start + 4) {
+        slot.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
 /// Read a little-endian `u32` at byte offset `at`.
 pub fn read_u32_le(bytes: &[u8], at: usize) -> Option<u32> {
     let chunk: [u8; 4] = bytes.get(at..at.checked_add(4)?)?.try_into().ok()?;
@@ -180,6 +194,10 @@ mod tests {
         assert_eq!(r.u64(), Some(42));
         assert_eq!(r.f64(), Some(1.5));
         assert!(r.done());
+        // A chunk written in place frames the same bytes.
+        let mut c = vec![7u8];
+        put_chunk_with(&mut c, |out| out.extend_from_slice(b"abc"));
+        assert_eq!(c, b[..8]);
     }
 
     #[test]

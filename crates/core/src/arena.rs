@@ -221,10 +221,16 @@ impl EntityArena {
             .unwrap_or(0.0)
     }
 
-    /// Write an attribute (no-op out of range).
-    pub fn set_attr(&mut self, slot: u32, name: impl Into<String>, v: f64) {
+    /// Write an attribute (no-op out of range). The name is copied only
+    /// when the entity does not have the attribute yet.
+    pub fn set_attr(&mut self, slot: u32, name: &str, v: f64) {
         if let Some(m) = self.attrs.get_mut(slot as usize) {
-            m.insert(name.into(), v);
+            match m.get_mut(name) {
+                Some(value) => *value = v,
+                None => {
+                    m.insert(name.to_owned(), v);
+                }
+            }
         }
     }
 
@@ -237,6 +243,21 @@ impl EntityArena {
                 self.live -= 1;
             }
         }
+    }
+
+    /// Every row, retired ones included, in ascending id order: slot
+    /// order while ids ascend (spawn order is id order), else sorted.
+    pub fn rows_by_id(&self) -> impl Iterator<Item = EntityRef<'_>> {
+        let sorted = (!self.ids_ascending).then(|| {
+            let mut order: Vec<u32> = (0..self.ids.len()).filter_map(|s| u32::try_from(s).ok()).collect();
+            order.sort_unstable_by_key(|&s| self.ids.get(s as usize).copied());
+            order
+        });
+        let slot = move |row: usize| match &sorted {
+            Some(order) => order.get(row).copied(),
+            None => u32::try_from(row).ok(),
+        };
+        (0..self.ids.len()).filter_map(move |row| self.get_slot(slot(row)?))
     }
 
     /// `(sum, max, live count)` of twin divergences in ascending-id
@@ -350,6 +371,9 @@ mod tests {
         }
         assert!(!shuffled.ids_ascending);
         assert_eq!(ordered.divergence_parts(), shuffled.divergence_parts());
+        let ids = |a: &EntityArena| a.rows_by_id().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(&shuffled), ids(&ordered));
+        assert_eq!(ids(&ordered), (0..40).map(EntityId::new).collect::<Vec<_>>());
         assert_eq!(ordered.live_count(), shuffled.live_count());
     }
 }

@@ -26,8 +26,9 @@
 use crate::arena::EntityRef;
 use crate::engine::{not_a_write, Applied};
 use crate::entity::{Entity, EntityKind};
-use crate::sharded::{ShardedMetaverse, WriteOp};
-use mv_common::codec::{put_chunk, put_f64, put_u32, put_u64, wire_u32, SliceReader};
+use crate::sharded::{shard_of, ShardedMetaverse, WriteOp};
+use crate::txn::TxnState;
+use mv_common::codec::{put_chunk, put_chunk_with, put_f64, put_u32, put_u64, wire_u32, SliceReader};
 use mv_common::geom::{Aabb, Point};
 use mv_common::hash::{fx_hash_one, FxHasher};
 use mv_common::id::EntityId;
@@ -259,63 +260,68 @@ impl DurableOp {
     /// Encode into the canonical byte form (a WAL record value).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the canonical byte form to `out` — what [`Self::encode`]
+    /// returns, written in place (a logged op goes straight into its
+    /// group-commit batch).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             DurableOp::Spawn { name, kind, position, ts } => {
                 out.push(1);
-                put_str(&mut out, name);
+                put_str(out, name);
                 out.push(kind_tag(*kind));
-                put_point(&mut out, *position);
-                put_u64(&mut out, ts.as_micros());
+                put_point(out, *position);
+                put_u64(out, ts.as_micros());
             }
             DurableOp::Position { id, position, ts } => {
                 out.push(2);
-                put_u64(&mut out, id.raw());
-                put_point(&mut out, *position);
-                put_u64(&mut out, ts.as_micros());
+                put_u64(out, id.raw());
+                put_point(out, *position);
+                put_u64(out, ts.as_micros());
             }
             DurableOp::Attr { id, name, value, ts } => {
                 out.push(3);
-                put_u64(&mut out, id.raw());
-                put_str(&mut out, name);
-                put_f64(&mut out, *value);
-                put_u64(&mut out, ts.as_micros());
+                put_u64(out, id.raw());
+                put_str(out, name);
+                put_f64(out, *value);
+                put_u64(out, ts.as_micros());
             }
             DurableOp::Retire { id, ts } => {
                 out.push(4);
-                put_u64(&mut out, id.raw());
-                put_u64(&mut out, ts.as_micros());
+                put_u64(out, id.raw());
+                put_u64(out, ts.as_micros());
             }
             DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
                 out.push(5);
                 out.push(space_tag(*space));
-                put_str(&mut out, effect);
-                put_point(&mut out, region.lo);
-                put_point(&mut out, region.hi);
-                put_str(&mut out, action);
+                put_str(out, effect);
+                put_point(out, region.lo);
+                put_point(out, region.hi);
+                put_str(out, action);
                 out.push(u8::from(*retire));
-                put_u64(&mut out, ts.as_micros());
+                put_u64(out, ts.as_micros());
             }
             DurableOp::TxnPrepare { txn, shard, ops, ts } => {
                 out.push(6);
-                put_u64(&mut out, *txn);
-                put_u32(&mut out, *shard);
-                put_u32(&mut out, wire_u32(ops.len()));
+                put_u64(out, *txn);
+                put_u32(out, *shard);
+                put_u32(out, wire_u32(ops.len()));
                 for op in ops {
-                    let bytes = op.encode();
-                    put_u32(&mut out, wire_u32(bytes.len()));
-                    out.extend_from_slice(&bytes);
+                    put_chunk_with(out, |out| op.encode_into(out));
                 }
-                put_u64(&mut out, ts.as_micros());
+                put_u64(out, ts.as_micros());
             }
             DurableOp::TxnDecision { txn, commit, commit_ts, ts } => {
                 out.push(7);
-                put_u64(&mut out, *txn);
+                put_u64(out, *txn);
                 out.push(u8::from(*commit));
-                put_u64(&mut out, *commit_ts);
-                put_u64(&mut out, ts.as_micros());
+                put_u64(out, *commit_ts);
+                put_u64(out, ts.as_micros());
             }
         }
-        out
     }
 
     /// Decode the canonical byte form; `None` on any structural damage.
@@ -421,24 +427,71 @@ fn decode_entity(r: &mut SliceReader<'_>) -> Option<Entity> {
     Some(e)
 }
 
+/// One shard's entities, encoded by one worker in ascending id order:
+/// their state sections, their heads when an image asks for them, and
+/// each entity's id with where its bytes end in both.
+#[derive(Default)]
+struct ShardSection {
+    state: Vec<u8>,
+    heads: Vec<u8>,
+    rows: Vec<(EntityId, usize, usize)>,
+}
+
+/// Encode every shard's entities on the shard workers
+/// ([`ShardedMetaverse::map_shards`]), each with its heads in `txns`
+/// when given, reserving `hint` bytes for each shard's state and heads.
+fn encode_sections(engine: &ShardedMetaverse, txns: Option<&TxnState>, hint: usize) -> Vec<ShardSection> {
+    engine.map_shards(|shard| {
+        let mut section = ShardSection {
+            state: Vec::with_capacity(hint),
+            heads: Vec::with_capacity(if txns.is_some() { hint } else { 0 }),
+            rows: Vec::with_capacity(shard.row_count()),
+        };
+        for e in shard.entities_by_id() {
+            encode_entity(&mut section.state, e);
+            if let Some(txns) = txns {
+                txns.put_heads(&mut section.heads, e);
+            }
+            section.rows.push((e.id, section.state.len(), section.heads.len()));
+        }
+        section
+    })
+}
+
+/// The encoded bytes of each of `ids` in `sections` (one per shard, as
+/// [`encode_sections`] returns them), in the order of `ids`: its state
+/// section and its heads. An id no section holds yields nothing.
+fn rows_in_id_order<'a>(
+    ids: &'a [EntityId],
+    sections: &'a [ShardSection],
+) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 'a {
+    // Per shard: its next row, and where that row's state and heads begin.
+    let mut cursors = vec![(0usize, 0usize, 0usize); sections.len()];
+    ids.iter().filter_map(move |&id| {
+        let owner = shard_of(id, sections.len());
+        let (section, cursor) = (sections.get(owner)?, cursors.get_mut(owner)?);
+        let &(_, state_end, heads_end) = section.rows.get(cursor.0).filter(|row| row.0 == id)?;
+        let bytes = (section.state.get(cursor.1..state_end)?, section.heads.get(cursor.2..heads_end)?);
+        *cursor = (cursor.0 + 1, state_end, heads_end);
+        Some(bytes)
+    })
+}
+
 /// [`DurableMetaverse::state_encoding`] of `engine` with entities `ids`,
-/// appended to `out`; `each` sees every entity encoded.
-fn encode_state(
-    engine: &ShardedMetaverse,
-    ids: &[EntityId],
-    out: &mut Vec<u8>,
-    mut each: impl FnMut(EntityRef<'_>),
-) {
+/// whose encoded rows `sections` hold, appended to `out`.
+fn put_state(out: &mut Vec<u8>, engine: &ShardedMetaverse, ids: &[EntityId], sections: &[ShardSection]) {
     out.push(1); // version
     put_u64(out, engine.now().as_micros());
     put_u64(out, engine.live_count() as u64);
     put_u64(out, ids.len() as u64);
-    for id in ids {
-        if let Ok(e) = engine.entity(*id) {
-            encode_entity(out, e);
-            each(e);
-        }
+    for (state, _) in rows_in_id_order(ids, sections) {
+        out.extend_from_slice(state);
     }
+    put_counters(out, engine);
+}
+
+/// The engine's counter totals, the last part of the state encoding.
+fn put_counters(out: &mut Vec<u8>, engine: &ShardedMetaverse) {
     let stats = engine.stats();
     let entries: Vec<(&str, u64)> = stats.iter().collect();
     put_u32(out, wire_u32(entries.len()));
@@ -561,8 +614,7 @@ impl DurableMetaverse {
     /// wait the op paid). The record carries no key: replay follows log
     /// order.
     pub(crate) fn log(&mut self, op: &DurableOp, ctx: Option<TraceCtx>) {
-        let record = WalRecord::Put { key: Vec::new(), value: op.encode() };
-        self.wal.append_traced(record, op.ts(), ctx);
+        self.wal.append_put_with(&[], op.ts(), ctx, |out| op.encode_into(out));
     }
 
     /// Resolve the context for one applied op: adopt the caller's, or,
@@ -630,8 +682,9 @@ impl DurableMetaverse {
         self.apply(&op, None).map(|applied| applied == Applied::Synced(true))
     }
 
-    /// Logged batched writes: each op is logged individually, and the
-    /// shards apply the batch in parallel, each op through
+    /// Logged batched writes: each op is lifted to its logged form once
+    /// and logged individually, and the shards apply the lifted batch in
+    /// parallel, each op through
     /// [`Metaverse::apply`](crate::Metaverse::apply) (per-entity replay
     /// order is append order, which the batch's stable partitioning
     /// preserves); then one pass in op order gives the accepted ops their
@@ -642,7 +695,7 @@ impl DurableMetaverse {
             self.log(op, None);
         }
         let live = self.txns.save_before_images(&self.engine, &logged);
-        let results = self.engine.apply_batch(ops);
+        let results = self.engine.apply_ops(&logged);
         let accepted = logged.iter().zip(&results).filter(|(_, r)| r.is_ok()).map(|(op, _)| op);
         self.txns.plain_written(&self.engine, accepted, live);
         results
@@ -698,7 +751,9 @@ impl DurableMetaverse {
     pub fn crash_and_recover(&mut self) -> RecoveryReport {
         let mut report = self.wal.crash_with_report();
         let mut wal = std::mem::take(&mut self.wal);
+        let parallel = self.engine.parallel_apply();
         self.engine = ShardedMetaverse::with_defaults(self.engine_shards);
+        self.engine.set_parallel_apply(parallel);
         self.ids.clear();
         self.txns = crate::txn::TxnState::new(self.txn_shards);
         self.image_len = 0;
@@ -782,8 +837,9 @@ impl DurableMetaverse {
     /// are observably identical; the fault tests compare these
     /// byte-for-byte across crash/recovery.
     pub fn state_encoding(&self) -> Vec<u8> {
+        let sections = encode_sections(&self.engine, None, 0);
         let mut out = Vec::new();
-        encode_state(&self.engine, &self.ids, &mut out, |_| {});
+        put_state(&mut out, &self.engine, &self.ids, &sections);
         out
     }
 
@@ -792,17 +848,23 @@ impl DurableMetaverse {
     /// then the MVCC state a replay of the whole log would leave — the
     /// oracle's timestamp, the next event id, each field's head timestamp
     /// (a crash ends every snapshot; see `TxnState::put_heads`) and an
-    /// empty extras list.
+    /// empty extras list. The shard workers encode their own entities
+    /// ([`ShardedMetaverse::map_shards`]); the calling thread merges their
+    /// bytes in id order.
     pub(crate) fn checkpoint_image(&mut self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.image_len + self.image_len / 8);
         out.extend_from_slice(&[CHECKPOINT_TAG, IMAGE_VERSION]);
         out.resize(IMAGE_HEADER, 0);
         let DurableMetaverse { engine, ids, txns, .. } = self;
-        let mut heads = Vec::new();
-        encode_state(engine, ids, &mut out, |e| txns.put_heads(&mut heads, e));
+        // The newest image's size bounds each shard's share of the next.
+        let sections = encode_sections(engine, Some(txns), self.image_len / engine.shard_count());
+        put_state(&mut out, engine, ids, &sections);
         put_u64(&mut out, txns.mvcc.oracle().current());
         put_u64(&mut out, engine.next_event());
-        out.extend_from_slice(&heads);
+        for (_, heads) in rows_in_id_order(ids, &sections) {
+            out.extend_from_slice(heads);
+        }
+        drop(sections);
         put_u32(&mut out, 0);
         let sum = image_checksum(out.get(IMAGE_HEADER..).unwrap_or_default());
         if let Some(slot) = out.get_mut(2..IMAGE_HEADER) {
@@ -835,15 +897,20 @@ impl DurableMetaverse {
         let clock = SimTime(r.u64()?);
         let _live = r.u64()?;
         let count = r.u64()?;
-        let mut entities = Vec::new();
-        while (entities.len() as u64) < count {
+        // Each entity goes straight to its owner shard's list, where the
+        // shard's worker takes it from (see `ShardedMetaverse::restore`).
+        let shards = self.engine.shard_count();
+        let mut owned: Vec<Vec<Entity>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut decoded = 0;
+        while decoded < count {
             let e = decode_entity(&mut r)?;
             // Ids are dense in spawn order; anything else would collide
             // in the arena or desynchronise the id generator.
-            if e.id.raw() != entities.len() as u64 {
+            if e.id.raw() != decoded {
                 return None;
             }
-            entities.push(e);
+            owned.get_mut(shard_of(e.id, shards))?.push(e);
+            decoded += 1;
         }
         let mut counters = Vec::new();
         for _ in 0..r.u32()? {
@@ -853,14 +920,22 @@ impl DurableMetaverse {
         }
         let (oracle, next_event) = (r.u64()?, r.u64()?);
         let mut txns = crate::txn::TxnState::new(self.txn_shards);
-        txns.decode_heads(&mut r, &entities)?;
+        let mut cursors = vec![0; shards];
+        let in_id_order = (0..count).map(EntityId::new).map_while(|id| {
+            let owner = shard_of(id, shards);
+            let cursor = cursors.get_mut(owner)?;
+            *cursor += 1;
+            owned.get(owner)?.get(*cursor - 1)
+        });
+        txns.decode_heads(&mut r, in_id_order)?;
         if !r.done() {
             return None;
         }
         txns.mvcc.oracle().advance_past(oracle);
-        self.ids = entities.iter().map(|e| e.id).collect();
+        self.ids = (0..count).map(EntityId::new).collect();
+        let parallel = self.engine.parallel_apply();
         self.engine =
-            ShardedMetaverse::restore(self.engine_shards, clock, entities, &counters, next_event);
+            ShardedMetaverse::restore(self.engine_shards, parallel, clock, owned, &counters, next_event);
         self.txns = txns;
         self.image_len = image.len();
         Some(())
@@ -938,6 +1013,69 @@ mod tests {
                 assert_eq!(DurableOp::decode(&bytes[..cut]), None, "{op:?} truncated at {cut}");
             }
         }
+    }
+
+    /// An op is logged by encoding it straight into its batch; the log
+    /// holds the bytes of the op encoded apart and appended as a keyless
+    /// put, batch for batch, across several count-triggered seals.
+    #[test]
+    fn logged_ops_are_the_bytes_of_an_appended_record() {
+        let id = EntityId::new(0);
+        let script = [
+            DurableOp::Spawn { name: "a".into(), kind: EntityKind::Avatar, position: p(1.0, 2.0), ts: t(1) },
+            DurableOp::Position { id, position: p(3.0, 4.0), ts: t(2) },
+            DurableOp::Attr { id, name: "hp".into(), value: 0.5, ts: t(2) },
+            DurableOp::AreaEffect {
+                space: Space::Virtual,
+                effect: "raid".into(),
+                region: Aabb::new(p(0.0, 0.0), p(9.0, 9.0)),
+                action: "perish".into(),
+                retire: false,
+                ts: t(3),
+            },
+            DurableOp::TxnPrepare {
+                txn: 7,
+                shard: 1,
+                ops: vec![
+                    DurableOp::Attr { id, name: "gold".into(), value: 2.0, ts: t(4) },
+                    DurableOp::Position { id, position: p(5.0, 6.0), ts: t(4) },
+                ],
+                ts: t(4),
+            },
+            DurableOp::TxnDecision { txn: 7, commit: true, commit_ts: 11, ts: t(4) },
+            DurableOp::Retire { id, ts: t(5) },
+        ];
+        // A prepare's nested ops each carry their length before their
+        // bytes, as when each was encoded apart and copied in.
+        let DurableOp::TxnPrepare { ops, .. } = &script[4] else { unreachable!("the script's prepare") };
+        let mut prepare = vec![6u8];
+        prepare.extend_from_slice(&7u64.to_le_bytes());
+        prepare.extend_from_slice(&1u32.to_le_bytes());
+        prepare.extend_from_slice(&2u32.to_le_bytes());
+        for nested in ops {
+            prepare.extend_from_slice(&(nested.encode().len() as u32).to_le_bytes());
+            prepare.extend_from_slice(&nested.encode());
+        }
+        prepare.extend_from_slice(&t(4).as_micros().to_le_bytes());
+        assert_eq!(script[4].encode(), prepare);
+        let mut dm = DurableMetaverse::with_defaults(2);
+        let mut appended = GroupCommitWal::with_policy(GroupCommitPolicy::default());
+        for op in script.iter().cycle().take(100 * script.len()) {
+            dm.log(op, None);
+            appended.append(WalRecord::Put { key: Vec::new(), value: op.encode() }, op.ts());
+            let mut out = b"prefix".to_vec();
+            op.encode_into(&mut out);
+            assert_eq!((&out[..6], &out[6..]), (&b"prefix"[..], &op.encode()[..]), "{op:?}");
+        }
+        dm.wal.sync();
+        appended.sync();
+        let batches = |wal: &GroupCommitWal| {
+            wal.durable_batches().map(|batch| batch.map(|rec| rec.to_owned()).collect::<Vec<_>>()).collect::<Vec<_>>()
+        };
+        assert!(batches(&dm.wal).len() > 2, "the script crosses several seals");
+        assert_eq!(batches(&dm.wal), batches(&appended));
+        assert_eq!(dm.wal.encoded_len(), appended.encoded_len());
+        assert_eq!(dm.wal.stats.to_string(), appended.stats.to_string());
     }
 
     #[test]
@@ -1150,6 +1288,91 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The serial encoder the shard workers replaced, kept as the oracle
+    /// their merged bytes must equal: [`DurableMetaverse::state_encoding`]
+    /// of `engine` with entities `ids`, one lookup per id, appended to
+    /// `out`; `each` sees every entity encoded.
+    fn encode_state(engine: &ShardedMetaverse, ids: &[EntityId], out: &mut Vec<u8>, mut each: impl FnMut(EntityRef<'_>)) {
+        out.push(1); // version
+        put_u64(out, engine.now().as_micros());
+        put_u64(out, engine.live_count() as u64);
+        put_u64(out, ids.len() as u64);
+        for id in ids {
+            if let Ok(e) = engine.entity(*id) {
+                encode_entity(out, e);
+                each(e);
+            }
+        }
+        put_counters(out, engine);
+    }
+
+    /// [`DurableMetaverse::checkpoint_image`] as the serial encoder wrote it.
+    fn serial_image(dm: &DurableMetaverse) -> Vec<u8> {
+        let mut out = vec![CHECKPOINT_TAG, IMAGE_VERSION];
+        out.resize(IMAGE_HEADER, 0);
+        let mut heads = Vec::new();
+        encode_state(&dm.engine, &dm.ids, &mut out, |e| dm.txns.put_heads(&mut heads, e));
+        put_u64(&mut out, dm.txns.mvcc.oracle().current());
+        put_u64(&mut out, dm.engine.next_event());
+        out.extend_from_slice(&heads);
+        put_u32(&mut out, 0);
+        reseal(&mut out);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+        // The shard workers' image is the serial encoder's, byte for
+        // byte, at 1, 2, 4 and 8 shards, below and above the row gate,
+        // over spawns, retires, area effects, attribute writes and a
+        // snapshot held across the encode; and a restore on the workers
+        // equals one on the calling thread.
+        #[test]
+        fn shard_worker_images_match_the_serial_encoder(
+            ops in crate::ops::strategies::OpSeq { min_ops: 1, max_ops: 120, world: 150.0 },
+            log2_shards in 0u32..4,
+            above_gate in 0u8..2,
+            writes in 0usize..64,
+        ) {
+            use crate::ops::Replay;
+            use crate::sharded::MIN_ROWS_PER_WORKER;
+            let shards = 1usize << log2_shards;
+            let mut dm = DurableMetaverse::with_defaults(shards);
+            let mut script = Replay::default();
+            script.run(&mut dm, &ops);
+            let rows = if above_gate == 1 { MIN_ROWS_PER_WORKER * shards } else { MIN_ROWS_PER_WORKER - 1 };
+            for i in dm.ids().len()..rows {
+                dm.spawn(format!("bulk{i}"), EntityKind::Sensor, p(i as f64 % 150.0, 7.0), t(500));
+            }
+            let snapshot = dm.txn(t(501));
+            let batch: Vec<WriteOp> = (0..writes)
+                .map(|k| {
+                    let id = EntityId::new((k * 7919 % rows) as u64);
+                    let name = ["hp", "gold", "stock"][k % 3].to_string();
+                    WriteOp::Attr { id, name, value: k as f64, ts: t(502) }
+                })
+                .collect();
+            dm.apply_batch(&batch);
+            let image = dm.checkpoint_image();
+            proptest::prop_assert_eq!(&image, &serial_image(&dm));
+            let mut state = Vec::new();
+            encode_state(&dm.engine, &dm.ids, &mut state, |_| {});
+            proptest::prop_assert_eq!(dm.state_encoding(), state);
+            dm.abort_txn(snapshot, t(503));
+
+            let mut threaded = DurableMetaverse::with_defaults(shards);
+            threaded.restore(&image).expect("a clean image");
+            let mut serial = DurableMetaverse::with_defaults(shards);
+            serial.set_parallel_apply(false);
+            serial.restore(&image).expect("a clean image");
+            proptest::prop_assert!(!serial.engine().parallel_apply(), "a restore keeps the serial setting");
+            proptest::prop_assert_eq!(threaded.state_encoding(), serial.state_encoding());
+            proptest::prop_assert_eq!(threaded.txn_digest(), serial.txn_digest());
+            proptest::prop_assert_eq!(threaded.checkpoint_image(), image.clone());
+            proptest::prop_assert_eq!(serial.checkpoint_image(), image);
         }
     }
 

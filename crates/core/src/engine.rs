@@ -427,6 +427,16 @@ impl Metaverse {
         self.bus.drain()
     }
 
+    /// Every entity held, retired ones included, in ascending id order.
+    pub(crate) fn entities_by_id(&self) -> impl Iterator<Item = EntityRef<'_>> {
+        self.entities.rows_by_id()
+    }
+
+    /// Entities held, retired ones included.
+    pub(crate) fn row_count(&self) -> usize {
+        self.entities.len()
+    }
+
     /// The two facts the probe path relies on instead of a per-hit
     /// filter and a dedup: a live entity is in exactly its authority's
     /// truth index and the other space's twin index (so the two indexes

@@ -82,9 +82,14 @@ impl Entity {
         self.attrs.get(name).copied().unwrap_or(0.0)
     }
 
-    /// Write an attribute.
-    pub fn set_attr(&mut self, name: impl Into<String>, v: f64) {
-        self.attrs.insert(name.into(), v);
+    /// Write an attribute, copying the name only when it is new.
+    pub fn set_attr(&mut self, name: &str, v: f64) {
+        match self.attrs.get_mut(name) {
+            Some(value) => *value = v,
+            None => {
+                self.attrs.insert(name.to_owned(), v);
+            }
+        }
     }
 }
 

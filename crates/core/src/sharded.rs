@@ -63,6 +63,37 @@ pub fn shard_of(id: EntityId, shards: usize) -> usize {
 /// join, a probe about 2 µs per shard it visits.
 const MIN_PROBES_PER_WORKER: usize = 16;
 
+/// The checkpoint encode and restore spawn one worker per shard only
+/// when each would take at least this many entities; smaller states, as
+/// a replica's raft snapshot of a few hundred entities, run on the
+/// calling thread. Measured on the 2-thread host (2 shards, entities with
+/// a moved position and one attribute; median µs, encode serial /
+/// threaded, restore serial / threaded): 512 rows per worker 177 / 276,
+/// 568 / 709; 1 024 rows 327 / 404, 1 314 / 1 297; 2 048 rows 612 / 686,
+/// 2 593 / 2 455; 4 096 rows 1 393 / 1 409, 5 254 / 4 807; 50 000 rows
+/// 22 553 / 20 683, 66 240 / 57 813 — a round costs about 80 µs, and there a
+/// second worker saves well under half of the rows' time.
+pub(crate) const MIN_ROWS_PER_WORKER: usize = 4096;
+
+/// `work` over `items`, its results in item order: one scoped worker per
+/// item when `threaded`, else in turn on the calling thread. A panicked
+/// worker's panic propagates.
+fn fan_out<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I>,
+    threaded: bool,
+    work: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    if !threaded {
+        return items.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.into_iter().map(|item| scope.spawn(move || work(item))).collect();
+        // lint:allow(panic-path): a panicked shard worker poisons the round; propagating the panic is the contract
+        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+    })
+}
+
 /// One write in a batch. Carries its own timestamp so a batch can span
 /// simulation ticks and still replay exactly like op-at-a-time
 /// application (each shard applies its ops in batch order).
@@ -118,10 +149,10 @@ pub struct ShardedMetaverse {
     ///
     /// [`apply_batch`]: ShardedMetaverse::apply_batch
     last_shard_walls: Vec<f64>,
-    /// When false, `apply_batch` runs shards sequentially on the calling
-    /// thread (timing mode: on an oversubscribed host, in-thread wall
-    /// clocks include descheduling, so per-shard costs are only honest
-    /// when shards run one at a time).
+    /// When false, `apply_batch`, the checkpoint encode and restore run
+    /// shards sequentially on the calling thread (timing mode: on an
+    /// oversubscribed host, in-thread wall clocks include descheduling,
+    /// so per-shard costs are only honest when shards run one at a time).
     parallel_apply: bool,
     /// Span collector: each (sampled) `apply_batch` call mints a
     /// `core.sharded.apply_batch` root marking the batch's ingest.
@@ -152,31 +183,38 @@ impl ShardedMetaverse {
     }
 
     /// Rebuild an engine from what a checkpoint image records of one: the
-    /// clock, every entity ever spawned (entity `i` carries id `i`, the
-    /// caller checks), the counter totals and the next event id. Each
-    /// entity is materialised on its owner shard as a spawn would, the id
-    /// generator resumes after the last id, the totals land on shard 0
+    /// clock, every entity ever spawned, listed by owner shard (list `s`
+    /// holds, in ascending id order, the entities [`shard_of`] gives to
+    /// shard `s` of `shards`; the ids are `0..` their count, the caller
+    /// checks), the counter totals and the next event id, with batch
+    /// application `parallel` as [`Self::set_parallel_apply`] sets it.
+    /// Each shard materialises its own entities as a spawn would, on a
+    /// worker of its own above the row gate ([`MIN_ROWS_PER_WORKER`]); the
+    /// id generator resumes after the last id, the totals land on shard 0
     /// (only their sum is observable) and the events the rebuild
     /// regenerates are dropped.
     pub(crate) fn restore(
         shards: usize,
+        parallel: bool,
         clock: SimTime,
-        entities: Vec<Entity>,
+        owned: Vec<Vec<Entity>>,
         counters: &[(&'static str, u64)],
         next_event: u64,
     ) -> Self {
         let mut mv = ShardedMetaverse::with_defaults(shards);
+        mv.parallel_apply = parallel;
         mv.clock = clock;
         mv.next_event = next_event;
-        mv.ids = IdGen::starting_at(entities.len() as u64);
-        for entity in entities {
-            if let Ok(shard) = mv.owner_shard(entity.id) {
+        let count = owned.iter().map(Vec::len).sum();
+        mv.ids = IdGen::starting_at(count as u64);
+        let threaded = mv.threaded_rows(count);
+        debug_assert_eq!(owned.len(), mv.shards.len());
+        fan_out(mv.shards.iter_mut().zip(owned), threaded, |(shard, own)| {
+            for entity in own {
                 shard.insert_prebuilt(entity, clock);
             }
-        }
-        for shard in &mut mv.shards {
             shard.drain_events();
-        }
+        });
         if let Some(first) = mv.shards.first_mut() {
             for &(name, total) in counters {
                 first.stats.add(name, total);
@@ -196,13 +234,36 @@ impl ShardedMetaverse {
     }
 
     /// Toggle parallel batch application. With it off, `apply_batch`
-    /// applies shard queues sequentially and the per-shard walls in
+    /// applies shard queues sequentially (and the checkpoint encode and
+    /// restore run on the calling thread) and the per-shard walls in
     /// [`last_shard_walls`] measure pure per-shard work (no scheduler
     /// interference) — what E1d's critical-path model needs.
     ///
     /// [`last_shard_walls`]: ShardedMetaverse::last_shard_walls
     pub fn set_parallel_apply(&mut self, on: bool) {
         self.parallel_apply = on;
+    }
+
+    /// Whether batch application runs on the shard workers (see
+    /// [`Self::set_parallel_apply`]).
+    pub(crate) fn parallel_apply(&self) -> bool {
+        self.parallel_apply
+    }
+
+    /// Whether a per-shard round over `rows` entities spawns its workers:
+    /// with parallel apply on, more than one shard, and at least
+    /// [`MIN_ROWS_PER_WORKER`] rows for each.
+    fn threaded_rows(&self, rows: usize) -> bool {
+        let n = self.shards.len();
+        self.parallel_apply && n > 1 && rows.div_ceil(n) >= MIN_ROWS_PER_WORKER
+    }
+
+    /// `work` on every shard, its results in shard order: on one worker
+    /// per shard above the row gate ([`MIN_ROWS_PER_WORKER`]), else in
+    /// turn on the calling thread — the checkpoint encode's round.
+    pub(crate) fn map_shards<T: Send>(&self, work: impl Fn(&Metaverse) -> T + Sync) -> Vec<T> {
+        let rows = self.shards.iter().map(Metaverse::row_count).sum();
+        fan_out(&self.shards, self.threaded_rows(rows), work)
     }
 
     /// Install a span collector: each (sampled) [`apply_batch`] call
@@ -292,14 +353,10 @@ impl ShardedMetaverse {
             routed[shard_of(id, n)].push((id, i));
             ids.push(id);
         }
-        std::thread::scope(|scope| {
-            for (shard, routes) in self.shards.iter_mut().zip(routed.iter()) {
-                scope.spawn(move || {
-                    for &(id, i) in routes {
-                        let (ref name, kind, position) = specs[i];
-                        shard.insert_prebuilt(Entity::new(id, name.clone(), kind, position), now);
-                    }
-                });
+        fan_out(self.shards.iter_mut().zip(&routed), true, |(shard, routes)| {
+            for &(id, i) in routes {
+                let (ref name, kind, position) = specs[i];
+                shard.insert_prebuilt(Entity::new(id, name.clone(), kind, position), now);
             }
         });
         ids
@@ -313,8 +370,16 @@ impl ShardedMetaverse {
     /// per-entity error. Each op is lifted to its logged form and applied
     /// through [`Metaverse::apply`].
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
+        let lifted: Vec<DurableOp> = ops.iter().map(DurableOp::from_write).collect();
+        self.apply_ops(&lifted)
+    }
+
+    /// [`Self::apply_batch`] of ops already in their logged form: each
+    /// addresses one entity (a move or an attribute write); one that
+    /// addresses none is refused untouched.
+    pub(crate) fn apply_ops(&mut self, ops: &[DurableOp]) -> Vec<MvResult<bool>> {
         let n = self.shards.len();
-        if let Some(max_ts) = ops.iter().map(WriteOp::ts).max() {
+        if let Some(max_ts) = ops.iter().filter(|op| op.entity().is_some()).map(DurableOp::ts).max() {
             self.advance(max_ts);
         }
         // One sampled root per batch (not per op): the ingest marker the
@@ -325,51 +390,31 @@ impl ShardedMetaverse {
             }
         }
         let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut results: Vec<Option<MvResult<bool>>> =
+            ops.iter().map(|op| op.entity().is_none().then(|| Err(not_a_write()))).collect();
         for (i, op) in ops.iter().enumerate() {
-            // lint:allow(panic-path): shard_of is `hash % n` with n == queues.len(); the routing index is local arithmetic, not decoded data
-            queues[shard_of(op.entity(), n)].push(i);
+            if let Some(id) = op.entity() {
+                // lint:allow(panic-path): shard_of is `hash % n` with n == queues.len(); the routing index is local arithmetic, not decoded data
+                queues[shard_of(id, n)].push(i);
+            }
         }
-        let mut results: Vec<Option<MvResult<bool>>> = ops.iter().map(|_| None).collect();
-        let mut walls = vec![0.0f64; n];
-        let run_queue = |shard: &mut Metaverse, queue: &[usize]| {
+        let run_queue = |(shard, queue): (&mut Metaverse, &Vec<usize>)| {
             // lint:allow(wall-clock): measures real CPU time of the serial critical path for the speedup report; never feeds sim state
             let t0 = Instant::now();
             let out: Vec<(usize, MvResult<bool>)> = queue
                 .iter()
-                // lint:allow(panic-path): queue indices were produced by enumerating this same ops slice above
-                .map(|&i| (i, DurableOp::from_write(&ops[i])))
-                .map(|(i, op)| (i, shard.apply(&op).map(|applied| applied == Applied::Synced(true))))
+                .filter_map(|&i| Some((i, ops.get(i)?)))
+                .map(|(i, op)| (i, shard.apply(op).map(|applied| applied == Applied::Synced(true))))
                 .collect();
             (out, t0.elapsed().as_secs_f64())
         };
-        if self.parallel_apply {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(queues.iter())
-                    .map(|(shard, queue)| scope.spawn(|| run_queue(shard, queue)))
-                    .collect();
-                for (si, handle) in handles.into_iter().enumerate() {
-                    // lint:allow(panic-path): a panicked shard worker poisons the batch; propagating the panic is the contract
-                    let (out, wall) = handle.join().expect("shard worker panicked");
-                    // lint:allow(panic-path): si enumerates the per-shard handles; walls was sized to n above
-                    walls[si] = wall;
-                    for (i, r) in out {
-                        // lint:allow(panic-path): i came from enumerating ops; results was sized to ops.len() above
-                        results[i] = Some(r);
-                    }
-                }
-            });
-        } else {
-            for (si, (shard, queue)) in self.shards.iter_mut().zip(queues.iter()).enumerate() {
-                let (out, wall) = run_queue(shard, queue);
-                // lint:allow(panic-path): si enumerates the shards; walls was sized to n above
-                walls[si] = wall;
-                for (i, r) in out {
-                    // lint:allow(panic-path): i came from enumerating ops; results was sized to ops.len() above
-                    results[i] = Some(r);
-                }
+        let done = fan_out(self.shards.iter_mut().zip(&queues), self.parallel_apply, run_queue);
+        let mut walls = Vec::with_capacity(n);
+        for (out, wall) in done {
+            walls.push(wall);
+            for (i, r) in out {
+                // lint:allow(panic-path): i came from enumerating ops; results was sized to ops.len() above
+                results[i] = Some(r);
             }
         }
         self.last_shard_walls = walls;
@@ -425,16 +470,8 @@ impl ShardedMetaverse {
             return areas.iter().map(&one).collect();
         }
         let one = &one;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = areas
-                .chunks(run)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(one).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("probe worker panicked"))
-                .collect()
-        })
+        let runs = fan_out(areas.chunks(run), true, |chunk| chunk.iter().map(one).collect::<Vec<_>>());
+        runs.into_iter().flatten().collect()
     }
 
     /// Ground-truth entities of `space` within `area`, collected across

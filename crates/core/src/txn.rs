@@ -316,8 +316,8 @@ impl TxnState {
     /// Read back what [`Self::put_heads`] wrote for the image's decoded
     /// `entities`, then the image's extras list, which is empty. `None`
     /// on damage: an unknown tag, a head at timestamp 0, or any extras.
-    pub(crate) fn decode_heads(&mut self, r: &mut SliceReader<'_>, entities: &[Entity]) -> Option<()> {
-        for field in entities.iter().flat_map(|e| Field::all(e.id, &e.attrs)) {
+    pub(crate) fn decode_heads<'a>(&mut self, r: &mut SliceReader<'_>, entities: impl IntoIterator<Item = &'a Entity>) -> Option<()> {
+        for field in entities.into_iter().flat_map(|e| Field::all(e.id, &e.attrs)) {
             match r.u8()? {
                 HEAD_NONE => {}
                 HEAD_AS_FIELD => self.stamp(field, r.u64().filter(|ts| *ts > 0)?),

@@ -110,8 +110,9 @@ impl BrokerTree {
 
     fn publish_at(&mut self, broker: usize, p: &Publication) -> usize {
         let mut delivered = self.brokers[broker].matcher.match_pub(p).len();
-        let children = self.brokers[broker].children.clone();
-        for c in children {
+        // By index, not a clone: the recursion needs `self` mutably.
+        for k in 0..self.brokers[broker].children.len() {
+            let c = self.brokers[broker].children[k];
             if self.subtree_may_match(c, p) {
                 self.stats.incr("forwards");
                 delivered += self.publish_at(c, p);

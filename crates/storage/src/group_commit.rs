@@ -35,10 +35,10 @@
 //! trigger triple — or when the caller forces `sync()`.
 
 use crate::wal::{
-    checksum, decode_payload_ref, encode_payload, Corruption, RecoveryReport, WalRecord,
-    WalRecordRef,
+    checksum, decode_payload_ref, encode_payload, encode_put_with, Corruption, RecoveryReport,
+    WalRecord, WalRecordRef,
 };
-use mv_common::codec::{put_u32, put_u64, read_u32_le, read_u64_le, wire_u32, SliceReader};
+use mv_common::codec::{put_chunk_with, read_u32_le, read_u64_le, wire_u32, SliceReader};
 use mv_common::metrics::Counters;
 use mv_common::time::{SimDuration, SimTime};
 use mv_obs::{SharedTracer, TraceCtx};
@@ -149,25 +149,33 @@ impl GroupCommitWal {
 
     /// [`Self::append`] carrying the record's causal context.
     pub fn append_traced(&mut self, rec: WalRecord, now: SimTime, ctx: Option<TraceCtx>) -> bool {
-        self.push(rec, now, ctx);
+        self.push(now, ctx, |out| encode_payload(&rec, out));
         self.maybe_seal(now)
     }
 
-    /// Encode `rec` into the pending batch, checking no trigger.
-    fn push(&mut self, rec: WalRecord, now: SimTime, ctx: Option<TraceCtx>) {
+    /// Append a put of `key` whose value `value` encodes straight into
+    /// the pending batch — the bytes [`Self::append_traced`] logs for
+    /// the same record, with no value built apart and copied in.
+    pub fn append_put_with(
+        &mut self,
+        key: &[u8],
+        now: SimTime,
+        ctx: Option<TraceCtx>,
+        value: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
+        self.push(now, ctx, |out| encode_put_with(out, key, value));
+        self.maybe_seal(now)
+    }
+
+    /// Frame the record `payload` encodes into the pending batch,
+    /// checking no trigger: the one path a record enters the log by.
+    fn push(&mut self, now: SimTime, ctx: Option<TraceCtx>, payload: impl FnOnce(&mut Vec<u8>)) {
         self.clock = self.clock.max(now);
         if let (Some(tr), Some(c)) = (&self.tracer, ctx) {
             self.pending_spans.push(tr.child(c, "storage.wal.group_commit", now));
         }
         self.pending_since.get_or_insert(now);
-        let start = self.pending_payload.len();
-        self.pending_payload.extend_from_slice(&[0u8; 4]);
-        encode_payload(&rec, &mut self.pending_payload);
-        let rec_len = wire_u32(self.pending_payload.len() - start - 4);
-        // The slot always exists: the placeholder was pushed just above.
-        if let Some(slot) = self.pending_payload.get_mut(start..start + 4) {
-            slot.copy_from_slice(&rec_len.to_le_bytes());
-        }
+        put_chunk_with(&mut self.pending_payload, payload);
         self.pending += 1;
     }
 
@@ -182,18 +190,26 @@ impl GroupCommitWal {
         let Some(since) = self.pending_since else {
             return false;
         };
-        let trigger = if self.pending >= self.policy.max_records {
-            "trigger_records"
-        } else if self.pending_payload.len() >= self.policy.max_bytes {
-            "trigger_bytes"
-        } else if now.since(since) >= self.policy.max_delay {
-            "trigger_deadline"
-        } else {
+        let Some(trigger) = self.trigger(self.pending, self.pending_payload.len(), now.since(since)) else {
             return false;
         };
         self.stats.incr(trigger);
         self.seal();
         true
+    }
+
+    /// The trigger a batch of `records` holding `bytes` whose oldest
+    /// record waited `waited` meets, if any.
+    fn trigger(&self, records: usize, bytes: usize, waited: SimDuration) -> Option<&'static str> {
+        if records >= self.policy.max_records {
+            Some("trigger_records")
+        } else if bytes >= self.policy.max_bytes {
+            Some("trigger_bytes")
+        } else if waited >= self.policy.max_delay {
+            Some("trigger_deadline")
+        } else {
+            None
+        }
     }
 
     /// Force-seal whatever is pending (the explicit group commit).
@@ -211,23 +227,35 @@ impl GroupCommitWal {
     /// in between loses the trim, never the fence's predecessors. An
     /// empty fence stands in for nothing, so it seals and trims nothing.
     /// `len()` counts what the trim left; `stats` keep counting every
-    /// batch sealed.
+    /// batch sealed. The fence's batch is built in place as the whole
+    /// new log — each record copied once, one checksum pass — in the old
+    /// log's buffer: the log grows back to that size before the next
+    /// fence, and pages already in memory spare it a fresh allocation's
+    /// page faults.
     pub fn seal_fence(&mut self, fence: impl IntoIterator<Item = WalRecord>, now: SimTime) {
-        let mut fence = fence.into_iter().peekable();
-        if fence.peek().is_none() {
+        let fence: Vec<WalRecord> = fence.into_iter().collect();
+        if fence.is_empty() {
             return;
         }
         self.sync();
-        let start = self.log.len();
-        for rec in fence {
-            self.push(rec, now, None);
+        self.clock = self.clock.max(now);
+        let mut log = std::mem::take(&mut self.log);
+        log.clear();
+        log.resize(BATCH_HEADER, 0);
+        for rec in &fence {
+            put_chunk_with(&mut log, |out| encode_payload(rec, out));
         }
-        let count = self.pending;
-        if !self.maybe_seal(now) {
-            self.sync();
+        let payload = log.get(BATCH_HEADER..).unwrap_or_default();
+        let header = frame_header(fence.len(), payload);
+        let trigger = self.trigger(fence.len(), payload.len(), SimDuration::ZERO);
+        self.stats.incr(trigger.unwrap_or("trigger_explicit"));
+        if let Some(slot) = log.get_mut(..BATCH_HEADER) {
+            slot.copy_from_slice(&header);
         }
-        self.log.drain(..start);
-        self.sealed = count;
+        let framed = log.len();
+        self.log = log;
+        self.sealed = 0;
+        self.sealed_batch(fence.len(), framed);
     }
 
     /// Seal the pending records into one checksummed batch frame.
@@ -241,16 +269,18 @@ impl GroupCommitWal {
             tr.with(|t| spans.iter().for_each(|&span| t.close(span, clock, "sealed")));
         }
         self.pending_spans.clear();
-        let payload = &self.pending_payload;
-        put_u32(&mut self.log, wire_u32(count));
-        put_u32(&mut self.log, wire_u32(payload.len()));
-        put_u64(&mut self.log, checksum(payload));
-        self.log.extend_from_slice(payload);
-        let framed = BATCH_HEADER + payload.len();
+        self.log.extend_from_slice(&frame_header(count, &self.pending_payload));
+        self.log.extend_from_slice(&self.pending_payload);
+        let framed = BATCH_HEADER + self.pending_payload.len();
         self.pending_payload.clear();
-        self.sealed += count;
         self.pending = 0;
         self.pending_since = None;
+        self.sealed_batch(count, framed);
+    }
+
+    /// Count a sealed batch of `count` records, `framed` bytes long.
+    fn sealed_batch(&mut self, count: usize, framed: usize) {
+        self.sealed += count;
         self.stats.incr("batches");
         self.stats.add("records_synced", count as u64);
         self.stats.add("synced_bytes", framed as u64);
@@ -358,6 +388,14 @@ impl GroupCommitWal {
     }
 }
 
+/// The header of a batch of `count` records whose encoded payload is
+/// `payload`: the count, the payload's length and its checksum, each
+/// little-endian — the bytes of one little-endian `u128`.
+fn frame_header(count: usize, payload: &[u8]) -> [u8; BATCH_HEADER] {
+    let (count, len) = (u128::from(wire_u32(count)), u128::from(wire_u32(payload.len())));
+    (count | len << 32 | u128::from(checksum(payload)) << 64).to_le_bytes()
+}
+
 /// The one validating walk over a batch log: each intact batch's
 /// `(record count, payload)` in order, then — if the walk stopped short
 /// of the end — one `Err` saying why. Whole batches or nothing.
@@ -404,6 +442,7 @@ fn records(payload: &[u8]) -> impl Iterator<Item = WalRecordRef<'_>> {
 mod tests {
     use super::*;
     use crate::kv::KvStore;
+    use mv_common::codec::{put_u32, put_u64};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 

@@ -144,7 +144,6 @@ impl ShardedKv {
             let key = match rec {
                 WalRecord::Put { key, .. } | WalRecord::Delete { key } => key.as_slice(),
             };
-            // lint:allow(panic-path): shard_of_key is `hash % n` with n == staging.len(); the routing index is local arithmetic
             let q = &mut self.staging[shard_of_key(key, n)];
             if q.len() == q.capacity() {
                 self.staging_reallocs += 1;
@@ -156,7 +155,6 @@ impl ShardedKv {
             // lint:allow(wall-clock): measures real CPU time of the serial replay path for the speedup report; never feeds sim state
             let t0 = Instant::now();
             for &ri in queue {
-                // lint:allow(panic-path): queue indices were produced by enumerating this same records slice above
                 match &records[ri] {
                     WalRecord::Put { key, value } => shard.put(
                         Bytes::copy_from_slice(key),
@@ -176,7 +174,6 @@ impl ShardedKv {
                     .map(|(shard, queue)| scope.spawn(|| run_queue(shard, queue)))
                     .collect();
                 for (si, handle) in handles.into_iter().enumerate() {
-                    // lint:allow(panic-path): si enumerates the per-shard handles (walls sized to n); a panicked worker poisons the replay
                     walls[si] = handle.join().expect("shard worker panicked");
                 }
             });
@@ -184,7 +181,6 @@ impl ShardedKv {
             for (si, (shard, queue)) in
                 self.shards.iter_mut().zip(self.staging.iter()).enumerate()
             {
-                // lint:allow(panic-path): si enumerates the shards; walls was sized to n above
                 walls[si] = run_queue(shard, queue);
             }
         }

@@ -8,7 +8,7 @@
 //! re-validates the log and says what it kept and dropped in a
 //! [`RecoveryReport`], naming the first damage as a [`Corruption`].
 
-use mv_common::codec::{put_chunk, SliceReader};
+use mv_common::codec::{put_chunk, put_chunk_with, SliceReader};
 use mv_common::hash::FxHasher;
 use serde::{Deserialize, Serialize};
 use std::hash::Hasher as _;
@@ -110,16 +110,21 @@ pub(crate) fn checksum(payload: &[u8]) -> u64 {
 
 pub(crate) fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
     match rec {
-        WalRecord::Put { key, value } => {
-            out.push(1);
-            put_chunk(out, key);
-            put_chunk(out, value);
-        }
+        WalRecord::Put { key, value } => encode_put_with(out, key, |out| out.extend_from_slice(value)),
         WalRecord::Delete { key } => {
             out.push(2);
             put_chunk(out, key);
         }
     }
+}
+
+/// Encode a put of `key` whose value `value` writes straight into
+/// `out` — the one put framing ([`encode_payload`] writes an owned
+/// value through it).
+pub(crate) fn encode_put_with(out: &mut Vec<u8>, key: &[u8], value: impl FnOnce(&mut Vec<u8>)) {
+    out.push(1);
+    put_chunk(out, key);
+    put_chunk_with(out, value);
 }
 
 /// Decode one payload into the borrowed form; `None` on any structural
