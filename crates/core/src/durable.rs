@@ -27,7 +27,7 @@ use crate::arena::EntityRef;
 use crate::engine::{not_a_write, Applied};
 use crate::entity::{Entity, EntityKind};
 use crate::sharded::{shard_of, ShardedMetaverse, WriteOp};
-use crate::txn::TxnState;
+use crate::txn::{decode_heads, put_heads, TxnState};
 use mv_common::codec::{put_chunk, put_chunk_with, put_f64, put_u32, put_u64, wire_u32, SliceReader};
 use mv_common::geom::{Aabb, Point};
 use mv_common::hash::{fx_hash_one, FxHasher};
@@ -438,36 +438,33 @@ struct ShardSection {
 }
 
 /// Encode every shard's entities on the shard workers
-/// ([`ShardedMetaverse::map_shards`]), each with its heads in `txns`
-/// when given, reserving `hint` bytes for each shard's state and heads.
-fn encode_sections(engine: &ShardedMetaverse, txns: Option<&TxnState>, hint: usize) -> Vec<ShardSection> {
+/// ([`ShardedMetaverse::map_shards`]), each followed in its shard's heads
+/// by what `put_heads` writes for it, reserving `hint` bytes for each
+/// shard's state and heads.
+fn encode_sections(engine: &ShardedMetaverse, hint: usize, put_heads: impl Fn(&mut Vec<u8>, EntityRef<'_>) + Sync) -> Vec<ShardSection> {
     engine.map_shards(|shard| {
         let mut section = ShardSection {
             state: Vec::with_capacity(hint),
-            heads: Vec::with_capacity(if txns.is_some() { hint } else { 0 }),
+            heads: Vec::with_capacity(hint),
             rows: Vec::with_capacity(shard.row_count()),
         };
         for e in shard.entities_by_id() {
             encode_entity(&mut section.state, e);
-            if let Some(txns) = txns {
-                txns.put_heads(&mut section.heads, e);
-            }
+            put_heads(&mut section.heads, e);
             section.rows.push((e.id, section.state.len(), section.heads.len()));
         }
         section
     })
 }
 
-/// The encoded bytes of each of `ids` in `sections` (one per shard, as
-/// [`encode_sections`] returns them), in the order of `ids`: its state
-/// section and its heads. An id no section holds yields nothing.
-fn rows_in_id_order<'a>(
-    ids: &'a [EntityId],
-    sections: &'a [ShardSection],
-) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 'a {
+/// The encoded bytes of the entities with ids `0..count` in `sections`
+/// (one per shard, as [`encode_sections`] returns them), in id order:
+/// each one's state section and its heads. An id no section holds
+/// yields nothing.
+fn rows_in_id_order(count: usize, sections: &[ShardSection]) -> impl Iterator<Item = (&[u8], &[u8])> {
     // Per shard: its next row, and where that row's state and heads begin.
     let mut cursors = vec![(0usize, 0usize, 0usize); sections.len()];
-    ids.iter().filter_map(move |&id| {
+    (0..count as u64).map(EntityId::new).filter_map(move |id| {
         let owner = shard_of(id, sections.len());
         let (section, cursor) = (sections.get(owner)?, cursors.get_mut(owner)?);
         let &(_, state_end, heads_end) = section.rows.get(cursor.0).filter(|row| row.0 == id)?;
@@ -477,17 +474,127 @@ fn rows_in_id_order<'a>(
     })
 }
 
-/// [`DurableMetaverse::state_encoding`] of `engine` with entities `ids`,
-/// whose encoded rows `sections` hold, appended to `out`.
-fn put_state(out: &mut Vec<u8>, engine: &ShardedMetaverse, ids: &[EntityId], sections: &[ShardSection]) {
+/// The state encoding of `engine`, whose encoded rows `sections` hold,
+/// appended to `out`.
+fn put_state(out: &mut Vec<u8>, engine: &ShardedMetaverse, sections: &[ShardSection]) {
+    let count = engine.spawned_count();
     out.push(1); // version
     put_u64(out, engine.now().as_micros());
     put_u64(out, engine.live_count() as u64);
-    put_u64(out, ids.len() as u64);
-    for (state, _) in rows_in_id_order(ids, sections) {
+    put_u64(out, count as u64);
+    for (state, _) in rows_in_id_order(count, sections) {
         out.extend_from_slice(state);
     }
     put_counters(out, engine);
+}
+
+/// [`DurableMetaverse::state_encoding`] of `engine`.
+pub(crate) fn state_encoding(engine: &ShardedMetaverse) -> Vec<u8> {
+    let sections = encode_sections(engine, 0, |_, _| {});
+    let mut out = Vec::new();
+    put_state(&mut out, engine, &sections);
+    out
+}
+
+/// Hash of [`state_encoding`] (cheap equality witness).
+pub(crate) fn state_digest(engine: &ShardedMetaverse) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(&state_encoding(engine));
+    h.finish()
+}
+
+/// The checkpoint image of `engine`: tag 8, a version, the fx checksum
+/// of the rest, [`state_encoding`], then the MVCC state — the oracle's
+/// timestamp, the next event id, each field's head timestamp (see
+/// [`put_heads`]) and an empty extras list. With `txns`, that is the
+/// MVCC state a replay of the whole log would leave; without, none:
+/// oracle 0 and no head (a replica's raft snapshot). The shard workers
+/// encode their own entities ([`ShardedMetaverse::map_shards`]); the
+/// calling thread merges their bytes in id order. `last_len`, the size
+/// of the previous image, sizes the buffers.
+pub(crate) fn encode_image(engine: &ShardedMetaverse, txns: Option<&TxnState>, last_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(last_len + last_len / 8);
+    out.extend_from_slice(&[CHECKPOINT_TAG, IMAGE_VERSION]);
+    out.resize(IMAGE_HEADER, 0);
+    // The previous image's size bounds each shard's share of this one.
+    let sections = encode_sections(engine, last_len / engine.shard_count(), |out, e| put_heads(txns, out, e));
+    put_state(&mut out, engine, &sections);
+    put_u64(&mut out, txns.map_or(0, |txns| txns.mvcc.oracle().current()));
+    put_u64(&mut out, engine.next_event());
+    for (_, heads) in rows_in_id_order(engine.spawned_count(), &sections) {
+        out.extend_from_slice(heads);
+    }
+    drop(sections);
+    put_u32(&mut out, 0);
+    let sum = image_checksum(out.get(IMAGE_HEADER..).unwrap_or_default());
+    if let Some(slot) = out.get_mut(2..IMAGE_HEADER) {
+        slot.copy_from_slice(&sum.to_le_bytes());
+    }
+    out
+}
+
+/// The inverse of [`encode_image`]: the engine `image` encodes, on
+/// `shards` shards with batch application `parallel`
+/// ([`ShardedMetaverse::set_parallel_apply`]), its heads and oracle
+/// restored into `txns` when given — without, they are read and dropped,
+/// and only a re-encoding shows them. Total on hostile input: `None` on
+/// a wrong tag, version or checksum or on structural damage — never a
+/// panic, and no allocation sized by a length field. Well-formed bytes
+/// that no engine produces (a wrong live count, a repeated attribute
+/// name) may restore to an engine that encodes differently; snapshot
+/// install compares the re-encoding.
+pub(crate) fn restore_image(image: &[u8], shards: usize, parallel: bool, mut txns: Option<&mut TxnState>) -> Option<ShardedMetaverse> {
+    let ([CHECKPOINT_TAG, IMAGE_VERSION, sum @ ..], body) = image.split_at_checked(IMAGE_HEADER)?
+    else {
+        return None;
+    };
+    if image_checksum(body) != u64::from_le_bytes(sum.try_into().ok()?) {
+        return None;
+    }
+    let mut r = SliceReader::new(body);
+    if r.u8()? != 1 {
+        return None;
+    }
+    let clock = SimTime(r.u64()?);
+    let _live = r.u64()?;
+    let count = r.u64()?;
+    // Each entity goes straight to its owner shard's list, where the
+    // shard's worker takes it from (see `ShardedMetaverse::restore`).
+    let shards = shards.max(1);
+    let mut owned: Vec<Vec<Entity>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut decoded = 0;
+    while decoded < count {
+        let e = decode_entity(&mut r)?;
+        // Ids are dense in spawn order; anything else would collide
+        // in the arena or desynchronise the id generator.
+        if e.id.raw() != decoded {
+            return None;
+        }
+        owned.get_mut(shard_of(e.id, shards))?.push(e);
+        decoded += 1;
+    }
+    let mut counters = Vec::new();
+    for _ in 0..r.u32()? {
+        let name = read_str(&mut r)?;
+        let name = ENGINE_COUNTERS.iter().find(|known| **known == name)?;
+        counters.push((*name, r.u64()?));
+    }
+    let (oracle, next_event) = (r.u64()?, r.u64()?);
+    let mut cursors = vec![0; shards];
+    let in_id_order = (0..count).map(EntityId::new).map_while(|id| {
+        let owner = shard_of(id, shards);
+        let cursor = cursors.get_mut(owner)?;
+        *cursor += 1;
+        owned.get(owner)?.get(*cursor - 1)
+    });
+    decode_heads(txns.as_deref_mut(), &mut r, in_id_order)?;
+    if !r.done() {
+        return None;
+    }
+    if let Some(txns) = txns {
+        txns.mvcc.oracle().advance_past(oracle);
+    }
+    Some(ShardedMetaverse::restore(shards, parallel, clock, owned, &counters, next_event))
 }
 
 /// The engine's counter totals, the last part of the state encoding.
@@ -515,10 +622,6 @@ pub struct DurableMetaverse {
     pub wal: GroupCommitWal,
     /// Always empty (see [`Self::kv`]).
     kv: ShardedKv,
-    /// Spawn-ordered entity ids (replay re-derives the same sequence).
-    pub(crate) ids: Vec<EntityId>,
-    engine_shards: usize,
-    txn_shards: usize,
     /// Bytes of the newest image encoded or restored (0: none yet).
     image_len: usize,
     /// Span collector (see [`Self::set_tracer`] for which ops mint a
@@ -526,7 +629,7 @@ pub struct DurableMetaverse {
     pub(crate) tracer: Option<SharedTracer>,
     /// Transactional state: the sharded MVCC overlay and its counters
     /// (see `crate::txn`).
-    pub(crate) txns: crate::txn::TxnState,
+    pub(crate) txns: TxnState,
 }
 
 impl DurableMetaverse {
@@ -536,11 +639,12 @@ impl DurableMetaverse {
         Self::new(shards, shards, KvConfig::default(), GroupCommitPolicy::default())
     }
 
-    /// Build with explicit shard counts and WAL policy. `kv_shards` sizes
-    /// the MVCC shards; `_kv_config` is ignored (the engine keeps no KV).
+    /// Build with explicit shard counts and WAL policy. `txn_shards`
+    /// sizes the MVCC shards; `_kv_config` is ignored (the engine keeps
+    /// no KV).
     pub fn new(
         engine_shards: usize,
-        kv_shards: usize,
+        txn_shards: usize,
         _kv_config: KvConfig,
         wal_policy: GroupCommitPolicy,
     ) -> Self {
@@ -548,12 +652,9 @@ impl DurableMetaverse {
             engine: ShardedMetaverse::with_defaults(engine_shards),
             wal: GroupCommitWal::with_policy(wal_policy),
             kv: ShardedKv::with_defaults(1),
-            ids: Vec::new(),
-            engine_shards,
-            txn_shards: kv_shards,
             image_len: 0,
             tracer: None,
-            txns: crate::txn::TxnState::new(kv_shards),
+            txns: TxnState::new(txn_shards),
         }
     }
 
@@ -596,9 +697,10 @@ impl DurableMetaverse {
         stats.set_gauge("wal_queued_bytes", self.wal.queued_bytes() as f64);
     }
 
-    /// Spawn-ordered ids of every entity ever registered.
-    pub fn ids(&self) -> &[EntityId] {
-        &self.ids
+    /// Ids of every entity ever registered, in spawn order: ids are
+    /// dense, so these are `0..` their count.
+    pub fn ids(&self) -> Vec<EntityId> {
+        (0..self.engine.spawned_count() as u64).map(EntityId::new).collect()
     }
 
     /// Serial/parallel batch application on the engine's shards (serial
@@ -643,7 +745,7 @@ impl DurableMetaverse {
         let (ctx, minted) = self.ingest_ctx(op, ctx);
         self.log(op, ctx);
         let live = self.txns.save_before_images(&self.engine, [op]);
-        let applied = self.replay(op);
+        let applied = self.engine.apply(op);
         if applied.is_ok() {
             self.txns.plain_written(&self.engine, [op], live);
         }
@@ -669,7 +771,7 @@ impl DurableMetaverse {
         position: Point,
         now: SimTime,
     ) -> EntityId {
-        let id = EntityId::new(self.ids.len() as u64);
+        let id = EntityId::new(self.engine.spawned_count() as u64);
         let spawned = self.apply(&DurableOp::Spawn { name: name.into(), kind, position, ts: now }, None);
         debug_assert_eq!(spawned, Ok(Applied::Spawned(id)));
         id
@@ -748,14 +850,15 @@ impl DurableMetaverse {
     /// decision discards them; and prepares still unresolved at the end
     /// of the log are *presumed aborts* — discarded and counted in the
     /// `core.txn.indoubt_aborted` stat.
+    /// Replay drops the engine's errors: an op that failed pre-crash fails
+    /// identically on replay — determinism is what recovery needs.
     pub fn crash_and_recover(&mut self) -> RecoveryReport {
         let mut report = self.wal.crash_with_report();
         let mut wal = std::mem::take(&mut self.wal);
         let parallel = self.engine.parallel_apply();
-        self.engine = ShardedMetaverse::with_defaults(self.engine_shards);
+        self.engine = ShardedMetaverse::with_defaults(self.engine.shard_count());
         self.engine.set_parallel_apply(parallel);
-        self.ids.clear();
-        self.txns = crate::txn::TxnState::new(self.txn_shards);
+        self.txns = TxnState::new(self.txns.mvcc.shard_count());
         self.image_len = 0;
         fn image_of(rec: WalRecordRef<'_>) -> Option<&[u8]> {
             match rec {
@@ -793,7 +896,7 @@ impl DurableMetaverse {
                         let Some(ops) = prepared.remove(&txn) else { continue };
                         if commit {
                             for op in &ops {
-                                if self.replay(op).is_ok() {
+                                if self.engine.apply(op).is_ok() {
                                     self.txns.stamp_commit(op, commit_ts);
                                 }
                             }
@@ -804,7 +907,7 @@ impl DurableMetaverse {
                         }
                     }
                     other => {
-                        if self.replay(&other).is_ok() {
+                        if self.engine.apply(&other).is_ok() {
                             self.txns.plain_written(&self.engine, [&other], false);
                         }
                     }
@@ -817,125 +920,30 @@ impl DurableMetaverse {
         report
     }
 
-    /// Apply one op to the engine alone — no log record, no MVCC head,
-    /// no span — and record a spawn's id. Recovery, the 2PC commit and a
-    /// replica apply through here, and their callers drop the engine's
-    /// errors: an op that failed pre-crash (an update racing a retire)
-    /// fails identically on replay — determinism, not error handling, is
-    /// what recovery needs.
-    pub(crate) fn replay(&mut self, op: &DurableOp) -> MvResult<Applied> {
-        let applied = self.engine.apply(op);
-        if let Ok(Applied::Spawned(id)) = &applied {
-            self.ids.push(*id);
-        }
-        applied
-    }
-
     /// Canonical byte encoding of the whole engine state: clock, live
     /// count, every entity ever spawned (in spawn order, fully encoded),
     /// and the engine's counter totals. Two engines with equal encodings
     /// are observably identical; the fault tests compare these
     /// byte-for-byte across crash/recovery.
     pub fn state_encoding(&self) -> Vec<u8> {
-        let sections = encode_sections(&self.engine, None, 0);
-        let mut out = Vec::new();
-        put_state(&mut out, &self.engine, &self.ids, &sections);
-        out
+        state_encoding(&self.engine)
     }
 
-    /// The checkpoint image, also a replica's raft snapshot: tag 8, a
-    /// version, the fx checksum of the rest, [`Self::state_encoding`],
-    /// then the MVCC state a replay of the whole log would leave — the
-    /// oracle's timestamp, the next event id, each field's head timestamp
-    /// (a crash ends every snapshot; see `TxnState::put_heads`) and an
-    /// empty extras list. The shard workers encode their own entities
-    /// ([`ShardedMetaverse::map_shards`]); the calling thread merges their
-    /// bytes in id order.
+    /// The checkpoint image ([`encode_image`]) of the engine and its MVCC
+    /// heads, all of that state a crash leaves (see [`put_heads`]).
     pub(crate) fn checkpoint_image(&mut self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.image_len + self.image_len / 8);
-        out.extend_from_slice(&[CHECKPOINT_TAG, IMAGE_VERSION]);
-        out.resize(IMAGE_HEADER, 0);
-        let DurableMetaverse { engine, ids, txns, .. } = self;
-        // The newest image's size bounds each shard's share of the next.
-        let sections = encode_sections(engine, Some(txns), self.image_len / engine.shard_count());
-        put_state(&mut out, engine, ids, &sections);
-        put_u64(&mut out, txns.mvcc.oracle().current());
-        put_u64(&mut out, engine.next_event());
-        for (_, heads) in rows_in_id_order(ids, &sections) {
-            out.extend_from_slice(heads);
-        }
-        drop(sections);
-        put_u32(&mut out, 0);
-        let sum = image_checksum(out.get(IMAGE_HEADER..).unwrap_or_default());
-        if let Some(slot) = out.get_mut(2..IMAGE_HEADER) {
-            slot.copy_from_slice(&sum.to_le_bytes());
-        }
-        self.image_len = out.len();
-        out
+        let image = encode_image(&self.engine, Some(&self.txns), self.image_len);
+        self.image_len = image.len();
+        image
     }
 
-    /// The inverse of [`Self::checkpoint_image`]: replace the engine, ids
-    /// and MVCC store (not the WAL) with those `image` encodes, which from
-    /// there behave as the encoded ones would. Total on hostile input:
-    /// `None`, with `self` untouched, on a wrong tag, version or checksum
-    /// or on structural damage — never a panic, and no allocation sized by
-    /// a length field. Well-formed bytes that no engine produces (a wrong
-    /// live count, a repeated attribute name) may restore to an engine
-    /// that encodes differently; snapshot install compares the re-encoding.
+    /// The inverse of [`Self::checkpoint_image`] ([`restore_image`]): the
+    /// engine and MVCC store (not the WAL) become those `image` encodes.
+    /// `None`, with `self` untouched, on any damage.
     pub(crate) fn restore(&mut self, image: &[u8]) -> Option<()> {
-        let ([CHECKPOINT_TAG, IMAGE_VERSION, sum @ ..], body) = image.split_at_checked(IMAGE_HEADER)?
-        else {
-            return None;
-        };
-        if image_checksum(body) != u64::from_le_bytes(sum.try_into().ok()?) {
-            return None;
-        }
-        let mut r = SliceReader::new(body);
-        if r.u8()? != 1 {
-            return None;
-        }
-        let clock = SimTime(r.u64()?);
-        let _live = r.u64()?;
-        let count = r.u64()?;
-        // Each entity goes straight to its owner shard's list, where the
-        // shard's worker takes it from (see `ShardedMetaverse::restore`).
-        let shards = self.engine.shard_count();
-        let mut owned: Vec<Vec<Entity>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut decoded = 0;
-        while decoded < count {
-            let e = decode_entity(&mut r)?;
-            // Ids are dense in spawn order; anything else would collide
-            // in the arena or desynchronise the id generator.
-            if e.id.raw() != decoded {
-                return None;
-            }
-            owned.get_mut(shard_of(e.id, shards))?.push(e);
-            decoded += 1;
-        }
-        let mut counters = Vec::new();
-        for _ in 0..r.u32()? {
-            let name = read_str(&mut r)?;
-            let name = ENGINE_COUNTERS.iter().find(|known| **known == name)?;
-            counters.push((*name, r.u64()?));
-        }
-        let (oracle, next_event) = (r.u64()?, r.u64()?);
-        let mut txns = crate::txn::TxnState::new(self.txn_shards);
-        let mut cursors = vec![0; shards];
-        let in_id_order = (0..count).map(EntityId::new).map_while(|id| {
-            let owner = shard_of(id, shards);
-            let cursor = cursors.get_mut(owner)?;
-            *cursor += 1;
-            owned.get(owner)?.get(*cursor - 1)
-        });
-        txns.decode_heads(&mut r, in_id_order)?;
-        if !r.done() {
-            return None;
-        }
-        txns.mvcc.oracle().advance_past(oracle);
-        self.ids = (0..count).map(EntityId::new).collect();
-        let parallel = self.engine.parallel_apply();
-        self.engine =
-            ShardedMetaverse::restore(self.engine_shards, parallel, clock, owned, &counters, next_event);
+        let mut txns = TxnState::new(self.txns.mvcc.shard_count());
+        let (shards, parallel) = (self.engine.shard_count(), self.engine.parallel_apply());
+        self.engine = restore_image(image, shards, parallel, Some(&mut txns))?;
         self.txns = txns;
         self.image_len = image.len();
         Some(())
@@ -943,9 +951,7 @@ impl DurableMetaverse {
 
     /// Hash of [`Self::state_encoding`] (cheap equality witness).
     pub fn state_digest(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write(&self.state_encoding());
-        h.finish()
+        state_digest(&self.engine)
     }
 }
 
@@ -1314,7 +1320,7 @@ mod tests {
         let mut out = vec![CHECKPOINT_TAG, IMAGE_VERSION];
         out.resize(IMAGE_HEADER, 0);
         let mut heads = Vec::new();
-        encode_state(&dm.engine, &dm.ids, &mut out, |e| dm.txns.put_heads(&mut heads, e));
+        encode_state(&dm.engine, &dm.ids(), &mut out, |e| put_heads(Some(&dm.txns), &mut heads, e));
         put_u64(&mut out, dm.txns.mvcc.oracle().current());
         put_u64(&mut out, dm.engine.next_event());
         out.extend_from_slice(&heads);
@@ -1359,7 +1365,7 @@ mod tests {
             let image = dm.checkpoint_image();
             proptest::prop_assert_eq!(&image, &serial_image(&dm));
             let mut state = Vec::new();
-            encode_state(&dm.engine, &dm.ids, &mut state, |_| {});
+            encode_state(&dm.engine, &dm.ids(), &mut state, |_| {});
             proptest::prop_assert_eq!(dm.state_encoding(), state);
             dm.abort_txn(snapshot, t(503));
 

@@ -148,7 +148,7 @@ pub fn gen_ops(rng: &mut StdRng, count: usize, world: f64) -> Vec<Op> {
 impl Op {
     /// The write this op makes at `ts`, its slots resolved against the
     /// spawned `ids`; `None` for a query.
-    fn write(&self, ids: &[EntityId], ts: SimTime) -> Option<DurableOp> {
+    pub(crate) fn write(&self, ids: &[EntityId], ts: SimTime) -> Option<DurableOp> {
         Some(match self {
             Op::Spawn { name, kind, position } => {
                 DurableOp::Spawn { name: name.clone(), kind: *kind, position: *position, ts }

@@ -12,21 +12,24 @@
 //! majority and survives any minority of crashes, partitions, and even
 //! total per-node state loss.
 //!
-//! Each replica's state machine is a [`DurableMetaverse`] fed strictly
-//! by committed raft entries in index order. The engine is
-//! deterministic, so replicas stay byte-identical (per
-//! `DurableMetaverse::state_encoding`) without further coordination —
-//! the fault harness (`tests/raft_failover.rs`) checks exactly that
-//! after every fault boundary.
+//! Each replica's state machine is a bare [`ShardedMetaverse`] fed
+//! strictly by committed raft entries in index order: the raft log is
+//! its recovery source, so it keeps no log of its own, and it runs no
+//! transactions, so it keeps no MVCC state. The engine is
+//! deterministic, so replicas stay byte-identical (per their state
+//! encoding) without further coordination — the fault harness
+//! (`tests/raft_failover.rs`) checks exactly that after every fault
+//! boundary.
 //!
 //! Snapshots carry state, not history: a snapshot is the engine's
 //! checkpoint image — the durable log's own verified codec (version, fx
-//! checksum, state encoding, MVCC heads) — so its size, and the cost of
-//! taking, shipping and installing one, follows the entities, not the
-//! age of the region. Install verifies the checksum, rebuilds an engine
-//! from the image (`DurableMetaverse::restore`) and *re-encodes* it:
-//! anything but the same bytes back is refused loudly rather than
-//! installed silently.
+//! checksum, state encoding, and an MVCC section that is empty here:
+//! no head, oracle 0) — so its size, and the cost of taking, shipping
+//! and installing one, follows the entities, not the age of the region.
+//! Install verifies the checksum, rebuilds an engine from the image and
+//! *re-encodes* it: anything but the same bytes back is refused loudly
+//! rather than installed silently — among them a durable engine's image
+//! that carries heads or a nonzero oracle, which raft never ships.
 //!
 //! The commands themselves are kept once, region-wide, by raft index
 //! (`CommittedLog`): the first replica to apply an index records its
@@ -40,11 +43,10 @@
 //! transport epoch, crashes the raft WAL (losing its unsynced tail) and
 //! discards the replica's entire engine; restart folds the surviving
 //! raft records back and rebuilds the engine by replay (or snapshot
-//! install, for a node flagged `wipe_on_crash` that lost its disk too);
-//! an installed engine holds the source's MVCC heads and timestamp
-//! oracle exactly, so versions written after it never run backwards.
+//! install, for a node flagged `wipe_on_crash` that lost its disk too).
 
-use crate::durable::{DurableMetaverse, DurableOp};
+use crate::durable::{encode_image, restore_image, state_digest, DurableOp};
+use crate::sharded::ShardedMetaverse;
 use bytes::Bytes;
 use mv_common::hash::FxHasher;
 use mv_common::id::NodeId;
@@ -59,43 +61,22 @@ use rand::rngs::StdRng;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher as _;
 
-/// One replica's deterministic state machine: the durable engine, fed
-/// committed commands in index order.
-struct MetaverseSm {
-    dm: DurableMetaverse,
+/// Apply one committed command to a replica's engine. `false` when the
+/// engine refused it, or it does not decode; the engine refuses
+/// transactional frames untouched — the replicated log carries only
+/// plain ops.
+fn apply_command(engine: &mut ShardedMetaverse, cmd: &[u8]) -> bool {
+    DurableOp::decode(cmd).is_some_and(|op| engine.apply(&op).is_ok())
 }
 
-impl MetaverseSm {
-    fn new(shards: usize) -> Self {
-        MetaverseSm { dm: DurableMetaverse::with_defaults(shards) }
-    }
-
-    /// Apply one committed command to the engine alone: the raft log is
-    /// the replica's recovery source, so its own WAL stays empty, and a
-    /// replica runs no transactions, so it keeps no version chains — its
-    /// snapshots carry no heads to walk. `false` when the engine refused
-    /// the command, or it does not decode; the engine refuses
-    /// transactional frames untouched — the replicated log carries only
-    /// plain ops.
-    fn apply(&mut self, cmd: &[u8]) -> bool {
-        DurableOp::decode(cmd).is_some_and(|op| self.dm.replay(&op).is_ok())
-    }
-
-    /// The engine's checkpoint image.
-    fn snapshot(&mut self) -> Vec<u8> {
-        self.dm.checkpoint_image()
-    }
-
-    /// Rebuild from a snapshot. The image's checksum catches damage (a
-    /// flipped coordinate bit is still a well-formed state); the
-    /// re-encoding catches bytes that no engine produces and any drift
-    /// between the image's encoder and decoder. `None` on either, or on
-    /// structural damage.
-    fn install(shards: usize, bytes: &[u8]) -> Option<MetaverseSm> {
-        let mut dm = DurableMetaverse::with_defaults(shards);
-        dm.restore(bytes)?;
-        (dm.checkpoint_image() == bytes).then_some(MetaverseSm { dm })
-    }
+/// Rebuild a replica's engine on `shards` shards from a snapshot. The
+/// image's checksum catches damage (a flipped coordinate bit is still a
+/// well-formed state); the re-encoding catches bytes that no replica
+/// produces and any drift between the image's encoder and decoder.
+/// `None` on either, or on structural damage.
+fn install(shards: usize, bytes: &[u8]) -> Option<ShardedMetaverse> {
+    let engine = restore_image(bytes, shards, true, None)?;
+    (encode_image(&engine, None, bytes.len()) == bytes).then_some(engine)
 }
 
 /// The region's committed commands, kept once for every replica and
@@ -182,12 +163,12 @@ impl Default for RegionConfig {
 
 struct ReplicaSlot {
     node: RaftNode,
-    /// `None` while the process is down (volatile state dropped).
-    sm: Option<MetaverseSm>,
-    up: bool,
+    /// The replica's engine; `None` while the process is down (volatile
+    /// state dropped) — the one mark of a replica being down.
+    engine: Option<ShardedMetaverse>,
     /// Crash also destroys the disk: restart via [`RaftNode::wipe`].
     wipe_on_crash: bool,
-    /// Highest raft index applied into `sm`.
+    /// Highest raft index applied into `engine`.
     applied_raft: u64,
 }
 
@@ -240,8 +221,7 @@ impl FaultTarget for ReplicatedMetaverse {
         self.transport.on_node_crash(node);
         let now = self.now;
         if let Some(slot) = self.replicas.iter_mut().find(|s| s.node.id() == node) {
-            slot.up = false;
-            slot.sm = None; // volatile engine state is gone
+            slot.engine = None; // volatile engine state is gone
             slot.applied_raft = 0;
             slot.node.crash();
             self.log.push(format!("{now} crash {node:?}"));
@@ -256,7 +236,6 @@ impl FaultTarget for ReplicatedMetaverse {
             .find(|s| s.node.id() == node)
             .is_some_and(|s| s.wipe_on_crash);
         if let Some(slot) = self.replicas.iter_mut().find(|s| s.node.id() == node) {
-            slot.up = true;
             if wipe {
                 slot.node.wipe(now);
             } else {
@@ -266,7 +245,7 @@ impl FaultTarget for ReplicatedMetaverse {
             // snapshot (if any) is re-flagged for install by restart();
             // committed entries above it re-drain through the normal
             // apply path in `tick`.
-            slot.sm = Some(MetaverseSm::new(self.cfg.shards));
+            slot.engine = Some(ShardedMetaverse::with_defaults(self.cfg.shards));
             slot.applied_raft = 0;
             self.log.push(format!("{now} restart {node:?} wipe={wipe}"));
         }
@@ -303,8 +282,7 @@ impl ReplicatedMetaverse {
                 node.attach_registry(&registry);
                 ReplicaSlot {
                     node,
-                    sm: Some(MetaverseSm::new(cfg.shards)),
-                    up: true,
+                    engine: Some(ShardedMetaverse::with_defaults(cfg.shards)),
                     wipe_on_crash: false,
                     applied_raft: 0,
                 }
@@ -357,7 +335,7 @@ impl ReplicatedMetaverse {
 
     /// The current leader among *up* replicas, if any.
     pub fn leader(&self) -> Option<NodeId> {
-        self.replicas.iter().find(|s| s.up && s.node.is_leader()).map(|s| s.node.id())
+        self.replicas.iter().find(|s| s.engine.is_some() && s.node.is_leader()).map(|s| s.node.id())
     }
 
     /// Submit one client op. Returns the raft index it was proposed at,
@@ -367,7 +345,7 @@ impl ReplicatedMetaverse {
         let cmd = op.encode();
         self.stats.incr("submit_attempts");
         let appended = (|| {
-            let slot = self.replicas.iter_mut().find(|s| s.up && s.node.is_leader())?;
+            let slot = self.replicas.iter_mut().find(|s| s.engine.is_some() && s.node.is_leader())?;
             let leader = slot.node.id();
             let index = slot.node.client_append(cmd.clone(), now)?;
             Some((leader, index))
@@ -399,13 +377,13 @@ impl ReplicatedMetaverse {
 
     /// Per-replica engine digests (`None` while down).
     pub fn replica_digests(&self) -> Vec<Option<u64>> {
-        self.replicas.iter().map(|s| s.sm.as_ref().map(|sm| sm.dm.state_digest())).collect()
+        self.replicas.iter().map(|s| s.engine.as_ref().map(state_digest)).collect()
     }
 
     /// Replica `i`'s applied index, `None` while it is down.
     fn applied_index(&self, i: usize) -> Option<u64> {
         let slot = self.replicas.get(i)?;
-        slot.sm.as_ref().map(|_| slot.applied_raft)
+        slot.engine.as_ref().map(|_| slot.applied_raft)
     }
 
     /// Hash of replica `i`'s applied-command history — the committed
@@ -428,7 +406,7 @@ impl ReplicatedMetaverse {
 
     /// Number of replicas currently up.
     pub fn up_count(&self) -> usize {
-        self.replicas.iter().filter(|s| s.up).count()
+        self.replicas.iter().filter(|s| s.engine.is_some()).count()
     }
 
     /// Move the leader (and enough followers to form a minority) into
@@ -490,7 +468,7 @@ impl ReplicatedMetaverse {
 
         for ev in self.transport.poll(&mut self.net, &mut self.rng, now) {
             let ReliableEvent::Delivered { src, dst, payload, .. } = ev else { continue };
-            let Some(slot) = self.replicas.iter_mut().find(|s| s.node.id() == dst && s.up)
+            let Some(slot) = self.replicas.iter_mut().find(|s| s.node.id() == dst && s.engine.is_some())
             else {
                 continue;
             };
@@ -499,7 +477,7 @@ impl ReplicatedMetaverse {
             }
         }
 
-        for slot in self.replicas.iter_mut().filter(|s| s.up) {
+        for slot in self.replicas.iter_mut().filter(|s| s.engine.is_some()) {
             let from = slot.node.id();
             for o in slot.node.tick(now) {
                 sends.push((from, o));
@@ -523,14 +501,14 @@ impl ReplicatedMetaverse {
         let commit_lag = self
             .replicas
             .iter()
-            .filter(|s| s.up)
+            .filter(|s| s.engine.is_some())
             .map(|s| s.node.last_index().saturating_sub(s.node.commit_index()))
             .max()
             .unwrap_or(0) as f64;
         let term = self
             .replicas
             .iter()
-            .filter(|s| s.up)
+            .filter(|s| s.engine.is_some())
             .map(|s| s.node.term())
             .max()
             .unwrap_or(0) as f64;
@@ -545,14 +523,14 @@ impl ReplicatedMetaverse {
     fn pump_state_machines(&mut self, now: SimTime) {
         let shards = self.cfg.shards;
         let compact_threshold = self.cfg.compact_threshold;
-        for slot in self.replicas.iter_mut().filter(|s| s.up) {
+        for slot in self.replicas.iter_mut().filter(|s| s.engine.is_some()) {
             let id = slot.node.id();
             // A freshly accepted (or restart-recovered) snapshot
             // replaces the engine wholesale.
             if let Some((base, _term, data)) = slot.node.take_pending_install() {
-                match MetaverseSm::install(shards, &data) {
-                    Some(sm) => {
-                        slot.sm = Some(sm);
+                match install(shards, &data) {
+                    Some(engine) => {
+                        slot.engine = Some(engine);
                         slot.applied_raft = base;
                         // Its proposals at or below `base` will never be
                         // applied one by one; the client retries them.
@@ -565,7 +543,7 @@ impl ReplicatedMetaverse {
                     }
                 }
             }
-            let Some(sm) = slot.sm.as_mut() else { continue };
+            let Some(engine) = slot.engine.as_mut() else { continue };
             let committed = slot.node.take_committed();
             let applied_any = !committed.is_empty();
             for (index, cmd) in committed {
@@ -576,7 +554,7 @@ impl ReplicatedMetaverse {
                     ));
                 }
                 if !cmd.is_empty() {
-                    sm.apply(&cmd);
+                    apply_command(engine, &cmd);
                 }
                 // The proposing leader's commit is the client ack — if
                 // what committed at its index is what it proposed.
@@ -591,10 +569,12 @@ impl ReplicatedMetaverse {
             if applied_any {
                 // Nothing consumes a replica's co-space events; left alone
                 // they would pile up for the life of the region.
-                sm.dm.engine.discard_events();
+                engine.discard_events();
             }
             if slot.applied_raft.saturating_sub(slot.node.base_index()) > compact_threshold {
-                slot.node.compact(slot.applied_raft, sm.snapshot().into(), now);
+                // The node's previous snapshot sizes the new one's buffers.
+                let snapshot = encode_image(engine, None, slot.node.snapshot_len());
+                slot.node.compact(slot.applied_raft, snapshot.into(), now);
                 self.log.push(format!(
                     "{now} compact {id:?} base={}",
                     slot.node.base_index()
@@ -606,7 +586,7 @@ impl ReplicatedMetaverse {
     /// Record leadership per term; a term with two distinct leaders is
     /// the election-safety violation the harness asserts never happens.
     fn observe_leaders(&mut self, now: SimTime) {
-        for slot in self.replicas.iter().filter(|s| s.up && s.node.is_leader()) {
+        for slot in self.replicas.iter().filter(|s| s.engine.is_some() && s.node.is_leader()) {
             let (term, id) = (slot.node.term(), slot.node.id());
             match self.leaders_by_term.get(&term) {
                 None => {
@@ -627,7 +607,7 @@ impl ReplicatedMetaverse {
         let holders = self
             .replicas
             .iter()
-            .filter(|s| s.up && s.node.is_leader() && s.node.lease_valid(now))
+            .filter(|s| s.engine.is_some() && s.node.is_leader() && s.node.lease_valid(now))
             .count();
         if holders > 1 {
             self.violations.push(format!("{now} {holders} simultaneous lease holders"));
@@ -641,7 +621,13 @@ mod tests {
     use mv_common::geom::Point;
     use mv_common::Space;
     use mv_common::time::SimTime;
+    use crate::durable::{state_encoding, DurableMetaverse};
     use crate::entity::EntityKind;
+
+    /// A replica's snapshot of `engine`, with no previous one to size it.
+    fn snapshot(engine: &ShardedMetaverse) -> Vec<u8> {
+        encode_image(engine, None, 0)
+    }
 
     fn spawn_op(i: u64, now: SimTime) -> DurableOp {
         DurableOp::Spawn {
@@ -711,13 +697,13 @@ mod tests {
     /// A state with everything the encoding can hold: attributes, a
     /// retired entity, a twin lagging its truth, a NaN coordinate, an
     /// area effect's retirements and every counter.
-    fn rich_sm() -> MetaverseSm {
+    fn rich_engine() -> ShardedMetaverse {
         use mv_common::geom::Aabb;
         use mv_common::id::EntityId;
-        let mut sm = MetaverseSm::new(2);
+        let mut engine = ShardedMetaverse::with_defaults(2);
         let t = SimTime::from_millis;
         for i in 0..6 {
-            assert!(sm.apply(&spawn_op(i, t(i + 1)).encode()));
+            assert!(apply_command(&mut engine, &spawn_op(i, t(i + 1)).encode()));
         }
         let id = EntityId::new;
         let ops = [
@@ -737,74 +723,139 @@ mod tests {
             },
         ];
         for op in ops {
-            assert!(sm.apply(&op.encode()), "{op:?}");
+            assert!(apply_command(&mut engine, &op.encode()), "{op:?}");
         }
-        sm
+        engine
     }
 
     #[test]
     fn snapshot_install_verifies_and_refuses_damage() {
-        let mut sm = rich_sm();
-        assert_eq!(sm.dm.engine().live_count(), 3, "one retired by hand, two by the raid");
-        let snap = sm.snapshot();
-        let rebuilt = MetaverseSm::install(2, &snap).expect("clean install");
-        assert_eq!(rebuilt.dm.state_encoding(), sm.dm.state_encoding());
+        let engine = rich_engine();
+        assert_eq!(engine.live_count(), 3, "one retired by hand, two by the raid");
+        let snap = snapshot(&engine);
+        let rebuilt = install(2, &snap).expect("clean install");
+        assert_eq!(state_encoding(&rebuilt), state_encoding(&engine));
         // Every truncation and every single-byte flip must refuse, not
         // panic and not silently diverge.
         for cut in 0..snap.len() {
-            assert!(MetaverseSm::install(2, &snap[..cut]).is_none(), "cut at {cut}");
+            assert!(install(2, &snap[..cut]).is_none(), "cut at {cut}");
         }
         let mut bad = snap.clone();
         for at in 0..snap.len() {
             for mask in [0x01, 0x80, 0xFF] {
                 bad[at] ^= mask;
-                assert!(MetaverseSm::install(2, &bad).is_none(), "byte {at} ^ {mask:#x}");
+                assert!(install(2, &bad).is_none(), "byte {at} ^ {mask:#x}");
                 bad[at] ^= mask;
             }
         }
         let mut trailing = snap.clone();
         trailing.push(0);
-        assert!(MetaverseSm::install(2, &trailing).is_none());
+        assert!(install(2, &trailing).is_none());
+
+        // A durable engine's image carries its plain writes' heads and its
+        // oracle. Raft never ships one, and a replica refuses it: its
+        // re-encoding has neither. The same state without them installs.
+        let mut source = DurableMetaverse::with_defaults(2);
+        let t = SimTime::from_millis;
+        let id = source.spawn("a", EntityKind::Avatar, Point::ORIGIN, t(1));
+        source.update_attr(id, "hp", 0.5, t(2)).unwrap();
+        let image = source.checkpoint_image();
+        assert!(source.txn_current_ts() > 0);
+        assert!(install(2, &image).is_none(), "a heads-carrying image");
+        assert!(DurableMetaverse::with_defaults(2).restore(&image).is_some());
+        assert!(install(2, &snapshot(source.engine())).is_some());
     }
 
     #[test]
     fn well_formed_bytes_no_engine_produces_are_refused_by_the_re_encoding() {
         // A correct checksum over a state whose live count lies: restore
         // accepts the structure, the re-encoding does not match.
-        let mut sm = rich_sm();
-        let mut forged = sm.snapshot();
+        let mut forged = snapshot(&rich_engine());
         forged[10 + 9] ^= 1; // low byte of the state section's live count
         let sum = crate::durable::image_checksum(&forged[10..]);
         forged[2..10].copy_from_slice(&sum.to_le_bytes());
-        assert!(DurableMetaverse::with_defaults(2).restore(&forged).is_some());
-        assert!(MetaverseSm::install(2, &forged).is_none());
+        assert!(restore_image(&forged, 2, true, None).is_some());
+        assert!(install(2, &forged).is_none());
     }
 
-    /// A replica installed from a snapshot holds the source's version
-    /// chains and oracle, not versions made up at the restored clock: a
-    /// replica's (it keeps none), and a durable engine's, whose plain
-    /// writes and transactions left heads.
-    #[test]
-    fn snapshot_install_keeps_the_sources_version_chains() {
-        let mut sm = rich_sm();
-        let rebuilt = MetaverseSm::install(2, &sm.snapshot()).expect("install");
-        assert_eq!(rebuilt.dm.txn_digest(), sm.dm.txn_digest());
-        assert_eq!(rebuilt.dm.txn_current_ts(), sm.dm.txn_current_ts());
+    /// The replica as it was before it became a bare engine, kept as the
+    /// oracle the bare one must match: a whole durable engine whose log
+    /// and MVCC state stay empty, each command applied to its engine
+    /// alone, its snapshot the durable checkpoint image, and its install
+    /// a durable restore checked by re-encoding.
+    struct DurableReplica {
+        dm: DurableMetaverse,
+    }
 
-        let mut source = DurableMetaverse::with_defaults(2);
-        let t = SimTime::from_millis;
-        let ids: Vec<_> = (0..4).map(|i| source.spawn(format!("e{i}"), EntityKind::Avatar, Point::ORIGIN, t(1))).collect();
-        let moved = DurableOp::Position { id: ids[0], position: Point::new(3.0, 4.0), ts: t(2) };
-        source.apply(&moved, None).unwrap();
-        source.update_attr(ids[1], "hp", 0.5, t(2)).unwrap();
-        let mut txn = source.txn(t(3));
-        txn.write_attr(ids[2], "gold", 9.0, t(3));
-        txn.write_attr(ids[3], "gold", 1.0, t(3));
-        source.commit_txn(txn, t(3)).unwrap();
-        let installed = MetaverseSm::install(2, &source.checkpoint_image()).expect("install");
-        assert_eq!(installed.dm.txn_digest(), source.txn_digest());
-        assert_eq!(installed.dm.txn_version_count(), 4);
-        assert_eq!(installed.dm.txn_current_ts(), source.txn_current_ts());
+    impl DurableReplica {
+        fn apply(&mut self, cmd: &[u8]) -> bool {
+            DurableOp::decode(cmd).is_some_and(|op| self.dm.engine.apply(&op).is_ok())
+        }
+
+        fn install(shards: usize, bytes: &[u8]) -> Option<DurableReplica> {
+            let mut dm = DurableMetaverse::with_defaults(shards);
+            dm.restore(bytes)?;
+            (dm.checkpoint_image() == bytes).then_some(DurableReplica { dm })
+        }
+    }
+
+    /// The writes of `ops` as a client submits them: op `i` at `i` ms, each
+    /// slot resolved to the dense id its spawn got.
+    fn commands(ops: &[crate::ops::Op]) -> Vec<DurableOp> {
+        use mv_common::id::EntityId;
+        let mut ids = Vec::new();
+        let mut cmds = Vec::new();
+        for (op, ms) in ops.iter().zip(0..) {
+            let Some(cmd) = op.write(&ids, SimTime::from_millis(ms)) else { continue };
+            if let DurableOp::Spawn { .. } = cmd {
+                ids.push(EntityId::new(ids.len() as u64));
+            }
+            cmds.push(cmd);
+        }
+        cmds
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        // A bare replica applies what the durable one did and snapshots
+        // its bytes, at 1, 2 and 4 shards, over spawns, retires, area
+        // effects, attribute writes and NaN coordinates, with the events
+        // dropped every few commands as a tick does; either snapshot
+        // installs on both, and each install re-encodes to the snapshot.
+        #[test]
+        fn bare_replica_snapshots_match_the_durable_engines(
+            ops in crate::ops::strategies::OpSeq { min_ops: 1, max_ops: 150, world: 150.0 },
+            log2_shards in 0u32..3,
+            nan_at in 0usize..150,
+            discard_every in 1usize..8,
+        ) {
+            use crate::ops::Op;
+            let shards = 1usize << log2_shards;
+            let mut ops = ops;
+            let at = nan_at.min(ops.len());
+            ops.splice(at..at, [
+                Op::Spawn { name: "nowhere".into(), kind: EntityKind::Avatar, position: Point::new(f64::NAN, f64::NAN) },
+                Op::Move { slot: 0, position: Point::new(f64::NAN, 3.0) },
+                Op::Attr { slot: 0, name: "hp".into(), value: f64::NAN },
+            ]);
+            let mut bare = ShardedMetaverse::with_defaults(shards);
+            let mut oracle = DurableReplica { dm: DurableMetaverse::with_defaults(shards) };
+            for (k, cmd) in commands(&ops).iter().enumerate() {
+                let bytes = cmd.encode();
+                proptest::prop_assert_eq!(apply_command(&mut bare, &bytes), oracle.apply(&bytes), "{:?}", cmd);
+                if k % discard_every == 0 {
+                    bare.discard_events();
+                    oracle.dm.engine.discard_events();
+                }
+            }
+            let snap = snapshot(&bare);
+            proptest::prop_assert_eq!(&snap, &oracle.dm.checkpoint_image());
+            let installed = install(shards, &snap).expect("a clean snapshot");
+            proptest::prop_assert_eq!(&snapshot(&installed), &snap);
+            proptest::prop_assert_eq!(state_encoding(&installed), oracle.dm.state_encoding());
+            let reinstalled = DurableReplica::install(shards, &snap).expect("a clean snapshot");
+            proptest::prop_assert_eq!(reinstalled.dm.state_encoding(), state_encoding(&installed));
+        }
     }
 
     #[test]
@@ -866,7 +917,7 @@ mod tests {
             let per_commit = counter(&w, "raft.node.entries_sent") / counter(&w, "raft.node.entries_committed");
             assert!(per_commit <= peers + 0.1, "{load_ms} sim-ms: each entry sent {per_commit} times");
             let lens: Vec<usize> =
-                w.replicas.iter_mut().map(|s| s.sm.as_mut().expect("up").snapshot().len()).collect();
+                w.replicas.iter().map(|s| snapshot(s.engine.as_ref().expect("up")).len()).collect();
             assert!(lens.iter().all(|l| *l == lens[0]), "{lens:?}");
             snapshot_len.push(lens[0]);
             assert_eq!(w.region_stats().gauge("pending_submits"), 0.0);
@@ -899,26 +950,8 @@ mod tests {
         steady_load(&mut w, 10, 1_000);
         assert_eq!(w.acked().len(), 10_000);
         for slot in &mut w.replicas {
-            let sm = slot.sm.as_mut().expect("up");
-            assert!(sm.dm.engine.drain_events().is_empty(), "{:?} kept events", slot.node.id());
-        }
-    }
-
-    /// What a replica holds follows its state, not the commands it has
-    /// applied: ten times the history leaves its engine's own WAL empty
-    /// and no version chains (it runs no transactions).
-    #[test]
-    fn replica_engines_hold_no_log_and_no_versions() {
-        for load_ms in [200, 2_000] {
-            let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 11);
-            steady_load(&mut w, 2, load_ms);
-            assert_eq!(w.acked().len() as u64, 2 * load_ms);
-            for slot in &w.replicas {
-                let dm = &slot.sm.as_ref().expect("up").dm;
-                assert_eq!(dm.wal.len(), 0, "{load_ms} sim-ms: a replica logged its applies");
-                assert_eq!(dm.txn_version_count(), 0, "{load_ms} sim-ms");
-                assert_eq!(dm.txn_stats().get("plain_versions"), 0, "{load_ms} sim-ms");
-            }
+            let engine = slot.engine.as_mut().expect("up");
+            assert!(engine.drain_events().is_empty(), "{:?} kept events", slot.node.id());
         }
     }
 }

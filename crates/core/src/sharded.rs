@@ -443,6 +443,12 @@ impl ShardedMetaverse {
         self.shards.iter().map(Metaverse::live_count).sum()
     }
 
+    /// Number of entities ever spawned, retired ones included: ids are
+    /// dense in spawn order, so theirs are `0..` this count.
+    pub fn spawned_count(&self) -> usize {
+        self.ids.allocated() as usize
+    }
+
     /// One probe: every shard appends its hits to one buffer on the
     /// calling thread, and the buffer is sorted once. A probe costs a few
     /// microseconds and a scoped-thread round tens of them, so a single

@@ -4,9 +4,9 @@
 //! co-space partitions (trades, shared-object mutations crossing region
 //! boundaries). This module wires `mv-txn`'s MVCC through
 //! [`DurableMetaverse`]: a transaction reads a consistent snapshot of
-//! entity state (version chains in [`mv_txn::ShardedMvcc`], routed with
-//! the same hash as the KV shards, over the live engine for keys never
-//! written transactionally), buffers writes, and commits with two-phase
+//! entity state (version chains in [`mv_txn::ShardedMvcc`], routed by
+//! entity id, over the live engine for keys never written
+//! transactionally), buffers writes, and commits with two-phase
 //! commit riding the group-commit WAL:
 //!
 //! 1. **validate + lock** — every participant shard runs
@@ -68,15 +68,14 @@ use std::collections::BTreeMap;
 // ---- MVCC key scheme ---------------------------------------------------
 //
 // Version chains are keyed by entity field: `[tag][entity id LE 8B]…`.
-// Routing hashes only the id bytes with the same function `ShardedKv`
-// uses on its (id-keyed) snapshot records, so an entity's version chains
-// and its KV snapshot land on the same shard index.
+// Routing hashes only the id bytes, so every key of one entity lands on
+// one MVCC shard.
 
 const KEY_POSITION: u8 = 0;
 const KEY_ATTR: u8 = 1;
 
-/// Shard router: hash the embedded entity-id bytes exactly as the KV
-/// shards do, so MVCC and KV agree on placement.
+/// Shard router: hash the embedded entity-id bytes, as a transaction's
+/// prepare records route its ops, so both name the same shard.
 pub(crate) fn txn_route(key: &[u8], shards: usize) -> usize {
     let id_bytes = key.get(1..9).unwrap_or(key);
     mv_storage::sharded_kv::shard_of_key(id_bytes, shards)
@@ -294,38 +293,42 @@ impl TxnState {
     }
 
     /// Every head, as `(key, commit_ts, value)`, with the values `engine`
-    /// holds for entities `ids`.
-    fn heads(&self, engine: &ShardedMetaverse, ids: &[EntityId]) -> Vec<(Bytes, u64, Bytes)> {
-        let entities = ids.iter().filter_map(|id| engine.entity(*id).ok());
+    /// holds, in id order.
+    fn heads(&self, engine: &ShardedMetaverse) -> Vec<(Bytes, u64, Bytes)> {
+        let ids = (0..engine.spawned_count() as u64).map(EntityId::new);
+        let entities = ids.filter_map(|id| engine.entity(id).ok());
         let fields = entities.flat_map(|e| Field::all(e.id, e.attrs).map(move |field| (field, e)));
         let heads = fields.map(|(field, e)| (field, self.head_ts(field), e)).filter(|(_, ts, _)| *ts > 0);
         heads.filter_map(|(field, ts, e)| Some((Bytes::from(field.key()), ts, field.value(e)?))).collect()
     }
+}
 
-    /// Write `e`'s heads into an image: its position's, then each
-    /// attribute's in name order.
-    pub(crate) fn put_heads(&self, out: &mut Vec<u8>, e: EntityRef<'_>) {
-        for ts in Field::all(e.id, e.attrs).map(|field| self.head_ts(field)) {
-            out.push(if ts == 0 { HEAD_NONE } else { HEAD_AS_FIELD });
-            if ts > 0 {
-                put_u64(out, ts);
-            }
+/// Write `e`'s heads in `txns` into an image: its position's, then each
+/// attribute's in name order; without `txns`, `HEAD_NONE` for each.
+pub(crate) fn put_heads(txns: Option<&TxnState>, out: &mut Vec<u8>, e: EntityRef<'_>) {
+    for ts in Field::all(e.id, e.attrs).map(|field| txns.map_or(0, |txns| txns.head_ts(field))) {
+        out.push(if ts == 0 { HEAD_NONE } else { HEAD_AS_FIELD });
+        if ts > 0 {
+            put_u64(out, ts);
         }
     }
+}
 
-    /// Read back what [`Self::put_heads`] wrote for the image's decoded
-    /// `entities`, then the image's extras list, which is empty. `None`
-    /// on damage: an unknown tag, a head at timestamp 0, or any extras.
-    pub(crate) fn decode_heads<'a>(&mut self, r: &mut SliceReader<'_>, entities: impl IntoIterator<Item = &'a Entity>) -> Option<()> {
-        for field in entities.into_iter().flat_map(|e| Field::all(e.id, &e.attrs)) {
-            match r.u8()? {
-                HEAD_NONE => {}
-                HEAD_AS_FIELD => self.stamp(field, r.u64().filter(|ts| *ts > 0)?),
-                _ => return None,
-            }
+/// Read back what [`put_heads`] wrote for the image's decoded `entities`
+/// into `txns`, if given, then the image's extras list, which is empty.
+/// `None` on damage: an unknown tag, a head at timestamp 0, or extras.
+pub(crate) fn decode_heads<'a>(mut txns: Option<&mut TxnState>, r: &mut SliceReader<'_>, entities: impl IntoIterator<Item = &'a Entity>) -> Option<()> {
+    for field in entities.into_iter().flat_map(|e| Field::all(e.id, &e.attrs)) {
+        let ts = match r.u8()? {
+            HEAD_NONE => continue,
+            HEAD_AS_FIELD => r.u64().filter(|ts| *ts > 0)?,
+            _ => return None,
+        };
+        if let Some(txns) = txns.as_deref_mut() {
+            txns.stamp(field, ts);
         }
-        (r.u32()? == 0).then_some(())
     }
+    (r.u32()? == 0).then_some(())
 }
 
 /// An open transaction against a [`DurableMetaverse`]: a snapshot
@@ -563,7 +566,7 @@ impl DurableMetaverse {
         for prepare in &prepares {
             let DurableOp::TxnPrepare { ops, .. } = prepare else { continue };
             for op in ops {
-                let applied = self.replay(op);
+                let applied = self.engine.apply(op);
                 debug_assert!(applied.is_ok(), "a checked write was refused: {applied:?}");
                 if applied.is_ok() {
                     self.txns.stamp_commit(op, commit_ts);
@@ -645,7 +648,7 @@ impl DurableMetaverse {
     /// chains, and each head with none as a one-version chain (compared
     /// across crash/recovery by the differential harness).
     pub fn txn_digest(&self) -> u64 {
-        self.txns.mvcc.digest(self.txns.heads(&self.engine, &self.ids))
+        self.txns.mvcc.digest(self.txns.heads(&self.engine))
     }
 
     /// Garbage-collect version chains at an explicit `horizon`;
@@ -680,7 +683,7 @@ impl DurableMetaverse {
     /// versions, plus one for each head with no chain (every chain ends
     /// in a head).
     pub fn txn_version_count(&self) -> usize {
-        let heads = self.txns.heads(&self.engine, &self.ids).len();
+        let heads = self.txns.heads(&self.engine).len();
         (self.txns.mvcc.version_count() + heads).saturating_sub(self.txns.mvcc.key_count())
     }
 

@@ -230,6 +230,11 @@ impl RaftNode {
         self.base_index
     }
 
+    /// Bytes of the local snapshot (0 = none).
+    pub fn snapshot_len(&self) -> usize {
+        self.snapshot.as_ref().map_or(0, Bytes::len)
+    }
+
     /// Group size (peers + self).
     pub fn members(&self) -> usize {
         self.peers.len() + 1

@@ -456,7 +456,8 @@ mod durable_engine {
     /// ones refuse) and an eighth change `morale`.
     fn round(dm: &mut DurableMetaverse, r: u64) {
         let now = t(10 + r);
-        let quarter = dm.ids().iter().skip(r as usize % 4).step_by(4);
+        let ids = dm.ids();
+        let quarter = ids.iter().skip(r as usize % 4).step_by(4);
         let ops: Vec<WriteOp> = quarter
             .clone()
             .map(|&id| WriteOp::Position {
