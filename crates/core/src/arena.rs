@@ -4,19 +4,20 @@
 //! access paid a hash hop and landed on a ~130-byte struct mixing the
 //! fields hot paths touch every tick (positions, retired flag) with
 //! cold ones they never do (name string, attribute map). This arena
-//! splits them: entities live in dense columns addressed by a stable
-//! `u32` slot, with one id→slot map at the edge. Query filters read a
-//! packed `retired` column, divergence analytics stream two position
-//! columns sequentially, and slots are handed out in spawn order — per
-//! shard that is ascending id order, so whole-arena scans are already
-//! id-sorted and skip the sort entirely.
+//! splits them: entities live in dense columns addressed by a `u32`
+//! slot, and the slot is arithmetic on the id — entity `k` of an engine
+//! on `n` shards sits at slot `k / n` of shard `k % n` (see
+//! `sharded::place`), so no map stands at the edge. Query filters read
+//! a packed `retired` column, divergence analytics stream two position
+//! columns sequentially, and slot order is ascending id order by
+//! construction, so whole-arena scans are already id-sorted.
 //!
 //! [`Entity`] remains the owned construction/transfer type;
 //! [`EntityRef`] is the borrowed column view the engine hands out.
 
 use crate::entity::{Entity, EntityKind};
+use crate::sharded::place;
 use mv_common::geom::Point;
-use mv_common::hash::FastMap;
 use mv_common::id::EntityId;
 use std::collections::BTreeMap;
 
@@ -60,11 +61,13 @@ impl EntityRef<'_> {
 /// reused: retirement flips a flag but keeps the row, matching the
 /// engine's keep-for-audit semantics.
 #[derive(Debug, Default)]
-pub struct EntityArena {
-    /// id → slot. The only hash map left on the entity path; every
-    /// access below it is a dense column read.
-    slots: FastMap<EntityId, u32>,
+pub(crate) struct EntityArena {
+    /// The owner shard count, at least 1: the stride between the ids of
+    /// consecutive rows.
+    shards: usize,
     // Hot columns: touched every tick by updates, queries, analytics.
+    /// Row `s` holds the entity `place` puts at slot `s`; checked on
+    /// every lookup, so an id held elsewhere reads as not-found.
     ids: Vec<EntityId>,
     positions: Vec<Point>,
     twin_positions: Vec<Point>,
@@ -76,16 +79,12 @@ pub struct EntityArena {
     /// Live (non-retired) rows, maintained incrementally so
     /// `live_count` is O(1) instead of a full scan.
     live: usize,
-    /// True while `ids` is strictly ascending by slot (spawn order is
-    /// id order everywhere in practice); lets whole-arena scans skip
-    /// sorting. Turns false — permanently — on an out-of-order insert.
-    ids_ascending: bool,
 }
 
 impl EntityArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        EntityArena { ids_ascending: true, ..EntityArena::default() }
+    /// An empty arena of one of `shards` owner shards.
+    pub fn new(shards: usize) -> Self {
+        EntityArena { shards: shards.max(1), ..EntityArena::default() }
     }
 
     /// Rows (live + retired).
@@ -93,27 +92,16 @@ impl EntityArena {
         self.ids.len()
     }
 
-    /// True when no entity was ever inserted.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Live (non-retired) rows.
     pub fn live_count(&self) -> usize {
         self.live
     }
 
-    /// Insert an entity, returning its slot. Ids must be unique; a
-    /// duplicate replaces nothing and panics in debug builds.
+    /// Insert an entity at the next slot, returning it. The caller
+    /// places it: the slot is the one `place` gives its id.
     pub fn insert(&mut self, e: Entity) -> u32 {
-        debug_assert!(!self.slots.contains_key(&e.id), "duplicate entity id {}", e.id);
         let slot = self.ids.len() as u32;
-        if let Some(&last) = self.ids.last() {
-            if e.id <= last {
-                self.ids_ascending = false;
-            }
-        }
-        self.slots.insert(e.id, slot);
+        debug_assert_eq!(place(e.id, self.shards).1, self.ids.len(), "entity {} out of place", e.id);
         self.ids.push(e.id);
         self.positions.push(e.position);
         self.twin_positions.push(e.twin_position);
@@ -127,9 +115,10 @@ impl EntityArena {
         slot
     }
 
-    /// Slot of an id, if registered.
+    /// Slot of an id, if this arena holds it.
     pub fn slot_of(&self, id: EntityId) -> Option<u32> {
-        self.slots.get(&id).copied()
+        let slot = place(id, self.shards).1;
+        (self.ids.get(slot) == Some(&id)).then_some(slot as u32)
     }
 
     /// Borrowed view by id.
@@ -178,16 +167,6 @@ impl EntityArena {
     /// a [`retired`](EntityArena::retired) check, which fails closed).
     pub fn kind(&self, slot: u32) -> EntityKind {
         self.kinds.get(slot as usize).copied().unwrap_or(EntityKind::Person)
-    }
-
-    /// Ground-truth position by slot (out of range: origin).
-    pub fn position(&self, slot: u32) -> Point {
-        self.positions.get(slot as usize).copied().unwrap_or_default()
-    }
-
-    /// Twin position by slot (out of range: origin).
-    pub fn twin_position(&self, slot: u32) -> Point {
-        self.twin_positions.get(slot as usize).copied().unwrap_or_default()
     }
 
     /// Truth/twin distance by slot (out of range: 0).
@@ -245,52 +224,28 @@ impl EntityArena {
         }
     }
 
-    /// Every row, retired ones included, in ascending id order: slot
-    /// order while ids ascend (spawn order is id order), else sorted.
+    /// Every row, retired ones included, in ascending id order (slot
+    /// order).
     pub fn rows_by_id(&self) -> impl Iterator<Item = EntityRef<'_>> {
-        let sorted = (!self.ids_ascending).then(|| {
-            let mut order: Vec<u32> = (0..self.ids.len()).filter_map(|s| u32::try_from(s).ok()).collect();
-            order.sort_unstable_by_key(|&s| self.ids.get(s as usize).copied());
-            order
-        });
-        let slot = move |row: usize| match &sorted {
-            Some(order) => order.get(row).copied(),
-            None => u32::try_from(row).ok(),
-        };
-        (0..self.ids.len()).filter_map(move |row| self.get_slot(slot(row)?))
+        (0..self.ids.len() as u32).filter_map(|slot| self.get_slot(slot))
     }
 
     /// `(sum, max, live count)` of twin divergences in ascending-id
     /// order — f64 addition is not associative, so the fold order is
-    /// pinned. In the common case (spawn order = id order) this is one
-    /// sequential pass over two dense columns, no sort, no hashing.
+    /// pinned: one sequential pass over two dense columns.
     pub fn divergence_parts(&self) -> (f64, f64, usize) {
         let rows = self
             .retired
             .iter()
             .zip(self.positions.iter().zip(self.twin_positions.iter()));
-        if self.ids_ascending {
-            let mut acc = (0.0f64, 0.0f64, 0usize);
-            for (&retired, (p, t)) in rows {
-                if !retired {
-                    let d = p.dist(*t);
-                    acc = (acc.0 + d, f64::max(acc.1, d), acc.2 + 1);
-                }
+        let mut acc = (0.0f64, 0.0f64, 0usize);
+        for (&retired, (p, t)) in rows {
+            if !retired {
+                let d = p.dist(*t);
+                acc = (acc.0 + d, f64::max(acc.1, d), acc.2 + 1);
             }
-            acc
-        } else {
-            let mut parts: Vec<(EntityId, f64)> = self
-                .ids
-                .iter()
-                .zip(rows)
-                .filter(|(_, (&retired, _))| !retired)
-                .map(|(&id, (_, (p, t)))| (id, p.dist(*t)))
-                .collect();
-            parts.sort_unstable_by_key(|&(id, _)| id);
-            parts.iter().fold((0.0, 0.0, 0), |(sum, max, count), &(_, d)| {
-                (sum + d, f64::max(max, d), count + 1)
-            })
         }
+        acc
     }
 }
 
@@ -304,7 +259,7 @@ mod tests {
 
     #[test]
     fn insert_get_and_columns_agree() {
-        let mut a = EntityArena::new();
+        let mut a = EntityArena::new(1);
         let s0 = a.insert(ent(0, 1.0));
         let s1 = a.insert(ent(1, 2.0));
         assert_eq!((s0, s1), (0, 1));
@@ -322,7 +277,7 @@ mod tests {
 
     #[test]
     fn retire_is_a_flag_not_a_removal() {
-        let mut a = EntityArena::new();
+        let mut a = EntityArena::new(1);
         a.insert(ent(0, 0.0));
         let s = a.slot_of(EntityId::new(0)).unwrap();
         a.retire(s);
@@ -334,7 +289,7 @@ mod tests {
 
     #[test]
     fn attrs_and_positions_update_in_place() {
-        let mut a = EntityArena::new();
+        let mut a = EntityArena::new(1);
         let s = a.insert(ent(3, 0.0));
         a.set_position(s, Point::new(5.0, 0.0));
         assert_eq!(a.divergence(s), 5.0);
@@ -349,31 +304,42 @@ mod tests {
     }
 
     #[test]
-    fn divergence_parts_match_between_fast_and_sorted_paths() {
-        // Build the same population twice: in id order (fast path) and
-        // shuffled (sort fallback); the fold must agree bit-for-bit.
-        let mut moved = Vec::new();
+    fn an_id_of_another_residue_class_reads_as_not_found() {
+        // Shard 1 of 3 holds ids 1, 4, 7 at slots 0, 1, 2.
+        let mut a = EntityArena::new(3);
+        for i in [1u64, 4, 7] {
+            a.insert(ent(i, i as f64));
+        }
+        assert_eq!(a.slot_of(EntityId::new(4)), Some(1));
+        assert_eq!(a.get(EntityId::new(7)).unwrap().position, Point::new(7.0, 0.0));
+        // Ids 0, 3 and 6 place at slots 0–2 too, but on shard 0.
+        for i in [0u64, 3, 6, 2, 10] {
+            assert_eq!(a.slot_of(EntityId::new(i)), None, "id {i}");
+            assert!(a.get(EntityId::new(i)).is_none());
+            assert!(!a.is_retired(EntityId::new(i)));
+        }
+    }
+
+    #[test]
+    fn divergence_parts_fold_live_rows_in_id_order() {
+        let mut ordered = EntityArena::new(1);
         for i in 0..40u64 {
             let mut e = ent(i, 0.0);
             e.position = Point::new(i as f64 * 0.1, 0.3);
             if i % 7 == 0 {
                 e.retired = true;
             }
-            moved.push(e);
+            ordered.insert(e);
         }
-        let mut ordered = EntityArena::new();
-        for e in &moved {
-            ordered.insert(e.clone());
-        }
-        let mut shuffled = EntityArena::new();
-        for e in moved.iter().rev() {
-            shuffled.insert(e.clone());
-        }
-        assert!(!shuffled.ids_ascending);
-        assert_eq!(ordered.divergence_parts(), shuffled.divergence_parts());
-        let ids = |a: &EntityArena| a.rows_by_id().map(|r| r.id).collect::<Vec<_>>();
-        assert_eq!(ids(&shuffled), ids(&ordered));
-        assert_eq!(ids(&ordered), (0..40).map(EntityId::new).collect::<Vec<_>>());
-        assert_eq!(ordered.live_count(), shuffled.live_count());
+        let live: Vec<f64> = (0..40u64)
+            .filter(|i| i % 7 != 0)
+            .map(|i| Point::new(i as f64 * 0.1, 0.3).dist(Point::ORIGIN))
+            .collect();
+        let sum = live.iter().fold(0.0, |s, d| s + d);
+        let max = live.iter().copied().fold(0.0, f64::max);
+        assert_eq!(ordered.divergence_parts(), (sum, max, live.len()));
+        let ids = ordered.rows_by_id().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids, (0..40).map(EntityId::new).collect::<Vec<_>>());
+        assert_eq!(ordered.live_count(), live.len());
     }
 }

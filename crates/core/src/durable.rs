@@ -26,7 +26,7 @@
 use crate::arena::EntityRef;
 use crate::engine::{not_a_write, Applied};
 use crate::entity::{Entity, EntityKind};
-use crate::sharded::{shard_of, ShardedMetaverse, WriteOp};
+use crate::sharded::{place, ShardedMetaverse, WriteOp};
 use crate::txn::{decode_heads, put_heads, TxnState};
 use mv_common::codec::{put_chunk, put_chunk_with, put_f64, put_u32, put_u64, wire_u32, SliceReader};
 use mv_common::geom::{Aabb, Point};
@@ -42,8 +42,8 @@ use std::hash::Hasher as _;
 
 /// One logged engine mutation — the WAL's unit of replay. Ops carry
 /// everything needed to re-execute them; entity ids are *not* logged on
-/// spawn because the engine's id generator is deterministic (dense ids
-/// in spawn order), so replay re-derives them.
+/// spawn because the engine's next id is deterministic (the number of
+/// entities held: dense ids in spawn order), so replay re-derives them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DurableOp {
     /// Register an entity (id assigned deterministically at apply time).
@@ -427,20 +427,21 @@ fn decode_entity(r: &mut SliceReader<'_>) -> Option<Entity> {
     Some(e)
 }
 
-/// One shard's entities, encoded by one worker in ascending id order:
-/// their state sections, their heads when an image asks for them, and
-/// each entity's id with where its bytes end in both.
+/// One shard's entities, encoded by one worker in slot order (ascending
+/// id order): their state sections, their heads when an image asks for
+/// them, and where each row's bytes end in both.
 #[derive(Default)]
 struct ShardSection {
     state: Vec<u8>,
     heads: Vec<u8>,
-    rows: Vec<(EntityId, usize, usize)>,
+    rows: Vec<(usize, usize)>,
 }
 
 /// Encode every shard's entities on the shard workers
-/// ([`ShardedMetaverse::map_shards`]), each followed in its shard's heads
-/// by what `put_heads` writes for it, reserving `hint` bytes for each
-/// shard's state and heads.
+/// ([`ShardedMetaverse::map_shards`]), row `r` of section `s` being the
+/// entity [`place`] puts at slot `r` of shard `s`, each followed in its
+/// shard's heads by what `put_heads` writes for it, reserving `hint`
+/// bytes for each shard's state and heads.
 fn encode_sections(engine: &ShardedMetaverse, hint: usize, put_heads: impl Fn(&mut Vec<u8>, EntityRef<'_>) + Sync) -> Vec<ShardSection> {
     engine.map_shards(|shard| {
         let mut section = ShardSection {
@@ -451,7 +452,7 @@ fn encode_sections(engine: &ShardedMetaverse, hint: usize, put_heads: impl Fn(&m
         for e in shard.entities_by_id() {
             encode_entity(&mut section.state, e);
             put_heads(&mut section.heads, e);
-            section.rows.push((e.id, section.state.len(), section.heads.len()));
+            section.rows.push((section.state.len(), section.heads.len()));
         }
         section
     })
@@ -459,18 +460,15 @@ fn encode_sections(engine: &ShardedMetaverse, hint: usize, put_heads: impl Fn(&m
 
 /// The encoded bytes of the entities with ids `0..count` in `sections`
 /// (one per shard, as [`encode_sections`] returns them), in id order:
-/// each one's state section and its heads. An id no section holds
-/// yields nothing.
+/// each one's state section and its heads, entity `k` being the row
+/// [`place`] gives it. An id no section holds yields nothing.
 fn rows_in_id_order(count: usize, sections: &[ShardSection]) -> impl Iterator<Item = (&[u8], &[u8])> {
-    // Per shard: its next row, and where that row's state and heads begin.
-    let mut cursors = vec![(0usize, 0usize, 0usize); sections.len()];
     (0..count as u64).map(EntityId::new).filter_map(move |id| {
-        let owner = shard_of(id, sections.len());
-        let (section, cursor) = (sections.get(owner)?, cursors.get_mut(owner)?);
-        let &(_, state_end, heads_end) = section.rows.get(cursor.0).filter(|row| row.0 == id)?;
-        let bytes = (section.state.get(cursor.1..state_end)?, section.heads.get(cursor.2..heads_end)?);
-        *cursor = (cursor.0 + 1, state_end, heads_end);
-        Some(bytes)
+        let (shard, row) = place(id, sections.len());
+        let section = sections.get(shard)?;
+        let &(state_start, heads_start) = row.checked_sub(1).map_or(Some(&(0, 0)), |prev| section.rows.get(prev))?;
+        let &(state_end, heads_end) = section.rows.get(row)?;
+        Some((section.state.get(state_start..state_end)?, section.heads.get(heads_start..heads_end)?))
     })
 }
 
@@ -537,12 +535,13 @@ pub(crate) fn encode_image(engine: &ShardedMetaverse, txns: Option<&TxnState>, l
 /// `shards` shards with batch application `parallel`
 /// ([`ShardedMetaverse::set_parallel_apply`]), its heads and oracle
 /// restored into `txns` when given — without, they are read and dropped,
-/// and only a re-encoding shows them. Total on hostile input: `None` on
-/// a wrong tag, version or checksum or on structural damage — never a
-/// panic, and no allocation sized by a length field. Well-formed bytes
-/// that no engine produces (a wrong live count, a repeated attribute
-/// name) may restore to an engine that encodes differently; snapshot
-/// install compares the re-encoding.
+/// and only a re-encoding shows them. Entity `k` goes to list `k % n` at
+/// row `k / n` ([`place`]), where its heads find it again. Total on
+/// hostile input: `None` on a wrong tag, version or checksum or on
+/// structural damage — never a panic, and no allocation sized by a
+/// length field. Well-formed bytes that no engine produces (a wrong live
+/// count, a repeated attribute name) may restore to an engine that
+/// encodes differently; snapshot install compares the re-encoding.
 pub(crate) fn restore_image(image: &[u8], shards: usize, parallel: bool, mut txns: Option<&mut TxnState>) -> Option<ShardedMetaverse> {
     let ([CHECKPOINT_TAG, IMAGE_VERSION, sum @ ..], body) = image.split_at_checked(IMAGE_HEADER)?
     else {
@@ -558,19 +557,20 @@ pub(crate) fn restore_image(image: &[u8], shards: usize, parallel: bool, mut txn
     let clock = SimTime(r.u64()?);
     let _live = r.u64()?;
     let count = r.u64()?;
-    // Each entity goes straight to its owner shard's list, where the
-    // shard's worker takes it from (see `ShardedMetaverse::restore`).
+    // Each entity goes straight to its owner shard's list, at the slot
+    // `place` gives it; the shard's worker takes it from there (see
+    // `ShardedMetaverse::restore`).
     let shards = shards.max(1);
     let mut owned: Vec<Vec<Entity>> = (0..shards).map(|_| Vec::new()).collect();
     let mut decoded = 0;
     while decoded < count {
         let e = decode_entity(&mut r)?;
-        // Ids are dense in spawn order; anything else would collide
-        // in the arena or desynchronise the id generator.
+        // Ids are dense in spawn order; anything else would land out
+        // of place in the arena and skip or repeat an id.
         if e.id.raw() != decoded {
             return None;
         }
-        owned.get_mut(shard_of(e.id, shards))?.push(e);
+        owned.get_mut(place(e.id, shards).0)?.push(e);
         decoded += 1;
     }
     let mut counters = Vec::new();
@@ -580,12 +580,9 @@ pub(crate) fn restore_image(image: &[u8], shards: usize, parallel: bool, mut txn
         counters.push((*name, r.u64()?));
     }
     let (oracle, next_event) = (r.u64()?, r.u64()?);
-    let mut cursors = vec![0; shards];
     let in_id_order = (0..count).map(EntityId::new).map_while(|id| {
-        let owner = shard_of(id, shards);
-        let cursor = cursors.get_mut(owner)?;
-        *cursor += 1;
-        owned.get(owner)?.get(*cursor - 1)
+        let (shard, slot) = place(id, shards);
+        owned.get(shard)?.get(slot)
     });
     decode_heads(txns.as_deref_mut(), &mut r, in_id_order)?;
     if !r.done() {

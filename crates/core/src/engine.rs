@@ -14,7 +14,7 @@ use crate::durable::DurableOp;
 use crate::entity::{Entity, EntityKind};
 use crate::events::{Command, CoEvent, EventBus, EventKind};
 use mv_common::geom::{Aabb, Point};
-use mv_common::id::{EntityId, IdGen};
+use mv_common::id::EntityId;
 use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
 use mv_common::Space;
@@ -55,15 +55,14 @@ pub enum Applied {
 /// The co-space engine.
 pub struct Metaverse {
     policy: SyncPolicy,
-    /// Struct-of-arrays entity storage: dense hot columns behind stable
-    /// u32 slots (see [`EntityArena`]).
+    /// Struct-of-arrays entity storage: dense hot columns behind u32
+    /// slots that are arithmetic on the id (see `EntityArena`).
     entities: EntityArena,
     /// Spatial index over *ground-truth* positions, per authoritative space.
     truth_index: [GridIndex; 2],
     /// Spatial index over *twin* positions, per materialized space (the
     /// index entry lives in the OPPOSITE space of the entity's authority).
     twin_index: [GridIndex; 2],
-    ids: IdGen,
     bus: EventBus,
     clock: SimTime,
     /// `sync_msgs`, `suppressed_syncs`, `commands` counters.
@@ -110,12 +109,17 @@ pub(crate) fn sorted_distinct(mut ids: Vec<EntityId>) -> Vec<EntityId> {
 impl Metaverse {
     /// Build with a policy; `cell_size` configures all spatial indexes.
     pub fn new(policy: SyncPolicy, cell_size: f64) -> Self {
+        Metaverse::shard(policy, cell_size, 1)
+    }
+
+    /// One of `shards` owner shards of a sharded engine: it holds the
+    /// entities `sharded::place` gives it and never spawns on its own.
+    pub(crate) fn shard(policy: SyncPolicy, cell_size: f64, shards: usize) -> Self {
         Metaverse {
             policy,
-            entities: EntityArena::new(),
+            entities: EntityArena::new(shards),
             truth_index: [GridIndex::new(cell_size), GridIndex::new(cell_size)],
             twin_index: [GridIndex::new(cell_size), GridIndex::new(cell_size)],
-            ids: IdGen::new(),
             bus: EventBus::new(),
             clock: SimTime::ZERO,
             stats: Counters::new(),
@@ -137,6 +141,8 @@ impl Metaverse {
     }
 
     /// Register an entity; it is immediately materialized in both spaces.
+    /// Its id is the number of entities held: ids are dense in spawn
+    /// order.
     pub fn spawn(
         &mut self,
         name: impl Into<String>,
@@ -144,16 +150,16 @@ impl Metaverse {
         position: Point,
         now: SimTime,
     ) -> EntityId {
-        let id: EntityId = self.ids.next();
+        let id = EntityId::new(self.entities.len() as u64);
         self.insert_prebuilt(Entity::new(id, name, kind, position), now);
         id
     }
 
     /// Insert an entity whose id was allocated elsewhere (the sharded
-    /// engine allocates ids globally, then routes each entity to its
-    /// owner shard). Identical materialization semantics to [`spawn`];
-    /// a restored entity may also arrive retired (it enters no index) or
-    /// with a twin that lags its truth.
+    /// engine numbers entities globally, then routes each one to the
+    /// shard `sharded::place` names). Identical materialization semantics
+    /// to [`spawn`]; a restored entity may also arrive retired (it enters
+    /// no index) or with a twin that lags its truth.
     ///
     /// [`spawn`]: Metaverse::spawn
     pub(crate) fn insert_prebuilt(&mut self, entity: Entity, now: SimTime) {
@@ -416,9 +422,8 @@ impl Metaverse {
     /// [`max_divergence`]: Metaverse::max_divergence
     pub(crate) fn divergence_parts(&self) -> (f64, f64, usize) {
         // f64 addition is not associative, so the arena folds in
-        // ascending-id order — one sequential pass over the dense
-        // position columns when spawn order was id order (it always is;
-        // the arena falls back to a sort if not).
+        // ascending-id order — slot order, one sequential pass over the
+        // dense position columns.
         self.entities.divergence_parts()
     }
 

@@ -22,8 +22,10 @@
 //!   update stream scales with local density, not world population (the
 //!   MMO "consistency across multiple virtual views" problem);
 //! * [`sharded`] — [`sharded::ShardedMetaverse`]: the same engine
-//!   partitioned across hash-owned shards with parallel batched writes
-//!   and deterministic event-log merging (§IV-C at ingest scale);
+//!   partitioned across owner shards that take dense ids in turn (the id
+//!   is the address: shard `id % n`, slot `id / n`), with parallel
+//!   batched writes and deterministic event-log merging (§IV-C at ingest
+//!   scale);
 //! * [`durable`] — [`durable::DurableMetaverse`]: the sharded engine
 //!   wired to `mv-storage` (log-then-apply through a group-commit WAL,
 //!   event-log drain into a sharded LSM, replay-based crash recovery —
@@ -56,7 +58,7 @@ pub mod replicated;
 pub mod sharded;
 pub mod txn;
 
-pub use arena::{EntityArena, EntityRef};
+pub use arena::EntityRef;
 pub use durable::{DurableMetaverse, DurableOp};
 pub use replicated::{RegionConfig, ReplicatedMetaverse};
 pub use txn::{MetaTxn, TxnCrashPoint};
@@ -64,4 +66,4 @@ pub use engine::{Applied, Metaverse, SyncPolicy};
 pub use entity::{Entity, EntityKind};
 pub use events::{Command, CoEvent, EventKind};
 pub use interest::{InterestManager, InterestUpdate};
-pub use sharded::{shard_of, ShardedMetaverse, WriteOp};
+pub use sharded::{ShardedMetaverse, WriteOp};

@@ -3,12 +3,14 @@
 //! §IV-C of the paper argues the co-space write path must absorb "data
 //! of unprecedented scale" from sensed physical entities; one entity map
 //! plus two spatial indexes eventually serializes on a single lock. This
-//! module partitions the engine by *entity ownership*: each entity lives
-//! on exactly one shard (hash of its id), and a shard is a complete
-//! [`Metaverse`] — entity map, truth/twin [`GridIndex`]es, event buffer,
-//! counters — so every per-entity code path is byte-for-byte the code
-//! the sequential engine runs. What this module adds is the routing and
-//! the *deterministic reassembly*:
+//! module partitions the engine by *entity ownership*: ids are dense in
+//! spawn order, and entity `k` lives on shard `k % n` at row `k / n` of
+//! its arena (round robin, `place`), so the id is the address and no
+//! table maps one to the other. A shard is a complete [`Metaverse`] —
+//! entity columns, truth/twin [`GridIndex`]es, event buffer, counters —
+//! so every per-entity code path is byte-for-byte the code the
+//! sequential engine runs. What this module adds is the routing and the
+//! *deterministic reassembly*:
 //!
 //! * batched writes ([`ShardedMetaverse::apply_batch`]) are partitioned
 //!   by owner (stable, preserving per-entity order) and applied by one
@@ -35,7 +37,7 @@ use crate::engine::{not_a_write, sorted_distinct, Applied, Metaverse, SyncPolicy
 use crate::entity::{Entity, EntityKind};
 use crate::events::CoEvent;
 use mv_common::geom::{Aabb, Point};
-use mv_common::id::{EntityId, EventId, IdGen};
+use mv_common::id::{EntityId, EventId};
 use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
 use mv_common::Space;
@@ -43,15 +45,15 @@ use mv_common::{MvError, MvResult};
 use mv_obs::SharedTracer;
 use std::time::Instant;
 
-/// Owner shard of an entity: a SplitMix64 finalizer over the raw id,
-/// reduced mod the shard count. Ids are dense (allocated sequentially),
-/// so mixing is what spreads consecutive spawns across shards.
+/// Where entity `id` lives on `shards` owner shards (at least 1):
+/// shard `id % n`, at slot `id / n` of that shard's arena. Ids are dense
+/// in spawn order, so the shards take spawns in turn and each one's
+/// slots ascend with its ids; the next id is the number of rows held.
+/// The only place the rule is written.
 #[inline]
-pub fn shard_of(id: EntityId, shards: usize) -> usize {
-    let mut z = id.raw().wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) as usize % shards
+pub(crate) fn place(id: EntityId, shards: usize) -> (usize, usize) {
+    let n = shards.max(1) as u64;
+    ((id.raw() % n) as usize, usize::try_from(id.raw() / n).unwrap_or(usize::MAX))
 }
 
 /// A batch probe spawns its workers only when each would take at least
@@ -141,7 +143,6 @@ impl WriteOp {
 /// [`Metaverse`] (see module docs), scaled across owner shards.
 pub struct ShardedMetaverse {
     shards: Vec<Metaverse>,
-    ids: IdGen,
     clock: SimTime,
     /// Next merged event id (per-shard ids are re-numbered at drain).
     next_event: u64,
@@ -167,8 +168,7 @@ impl ShardedMetaverse {
     pub fn new(policy: SyncPolicy, cell_size: f64, shards: usize) -> Self {
         let shards = shards.max(1);
         ShardedMetaverse {
-            shards: (0..shards).map(|_| Metaverse::new(policy, cell_size)).collect(),
-            ids: IdGen::new(),
+            shards: (0..shards).map(|_| Metaverse::shard(policy, cell_size, shards)).collect(),
             clock: SimTime::ZERO,
             next_event: 0,
             last_shard_walls: vec![0.0; shards],
@@ -184,14 +184,14 @@ impl ShardedMetaverse {
 
     /// Rebuild an engine from what a checkpoint image records of one: the
     /// clock, every entity ever spawned, listed by owner shard (list `s`
-    /// holds, in ascending id order, the entities [`shard_of`] gives to
-    /// shard `s` of `shards`; the ids are `0..` their count, the caller
-    /// checks), the counter totals and the next event id, with batch
-    /// application `parallel` as [`Self::set_parallel_apply`] sets it.
-    /// Each shard materialises its own entities as a spawn would, on a
-    /// worker of its own above the row gate ([`MIN_ROWS_PER_WORKER`]); the
-    /// id generator resumes after the last id, the totals land on shard 0
-    /// (only their sum is observable) and the events the rebuild
+    /// holds, in slot order, the entities [`place`] gives to shard `s` of
+    /// `shards`; the ids are `0..` their count, the caller checks), the
+    /// counter totals and the next event id, with batch application
+    /// `parallel` as [`Self::set_parallel_apply`] sets it. Each shard
+    /// materialises its own entities as a spawn would, on a worker of its
+    /// own above the row gate ([`MIN_ROWS_PER_WORKER`]); the next spawn
+    /// takes the id after the last (the rows held), the totals land on
+    /// shard 0 (only their sum is observable) and the events the rebuild
     /// regenerates are dropped.
     pub(crate) fn restore(
         shards: usize,
@@ -206,7 +206,6 @@ impl ShardedMetaverse {
         mv.clock = clock;
         mv.next_event = next_event;
         let count = owned.iter().map(Vec::len).sum();
-        mv.ids = IdGen::starting_at(count as u64);
         let threaded = mv.threaded_rows(count);
         debug_assert_eq!(owned.len(), mv.shards.len());
         fan_out(mv.shards.iter_mut().zip(owned), threaded, |(shard, own)| {
@@ -287,28 +286,28 @@ impl ShardedMetaverse {
     }
 
     fn owner(&self, id: EntityId) -> usize {
-        shard_of(id, self.shards.len())
+        place(id, self.shards.len()).0
     }
 
-    /// The shard that owns `id`. Always present (`shard_of` is taken
-    /// mod the shard count); looked up, not indexed, because recovery
+    /// The shard that owns `id`. Always present (`place` is taken mod
+    /// the shard count); looked up, not indexed, because recovery
     /// applies through here.
     fn owner_shard(&mut self, id: EntityId) -> MvResult<&mut Metaverse> {
         let owner = self.owner(id);
         self.shards.get_mut(owner).ok_or(MvError::not_found("entity", id.raw()))
     }
 
-    /// Apply one op. A spawn takes its id from the global generator, so
-    /// spawn order yields the dense ids the sequential engine assigns; an
-    /// area effect scans every shard's twin index for targets, then
-    /// commands (and retires) each through its owner shard in id order —
-    /// the commands the sequential engine emits; every other op goes to
-    /// its owner shard's [`Metaverse::apply`].
+    /// Apply one op. A spawn takes the next id, the number of entities
+    /// held, so spawn order yields the dense ids the sequential engine
+    /// assigns; an area effect scans every shard's twin index for
+    /// targets, then commands (and retires) each through its owner shard
+    /// in id order — the commands the sequential engine emits; every
+    /// other op goes to its owner shard's [`Metaverse::apply`].
     pub fn apply(&mut self, op: &DurableOp) -> MvResult<Applied> {
         match op {
             DurableOp::Spawn { name, kind, position, ts } => {
                 self.advance(*ts);
-                let id: EntityId = self.ids.next();
+                let id = EntityId::new(self.spawned_count() as u64);
                 if let Ok(shard) = self.owner_shard(id) {
                     shard.insert_prebuilt(Entity::new(id, name.clone(), *kind, *position), *ts);
                 }
@@ -337,29 +336,27 @@ impl ShardedMetaverse {
     }
 
     /// Register many entities at once: ids are assigned in input order
-    /// (matching sequential spawns), then shards materialize their
-    /// partitions in parallel.
+    /// (matching sequential spawns), and each shard materializes every
+    /// n-th spec from its own offset — on one worker per shard above the
+    /// row gate (`MIN_ROWS_PER_WORKER`).
     pub fn spawn_batch(
         &mut self,
         specs: &[(String, EntityKind, Point)],
         now: SimTime,
     ) -> Vec<EntityId> {
         self.advance(now);
-        let n = self.shards.len();
-        let mut ids = Vec::with_capacity(specs.len());
-        let mut routed: Vec<Vec<(EntityId, usize)>> = vec![Vec::new(); n];
-        for (i, _) in specs.iter().enumerate() {
-            let id: EntityId = self.ids.next();
-            routed[shard_of(id, n)].push((id, i));
-            ids.push(id);
-        }
-        fan_out(self.shards.iter_mut().zip(&routed), true, |(shard, routes)| {
-            for &(id, i) in routes {
-                let (ref name, kind, position) = specs[i];
-                shard.insert_prebuilt(Entity::new(id, name.clone(), kind, position), now);
+        let (n, first) = (self.shards.len(), self.spawned_count());
+        let threaded = self.threaded_rows(specs.len());
+        fan_out(self.shards.iter_mut().enumerate(), threaded, |(s, shard)| {
+            // Spec `i` takes id `first + i`. The shards take consecutive ids
+            // in turn, so this one's are every n-th from its first.
+            let offset = (0..n).find(|&i| place(EntityId::new((first + i) as u64), n).0 == s);
+            for (i, (name, kind, position)) in specs.iter().enumerate().skip(offset.unwrap_or(n)).step_by(n) {
+                let id = EntityId::new((first + i) as u64);
+                shard.insert_prebuilt(Entity::new(id, name.clone(), *kind, *position), now);
             }
         });
-        ids
+        (first..first + specs.len()).map(|k| EntityId::new(k as u64)).collect()
     }
 
     /// Apply a batch of writes. Ops are routed to their owner shards
@@ -394,8 +391,8 @@ impl ShardedMetaverse {
             ops.iter().map(|op| op.entity().is_none().then(|| Err(not_a_write()))).collect();
         for (i, op) in ops.iter().enumerate() {
             if let Some(id) = op.entity() {
-                // lint:allow(panic-path): shard_of is `hash % n` with n == queues.len(); the routing index is local arithmetic, not decoded data
-                queues[shard_of(id, n)].push(i);
+                // lint:allow(panic-path): place is `id % n` with n == queues.len(); the routing index is local arithmetic, not decoded data
+                queues[place(id, n).0].push(i);
             }
         }
         let run_queue = |(shard, queue): (&mut Metaverse, &Vec<usize>)| {
@@ -444,9 +441,10 @@ impl ShardedMetaverse {
     }
 
     /// Number of entities ever spawned, retired ones included: ids are
-    /// dense in spawn order, so theirs are `0..` this count.
+    /// dense in spawn order, so theirs are `0..` this count, and it is
+    /// the rows the shards hold.
     pub fn spawned_count(&self) -> usize {
-        self.ids.allocated() as usize
+        self.shards.iter().map(Metaverse::row_count).sum()
     }
 
     /// One probe: every shard appends its hits to one buffer on the
@@ -632,19 +630,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_is_total_and_balanced_enough() {
-        let n = 8;
-        let mut buckets = vec![0usize; n];
-        for raw in 0..8_000u64 {
-            buckets[shard_of(EntityId::new(raw), n)] += 1;
+    fn place_is_exact_round_robin() {
+        for n in 1..=8usize {
+            let mut held = vec![0usize; n];
+            for k in 0..100usize {
+                // Ids 0..k spread as evenly as k allows.
+                for &h in &held {
+                    assert!(h == k / n || h == k.div_ceil(n), "{n} shards, {k} ids: {held:?}");
+                }
+                let (shard, slot) = place(EntityId::new(k as u64), n);
+                assert_eq!((shard, slot), (k % n, held[shard]), "id {k} on {n} shards");
+                held[shard] += 1;
+            }
         }
-        for (i, &b) in buckets.iter().enumerate() {
-            // Expect ~1000 per bucket; allow wide slack — we only care
-            // that no shard starves or hoards.
-            assert!((700..=1300).contains(&b), "bucket {i} holds {b}");
-        }
-        // One shard owns everything.
-        assert_eq!(shard_of(EntityId::new(123), 1), 0);
+        assert_eq!(place(EntityId::new(123), 0), (0, 123), "zero shards clamp to one");
     }
 
     #[test]
@@ -827,6 +826,86 @@ mod tests {
             seq.assert_index_invariants();
             for shard in &sharded.shards {
                 shard.assert_index_invariants();
+            }
+        }
+    }
+
+    /// What `place` promises of `mv` after `spawned` spawns: id `k` is
+    /// row `k / n` of shard `k % n` and nowhere else, each shard's rows
+    /// ascend, the rows held are the spawns, and an id past them reads
+    /// as not found.
+    fn check_placement(mv: &ShardedMetaverse, spawned: usize) -> Result<(), TestCaseError> {
+        let n = mv.shard_count();
+        prop_assert_eq!(mv.spawned_count(), spawned);
+        let mut rows = 0;
+        for (s, shard) in mv.shards.iter().enumerate() {
+            let ids: Vec<u64> = shard.entities_by_id().map(|e| e.id.raw()).collect();
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "shard {s} of {n}: {ids:?}");
+            for (row, &k) in ids.iter().enumerate() {
+                prop_assert_eq!((k as usize % n, k as usize / n), (s, row));
+            }
+            rows += ids.len();
+            shard.assert_index_invariants();
+        }
+        prop_assert_eq!(rows, spawned);
+        for k in 0..spawned as u64 {
+            let id = EntityId::new(k);
+            prop_assert_eq!(mv.entity(id).map(|e| e.id).ok(), Some(id));
+            let holders = mv.shards.iter().filter(|shard| shard.entity(id).is_ok()).count();
+            prop_assert_eq!(holders, 1, "id {} on {} shards", k, n);
+        }
+        for past in [spawned, spawned + 1, spawned + n] {
+            prop_assert!(mv.entity(EntityId::new(past as u64)).is_err(), "id {past} of {spawned}");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        // Spawns, batch spawns, retires, retiring area effects and an
+        // image round trip, each followed by `check_placement`, at 1, 2,
+        // 3 (no power of two), 4 and 8 shards.
+        #[test]
+        fn ids_are_addresses_through_every_write_and_a_round_trip(
+            script in collection::vec((0u8..6, 0usize..1000, 0.0f64..200.0, 0.0f64..200.0, 5.0f64..60.0), 1..40),
+        ) {
+            const KINDS: [EntityKind; 3] = [EntityKind::Person, EntityKind::Avatar, EntityKind::Product];
+            for n in [1, 2, 3, 4, 8] {
+                let mut mv = ShardedMetaverse::with_defaults(n);
+                let mut spawned = 0;
+                for (i, &(what, pick, x, y, r)) in script.iter().enumerate() {
+                    let (ts, at) = (t(i as u64), Point::new(x, y));
+                    match what {
+                        0 | 1 => {
+                            let id = mv.spawn(format!("e{spawned}"), KINDS[pick % 3], at, ts);
+                            prop_assert_eq!(id.raw(), spawned as u64);
+                            spawned += 1;
+                        }
+                        2 => {
+                            let specs: Vec<_> = (0..pick % 9)
+                                .map(|j| (format!("b{j}"), KINDS[(pick + j) % 3], Point::new(x, y + j as f64)))
+                                .collect();
+                            let ids = mv.spawn_batch(&specs, ts);
+                            let want: Vec<_> = (spawned..spawned + specs.len()).map(|k| EntityId::new(k as u64)).collect();
+                            prop_assert_eq!(ids, want);
+                            spawned += specs.len();
+                        }
+                        3 if spawned > 0 => {
+                            let _ = mv.retire(EntityId::new((pick % spawned) as u64), ts);
+                        }
+                        4 => {
+                            let space = if pick % 2 == 0 { Space::Physical } else { Space::Virtual };
+                            mv.area_effect(space, Aabb::centered(at, r), ts);
+                        }
+                        _ => {
+                            let before = crate::durable::state_encoding(&mv);
+                            let image = crate::durable::encode_image(&mv, None, 0);
+                            mv = crate::durable::restore_image(&image, n, pick % 2 == 0, None).expect("an image restores");
+                            prop_assert_eq!(crate::durable::state_encoding(&mv), before);
+                        }
+                    }
+                    check_placement(&mv, spawned)?;
+                }
             }
         }
     }

@@ -79,7 +79,7 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64-style finalizer (same family as `shard_of`): maps a key to
+/// SplitMix64-style finalizer (same family as `shard_of_key`): maps a key to
 /// a well-mixed u64 with no state.
 #[inline]
 fn mix(a: u64, b: u64) -> u64 {

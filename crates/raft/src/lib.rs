@@ -60,7 +60,7 @@ pub use node::{RaftConfig, RaftNode, Role};
 pub use record::RaftRecord;
 
 /// SplitMix64-style finalizer: maps a key pair to a well-mixed u64 with
-/// no state (the same family `shard_of` and the transport jitter use).
+/// no state (the same family `shard_of_key` and the transport jitter use).
 #[inline]
 pub(crate) fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
