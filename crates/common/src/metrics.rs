@@ -162,11 +162,17 @@ impl fmt::Display for Histogram {
 }
 
 /// A named set of monotonically increasing counters with deterministic
-/// iteration order (BTreeMap), used for experiment accounting (messages
+/// iteration order (name order), used for experiment accounting (messages
 /// sent, bytes saved, cache hits…).
-#[derive(Debug, Clone, Default)]
+///
+/// The counters are a name-sorted `Vec`. A caller names a counter with a
+/// string literal, and every use of one literal is one address, so an
+/// increment first looks for that address and only then searches by
+/// content: a field add on the hot path, with no string comparison. Two
+/// equal names at different addresses still meet in one counter.
+#[derive(Clone, Default)]
 pub struct Counters {
-    inner: std::collections::BTreeMap<&'static str, u64>,
+    inner: Vec<(&'static str, u64)>,
 }
 
 impl Counters {
@@ -178,7 +184,20 @@ impl Counters {
     /// Add `delta` to counter `name` (created at zero on first use).
     #[inline]
     pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.inner.entry(name).or_insert(0) += delta;
+        if let Some((_, value)) = self.inner.iter_mut().find(|(k, _)| std::ptr::eq(*k, name)) {
+            *value += delta;
+            return;
+        }
+        match self.inner.binary_search_by(|(k, _)| (*k).cmp(name)) {
+            // Equal content at another address: keep the caller's, so its
+            // next increment takes the pointer probe.
+            Ok(at) => {
+                if let Some(entry) = self.inner.get_mut(at) {
+                    *entry = (name, entry.1 + delta);
+                }
+            }
+            Err(at) => self.inner.insert(at, (name, delta)),
+        }
     }
 
     /// Increment counter `name` by one.
@@ -189,12 +208,15 @@ impl Counters {
 
     /// Read counter `name` (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner.get(name).copied().unwrap_or(0)
+        match self.inner.binary_search_by(|(k, _)| (*k).cmp(name)) {
+            Ok(at) => self.inner.get(at).map_or(0, |(_, v)| *v),
+            Err(_) => 0,
+        }
     }
 
     /// Iterate `(name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.inner.iter().map(|(k, v)| (*k, *v))
+        self.inner.iter().copied()
     }
 
     /// Merge another counter set into this one (summing shared names).
@@ -202,6 +224,19 @@ impl Counters {
         for (k, v) in other.iter() {
             self.add(k, v);
         }
+    }
+}
+
+/// As a `BTreeMap<&str, u64>` field named `inner` prints.
+impl fmt::Debug for Counters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Map<'a>(&'a [(&'static str, u64)]);
+        impl fmt::Debug for Map<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter().map(|(k, v)| (k, v))).finish()
+            }
+        }
+        f.debug_struct("Counters").field("inner", &Map(&self.inner)).finish()
     }
 }
 
@@ -327,5 +362,60 @@ mod tests {
         c.merge(&d);
         assert_eq!(c.get("msgs"), 10);
         assert_eq!(c.to_string(), "bytes=100 msgs=10");
+    }
+
+    /// What `Counters` printed as when it was a `BTreeMap` field.
+    #[derive(Debug)]
+    struct Model {
+        inner: std::collections::BTreeMap<&'static str, u64>,
+    }
+
+    use proptest::prelude::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        // Interleaved increments, adds and merges, each name used both as
+        // a literal and as an equal copy at another address, read back
+        // through every accessor against a `BTreeMap`.
+        #[test]
+        fn counters_agree_with_a_btreemap_model(
+            script in collection::vec((0u8..4, 0usize..12, 0u64..1000), 0..120),
+        ) {
+            const NAMES: [&str; 6] = ["sync_msgs", "a", "forwards", "ab", "", "z"];
+            let copies: Vec<&'static str> = NAMES.iter().map(|n| &*Box::leak(Box::<str>::from(*n))).collect();
+            let name = |k: usize| NAMES.get(k).copied().unwrap_or_else(|| copies[k - NAMES.len()]);
+            let (mut c, mut model) = (Counters::new(), Model { inner: Default::default() });
+            let (mut other, mut other_model) = (Counters::new(), Model { inner: Default::default() });
+            for (what, k, delta) in script {
+                match what {
+                    0 => {
+                        c.incr(name(k));
+                        *model.inner.entry(name(k)).or_default() += 1;
+                    }
+                    1 => {
+                        c.add(name(k), delta);
+                        *model.inner.entry(name(k)).or_default() += delta;
+                    }
+                    2 => {
+                        other.add(name(k), delta);
+                        *other_model.inner.entry(name(k)).or_default() += delta;
+                    }
+                    _ => {
+                        c.merge(&other);
+                        for (k, v) in &other_model.inner {
+                            *model.inner.entry(k).or_default() += v;
+                        }
+                    }
+                }
+            }
+            for k in 0..12 {
+                prop_assert_eq!(c.get(name(k)), model.inner.get(name(k)).copied().unwrap_or(0));
+            }
+            prop_assert_eq!(c.get("missing"), 0);
+            prop_assert_eq!(c.iter().collect::<Vec<_>>(), model.inner.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
+            let display: Vec<String> = model.inner.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            prop_assert_eq!(c.to_string(), display.join(" "));
+            prop_assert_eq!(format!("{c:?}"), format!("{model:?}").replacen("Model", "Counters", 1));
+            prop_assert_eq!(format!("{c:#?}"), format!("{model:#?}").replacen("Model", "Counters", 1));
+        }
     }
 }

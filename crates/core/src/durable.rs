@@ -646,7 +646,7 @@ impl DurableMetaverse {
         wal_policy: GroupCommitPolicy,
     ) -> Self {
         DurableMetaverse {
-            engine: ShardedMetaverse::with_defaults(engine_shards),
+            engine: ShardedMetaverse::counting(engine_shards),
             wal: GroupCommitWal::with_policy(wal_policy),
             kv: ShardedKv::with_defaults(1),
             image_len: 0,
@@ -801,18 +801,18 @@ impl DurableMetaverse {
     }
 
     /// Group commit: seal the pending WAL batch, then
-    /// [`Self::drain_to_storage`]. Returns the number of events dropped.
-    pub fn commit(&mut self, _now: SimTime) -> usize {
+    /// [`Self::drain_to_storage`].
+    pub fn commit(&mut self, _now: SimTime) {
         self.wal.sync();
-        self.drain_to_storage()
+        self.drain_to_storage();
     }
 
-    /// The storage half of [`Self::commit`]: drop the engine's events
-    /// (nothing reads them) and, on the first commit and once the log is
-    /// twice the newest image, seal a new image as a batch of its own and
-    /// trim every batch before it. Returns the number of events dropped.
-    pub fn drain_to_storage(&mut self) -> usize {
-        let events = self.engine.discard_events();
+    /// The storage half of [`Self::commit`]: on the first commit and once
+    /// the log is twice the newest image, seal a new image as a batch of
+    /// its own and trim every batch before it. The engine only counts its
+    /// co-space events (nothing reads them), so there are none to drain:
+    /// the image records the next event id.
+    pub fn drain_to_storage(&mut self) {
         if self.wal.encoded_len() >= 2 * self.image_len {
             // No public call returns between a transaction's prepare and
             // its decision (a simulated crash must be recovered first),
@@ -822,7 +822,6 @@ impl DurableMetaverse {
             let now = self.engine.now();
             self.wal.seal_fence([WalRecord::Put { key: Vec::new(), value: image }], now);
         }
-        events
     }
 
     /// Simulate a crash and recover: all volatile state (engine, MVCC
@@ -853,7 +852,7 @@ impl DurableMetaverse {
         let mut report = self.wal.crash_with_report();
         let mut wal = std::mem::take(&mut self.wal);
         let parallel = self.engine.parallel_apply();
-        self.engine = ShardedMetaverse::with_defaults(self.engine.shard_count());
+        self.engine = ShardedMetaverse::counting(self.engine.shard_count());
         self.engine.set_parallel_apply(parallel);
         self.txns = TxnState::new(self.txns.mvcc.shard_count());
         self.image_len = 0;
@@ -910,7 +909,6 @@ impl DurableMetaverse {
                     }
                 }
             }
-            self.engine.discard_events();
         }
         self.wal = wal;
         self.txns.stats.add("indoubt_aborted", prepared.len() as u64);
@@ -1510,6 +1508,69 @@ mod tests {
         assert_eq!(report.corruption, Some(Corruption::ChecksumMismatch { at: 0 }));
         assert_eq!((report.replayed, dm.wal.len(), dm.ids().len()), (0, 0, 0));
         assert_eq!(dm.state_encoding(), DurableMetaverse::with_defaults(2).state_encoding());
+    }
+
+    /// A durable engine only counts its co-space events. Through spawns,
+    /// batched and single writes, retires, area effects, commits (with
+    /// their checkpoint images), a crash and an image restore, no shard
+    /// holds a buffered event or has allocated a buffer, and the next
+    /// event id and the image are those of a recording engine fed the
+    /// same ops and drained.
+    #[test]
+    fn durable_engines_count_events_and_keep_none() {
+        use crate::ops::{gen_ops, Op};
+        let ops = gen_ops(&mut mv_common::seeded_rng(29), 600, 150.0);
+        for shards in [1, 3, 4] {
+            let mut dm = DurableMetaverse::with_defaults(shards);
+            let mut bare = ShardedMetaverse::with_defaults(shards);
+            let check = |dm: &DurableMetaverse, bare: &mut ShardedMetaverse, at: &str| {
+                bare.drain_events();
+                for bus in dm.engine.buses() {
+                    assert_eq!((bus.pending().len(), bus.buffer_capacity()), (0, 0), "{shards} shards, {at}");
+                }
+                assert_eq!(dm.engine.next_event(), bare.next_event(), "{shards} shards, {at}");
+                assert_eq!(encode_image(&dm.engine, None, 0), encode_image(bare, None, 0), "{shards} shards, {at}");
+            };
+            let (mut ids, mut batch) = (Vec::new(), Vec::new());
+            let flush = |dm: &mut DurableMetaverse, bare: &mut ShardedMetaverse, batch: &mut Vec<WriteOp>| {
+                assert_eq!(dm.apply_batch(batch), bare.apply_batch(batch));
+                batch.clear();
+            };
+            for (i, op) in ops.iter().enumerate() {
+                let ts = t(i as u64);
+                match op {
+                    Op::Move { slot, position } => batch.push(WriteOp::Position { id: ids[*slot], position: *position, ts }),
+                    Op::Attr { slot, name, value } => {
+                        batch.push(WriteOp::Attr { id: ids[*slot], name: name.clone(), value: *value, ts })
+                    }
+                    other => {
+                        flush(&mut dm, &mut bare, &mut batch);
+                        let Some(write) = other.write(&ids, ts) else { continue };
+                        let applied = dm.apply(&write, None);
+                        assert_eq!(applied, bare.apply(&write));
+                        if let Ok(Applied::Spawned(id)) = applied {
+                            ids.push(id);
+                        }
+                    }
+                }
+                if i % 97 == 96 {
+                    flush(&mut dm, &mut bare, &mut batch);
+                    dm.commit(ts);
+                    check(&dm, &mut bare, "commit");
+                }
+            }
+            flush(&mut dm, &mut bare, &mut batch);
+            dm.commit(t(ops.len() as u64));
+            check(&dm, &mut bare, "last commit");
+            dm.crash_and_recover();
+            check(&dm, &mut bare, "recovery");
+            let image = dm.checkpoint_image();
+            assert!(dm.restore(&image).is_some());
+            check(&dm, &mut bare, "restore");
+            let write = WriteOp::Position { id: ids[0], position: p(500.0, 500.0), ts: t(9_999) };
+            flush(&mut dm, &mut bare, &mut vec![write]);
+            check(&dm, &mut bare, "a write after the restore");
+        }
     }
 
     #[test]

@@ -109,18 +109,20 @@ pub(crate) fn sorted_distinct(mut ids: Vec<EntityId>) -> Vec<EntityId> {
 impl Metaverse {
     /// Build with a policy; `cell_size` configures all spatial indexes.
     pub fn new(policy: SyncPolicy, cell_size: f64) -> Self {
-        Metaverse::shard(policy, cell_size, 1)
+        Metaverse::shard(policy, cell_size, 1, true)
     }
 
     /// One of `shards` owner shards of a sharded engine: it holds the
     /// entities `sharded::place` gives it and never spawns on its own.
-    pub(crate) fn shard(policy: SyncPolicy, cell_size: f64, shards: usize) -> Self {
+    /// Its events are recorded when `record`, else only counted
+    /// ([`EventBus`]).
+    pub(crate) fn shard(policy: SyncPolicy, cell_size: f64, shards: usize, record: bool) -> Self {
         Metaverse {
             policy,
             entities: EntityArena::new(shards),
             truth_index: [GridIndex::new(cell_size), GridIndex::new(cell_size)],
             twin_index: [GridIndex::new(cell_size), GridIndex::new(cell_size)],
-            bus: EventBus::new(),
+            bus: if record { EventBus::new() } else { EventBus::counting() },
             clock: SimTime::ZERO,
             stats: Counters::new(),
         }
@@ -172,7 +174,7 @@ impl Metaverse {
             twin.insert(id, entity.twin_position);
         }
         self.entities.insert(entity);
-        self.bus.emit(now, auth, Some(id), EventKind::Moved);
+        self.bus.emit(now, auth, Some(id), || EventKind::Moved);
     }
 
     /// Access an entity as a borrowed column view.
@@ -237,7 +239,7 @@ impl Metaverse {
             self.entities.set_twin_position(slot, position);
             twin.update(id, position);
             self.stats.incr("sync_msgs");
-            self.bus.emit(now, auth.other(), Some(id), EventKind::TwinSynced);
+            self.bus.emit(now, auth.other(), Some(id), || EventKind::TwinSynced);
         } else {
             self.stats.incr("suppressed_syncs");
         }
@@ -258,12 +260,10 @@ impl Metaverse {
         if relayed {
             let auth = self.entities.kind(slot).authoritative_space();
             self.stats.incr("sync_msgs");
-            self.bus.emit(
-                now,
-                auth.other(),
-                Some(id),
-                EventKind::AttrChanged { name: name.to_string(), value },
-            );
+            self.bus.emit(now, auth.other(), Some(id), || EventKind::AttrChanged {
+                name: name.to_string(),
+                value,
+            });
         } else {
             self.stats.incr("suppressed_syncs");
         }
@@ -347,12 +347,7 @@ impl Metaverse {
     /// [`area_effect`]: Metaverse::area_effect
     pub(crate) fn note_area_effect(&mut self, space: Space, effect: &str, region: Aabb, now: SimTime) {
         self.advance(now);
-        self.bus.emit(
-            now,
-            space,
-            None,
-            EventKind::AreaEffect { effect: effect.to_string(), region },
-        );
+        self.bus.emit(now, space, None, || EventKind::AreaEffect { effect: effect.to_string(), region });
     }
 
     /// Relay one area-effect command to a live entity owned by this
@@ -393,7 +388,7 @@ impl Metaverse {
         let (truth, twin) = auth_indexes(&mut self.truth_index, &mut self.twin_index, auth);
         truth.remove(id);
         twin.remove(id);
-        self.bus.emit(now, auth, Some(id), EventKind::Retired);
+        self.bus.emit(now, auth, Some(id), || EventKind::Retired);
         Ok(())
     }
 
@@ -430,6 +425,17 @@ impl Metaverse {
     /// Drain the event log.
     pub fn drain_events(&mut self) -> Vec<CoEvent> {
         self.bus.drain()
+    }
+
+    /// Events emitted since the last drain, recorded or only counted.
+    pub(crate) fn pending_events(&self) -> u64 {
+        self.bus.pending_count()
+    }
+
+    /// The event bus, for tests that check what it holds.
+    #[cfg(test)]
+    pub(crate) fn bus(&self) -> &EventBus {
+        &self.bus
     }
 
     /// Every entity held, retired ones included, in ascending id order.

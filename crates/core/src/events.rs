@@ -3,6 +3,11 @@
 //! Events are facts raised in one space; commands are the engine's
 //! relayed instructions to actors in the *other* space (the paper's
 //! military example: a virtual air-raid ⇒ ground troops "perish").
+//!
+//! An engine keeps its events on an [`EventBus`] until they are
+//! drained. A bus that nobody drains for reading (a durable engine's, a
+//! raft replica's) only counts them: the ids stay the same and no event
+//! is built.
 
 use mv_common::geom::Aabb;
 use mv_common::id::{EntityId, EventId};
@@ -64,45 +69,85 @@ pub struct Command {
 }
 
 /// A simple ordered event log with drain semantics.
-#[derive(Debug, Default)]
+///
+/// A bus either records: each event is built and kept until a drain
+/// takes it. Or it counts (the crate's durable engines and raft
+/// replicas, whose owners never read an event): an emit only numbers
+/// the event, which is never built, so a write allocates nothing here.
+/// Both number events alike, so the ids a log hands out do not depend
+/// on which kind of bus kept it.
+#[derive(Debug)]
 pub struct EventBus {
+    /// Recorded, not yet drained; stays empty when counting.
     events: Vec<CoEvent>,
+    /// Total events ever emitted.
     next: u64,
+    /// `next` at the last drain: the events since are pending.
+    drained: u64,
+    record: bool,
+}
+
+impl Default for EventBus {
+    fn default() -> Self {
+        EventBus { events: Vec::new(), next: 0, drained: 0, record: true }
+    }
 }
 
 impl EventBus {
-    /// Empty bus.
+    /// Empty bus that records.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record an event; returns its id.
+    /// Empty bus that counts: it numbers events and keeps none.
+    pub(crate) fn counting() -> Self {
+        EventBus { record: false, ..Self::default() }
+    }
+
+    /// Record an event; returns its id. `kind` is built only when the
+    /// bus records.
     pub fn emit(
         &mut self,
         ts: SimTime,
         space: Space,
         entity: Option<EntityId>,
-        kind: EventKind,
+        kind: impl FnOnce() -> EventKind,
     ) -> EventId {
         let id = EventId::new(self.next);
         self.next += 1;
-        self.events.push(CoEvent { id, ts, space, entity, kind });
+        if self.record {
+            self.events.push(CoEvent { id, ts, space, entity, kind: kind() });
+        }
         id
     }
 
-    /// Events recorded so far (not yet drained).
+    /// Events recorded so far (not yet drained; none when counting).
     pub fn pending(&self) -> &[CoEvent] {
         &self.events
     }
 
-    /// Take all recorded events.
+    /// Events emitted since the last drain, recorded or counted.
+    pub(crate) fn pending_count(&self) -> u64 {
+        self.next - self.drained
+    }
+
+    /// Take all recorded events (none when counting); the pending count
+    /// restarts at zero.
     pub fn drain(&mut self) -> Vec<CoEvent> {
+        self.drained = self.next;
         std::mem::take(&mut self.events)
     }
 
     /// Total events ever emitted.
     pub fn emitted(&self) -> u64 {
         self.next
+    }
+
+    /// Capacity of the event buffer (0 on a counting bus: it never
+    /// allocated).
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.events.capacity()
     }
 }
 
@@ -114,8 +159,8 @@ mod tests {
     #[test]
     fn bus_assigns_ordered_ids_and_drains() {
         let mut bus = EventBus::new();
-        let a = bus.emit(SimTime::ZERO, Space::Physical, None, EventKind::Moved);
-        let b = bus.emit(SimTime::from_millis(1), Space::Virtual, None, EventKind::Retired);
+        let a = bus.emit(SimTime::ZERO, Space::Physical, None, || EventKind::Moved);
+        let b = bus.emit(SimTime::from_millis(1), Space::Virtual, None, || EventKind::Retired);
         assert!(a < b);
         assert_eq!(bus.pending().len(), 2);
         let drained = bus.drain();
@@ -125,13 +170,24 @@ mod tests {
     }
 
     #[test]
+    fn a_counting_bus_numbers_events_it_never_builds() {
+        let mut bus = EventBus::counting();
+        let a = bus.emit(SimTime::ZERO, Space::Physical, None, || unreachable!("built"));
+        let b = bus.emit(SimTime::ZERO, Space::Virtual, None, || unreachable!("built"));
+        assert!(a < b);
+        assert_eq!((bus.pending().len(), bus.pending_count(), bus.buffer_capacity()), (0, 2, 0));
+        assert!(bus.drain().is_empty());
+        assert_eq!((bus.pending_count(), bus.emitted()), (0, 2));
+    }
+
+    #[test]
     fn area_effect_carries_region() {
         let mut bus = EventBus::new();
         bus.emit(
             SimTime::ZERO,
             Space::Virtual,
             None,
-            EventKind::AreaEffect {
+            || EventKind::AreaEffect {
                 effect: "air_raid".into(),
                 region: Aabb::centered(Point::new(10.0, 10.0), 5.0),
             },

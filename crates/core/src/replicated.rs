@@ -15,7 +15,9 @@
 //! Each replica's state machine is a bare [`ShardedMetaverse`] fed
 //! strictly by committed raft entries in index order: the raft log is
 //! its recovery source, so it keeps no log of its own, and it runs no
-//! transactions, so it keeps no MVCC state. The engine is
+//! transactions, so it keeps no MVCC state. Nothing reads its co-space
+//! events, so it only counts them: an applied command builds no event,
+//! and the count is the next event id its snapshot records. The engine is
 //! deterministic, so replicas stay byte-identical (per their state
 //! encoding) without further coordination — the fault harness
 //! (`tests/raft_failover.rs`) checks exactly that after every fault
@@ -245,7 +247,7 @@ impl FaultTarget for ReplicatedMetaverse {
             // snapshot (if any) is re-flagged for install by restart();
             // committed entries above it re-drain through the normal
             // apply path in `tick`.
-            slot.engine = Some(ShardedMetaverse::with_defaults(self.cfg.shards));
+            slot.engine = Some(ShardedMetaverse::counting(self.cfg.shards));
             slot.applied_raft = 0;
             self.log.push(format!("{now} restart {node:?} wipe={wipe}"));
         }
@@ -282,7 +284,7 @@ impl ReplicatedMetaverse {
                 node.attach_registry(&registry);
                 ReplicaSlot {
                     node,
-                    engine: Some(ShardedMetaverse::with_defaults(cfg.shards)),
+                    engine: Some(ShardedMetaverse::counting(cfg.shards)),
                     wipe_on_crash: false,
                     applied_raft: 0,
                 }
@@ -544,9 +546,7 @@ impl ReplicatedMetaverse {
                 }
             }
             let Some(engine) = slot.engine.as_mut() else { continue };
-            let committed = slot.node.take_committed();
-            let applied_any = !committed.is_empty();
-            for (index, cmd) in committed {
+            for (index, cmd) in slot.node.take_committed() {
                 slot.applied_raft = index;
                 if !self.committed.observe(index, &cmd) {
                     self.violations.push(format!(
@@ -565,11 +565,6 @@ impl ReplicatedMetaverse {
                         self.acked.push(proposed);
                     }
                 }
-            }
-            if applied_any {
-                // Nothing consumes a replica's co-space events; left alone
-                // they would pile up for the life of the region.
-                engine.discard_events();
             }
             if slot.applied_raft.saturating_sub(slot.node.base_index()) > compact_threshold {
                 // The node's previous snapshot sizes the new one's buffers.
@@ -820,14 +815,14 @@ mod tests {
         // A bare replica applies what the durable one did and snapshots
         // its bytes, at 1, 2 and 4 shards, over spawns, retires, area
         // effects, attribute writes and NaN coordinates, with the events
-        // dropped every few commands as a tick does; either snapshot
+        // drained every few commands; either snapshot
         // installs on both, and each install re-encodes to the snapshot.
         #[test]
         fn bare_replica_snapshots_match_the_durable_engines(
             ops in crate::ops::strategies::OpSeq { min_ops: 1, max_ops: 150, world: 150.0 },
             log2_shards in 0u32..3,
             nan_at in 0usize..150,
-            discard_every in 1usize..8,
+            drain_every in 1usize..8,
         ) {
             use crate::ops::Op;
             let shards = 1usize << log2_shards;
@@ -843,9 +838,9 @@ mod tests {
             for (k, cmd) in commands(&ops).iter().enumerate() {
                 let bytes = cmd.encode();
                 proptest::prop_assert_eq!(apply_command(&mut bare, &bytes), oracle.apply(&bytes), "{:?}", cmd);
-                if k % discard_every == 0 {
-                    bare.discard_events();
-                    oracle.dm.engine.discard_events();
+                if k % drain_every == 0 {
+                    bare.drain_events();
+                    oracle.dm.engine.drain_events();
                 }
             }
             let snap = snapshot(&bare);
@@ -942,6 +937,37 @@ mod tests {
         let digests = w.replica_digests();
         assert!(digests.iter().all(|d| d.is_some() && *d == digests[0]), "{digests:?}");
         assert!(w.violations().is_empty(), "{:?}", w.violations());
+    }
+
+    /// A replica only counts its co-space events. After a steady load
+    /// and a wiped replica's catch-up by snapshot install, no replica's
+    /// shard holds a buffered event or has allocated a buffer, and each
+    /// one's next event id and snapshot are those of a recording engine
+    /// fed the same committed commands and drained.
+    #[test]
+    fn replicas_count_events_and_keep_none() {
+        let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 13);
+        let victim = NodeId::new(2);
+        w.set_wipe_on_crash(victim, true);
+        steady_load(&mut w, 2, 400);
+        w.on_node_crash(victim);
+        drive(&mut w, 2_000, 2_500);
+        w.on_node_restart(victim);
+        drive(&mut w, 2_500, 3_500);
+        assert!(w.registry().counter_get("raft.node.snapshots_installed") >= 1, "the wiped replica installed");
+        for slot in &w.replicas {
+            let engine = slot.engine.as_ref().expect("up");
+            for bus in engine.buses() {
+                assert_eq!((bus.pending().len(), bus.buffer_capacity()), (0, 0), "{:?}", slot.node.id());
+            }
+            let mut bare = ShardedMetaverse::with_defaults(w.cfg.shards);
+            for cmd in w.committed.prefix(slot.applied_raft).iter().filter(|cmd| !cmd.is_empty()) {
+                assert!(apply_command(&mut bare, cmd));
+            }
+            assert!(!bare.drain_events().is_empty());
+            assert_eq!(engine.next_event(), bare.next_event(), "{:?}", slot.node.id());
+            assert_eq!(snapshot(engine), snapshot(&bare), "{:?}", slot.node.id());
+        }
     }
 
     #[test]

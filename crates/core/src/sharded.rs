@@ -7,7 +7,7 @@
 //! spawn order, and entity `k` lives on shard `k % n` at row `k / n` of
 //! its arena (round robin, `place`), so the id is the address and no
 //! table maps one to the other. A shard is a complete [`Metaverse`] —
-//! entity columns, truth/twin [`GridIndex`]es, event buffer, counters —
+//! entity columns, truth/twin [`GridIndex`]es, event bus, counters —
 //! so every per-entity code path is byte-for-byte the code the
 //! sequential engine runs. What this module adds is the routing and the
 //! *deterministic reassembly*:
@@ -24,6 +24,13 @@
 //! * the merged event log is ordered by `(ts, entity, shard, shard-seq)`
 //!   and re-numbered, so two runs over the same ops produce *identical
 //!   bytes* regardless of thread scheduling.
+//!
+//! An engine built by the public constructors records its events for
+//! [`ShardedMetaverse::drain_events`]. The engines of a
+//! `DurableMetaverse` and of a raft replica only count theirs
+//! ([`EventBus`](crate::events::EventBus)): nothing reads them, and a
+//! write then builds no event. Both number events alike, so the next
+//! event id a checkpoint image records is the same either way.
 //!
 //! Equivalence with the sequential engine is not argued, it is *tested*:
 //! `tests/sharded_differential.rs` replays random op sequences against
@@ -144,7 +151,8 @@ impl WriteOp {
 pub struct ShardedMetaverse {
     shards: Vec<Metaverse>,
     clock: SimTime,
-    /// Next merged event id (per-shard ids are re-numbered at drain).
+    /// The merged id of the first event still pending on the shards
+    /// (per-shard ids are re-numbered at drain).
     next_event: u64,
     /// Per-shard wall seconds of the last [`apply_batch`] call.
     ///
@@ -166,9 +174,20 @@ impl ShardedMetaverse {
     /// clamped to one — a sweep written as `0..n` should degrade to the
     /// unsharded engine, not panic.
     pub fn new(policy: SyncPolicy, cell_size: f64, shards: usize) -> Self {
+        ShardedMetaverse::build(policy, cell_size, shards, true)
+    }
+
+    /// Default policy and cells, on shards that count their events and
+    /// keep none: the engine of an owner that never reads them (a durable
+    /// engine, a raft replica).
+    pub(crate) fn counting(shards: usize) -> Self {
+        ShardedMetaverse::build(SyncPolicy::default(), 50.0, shards, false)
+    }
+
+    fn build(policy: SyncPolicy, cell_size: f64, shards: usize, record: bool) -> Self {
         let shards = shards.max(1);
         ShardedMetaverse {
-            shards: (0..shards).map(|_| Metaverse::shard(policy, cell_size, shards)).collect(),
+            shards: (0..shards).map(|_| Metaverse::shard(policy, cell_size, shards, record)).collect(),
             clock: SimTime::ZERO,
             next_event: 0,
             last_shard_walls: vec![0.0; shards],
@@ -192,7 +211,9 @@ impl ShardedMetaverse {
     /// own above the row gate ([`MIN_ROWS_PER_WORKER`]); the next spawn
     /// takes the id after the last (the rows held), the totals land on
     /// shard 0 (only their sum is observable) and the events the rebuild
-    /// regenerates are dropped.
+    /// regenerates are dropped. Every owner of a restored engine (a
+    /// durable engine, a replica) reads no events, so its shards count
+    /// them ([`Self::counting`]).
     pub(crate) fn restore(
         shards: usize,
         parallel: bool,
@@ -201,7 +222,7 @@ impl ShardedMetaverse {
         counters: &[(&'static str, u64)],
         next_event: u64,
     ) -> Self {
-        let mut mv = ShardedMetaverse::with_defaults(shards);
+        let mut mv = ShardedMetaverse::counting(shards);
         mv.parallel_apply = parallel;
         mv.clock = clock;
         mv.next_event = next_event;
@@ -364,19 +385,32 @@ impl ShardedMetaverse {
     /// order) and the shard queues run on scoped threads. Returns one
     /// result per op, in input order, identical to applying the ops
     /// one-by-one on the sequential engine: `Ok(synced)` or the
-    /// per-entity error. Each op is lifted to its logged form and applied
-    /// through [`Metaverse::apply`].
+    /// per-entity error. Each shard's worker lifts its own ops to their
+    /// logged form and applies them through [`Metaverse::apply`].
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
-        let lifted: Vec<DurableOp> = ops.iter().map(DurableOp::from_write).collect();
-        self.apply_ops(&lifted)
+        self.apply_routed(ops, |op| Some((op.entity(), op.ts())), |shard, op| {
+            shard.apply(&DurableOp::from_write(op))
+        })
     }
 
     /// [`Self::apply_batch`] of ops already in their logged form: each
     /// addresses one entity (a move or an attribute write); one that
     /// addresses none is refused untouched.
     pub(crate) fn apply_ops(&mut self, ops: &[DurableOp]) -> Vec<MvResult<bool>> {
+        self.apply_routed(ops, |op| Some((op.entity()?, op.ts())), Metaverse::apply)
+    }
+
+    /// The batch path: `target` names the entity an op addresses and its
+    /// timestamp (`None`: the op is refused untouched), and `apply` runs
+    /// each op on its owner shard's worker, in batch order per shard.
+    fn apply_routed<T: Sync>(
+        &mut self,
+        ops: &[T],
+        target: impl Fn(&T) -> Option<(EntityId, SimTime)>,
+        apply: impl Fn(&mut Metaverse, &T) -> MvResult<Applied> + Sync,
+    ) -> Vec<MvResult<bool>> {
         let n = self.shards.len();
-        if let Some(max_ts) = ops.iter().filter(|op| op.entity().is_some()).map(DurableOp::ts).max() {
+        if let Some(max_ts) = ops.iter().filter_map(|op| Some(target(op)?.1)).max() {
             self.advance(max_ts);
         }
         // One sampled root per batch (not per op): the ingest marker the
@@ -387,13 +421,15 @@ impl ShardedMetaverse {
             }
         }
         let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut results: Vec<Option<MvResult<bool>>> =
-            ops.iter().map(|op| op.entity().is_none().then(|| Err(not_a_write()))).collect();
+        let mut results: Vec<Option<MvResult<bool>>> = Vec::with_capacity(ops.len());
         for (i, op) in ops.iter().enumerate() {
-            if let Some(id) = op.entity() {
-                // lint:allow(panic-path): place is `id % n` with n == queues.len(); the routing index is local arithmetic, not decoded data
-                queues[place(id, n).0].push(i);
-            }
+            let Some((id, _)) = target(op) else {
+                results.push(Some(Err(not_a_write())));
+                continue;
+            };
+            // lint:allow(panic-path): place is `id % n` with n == queues.len(); the routing index is local arithmetic, not decoded data
+            queues[place(id, n).0].push(i);
+            results.push(None);
         }
         let run_queue = |(shard, queue): (&mut Metaverse, &Vec<usize>)| {
             // lint:allow(wall-clock): measures real CPU time of the serial critical path for the speedup report; never feeds sim state
@@ -401,7 +437,7 @@ impl ShardedMetaverse {
             let out: Vec<(usize, MvResult<bool>)> = queue
                 .iter()
                 .filter_map(|&i| Some((i, ops.get(i)?)))
-                .map(|(i, op)| (i, shard.apply(op).map(|applied| applied == Applied::Synced(true))))
+                .map(|(i, op)| (i, apply(shard, op).map(|applied| applied == Applied::Synced(true))))
                 .collect();
             (out, t0.elapsed().as_secs_f64())
         };
@@ -552,8 +588,13 @@ impl ShardedMetaverse {
     /// exact (an entity's events all come from its owner shard, where
     /// the local sequence preserves emission order), and the order never
     /// depends on thread scheduling — replaying the same ops yields a
-    /// byte-identical log. Event ids are re-numbered globally.
+    /// byte-identical log. Event ids are re-numbered globally. An engine
+    /// that only counts its events (a durable engine's, a replica's)
+    /// drains an empty log, and its ids advance past the events it
+    /// counted.
     pub fn drain_events(&mut self) -> Vec<CoEvent> {
+        let mut next = self.next_event;
+        self.next_event = self.next_event();
         let mut tagged: Vec<(u64, usize, usize, CoEvent)> = Vec::new();
         for (si, shard) in self.shards.iter_mut().enumerate() {
             for (seq, event) in shard.drain_events().into_iter().enumerate() {
@@ -565,26 +606,24 @@ impl ShardedMetaverse {
         tagged
             .into_iter()
             .map(|(_, _, _, mut event)| {
-                event.id = EventId::new(self.next_event);
-                self.next_event += 1;
+                event.id = EventId::new(next);
+                next += 1;
                 event
             })
             .collect()
     }
 
-    /// Drop every shard's buffered events unread — no tagging, no sort —
-    /// where nothing consumes them (a durable engine's commit, recovery's
-    /// replay, a replica's apply). Ids advance as a drain would have
-    /// numbered them. Returns how many were dropped.
-    pub fn discard_events(&mut self) -> usize {
-        let dropped: usize = self.shards.iter_mut().map(|s| s.drain_events().len()).sum();
-        self.next_event += dropped as u64;
-        dropped
+    /// The id the next event emitted will get once drained: the next
+    /// merged id plus every event pending on the shards, recorded or
+    /// counted.
+    pub(crate) fn next_event(&self) -> u64 {
+        self.next_event + self.shards.iter().map(Metaverse::pending_events).sum::<u64>()
     }
 
-    /// The id the next drained event will get.
-    pub(crate) fn next_event(&self) -> u64 {
-        self.next_event
+    /// Every shard's event bus, for tests that check what they hold.
+    #[cfg(test)]
+    pub(crate) fn buses(&self) -> impl Iterator<Item = &crate::events::EventBus> {
+        self.shards.iter().map(Metaverse::bus)
     }
 }
 
@@ -727,22 +766,19 @@ mod tests {
     }
 
     #[test]
-    fn discarded_events_number_later_ones_as_a_drain_would() {
-        let later = |discard: bool| {
-            let mut mv = ShardedMetaverse::with_defaults(4);
+    fn counted_events_number_later_ones_as_a_drain_would() {
+        let later = |record: bool| {
+            let mut mv = if record { ShardedMetaverse::with_defaults(4) } else { ShardedMetaverse::counting(4) };
             for i in 0..8 {
                 mv.spawn(format!("e{i}"), EntityKind::Person, Point::ORIGIN, t(0));
             }
             mv.update_position(EntityId::new(3), Point::new(90.0, 0.0), t(1)).unwrap();
-            if discard {
-                mv.discard_events();
-            } else {
-                assert!(!mv.drain_events().is_empty());
-            }
+            assert_eq!(mv.drain_events().is_empty(), !record);
             mv.update_position(EntityId::new(5), Point::new(90.0, 0.0), t(2)).unwrap();
-            format!("{:?}", mv.drain_events())
+            (mv.next_event(), mv.drain_events().len(), mv.next_event())
         };
-        assert_eq!(later(true), later(false));
+        assert_eq!(later(true), (10, 1, 10));
+        assert_eq!(later(false), (10, 0, 10));
     }
 
     #[test]

@@ -558,9 +558,8 @@ impl DurableMetaverse {
         // Apply: install versions at the decision timestamp, each after the
         // head it supersedes, replay the buffered ops into the engine in
         // prepare-record order (phase 0 checked that the engine accepts
-        // each) and stamp their heads. Nothing reads the events the replay
-        // makes, so they go at once rather than pile up until the next
-        // `commit`.
+        // each) and stamp their heads. The engine only counts the events
+        // the replay makes, so none pile up until the next `commit`.
         let before = |key: &[u8]| Field::of_key(key).and_then(|field| self.txns.head_of(&self.engine, field));
         self.txns.mvcc.install(txn_id, parts, commit_ts, before);
         for prepare in &prepares {
@@ -573,7 +572,6 @@ impl DurableMetaverse {
                 }
             }
         }
-        self.engine.discard_events();
         self.txns.mvcc.finish(txn_id);
         self.txns.collect();
         self.txns.stats.incr("committed");

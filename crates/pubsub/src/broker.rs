@@ -108,8 +108,11 @@ impl BrokerTree {
         self.publish_at(0, p)
     }
 
+    /// Publish at `broker` and below: each broker counts its matches
+    /// without collecting them ([`IndexedMatcher::count_matches`]), so a
+    /// publication allocates nothing.
     fn publish_at(&mut self, broker: usize, p: &Publication) -> usize {
-        let mut delivered = self.brokers[broker].matcher.match_pub(p).len();
+        let mut delivered = self.brokers[broker].matcher.count_matches(p);
         // By index, not a clone: the recursion needs `self` mutably.
         for k in 0..self.brokers[broker].children.len() {
             let c = self.brokers[broker].children[k];
@@ -129,7 +132,7 @@ impl BrokerTree {
         let mut delivered = 0usize;
         let mut stack = vec![0usize];
         while let Some(b) = stack.pop() {
-            delivered += self.brokers[b].matcher.match_pub(p).len();
+            delivered += self.brokers[b].matcher.count_matches(p);
             for &c in &self.brokers[b].children {
                 self.stats.incr("flood_forwards");
                 stack.push(c);

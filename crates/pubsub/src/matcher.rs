@@ -1,16 +1,19 @@
 //! Matching engines: linear baseline vs. indexed.
 //!
 //! The indexed matcher files each subscription under its most selective
-//! constraint: a required term (inverted index), else a spatial region
-//! (coarse grid cells), else the catch-all list. Matching an event
-//! gathers candidates from the event's terms and location cell plus the
-//! catch-all, dedups, and fully evaluates — a standard two-phase
-//! content-based matcher. Property tests pin it to the linear matcher.
+//! constraint: its first required term (inverted index), else a spatial
+//! region (coarse grid cells), else the catch-all list. Matching an
+//! event walks the candidates filed under its distinct terms, its
+//! location cell and the catch-all list, and fully evaluates each — a
+//! standard two-phase content-based matcher. Filing puts a subscription
+//! in exactly one of those three places, and in a cell list at most once,
+//! so the walk meets each candidate once and needs no dedup set.
+//! Property tests pin it to the linear matcher.
 
 use crate::publication::Publication;
 use crate::subscription::Subscription;
 use mv_common::geom::Point;
-use mv_common::hash::{FastMap, FastSet};
+use mv_common::hash::FastMap;
 
 /// A matcher answers which subscription indices match a publication, and
 /// the top-k by term score (the geo-textual top-k of reference \[21\]).
@@ -110,6 +113,30 @@ impl IndexedMatcher {
     fn cell_of(p: Point) -> (i64, i64) {
         ((p.x / CELL).floor() as i64, (p.y / CELL).floor() as i64)
     }
+
+    /// The candidate walk: every subscription filed under one of `p`'s
+    /// distinct terms, under its location cell or in the catch-all list,
+    /// each met once (see the module docs), fully evaluated and counted
+    /// in `evaluations`; `hit` gets each that matches, in walk order.
+    fn for_each_match(&self, p: &Publication, mut hit: impl FnMut(usize)) {
+        let distinct = p.terms.iter().enumerate().filter(|(i, t)| !p.terms[..*i].contains(t));
+        let by_term = distinct.filter_map(|(_, t)| self.by_term.get(t));
+        let by_cell = p.location.and_then(|loc| self.by_cell.get(&Self::cell_of(loc)));
+        for &i in by_term.chain(by_cell).flatten().chain(&self.catch_all) {
+            self.evaluations.set(self.evaluations.get() + 1);
+            if self.subs[i].matches(p) {
+                hit(i);
+            }
+        }
+    }
+
+    /// How many subscriptions match `p`: `match_pub(p).len()`, from the
+    /// same walk, allocating nothing.
+    pub(crate) fn count_matches(&self, p: &Publication) -> usize {
+        let mut count = 0;
+        self.for_each_match(p, |_| count += 1);
+        count
+    }
 }
 
 impl Matcher for IndexedMatcher {
@@ -142,25 +169,8 @@ impl Matcher for IndexedMatcher {
     }
 
     fn match_pub(&self, p: &Publication) -> Vec<usize> {
-        let mut candidates: FastSet<usize> = FastSet::default();
-        for t in &p.terms {
-            if let Some(ids) = self.by_term.get(t) {
-                candidates.extend(ids.iter().copied());
-            }
-        }
-        if let Some(loc) = p.location {
-            if let Some(ids) = self.by_cell.get(&Self::cell_of(loc)) {
-                candidates.extend(ids.iter().copied());
-            }
-        }
-        candidates.extend(self.catch_all.iter().copied());
-        let mut hits: Vec<usize> = candidates
-            .into_iter()
-            .filter(|&i| {
-                self.evaluations.set(self.evaluations.get() + 1);
-                self.subs[i].matches(p)
-            })
-            .collect();
+        let mut hits = Vec::new();
+        self.for_each_match(p, |i| hits.push(i));
         hits.sort_unstable();
         hits
     }
@@ -272,21 +282,54 @@ mod tests {
         assert_eq!(idx.match_pub(&p), vec![0]);
     }
 
+    /// The evaluations the matcher made before its candidate walk: one per
+    /// distinct candidate gathered into a set from the publication's
+    /// terms, its location cell and the catch-all list.
+    fn candidate_set_evaluations(idx: &IndexedMatcher, p: &Publication) -> u64 {
+        let mut candidates: mv_common::hash::FastSet<usize> = Default::default();
+        for t in &p.terms {
+            candidates.extend(idx.by_term.get(t).into_iter().flatten());
+        }
+        if let Some(loc) = p.location {
+            candidates.extend(idx.by_cell.get(&IndexedMatcher::cell_of(loc)).into_iter().flatten());
+        }
+        candidates.extend(&idx.catch_all);
+        candidates.len() as u64
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        // Publications sometimes repeat a term, and some subscriptions are
+        // term-less with regions too large to file by cell (so they land
+        // in the catch-all list).
         #[test]
         fn prop_indexed_equals_linear(seed in 0u64..5000) {
             let mut rng = seeded_rng(seed);
             let mut lin = LinearMatcher::new();
             let mut idx = IndexedMatcher::new();
             for i in 0..60 {
-                let s = random_sub(&mut rng, i);
+                let s = if rng.gen_bool(0.1) {
+                    let center = Point::new(rng.gen_range(0.0..500.0), rng.gen_range(0.0..500.0));
+                    Subscription::new(c(i)).in_region(Aabb::centered(center, rng.gen_range(2_000.0..5_000.0)))
+                } else {
+                    random_sub(&mut rng, i)
+                };
                 lin.add(s.clone());
                 idx.add(s);
             }
             for _ in 0..10 {
-                let p = random_pub(&mut rng);
-                prop_assert_eq!(lin.match_pub(&p), idx.match_pub(&p));
+                let mut p = random_pub(&mut rng);
+                if rng.gen_bool(0.3) {
+                    let again = p.terms[rng.gen_range(0..p.terms.len())].clone();
+                    p = p.term(again);
+                }
+                let before = idx.evaluations.get();
+                let hits = idx.match_pub(&p);
+                let walked = idx.evaluations.get() - before;
+                prop_assert_eq!(walked, candidate_set_evaluations(&idx, &p));
+                prop_assert_eq!(idx.count_matches(&p), hits.len());
+                prop_assert_eq!(idx.evaluations.get() - before, 2 * walked);
+                prop_assert_eq!(lin.match_pub(&p), hits);
             }
         }
     }
