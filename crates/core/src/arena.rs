@@ -12,14 +12,16 @@
 //! columns sequentially, and slot order is ascending id order by
 //! construction, so whole-arena scans are already id-sorted.
 //!
+//! A row also holds its fields' MVCC head timestamps (`crate::txn`): the
+//! position's in a column, each attribute's beside its value in [`Attrs`].
+//!
 //! [`Entity`] remains the owned construction/transfer type;
 //! [`EntityRef`] is the borrowed column view the engine hands out.
 
-use crate::entity::{Entity, EntityKind};
+use crate::entity::{Attrs, Entity, EntityKind};
 use crate::sharded::place;
 use mv_common::geom::Point;
 use mv_common::id::EntityId;
-use std::collections::BTreeMap;
 
 /// A borrowed view of one entity, assembled from the arena's columns.
 ///
@@ -39,9 +41,11 @@ pub struct EntityRef<'a> {
     /// The other space's materialized view of the position.
     pub twin_position: Point,
     /// Free-form numeric attributes.
-    pub attrs: &'a BTreeMap<String, f64>,
+    pub attrs: &'a Attrs,
     /// True once destroyed/perished/sold out.
     pub retired: bool,
+    /// Commit timestamp of the position's MVCC head (0: none).
+    pub(crate) position_ts: u64,
 }
 
 impl EntityRef<'_> {
@@ -73,9 +77,10 @@ pub(crate) struct EntityArena {
     twin_positions: Vec<Point>,
     kinds: Vec<EntityKind>,
     retired: Vec<bool>,
+    position_ts: Vec<u64>,
     // Cold columns: touched on spawn, attr ops, and encode only.
     names: Vec<String>,
-    attrs: Vec<BTreeMap<String, f64>>,
+    attrs: Vec<Attrs>,
     /// Live (non-retired) rows, maintained incrementally so
     /// `live_count` is O(1) instead of a full scan.
     live: usize,
@@ -107,6 +112,7 @@ impl EntityArena {
         self.twin_positions.push(e.twin_position);
         self.kinds.push(e.kind);
         self.retired.push(e.retired);
+        self.position_ts.push(0);
         self.names.push(e.name);
         self.attrs.push(e.attrs);
         if !e.retired {
@@ -145,6 +151,7 @@ impl EntityArena {
             twin_position: self.twin_positions.get(s).copied()?,
             attrs: self.attrs.get(s)?,
             retired: self.retired.get(s).copied()?,
+            position_ts: self.position_ts.get(s).copied()?,
         })
     }
 
@@ -191,26 +198,15 @@ impl EntityArena {
         }
     }
 
-    /// Read an attribute (0 default, mirroring [`EntityRef::attr`]).
-    pub fn attr(&self, slot: u32, name: &str) -> f64 {
-        self.attrs
-            .get(slot as usize)
-            .and_then(|m| m.get(name))
-            .copied()
-            .unwrap_or(0.0)
+    /// Write an attribute, returning its previous value (no-op out of range).
+    pub fn set_attr(&mut self, slot: u32, name: &str, v: f64) -> Option<f64> {
+        self.attrs.get_mut(slot as usize)?.set(name, v)
     }
 
-    /// Write an attribute (no-op out of range). The name is copied only
-    /// when the entity does not have the attribute yet.
-    pub fn set_attr(&mut self, slot: u32, name: &str, v: f64) {
-        if let Some(m) = self.attrs.get_mut(slot as usize) {
-            match m.get_mut(name) {
-                Some(value) => *value = v,
-                None => {
-                    m.insert(name.to_owned(), v);
-                }
-            }
-        }
+    /// Entity `id`'s head timestamps: its position's and its attributes'.
+    pub fn heads_mut(&mut self, id: EntityId) -> Option<(&mut u64, &mut Attrs)> {
+        let s = self.slot_of(id)? as usize;
+        Some((self.position_ts.get_mut(s)?, self.attrs.get_mut(s)?))
     }
 
     /// Flip the retired flag on (idempotent calls are the caller's
@@ -295,10 +291,11 @@ mod tests {
         assert_eq!(a.divergence(s), 5.0);
         a.set_twin_position(s, Point::new(5.0, 0.0));
         assert_eq!(a.divergence(s), 0.0);
-        assert_eq!(a.attr(s, "fuel"), 0.0);
-        a.set_attr(s, "fuel", 0.75);
-        assert_eq!(a.attr(s, "fuel"), 0.75);
-        assert_eq!(a.get_slot(s).unwrap().attr("fuel"), 0.75);
+        assert_eq!(a.get_slot(s).unwrap().attr("fuel"), 0.0);
+        assert_eq!(a.set_attr(s, "fuel", 0.75), None);
+        assert_eq!(a.set_attr(s, "fuel", 0.5), Some(0.75));
+        assert_eq!(a.get_slot(s).unwrap().attr("fuel"), 0.5);
+        assert_eq!(a.set_attr(999, "fuel", 1.0), None, "out of range: a no-op");
         assert!(a.get_slot(999).is_none());
         assert!(a.retired(999), "out-of-range slots fail closed as retired");
     }

@@ -27,7 +27,7 @@ use crate::arena::EntityRef;
 use crate::engine::{not_a_write, Applied};
 use crate::entity::{Entity, EntityKind};
 use crate::sharded::{place, ShardedMetaverse, WriteOp};
-use crate::txn::{decode_heads, put_heads, TxnState};
+use crate::txn::{decode_heads, put_heads, stamp, TxnState};
 use mv_common::codec::{put_chunk, put_chunk_with, put_f64, put_u32, put_u64, wire_u32, SliceReader};
 use mv_common::geom::{Aabb, Point};
 use mv_common::hash::{fx_hash_one, FxHasher};
@@ -398,8 +398,8 @@ fn encode_entity(out: &mut Vec<u8>, e: EntityRef<'_>) {
     out.push(kind_tag(e.kind));
     put_point(out, e.position);
     put_point(out, e.twin_position);
-    put_u32(out, wire_u32(e.attrs.len()));
-    for (name, value) in e.attrs {
+    put_u32(out, wire_u32(e.attrs.iter().len()));
+    for (name, value) in e.attrs.iter() {
         put_str(out, name);
         put_f64(out, *value);
     }
@@ -415,9 +415,9 @@ fn decode_entity(r: &mut SliceReader<'_>) -> Option<Entity> {
         read_point(r)?,
     );
     e.twin_position = read_point(r)?;
+    // A repeated or unsorted name is damage (see `Attrs::push`).
     for _ in 0..r.u32()? {
-        let name = read_str(r)?;
-        e.attrs.insert(name, r.f64()?);
+        e.attrs.push(read_str(r)?.into(), r.f64()?)?;
     }
     e.retired = match r.u8()? {
         0 => false,
@@ -503,21 +503,22 @@ pub(crate) fn state_digest(engine: &ShardedMetaverse) -> u64 {
 
 /// The checkpoint image of `engine`: tag 8, a version, the fx checksum
 /// of the rest, [`state_encoding`], then the MVCC state — the oracle's
-/// timestamp, the next event id, each field's head timestamp (see
-/// [`put_heads`]) and an empty extras list. With `txns`, that is the
-/// MVCC state a replay of the whole log would leave; without, none:
-/// oracle 0 and no head (a replica's raft snapshot). The shard workers
-/// encode their own entities ([`ShardedMetaverse::map_shards`]); the
-/// calling thread merges their bytes in id order. `last_len`, the size
-/// of the previous image, sizes the buffers.
-pub(crate) fn encode_image(engine: &ShardedMetaverse, txns: Option<&TxnState>, last_len: usize) -> Vec<u8> {
+/// timestamp `oracle`, the next event id, each field's head timestamp
+/// from its row (see [`put_heads`]) and an empty extras list. A durable
+/// engine's image is the MVCC state a replay of the whole log would
+/// leave; a replica's raft snapshot has none: oracle 0 and no head. The
+/// shard workers encode their own entities
+/// ([`ShardedMetaverse::map_shards`]); the calling thread merges their
+/// bytes in id order. `last_len`, the size of the previous image, sizes
+/// the buffers.
+pub(crate) fn encode_image(engine: &ShardedMetaverse, oracle: u64, last_len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(last_len + last_len / 8);
     out.extend_from_slice(&[CHECKPOINT_TAG, IMAGE_VERSION]);
     out.resize(IMAGE_HEADER, 0);
     // The previous image's size bounds each shard's share of this one.
-    let sections = encode_sections(engine, last_len / engine.shard_count(), |out, e| put_heads(txns, out, e));
+    let sections = encode_sections(engine, last_len / engine.shard_count(), put_heads);
     put_state(&mut out, engine, &sections);
-    put_u64(&mut out, txns.map_or(0, |txns| txns.mvcc.oracle().current()));
+    put_u64(&mut out, oracle);
     put_u64(&mut out, engine.next_event());
     for (_, heads) in rows_in_id_order(engine.spawned_count(), &sections) {
         out.extend_from_slice(heads);
@@ -533,16 +534,16 @@ pub(crate) fn encode_image(engine: &ShardedMetaverse, txns: Option<&TxnState>, l
 
 /// The inverse of [`encode_image`]: the engine `image` encodes, on
 /// `shards` shards with batch application `parallel`
-/// ([`ShardedMetaverse::set_parallel_apply`]), its heads and oracle
-/// restored into `txns` when given — without, they are read and dropped,
-/// and only a re-encoding shows them. Entity `k` goes to list `k % n` at
-/// row `k / n` ([`place`]), where its heads find it again. Total on
-/// hostile input: `None` on a wrong tag, version or checksum or on
-/// structural damage — never a panic, and no allocation sized by a
-/// length field. Well-formed bytes that no engine produces (a wrong live
-/// count, a repeated attribute name) may restore to an engine that
-/// encodes differently; snapshot install compares the re-encoding.
-pub(crate) fn restore_image(image: &[u8], shards: usize, parallel: bool, mut txns: Option<&mut TxnState>) -> Option<ShardedMetaverse> {
+/// ([`ShardedMetaverse::set_parallel_apply`]), its heads in its rows,
+/// and its oracle timestamp. Unless `heads`, an image with a head or a
+/// nonzero oracle is refused (a replica keeps no MVCC state). Entity `k`
+/// goes to list `k % n` at row `k / n` ([`place`]). Total on hostile
+/// input: `None` on a wrong tag, version or checksum or on structural
+/// damage, a repeated or unsorted attribute name included — never a
+/// panic, and no allocation sized by a length field. Well-formed bytes
+/// that no engine produces (a wrong live count) may restore to an engine
+/// that encodes differently; snapshot install compares the re-encoding.
+pub(crate) fn restore_image(image: &[u8], shards: usize, parallel: bool, heads: bool) -> Option<(ShardedMetaverse, u64)> {
     let ([CHECKPOINT_TAG, IMAGE_VERSION, sum @ ..], body) = image.split_at_checked(IMAGE_HEADER)?
     else {
         return None;
@@ -579,19 +580,10 @@ pub(crate) fn restore_image(image: &[u8], shards: usize, parallel: bool, mut txn
         let name = ENGINE_COUNTERS.iter().find(|known| **known == name)?;
         counters.push((*name, r.u64()?));
     }
-    let (oracle, next_event) = (r.u64()?, r.u64()?);
-    let in_id_order = (0..count).map(EntityId::new).map_while(|id| {
-        let (shard, slot) = place(id, shards);
-        owned.get(shard)?.get(slot)
-    });
-    decode_heads(txns.as_deref_mut(), &mut r, in_id_order)?;
-    if !r.done() {
-        return None;
-    }
-    if let Some(txns) = txns {
-        txns.mvcc.oracle().advance_past(oracle);
-    }
-    Some(ShardedMetaverse::restore(shards, parallel, clock, owned, &counters, next_event))
+    let (oracle, next_event) = (r.u64().filter(|oracle| heads || *oracle == 0)?, r.u64()?);
+    let mut engine = ShardedMetaverse::restore(shards, parallel, clock, owned, &counters, next_event);
+    decode_heads(&mut engine, &mut r, heads)?;
+    r.done().then_some((engine, oracle))
 }
 
 /// The engine's counter totals, the last part of the state encoding.
@@ -744,7 +736,7 @@ impl DurableMetaverse {
         let live = self.txns.save_before_images(&self.engine, [op]);
         let applied = self.engine.apply(op);
         if applied.is_ok() {
-            self.txns.plain_written(&self.engine, [op], live);
+            self.txns.plain_written(&mut self.engine, [op], live);
         }
         // Mark the apply instant under `ctx`, and close a root minted here
         // (a caller's root stays open: the caller owns its lifetime).
@@ -796,7 +788,7 @@ impl DurableMetaverse {
         let live = self.txns.save_before_images(&self.engine, &logged);
         let results = self.engine.apply_ops(&logged);
         let accepted = logged.iter().zip(&results).filter(|(_, r)| r.is_ok()).map(|(op, _)| op);
-        self.txns.plain_written(&self.engine, accepted, live);
+        self.txns.plain_written(&mut self.engine, accepted, live);
         results
     }
 
@@ -893,7 +885,7 @@ impl DurableMetaverse {
                         if commit {
                             for op in &ops {
                                 if self.engine.apply(op).is_ok() {
-                                    self.txns.stamp_commit(op, commit_ts);
+                                    stamp(&mut self.engine, op, commit_ts);
                                 }
                             }
                             self.txns.mvcc.oracle().advance_past(commit_ts);
@@ -904,7 +896,7 @@ impl DurableMetaverse {
                     }
                     other => {
                         if self.engine.apply(&other).is_ok() {
-                            self.txns.plain_written(&self.engine, [&other], false);
+                            self.txns.plain_written(&mut self.engine, [&other], false);
                         }
                     }
                 }
@@ -924,10 +916,11 @@ impl DurableMetaverse {
         state_encoding(&self.engine)
     }
 
-    /// The checkpoint image ([`encode_image`]) of the engine and its MVCC
-    /// heads, all of that state a crash leaves (see [`put_heads`]).
+    /// The checkpoint image ([`encode_image`]) of the engine, its rows'
+    /// MVCC heads and the oracle, all of that state a crash leaves (see
+    /// [`put_heads`]).
     pub(crate) fn checkpoint_image(&mut self) -> Vec<u8> {
-        let image = encode_image(&self.engine, Some(&self.txns), self.image_len);
+        let image = encode_image(&self.engine, self.txns.mvcc.oracle().current(), self.image_len);
         self.image_len = image.len();
         image
     }
@@ -936,10 +929,11 @@ impl DurableMetaverse {
     /// engine and MVCC store (not the WAL) become those `image` encodes.
     /// `None`, with `self` untouched, on any damage.
     pub(crate) fn restore(&mut self, image: &[u8]) -> Option<()> {
-        let mut txns = TxnState::new(self.txns.mvcc.shard_count());
         let (shards, parallel) = (self.engine.shard_count(), self.engine.parallel_apply());
-        self.engine = restore_image(image, shards, parallel, Some(&mut txns))?;
-        self.txns = txns;
+        let (engine, oracle) = restore_image(image, shards, parallel, true)?;
+        self.engine = engine;
+        self.txns = TxnState::new(self.txns.mvcc.shard_count());
+        self.txns.mvcc.oracle().advance_past(oracle);
         self.image_len = image.len();
         Some(())
     }
@@ -1315,7 +1309,7 @@ mod tests {
         let mut out = vec![CHECKPOINT_TAG, IMAGE_VERSION];
         out.resize(IMAGE_HEADER, 0);
         let mut heads = Vec::new();
-        encode_state(&dm.engine, &dm.ids(), &mut out, |e| put_heads(Some(&dm.txns), &mut heads, e));
+        encode_state(&dm.engine, &dm.ids(), &mut out, |e| put_heads(&mut heads, e));
         put_u64(&mut out, dm.txns.mvcc.oracle().current());
         put_u64(&mut out, dm.engine.next_event());
         out.extend_from_slice(&heads);
@@ -1514,8 +1508,9 @@ mod tests {
     /// batched and single writes, retires, area effects, commits (with
     /// their checkpoint images), a crash and an image restore, no shard
     /// holds a buffered event or has allocated a buffer, and the next
-    /// event id and the image are those of a recording engine fed the
-    /// same ops and drained.
+    /// event id and the state encoding are those of a recording engine
+    /// fed the same ops and drained (the images differ: the durable
+    /// engine's rows carry its plain writes' heads).
     #[test]
     fn durable_engines_count_events_and_keep_none() {
         use crate::ops::{gen_ops, Op};
@@ -1529,7 +1524,7 @@ mod tests {
                     assert_eq!((bus.pending().len(), bus.buffer_capacity()), (0, 0), "{shards} shards, {at}");
                 }
                 assert_eq!(dm.engine.next_event(), bare.next_event(), "{shards} shards, {at}");
-                assert_eq!(encode_image(&dm.engine, None, 0), encode_image(bare, None, 0), "{shards} shards, {at}");
+                assert_eq!(state_encoding(&dm.engine), state_encoding(bare), "{shards} shards, {at}");
             };
             let (mut ids, mut batch) = (Vec::new(), Vec::new());
             let flush = |dm: &mut DurableMetaverse, bare: &mut ShardedMetaverse, batch: &mut Vec<WriteOp>| {

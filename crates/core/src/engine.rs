@@ -11,7 +11,7 @@
 
 use crate::arena::{EntityArena, EntityRef};
 use crate::durable::DurableOp;
-use crate::entity::{Entity, EntityKind};
+use crate::entity::{Attrs, Entity, EntityKind};
 use crate::events::{Command, CoEvent, EventBus, EventKind};
 use mv_common::geom::{Aabb, Point};
 use mv_common::id::EntityId;
@@ -254,8 +254,7 @@ impl Metaverse {
     pub fn update_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) -> MvResult<bool> {
         self.advance(now);
         let slot = self.live_slot(id)?;
-        let old = self.entities.attr(slot, name);
-        self.entities.set_attr(slot, name, value);
+        let old = self.entities.set_attr(slot, name, value).unwrap_or(0.0);
         let relayed = (value - old).abs() > self.policy.attr_bound;
         if relayed {
             let auth = self.entities.kind(slot).authoritative_space();
@@ -446,6 +445,11 @@ impl Metaverse {
     /// Entities held, retired ones included.
     pub(crate) fn row_count(&self) -> usize {
         self.entities.len()
+    }
+
+    /// Entity `id`'s head timestamps: its position's and its attributes'.
+    pub(crate) fn heads_mut(&mut self, id: EntityId) -> Option<(&mut u64, &mut Attrs)> {
+        self.entities.heads_mut(id)
     }
 
     /// The two facts the probe path relies on instead of a per-hit

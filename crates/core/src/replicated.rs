@@ -77,8 +77,8 @@ fn apply_command(engine: &mut ShardedMetaverse, cmd: &[u8]) -> bool {
 /// produces and any drift between the image's encoder and decoder.
 /// `None` on either, or on structural damage.
 fn install(shards: usize, bytes: &[u8]) -> Option<ShardedMetaverse> {
-    let engine = restore_image(bytes, shards, true, None)?;
-    (encode_image(&engine, None, bytes.len()) == bytes).then_some(engine)
+    let (engine, _) = restore_image(bytes, shards, true, false)?;
+    (encode_image(&engine, 0, bytes.len()) == bytes).then_some(engine)
 }
 
 /// The region's committed commands, kept once for every replica and
@@ -568,7 +568,7 @@ impl ReplicatedMetaverse {
             }
             if slot.applied_raft.saturating_sub(slot.node.base_index()) > compact_threshold {
                 // The node's previous snapshot sizes the new one's buffers.
-                let snapshot = encode_image(engine, None, slot.node.snapshot_len());
+                let snapshot = encode_image(engine, 0, slot.node.snapshot_len());
                 slot.node.compact(slot.applied_raft, snapshot.into(), now);
                 self.log.push(format!(
                     "{now} compact {id:?} base={}",
@@ -621,7 +621,7 @@ mod tests {
 
     /// A replica's snapshot of `engine`, with no previous one to size it.
     fn snapshot(engine: &ShardedMetaverse) -> Vec<u8> {
-        encode_image(engine, None, 0)
+        encode_image(engine, 0, 0)
     }
 
     fn spawn_op(i: u64, now: SimTime) -> DurableOp {
@@ -758,19 +758,48 @@ mod tests {
         assert!(source.txn_current_ts() > 0);
         assert!(install(2, &image).is_none(), "a heads-carrying image");
         assert!(DurableMetaverse::with_defaults(2).restore(&image).is_some());
-        assert!(install(2, &snapshot(source.engine())).is_some());
+        let mut bare = ShardedMetaverse::with_defaults(2);
+        let spawn = DurableOp::Spawn { name: "a".into(), kind: EntityKind::Avatar, position: Point::ORIGIN, ts: t(1) };
+        for op in [spawn, DurableOp::Attr { id, name: "hp".into(), value: 0.5, ts: t(2) }] {
+            assert!(apply_command(&mut bare, &op.encode()));
+        }
+        assert_eq!(state_encoding(&bare), source.state_encoding());
+        assert!(install(2, &snapshot(&bare)).is_some());
     }
 
     #[test]
     fn well_formed_bytes_no_engine_produces_are_refused_by_the_re_encoding() {
         // A correct checksum over a state whose live count lies: restore
         // accepts the structure, the re-encoding does not match.
+        let reseal = |image: &mut Vec<u8>| {
+            let sum = crate::durable::image_checksum(&image[10..]);
+            image[2..10].copy_from_slice(&sum.to_le_bytes());
+        };
         let mut forged = snapshot(&rich_engine());
         forged[10 + 9] ^= 1; // low byte of the state section's live count
-        let sum = crate::durable::image_checksum(&forged[10..]);
-        forged[2..10].copy_from_slice(&sum.to_le_bytes());
-        assert!(restore_image(&forged, 2, true, None).is_some());
+        reseal(&mut forged);
+        assert!(restore_image(&forged, 2, true, false).is_some());
         assert!(install(2, &forged).is_none());
+
+        // An entity's attribute names ascend, as the encoder writes them.
+        // An image that repeats a name or lists two out of order is
+        // refused outright, by a durable restore too (a repeated name used
+        // to restore with the later value).
+        let mut engine = rich_engine();
+        for name in ["zq", "zr"] {
+            let op = DurableOp::Attr { id: mv_common::id::EntityId::new(0), name: name.into(), value: 1.0, ts: SimTime::from_millis(20) };
+            assert!(apply_command(&mut engine, &op.encode()), "{op:?}");
+        }
+        let clean = snapshot(&engine);
+        assert!(DurableMetaverse::with_defaults(2).restore(&clean).is_some());
+        let at = clean.windows(2).position(|w| w == b"zr").expect("the last name of entity 0");
+        for (name, what) in [(b"zq", "a repeated name"), (b"zp", "names that descend")] {
+            let mut forged = clean.clone();
+            forged[at..at + 2].copy_from_slice(name);
+            reseal(&mut forged);
+            assert!(restore_image(&forged, 2, true, false).is_none(), "{what}");
+            assert!(DurableMetaverse::with_defaults(2).restore(&forged).is_none(), "{what}");
+        }
     }
 
     /// The replica as it was before it became a bare engine, kept as the

@@ -41,7 +41,7 @@
 use crate::arena::EntityRef;
 use crate::durable::DurableOp;
 use crate::engine::{not_a_write, sorted_distinct, Applied, Metaverse, SyncPolicy};
-use crate::entity::{Entity, EntityKind};
+use crate::entity::{Attrs, Entity, EntityKind};
 use crate::events::CoEvent;
 use mv_common::geom::{Aabb, Point};
 use mv_common::id::{EntityId, EventId};
@@ -469,6 +469,11 @@ impl ShardedMetaverse {
     /// shard).
     pub fn entity(&self, id: EntityId) -> MvResult<EntityRef<'_>> {
         self.shards[self.owner(id)].entity(id)
+    }
+
+    /// Entity `id`'s head timestamps, in its owner shard's row.
+    pub(crate) fn heads_mut(&mut self, id: EntityId) -> Option<(&mut u64, &mut Attrs)> {
+        self.owner_shard(id).ok()?.heads_mut(id)
     }
 
     /// Number of live entities across all shards.
@@ -935,8 +940,8 @@ mod tests {
                         }
                         _ => {
                             let before = crate::durable::state_encoding(&mv);
-                            let image = crate::durable::encode_image(&mv, None, 0);
-                            mv = crate::durable::restore_image(&image, n, pick % 2 == 0, None).expect("an image restores");
+                            let image = crate::durable::encode_image(&mv, 0, 0);
+                            mv = crate::durable::restore_image(&image, n, pick % 2 == 0, false).expect("an image restores").0;
                             prop_assert_eq!(crate::durable::state_encoding(&mv), before);
                         }
                     }

@@ -30,9 +30,9 @@
 //! byte-identical recovery.
 //!
 //! A key's newest version — its *head* — is the engine's own field plus
-//! a commit timestamp in a dense column here, by entity id. Every
+//! a commit timestamp beside it in the entity's row. Every
 //! engine-accepted plain write (`DurableMetaverse::apply`, `update_attr`,
-//! `apply_batch`) stamps its column at a fresh oracle timestamp, live and
+//! `apply_batch`) stamps its field at a fresh oracle timestamp, live and
 //! on recovery alike, so a transactional snapshot never observes a torn
 //! read from a bypassing write (the anomaly DESIGN.md §10 used to
 //! document). With no snapshot live that is all it does. While one is,
@@ -51,19 +51,17 @@
 
 use crate::arena::EntityRef;
 use crate::durable::{DurableMetaverse, DurableOp};
-use crate::entity::Entity;
+use crate::entity::Attrs;
 use crate::sharded::ShardedMetaverse;
 use bytes::Bytes;
 use mv_common::codec::{put_u64, wire_u32, SliceReader};
 use mv_common::geom::Point;
-use mv_common::hash::FastMap;
 use mv_common::id::{EntityId, TxnId};
 use mv_common::time::SimTime;
 use mv_common::{MvError, MvResult};
 use mv_obs::{StatSet, TraceCtx};
 use mv_txn::mvcc::Transaction;
 use mv_txn::{IsolationLevel, ShardedMvcc};
-use std::collections::BTreeMap;
 
 // ---- MVCC key scheme ---------------------------------------------------
 //
@@ -154,37 +152,35 @@ impl<'a> Field<'a> {
         }
     }
 
-    /// The field's value in `engine`.
-    fn current(self, engine: &ShardedMetaverse) -> Option<Bytes> {
-        engine.entity(self.entity()).ok().and_then(|e| self.value(e))
+    /// The commit timestamp of the field's head in its row `e` (0: none).
+    fn ts(self, e: EntityRef<'_>) -> u64 {
+        match self {
+            Field::Position(_) => e.position_ts,
+            Field::Attr(_, name) => e.attrs.ts(name),
+        }
+    }
+
+    /// The field's value in `engine` and its head's commit timestamp
+    /// (0: none), when that is at least `min_ts`.
+    fn version(self, engine: &ShardedMetaverse, min_ts: u64) -> Option<(Bytes, u64)> {
+        let e = engine.entity(self.entity()).ok()?;
+        let ts = Some(self.ts(e)).filter(|ts| *ts >= min_ts)?;
+        Some((self.value(e)?, ts))
     }
 
     /// Entity `id`'s fields in image order: its position, then each of
     /// `attrs` in name order.
-    fn all(id: EntityId, attrs: &'a BTreeMap<String, f64>) -> impl Iterator<Item = Field<'a>> {
-        std::iter::once(Field::Position(id)).chain(attrs.keys().map(move |name| Field::Attr(id, name)))
+    fn all(id: EntityId, attrs: &'a Attrs) -> impl Iterator<Item = Field<'a>> {
+        std::iter::once(Field::Position(id)).chain(attrs.iter().map(move |(name, _)| Field::Attr(id, name)))
     }
 }
 
-/// `column[row]`, the column grown with defaults to hold it.
-fn grown<T: Default>(column: &mut Vec<T>, row: usize) -> Option<&mut T> {
-    if column.len() <= row {
-        column.resize_with(row.saturating_add(1), T::default);
-    }
-    column.get_mut(row)
-}
-
-/// Transactional state owned by [`DurableMetaverse`]: the heads'
-/// timestamp columns, the sharded MVCC chains that hold versions while
-/// a snapshot is live (serializable), and the `core.txn.*` counters.
+/// Transactional state owned by [`DurableMetaverse`]: the sharded MVCC
+/// chains that hold versions while a snapshot is live (serializable) and
+/// the `core.txn.*` counters; the heads live in the engine's rows.
 pub(crate) struct TxnState {
     pub(crate) mvcc: ShardedMvcc,
     pub(crate) stats: StatSet,
-    /// By entity id: the position head's commit timestamp (0: none).
-    position_ts: Vec<u64>,
-    /// By entity id: each attribute head's name (interned) and timestamp.
-    attr_ts: Vec<Vec<(u32, u64)>>,
-    names: FastMap<Box<str>, u32>,
 }
 
 impl TxnState {
@@ -192,50 +188,6 @@ impl TxnState {
         TxnState {
             mvcc: ShardedMvcc::new(shards.max(1), IsolationLevel::Serializable, txn_route),
             stats: StatSet::new("core.txn"),
-            position_ts: Vec::new(),
-            attr_ts: Vec::new(),
-            names: FastMap::default(),
-        }
-    }
-
-    /// Commit timestamp of `field`'s head; 0 when it has none.
-    fn head_ts(&self, field: Field<'_>) -> u64 {
-        let row = usize::try_from(field.entity().raw()).unwrap_or(usize::MAX);
-        match field {
-            Field::Position(_) => self.position_ts.get(row).copied(),
-            Field::Attr(_, name) => self.names.get(name).and_then(|n| {
-                Some(self.attr_ts.get(row)?.iter().find(|head| head.0 == *n)?.1)
-            }),
-        }
-        .unwrap_or(0)
-    }
-
-    /// Make `ts` the commit timestamp of `field`'s head.
-    fn stamp(&mut self, field: Field<'_>, ts: u64) {
-        let row = usize::try_from(field.entity().raw()).unwrap_or(usize::MAX);
-        let Field::Attr(_, name) = field else {
-            if let Some(slot) = grown(&mut self.position_ts, row) {
-                *slot = ts;
-            }
-            return;
-        };
-        let fresh = wire_u32(self.names.len());
-        let name = match self.names.get(name) {
-            Some(&n) => n,
-            None => *self.names.entry(name.into()).or_insert(fresh),
-        };
-        let Some(heads) = grown(&mut self.attr_ts, row) else { return };
-        match heads.iter_mut().find(|head| head.0 == name) {
-            Some(head) => head.1 = ts,
-            None => heads.push((name, ts)),
-        }
-    }
-
-    /// A committed transaction's `op`, which the engine applied, heads
-    /// its field at `commit_ts`.
-    pub(crate) fn stamp_commit(&mut self, op: &DurableOp, commit_ts: u64) {
-        if let Some(field) = Field::of(op) {
-            self.stamp(field, commit_ts);
         }
     }
 
@@ -245,18 +197,11 @@ impl TxnState {
     pub(crate) fn save_before_images<'a>(&self, engine: &ShardedMetaverse, ops: impl IntoIterator<Item = &'a DurableOp>) -> bool {
         let live = self.mvcc.live_snapshot_count() > 0;
         for field in ops.into_iter().take_while(|_| live).filter_map(Field::of) {
-            if let Some((value, ts)) = self.head_of(engine, field) {
+            if let Some((value, ts)) = field.version(engine, 1) {
                 self.mvcc.save_before_image(&field.key(), value, ts);
             }
         }
         live
-    }
-
-    /// `field`'s head as a version: its value in `engine` and its commit
-    /// timestamp; `None` when it has no head.
-    fn head_of(&self, engine: &ShardedMetaverse, field: Field<'_>) -> Option<(Bytes, u64)> {
-        let ts = Some(self.head_ts(field)).filter(|ts| *ts > 0)?;
-        Some((field.current(engine)?, ts))
     }
 
     /// The plain writes `accepted` (applied to `engine`, in op order)
@@ -264,14 +209,14 @@ impl TxnState {
     /// op's own time — live and on recovery alike, so the timestamps
     /// match. With a snapshot `live`, each also appends its version to
     /// the key's chain, after [`Self::save_before_images`].
-    pub(crate) fn plain_written<'a>(&mut self, engine: &ShardedMetaverse, accepted: impl IntoIterator<Item = &'a DurableOp>, live: bool) {
+    pub(crate) fn plain_written<'a>(&mut self, engine: &mut ShardedMetaverse, accepted: impl IntoIterator<Item = &'a DurableOp>, live: bool) {
         let mut written = 0;
         for (op, field) in accepted.into_iter().filter_map(|op| Some((op, Field::of(op)?))) {
             let ts = self.mvcc.oracle().next(op.ts());
-            if let Some(value) = live.then(|| field.current(engine)).flatten() {
+            if let Some((value, _)) = live.then(|| field.version(engine, 0)).flatten() {
                 self.mvcc.install_version(&field.key(), Some(value), ts);
             }
-            self.stamp(field, ts);
+            stamp(engine, op, ts);
             written += 1;
         }
         if written > 0 {
@@ -291,22 +236,31 @@ impl TxnState {
         }
         pass.dropped
     }
+}
 
-    /// Every head, as `(key, commit_ts, value)`, with the values `engine`
-    /// holds, in id order.
-    fn heads(&self, engine: &ShardedMetaverse) -> Vec<(Bytes, u64, Bytes)> {
-        let ids = (0..engine.spawned_count() as u64).map(EntityId::new);
-        let entities = ids.filter_map(|id| engine.entity(id).ok());
-        let fields = entities.flat_map(|e| Field::all(e.id, e.attrs).map(move |field| (field, e)));
-        let heads = fields.map(|(field, e)| (field, self.head_ts(field), e)).filter(|(_, ts, _)| *ts > 0);
-        heads.filter_map(|(field, ts, e)| Some((Bytes::from(field.key()), ts, field.value(e)?))).collect()
+/// Make `ts` the commit timestamp of the head of the field `op`, which
+/// `engine` applied, writes: in the field's entity's row.
+pub(crate) fn stamp(engine: &mut ShardedMetaverse, op: &DurableOp, ts: u64) {
+    let Some(field) = Field::of(op) else { return };
+    let Some((position_ts, attrs)) = engine.heads_mut(field.entity()) else { return };
+    match field {
+        Field::Position(_) => *position_ts = ts,
+        Field::Attr(_, name) => attrs.stamp(name, ts),
     }
 }
 
-/// Write `e`'s heads in `txns` into an image: its position's, then each
-/// attribute's in name order; without `txns`, `HEAD_NONE` for each.
-pub(crate) fn put_heads(txns: Option<&TxnState>, out: &mut Vec<u8>, e: EntityRef<'_>) {
-    for ts in Field::all(e.id, e.attrs).map(|field| txns.map_or(0, |txns| txns.head_ts(field))) {
+/// Every head in `engine`, as `(key, commit_ts, value)`, in id order.
+fn heads(engine: &ShardedMetaverse) -> impl Iterator<Item = (Bytes, u64, Bytes)> + '_ {
+    let ids = (0..engine.spawned_count() as u64).map(EntityId::new);
+    let fields = ids.filter_map(|id| engine.entity(id).ok()).flat_map(|e| Field::all(e.id, e.attrs));
+    let heads = fields.filter_map(|field| Some((field, field.version(engine, 1)?)));
+    heads.map(|(field, (value, ts))| (Bytes::from(field.key()), ts, value))
+}
+
+/// Write `e`'s heads into an image: its position's, then each
+/// attribute's in name order.
+pub(crate) fn put_heads(out: &mut Vec<u8>, e: EntityRef<'_>) {
+    for ts in Field::all(e.id, e.attrs).map(|field| field.ts(e)) {
         out.push(if ts == 0 { HEAD_NONE } else { HEAD_AS_FIELD });
         if ts > 0 {
             put_u64(out, ts);
@@ -314,18 +268,18 @@ pub(crate) fn put_heads(txns: Option<&TxnState>, out: &mut Vec<u8>, e: EntityRef
     }
 }
 
-/// Read back what [`put_heads`] wrote for the image's decoded `entities`
-/// into `txns`, if given, then the image's extras list, which is empty.
-/// `None` on damage: an unknown tag, a head at timestamp 0, or extras.
-pub(crate) fn decode_heads<'a>(mut txns: Option<&mut TxnState>, r: &mut SliceReader<'_>, entities: impl IntoIterator<Item = &'a Entity>) -> Option<()> {
-    for field in entities.into_iter().flat_map(|e| Field::all(e.id, &e.attrs)) {
-        let ts = match r.u8()? {
-            HEAD_NONE => continue,
-            HEAD_AS_FIELD => r.u64().filter(|ts| *ts > 0)?,
-            _ => return None,
-        };
-        if let Some(txns) = txns.as_deref_mut() {
-            txns.stamp(field, ts);
+/// Read what [`put_heads`] wrote for each entity of `engine` into its
+/// row, then the empty extras list. `None` on damage: an unknown tag, a
+/// head at timestamp 0, any head unless `heads`, or extras.
+pub(crate) fn decode_heads(engine: &mut ShardedMetaverse, r: &mut SliceReader<'_>, heads: bool) -> Option<()> {
+    for id in (0..engine.spawned_count() as u64).map(EntityId::new) {
+        let (position_ts, attrs) = engine.heads_mut(id)?;
+        for ts in std::iter::once(position_ts).chain(attrs.heads_mut()) {
+            *ts = match r.u8()? {
+                HEAD_NONE => 0,
+                HEAD_AS_FIELD if heads => r.u64().filter(|ts| *ts > 0)?,
+                _ => return None,
+            };
         }
     }
     (r.u32()? == 0).then_some(())
@@ -437,7 +391,7 @@ impl DurableMetaverse {
     /// The entity holding `field` — a key with no chain — when its head
     /// is no newer than `txn`'s snapshot.
     fn head_at(&self, txn: &MetaTxn, field: Field<'_>) -> Option<EntityRef<'_>> {
-        (self.txns.head_ts(field) <= txn.begin_ts()).then(|| self.engine.entity(field.entity()).ok())?
+        self.engine.entity(field.entity()).ok().filter(|e| field.ts(*e) <= txn.begin_ts())
     }
 
     /// Commit `txn` with cross-shard 2PC (see the module docs). Returns
@@ -510,7 +464,7 @@ impl DurableMetaverse {
 
         // A transaction begun before a recovery is no live snapshot of the
         // recovered store: a write since may be a head with no chain.
-        let newer = |key: &Bytes| Field::of_key(key).is_some_and(|f| self.txns.head_ts(f) > inner.begin_ts());
+        let newer = |key: &Bytes| Field::of_key(key).and_then(|f| f.version(&self.engine, inner.begin_ts().saturating_add(1))).is_some();
         if inner.read_keys().chain(inner.write_set().map(|(k, _)| k)).any(newer) {
             self.txns.mvcc.release(txn_id, &parts);
             self.end_aborted(txn_id, root, now, "aborted_conflict");
@@ -560,7 +514,7 @@ impl DurableMetaverse {
         // prepare-record order (phase 0 checked that the engine accepts
         // each) and stamp their heads. The engine only counts the events
         // the replay makes, so none pile up until the next `commit`.
-        let before = |key: &[u8]| Field::of_key(key).and_then(|field| self.txns.head_of(&self.engine, field));
+        let before = |key: &[u8]| Field::of_key(key).and_then(|field| field.version(&self.engine, 1));
         self.txns.mvcc.install(txn_id, parts, commit_ts, before);
         for prepare in &prepares {
             let DurableOp::TxnPrepare { ops, .. } = prepare else { continue };
@@ -568,7 +522,7 @@ impl DurableMetaverse {
                 let applied = self.engine.apply(op);
                 debug_assert!(applied.is_ok(), "a checked write was refused: {applied:?}");
                 if applied.is_ok() {
-                    self.txns.stamp_commit(op, commit_ts);
+                    stamp(&mut self.engine, op, commit_ts);
                 }
             }
         }
@@ -646,7 +600,7 @@ impl DurableMetaverse {
     /// chains, and each head with none as a one-version chain (compared
     /// across crash/recovery by the differential harness).
     pub fn txn_digest(&self) -> u64 {
-        self.txns.mvcc.digest(self.txns.heads(&self.engine))
+        self.txns.mvcc.digest(heads(&self.engine))
     }
 
     /// Garbage-collect version chains at an explicit `horizon`;
@@ -681,7 +635,7 @@ impl DurableMetaverse {
     /// versions, plus one for each head with no chain (every chain ends
     /// in a head).
     pub fn txn_version_count(&self) -> usize {
-        let heads = self.txns.heads(&self.engine).len();
+        let heads = heads(&self.engine).count();
         (self.txns.mvcc.version_count() + heads).saturating_sub(self.txns.mvcc.key_count())
     }
 
@@ -713,6 +667,7 @@ mod tests {
     use super::*;
     use crate::sharded::WriteOp;
     use crate::entity::EntityKind;
+    use std::collections::BTreeMap;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -1281,7 +1236,7 @@ mod tests {
         assert!(small.dropped <= small_installed && large.dropped <= large_installed);
     }
 
-    /// The chain store as it was before heads moved into the columns,
+    /// The chain store as it was before heads moved into the engine,
     /// driven beside a [`DurableMetaverse`]: every accepted write installs
     /// a version (`install_version`), a plain write with no snapshot live
     /// replaces its key's head (what `gc` at its timestamp leaves after
@@ -1341,7 +1296,7 @@ mod tests {
         fn read(&self, dm: &DurableMetaverse, txn: &mut Transaction, field: Field<'_>) -> Option<Bytes> {
             match self.mvcc.read_versioned(txn, &field.key()) {
                 Some(visible) => visible,
-                None => field.current(&dm.engine),
+                None => field.version(&dm.engine, 0).map(|(value, _)| value),
             }
         }
 

@@ -230,13 +230,10 @@ pub struct HistoId(u32);
 pub struct Registry {
     counter_index: BTreeMap<String, u32>,
     counters: Vec<u64>,
-    counter_names: Vec<String>,
     gauge_index: BTreeMap<String, u32>,
     gauges: Vec<f64>,
-    gauge_names: Vec<String>,
     histo_index: BTreeMap<String, u32>,
     histos: Vec<LogHistogram>,
-    histo_names: Vec<String>,
 }
 
 impl Registry {
@@ -253,7 +250,6 @@ impl Registry {
         let i = self.counters.len() as u32;
         self.counter_index.insert(name.to_string(), i);
         self.counters.push(0);
-        self.counter_names.push(name.to_string());
         CounterId(i)
     }
 
@@ -288,7 +284,6 @@ impl Registry {
         let i = self.gauges.len() as u32;
         self.gauge_index.insert(name.to_string(), i);
         self.gauges.push(0.0);
-        self.gauge_names.push(name.to_string());
         GaugeId(i)
     }
 
@@ -318,7 +313,6 @@ impl Registry {
         let i = self.histos.len() as u32;
         self.histo_index.insert(name.to_string(), i);
         self.histos.push(LogHistogram::new());
-        self.histo_names.push(name.to_string());
         HistoId(i)
     }
 
