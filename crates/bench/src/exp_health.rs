@@ -184,7 +184,7 @@ pub struct CellResult {
 
 /// Run one fault script with the SLO set armed.
 pub fn run_cell(scenario: Scenario, replicas: usize, seed: u64) -> CellResult {
-    let cfg = RegionConfig { replicas, compact_threshold: 32, ..RegionConfig::default() };
+    let cfg = RegionConfig { replicas, ..RegionConfig::default() };
     let fixed_victim = NodeId::new(u64::from(replicas > 1));
     let region = ReplicatedMetaverse::new(cfg, seed);
     let mut monitor = HealthMonitor::new(region.registry(), 512, 64);

@@ -115,7 +115,7 @@ struct CellResult {
 }
 
 fn run_cell(scenario: Scenario, replicas: usize, seed: u64) -> CellResult {
-    let cfg = RegionConfig { replicas, compact_threshold: 32, ..RegionConfig::default() };
+    let cfg = RegionConfig { replicas, ..RegionConfig::default() };
     // Members are numbered from 0; wipe a follower when one exists, the
     // lone node in the unreplicated baseline.
     let fixed_victim = NodeId::new(u64::from(replicas > 1));

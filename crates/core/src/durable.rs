@@ -800,12 +800,13 @@ impl DurableMetaverse {
     }
 
     /// The storage half of [`Self::commit`]: on the first commit and once
-    /// the log is twice the newest image, seal a new image as a batch of
-    /// its own and trim every batch before it. The engine only counts its
-    /// co-space events (nothing reads them), so there are none to drain:
-    /// the image records the next event id.
+    /// [`GroupCommitWal::checkpoint_due`] (the log is twice the newest
+    /// image, the rule raft replicas compact by too), seal a new image as
+    /// a batch of its own and trim every batch before it. The engine only
+    /// counts its co-space events (nothing reads them), so there are none
+    /// to drain: the image records the next event id.
     pub fn drain_to_storage(&mut self) {
-        if self.wal.encoded_len() >= 2 * self.image_len {
+        if self.wal.checkpoint_due(self.image_len) {
             // No public call returns between a transaction's prepare and
             // its decision (a simulated crash must be recovered first),
             // so no image can split one.

@@ -28,6 +28,9 @@
 //! checksum, state encoding, and an MVCC section that is empty here:
 //! no head, oracle 0) — so its size, and the cost of taking, shipping
 //! and installing one, follows the entities, not the age of the region.
+//! A replica compacts by the durable log's checkpoint rule (its raft log
+//! at least twice its snapshot), so its log stays about two snapshots
+//! plus what it has not applied, however large the state.
 //! Install verifies the checksum, rebuilds an engine from the image and
 //! *re-encodes* it: anything but the same bytes back is refused loudly
 //! rather than installed silently — among them a durable engine's image
@@ -145,9 +148,6 @@ pub struct RegionConfig {
     pub link_latency: SimDuration,
     /// Link loss fraction.
     pub link_loss: f64,
-    /// Compact a replica's raft log once it holds more than this many
-    /// applied-but-uncompacted entries.
-    pub compact_threshold: u64,
 }
 
 impl Default for RegionConfig {
@@ -158,7 +158,6 @@ impl Default for RegionConfig {
             raft: RaftConfig::default(),
             link_latency: SimDuration::from_millis(5),
             link_loss: 0.0,
-            compact_threshold: 64,
         }
     }
 }
@@ -462,8 +461,8 @@ impl ReplicatedMetaverse {
 
     /// One scheduler tick: deliver transport arrivals to up replicas,
     /// fire raft timers, ship outgoing messages, drain committed
-    /// entries into each engine, resolve client acks, and compact logs
-    /// past the threshold.
+    /// entries into each engine, resolve client acks, and compact each
+    /// log its node says is due ([`RaftNode::compaction_due`]).
     pub fn tick(&mut self, now: SimTime) {
         self.now = now;
         let mut sends: Vec<(NodeId, mv_raft::Outgoing)> = Vec::new();
@@ -524,7 +523,6 @@ impl ReplicatedMetaverse {
 
     fn pump_state_machines(&mut self, now: SimTime) {
         let shards = self.cfg.shards;
-        let compact_threshold = self.cfg.compact_threshold;
         for slot in self.replicas.iter_mut().filter(|s| s.engine.is_some()) {
             let id = slot.node.id();
             // A freshly accepted (or restart-recovered) snapshot
@@ -566,7 +564,7 @@ impl ReplicatedMetaverse {
                     }
                 }
             }
-            if slot.applied_raft.saturating_sub(slot.node.base_index()) > compact_threshold {
+            if slot.applied_raft > slot.node.base_index() && slot.node.compaction_due() {
                 // The node's previous snapshot sizes the new one's buffers.
                 let snapshot = encode_image(engine, 0, slot.node.snapshot_len());
                 slot.node.compact(slot.applied_raft, snapshot.into(), now);
@@ -905,27 +903,42 @@ mod tests {
     /// the rest alternate moves and `hp` writes over it, so the state's
     /// size stops growing while the history keeps doing so.
     fn steady_load(w: &mut ReplicatedMetaverse, rate: u64, load_ms: u64) {
+        pool_load(w, 64, rate, load_ms, |_, _| {});
+    }
+
+    /// [`steady_load`] over a pool of `pool` entities, calling `each_tick`
+    /// with the region and the longest command submitted so far after
+    /// every tick from the first op on.
+    fn pool_load(
+        w: &mut ReplicatedMetaverse,
+        pool: u64,
+        rate: u64,
+        load_ms: u64,
+        mut each_tick: impl FnMut(&ReplicatedMetaverse, usize),
+    ) {
         use mv_common::id::EntityId;
-        const POOL: u64 = 64;
         drive(w, 0, 1_000);
         let mut k = 0u64;
-        for ms in 1_000..1_000 + load_ms {
-            for _ in 0..rate {
+        let mut longest = 0;
+        for ms in 1_000..1_500 + load_ms {
+            let due = if ms < 1_000 + load_ms { rate } else { 0 };
+            for _ in 0..due {
                 let ts = SimTime::from_micros(ms * 1_000 + k % rate);
-                let id = EntityId::new(k % POOL);
-                let op = if k < POOL {
+                let id = EntityId::new(k % pool);
+                let op = if k < pool {
                     spawn_op(k, ts)
-                } else if (k / POOL) % 2 == 1 {
+                } else if (k / pool) % 2 == 1 {
                     DurableOp::Attr { id, name: "hp".into(), value: k as f64, ts }
                 } else {
                     DurableOp::Position { id, position: Point::new(k as f64, 1.0), ts }
                 };
+                longest = longest.max(op.encode().len());
                 assert!(w.submit(&op, ts).is_some(), "quiet network keeps its leader");
                 k += 1;
             }
             w.tick(SimTime::from_millis(ms));
+            each_tick(w, longest);
         }
-        drive(w, 1_000 + load_ms, 1_500 + load_ms);
     }
 
     #[test]
@@ -947,6 +960,116 @@ mod tests {
             assert_eq!(w.region_stats().gauge("pending_submits"), 0.0);
         }
         assert_eq!(snapshot_len[0], snapshot_len[1], "ten times the history, the same state");
+    }
+
+    /// Bytes a log holding `rec` alone, as one batch, takes: the most one
+    /// raft record adds to a node's log (records synced together share a
+    /// batch header).
+    fn batch_of_one(rec: &mv_raft::RaftRecord) -> usize {
+        let mut wal = mv_storage::GroupCommitWal::default();
+        wal.append(
+            mv_storage::WalRecord::Put {
+                key: Vec::new(),
+                value: rec.encode(),
+            },
+            SimTime::ZERO,
+        );
+        wal.sync();
+        wal.encoded_len()
+    }
+
+    /// A replica compacts by the durable log's rule, not every so many
+    /// entries. After every tick its raft log holds at most two snapshots,
+    /// plus the entries it has not applied (no compaction may drop them)
+    /// and one fence's records. Once the state has stopped growing, each
+    /// compaction waits for about one snapshot's worth of new records, so
+    /// the compactions are bounded by the bytes appended over the final
+    /// snapshot's size — about 10 per replica here, where a fixed 64-entry
+    /// count takes about 90.
+    #[test]
+    fn a_replicas_raft_log_stays_within_two_snapshots() {
+        use mv_raft::RaftRecord;
+        const POOL: u64 = 512;
+        let (index, term) = (u64::MAX, u64::MAX);
+        let fence_records = batch_of_one(&RaftRecord::Snapshot {
+            index,
+            term,
+            data: Bytes::new(),
+        }) + batch_of_one(&RaftRecord::HardState {
+            term,
+            voted: Some(NodeId::new(u64::MAX - 1)),
+        });
+        let mut w = ReplicatedMetaverse::new(RegionConfig::default(), 11);
+        let n = w.members().len();
+        // Per replica: the last base seen and the snapshot it left, the
+        // most entries ever unapplied, and every compaction's
+        // `(snapshot before it, last index when it happened)`.
+        let mut base = vec![(0u64, 0usize); n];
+        let mut unapplied_max = vec![0u64; n];
+        let mut compactions: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        let mut entry_max = 0;
+        pool_load(&mut w, POOL, 2, 3_000, |w, longest| {
+            entry_max = batch_of_one(&RaftRecord::Entry {
+                index,
+                term,
+                cmd: vec![0; longest],
+            });
+            for (i, slot) in w.replicas.iter().enumerate() {
+                let node = &slot.node;
+                let unapplied = node.last_index() - slot.applied_raft;
+                let bound =
+                    2 * node.snapshot_len() + fence_records + unapplied as usize * entry_max;
+                assert!(
+                    node.wal_len() <= bound,
+                    "{:?}: {} log bytes over {bound}",
+                    node.id(),
+                    node.wal_len()
+                );
+                unapplied_max[i] = unapplied_max[i].max(unapplied);
+                if node.base_index() != base[i].0 {
+                    compactions[i].push((base[i].1, node.last_index()));
+                    base[i] = (node.base_index(), node.snapshot_len());
+                }
+            }
+        });
+        assert!(w.violations().is_empty(), "{:?}", w.violations());
+        assert_eq!(
+            w.registry().counter_get("raft.node.snapshots_installed"),
+            0,
+            "every base moved by compaction"
+        );
+        let total: usize = compactions.iter().map(Vec::len).sum();
+        assert_eq!(
+            w.registry().counter_get("raft.node.compactions"),
+            total as u64
+        );
+        let last = snapshot(w.replicas[0].engine.as_ref().expect("up")).len();
+        for (i, taken) in compactions.iter().enumerate() {
+            assert_eq!(
+                base[i].1, last,
+                "replica {i}'s last snapshot is the final state"
+            );
+            // From the first compaction that follows a final-size snapshot
+            // on, each one needed `last` less one fence's records and the
+            // unapplied entries of new bytes, and each entry appended brought
+            // at most `entry_max`.
+            let steady: Vec<u64> = taken
+                .iter()
+                .filter(|(before, _)| *before == last)
+                .map(|&(_, at)| at)
+                .collect();
+            let (Some(first), Some(end)) = (steady.first(), steady.last()) else {
+                panic!("replica {i}: no steady compactions")
+            };
+            let per = last - fence_records - unapplied_max[i] as usize * entry_max;
+            let appended = (end - first) as usize * entry_max;
+            assert!(
+                steady.len() - 1 <= appended / per,
+                "replica {i}: {} compactions for {appended} bytes at {per}",
+                steady.len() - 1
+            );
+            assert!(steady.len() >= 2, "replica {i} compacted the steady state");
+        }
     }
 
     #[test]

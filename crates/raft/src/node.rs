@@ -235,6 +235,19 @@ impl RaftNode {
         self.snapshot.as_ref().map_or(0, Bytes::len)
     }
 
+    /// Bytes of the node's durable log, its snapshot record included.
+    pub fn wal_len(&self) -> usize {
+        self.wal.encoded_len()
+    }
+
+    /// Is a [`Self::compact`] due? The durable engine's checkpoint rule
+    /// ([`GroupCommitWal::checkpoint_due`]) on this node's log against its
+    /// snapshot: the log is bounded by about two snapshots plus what has
+    /// not been applied yet, a size set by the state, not the history.
+    pub fn compaction_due(&self) -> bool {
+        self.wal.checkpoint_due(self.snapshot_len())
+    }
+
     /// Group size (peers + self).
     pub fn members(&self) -> usize {
         self.peers.len() + 1

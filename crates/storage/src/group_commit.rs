@@ -315,6 +315,17 @@ impl GroupCommitWal {
         self.log.len()
     }
 
+    /// The checkpoint rule of the durable engine and of raft replicas:
+    /// seal a new image once the log is at least twice the newest image of
+    /// `image_len` bytes (0 = none yet, so the first call is due). A fence
+    /// leaves the log at about one image, so between checkpoints it takes
+    /// about one image's worth of records: the log stays near two images
+    /// however long the history, and writing images stays a fixed share of
+    /// the bytes logged (Raft's snapshot-when-the-log-outgrows-the-state).
+    pub fn checkpoint_due(&self, image_len: usize) -> bool {
+        self.encoded_len() >= 2 * image_len
+    }
+
     /// Flip bit `bit` (0–7) of byte `offset` in the durable log.
     /// Returns false (no-op) when `offset` is out of range.
     pub fn inject_bit_flip(&mut self, offset: usize, bit: u8) -> bool {

@@ -108,10 +108,12 @@ struct RunResult {
     applied_all: bool,
     /// Proposals still waiting for their leader's commit at the end.
     pending_submits: f64,
+    /// Snapshots accepted region-wide (`raft.node.snapshots_installed`).
+    snapshots_installed: u64,
 }
 
 fn run(scenario: Scenario, replicas: usize, seed: u64) -> RunResult {
-    let cfg = RegionConfig { replicas, compact_threshold: 32, ..RegionConfig::default() };
+    let cfg = RegionConfig { replicas, ..RegionConfig::default() };
     let mut world = World {
         region: ReplicatedMetaverse::new(cfg, seed),
         victim: None,
@@ -183,6 +185,10 @@ fn run(scenario: Scenario, replicas: usize, seed: u64) -> RunResult {
         log_hash: fx_hash_one(&w.region.log),
         applied_all,
         pending_submits: w.region.region_stats().gauge("pending_submits"),
+        snapshots_installed: w
+            .region
+            .registry()
+            .counter_get("raft.node.snapshots_installed"),
     }
 }
 
@@ -255,6 +261,10 @@ fn wiped_node_catches_up_via_snapshot() {
         let label = format!("wipe-crash/{replicas}");
         let r = run(Scenario::WipeCrash, replicas, 44);
         assert_safety(&r, &label);
+        assert!(
+            r.snapshots_installed >= 1,
+            "{label}: the wiped node caught up without a snapshot"
+        );
         let again = run(Scenario::WipeCrash, replicas, 44);
         assert_deterministic(&r, &again, &label);
     }
