@@ -847,7 +847,7 @@ impl DurableMetaverse {
         let parallel = self.engine.parallel_apply();
         self.engine = ShardedMetaverse::counting(self.engine.shard_count());
         self.engine.set_parallel_apply(parallel);
-        self.txns = TxnState::new(self.txns.mvcc.shard_count());
+        self.txns.reset();
         self.image_len = 0;
         fn image_of(rec: WalRecordRef<'_>) -> Option<&[u8]> {
             match rec {
@@ -933,7 +933,7 @@ impl DurableMetaverse {
         let (shards, parallel) = (self.engine.shard_count(), self.engine.parallel_apply());
         let (engine, oracle) = restore_image(image, shards, parallel, true)?;
         self.engine = engine;
-        self.txns = TxnState::new(self.txns.mvcc.shard_count());
+        self.txns.reset();
         self.txns.mvcc.oracle().advance_past(oracle);
         self.image_len = image.len();
         Some(())

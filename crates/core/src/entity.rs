@@ -117,9 +117,11 @@ impl Attrs {
         self.0.last().is_none_or(|last| last.0 < name).then(|| self.0.push((name, value, 0)))
     }
 
-    /// The commit timestamp of `name`'s head (0: none).
-    pub(crate) fn ts(&self, name: &str) -> u64 {
-        self.find(name).ok().and_then(|at| self.0.get(at)).map_or(0, |attr| attr.2)
+    /// The value of attribute `name` and its head's commit timestamp
+    /// (0: none).
+    pub(crate) fn head(&self, name: &str) -> Option<(f64, u64)> {
+        let attr = self.0.get(self.find(name).ok()?)?;
+        Some((attr.1, attr.2))
     }
 
     /// Make `ts` the commit timestamp of `name`'s head, if it is held.
@@ -196,7 +198,7 @@ mod tests {
             }
             for name in NAMES.iter().copied().chain(["missing"]) {
                 proptest::prop_assert_eq!(attrs.get(name), model.get(name).map(|held| &held.0));
-                proptest::prop_assert_eq!(attrs.ts(name), model.get(name).map_or(0, |held| held.1));
+                proptest::prop_assert_eq!(attrs.head(name), model.get(name).copied());
             }
             let want: Vec<(&str, &f64)> = model.iter().map(|(name, held)| (name.as_str(), &held.0)).collect();
             proptest::prop_assert_eq!(attrs.iter().collect::<Vec<_>>(), want);

@@ -53,48 +53,115 @@ use crate::arena::EntityRef;
 use crate::durable::{DurableMetaverse, DurableOp};
 use crate::entity::Attrs;
 use crate::sharded::ShardedMetaverse;
-use bytes::Bytes;
 use mv_common::codec::{put_u64, wire_u32, SliceReader};
 use mv_common::geom::Point;
+use mv_common::hash::FastMap;
 use mv_common::id::{EntityId, TxnId};
 use mv_common::time::SimTime;
 use mv_common::{MvError, MvResult};
 use mv_obs::{StatSet, TraceCtx};
-use mv_txn::mvcc::Transaction;
-use mv_txn::{IsolationLevel, ShardedMvcc};
+use mv_txn::{IsolationLevel, MvccKey, ShardedMvcc, Transaction};
+use std::ops::RangeBounds;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-// ---- MVCC key scheme ---------------------------------------------------
+// ---- MVCC keys ---------------------------------------------------------
 //
-// Version chains are keyed by entity field: `[tag][entity id LE 8B]…`.
-// Routing hashes only the id bytes, so every key of one entity lands on
-// one MVCC shard.
+// A version chain is keyed by the field it versions, `(entity, field)`:
+// the position, or an attribute by its id in `TxnState`'s name table. A
+// version holds the field's value as the engine holds it, a point or a
+// number. Keys route by a hash of the entity id's bytes, as a
+// transaction's prepare records do, so every key of one entity lands on
+// one MVCC shard and the prepares name the shards its keys live on. The
+// digest hashes each key as the bytes `[tag][entity id LE][name]` and
+// each value as its floats, little-endian: the byte keys and values the
+// store once held, in their order, so digests compare across versions.
 
-const KEY_POSITION: u8 = 0;
-const KEY_ATTR: u8 = 1;
-
-/// Shard router: hash the embedded entity-id bytes, as a transaction's
-/// prepare records route its ops, so both name the same shard.
-pub(crate) fn txn_route(key: &[u8], shards: usize) -> usize {
-    let id_bytes = key.get(1..9).unwrap_or(key);
-    mv_storage::sharded_kv::shard_of_key(id_bytes, shards)
+/// The MVCC shard of entity `id`'s keys, of `shards`.
+fn shard_of(id: EntityId, shards: usize) -> usize {
+    mv_storage::sharded_kv::shard_of_key(&id.raw().to_le_bytes(), shards)
 }
 
-fn f64_value(v: f64) -> Bytes {
-    Bytes::copy_from_slice(&v.to_le_bytes())
+/// A field's MVCC key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct FieldKey {
+    id: EntityId,
+    field: FieldId,
 }
 
-fn decode_f64(b: &Bytes) -> Option<f64> {
-    b.as_ref().try_into().ok().map(f64::from_le_bytes)
+/// Which of an entity's fields a key versions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum FieldId {
+    Position,
+    /// An attribute, by its id in [`Names`].
+    Attr(u32),
 }
 
-fn point_value(p: Point) -> Bytes {
-    Bytes::from([p.x.to_le_bytes(), p.y.to_le_bytes()].concat())
+impl MvccKey for FieldKey {
+    type Ref = FieldKey;
+    fn owned(key: &FieldKey) -> FieldKey {
+        *key
+    }
 }
 
-fn decode_point(b: &Bytes) -> Option<Point> {
-    let x: [u8; 8] = b.get(0..8)?.try_into().ok()?;
-    let y: [u8; 8] = b.get(8..16)?.try_into().ok()?;
-    (b.len() == 16).then(|| Point::new(f64::from_le_bytes(x), f64::from_le_bytes(y)))
+/// The MVCC router: by the key's entity (see [`shard_of`]).
+fn route(key: &FieldKey, shards: usize) -> usize {
+    shard_of(key.id, shards)
+}
+
+/// What a version holds: its field's value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum FieldValue {
+    Position(Point),
+    Attr(f64),
+}
+
+impl FieldValue {
+    /// Append the bytes the digest hashes for this value.
+    fn put(self, out: &mut Vec<u8>) {
+        match self {
+            FieldValue::Position(p) => {
+                out.extend_from_slice(&p.x.to_le_bytes());
+                out.extend_from_slice(&p.y.to_le_bytes());
+            }
+            FieldValue::Attr(v) => out.extend_from_slice(&v.to_le_bytes()),
+        }
+    }
+}
+
+/// Attribute names by id: the table a key's [`FieldId::Attr`] indexes.
+/// Ids are never reused, so a key means the same field for as long as
+/// the table lives.
+#[derive(Debug, Default)]
+struct Names {
+    ids: FastMap<Box<str>, u32>,
+    names: Vec<Box<str>>,
+}
+
+impl Names {
+    /// `field`'s key; a new attribute name takes the next id.
+    fn key(&mut self, field: Field<'_>) -> FieldKey {
+        let field_id = match field {
+            Field::Position(_) => FieldId::Position,
+            Field::Attr(_, name) => FieldId::Attr(match self.ids.get(name) {
+                Some(at) => *at,
+                None => {
+                    let at = wire_u32(self.names.len());
+                    self.names.push(name.into());
+                    self.ids.insert(name.into(), at);
+                    at
+                }
+            }),
+        };
+        FieldKey { id: field.entity(), field: field_id }
+    }
+
+    /// The field `key` names.
+    fn field(&self, key: FieldKey) -> Option<Field<'_>> {
+        match key.field {
+            FieldId::Position => Some(Field::Position(key.id)),
+            FieldId::Attr(at) => Some(Field::Attr(key.id, self.names.get(at as usize)?)),
+        }
+    }
 }
 
 /// How an image writes one head: none (timestamp 0), or the engine's
@@ -104,7 +171,7 @@ const HEAD_AS_FIELD: u8 = 1;
 
 /// The engine field a move or an attribute write addresses: what one
 /// MVCC key versions.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Field<'a> {
     Position(EntityId),
     Attr(EntityId, &'a str),
@@ -113,19 +180,14 @@ enum Field<'a> {
 impl<'a> Field<'a> {
     /// The field `op` writes, if it is a transactional leaf op.
     fn of(op: &'a DurableOp) -> Option<Self> {
-        match op {
-            DurableOp::Position { id, .. } => Some(Field::Position(*id)),
-            DurableOp::Attr { id, name, .. } => Some(Field::Attr(*id, name)),
-            _ => None,
-        }
+        Self::written(op).map(|(field, _)| field)
     }
 
-    /// The field `key` names (the inverse of [`Self::key`]).
-    fn of_key(key: &'a [u8]) -> Option<Self> {
-        let id = EntityId::new(u64::from_le_bytes(key.get(1..9)?.try_into().ok()?));
-        match (*key.first()?, key.get(9..)?) {
-            (KEY_POSITION, []) => Some(Field::Position(id)),
-            (KEY_ATTR, name) => Some(Field::Attr(id, std::str::from_utf8(name).ok()?)),
+    /// The field `op` writes and the value it writes there.
+    fn written(op: &'a DurableOp) -> Option<(Self, FieldValue)> {
+        match op {
+            DurableOp::Position { id, position, .. } => Some((Field::Position(*id), FieldValue::Position(*position))),
+            DurableOp::Attr { id, name, value, .. } => Some((Field::Attr(*id, name), FieldValue::Attr(*value))),
             _ => None,
         }
     }
@@ -135,37 +197,31 @@ impl<'a> Field<'a> {
         id
     }
 
-    /// The field's MVCC key.
-    fn key(self) -> Vec<u8> {
+    /// Append the bytes the digest hashes for this field's key:
+    /// `[tag][entity id LE][name]`, tag 0 the position and 1 an attribute.
+    fn put_key(self, out: &mut Vec<u8>) {
         let (tag, name) = match self {
-            Field::Position(_) => (KEY_POSITION, ""),
-            Field::Attr(_, name) => (KEY_ATTR, name),
+            Field::Position(_) => (0, ""),
+            Field::Attr(_, name) => (1, name),
         };
-        [[tag].as_slice(), &self.entity().raw().to_le_bytes(), name.as_bytes()].concat()
+        out.push(tag);
+        out.extend_from_slice(&self.entity().raw().to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
     }
 
-    /// The field's value in `e`, as a version holds it.
-    fn value(self, e: EntityRef<'_>) -> Option<Bytes> {
+    /// The field's value in its row `e`, as a version holds it, and its
+    /// head's commit timestamp (0: none).
+    fn head(self, e: EntityRef<'_>) -> Option<(FieldValue, u64)> {
         match self {
-            Field::Position(_) => Some(point_value(e.position)),
-            Field::Attr(_, name) => e.attrs.get(name).map(|v| f64_value(*v)),
-        }
-    }
-
-    /// The commit timestamp of the field's head in its row `e` (0: none).
-    fn ts(self, e: EntityRef<'_>) -> u64 {
-        match self {
-            Field::Position(_) => e.position_ts,
-            Field::Attr(_, name) => e.attrs.ts(name),
+            Field::Position(_) => Some((FieldValue::Position(e.position), e.position_ts)),
+            Field::Attr(_, name) => e.attrs.head(name).map(|(value, ts)| (FieldValue::Attr(value), ts)),
         }
     }
 
     /// The field's value in `engine` and its head's commit timestamp
-    /// (0: none), when that is at least `min_ts`.
-    fn version(self, engine: &ShardedMetaverse, min_ts: u64) -> Option<(Bytes, u64)> {
-        let e = engine.entity(self.entity()).ok()?;
-        let ts = Some(self.ts(e)).filter(|ts| *ts >= min_ts)?;
-        Some((self.value(e)?, ts))
+    /// (0: none), when that is in `at`.
+    fn version(self, engine: &ShardedMetaverse, at: impl RangeBounds<u64>) -> Option<(FieldValue, u64)> {
+        self.head(engine.entity(self.entity()).ok()?).filter(|(_, ts)| at.contains(ts))
     }
 
     /// Entity `id`'s fields in image order: its position, then each of
@@ -176,19 +232,38 @@ impl<'a> Field<'a> {
 }
 
 /// Transactional state owned by [`DurableMetaverse`]: the sharded MVCC
-/// chains that hold versions while a snapshot is live (serializable) and
-/// the `core.txn.*` counters; the heads live in the engine's rows.
+/// chains that hold versions while a snapshot is live (serializable), the
+/// attribute names their keys use, and the `core.txn.*` counters; the
+/// heads live in the engine's rows.
 pub(crate) struct TxnState {
-    pub(crate) mvcc: ShardedMvcc,
+    pub(crate) mvcc: ShardedMvcc<FieldKey, FieldValue>,
+    /// Behind a lock because a transactional read (`&self`) may meet a
+    /// name first.
+    names: Mutex<Names>,
     pub(crate) stats: StatSet,
 }
 
 impl TxnState {
     pub(crate) fn new(shards: usize) -> Self {
         TxnState {
-            mvcc: ShardedMvcc::new(shards.max(1), IsolationLevel::Serializable, txn_route),
+            mvcc: ShardedMvcc::with_router(shards.max(1), IsolationLevel::Serializable, route),
+            names: Mutex::default(),
             stats: StatSet::new("core.txn"),
         }
+    }
+
+    /// Start over as a recovery does: no chain, snapshot or count, on
+    /// as many shards. The name table stays, so a transaction begun
+    /// before still names the same fields.
+    pub(crate) fn reset(&mut self) {
+        let names = std::mem::take(&mut self.names);
+        *self = TxnState { names, ..TxnState::new(self.mvcc.shard_count()) };
+    }
+
+    /// The name table. A panic inside [`Names::key`] leaves at most a
+    /// name no id points to, so a poisoned table is still a valid one.
+    fn names(&self) -> MutexGuard<'_, Names> {
+        self.names.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether a snapshot is live; if one is, before `ops` overwrite their
@@ -196,9 +271,12 @@ impl TxnState {
     /// head the write supersedes. A field with no head keeps nothing.
     pub(crate) fn save_before_images<'a>(&self, engine: &ShardedMetaverse, ops: impl IntoIterator<Item = &'a DurableOp>) -> bool {
         let live = self.mvcc.live_snapshot_count() > 0;
-        for field in ops.into_iter().take_while(|_| live).filter_map(Field::of) {
-            if let Some((value, ts)) = field.version(engine, 1) {
-                self.mvcc.save_before_image(&field.key(), value, ts);
+        if live {
+            let mut names = self.names();
+            for field in ops.into_iter().filter_map(Field::of) {
+                if let Some((value, ts)) = field.version(engine, 1..) {
+                    self.mvcc.save_before_image(&names.key(field), value, ts);
+                }
             }
         }
         live
@@ -213,8 +291,9 @@ impl TxnState {
         let mut written = 0;
         for (op, field) in accepted.into_iter().filter_map(|op| Some((op, Field::of(op)?))) {
             let ts = self.mvcc.oracle().next(op.ts());
-            if let Some((value, _)) = live.then(|| field.version(engine, 0)).flatten() {
-                self.mvcc.install_version(&field.key(), Some(value), ts);
+            if let Some((value, _)) = live.then(|| field.version(engine, ..)).flatten() {
+                let key = names_mut(&mut self.names).key(field);
+                self.mvcc.install_version(&key, Some(value), ts);
             }
             stamp(engine, op, ts);
             written += 1;
@@ -238,6 +317,11 @@ impl TxnState {
     }
 }
 
+/// The name table, without locking: `&mut` proves no one else holds it.
+fn names_mut(names: &mut Mutex<Names>) -> &mut Names {
+    names.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Make `ts` the commit timestamp of the head of the field `op`, which
 /// `engine` applied, writes: in the field's entity's row.
 pub(crate) fn stamp(engine: &mut ShardedMetaverse, op: &DurableOp, ts: u64) {
@@ -249,18 +333,18 @@ pub(crate) fn stamp(engine: &mut ShardedMetaverse, op: &DurableOp, ts: u64) {
     }
 }
 
-/// Every head in `engine`, as `(key, commit_ts, value)`, in id order.
-fn heads(engine: &ShardedMetaverse) -> impl Iterator<Item = (Bytes, u64, Bytes)> + '_ {
+/// Every head in `engine`, as its field and `(value, commit_ts)`, in id
+/// order.
+fn heads(engine: &ShardedMetaverse) -> impl Iterator<Item = (Field<'_>, (FieldValue, u64))> + '_ {
     let ids = (0..engine.spawned_count() as u64).map(EntityId::new);
     let fields = ids.filter_map(|id| engine.entity(id).ok()).flat_map(|e| Field::all(e.id, e.attrs));
-    let heads = fields.filter_map(|field| Some((field, field.version(engine, 1)?)));
-    heads.map(|(field, (value, ts))| (Bytes::from(field.key()), ts, value))
+    fields.filter_map(|field| Some((field, field.version(engine, 1..)?)))
 }
 
 /// Write `e`'s heads into an image: its position's, then each
 /// attribute's in name order.
 pub(crate) fn put_heads(out: &mut Vec<u8>, e: EntityRef<'_>) {
-    for ts in Field::all(e.id, e.attrs).map(|field| field.ts(e)) {
+    for ts in Field::all(e.id, e.attrs).map(|field| field.head(e).map_or(0, |(_, ts)| ts)) {
         out.push(if ts == 0 { HEAD_NONE } else { HEAD_AS_FIELD });
         if ts > 0 {
             put_u64(out, ts);
@@ -286,12 +370,14 @@ pub(crate) fn decode_heads(engine: &mut ShardedMetaverse, r: &mut SliceReader<'_
 }
 
 /// An open transaction against a [`DurableMetaverse`]: a snapshot
-/// handle, buffered writes, and the durable ops to replay on commit.
-/// Reads go through [`DurableMetaverse::txn_read_attr`] /
+/// handle with its read set, and the buffered writes as the durable ops
+/// to replay on commit. Reads go through
+/// [`DurableMetaverse::txn_read_attr`] /
 /// [`DurableMetaverse::txn_read_position`]; writes buffer locally here
-/// and touch nothing until [`DurableMetaverse::commit_txn`].
+/// and touch nothing until [`DurableMetaverse::commit_txn`], which keys
+/// them.
 pub struct MetaTxn {
-    pub(crate) inner: Transaction,
+    pub(crate) inner: Transaction<FieldKey, FieldValue>,
     pub(crate) ops: Vec<DurableOp>,
     pub(crate) root: Option<TraceCtx>,
 }
@@ -309,19 +395,23 @@ impl MetaTxn {
 
     /// Buffer an attribute write.
     pub fn write_attr(&mut self, id: EntityId, name: &str, value: f64, now: SimTime) {
-        self.inner.write(Field::Attr(id, name).key(), f64_value(value));
         self.ops.push(DurableOp::Attr { id, name: name.to_string(), value, ts: now });
     }
 
     /// Buffer a ground-truth position write.
     pub fn write_position(&mut self, id: EntityId, position: Point, now: SimTime) {
-        self.inner.write(Field::Position(id).key(), point_value(position));
         self.ops.push(DurableOp::Position { id, position, ts: now });
     }
 
-    /// Number of buffered writes (distinct keys).
+    /// Number of buffered writes (distinct fields).
     pub fn write_count(&self) -> usize {
-        self.inner.write_count()
+        let fields = || self.ops.iter().filter_map(Field::of);
+        fields().enumerate().filter(|(i, field)| !fields().skip(i + 1).any(|later| later == *field)).count()
+    }
+
+    /// The value the newest buffered write to `field` writes.
+    fn buffered(&self, field: Field<'_>) -> Option<FieldValue> {
+        self.ops.iter().rev().filter_map(Field::written).find(|(written, _)| *written == field).map(|(_, value)| value)
     }
 }
 
@@ -371,27 +461,33 @@ impl DurableMetaverse {
     /// the engine's value, if its head is no newer than the snapshot.
     /// `None` = entity/attribute absent at the snapshot.
     pub fn txn_read_attr(&self, txn: &mut MetaTxn, id: EntityId, name: &str) -> Option<f64> {
-        let field = Field::Attr(id, name);
-        match self.txns.mvcc.read_versioned(&mut txn.inner, &field.key()) {
-            Some(visible) => visible.as_ref().and_then(decode_f64),
-            None => self.head_at(txn, field)?.attrs.get(name).copied(),
+        match self.txn_read(txn, Field::Attr(id, name))? {
+            FieldValue::Attr(value) => Some(value),
+            FieldValue::Position(_) => None,
         }
     }
 
     /// Read a ground-truth position inside `txn` (same rules as
     /// [`Self::txn_read_attr`]).
     pub fn txn_read_position(&self, txn: &mut MetaTxn, id: EntityId) -> Option<Point> {
-        let field = Field::Position(id);
-        match self.txns.mvcc.read_versioned(&mut txn.inner, &field.key()) {
-            Some(visible) => visible.as_ref().and_then(decode_point),
-            None => self.head_at(txn, field).map(|e| e.position),
+        match self.txn_read(txn, Field::Position(id))? {
+            FieldValue::Position(position) => Some(position),
+            FieldValue::Attr(_) => None,
         }
     }
 
-    /// The entity holding `field` — a key with no chain — when its head
-    /// is no newer than `txn`'s snapshot.
-    fn head_at(&self, txn: &MetaTxn, field: Field<'_>) -> Option<EntityRef<'_>> {
-        self.engine.entity(field.entity()).ok().filter(|e| field.ts(*e) <= txn.begin_ts())
+    /// Read `field` inside `txn` (see [`Self::txn_read_attr`]), recording
+    /// the read for validation.
+    fn txn_read(&self, txn: &mut MetaTxn, field: Field<'_>) -> Option<FieldValue> {
+        let key = self.txns.names().key(field);
+        let visible = self.txns.mvcc.read_versioned(&mut txn.inner, &key);
+        if let Some(value) = txn.buffered(field) {
+            return Some(value);
+        }
+        match visible {
+            Some(visible) => visible,
+            None => field.version(&self.engine, ..=txn.begin_ts()).map(|(value, _)| value),
+        }
     }
 
     /// Commit `txn` with cross-shard 2PC (see the module docs). Returns
@@ -414,7 +510,7 @@ impl DurableMetaverse {
         now: SimTime,
         crash: Option<TxnCrashPoint>,
     ) -> MvResult<Option<u64>> {
-        let MetaTxn { inner, ops, root } = txn;
+        let MetaTxn { mut inner, ops, root } = txn;
         let txn_id = inner.id;
         // Phase 0: every write must be one the engine accepts, checked
         // before any lock or log record — the plain path's refusal.
@@ -434,6 +530,13 @@ impl DurableMetaverse {
             }
             Ok(None)
         };
+
+        // Key the write set: each buffered op's field, at the value the
+        // newest write to it writes.
+        let names = names_mut(&mut self.txns.names);
+        for (field, value) in ops.iter().filter_map(Field::written) {
+            inner.write(names.key(field), value);
+        }
 
         // Phase 1a: validate + write-lock every participant shard
         // (write shards, plus read shards for serializable validation),
@@ -464,8 +567,9 @@ impl DurableMetaverse {
 
         // A transaction begun before a recovery is no live snapshot of the
         // recovered store: a write since may be a head with no chain.
-        let newer = |key: &Bytes| Field::of_key(key).and_then(|f| f.version(&self.engine, inner.begin_ts().saturating_add(1))).is_some();
-        if inner.read_keys().chain(inner.write_set().map(|(k, _)| k)).any(newer) {
+        let names = names_mut(&mut self.txns.names);
+        let newer = |key: &FieldKey| names.field(*key).and_then(|f| f.version(&self.engine, inner.begin_ts().saturating_add(1)..)).is_some();
+        if inner.write_set().map(|(k, _)| k).chain(inner.read_only_keys()).any(newer) {
             self.txns.mvcc.release(txn_id, &parts);
             self.end_aborted(txn_id, root, now, "aborted_conflict");
             return Err(MvError::Conflict("a head is newer than the snapshot".into()));
@@ -514,7 +618,8 @@ impl DurableMetaverse {
         // prepare-record order (phase 0 checked that the engine accepts
         // each) and stamp their heads. The engine only counts the events
         // the replay makes, so none pile up until the next `commit`.
-        let before = |key: &[u8]| Field::of_key(key).and_then(|field| field.version(&self.engine, 1));
+        let names = names_mut(&mut self.txns.names);
+        let before = |key: &FieldKey| names.field(*key)?.version(&self.engine, 1..);
         self.txns.mvcc.install(txn_id, parts, commit_ts, before);
         for prepare in &prepares {
             let DurableOp::TxnPrepare { ops, .. } = prepare else { continue };
@@ -563,23 +668,21 @@ impl DurableMetaverse {
     /// `txn`'s buffered ops as its [`DurableOp::TxnPrepare`] records:
     /// one per write shard in ascending shard order, program order kept
     /// within each. An op routes by its entity id, exactly as its MVCC
-    /// key does (see [`txn_route`]).
-    fn prepare_records(&self, txn: u64, ops: Vec<DurableOp>, now: SimTime) -> Vec<DurableOp> {
+    /// key does (see [`shard_of`]).
+    fn prepare_records(&self, txn: u64, mut ops: Vec<DurableOp>, now: SimTime) -> Vec<DurableOp> {
         let n = self.txns.mvcc.shard_count();
-        let mut by_shard: Vec<Vec<DurableOp>> = vec![Vec::new(); n];
-        for op in ops {
-            let Some(id) = op.entity() else { continue };
-            let si = mv_storage::sharded_kv::shard_of_key(&id.raw().to_le_bytes(), n);
-            if let Some(shard_ops) = by_shard.get_mut(si) {
-                shard_ops.push(op);
-            }
+        let shard = |op: &DurableOp| op.entity().map(|id| shard_of(id, n));
+        ops.retain(|op| shard(op).is_some());
+        // Stable: program order stays within each shard. The last shard's
+        // ops keep the buffer, so a single-shard commit copies none.
+        ops.sort_by_key(shard);
+        let mut records = Vec::new();
+        while let Some(si) = ops.first().and_then(shard) {
+            let rest = ops.split_off(ops.partition_point(|op| shard(op) == Some(si)));
+            let shard_ops = std::mem::replace(&mut ops, rest);
+            records.push(DurableOp::TxnPrepare { txn, shard: wire_u32(si), ops: shard_ops, ts: now });
         }
-        by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, shard_ops)| !shard_ops.is_empty())
-            .map(|(si, ops)| DurableOp::TxnPrepare { txn, shard: wire_u32(si), ops, ts: now })
-            .collect()
+        records
     }
 
     /// The `core.txn.*` counters. A recovery starts them at zero, and
@@ -600,7 +703,10 @@ impl DurableMetaverse {
     /// chains, and each head with none as a one-version chain (compared
     /// across crash/recovery by the differential harness).
     pub fn txn_digest(&self) -> u64 {
-        self.txns.mvcc.digest(heads(&self.engine))
+        let mut names = self.txns.names();
+        let heads: Vec<_> = heads(&self.engine).map(|(field, (value, ts))| (names.key(field), ts, value)).collect();
+        let key_bytes = |key: &FieldKey, out: &mut Vec<u8>| names.field(*key).into_iter().for_each(|field| field.put_key(out));
+        self.txns.mvcc.digest_by(heads, key_bytes, |value, out| value.put(out))
     }
 
     /// Garbage-collect version chains at an explicit `horizon`;
@@ -667,7 +773,43 @@ mod tests {
     use super::*;
     use crate::sharded::WriteOp;
     use crate::entity::EntityKind;
+    use bytes::Bytes;
     use std::collections::BTreeMap;
+
+    // ---- the byte-keyed store, as the test oracle -------------------------
+    //
+    // Before keys were typed, a chain was keyed by `[tag][entity id LE][name]`
+    // and held its value's floats little-endian, and the router hashed the
+    // id bytes. [`Reference`] drives `mv-txn`'s byte instantiation that way.
+
+    impl Field<'_> {
+        /// The field's byte key: the bytes the digest hashes for it.
+        fn key(self) -> Vec<u8> {
+            let mut key = Vec::new();
+            self.put_key(&mut key);
+            key
+        }
+    }
+
+    /// The byte router: the id bytes of the key, hashed as [`shard_of`] does.
+    fn txn_route(key: &[u8], shards: usize) -> usize {
+        mv_storage::sharded_kv::shard_of_key(key.get(1..9).unwrap_or(key), shards)
+    }
+
+    /// A value as the byte store holds it.
+    fn value_bytes(value: FieldValue) -> Bytes {
+        let mut bytes = Vec::new();
+        value.put(&mut bytes);
+        Bytes::from(bytes)
+    }
+
+    fn f64_value(v: f64) -> Bytes {
+        value_bytes(FieldValue::Attr(v))
+    }
+
+    fn point_value(p: Point) -> Bytes {
+        value_bytes(FieldValue::Position(p))
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -1242,7 +1384,7 @@ mod tests {
     /// replaces its key's head (what `gc` at its timestamp leaves after
     /// the append), and every transaction's end runs `auto_gc`.
     struct Reference {
-        mvcc: ShardedMvcc,
+        mvcc: ShardedMvcc<Bytes, Bytes>,
         /// Each key's newest version: what a recovery rebuilds.
         heads: BTreeMap<Vec<u8>, (u64, Bytes)>,
     }
@@ -1251,7 +1393,7 @@ mod tests {
     /// reference's commit checks the engine accepts writes to.
     struct Held {
         txn: MetaTxn,
-        reference: Transaction,
+        reference: Transaction<Bytes, Bytes>,
         ids: Vec<EntityId>,
     }
 
@@ -1293,10 +1435,10 @@ mod tests {
         }
 
         /// A snapshot read: the chain's version, else the engine's value.
-        fn read(&self, dm: &DurableMetaverse, txn: &mut Transaction, field: Field<'_>) -> Option<Bytes> {
+        fn read(&self, dm: &DurableMetaverse, txn: &mut Transaction<Bytes, Bytes>, field: Field<'_>) -> Option<Bytes> {
             match self.mvcc.read_versioned(txn, &field.key()) {
                 Some(visible) => visible,
-                None => field.version(&dm.engine, 0).map(|(value, _)| value),
+                None => field.version(&dm.engine, ..).map(|(value, _)| value_bytes(value)),
             }
         }
 
@@ -1474,6 +1616,99 @@ mod tests {
                 proptest::prop_assert_eq!(dm.txn_current_ts(), reference.mvcc.oracle().current());
                 if held.is_empty() {
                     proptest::prop_assert_eq!(dm.txns.mvcc.key_count(), 0, "a chain with no snapshot open");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Typed keys against the byte keys they replaced. Groups of
+        /// transactions begin on one snapshot, read and write positions
+        /// and attributes of a few entities (so they conflict), and commit
+        /// in turn, first committer winning; some abort explicitly, and
+        /// plain writes land while the group's snapshot is live. The typed
+        /// store and the byte-keyed [`Reference`] give the same reads and
+        /// commit outcomes, and after every step the same `txn_digest`,
+        /// `txn_version_count` and oracle.
+        #[test]
+        fn typed_keys_read_and_commit_as_byte_keys(
+            groups in proptest::collection::vec(
+                (1usize..6, proptest::collection::vec((0u8..4, 0u8..16, 0u8..16, 0u8..64), 0..16)),
+                1..10,
+            ),
+        ) {
+            let mut dm = DurableMetaverse::with_defaults(4);
+            let mut reference = Reference::new(4);
+            let ids: Vec<EntityId> = (0..8)
+                .map(|i| dm.spawn(format!("e{i}"), EntityKind::Product, Point::new(i as f64, 0.0), t(1)))
+                .collect();
+            let field = |e: u8, f: u8| {
+                let id = ids[usize::from(e) % ids.len()];
+                match f % 4 {
+                    0 => Field::Position(id),
+                    1 => Field::Attr(id, "gold"),
+                    2 => Field::Attr(id, "stock"),
+                    _ => Field::Attr(id, "hp"),
+                }
+            };
+            let same = |dm: &DurableMetaverse, reference: &Reference| {
+                (dm.txn_digest(), dm.txn_version_count(), dm.txn_current_ts())
+                    == (reference.mvcc.digest([]), reference.mvcc.version_count(), reference.mvcc.oracle().current())
+            };
+            for (g, (size, steps)) in groups.iter().enumerate() {
+                let now = t(2 + g as u64);
+                let mut held: Vec<Held> = (0..*size)
+                    .map(|_| Held { txn: dm.txn(now), reference: reference.mvcc.begin(), ids: Vec::new() })
+                    .collect();
+                for (step, &(kind, a, b, x)) in steps.iter().enumerate() {
+                    let pick = usize::from(a) % held.len().max(1);
+                    match kind {
+                        0 if !held.is_empty() => {
+                            let h = &mut held[pick];
+                            let got = read(&dm, &mut h.txn, field(b, x));
+                            let want = reference.read(&dm, &mut h.reference, field(b, x));
+                            proptest::prop_assert_eq!(got, want, "group {} step {}", g, step);
+                        }
+                        1 if !held.is_empty() => {
+                            let h = &mut held[pick];
+                            let (op, value) = write_of(field(b, x), f64::from(x), now);
+                            match &op {
+                                DurableOp::Position { id, position, .. } => h.txn.write_position(*id, *position, now),
+                                DurableOp::Attr { id, name, value, .. } => h.txn.write_attr(*id, name, *value, now),
+                                _ => unreachable!("a leaf op"),
+                            }
+                            h.reference.write(field(b, x).key(), value);
+                            h.ids.extend(op.entity());
+                        }
+                        2 if !held.is_empty() => {
+                            let h = held.remove(pick);
+                            reference.end(h.reference.id);
+                            dm.abort_txn(h.txn, now);
+                        }
+                        3 => {
+                            let (op, value) = write_of(field(b, a), f64::from(x), now);
+                            let accepted = match &op {
+                                DurableOp::Attr { id, name, value, .. } => dm.update_attr(*id, name, *value, now).is_ok(),
+                                _ => dm.apply(&op, None).is_ok(),
+                            };
+                            proptest::prop_assert!(accepted, "every entity is live");
+                            reference.plain(&op, value);
+                        }
+                        _ => {}
+                    }
+                    proptest::prop_assert!(same(&dm, &reference), "group {} step {}", g, step);
+                }
+                for (i, h) in held.into_iter().enumerate() {
+                    let want = reference.commit(&dm, &h, now);
+                    let got = dm.commit_txn(h.txn, now).map_err(|e| e.is_retryable());
+                    proptest::prop_assert_eq!(got, want, "group {} commit {}", g, i);
+                    proptest::prop_assert!(same(&dm, &reference), "group {} commit {}", g, i);
+                }
+                proptest::prop_assert_eq!(dm.txns.mvcc.key_count(), 0, "a chain with no snapshot open");
+                if g % 3 == 2 {
+                    dm.commit(now);
                 }
             }
         }

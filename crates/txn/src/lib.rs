@@ -12,9 +12,10 @@
 //! * [`mvcc`] — a multi-version store with snapshot-isolation and
 //!   serializable transactions (first-committer-wins write-write
 //!   conflict detection plus read-set validation), exposing a
-//!   prepare/install/release surface for two-phase commit;
+//!   prepare/install/release surface for two-phase commit, generic over
+//!   its key and value types;
 //! * [`sharded`] — shard routing over N stores with one shared
-//!   timestamp oracle, the transactional twin of `ShardedKv`;
+//!   timestamp oracle;
 //! * [`distributed`] — a contention + latency simulation comparing
 //!   two-phase commit against a Carousel-style single-round protocol on
 //!   `mv-net` multi-DC topologies (experiment E6).
@@ -24,5 +25,5 @@ pub mod mvcc;
 pub mod sharded;
 
 pub use distributed::{CommitProtocol, DistributedSim, SimParams, TxnReport};
-pub use mvcc::{GcPass, IsolationLevel, MvccStore, Transaction};
+pub use mvcc::{GcPass, IsolationLevel, MvccKey, MvccStore, Transaction};
 pub use sharded::{ShardRouter, ShardSets, ShardedMvcc};

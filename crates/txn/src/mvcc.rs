@@ -25,6 +25,12 @@
 //! blocks conflicting preparers), [`MvccStore::install_prepared`]
 //! installs the versions at the coordinator's commit timestamp, and
 //! [`MvccStore::release_prepared`] backs a lock out on abort.
+//!
+//! Keys and values are type parameters. [`Bytes`] for both serves
+//! callers keying by byte strings ([`MvccStore::new`],
+//! [`MvccStore::digest`]); an engine with typed records keys by its own
+//! `Copy` key (see [`MvccKey`]) and stores its field values as they are,
+//! so a read or an install builds nothing on the heap for either.
 
 use bytes::Bytes;
 use mv_common::hash::FastMap;
@@ -34,16 +40,40 @@ use mv_common::{MvError, MvResult};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::hash::Hasher as _;
+use std::fmt::Debug;
+use std::hash::{Hash, Hasher as _};
 use std::sync::Arc;
+
+/// What a version chain is keyed by. Callers name a key by its
+/// [`MvccKey::Ref`]: a byte key by any byte slice, a typed key by itself.
+pub trait MvccKey: Clone + Ord + Hash + Debug + Borrow<Self::Ref> {
+    /// The borrowed form reads, routing and direct installs take.
+    type Ref: ?Sized + Ord + Hash + Debug;
+    /// The key `key` names.
+    fn owned(key: &Self::Ref) -> Self;
+}
+
+/// How callers name `key` (map lookups by `&K` itself are ambiguous
+/// once `K: Borrow<K::Ref>` is in scope).
+fn named<K: MvccKey>(key: &K) -> &K::Ref {
+    key.borrow()
+}
+
+impl MvccKey for Bytes {
+    type Ref = [u8];
+    fn owned(key: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(key)
+    }
+}
 
 /// A committed version.
 #[derive(Debug, Clone, PartialEq)]
-struct Version {
+struct Version<V> {
     commit_ts: u64,
-    value: Option<Bytes>, // None = deletion
+    value: Option<V>, // None = deletion
 }
 
 /// What a transaction's commit must defend against.
@@ -76,28 +106,57 @@ impl std::iter::Sum for GcPass {
 }
 
 /// Mutex-guarded store state.
-#[derive(Debug, Default)]
-struct Inner {
+#[derive(Debug)]
+struct Inner<K, V> {
     /// key → version chain (ascending commit_ts).
-    chains: FastMap<Bytes, Vec<Version>>,
+    chains: FastMap<K, Vec<Version<V>>>,
     /// The GC candidates — every chain some horizon can trim — as a
     /// min-heap on [`ripe_ts`]. A chain is listed exactly while
     /// `ripe_ts` is `Some`, and its entry never goes stale: installs
     /// append, and appending to a listed chain does not move its ripe
     /// timestamp. An unlisted chain is one live non-tombstone version,
     /// which no horizon trims.
-    ripe: BinaryHeap<Reverse<(u64, Bytes)>>,
+    ripe: BinaryHeap<Reverse<(u64, K)>>,
     /// Prepared-but-undecided write locks (2PC phase 1).
-    locks: FastMap<Bytes, TxnId>,
+    locks: FastMap<K, TxnId>,
+    /// Emptied chains kept for the next new key, at most
+    /// [`SPARE_CHAINS`]: chains come and go with every snapshot, and a
+    /// reused one costs no allocation to start or free to drop.
+    spare: Vec<Vec<Version<V>>>,
     commits: u64,
     aborts: u64,
+}
+
+/// The most emptied chains a store keeps for reuse.
+const SPARE_CHAINS: usize = 64;
+
+/// Keep the emptied `chain` in `spare` for the next new key, if there is
+/// room.
+fn recycle<V>(spare: &mut Vec<Vec<Version<V>>>, mut chain: Vec<Version<V>>) {
+    if spare.len() < SPARE_CHAINS {
+        chain.clear();
+        spare.push(chain);
+    }
+}
+
+impl<K: Ord, V> Default for Inner<K, V> {
+    fn default() -> Self {
+        Inner {
+            chains: FastMap::default(),
+            ripe: BinaryHeap::new(),
+            locks: FastMap::default(),
+            spare: Vec::new(),
+            commits: 0,
+            aborts: 0,
+        }
+    }
 }
 
 /// The lowest horizon at which [`trim`] drops something from `chain`
 /// (ascending commit_ts): its head tombstone's timestamp, else its
 /// second version's (the one that supersedes the head). `None` for a
 /// chain no horizon can trim.
-fn ripe_ts(chain: &[Version]) -> Option<u64> {
+fn ripe_ts<V>(chain: &[Version<V>]) -> Option<u64> {
     match chain {
         [head, ..] if head.value.is_none() => Some(head.commit_ts),
         [_, second, ..] => Some(second.commit_ts),
@@ -107,7 +166,7 @@ fn ripe_ts(chain: &[Version]) -> Option<u64> {
 
 /// Drop the versions of `chain` no snapshot at or after `horizon` can
 /// distinguish (see [`MvccStore::gc`]); returns how many went.
-fn trim(chain: &mut Vec<Version>, horizon: u64) -> usize {
+fn trim<V>(chain: &mut Vec<Version<V>>, horizon: u64) -> usize {
     // Index of the newest version visible at the horizon.
     let keep_from = chain.iter().rposition(|v| v.commit_ts <= horizon).unwrap_or(0);
     chain.drain(..keep_from);
@@ -119,13 +178,18 @@ fn trim(chain: &mut Vec<Version>, horizon: u64) -> usize {
     keep_from + usize::from(survivor_is_dead_tombstone)
 }
 
-impl Inner {
+impl<K: MvccKey, V> Inner<K, V> {
     /// Append a version to `key`'s chain — the one install site, so the
-    /// candidate heap sees every chain that becomes trimmable.
-    fn push_version(&mut self, key: Bytes, version: Version) {
+    /// candidate heap sees every chain that becomes trimmable. A key with
+    /// no chain starts one with the version `before` gives for it, if any.
+    fn push_version(&mut self, key: K, version: Version<V>, before: impl FnOnce(&K) -> Option<Version<V>>) {
         let mut entry = match self.chains.entry(key) {
             Entry::Occupied(entry) => entry,
-            Entry::Vacant(slot) => slot.insert_entry(Vec::new()),
+            Entry::Vacant(slot) => {
+                let mut chain = self.spare.pop().unwrap_or_default();
+                chain.extend(before(slot.key()));
+                slot.insert_entry(chain)
+            }
         };
         let chain = entry.get_mut();
         debug_assert!(
@@ -143,29 +207,40 @@ impl Inner {
 }
 
 /// The store. All methods take `&self`; see the module docs.
-#[derive(Debug, Default)]
-pub struct MvccStore {
-    inner: Mutex<Inner>,
+#[derive(Debug)]
+pub struct MvccStore<K, V> {
+    inner: Mutex<Inner<K, V>>,
     oracle: Arc<TimestampOracle>,
     ids: IdGen,
     level: IsolationLevel,
 }
 
+impl<K: Ord, V> Default for MvccStore<K, V> {
+    fn default() -> Self {
+        MvccStore {
+            inner: Mutex::new(Inner::default()),
+            oracle: Arc::default(),
+            ids: IdGen::default(),
+            level: IsolationLevel::default(),
+        }
+    }
+}
+
 /// An open transaction handle. Writes are buffered privately; reads are
 /// recorded for serializable validation.
 #[derive(Debug)]
-pub struct Transaction {
+pub struct Transaction<K, V> {
     /// Identifier.
     pub id: TxnId,
     begin_ts: u64,
-    reads: BTreeSet<Bytes>,
-    writes: BTreeMap<Bytes, Option<Bytes>>,
+    reads: BTreeSet<K>,
+    writes: BTreeMap<K, Option<V>>,
 }
 
-impl Transaction {
+impl<K: Ord, V> Transaction<K, V> {
     /// A transaction snapshotted at `begin_ts` (normally built by
     /// [`MvccStore::begin`] / `ShardedMvcc::begin`).
-    pub fn with_snapshot(id: TxnId, begin_ts: u64) -> Transaction {
+    pub fn with_snapshot(id: TxnId, begin_ts: u64) -> Self {
         Transaction { id, begin_ts, reads: BTreeSet::new(), writes: BTreeMap::new() }
     }
 
@@ -175,42 +250,45 @@ impl Transaction {
     }
 
     /// Buffer a write.
-    pub fn write(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
+    pub fn write(&mut self, key: impl Into<K>, value: impl Into<V>) {
         self.writes.insert(key.into(), Some(value.into()));
     }
 
     /// Buffer a delete.
-    pub fn delete(&mut self, key: impl Into<Bytes>) {
+    pub fn delete(&mut self, key: impl Into<K>) {
         self.writes.insert(key.into(), None);
     }
 
-    /// Keys read so far, in key order.
-    pub fn read_keys(&self) -> impl Iterator<Item = &Bytes> + '_ {
-        self.reads.iter()
+    /// Keys read but not written, in key order: what validation checks
+    /// beyond the write set, whose check is the same.
+    pub fn read_only_keys(&self) -> impl Iterator<Item = &K> + '_ {
+        self.reads.iter().filter(|key| !self.writes.contains_key(*key))
     }
 
     /// Buffered writes, in key order (`None` = delete).
-    pub fn write_set(&self) -> impl Iterator<Item = (&Bytes, &Option<Bytes>)> + '_ {
+    pub fn write_set(&self) -> impl Iterator<Item = (&K, &Option<V>)> + '_ {
         self.writes.iter()
-    }
-
-    /// Number of buffered writes.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
     }
 }
 
-impl MvccStore {
-    /// An empty store: snapshot isolation, private oracle.
+impl MvccStore<Bytes, Bytes> {
+    /// An empty byte-keyed store: snapshot isolation, private oracle.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty store at the given isolation level.
+    /// An empty byte-keyed store at the given isolation level.
     pub fn with_level(level: IsolationLevel) -> Self {
         MvccStore { level, ..Self::default() }
     }
 
+    /// [`Self::digest_by`] over byte keys and values, hashed as they are.
+    pub fn digest(&self, heads: &[(Bytes, u64, Bytes)]) -> u64 {
+        self.digest_by(heads, |key, out| out.extend_from_slice(key), |value, out| out.extend_from_slice(value))
+    }
+}
+
+impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     /// An empty store sharing `oracle` (how shards of one logical
     /// database agree on timestamps).
     pub fn with_oracle(level: IsolationLevel, oracle: Arc<TimestampOracle>) -> Self {
@@ -229,13 +307,13 @@ impl MvccStore {
 
     /// Begin a transaction snapshotted at the oracle's current
     /// timestamp.
-    pub fn begin(&self) -> Transaction {
+    pub fn begin(&self) -> Transaction<K, V> {
         Transaction::with_snapshot(self.ids.next(), self.oracle.current())
     }
 
     /// Read `key` inside `txn` (snapshot + read-your-writes), recording
     /// the read for serializable validation.
-    pub fn read(&self, txn: &mut Transaction, key: &[u8]) -> Option<Bytes> {
+    pub fn read(&self, txn: &mut Transaction<K, V>, key: &K::Ref) -> Option<V> {
         self.read_versioned(txn, key).flatten()
     }
 
@@ -243,9 +321,9 @@ impl MvccStore {
     /// from "visible value or tombstone" (outer `Some`). Callers
     /// layering MVCC over a non-versioned store use the outer `None` to
     /// fall back.
-    pub fn read_versioned(&self, txn: &mut Transaction, key: &[u8]) -> Option<Option<Bytes>> {
+    pub fn read_versioned(&self, txn: &mut Transaction<K, V>, key: &K::Ref) -> Option<Option<V>> {
         if !txn.reads.contains(key) {
-            txn.reads.insert(Bytes::copy_from_slice(key));
+            txn.reads.insert(K::owned(key));
         }
         if let Some(buffered) = txn.writes.get(key) {
             return Some(buffered.clone());
@@ -262,39 +340,39 @@ impl MvccStore {
     }
 
     /// Read the newest version of `key` visible at timestamp `ts`.
-    pub fn read_at(&self, key: &[u8], ts: u64) -> Option<Bytes> {
+    pub fn read_at(&self, key: &K::Ref, ts: u64) -> Option<V> {
         let g = self.inner.lock();
         let chain = g.chains.get(key)?;
         chain.iter().rev().find(|v| v.commit_ts <= ts).and_then(|v| v.value.clone())
     }
 
     /// Latest committed value (auto-commit read).
-    pub fn read_latest(&self, key: &[u8]) -> Option<Bytes> {
+    pub fn read_latest(&self, key: &K::Ref) -> Option<V> {
         self.read_at(key, self.oracle.current())
     }
 
     /// Buffer a write inside the transaction.
-    pub fn write(&self, txn: &mut Transaction, key: impl Into<Bytes>, value: impl Into<Bytes>) {
+    pub fn write(&self, txn: &mut Transaction<K, V>, key: impl Into<K>, value: impl Into<V>) {
         txn.write(key, value);
     }
 
     /// Buffer a delete inside the transaction.
-    pub fn delete(&self, txn: &mut Transaction, key: impl Into<Bytes>) {
+    pub fn delete(&self, txn: &mut Transaction<K, V>, key: impl Into<K>) {
         txn.delete(key);
     }
 
     /// Commit at sim time `now`: validate (per the isolation level),
     /// then install versions at a fresh oracle timestamp, which is
     /// returned.
-    pub fn commit_at(&self, txn: Transaction, now: SimTime) -> MvResult<u64> {
+    pub fn commit_at(&self, txn: Transaction<K, V>, now: SimTime) -> MvResult<u64> {
         let mut g = self.inner.lock();
-        if let Err(e) = validate(&g, self.level, &txn, txn.read_keys(), txn.writes.keys()) {
+        if let Err(e) = validate(&g, self.level, &txn, txn.read_only_keys(), txn.writes.keys()) {
             g.aborts += 1;
             return Err(e);
         }
         let commit_ts = self.oracle.next(now);
         for (key, value) in txn.writes {
-            g.push_version(key, Version { commit_ts, value });
+            g.push_version(key, Version { commit_ts, value }, |_| None);
         }
         g.commits += 1;
         Ok(commit_ts)
@@ -302,12 +380,12 @@ impl MvccStore {
 
     /// [`Self::commit_at`] at the sim origin (the oracle still advances
     /// strictly, so pure logical-clock use works unchanged).
-    pub fn commit(&self, txn: Transaction) -> MvResult<u64> {
+    pub fn commit(&self, txn: Transaction<K, V>) -> MvResult<u64> {
         self.commit_at(txn, SimTime::ZERO)
     }
 
     /// Abort (drop) a transaction explicitly.
-    pub fn abort(&self, txn: Transaction) {
+    pub fn abort(&self, txn: Transaction<K, V>) {
         drop(txn);
         self.inner.lock().aborts += 1;
     }
@@ -321,9 +399,9 @@ impl MvccStore {
     /// here.
     pub fn prepare(
         &self,
-        txn: &Transaction,
-        reads: &[Bytes],
-        writes: &[(Bytes, Option<Bytes>)],
+        txn: &Transaction<K, V>,
+        reads: &[K],
+        writes: &[(K, Option<V>)],
     ) -> MvResult<()> {
         let mut g = self.inner.lock();
         let write_keys = writes.iter().map(|(k, _)| k);
@@ -345,29 +423,27 @@ impl MvccStore {
     pub fn install_prepared(
         &self,
         txn_id: TxnId,
-        writes: Vec<(Bytes, Option<Bytes>)>,
+        writes: Vec<(K, Option<V>)>,
         commit_ts: u64,
-        before: impl Fn(&[u8]) -> Option<(Bytes, u64)>,
+        before: impl Fn(&K) -> Option<(V, u64)>,
     ) {
         let mut g = self.inner.lock();
         for (key, value) in writes {
-            if g.locks.get(&key) == Some(&txn_id) {
-                g.locks.remove(&key);
+            if g.locks.get(named(&key)) == Some(&txn_id) {
+                g.locks.remove(named(&key));
             }
-            if let Some((head, ts)) = (!g.chains.contains_key(&key)).then(|| before(&key)).flatten() {
-                g.push_version(key.clone(), Version { commit_ts: ts, value: Some(head) });
-            }
-            g.push_version(key, Version { commit_ts, value });
+            let head = |key: &K| before(key).map(|(head, ts)| Version { commit_ts: ts, value: Some(head) });
+            g.push_version(key, Version { commit_ts, value }, head);
         }
         g.commits += 1;
     }
 
     /// Phase 2 (abort): release the locks `txn` holds on `writes`.
-    pub fn release_prepared(&self, txn_id: TxnId, writes: &[(Bytes, Option<Bytes>)]) {
+    pub fn release_prepared(&self, txn_id: TxnId, writes: &[(K, Option<V>)]) {
         let mut g = self.inner.lock();
         for (key, _) in writes {
-            if g.locks.get(key) == Some(&txn_id) {
-                g.locks.remove(key);
+            if g.locks.get(named(key)) == Some(&txn_id) {
+                g.locks.remove(named(key));
             }
         }
         g.aborts += 1;
@@ -376,18 +452,18 @@ impl MvccStore {
     /// Install one version directly at `commit_ts`, bypassing
     /// validation — the recovery path replaying decided transactions
     /// from the log. Advances the oracle past `commit_ts`.
-    pub fn install_version(&self, key: impl Into<Bytes>, value: Option<Bytes>, commit_ts: u64) {
+    pub fn install_version(&self, key: impl Into<K>, value: Option<V>, commit_ts: u64) {
         self.oracle.advance_past(commit_ts);
-        self.inner.lock().push_version(key.into(), Version { commit_ts, value });
+        self.inner.lock().push_version(key.into(), Version { commit_ts, value }, |_| None);
     }
 
     /// Start `key`'s chain with `value` at `commit_ts` — the head a
     /// write is about to supersede, kept outside the store until now —
     /// unless the key already has a chain, which then ends in that head.
-    pub fn save_before_image(&self, key: &[u8], value: Bytes, commit_ts: u64) {
+    pub fn save_before_image(&self, key: &K::Ref, value: V, commit_ts: u64) {
         let mut g = self.inner.lock();
         if !g.chains.contains_key(key) {
-            g.push_version(Bytes::copy_from_slice(key), Version { commit_ts, value: Some(value) });
+            g.push_version(K::owned(key), Version { commit_ts, value: Some(value) }, |_| None);
         }
     }
 
@@ -415,7 +491,7 @@ impl MvccStore {
         let mut pass = GcPass::default();
         while let Some(mut top) = g.ripe.peek_mut().filter(|top| top.0 .0 <= horizon) {
             let Reverse((ripe, key)) = &mut *top;
-            let Some(chain) = g.chains.get_mut(&*key) else {
+            let Some(chain) = g.chains.get_mut(named(key)) else {
                 PeekMut::pop(top);
                 continue;
             };
@@ -427,7 +503,9 @@ impl MvccStore {
                 Some(next) => *ripe = next,
                 None => {
                     if chain.is_empty() {
-                        g.chains.remove(&*key);
+                        if let Some(chain) = g.chains.remove(named(key)) {
+                            recycle(&mut g.spare, chain);
+                        }
                     }
                     PeekMut::pop(top);
                 }
@@ -441,10 +519,12 @@ impl MvccStore {
     /// visited, and all of it dropped but a live newest version.
     pub fn clear(&self) -> GcPass {
         let g = &mut *self.inner.lock();
-        let live_head = |chain: &[Version]| usize::from(chain.last().is_some_and(|v| v.value.is_some()));
+        let live_head = |chain: &[Version<V>]| usize::from(chain.last().is_some_and(|v| v.value.is_some()));
         let pass = g.chains.values().filter(|chain| ripe_ts(chain).is_some())
             .map(|chain| GcPass { visited: 1, dropped: chain.len() - live_head(chain) }).sum();
-        g.chains.clear();
+        for (_, chain) in g.chains.drain() {
+            recycle(&mut g.spare, chain);
+        }
         g.ripe.clear();
         pass
     }
@@ -504,32 +584,49 @@ impl MvccStore {
         self.inner.lock().aborts
     }
 
-    /// Deterministic digest of the committed state: chains folded in
-    /// key order, versions in chain order. `heads` are newest versions
-    /// kept outside the store, `(key, commit_ts, value)`: a key with no
-    /// chain here reads as its head alone, and a chain ends in its head.
-    /// Two stores with equal digests hold the same versioned history —
-    /// the differential harness compares these across crash/recovery.
-    pub fn digest(&self, heads: &[(Bytes, u64, Bytes)]) -> u64 {
+    /// Deterministic digest of the committed state: chains folded in the
+    /// order of their keys' bytes, versions in chain order, each key and
+    /// value hashed as the bytes `key_bytes` / `value_bytes` append.
+    /// `heads` are newest versions kept outside the store,
+    /// `(key, commit_ts, value)`: a key with no chain here reads as its
+    /// head alone, and a chain ends in its head. Two stores with equal
+    /// digests hold the same versioned history — the differential harness
+    /// compares these across crash/recovery.
+    pub fn digest_by(
+        &self,
+        heads: &[(K, u64, V)],
+        key_bytes: impl Fn(&K, &mut Vec<u8>),
+        value_bytes: impl Fn(&V, &mut Vec<u8>),
+    ) -> u64 {
         let g = self.inner.lock();
         let mut alone = Vec::new();
         for (key, commit_ts, value) in heads {
             let head = Version { commit_ts: *commit_ts, value: Some(value.clone()) };
-            match g.chains.get(key) {
+            match g.chains.get(named(key)) {
                 Some(chain) => debug_assert_eq!(chain.last(), Some(&head), "a chain ends in its head"),
                 None => alone.push((key, [head])),
             }
         }
         let alone = alone.iter().map(|(key, head)| (*key, head.as_slice()));
-        let mut sorted: Vec<(&Bytes, &[Version])> = g.chains.iter().map(|(k, c)| (k, c.as_slice())).chain(alone).collect();
-        sorted.sort_unstable_by_key(|(key, _)| *key);
+        let rendered = |key: &K| {
+            let mut bytes = Vec::new();
+            key_bytes(key, &mut bytes);
+            bytes
+        };
+        let mut sorted: Vec<_> = g.chains.iter().map(|(k, c)| (k, c.as_slice())).chain(alone).map(|(k, c)| (rendered(k), c)).collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut h = mv_common::hash::FxHasher::default();
+        let mut value = Vec::new();
         for (key, chain) in sorted {
-            h.write(key);
+            h.write(&key);
             for v in chain {
                 h.write_u64(v.commit_ts);
                 h.write_u8(u8::from(v.value.is_some()));
-                h.write(v.value.as_deref().unwrap_or_default());
+                value.clear();
+                if let Some(held) = &v.value {
+                    value_bytes(held, &mut value);
+                }
+                h.write(&value);
             }
         }
         h.finish()
@@ -539,22 +636,22 @@ impl MvccStore {
 /// Shared validation: first-committer-wins over `writes`, plus the same
 /// check over `reads` under [`IsolationLevel::Serializable`]. A key
 /// locked by another prepared transaction conflicts in both roles.
-fn validate<'a>(
-    inner: &Inner,
+fn validate<'a, K: MvccKey + 'a, V>(
+    inner: &Inner<K, V>,
     level: IsolationLevel,
-    txn: &Transaction,
-    reads: impl Iterator<Item = &'a Bytes>,
-    writes: impl Iterator<Item = &'a Bytes>,
+    txn: &Transaction<K, V>,
+    reads: impl Iterator<Item = &'a K>,
+    writes: impl Iterator<Item = &'a K>,
 ) -> MvResult<()> {
-    let check = |key: &Bytes, role: &str| -> MvResult<()> {
-        if let Some(owner) = inner.locks.get(key) {
+    let check = |key: &K, role: &str| -> MvResult<()> {
+        if let Some(owner) = inner.locks.get(named(key)) {
             if *owner != txn.id {
                 return Err(MvError::Conflict(format!(
                     "{role} key {key:?} is prepare-locked by {owner}"
                 )));
             }
         }
-        if let Some(last) = inner.chains.get(key).and_then(|c| c.last()) {
+        if let Some(last) = inner.chains.get(named(key)).and_then(|c| c.last()) {
             if last.commit_ts > txn.begin_ts {
                 return Err(MvError::Conflict(format!(
                     "{role}-write conflict on {key:?} ({} > begin {})",
@@ -758,7 +855,7 @@ mod tests {
         let mut t2 = db.begin();
         db.write(&mut t1, b("k"), b("1"));
         db.write(&mut t2, b("k"), b("2"));
-        let pairs = |t: &Transaction| -> Vec<(Bytes, Option<Bytes>)> {
+        let pairs = |t: &Transaction<Bytes, Bytes>| -> Vec<(Bytes, Option<Bytes>)> {
             t.write_set().map(|(k, v)| (k.clone(), v.clone())).collect()
         };
         let (w1, w2) = (pairs(&t1), pairs(&t2));
@@ -820,7 +917,7 @@ mod tests {
     /// `gc` on `fast` and the reference walk on `walk`, which have seen
     /// the same history: same versions dropped, same chains left, and
     /// every chain `gc` visited gave something up.
-    fn gc_both(fast: &MvccStore, walk: &MvccStore, horizon: u64) -> GcPass {
+    fn gc_both(fast: &MvccStore<Bytes, Bytes>, walk: &MvccStore<Bytes, Bytes>, horizon: u64) -> GcPass {
         let pass = fast.gc(horizon);
         assert_eq!(pass.dropped, walk.gc_by_walk(horizon), "versions dropped at {horizon}");
         assert!(pass.visited <= pass.dropped, "a visit that dropped nothing: {pass:?}");
@@ -914,7 +1011,7 @@ mod tests {
                 .filter(|ts| *ts >= horizon)
                 .chain([last + 1])
                 .collect();
-            let probe = |db: &MvccStore| -> Vec<Option<Bytes>> {
+            let probe = |db: &MvccStore<Bytes, Bytes>| -> Vec<Option<Bytes>> {
                 keys.iter()
                     .flat_map(|k| probe_points.iter().map(|ts| db.read_at(k, *ts)))
                     .collect()

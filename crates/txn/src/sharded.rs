@@ -1,5 +1,5 @@
 //! Shard routing over N [`MvccStore`]s with one shared timestamp
-//! oracle — the transactional twin of `mv-storage`'s `ShardedKv`.
+//! oracle.
 //!
 //! A transaction spans shards freely: reads route key-by-key, and
 //! commit runs the two-phase surface exposed by [`MvccStore`] —
@@ -10,12 +10,15 @@
 //! one get the same atomicity from [`ShardedMvcc::commit_at`] because
 //! the whole sequence runs under this process's control.
 //!
-//! Routing is a caller-supplied pure function so the MVCC shards can be
-//! aligned with whatever partitioning the embedding store uses (the
-//! engine passes `ShardedKv`'s hash so version chains and KV rows for
-//! one entity land on the same shard index).
+//! Routing is a caller-supplied pure function of the key, so a caller
+//! decides which keys share a shard. `mv-core` keys its chains by
+//! `(entity, field)` and routes by a hash of the entity id's bytes, so
+//! every field of one entity lands on one MVCC shard, and a
+//! transaction's prepare records name the shards its keys route to.
+//! That hash is not the engine's placement (`id % n`): an MVCC shard is
+//! not an engine shard.
 
-use crate::mvcc::{GcPass, IsolationLevel, MvccStore, Transaction};
+use crate::mvcc::{GcPass, IsolationLevel, MvccKey, MvccStore, Transaction};
 use bytes::Bytes;
 use mv_common::hash::fx_hash_one;
 use mv_common::id::{IdGen, TxnId};
@@ -23,11 +26,12 @@ use mv_common::time::{SimTime, TimestampOracle};
 use mv_common::MvResult;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::Arc;
 
-/// A pure key → shard-index routing function. Must return a value in
-/// `0..shards` for every key.
-pub type ShardRouter = fn(&[u8], usize) -> usize;
+/// A pure key → shard-index routing function over keys named by `R`.
+/// Must return a value in `0..shards` for every key.
+pub type ShardRouter<R> = fn(&R, usize) -> usize;
 
 /// The default router: Fx hash of the whole key.
 pub fn fx_router(key: &[u8], shards: usize) -> usize {
@@ -38,10 +42,10 @@ pub fn fx_router(key: &[u8], shards: usize) -> usize {
 /// key order. [`ShardedMvcc::route`] builds the whole partition once per
 /// commit; prepare, install and release all take it from there.
 #[derive(Debug)]
-pub struct ShardSets {
+pub struct ShardSets<K, V> {
     shard: usize,
-    reads: Vec<Bytes>,
-    writes: Vec<(Bytes, Option<Bytes>)>,
+    reads: Vec<K>,
+    writes: Vec<(K, Option<V>)>,
 }
 
 /// N MVCC stores behind a router, sharing one oracle. See the module
@@ -51,11 +55,11 @@ pub struct ShardSets {
 /// structural guarantee: every routed access stays total (panic-free)
 /// without a checked fallback that could fail.
 #[derive(Debug)]
-pub struct ShardedMvcc {
-    head: MvccStore,
-    rest: Vec<MvccStore>,
+pub struct ShardedMvcc<K: MvccKey, V> {
+    head: MvccStore<K, V>,
+    rest: Vec<MvccStore<K, V>>,
     oracle: Arc<TimestampOracle>,
-    router: ShardRouter,
+    router: ShardRouter<K::Ref>,
     ids: IdGen,
     /// Begin timestamps of transactions begun but not yet finished
     /// (committed, aborted, or dropped via [`ShardedMvcc::finish`]),
@@ -64,9 +68,22 @@ pub struct ShardedMvcc {
     live: Mutex<BTreeMap<u64, u64>>,
 }
 
-impl ShardedMvcc {
+impl ShardedMvcc<Bytes, Bytes> {
+    /// `shards` byte-keyed stores (at least one) at `level`, routed by
+    /// `router`.
+    pub fn new(shards: usize, level: IsolationLevel, router: ShardRouter<[u8]>) -> Self {
+        Self::with_router(shards, level, router)
+    }
+
+    /// [`Self::digest_by`] over byte keys and values, hashed as they are.
+    pub fn digest(&self, heads: impl IntoIterator<Item = (Bytes, u64, Bytes)>) -> u64 {
+        self.digest_by(heads, |key, out| out.extend_from_slice(key), |value, out| out.extend_from_slice(value))
+    }
+}
+
+impl<K: MvccKey, V: Clone + PartialEq + Debug> ShardedMvcc<K, V> {
     /// `shards` stores (at least one) at `level`, routed by `router`.
-    pub fn new(shards: usize, level: IsolationLevel, router: ShardRouter) -> Self {
+    pub fn with_router(shards: usize, level: IsolationLevel, router: ShardRouter<K::Ref>) -> Self {
         let n = shards.max(1);
         let oracle = Arc::new(TimestampOracle::new());
         ShardedMvcc {
@@ -90,12 +107,12 @@ impl ShardedMvcc {
     }
 
     /// The shard `key` routes to.
-    pub fn shard_of(&self, key: &[u8]) -> usize {
+    pub fn shard_of(&self, key: &K::Ref) -> usize {
         (self.router)(key, self.shard_count()).min(self.rest.len())
     }
 
     /// All shard stores, in shard order.
-    fn stores(&self) -> impl Iterator<Item = &MvccStore> {
+    fn stores(&self) -> impl Iterator<Item = &MvccStore<K, V>> {
         std::iter::once(&self.head).chain(self.rest.iter())
     }
 
@@ -104,7 +121,7 @@ impl ShardedMvcc {
     /// registered live — it pins the automatic GC horizon until
     /// [`ShardedMvcc::finish`] (or a [`ShardedMvcc::commit_at`] /
     /// release path that calls it) retires the transaction.
-    pub fn begin(&self) -> Transaction {
+    pub fn begin(&self) -> Transaction<K, V> {
         // Id and snapshot are drawn under the registry lock, so both are
         // monotone in registration order: the first entry is the oldest.
         let mut live = self.live.lock();
@@ -150,43 +167,44 @@ impl ShardedMvcc {
     }
 
     /// Read `key` inside `txn`, routed to its shard.
-    pub fn read(&self, txn: &mut Transaction, key: &[u8]) -> Option<Bytes> {
+    pub fn read(&self, txn: &mut Transaction<K, V>, key: &K::Ref) -> Option<V> {
         self.store_for(key).read(txn, key)
     }
 
     /// [`MvccStore::read_versioned`] routed to `key`'s shard.
-    pub fn read_versioned(&self, txn: &mut Transaction, key: &[u8]) -> Option<Option<Bytes>> {
+    pub fn read_versioned(&self, txn: &mut Transaction<K, V>, key: &K::Ref) -> Option<Option<V>> {
         self.store_for(key).read_versioned(txn, key)
     }
 
     /// Read the newest version of `key` visible at `ts`.
-    pub fn read_at(&self, key: &[u8], ts: u64) -> Option<Bytes> {
+    pub fn read_at(&self, key: &K::Ref, ts: u64) -> Option<V> {
         self.store_for(key).read_at(key, ts)
     }
 
     /// Latest committed value of `key`.
-    pub fn read_latest(&self, key: &[u8]) -> Option<Bytes> {
+    pub fn read_latest(&self, key: &K::Ref) -> Option<V> {
         self.read_at(key, self.oracle.current())
     }
 
     /// Route `txn`'s key sets to shards, once: one [`ShardSets`] per
     /// participant — every shard holding a write (these get durable
     /// prepare records) plus, under serializable validation, every
-    /// shard holding a read. Ascending by shard index so lock
+    /// shard holding a read (a key both read and written is validated
+    /// once, as a write). Ascending by shard index so lock
     /// acquisition order is deterministic (no deadlock between
     /// concurrent preparers).
-    pub fn route(&self, txn: &Transaction) -> Vec<ShardSets> {
-        let mut parts: Vec<ShardSets> = (0..self.shard_count())
+    pub fn route(&self, txn: &Transaction<K, V>) -> Vec<ShardSets<K, V>> {
+        let mut parts: Vec<ShardSets<K, V>> = (0..self.shard_count())
             .map(|shard| ShardSets { shard, reads: Vec::new(), writes: Vec::new() })
             .collect();
         for (key, value) in txn.write_set() {
-            if let Some(part) = parts.get_mut(self.shard_of(key)) {
+            if let Some(part) = parts.get_mut(self.shard_of(key.borrow())) {
                 part.writes.push((key.clone(), value.clone()));
             }
         }
         if self.head.level() == IsolationLevel::Serializable {
-            for key in txn.read_keys() {
-                if let Some(part) = parts.get_mut(self.shard_of(key)) {
+            for key in txn.read_only_keys() {
+                if let Some(part) = parts.get_mut(self.shard_of(key.borrow())) {
                     part.reads.push(key.clone());
                 }
             }
@@ -197,14 +215,14 @@ impl ShardedMvcc {
 
     /// Phase 1 on one participant: validate `txn`'s reads/writes there
     /// and write-lock the writes.
-    pub fn prepare(&self, txn: &Transaction, part: &ShardSets) -> MvResult<()> {
+    pub fn prepare(&self, txn: &Transaction<K, V>, part: &ShardSets<K, V>) -> MvResult<()> {
         self.store_at(part.shard).prepare(txn, &part.reads, &part.writes)
     }
 
     /// Phase 2 (commit) on every write shard: install versions at
     /// `commit_ts`, each key with no chain after the head `before` finds
     /// for it, and drop the locks.
-    pub fn install(&self, txn_id: TxnId, parts: Vec<ShardSets>, commit_ts: u64, before: impl Fn(&[u8]) -> Option<(Bytes, u64)>) {
+    pub fn install(&self, txn_id: TxnId, parts: Vec<ShardSets<K, V>>, commit_ts: u64, before: impl Fn(&K) -> Option<(V, u64)>) {
         for part in parts {
             if !part.writes.is_empty() {
                 self.store_at(part.shard).install_prepared(txn_id, part.writes, commit_ts, &before);
@@ -216,7 +234,7 @@ impl ShardedMvcc {
     /// participants that did prepare (prepare acquires in ascending
     /// participant order, so a failure at participant k leaves exactly
     /// the participants before k locked).
-    pub fn release(&self, txn_id: TxnId, prepared: &[ShardSets]) {
+    pub fn release(&self, txn_id: TxnId, prepared: &[ShardSets<K, V>]) {
         for part in prepared {
             self.store_at(part.shard).release_prepared(txn_id, &part.writes);
         }
@@ -224,19 +242,19 @@ impl ShardedMvcc {
 
     /// Install one version directly (recovery replay), routed to the
     /// key's shard; advances the oracle past `commit_ts`.
-    pub fn install_version(&self, key: &[u8], value: Option<Bytes>, commit_ts: u64) {
-        self.store_for(key).install_version(Bytes::copy_from_slice(key), value, commit_ts);
+    pub fn install_version(&self, key: &K::Ref, value: Option<V>, commit_ts: u64) {
+        self.store_for(key).install_version(K::owned(key), value, commit_ts);
     }
 
     /// [`MvccStore::save_before_image`], routed to the key's shard.
-    pub fn save_before_image(&self, key: &[u8], value: Bytes, commit_ts: u64) {
+    pub fn save_before_image(&self, key: &K::Ref, value: V, commit_ts: u64) {
         self.store_for(key).save_before_image(key, value, commit_ts);
     }
 
     /// One-call atomic commit across all shards at sim time `now` —
     /// prepare everywhere, then install at one fresh timestamp (or
     /// release everything and return the validation error).
-    pub fn commit_at(&self, txn: Transaction, now: SimTime) -> MvResult<u64> {
+    pub fn commit_at(&self, txn: Transaction<K, V>, now: SimTime) -> MvResult<u64> {
         let parts = self.route(&txn);
         for (i, part) in parts.iter().enumerate() {
             if let Err(e) = self.prepare(&txn, part) {
@@ -279,23 +297,28 @@ impl ShardedMvcc {
 
     /// Deterministic digest folding every shard's digest in shard
     /// order; each of `heads` goes to its key's shard (see
-    /// [`MvccStore::digest`]).
-    pub fn digest(&self, heads: impl IntoIterator<Item = (Bytes, u64, Bytes)>) -> u64 {
+    /// [`MvccStore::digest_by`]).
+    pub fn digest_by(
+        &self,
+        heads: impl IntoIterator<Item = (K, u64, V)>,
+        key_bytes: impl Fn(&K, &mut Vec<u8>),
+        value_bytes: impl Fn(&V, &mut Vec<u8>),
+    ) -> u64 {
         use std::hash::Hasher as _;
         let heads: Vec<_> = heads.into_iter().collect();
         let mut h = mv_common::hash::FxHasher::default();
         for (i, s) in self.stores().enumerate() {
-            let routed: Vec<_> = heads.iter().filter(|head| self.shard_of(&head.0) == i).cloned().collect();
-            h.write_u64(s.digest(&routed));
+            let routed: Vec<_> = heads.iter().filter(|head| self.shard_of(head.0.borrow()) == i).cloned().collect();
+            h.write_u64(s.digest_by(&routed, &key_bytes, &value_bytes));
         }
         h.finish()
     }
 
-    fn store_for(&self, key: &[u8]) -> &MvccStore {
+    fn store_for(&self, key: &K::Ref) -> &MvccStore<K, V> {
         self.store_at(self.shard_of(key))
     }
 
-    fn store_at(&self, si: usize) -> &MvccStore {
+    fn store_at(&self, si: usize) -> &MvccStore<K, V> {
         // shard_of clamps into range; out-of-range indices fall back to
         // shard 0, which the `head` field guarantees exists.
         match si.checked_sub(1) {
@@ -313,7 +336,7 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    fn db(shards: usize) -> ShardedMvcc {
+    fn db(shards: usize) -> ShardedMvcc<Bytes, Bytes> {
         ShardedMvcc::new(shards, IsolationLevel::Serializable, fx_router)
     }
 
