@@ -115,11 +115,6 @@ impl AssetCatalog {
         }
     }
 
-    /// Avatars ingested.
-    pub fn avatar_count(&self) -> usize {
-        self.avatars
-    }
-
     /// Physical bytes in the store (scaled model bytes).
     pub fn physical_bytes(&self) -> u64 {
         self.store.bytes().1

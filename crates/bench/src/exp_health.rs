@@ -142,7 +142,7 @@ impl World {
         if let Some(node) = self.pending_recovery.take() {
             self.monitor.dump(&format!("recovery:n{}", node.raw()), now);
         }
-        let new_events = self.monitor.tick(now);
+        let new_events = self.monitor.tick(now, &self.region.registry());
         // Stream this tick's windowed view, SLO status, and any new
         // alert events through the reused sink — the same encode path
         // `experiments --jsonl` uses, kept allocation-free in steady
@@ -187,7 +187,7 @@ pub fn run_cell(scenario: Scenario, replicas: usize, seed: u64) -> CellResult {
     let cfg = RegionConfig { replicas, ..RegionConfig::default() };
     let fixed_victim = NodeId::new(u64::from(replicas > 1));
     let region = ReplicatedMetaverse::new(cfg, seed);
-    let mut monitor = HealthMonitor::new(region.registry(), 512, 64);
+    let mut monitor = HealthMonitor::new(512, 64);
     for spec in armed_slos() {
         monitor.arm(spec);
     }
@@ -293,8 +293,8 @@ pub struct CanaryResult {
 /// alert path itself works; a health gate that can never fire is worse
 /// than none.
 pub fn alert_canary() -> CanaryResult {
-    let reg = mv_obs::SharedRegistry::new();
-    let mut mon = HealthMonitor::new(&reg, 32, 16);
+    let mut reg = mv_obs::Registry::new();
+    let mut mon = HealthMonitor::new(32, 16);
     mon.arm(
         SloSpec::availability(
             "canary.availability",
@@ -306,13 +306,11 @@ pub fn alert_canary() -> CanaryResult {
         .burn(1.0, 1.0)
         .min_events(4),
     );
-    let (e, t) = reg.with(|r| (r.counter("bench.canary.err"), r.counter("bench.canary.total")));
+    let (e, t) = (reg.counter("bench.canary.err"), reg.counter("bench.canary.total"));
     for ms in 0..32u64 {
-        reg.with(|r| {
-            r.incr(t);
-            r.incr(e);
-        });
-        mon.tick(SimTime::from_millis(ms));
+        reg.incr(t);
+        reg.incr(e);
+        mon.tick(SimTime::from_millis(ms), &reg);
     }
     CanaryResult {
         fired: mon.engine.fired_total(),

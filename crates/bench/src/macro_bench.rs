@@ -43,7 +43,7 @@ use mv_core::{DurableMetaverse, WriteOp};
 use mv_dissem::{LinkScheduler, Priority, SchedPolicy, TxRequest};
 use mv_obs::export::JsonlSink;
 use mv_obs::profile::TickProfiler;
-use mv_obs::{HealthMonitor, SharedRegistry, SloSpec, StatSet};
+use mv_obs::{HealthMonitor, Registry, SloSpec};
 use mv_pubsub::{BrokerTree, Publication, Subscription};
 use mv_storage::{GroupCommitPolicy, KvConfig};
 use mv_workloads::deluge::{self, DelugeOp, DelugeParams, ATTR_NAMES};
@@ -212,10 +212,13 @@ pub fn run_macro(params: &MacroParams) -> MacroReport {
     // ── Health layer: lenient SLOs armed for the whole run. The perf
     // gate doubles as a health gate — `bench_check` fails if the smoke
     // profile fires a single alert (`slo_alerts_fired` below). ────────
-    let health_reg = SharedRegistry::new();
-    let mut health_stats = StatSet::in_registry("bench.macro", &health_reg);
-    let e2e_id = health_reg.with(|r| r.histo("bench.macro.e2e_ms"));
-    let mut health = HealthMonitor::new(&health_reg, 16, 8);
+    let mut health_reg = Registry::new();
+    let ops_id = health_reg.counter("bench.macro.ops");
+    let apply_errors_id = health_reg.counter("bench.macro.apply_errors");
+    let e2e_id = health_reg.histo("bench.macro.e2e_ms");
+    let queue_depth_id = health_reg.gauge("bench.macro.wal_queue_depth");
+    let queued_bytes_id = health_reg.gauge("bench.macro.wal_queued_bytes");
+    let mut health = HealthMonitor::new(16, 8);
     health.arm(
         SloSpec::availability(
             "bench.apply-errors",
@@ -324,16 +327,14 @@ pub fn run_macro(params: &MacroParams) -> MacroReport {
         apply_errs += tick_errs;
 
         // Modelled durability latency per op: group-commit wait + sync.
-        // Also recorded into the health registry (one lock per tick)
-        // so the armed latency SLO watches the same tail.
-        health_reg.with(|r| {
-            for (i, op) in write_ops.iter().enumerate() {
-                let wait_us = seal_of(i).since(op.ts()).as_micros() as f64;
-                let ms = (wait_us + SYNC_LATENCY_US) / 1_000.0;
-                durable_h.record(ms);
-                r.record(e2e_id, ms);
-            }
-        });
+        // Also recorded into the health registry so the armed latency
+        // SLO watches the same tail.
+        for (i, op) in write_ops.iter().enumerate() {
+            let wait_us = seal_of(i).since(op.ts()).as_micros() as f64;
+            let ms = (wait_us + SYNC_LATENCY_US) / 1_000.0;
+            durable_h.record(ms);
+            health_reg.record(e2e_id, ms);
+        }
 
         // commit: seal the WAL batch (and a checkpoint image when due).
         profiler.time("commit", || dm.commit(tick_end));
@@ -404,10 +405,11 @@ pub fn run_macro(params: &MacroParams) -> MacroReport {
 
         // health: publish this tick's probe values and pump the
         // armed monitor on the tick boundary.
-        health_stats.add("ops", write_ops.len() as u64);
-        health_stats.add("apply_errors", tick_errs);
-        dm.publish_health_gauges(&mut health_stats);
-        health.tick(tick_end);
+        health_reg.add(ops_id, write_ops.len() as u64);
+        health_reg.add(apply_errors_id, tick_errs);
+        health_reg.set_gauge(queue_depth_id, dm.wal.queue_depth() as f64);
+        health_reg.set_gauge(queued_bytes_id, dm.wal.queued_bytes() as f64);
+        health.tick(tick_end, &health_reg);
 
         // Per-tick profile export through the reused sink — the
         // satellite-2 claim: the exporter stays off the profile.

@@ -1,5 +1,11 @@
 //! Lightweight metrics: counters and streaming histograms.
 //!
+//! [`Counters`] is the one counter type: every component on a serving
+//! path (network, transport, outbox, broker, raft node, transactions,
+//! engines, stores) counts in its own, and a reader that wants one view
+//! folds them into an `mv_obs::Registry` under each component's prefix
+//! (`Registry::absorb`).
+//!
 //! Every experiment harness reports latency percentiles and throughput;
 //! [`Histogram`] keeps raw samples (experiments are bounded, so memory is
 //! fine) and computes exact quantiles, which keeps the reported tables

@@ -36,12 +36,6 @@ impl Table {
         self
     }
 
-    /// Convenience for rows of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title

@@ -677,15 +677,6 @@ impl DurableMetaverse {
         &self.kv
     }
 
-    /// Publish the engine's health gauges into `stats` (the caller
-    /// picks the prefix, e.g. `core.durable`): group-commit queue depth
-    /// and bytes. Called once per health tick so `mv_obs::MetricWindows`
-    /// sees a fresh value every roll.
-    pub fn publish_health_gauges(&self, stats: &mut mv_obs::StatSet) {
-        stats.set_gauge("wal_queue_depth", self.wal.queue_depth() as f64);
-        stats.set_gauge("wal_queued_bytes", self.wal.queued_bytes() as f64);
-    }
-
     /// Ids of every entity ever registered, in spawn order: ids are
     /// dense, so these are `0..` their count.
     pub fn ids(&self) -> Vec<EntityId> {

@@ -58,7 +58,7 @@ use mv_common::id::NodeId;
 use mv_common::time::{SimDuration, SimTime};
 use mv_net::fault::FaultTarget;
 use mv_net::{LinkSpec, Network, ReliableEvent, ReliableTransport, RetryPolicy};
-use mv_obs::{SharedRegistry, StatSet};
+use mv_obs::{CounterId, GaugeId, HistoId, Registry};
 use mv_raft::{RaftConfig, RaftMsg, RaftNode};
 
 pub use mv_raft::RaftConfig as RaftTuning;
@@ -135,6 +135,42 @@ impl CommittedLog {
     }
 }
 
+/// The region's own `core.replicated.*` metrics: a registry interned
+/// once, at construction, and written through its handles.
+struct RegionMetrics {
+    registry: Registry,
+    submit_attempts: CounterId,
+    submit_unavailable: CounterId,
+    acks: CounterId,
+    leader_changes: CounterId,
+    /// Submit → ack latency, in sim-ms.
+    ack_ms: HistoId,
+    down_replicas: GaugeId,
+    commit_lag: GaugeId,
+    term: GaugeId,
+    has_leader: GaugeId,
+    pending_submits: GaugeId,
+}
+
+impl RegionMetrics {
+    fn new() -> Self {
+        let mut r = Registry::new();
+        RegionMetrics {
+            submit_attempts: r.counter("core.replicated.submit_attempts"),
+            submit_unavailable: r.counter("core.replicated.submit_unavailable"),
+            acks: r.counter("core.replicated.acks"),
+            leader_changes: r.counter("core.replicated.leader_changes"),
+            ack_ms: r.histo("core.replicated.ack_ms"),
+            down_replicas: r.gauge("core.replicated.down_replicas"),
+            commit_lag: r.gauge("core.replicated.commit_lag"),
+            term: r.gauge("core.replicated.term"),
+            has_leader: r.gauge("core.replicated.has_leader"),
+            pending_submits: r.gauge("core.replicated.pending_submits"),
+            registry: r,
+        }
+    }
+}
+
 /// Per-replica tuning for a [`ReplicatedMetaverse`] region.
 #[derive(Debug, Clone, Copy)]
 pub struct RegionConfig {
@@ -184,15 +220,12 @@ pub struct ReplicatedMetaverse {
     cfg: RegionConfig,
     members: Vec<NodeId>,
     replicas: Vec<ReplicaSlot>,
-    /// One registry consolidating every layer's metrics: the network,
-    /// the transport, all raft nodes, and the region's own
-    /// `core.replicated.*` probes. The SLO layer windows this.
-    registry: SharedRegistry,
     /// `core.replicated.*`: `submit_attempts`/`submit_unavailable`/
     /// `acks`/`leader_changes` counters, the `ack_ms` latency
-    /// histogram, and `down_replicas`/`commit_lag`/`term`/`has_leader`
-    /// gauges.
-    stats: StatSet,
+    /// histogram, and `down_replicas`/`commit_lag`/`term`/`has_leader`/
+    /// `pending_submits` gauges. [`Self::registry`] adds every other
+    /// layer's counters to a copy.
+    metrics: RegionMetrics,
     /// Client writes awaiting commit, keyed by where they were proposed:
     /// `(leader, index) → (cmd, submitted_at)`. The entry goes when that
     /// leader applies (or installs past) that index, whatever committed
@@ -271,22 +304,13 @@ impl ReplicatedMetaverse {
                 );
             }
         }
-        let registry = SharedRegistry::new();
-        net.attach_registry(&registry);
         let replicas: Vec<ReplicaSlot> = members
             .iter()
-            .map(|&m| {
-                let mut node = RaftNode::new(m, &members, cfg.raft, seed ^ 0x5eed, SimTime::ZERO);
-                // All replicas consolidate under `raft.node.*`: counters
-                // sum region-wide; per-replica gauges are superseded by
-                // the region-level `core.replicated.*` gauges below.
-                node.attach_registry(&registry);
-                ReplicaSlot {
-                    node,
-                    engine: Some(ShardedMetaverse::counting(cfg.shards)),
-                    wipe_on_crash: false,
-                    applied_raft: 0,
-                }
+            .map(|&m| ReplicaSlot {
+                node: RaftNode::new(m, &members, cfg.raft, seed ^ 0x5eed, SimTime::ZERO),
+                engine: Some(ShardedMetaverse::counting(cfg.shards)),
+                wipe_on_crash: false,
+                applied_raft: 0,
             })
             .collect();
         // Raft retries at its own cadence (heartbeats); the transport's
@@ -299,18 +323,14 @@ impl ReplicatedMetaverse {
             max_attempts: 3,
             jitter_frac: 0.1,
         };
-        let mut transport = ReliableTransport::new(policy, seed ^ 0x7a57);
-        transport.attach_registry(&registry);
-        let stats = StatSet::in_registry("core.replicated", &registry);
         ReplicatedMetaverse {
             net,
-            transport,
+            transport: ReliableTransport::new(policy, seed ^ 0x7a57),
             rng: mv_common::seeded_rng(seed),
             cfg,
             members,
             replicas,
-            registry,
-            stats,
+            metrics: RegionMetrics::new(),
             pending: BTreeMap::new(),
             committed: CommittedLog::default(),
             acked: Vec::new(),
@@ -344,7 +364,7 @@ impl ReplicatedMetaverse {
     /// retry — that window is the measured unavailability).
     pub fn submit(&mut self, op: &DurableOp, now: SimTime) -> Option<u64> {
         let cmd = op.encode();
-        self.stats.incr("submit_attempts");
+        self.metrics.registry.incr(self.metrics.submit_attempts);
         let appended = (|| {
             let slot = self.replicas.iter_mut().find(|s| s.engine.is_some() && s.node.is_leader())?;
             let leader = slot.node.id();
@@ -353,7 +373,7 @@ impl ReplicatedMetaverse {
         })();
         let Some((leader, index)) = appended else {
             // Measured unavailability: the availability SLO burns here.
-            self.stats.incr("submit_unavailable");
+            self.metrics.registry.incr(self.metrics.submit_unavailable);
             return None;
         };
         self.pending.insert((leader, index), (cmd, now));
@@ -442,21 +462,23 @@ impl ReplicatedMetaverse {
         self.log.push(format!("{} heal", self.now));
     }
 
-    /// Raw transport statistics (retransmits, expiries, …).
-    pub fn transport_stats(&self) -> &mv_obs::StatSet {
-        &self.transport.stats
-    }
-
-    /// The consolidated registry: network + transport + raft node
-    /// counters plus the region's `core.replicated.*` probes. Hand
-    /// this to an `mv_obs::HealthMonitor` to arm SLOs over the region.
-    pub fn registry(&self) -> &SharedRegistry {
-        &self.registry
-    }
-
-    /// The region's own `core.replicated.*` stats.
-    pub fn region_stats(&self) -> &StatSet {
-        &self.stats
+    /// Every layer's metrics, assembled now: the region's
+    /// `core.replicated.*` (gauges as of the last tick), the network's
+    /// `net.network.*`, the transport's `net.transport.*`, and every
+    /// replica's `raft.node.*` summed. Hand it to an
+    /// `mv_obs::HealthMonitor` tick to watch the region.
+    pub fn registry(&self) -> Registry {
+        let mut r = self.metrics.registry.clone();
+        r.absorb("net.network", &self.net.stats);
+        r.absorb("net.transport", &self.transport.stats);
+        for slot in &self.replicas {
+            r.absorb("raft.node", &slot.node.stats);
+            if !slot.node.election_ms.is_empty() {
+                let id = r.histo("raft.node.election_ms");
+                r.merge_histo(id, &slot.node.election_ms);
+            }
+        }
+        r
     }
 
     /// One scheduler tick: deliver transport arrivals to up replicas,
@@ -514,11 +536,12 @@ impl ReplicatedMetaverse {
             .max()
             .unwrap_or(0) as f64;
         let has_leader = if self.leader().is_some() { 1.0 } else { 0.0 };
-        self.stats.set_gauge("down_replicas", down);
-        self.stats.set_gauge("commit_lag", commit_lag);
-        self.stats.set_gauge("term", term);
-        self.stats.set_gauge("has_leader", has_leader);
-        self.stats.set_gauge("pending_submits", self.pending.len() as f64);
+        let m = &mut self.metrics;
+        m.registry.set_gauge(m.down_replicas, down);
+        m.registry.set_gauge(m.commit_lag, commit_lag);
+        m.registry.set_gauge(m.term, term);
+        m.registry.set_gauge(m.has_leader, has_leader);
+        m.registry.set_gauge(m.pending_submits, self.pending.len() as f64);
     }
 
     fn pump_state_machines(&mut self, now: SimTime) {
@@ -558,8 +581,9 @@ impl ReplicatedMetaverse {
                 // what committed at its index is what it proposed.
                 if let Some((proposed, submitted)) = self.pending.remove(&(id, index)) {
                     if proposed == cmd {
-                        self.stats.incr("acks");
-                        self.stats.observe("ack_ms", now.since(submitted).as_millis_f64());
+                        let m = &mut self.metrics;
+                        m.registry.incr(m.acks);
+                        m.registry.record(m.ack_ms, now.since(submitted).as_millis_f64());
                         self.acked.push(proposed);
                     }
                 }
@@ -584,7 +608,7 @@ impl ReplicatedMetaverse {
             match self.leaders_by_term.get(&term) {
                 None => {
                     self.leaders_by_term.insert(term, id);
-                    self.stats.incr("leader_changes");
+                    self.metrics.registry.incr(self.metrics.leader_changes);
                     self.log.push(format!("{now} leader {id:?} term={term}"));
                 }
                 Some(&prev) if prev != id => {
@@ -957,7 +981,7 @@ mod tests {
                 w.replicas.iter().map(|s| snapshot(s.engine.as_ref().expect("up")).len()).collect();
             assert!(lens.iter().all(|l| *l == lens[0]), "{lens:?}");
             snapshot_len.push(lens[0]);
-            assert_eq!(w.region_stats().gauge("pending_submits"), 0.0);
+            assert_eq!(w.registry().gauge_get("core.replicated.pending_submits"), 0.0);
         }
         assert_eq!(snapshot_len[0], snapshot_len[1], "ten times the history, the same state");
     }

@@ -57,9 +57,10 @@ use mv_common::codec::{put_u64, wire_u32, SliceReader};
 use mv_common::geom::Point;
 use mv_common::hash::FastMap;
 use mv_common::id::{EntityId, TxnId};
+use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
 use mv_common::{MvError, MvResult};
-use mv_obs::{StatSet, TraceCtx};
+use mv_obs::TraceCtx;
 use mv_txn::{IsolationLevel, MvccKey, ShardedMvcc, Transaction};
 use std::ops::RangeBounds;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -240,7 +241,7 @@ pub(crate) struct TxnState {
     /// Behind a lock because a transactional read (`&self`) may meet a
     /// name first.
     names: Mutex<Names>,
-    pub(crate) stats: StatSet,
+    pub(crate) stats: Counters,
 }
 
 impl TxnState {
@@ -248,7 +249,7 @@ impl TxnState {
         TxnState {
             mvcc: ShardedMvcc::with_router(shards.max(1), IsolationLevel::Serializable, route),
             names: Mutex::default(),
-            stats: StatSet::new("core.txn"),
+            stats: Counters::new(),
         }
     }
 
@@ -690,7 +691,7 @@ impl DurableMetaverse {
     /// `recovered_aborts`, `indoubt_aborted`) is the log after the
     /// restored image only: an orphaned prepare a later checkpoint
     /// trimmed is not counted again by the next recovery.
-    pub fn txn_stats(&self) -> &StatSet {
+    pub fn txn_stats(&self) -> &Counters {
         &self.txns.stats
     }
 

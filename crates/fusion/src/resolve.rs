@@ -106,12 +106,6 @@ impl EntityResolver {
         EntityResolver { threshold: 0.4, mentions: Vec::new(), seen: FastMap::default() }
     }
 
-    /// A resolver with an explicit match threshold in `(0, 1]`.
-    pub fn with_threshold(threshold: f64) -> Self {
-        assert!(threshold > 0.0 && threshold <= 1.0);
-        EntityResolver { threshold, ..Self::new() }
-    }
-
     /// Add one mention; returns its internal index (duplicates share one).
     pub fn add_mention(&mut self, mention: &str) -> usize {
         if let Some(&i) = self.seen.get(mention) {

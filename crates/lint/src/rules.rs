@@ -26,10 +26,10 @@
 //!   float-keyed ordered containers; the sanctioned idiom is
 //!   `f32::total_cmp`/`f64::total_cmp`.
 //! * `metric-name` — a literal metric name at a registration call site
-//!   (`StatSet::new`/`in_registry` prefix, `.counter`/`.gauge`/`.histo`
-//!   interning) off the DESIGN.md §8 `<crate>.<component>.<metric>`
-//!   scheme: prefixes need two dot-separated lowercase segments, full
-//!   names three.
+//!   (the `.absorb` prefix a component's counters are folded in under,
+//!   `.counter`/`.gauge`/`.histo` interning) off the DESIGN.md §8
+//!   `<crate>.<component>.<metric>` scheme: prefixes need two
+//!   dot-separated lowercase segments, full names three.
 //! * `vec-realloc-in-loop` — **advisory**: a fresh `Vec` allocation
 //!   (`Vec::new()`, `vec![…]`, `.collect()`) inside a loop body on a
 //!   scoped hot path; the workspace idiom is a reused scratch buffer
@@ -742,27 +742,23 @@ impl<'a> Ctx<'a> {
     // ---- metric-name ------------------------------------------------
 
     /// Literal metric names at registration call sites must follow
-    /// DESIGN.md §8: `StatSet::new`/`in_registry` prefixes carry the
-    /// `<crate>.<component>` pair (≥ 2 segments); registry interning
-    /// calls (`.counter`/`.gauge`/`.histo` with a literal) carry the
-    /// full `<crate>.<component>.<metric>` (≥ 3). Non-literal names are
-    /// invisible to the lexer and pass — the rule polices the
-    /// hand-written sites, which is where drift happens.
+    /// DESIGN.md §8: the prefix a `Registry::absorb` folds a component's
+    /// counters in under carries the `<crate>.<component>` pair (≥ 2
+    /// segments); registry interning calls (`.counter`/`.gauge`/`.histo`
+    /// with a literal) carry the full `<crate>.<component>.<metric>`
+    /// (≥ 3). Non-literal names are invisible to the lexer and pass —
+    /// the rule polices the hand-written sites, which is where drift
+    /// happens.
     fn metric_name(&mut self) {
         for i in 0..self.toks.len() {
-            if self.ident(i) == Some("StatSet")
-                && self.is(i + 1, ':')
-                && self.is(i + 2, ':')
-                && matches!(self.ident(i + 3), Some("new" | "in_registry"))
-                && self.is(i + 4, '(')
-            {
-                if let Some(name) = self.toks.get(i + 5).and_then(|t| t.str_lit()) {
+            if i > 0 && self.is(i - 1, '.') && self.ident(i) == Some("absorb") && self.is(i + 1, '(') {
+                if let Some(name) = self.toks.get(i + 2).and_then(|t| t.str_lit()) {
                     if !valid_metric_name(name, 2) {
                         self.flag(
                             "metric-name",
                             i,
                             format!(
-                                "StatSet prefix `{name}` — DESIGN.md §8 wants \
+                                "absorb prefix `{name}` — DESIGN.md §8 wants \
                                  `<crate>.<component>` (two lowercase dot-separated segments)"
                             ),
                         );
@@ -1503,8 +1499,8 @@ mod tests {
         // Bad prefix (one segment) and bad full name (two segments).
         let src = r#"
             pub fn build() {
-                let s = StatSet::new("raft");
-                let ok = StatSet::in_registry("raft.node", &reg);
+                r.absorb("raft", &node.stats);
+                r.absorb("raft.node", &node.stats);
                 let c = r.counter("node.sent");
                 let g = r.gauge("core.engine.live");
                 let h = r.histo("storage.wal.batch_bytes");

@@ -9,9 +9,9 @@
 use crate::link::LinkSpec;
 use mv_common::hash::{FastMap, FastSet};
 use mv_common::id::NodeId;
+use mv_common::metrics::Counters;
 use mv_common::time::{SimDuration, SimTime};
 use mv_common::{MvError, MvResult};
-use mv_obs::{SharedRegistry, StatSet};
 use rand::Rng;
 
 /// Outcome of a transfer attempt.
@@ -60,22 +60,15 @@ pub struct Network {
     /// Nodes that are currently crashed (refuse all traffic).
     down: FastSet<NodeId>,
     /// Message/byte accounting, plus one `faults_*` counter per injected
-    /// fault kind (the fault layer's audit trail). Registry-backed
-    /// (`net.network.*`); [`Self::attach_registry`] folds it into a
-    /// shared registry.
-    pub stats: StatSet,
+    /// fault kind (the fault layer's audit trail); `net.network.*` in a
+    /// registry.
+    pub stats: Counters,
 }
 
 impl Network {
     /// An empty network.
     pub fn new() -> Self {
-        Network { stats: StatSet::new("net.network"), ..Self::default() }
-    }
-
-    /// Re-home this network's counters onto a shared registry (values
-    /// carry over), so one snapshot covers every layer.
-    pub fn attach_registry(&mut self, registry: &SharedRegistry) {
-        self.stats.attach(registry);
+        Self::default()
     }
 
     /// Register a node with a human-readable kind ("device", "executor",
@@ -92,11 +85,6 @@ impl Network {
             .get_mut(&id)
             .map(|n| n.group = group)
             .ok_or(MvError::not_found("node", id.raw()))
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Add a *directed* link. Use [`Self::add_link_bidi`] for the common case.

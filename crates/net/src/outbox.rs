@@ -21,7 +21,7 @@ use mv_common::hash::FastMap;
 use mv_common::id::{ClientId, NodeId};
 use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
-use mv_obs::{SharedRegistry, StatSet, TraceCtx};
+use mv_obs::TraceCtx;
 use rand::Rng;
 use std::collections::hash_map::Entry;
 use std::fmt::Debug;
@@ -57,13 +57,13 @@ struct Backlog<M: Retained> {
 pub struct Retention<M: Retained> {
     clients: FastMap<ClientId, Backlog<M>>,
     /// `shipped`, `retained`, `merged` (an older message for a key died)
-    /// and `replayed` counters (`net.outbox.*`).
-    pub stats: StatSet,
+    /// and `replayed` counters (`net.outbox.*` in a registry).
+    pub stats: Counters,
 }
 
 impl<M: Retained> Default for Retention<M> {
     fn default() -> Self {
-        Retention { clients: FastMap::default(), stats: StatSet::new("net.outbox") }
+        Retention { clients: FastMap::default(), stats: Counters::new() }
     }
 }
 
@@ -134,7 +134,7 @@ impl<M: Retained> Retention<M> {
 }
 
 /// Newest-wins by `seq` within one key.
-fn retain<M: Retained>(backlog: &mut Backlog<M>, stats: &mut StatSet, msg: M) {
+fn retain<M: Retained>(backlog: &mut Backlog<M>, stats: &mut Counters, msg: M) {
     match backlog.retained.entry(msg.key()) {
         Entry::Occupied(mut held) => {
             if held.get().seq() < msg.seq() {
@@ -180,13 +180,6 @@ impl<M: Retained> Outbox<M> {
             routes: FastMap::default(),
             clients_by_node: FastMap::default(),
         }
-    }
-
-    /// Re-home the outbox's and its transport's counters onto one
-    /// shared registry (values carry over).
-    pub fn attach_registry(&mut self, registry: &SharedRegistry) {
-        self.retention.stats.attach(registry);
-        self.transport.attach_registry(registry);
     }
 
     /// Register a client living at `node` (see [`Retention::register`]).

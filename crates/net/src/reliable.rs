@@ -29,8 +29,9 @@
 use crate::network::{Delivery, Network};
 use mv_common::hash::FastMap;
 use mv_common::id::NodeId;
+use mv_common::metrics::Counters;
 use mv_common::time::{SimDuration, SimTime};
-use mv_obs::{SharedRegistry, SharedTracer, StatSet, TraceCtx};
+use mv_obs::{SharedTracer, TraceCtx};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -232,8 +233,8 @@ pub struct ReliableTransport<P> {
     /// Span collector (off by default; see [`Self::set_tracer`]).
     tracer: Option<SharedTracer>,
     /// Delivery/retry accounting (`sent`, `retransmits`, `delivered`,
-    /// `duplicates`, `expired`, …). Registry-backed (`net.transport.*`).
-    pub stats: StatSet,
+    /// `duplicates`, `expired`, …); `net.transport.*` in a registry.
+    pub stats: Counters,
 }
 
 impl<P: Clone> ReliableTransport<P> {
@@ -248,7 +249,7 @@ impl<P: Clone> ReliableTransport<P> {
             queue: BinaryHeap::new(),
             tick: 0,
             tracer: None,
-            stats: StatSet::new("net.transport"),
+            stats: Counters::new(),
         }
     }
 
@@ -264,11 +265,6 @@ impl<P: Clone> ReliableTransport<P> {
     /// The tracer, if one is attached.
     pub fn tracer(&self) -> Option<&SharedTracer> {
         self.tracer.as_ref()
-    }
-
-    /// Re-home this transport's counters onto a shared registry.
-    pub fn attach_registry(&mut self, registry: &SharedRegistry) {
-        self.stats.attach(registry);
     }
 
     /// The configured policy.

@@ -114,15 +114,6 @@ impl<W> Sim<W> {
         self.sched.at(at, f);
     }
 
-    /// Schedule an event after `delay`.
-    pub fn schedule_after(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        self.sched.after(delay, f);
-    }
-
     /// Run until the queue drains or virtual time would exceed `until`.
     /// Returns the number of events fired by this call. Events scheduled
     /// later than `until` remain queued; the clock stops at the last fired

@@ -489,24 +489,21 @@ mod tests {
     #[test]
     fn alert_events_export_canonical_fields() {
         use crate::slo::{HealthMonitor, SloSpec};
-        use crate::registry::SharedRegistry;
 
-        let reg = SharedRegistry::new();
-        let mut mon = HealthMonitor::new(&reg, 64, 16);
+        let mut reg = Registry::new();
+        let mut mon = HealthMonitor::new(64, 16);
         mon.arm(
             SloSpec::availability("t.avail", "t.c.err", "t.c.total", 0.01)
                 .windows(8, 32)
                 .min_events(4),
         );
-        let (errs, total) = reg.with(|r| (r.counter("t.c.err"), r.counter("t.c.total")));
+        let (errs, total) = (reg.counter("t.c.err"), reg.counter("t.c.total"));
         for ms in 0..150u64 {
-            reg.with(|r| {
-                r.incr(total);
-                if (50..90).contains(&ms) {
-                    r.incr(errs);
-                }
-            });
-            mon.tick(SimTime::from_millis(ms));
+            reg.incr(total);
+            if (50..90).contains(&ms) {
+                reg.incr(errs);
+            }
+            mon.tick(SimTime::from_millis(ms), &reg);
         }
         let j = alerts_to_jsonl(mon.alert_log());
         assert!(j.contains("\"kind\":\"alert\",\"seq\":0,"), "{j}");

@@ -11,9 +11,10 @@
 //! * [`registry`] — a mergeable [`registry::Registry`] of named
 //!   counters, gauges, and fixed-bucket log-scaled histograms
 //!   ([`registry::LogHistogram`]: bounded memory, mergeable across
-//!   shards), plus [`registry::StatSet`], the registry-backed drop-in
-//!   for the ad-hoc counter structs the lower crates used to carry.
-//!   Metric names follow `<crate>.<component>.<metric>` (DESIGN.md §8).
+//!   shards). Components count in their own `mv_common::metrics::
+//!   Counters`; a reader assembles a registry from them with
+//!   [`registry::Registry::absorb`]. Metric names follow
+//!   `<crate>.<component>.<metric>` (DESIGN.md §8).
 //! * [`trace`] — causal span tracing on the *virtual* clock: a
 //!   [`trace::TraceCtx`] minted at op ingest rides every payload through
 //!   transport retries, outbox replays, broker delivery, and WAL group
@@ -52,7 +53,7 @@ pub mod window;
 
 pub use profile::TickProfiler;
 pub use recorder::{DebugBundle, FlightRecorder, TickEvidence, BUNDLE_SCHEMA};
-pub use registry::{CounterId, GaugeId, HistoId, LogHistogram, Registry, SharedRegistry, StatSet};
+pub use registry::{CounterId, GaugeId, HistoId, LogHistogram, Registry};
 pub use slo::{AlertEvent, AlertKind, HealthMonitor, Objective, SloEngine, SloSpec};
 pub use trace::{SharedTracer, SpanRecord, TraceCtx, Tracer};
 pub use window::{MetricWindows, WindowHisto};

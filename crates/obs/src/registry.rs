@@ -11,21 +11,15 @@
 //! and two shards' histograms merge bucket-wise. The raw-sample type
 //! stays around for bench post-processing where exact quantiles matter.
 //!
-//! [`StatSet`] is the registry-backed drop-in for ad-hoc `Counters`
-//! fields, used by `Network`, `ReliableTransport`, and the client outbox
-//! that `dissem` and `pubsub` deliver through (`mv_net::outbox`): same
-//! `incr`/`add`/`get` surface,
-//! deterministic `Debug`, but the values live in a [`Registry`] under
-//! `<prefix>.<name>` — attach all three components to one
-//! [`SharedRegistry`] and a single snapshot reports every layer without
-//! hand-merging (and without double counting across crash-epoch
-//! resets: endpoint state resets, the registry does not).
+//! Components do not write into a registry: each counts in its own
+//! `mv_common::metrics::Counters`, with no lock and no handle. A
+//! registry is put together when someone reads one —
+//! [`Registry::absorb`] folds a component's counters in under its
+//! `<crate>.<component>` prefix (DESIGN.md §8).
 
-use mv_common::hash::FastMap;
-use parking_lot::Mutex;
+use mv_common::metrics::Counters;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Number of power-of-two buckets in a [`LogHistogram`].
 pub const LOG_BUCKETS: usize = 64;
@@ -191,11 +185,6 @@ impl LogHistogram {
         bucket_lo(i)
     }
 
-    /// Index of the bucket a sample `v` lands in.
-    pub fn bucket_index(v: f64) -> usize {
-        bucket_of(v)
-    }
-
     /// Merge another histogram into this one, bucket-wise.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -226,7 +215,7 @@ pub struct HistoId(u32);
 /// A registry of named metrics with interned-handle hot paths and
 /// deterministic (name-sorted) iteration. Memory is bounded by the
 /// number of *names*, never the number of updates.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Registry {
     counter_index: BTreeMap<String, u32>,
     counters: Vec<u64>,
@@ -301,7 +290,6 @@ impl Registry {
 
     /// Read a gauge by name (0 if never interned).
     pub fn gauge_get(&self, name: &str) -> f64 {
-        // lint:allow(panic-path): gauge_index stores indices this registry interned; the two grow in lockstep
         self.gauge_index.get(name).map_or(0.0, |&i| self.gauges[i as usize])
     }
 
@@ -344,20 +332,6 @@ impl Registry {
         self.counter_index.iter().map(|(k, &i)| (k.as_str(), self.counters[i as usize]))
     }
 
-    /// Counter pairs under `prefix.` with the prefix stripped, in name
-    /// order (what [`StatSet`]'s `Debug` prints).
-    pub fn counters_under<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters().filter_map(move |(name, v)| {
-            if prefix.is_empty() {
-                return Some((name, v));
-            }
-            name.strip_prefix(prefix).and_then(|rest| rest.strip_prefix('.')).map(|n| (n, v))
-        })
-    }
-
     /// Gauge `(name, value)` pairs in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
         // lint:allow(panic-path): gauge_index stores indices this registry interned; the two grow in lockstep
@@ -368,6 +342,21 @@ impl Registry {
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> + '_ {
         // lint:allow(panic-path): histo_index stores indices this registry interned; the two grow in lockstep
         self.histo_index.iter().map(|(k, &i)| (k.as_str(), &self.histos[i as usize]))
+    }
+
+    /// Fold a component's counters in as `<prefix>.<name>`, summing with
+    /// what is already there (replicas counting under one prefix add
+    /// up).
+    pub fn absorb(&mut self, prefix: &str, counters: &Counters) {
+        let mut full = String::with_capacity(prefix.len() + 32);
+        for (name, v) in counters.iter() {
+            full.clear();
+            full.push_str(prefix);
+            full.push('.');
+            full.push_str(name);
+            let id = self.counter(&full);
+            self.add(id, v);
+        }
     }
 
     /// Merge another registry into this one: counters sum, gauges take
@@ -387,236 +376,6 @@ impl Registry {
             let id = self.histo(&name);
             self.histos[id.0 as usize].merge(&h);
         }
-    }
-}
-
-/// A cloneable, thread-shareable handle to one [`Registry`].
-#[derive(Debug, Clone, Default)]
-pub struct SharedRegistry(Arc<Mutex<Registry>>);
-
-impl SharedRegistry {
-    /// A fresh shared registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run `f` with the registry locked.
-    pub fn with<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> T {
-        f(&mut self.0.lock())
-    }
-
-    /// Read a counter by full name.
-    pub fn counter_get(&self, name: &str) -> u64 {
-        self.0.lock().counter_get(name)
-    }
-
-    /// Counter snapshot in name order.
-    pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
-        self.0.lock().counters().map(|(n, v)| (n.to_string(), v)).collect()
-    }
-
-    /// True when two handles share one registry.
-    pub fn same_as(&self, other: &SharedRegistry) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-/// A component-scoped view of a [`SharedRegistry`]: the drop-in for the
-/// ad-hoc `Counters` fields on `Network`, `ReliableTransport`, and the
-/// client outbox. Keeps the `incr`/`add`/`get` surface and a
-/// deterministic `Debug`, but the values live under
-/// `<prefix>.<name>` in the registry, so components sharing one
-/// registry report through one snapshot — no hand-merging, no double
-/// counting across crash-epoch endpoint resets.
-pub struct StatSet {
-    prefix: &'static str,
-    registry: SharedRegistry,
-    /// Leaf-name → interned handle, cached per component.
-    ids: FastMap<&'static str, CounterId>,
-    /// Leaf-name → interned gauge handle.
-    gauge_ids: FastMap<&'static str, GaugeId>,
-    /// Leaf-name → interned histogram handle.
-    histo_ids: FastMap<&'static str, HistoId>,
-}
-
-impl Default for StatSet {
-    fn default() -> Self {
-        StatSet::new("")
-    }
-}
-
-impl StatSet {
-    /// A stat set over its own private registry, namespaced by `prefix`
-    /// (e.g. `"net.transport"`).
-    pub fn new(prefix: &'static str) -> Self {
-        StatSet {
-            prefix,
-            registry: SharedRegistry::new(),
-            ids: FastMap::default(),
-            gauge_ids: FastMap::default(),
-            histo_ids: FastMap::default(),
-        }
-    }
-
-    /// A stat set writing into an existing shared registry.
-    pub fn in_registry(prefix: &'static str, registry: &SharedRegistry) -> Self {
-        StatSet {
-            prefix,
-            registry: registry.clone(),
-            ids: FastMap::default(),
-            gauge_ids: FastMap::default(),
-            histo_ids: FastMap::default(),
-        }
-    }
-
-    /// The namespace prefix.
-    pub fn prefix(&self) -> &'static str {
-        self.prefix
-    }
-
-    /// The backing registry handle.
-    pub fn registry(&self) -> &SharedRegistry {
-        &self.registry
-    }
-
-    /// Re-home this stat set onto `registry`, carrying current values
-    /// over (so attaching after the fact loses nothing).
-    pub fn attach(&mut self, registry: &SharedRegistry) {
-        if self.registry.same_as(registry) {
-            return;
-        }
-        let moved: Vec<(String, u64)> = self
-            .registry
-            .with(|r| r.counters().map(|(n, v)| (n.to_string(), v)).collect());
-        let moved_gauges: Vec<(String, f64)> =
-            self.registry.with(|r| r.gauges().map(|(n, v)| (n.to_string(), v)).collect());
-        let moved_histos: Vec<(String, LogHistogram)> =
-            self.registry.with(|r| r.histograms().map(|(n, h)| (n.to_string(), h.clone())).collect());
-        registry.with(|r| {
-            for (name, v) in moved {
-                let id = r.counter(&name);
-                r.add(id, v);
-            }
-            for (name, v) in moved_gauges {
-                let id = r.gauge(&name);
-                r.set_gauge(id, v);
-            }
-            for (name, h) in moved_histos {
-                let id = r.histo(&name);
-                r.merge_histo(id, &h);
-            }
-        });
-        self.registry = registry.clone();
-        self.ids.clear();
-        self.gauge_ids.clear();
-        self.histo_ids.clear();
-    }
-
-    fn full_name(&self, name: &str) -> String {
-        if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{}", self.prefix, name)
-        }
-    }
-
-    fn id(&mut self, name: &'static str) -> CounterId {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let full = self.full_name(name);
-        let id = self.registry.with(|r| r.counter(&full));
-        self.ids.insert(name, id);
-        id
-    }
-
-    /// Add `delta` to counter `name` (created at zero on first use).
-    #[inline]
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        let id = self.id(name);
-        self.registry.with(|r| r.add(id, delta));
-    }
-
-    /// Increment counter `name` by one.
-    #[inline]
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Read counter `name` (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.registry.counter_get(&self.full_name(name))
-    }
-
-    fn gauge_id(&mut self, name: &'static str) -> GaugeId {
-        if let Some(&id) = self.gauge_ids.get(name) {
-            return id;
-        }
-        let full = self.full_name(name);
-        let id = self.registry.with(|r| r.gauge(&full));
-        self.gauge_ids.insert(name, id);
-        id
-    }
-
-    /// Set gauge `name` (created at zero on first use).
-    #[inline]
-    pub fn set_gauge(&mut self, name: &'static str, v: f64) {
-        let id = self.gauge_id(name);
-        self.registry.with(|r| r.set_gauge(id, v));
-    }
-
-    /// Read gauge `name` (0 if never touched).
-    pub fn gauge(&self, name: &str) -> f64 {
-        self.registry.with(|r| r.gauge_get(&self.full_name(name)))
-    }
-
-    fn histo_id(&mut self, name: &'static str) -> HistoId {
-        if let Some(&id) = self.histo_ids.get(name) {
-            return id;
-        }
-        let full = self.full_name(name);
-        let id = self.registry.with(|r| r.histo(&full));
-        self.histo_ids.insert(name, id);
-        id
-    }
-
-    /// Record one sample into histogram `name` (created on first use).
-    #[inline]
-    pub fn observe(&mut self, name: &'static str, v: f64) {
-        let id = self.histo_id(name);
-        self.registry.with(|r| r.record(id, v));
-    }
-
-    /// Clone of histogram `name`, if ever observed.
-    pub fn histo_snapshot(&self, name: &str) -> Option<LogHistogram> {
-        self.registry.with(|r| r.histo_get(&self.full_name(name)).cloned())
-    }
-
-    /// Snapshot of this component's counters (prefix stripped), in name
-    /// order.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.registry
-            .with(|r| r.counters_under(self.prefix).map(|(n, v)| (n.to_string(), v)).collect())
-    }
-}
-
-impl fmt::Debug for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "StatSet({})", self)
-    }
-}
-
-impl fmt::Display for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (k, v) in self.snapshot() {
-            if !first {
-                write!(f, " ")?;
-            }
-            write!(f, "{k}={v}")?;
-            first = false;
-        }
-        Ok(())
     }
 }
 
@@ -738,80 +497,23 @@ mod tests {
     }
 
     #[test]
-    fn statset_is_counters_compatible() {
-        let mut s = StatSet::new("net.test");
-        s.incr("sent");
-        s.add("sent", 2);
-        s.add("bytes", 100);
-        assert_eq!(s.get("sent"), 3);
-        assert_eq!(s.get("missing"), 0);
-        assert_eq!(s.to_string(), "bytes=100 sent=3");
-        // Debug is deterministic (the fault harness hashes it).
-        assert_eq!(format!("{s:?}"), "StatSet(bytes=100 sent=3)");
-    }
-
-    #[test]
-    fn statsets_consolidate_into_one_registry() {
-        let reg = SharedRegistry::new();
-        let mut net = StatSet::in_registry("net.network", &reg);
-        let mut tx = StatSet::in_registry("net.transport", &reg);
-        net.incr("msgs_sent");
-        tx.incr("sent");
-        tx.incr("endpoint_resets"); // a crash-epoch reset…
-        net.incr("faults_node_crash"); // …and the fault layer's view of it
-        let snap = reg.counter_snapshot();
-        let names: Vec<&str> = snap.iter().map(|(n, _)| n.as_str()).collect();
-        // One namespaced counter each: nothing is counted twice.
+    fn absorb_prefixes_and_sums_component_counters() {
+        let mut node_a = Counters::new();
+        let mut node_b = Counters::new();
+        let mut net = Counters::new();
+        node_a.add("entries_sent", 3);
+        node_b.add("entries_sent", 4);
+        node_b.incr("crashes");
+        net.add("msgs_sent", 0);
+        let mut r = Registry::new();
+        r.absorb("raft.node", &node_a);
+        r.absorb("raft.node", &node_b);
+        r.absorb("net.network", &net);
+        let all: Vec<(&str, u64)> = r.counters().collect();
+        // A counter touched with zero is listed, as the component lists it.
         assert_eq!(
-            names,
-            vec![
-                "net.network.faults_node_crash",
-                "net.network.msgs_sent",
-                "net.transport.endpoint_resets",
-                "net.transport.sent"
-            ]
+            all,
+            vec![("net.network.msgs_sent", 0), ("raft.node.crashes", 1), ("raft.node.entries_sent", 7)]
         );
-        assert!(snap.iter().all(|(_, v)| *v == 1));
-    }
-
-    #[test]
-    fn statset_gauges_and_histos() {
-        let reg = SharedRegistry::new();
-        let mut s = StatSet::in_registry("raft.test", &reg);
-        s.set_gauge("commit_lag", 7.0);
-        assert_eq!(s.gauge("commit_lag"), 7.0);
-        s.observe("election_ms", 120.0);
-        s.observe("election_ms", 240.0);
-        let h = s.histo_snapshot("election_ms").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(reg.with(|r| r.gauge_get("raft.test.commit_lag")), 7.0);
-        assert!(reg.with(|r| r.histo_get("raft.test.election_ms").is_some()));
-    }
-
-    #[test]
-    fn statset_attach_carries_gauges_and_histos() {
-        let mut s = StatSet::new("raft.test");
-        s.set_gauge("term", 3.0);
-        s.observe("lat", 8.0);
-        let reg = SharedRegistry::new();
-        s.attach(&reg);
-        assert_eq!(reg.with(|r| r.gauge_get("raft.test.term")), 3.0);
-        assert_eq!(reg.with(|r| r.histo_get("raft.test.lat").map(|h| h.count())), Some(1));
-        s.observe("lat", 16.0);
-        assert_eq!(reg.with(|r| r.histo_get("raft.test.lat").map(|h| h.count())), Some(2));
-    }
-
-    #[test]
-    fn statset_attach_carries_values_over() {
-        let mut s = StatSet::new("net.t");
-        s.add("sent", 9);
-        let reg = SharedRegistry::new();
-        s.attach(&reg);
-        s.incr("sent");
-        assert_eq!(s.get("sent"), 10);
-        assert_eq!(reg.counter_get("net.t.sent"), 10);
-        // Re-attaching to the same registry is a no-op.
-        s.attach(&reg);
-        assert_eq!(s.get("sent"), 10);
     }
 }

@@ -27,7 +27,7 @@
 //! indexing.
 
 use crate::recorder::{FlightRecorder, TickEvidence};
-use crate::registry::{CounterId, GaugeId, SharedRegistry};
+use crate::registry::{CounterId, GaugeId, Registry};
 use crate::window::{MetricWindows, WindowHisto};
 use mv_common::hash::fx_hash_one;
 use mv_common::time::SimTime;
@@ -346,13 +346,14 @@ fn eval_window(spec: &SloSpec, w: &MetricWindows, k: usize, scratch: &mut Window
     WindowEval { bad, total, burn: frac / budget }
 }
 
-/// The per-tick health pump: rolls a [`MetricWindows`] over a shared
-/// registry, evaluates the [`SloEngine`], publishes `obs.slo.*` stats
-/// back into the registry, feeds the [`FlightRecorder`], and dumps a
-/// debug bundle on every alert fire.
+/// The per-tick health pump: rolls a [`MetricWindows`] over the
+/// caller's registry and its own `obs.slo.*` stats, evaluates the
+/// [`SloEngine`], publishes the stats, feeds the [`FlightRecorder`], and
+/// dumps a debug bundle on every alert fire.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    registry: SharedRegistry,
+    /// `obs.slo.*`: the monitor's own counters and gauges.
+    registry: Registry,
     /// The sliding windows (public: probes and tests may query).
     pub windows: MetricWindows,
     /// The burn-rate engine.
@@ -369,19 +370,16 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor over `registry` with a `window_len`-tick ring and a
+    /// A monitor with a `window_len`-tick ring and a
     /// `recorder_ticks`-tick flight recorder.
-    pub fn new(registry: &SharedRegistry, window_len: usize, recorder_ticks: usize) -> Self {
-        let (fired_id, cleared_id, active_id, armed_id) = registry.with(|r| {
-            (
-                r.counter("obs.slo.fired"),
-                r.counter("obs.slo.cleared"),
-                r.gauge("obs.slo.active"),
-                r.gauge("obs.slo.armed"),
-            )
-        });
+    pub fn new(window_len: usize, recorder_ticks: usize) -> Self {
+        let mut registry = Registry::new();
+        let fired_id = registry.counter("obs.slo.fired");
+        let cleared_id = registry.counter("obs.slo.cleared");
+        let active_id = registry.gauge("obs.slo.active");
+        let armed_id = registry.gauge("obs.slo.armed");
         HealthMonitor {
-            registry: registry.clone(),
+            registry,
             windows: MetricWindows::new(window_len),
             engine: SloEngine::new(),
             recorder: FlightRecorder::new(recorder_ticks),
@@ -395,8 +393,8 @@ impl HealthMonitor {
         }
     }
 
-    /// The registry this monitor watches.
-    pub fn registry(&self) -> &SharedRegistry {
+    /// The monitor's own `obs.slo.*` stats.
+    pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
@@ -417,15 +415,17 @@ impl HealthMonitor {
         self.recorder.dump(reason, now.as_micros())
     }
 
-    /// One health tick: roll, evaluate, publish, record. Returns the
-    /// number of alert events this tick produced.
-    pub fn tick(&mut self, now: SimTime) -> usize {
-        let windows = &mut self.windows;
-        self.registry.with(|r| windows.roll(r));
+    /// One health tick: roll the windows over `watched` and the
+    /// monitor's own stats, evaluate, publish, record. Returns the number
+    /// of alert events this tick produced.
+    pub fn tick(&mut self, now: SimTime, watched: &Registry) -> usize {
+        let mut all = watched.clone();
+        all.merge(&self.registry);
+        self.windows.roll(&all);
         let new_events = self.engine.evaluate(now, &self.windows);
 
-        // Publish obs.slo.* so the health layer is visible through the
-        // same registry it watches.
+        // Publish obs.slo.*: the next roll sees them beside what the
+        // monitor watches.
         let fired = self.engine.fired_total();
         let cleared = self.engine.cleared_total();
         let active = self.engine.active_count() as f64;
@@ -436,14 +436,10 @@ impl HealthMonitor {
         );
         self.published_fired = fired;
         self.published_cleared = cleared;
-        let (fired_id, cleared_id, active_id, armed_id) =
-            (self.fired_id, self.cleared_id, self.active_id, self.armed_id);
-        self.registry.with(|r| {
-            r.add(fired_id, d_fired);
-            r.add(cleared_id, d_cleared);
-            r.set_gauge(active_id, active);
-            r.set_gauge(armed_id, armed);
-        });
+        self.registry.add(self.fired_id, d_fired);
+        self.registry.add(self.cleared_id, d_cleared);
+        self.registry.set_gauge(self.active_id, active);
+        self.registry.set_gauge(self.armed_id, armed);
 
         // Evidence for the flight recorder.
         let mut ev = TickEvidence::at(now.as_micros());
@@ -492,26 +488,24 @@ mod tests {
     /// Drive an availability SLO through healthy → outage → recovery.
     #[test]
     fn availability_fires_and_clears() {
-        let reg = SharedRegistry::new();
-        let mut mon = HealthMonitor::new(&reg, 64, 16);
+        let mut reg = Registry::new();
+        let mut mon = HealthMonitor::new(64, 16);
         mon.arm(
             SloSpec::availability("t.avail", "t.c.err", "t.c.total", 0.01)
                 .windows(8, 32)
                 .burn(2.0, 1.0)
                 .min_events(4),
         );
-        let (errs, total) = reg.with(|r| (r.counter("t.c.err"), r.counter("t.c.total")));
+        let (errs, total) = (reg.counter("t.c.err"), reg.counter("t.c.total"));
         let mut fired_at = None;
         let mut cleared_at = None;
         for ms in 0..200u64 {
-            reg.with(|r| {
-                r.incr(total);
-                // Outage between ms 50 and 100: every request errors.
-                if (50..100).contains(&ms) {
-                    r.incr(errs);
-                }
-            });
-            mon.tick(t(ms));
+            reg.incr(total);
+            // Outage between ms 50 and 100: every request errors.
+            if (50..100).contains(&ms) {
+                reg.incr(errs);
+            }
+            mon.tick(t(ms), &reg);
             if fired_at.is_none() && mon.active_alerts() > 0 {
                 fired_at = Some(ms);
             }
@@ -530,27 +524,24 @@ mod tests {
         assert_eq!(mon.recorder.bundles().len(), 1);
         assert!(mon.recorder.bundles()[0].reason.contains("t.avail"));
         // Registry-visible stats.
-        assert_eq!(reg.counter_get("obs.slo.fired"), 1);
-        assert_eq!(reg.counter_get("obs.slo.cleared"), 1);
-        assert_eq!(reg.with(|r| r.gauge_get("obs.slo.armed")), 1.0);
+        assert_eq!(mon.registry().counter_get("obs.slo.fired"), 1);
+        assert_eq!(mon.registry().counter_get("obs.slo.cleared"), 1);
+        assert_eq!(mon.registry().gauge_get("obs.slo.armed"), 1.0);
     }
 
     #[test]
     fn healthy_baseline_never_fires() {
-        let reg = SharedRegistry::new();
-        let mut mon = HealthMonitor::new(&reg, 64, 16);
+        let mut reg = Registry::new();
+        let mut mon = HealthMonitor::new(64, 16);
         mon.arm(SloSpec::availability("t.avail", "t.c.err", "t.c.total", 0.01).windows(8, 32));
         mon.arm(SloSpec::latency("t.lat", "t.h.ms", 64.0, 0.05).windows(8, 32).min_events(4));
         mon.arm(SloSpec::staleness("t.stale", "t.g.lag", 10.0, 0.1).windows(8, 32).min_events(4));
-        let (total, h, g) =
-            reg.with(|r| (r.counter("t.c.total"), r.histo("t.h.ms"), r.gauge("t.g.lag")));
+        let (total, h, g) = (reg.counter("t.c.total"), reg.histo("t.h.ms"), reg.gauge("t.g.lag"));
         for ms in 0..300u64 {
-            reg.with(|r| {
-                r.incr(total);
-                r.record(h, 2.0);
-                r.set_gauge(g, 1.0);
-            });
-            mon.tick(t(ms));
+            reg.incr(total);
+            reg.record(h, 2.0);
+            reg.set_gauge(g, 1.0);
+            mon.tick(t(ms), &reg);
         }
         assert_eq!(mon.alert_log().len(), 0, "{}", mon.canonical_alert_log());
         assert_eq!(mon.recorder.bundles().len(), 0);
@@ -558,19 +549,17 @@ mod tests {
 
     #[test]
     fn latency_objective_burns_on_slow_tail() {
-        let reg = SharedRegistry::new();
-        let mut mon = HealthMonitor::new(&reg, 64, 16);
+        let mut reg = Registry::new();
+        let mut mon = HealthMonitor::new(64, 16);
         mon.arm(SloSpec::latency("t.lat", "t.h.ms", 64.0, 0.05).windows(8, 32).min_events(4));
-        let h = reg.with(|r| r.histo("t.h.ms"));
+        let h = reg.histo("t.h.ms");
         for ms in 0..120u64 {
-            reg.with(|r| {
-                for _ in 0..10 {
-                    // After ms 40, half the samples blow the 64 ms threshold.
-                    let v = if ms >= 40 { 128.0 } else { 2.0 };
-                    r.record(h, if ms >= 40 && ms % 2 == 0 { v } else { 2.0 });
-                }
-            });
-            mon.tick(t(ms));
+            for _ in 0..10 {
+                // After ms 40, half the samples blow the 64 ms threshold.
+                let v = if ms >= 40 { 128.0 } else { 2.0 };
+                reg.record(h, if ms >= 40 && ms % 2 == 0 { v } else { 2.0 });
+            }
+            mon.tick(t(ms), &reg);
         }
         assert!(mon.engine.fired_total() >= 1, "{}", mon.canonical_alert_log());
         assert!(mon.engine.is_active("t.lat"));
@@ -578,21 +567,21 @@ mod tests {
 
     #[test]
     fn staleness_objective_watches_gauges() {
-        let reg = SharedRegistry::new();
-        let mut mon = HealthMonitor::new(&reg, 64, 16);
+        let mut reg = Registry::new();
+        let mut mon = HealthMonitor::new(64, 16);
         mon.arm(
             SloSpec::staleness("t.stale", "t.g.lag", 10.0, 0.25).windows(8, 16).min_events(4),
         );
-        let g = reg.with(|r| r.gauge("t.g.lag"));
+        let g = reg.gauge("t.g.lag");
         for ms in 0..100u64 {
-            reg.with(|r| r.set_gauge(g, if ms >= 30 { 50.0 } else { 0.0 }));
-            mon.tick(t(ms));
+            reg.set_gauge(g, if ms >= 30 { 50.0 } else { 0.0 });
+            mon.tick(t(ms), &reg);
         }
         assert!(mon.engine.is_active("t.stale"), "{}", mon.canonical_alert_log());
         // Gauge recovers → alert clears.
         for ms in 100..160u64 {
-            reg.with(|r| r.set_gauge(g, 0.0));
-            mon.tick(t(ms));
+            reg.set_gauge(g, 0.0);
+            mon.tick(t(ms), &reg);
         }
         assert!(!mon.engine.is_active("t.stale"), "{}", mon.canonical_alert_log());
         assert_eq!(mon.engine.cleared_total(), 1);
@@ -600,20 +589,18 @@ mod tests {
 
     #[test]
     fn min_events_gates_thin_windows() {
-        let reg = SharedRegistry::new();
-        let mut mon = HealthMonitor::new(&reg, 64, 16);
+        let mut reg = Registry::new();
+        let mut mon = HealthMonitor::new(64, 16);
         mon.arm(
             SloSpec::availability("t.avail", "t.c.err", "t.c.total", 0.01)
                 .windows(8, 32)
                 .min_events(100),
         );
-        let (errs, total) = reg.with(|r| (r.counter("t.c.err"), r.counter("t.c.total")));
+        let (errs, total) = (reg.counter("t.c.err"), reg.counter("t.c.total"));
         for ms in 0..50u64 {
-            reg.with(|r| {
-                r.incr(total);
-                r.incr(errs); // 100% errors, but too few events to trust
-            });
-            mon.tick(t(ms));
+            reg.incr(total);
+            reg.incr(errs); // 100% errors, but too few events to trust
+            mon.tick(t(ms), &reg);
         }
         assert_eq!(mon.alert_log().len(), 0);
     }
@@ -621,22 +608,20 @@ mod tests {
     #[test]
     fn canonical_log_is_reproducible() {
         let run = || {
-            let reg = SharedRegistry::new();
-            let mut mon = HealthMonitor::new(&reg, 64, 16);
+            let mut reg = Registry::new();
+            let mut mon = HealthMonitor::new(64, 16);
             mon.arm(
                 SloSpec::availability("t.avail", "t.c.err", "t.c.total", 0.01)
                     .windows(8, 32)
                     .min_events(4),
             );
-            let (errs, total) = reg.with(|r| (r.counter("t.c.err"), r.counter("t.c.total")));
+            let (errs, total) = (reg.counter("t.c.err"), reg.counter("t.c.total"));
             for ms in 0..150u64 {
-                reg.with(|r| {
-                    r.incr(total);
-                    if (50..90).contains(&ms) {
-                        r.incr(errs);
-                    }
-                });
-                mon.tick(t(ms));
+                reg.incr(total);
+                if (50..90).contains(&ms) {
+                    reg.incr(errs);
+                }
+                mon.tick(t(ms), &reg);
             }
             (mon.canonical_alert_log(), mon.engine.log_hash(), mon.recorder.bundle_hash())
         };

@@ -19,9 +19,10 @@ use crate::matcher::{IndexedMatcher, Matcher};
 use crate::publication::Publication;
 use crate::subscription::Subscription;
 use mv_common::id::{ClientId, NodeId};
+use mv_common::metrics::Counters;
 use mv_common::time::SimTime;
 use mv_net::{Inbox, Network, Outbox, Retained, RetryPolicy};
-use mv_obs::{SharedRegistry, StatSet, TraceCtx};
+use mv_obs::TraceCtx;
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -68,8 +69,8 @@ pub struct ReliableBroker {
     /// Client routing, retention, expiry and replay.
     pub outbox: Outbox<PubMsg>,
     next_pub_id: u64,
-    /// `matched` counter, registry-backed (`pubsub.broker.*`).
-    pub stats: StatSet,
+    /// `matched` counter (`pubsub.broker.*` in a registry).
+    pub stats: Counters,
 }
 
 impl ReliableBroker {
@@ -80,15 +81,8 @@ impl ReliableBroker {
             matcher: IndexedMatcher::new(),
             outbox: Outbox::new(node, policy, seed, msg_bytes),
             next_pub_id: 0,
-            stats: StatSet::new("pubsub.broker"),
+            stats: Counters::new(),
         }
-    }
-
-    /// Re-home the broker's, its outbox's and its transport's counters
-    /// onto one shared registry (values carry over).
-    pub fn attach_registry(&mut self, registry: &SharedRegistry) {
-        self.stats.attach(registry);
-        self.outbox.attach_registry(registry);
     }
 
     /// Attach a subscription (routed by its `client` field).

@@ -21,8 +21,9 @@ use crate::record::{FoldedState, RaftRecord};
 use crate::{mix, unit_f64};
 use bytes::Bytes;
 use mv_common::id::NodeId;
+use mv_common::metrics::Counters;
 use mv_common::time::{SimDuration, SimTime};
-use mv_obs::{SharedRegistry, SharedTracer, StatSet};
+use mv_obs::{LogHistogram, SharedTracer};
 use mv_storage::wal::{WalRecord, WalRecordRef};
 use mv_storage::{GroupCommitPolicy, GroupCommitWal};
 use std::collections::BTreeMap;
@@ -129,9 +130,10 @@ pub struct RaftNode {
     election_started: Option<SimTime>,
     tracer: Option<SharedTracer>,
     /// `raft.node.*` counters (`elections_started`, `leaders_elected`,
-    /// `entries_committed`, `snapshots_installed`, …), the
-    /// `term`/`commit_lag` gauges, and the `election_ms` histogram.
-    pub stats: StatSet,
+    /// `entries_committed`, `snapshots_installed`, …).
+    pub stats: Counters,
+    /// `raft.node.election_ms`: how long each election this node won took.
+    pub election_ms: LogHistogram,
 }
 
 impl RaftNode {
@@ -165,7 +167,8 @@ impl RaftNode {
             election_span: None,
             election_started: None,
             tracer: None,
-            stats: StatSet::new("raft.node"),
+            stats: Counters::new(),
+            election_ms: LogHistogram::new(),
         };
         node.election_deadline = now + node.election_timeout(0);
         node
@@ -179,11 +182,6 @@ impl RaftNode {
     /// Collect `raft.election/append/commit/snapshot` spans here.
     pub fn set_tracer(&mut self, tracer: SharedTracer) {
         self.tracer = Some(tracer);
-    }
-
-    /// Re-home this node's counters onto a shared registry.
-    pub fn attach_registry(&mut self, registry: &SharedRegistry) {
-        self.stats.attach(registry);
     }
 
     /// This node's id.
@@ -370,10 +368,6 @@ impl RaftNode {
                 }
             }
         }
-        // Health probes: the SLO layer windows these each sim tick.
-        self.stats.set_gauge("term", self.term as f64);
-        self.stats
-            .set_gauge("commit_lag", self.last_index().saturating_sub(self.commit_index) as f64);
         out
     }
 
@@ -412,7 +406,7 @@ impl RaftNode {
         self.leader_hint = Some(self.id);
         self.stats.incr("leaders_elected");
         if let Some(started) = self.election_started.take() {
-            self.stats.observe("election_ms", now.since(started).as_millis_f64());
+            self.election_ms.record(now.since(started).as_millis_f64());
         }
         self.close_election(now, "won");
         // Nothing is known about any peer's log yet: probe from our tail.

@@ -86,12 +86,6 @@ impl St2bTree {
         }
     }
 
-    /// A convenient default universe: `side`-metre square at the origin
-    /// with 8×8 regions and 1-second windows.
-    pub fn with_universe(side: f64) -> Self {
-        St2bTree::new(Point::ORIGIN, side / 8.0, 8, 1_000_000)
-    }
-
     /// Advance the index's notion of time (phase selection).
     pub fn set_now(&mut self, now: SimTime) {
         self.now = self.now.max(now);

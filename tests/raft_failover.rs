@@ -184,7 +184,7 @@ fn run(scenario: Scenario, replicas: usize, seed: u64) -> RunResult {
         members: n,
         log_hash: fx_hash_one(&w.region.log),
         applied_all,
-        pending_submits: w.region.region_stats().gauge("pending_submits"),
+        pending_submits: w.region.registry().gauge_get("core.replicated.pending_submits"),
         snapshots_installed: w
             .region
             .registry()
