@@ -23,4 +23,4 @@ pub mod repr;
 pub mod streaming;
 
 pub use repr::{AssetCatalog, ReprStrategy};
-pub use streaming::{stream_scene, SceneParams, StreamReport};
+pub use streaming::{stream_scene, SceneParams};

@@ -124,15 +124,6 @@ impl AssetCatalog {
     pub fn physical_bytes_full_scale(&self) -> u64 {
         self.physical_bytes() * 1000
     }
-
-    /// Bytes needed to *load* one avatar (what a renderer must fetch).
-    pub fn load_bytes(&self) -> u64 {
-        match self.strategy {
-            ReprStrategy::Independent => self.base_bytes as u64,
-            // Base (often cached, but charge it) + delta.
-            ReprStrategy::Shared => (self.base_bytes + self.delta_bytes) as u64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -177,13 +168,5 @@ mod tests {
         let b = populate(ReprStrategy::Independent, 200, 5);
         let ratio = b.physical_bytes() as f64 / a.physical_bytes() as f64;
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
-    }
-
-    #[test]
-    fn load_cost_is_slightly_higher_for_shared() {
-        let ind = AssetCatalog::new(ReprStrategy::Independent);
-        let sh = AssetCatalog::new(ReprStrategy::Shared);
-        assert!(sh.load_bytes() > ind.load_bytes());
-        assert!(sh.load_bytes() < ind.load_bytes() * 2);
     }
 }

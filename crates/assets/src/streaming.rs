@@ -42,6 +42,7 @@ impl Default for SceneParams {
 
 /// Results of streaming one viewpoint.
 #[derive(Debug, Clone, Copy)]
+// lint:allow(dead-pub): returned by `stream_scene`, which other crates call
 pub struct StreamReport {
     /// Objects visible at all.
     pub visible: usize,
@@ -52,17 +53,6 @@ pub struct StreamReport {
     pub full_bytes: u64,
     /// Bytes a naive ship-everything-full approach would move.
     pub naive_bytes: u64,
-}
-
-impl StreamReport {
-    /// Startup saving vs. the fully refined transfer.
-    pub fn progressive_ratio(&self) -> f64 {
-        if self.full_bytes == 0 {
-            1.0
-        } else {
-            self.startup_bytes as f64 / self.full_bytes as f64
-        }
-    }
 }
 
 /// Build the scene and stream it from `viewpoint`.
@@ -106,11 +96,8 @@ mod tests {
         // payload) for nearby objects, so startup must come in strictly
         // cheaper — how much cheaper depends on how many objects sit
         // close to the viewer.
-        assert!(
-            r.progressive_ratio() < 0.95,
-            "startup should beat the refined frame, ratio {}",
-            r.progressive_ratio()
-        );
+        let ratio = r.startup_bytes as f64 / r.full_bytes as f64;
+        assert!(ratio < 0.95, "startup should beat the refined frame, ratio {ratio}");
         assert!(r.startup_bytes < r.full_bytes);
     }
 

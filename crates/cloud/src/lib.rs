@@ -20,6 +20,6 @@ pub mod offload;
 pub mod serverless;
 pub mod tee;
 
-pub use offload::{OffloadParams, OffloadReport};
-pub use serverless::{ServerlessPool, ServerlessReport, WorkloadSpec};
+pub use offload::OffloadParams;
+pub use serverless::{ServerlessPool, WorkloadSpec};
 pub use tee::{TeeConfig, TeeCostModel};

@@ -52,6 +52,7 @@ impl Default for OffloadParams {
 
 /// Accounting for one configuration.
 #[derive(Debug, Clone, Copy)]
+// lint:allow(dead-pub): returned by `offload::run`, which other crates call
 pub struct OffloadReport {
     /// Total bytes over device uplinks.
     pub uplink_bytes: u64,

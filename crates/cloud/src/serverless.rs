@@ -34,7 +34,7 @@ impl Default for ServerlessPool {
 }
 
 /// One request: arrival time and execution duration.
-pub type Request = (SimTime, SimDuration);
+pub(crate) type Request = (SimTime, SimDuration);
 
 /// A workload: a list of requests (generators live in `mv-workloads`).
 #[derive(Debug, Clone, Default)]
@@ -45,6 +45,7 @@ pub struct WorkloadSpec {
 
 /// Run results.
 #[derive(Debug)]
+// lint:allow(dead-pub): exposed by `ServerlessPool::run`, which other crates use
 pub struct ServerlessReport {
     /// End-to-end latency (queue + cold start + execution), ms.
     pub latency_ms: Histogram,

@@ -80,6 +80,7 @@ impl Default for ColearnParams {
 
 /// Per-round trajectory of |t̂ − t\*|.
 #[derive(Debug, Clone)]
+// lint:allow(dead-pub): exposed by `run_workflow`, which other crates use
 pub struct ColearnTrace {
     /// Error after each round.
     pub error_per_round: Vec<f64>,

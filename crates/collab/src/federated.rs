@@ -18,6 +18,7 @@ use rand::Rng;
 
 /// One collaborating party.
 #[derive(Debug, Clone)]
+// lint:allow(dead-pub): exposed by `FederatedSim::parties`, which other crates use
 pub struct Party {
     /// Samples the party holds.
     pub n_samples: usize,
@@ -134,7 +135,7 @@ impl FederatedSim {
 
     /// Aggregate a subset of parties (FedAvg per dimension); dimensions
     /// nobody covers fall back to 0 (an honest "no estimate").
-    pub fn aggregate(&self, include: &[bool]) -> Vec<f64> {
+    pub(crate) fn aggregate(&self, include: &[bool]) -> Vec<f64> {
         let dims = self.truth.len();
         let mut out = vec![0.0; dims];
         for d in 0..dims {
@@ -151,7 +152,7 @@ impl FederatedSim {
     }
 
     /// Root-mean-square error of an estimate against the truth.
-    pub fn rmse(&self, estimate: &[f64]) -> f64 {
+    pub(crate) fn rmse(&self, estimate: &[f64]) -> f64 {
         let d = self.truth.len() as f64;
         (self
             .truth

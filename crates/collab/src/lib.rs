@@ -26,6 +26,6 @@ pub mod incentive;
 pub mod privacy;
 
 pub use colearn::{run_workflow, ColearnParams, Workflow};
-pub use federated::{FederatedSim, FedParams, Party};
+pub use federated::{FederatedSim, FedParams};
 pub use incentive::{loo_scores, shapley_scores, detect_free_riders};
-pub use privacy::{LdpAggregator, PrivacyBudget};
+pub use privacy::LdpAggregator;

@@ -15,7 +15,7 @@ use mv_common::{MvError, MvResult};
 
 /// A party's privacy budget with linear composition accounting.
 #[derive(Debug, Clone)]
-pub struct PrivacyBudget {
+pub(crate) struct PrivacyBudget {
     total_epsilon: f64,
     spent: f64,
 }
@@ -27,13 +27,8 @@ impl PrivacyBudget {
         PrivacyBudget { total_epsilon: epsilon, spent: 0.0 }
     }
 
-    /// Remaining budget.
-    pub fn remaining(&self) -> f64 {
-        (self.total_epsilon - self.spent).max(0.0)
-    }
-
     /// Spend `epsilon`; errors if overdrawn (the accountant's whole job).
-    pub fn spend(&mut self, epsilon: f64) -> MvResult<()> {
+    pub(crate) fn spend(&mut self, epsilon: f64) -> MvResult<()> {
         if epsilon <= 0.0 {
             return Err(MvError::InvalidArgument("non-positive epsilon".into()));
         }
@@ -64,7 +59,7 @@ impl LdpAggregator {
 
     /// Perturb one party's value under budget `epsilon` (Laplace
     /// mechanism), debiting the party's accountant.
-    pub fn perturb(
+    pub(crate) fn perturb(
         &self,
         value: f64,
         epsilon: f64,
@@ -77,7 +72,7 @@ impl LdpAggregator {
     }
 
     /// Mean of perturbed reports (the server-side aggregate).
-    pub fn aggregate(reports: &[f64]) -> f64 {
+    pub(crate) fn aggregate(reports: &[f64]) -> f64 {
         if reports.is_empty() {
             0.0
         } else {
@@ -118,7 +113,7 @@ mod tests {
         let mut b = PrivacyBudget::new(1.0);
         b.spend(0.4).unwrap();
         b.spend(0.6).unwrap();
-        assert!(b.remaining() < 1e-9);
+        assert!(b.total_epsilon - b.spent < 1e-9);
         assert!(b.spend(0.1).is_err());
         assert!(b.spend(-1.0).is_err());
     }

@@ -77,12 +77,6 @@ impl Point {
         }
     }
 
-    /// Linear interpolation between `self` (t=0) and `other` (t=1).
-    #[inline]
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-    }
-
     /// Clamp each coordinate into `[lo, hi]`.
     pub fn clamp(self, lo: f64, hi: f64) -> Point {
         Point::new(self.x.clamp(lo, hi), self.y.clamp(lo, hi))
@@ -208,15 +202,6 @@ mod tests {
         let u = a.normalized();
         assert!((u.norm() - 1.0).abs() < 1e-12);
         assert_eq!(Point::ORIGIN.normalized(), Point::ORIGIN);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, -10.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point::new(5.0, -5.0));
     }
 
     #[test]

@@ -78,23 +78,13 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the fast Fx hash.
 pub type FastMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the fast Fx hash.
 pub type FastSet<K> = HashSet<K, FxBuildHasher>;
-
-/// Create an empty [`FastMap`] with at least `cap` capacity.
-pub fn fast_map_with_capacity<K, V>(cap: usize) -> FastMap<K, V> {
-    FastMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
-/// Create an empty [`FastSet`] with at least `cap` capacity.
-pub fn fast_set_with_capacity<K>(cap: usize) -> FastSet<K> {
-    FastSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
 
 /// Hash one value with the Fx hash (handy for content fingerprints).
 pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
@@ -144,13 +134,5 @@ mod tests {
             }
         }
         assert!(distinct > 2200, "poor distribution: {distinct}/4096");
-    }
-
-    #[test]
-    fn with_capacity_helpers() {
-        let m: FastMap<u32, u32> = fast_map_with_capacity(100);
-        assert!(m.capacity() >= 100);
-        let s: FastSet<u32> = fast_set_with_capacity(50);
-        assert!(s.capacity() >= 50);
     }
 }

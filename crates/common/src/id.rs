@@ -96,14 +96,9 @@ impl IdGen {
         Self { next: AtomicU64::new(0) }
     }
 
-    /// A generator starting at `start`.
-    pub const fn starting_at(start: u64) -> Self {
-        Self { next: AtomicU64::new(start) }
-    }
-
     /// Allocate the next raw id.
     #[inline]
-    pub fn next_raw(&self) -> u64 {
+    pub(crate) fn next_raw(&self) -> u64 {
         // lint:allow(relaxed-ordering): id allocation needs atomicity only — uniqueness holds under any ordering, and nothing is published via this counter
         self.next.fetch_add(1, Ordering::Relaxed)
     }
@@ -112,12 +107,6 @@ impl IdGen {
     #[inline]
     pub fn next<T: From<u64>>(&self) -> T {
         T::from(self.next_raw())
-    }
-
-    /// How many ids have been allocated so far.
-    pub fn allocated(&self) -> u64 {
-        // lint:allow(relaxed-ordering): monotonic statistic read; callers only need some recent value, not a synchronized snapshot
-        self.next.load(Ordering::Relaxed)
     }
 }
 
@@ -142,7 +131,6 @@ mod tests {
         let b: EntityId = g.next();
         let c: EntityId = g.next();
         assert_eq!((a.raw(), b.raw(), c.raw()), (0, 1, 2));
-        assert_eq!(g.allocated(), 3);
     }
 
     #[test]
@@ -160,12 +148,5 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 4000);
-    }
-
-    #[test]
-    fn idgen_starting_at() {
-        let g = IdGen::starting_at(100);
-        assert_eq!(g.next_raw(), 100);
-        assert_eq!(g.next_raw(), 101);
     }
 }

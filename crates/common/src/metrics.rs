@@ -98,33 +98,6 @@ impl Histogram {
         self.samples[idx]
     }
 
-    /// Interpolated percentile `p in [0,100]` (0 when empty).
-    ///
-    /// Uses the linear-interpolation definition (R-7): rank
-    /// `r = (n-1)·p/100`; when `r` lands exactly on a sample index the
-    /// sample is returned as-is, otherwise the two neighbours are
-    /// blended by the fractional rank. The exact-boundary case matters:
-    /// interpolating `lo + (samples[hi] - samples[lo]) * frac` with
-    /// `frac == 0` must not peek at `samples[lo + 1]` — for `p = 100`
-    /// that index is out of bounds, and for interior boundary ranks it
-    /// silently blended in the next sample under FP rounding.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let p = p.clamp(0.0, 100.0);
-        let rank = (self.samples.len() as f64 - 1.0) * p / 100.0;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            // Exact-boundary rank: the percentile *is* this sample.
-            return self.samples[lo];
-        }
-        let frac = rank - lo as f64;
-        self.samples[lo] + (self.samples[hi] - self.samples[lo]) * frac
-    }
-
     /// Median.
     pub fn p50(&mut self) -> f64 {
         self.quantile(0.50)
@@ -301,38 +274,6 @@ mod tests {
         assert_eq!(h.min(), -9.0);
         // Empty stays 0, mirroring min()/mean().
         assert_eq!(Histogram::new().max(), 0.0);
-    }
-
-    #[test]
-    fn percentile_exact_boundary_rank_returns_the_sample() {
-        // Regression: when (n-1)·p/100 lands exactly on a sample index,
-        // percentile() must return that sample verbatim — no
-        // interpolation against a neighbour (which reads one past the
-        // end at p=100 and skews interior boundary ranks).
-        let mut h = Histogram::new();
-        for v in [10.0, 20.0, 30.0, 40.0, 50.0] {
-            h.record(v);
-        }
-        // (5-1)·25/100 = 1.0 exactly → samples[1].
-        assert_eq!(h.percentile(25.0), 20.0);
-        assert_eq!(h.percentile(50.0), 30.0);
-        assert_eq!(h.percentile(75.0), 40.0);
-        // Endpoints are exact boundaries too.
-        assert_eq!(h.percentile(0.0), 10.0);
-        assert_eq!(h.percentile(100.0), 50.0);
-        // Interior non-boundary ranks interpolate linearly:
-        // rank = 4·62.5/100 = 2.5 → midway between 30 and 40.
-        assert_eq!(h.percentile(62.5), 35.0);
-        // Out-of-range p clamps.
-        assert_eq!(h.percentile(-5.0), 10.0);
-        assert_eq!(h.percentile(250.0), 50.0);
-        // Empty histogram mirrors quantile().
-        assert_eq!(Histogram::new().percentile(50.0), 0.0);
-        // Single sample: every p is a boundary.
-        let mut one = Histogram::new();
-        one.record(7.0);
-        assert_eq!(one.percentile(100.0), 7.0);
-        assert_eq!(one.percentile(37.0), 7.0);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub fn dirichlet_sample<R: Rng + ?Sized>(rng: &mut R, alpha: f64, k: usize) -> V
 }
 
 /// Gamma(shape, 1) sampler (Marsaglia–Tsang).
-pub fn gamma_sample<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
+pub(crate) fn gamma_sample<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     assert!(shape > 0.0);
     if shape < 1.0 {
         // Boost: Gamma(a) = Gamma(a+1) * U^(1/a)

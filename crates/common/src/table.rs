@@ -73,14 +73,14 @@ impl Table {
     /// steady state: cells are written straight into `out` (no
     /// intermediate per-row strings), and the only scratch is a
     /// stack-allocated column-width array for tables up to
-    /// [`Self::STACK_COLS`] columns wide.
+    /// `STACK_COLS` (24) columns wide.
     pub fn render_into(&self, out: &mut String) {
         let _ = self.render_to(out);
     }
 
     /// Column count renderable without a heap-allocated width scratch —
     /// comfortably above the widest experiment table.
-    pub const STACK_COLS: usize = 24;
+    pub(crate) const STACK_COLS: usize = 24;
 
     fn render_to<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
         let cols = self.headers.len();

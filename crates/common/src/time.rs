@@ -1,10 +1,9 @@
 //! Virtual time.
 //!
 //! Everything in the workspace runs on simulated time so that experiments
-//! are deterministic. [`SimTime`] is a microsecond-resolution instant,
-//! [`SimDuration`] the matching span, and [`VirtualClock`] a shared,
-//! monotonically advancing clock owned by a simulation driver (usually the
-//! discrete-event loop in `mv-net`).
+//! are deterministic. [`SimTime`] is a microsecond-resolution instant
+//! and [`SimDuration`] the matching span; a simulation driver (usually
+//! the discrete-event loop in `mv-net`) advances the time.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -167,56 +166,9 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A shared, monotonically advancing virtual clock.
-///
-/// The simulation driver advances it; everyone else only reads. Attempts
-/// to move the clock backwards are ignored (monotonicity is an invariant
-/// the event loop relies on).
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    now_us: AtomicU64,
-}
-
-impl VirtualClock {
-    /// A clock at the origin.
-    pub const fn new() -> Self {
-        Self { now_us: AtomicU64::new(0) }
-    }
-
-    /// Current simulated time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        SimTime(self.now_us.load(Ordering::Acquire))
-    }
-
-    /// Advance to `t` if `t` is later than now; returns the (possibly
-    /// unchanged) current time.
-    pub fn advance_to(&self, t: SimTime) -> SimTime {
-        let mut cur = self.now_us.load(Ordering::Acquire);
-        while t.0 > cur {
-            match self.now_us.compare_exchange_weak(
-                cur,
-                t.0,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return t,
-                Err(actual) => cur = actual,
-            }
-        }
-        SimTime(cur)
-    }
-
-    /// Advance the clock by `d`.
-    pub fn advance_by(&self, d: SimDuration) -> SimTime {
-        let prev = self.now_us.fetch_add(d.0, Ordering::AcqRel);
-        SimTime(prev + d.0)
-    }
-}
-
 /// Bits of the commit-sequence suffix inside an oracle timestamp (the
 /// low bits that disambiguate commits landing at the same sim µs).
-pub const TS_SEQ_BITS: u32 = 16;
+pub(crate) const TS_SEQ_BITS: u32 = 16;
 
 /// A deterministic commit-timestamp oracle driven by the sim clock.
 ///
@@ -275,12 +227,6 @@ impl TimestampOracle {
     pub fn advance_past(&self, ts: u64) {
         self.last.fetch_max(ts, Ordering::SeqCst);
     }
-
-    /// The sim-clock microseconds embedded in an oracle timestamp.
-    #[inline]
-    pub const fn sim_micros_of(ts: u64) -> u64 {
-        ts >> TS_SEQ_BITS
-    }
 }
 
 #[cfg(test)]
@@ -301,19 +247,6 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(early.since(late), SimDuration::ZERO);
         assert_eq!(late.since(early), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance_to(SimTime::from_millis(10));
-        assert_eq!(c.now(), SimTime::from_millis(10));
-        // Going backwards is a no-op.
-        c.advance_to(SimTime::from_millis(5));
-        assert_eq!(c.now(), SimTime::from_millis(10));
-        c.advance_by(SimDuration::from_millis(1));
-        assert_eq!(c.now(), SimTime::from_millis(11));
     }
 
     #[test]
@@ -341,7 +274,6 @@ mod tests {
         // A later sim instant jumps the timestamp past the whole suffix range.
         let d = o.next(SimTime::from_micros(4));
         assert_eq!(d, 4 << TS_SEQ_BITS);
-        assert_eq!(TimestampOracle::sim_micros_of(d), 4);
         // The sim clock running "backwards" (out-of-order callers) still
         // yields strictly increasing timestamps.
         let e = o.next(SimTime::from_micros(1));

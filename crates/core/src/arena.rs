@@ -15,7 +15,7 @@
 //! A row also holds its fields' MVCC head timestamps (`crate::txn`): the
 //! position's in a column, each attribute's beside its value in [`Attrs`].
 //!
-//! [`Entity`] remains the owned construction/transfer type;
+//! `Entity` remains the owned construction/transfer type;
 //! [`EntityRef`] is the borrowed column view the engine hands out.
 
 use crate::entity::{Attrs, Entity, EntityKind};
@@ -25,10 +25,11 @@ use mv_common::id::EntityId;
 
 /// A borrowed view of one entity, assembled from the arena's columns.
 ///
-/// Field-compatible with [`Entity`] at read sites (`.position`,
+/// Field-compatible with `Entity` at read sites (`.position`,
 /// `.retired`, `.attrs`, …), so swapping the map of structs for the
 /// arena did not ripple through every caller.
 #[derive(Debug, Clone, Copy)]
+// lint:allow(dead-pub): returned by `Metaverse::entity` and `ShardedMetaverse::entity`
 pub struct EntityRef<'a> {
     /// Identifier (shared across both presences).
     pub id: EntityId,
@@ -122,7 +123,7 @@ impl EntityArena {
     }
 
     /// Slot of an id, if this arena holds it.
-    pub fn slot_of(&self, id: EntityId) -> Option<u32> {
+    pub(crate) fn slot_of(&self, id: EntityId) -> Option<u32> {
         let slot = place(id, self.shards).1;
         (self.ids.get(slot) == Some(&id)).then_some(slot as u32)
     }
@@ -141,7 +142,7 @@ impl EntityArena {
     /// have (retired, origin positions, zero attrs); engine flows check
     /// [`retired`](EntityArena::retired) first, which turns an
     /// out-of-range slot into an error before any other column is read.
-    pub fn get_slot(&self, slot: u32) -> Option<EntityRef<'_>> {
+    pub(crate) fn get_slot(&self, slot: u32) -> Option<EntityRef<'_>> {
         let s = slot as usize;
         Some(EntityRef {
             id: self.ids.get(s).copied()?,
@@ -157,7 +158,7 @@ impl EntityArena {
 
     /// True when `id` is registered and retired. Unknown ids are not
     /// retired (queries only see registered ids).
-    pub fn is_retired(&self, id: EntityId) -> bool {
+    pub(crate) fn is_retired(&self, id: EntityId) -> bool {
         self.slot_of(id)
             .and_then(|s| self.retired.get(s as usize))
             .copied()
@@ -185,26 +186,26 @@ impl EntityArena {
     }
 
     /// Write the ground-truth position (no-op out of range).
-    pub fn set_position(&mut self, slot: u32, p: Point) {
+    pub(crate) fn set_position(&mut self, slot: u32, p: Point) {
         if let Some(q) = self.positions.get_mut(slot as usize) {
             *q = p;
         }
     }
 
     /// Write the twin position (no-op out of range).
-    pub fn set_twin_position(&mut self, slot: u32, p: Point) {
+    pub(crate) fn set_twin_position(&mut self, slot: u32, p: Point) {
         if let Some(q) = self.twin_positions.get_mut(slot as usize) {
             *q = p;
         }
     }
 
     /// Write an attribute, returning its previous value (no-op out of range).
-    pub fn set_attr(&mut self, slot: u32, name: &str, v: f64) -> Option<f64> {
+    pub(crate) fn set_attr(&mut self, slot: u32, name: &str, v: f64) -> Option<f64> {
         self.attrs.get_mut(slot as usize)?.set(name, v)
     }
 
     /// Entity `id`'s head timestamps: its position's and its attributes'.
-    pub fn heads_mut(&mut self, id: EntityId) -> Option<(&mut u64, &mut Attrs)> {
+    pub(crate) fn heads_mut(&mut self, id: EntityId) -> Option<(&mut u64, &mut Attrs)> {
         let s = self.slot_of(id)? as usize;
         Some((self.position_ts.get_mut(s)?, self.attrs.get_mut(s)?))
     }
@@ -222,14 +223,14 @@ impl EntityArena {
 
     /// Every row, retired ones included, in ascending id order (slot
     /// order).
-    pub fn rows_by_id(&self) -> impl Iterator<Item = EntityRef<'_>> {
+    pub(crate) fn rows_by_id(&self) -> impl Iterator<Item = EntityRef<'_>> {
         (0..self.ids.len() as u32).filter_map(|slot| self.get_slot(slot))
     }
 
     /// `(sum, max, live count)` of twin divergences in ascending-id
     /// order — f64 addition is not associative, so the fold order is
     /// pinned: one sequential pass over two dense columns.
-    pub fn divergence_parts(&self) -> (f64, f64, usize) {
+    pub(crate) fn divergence_parts(&self) -> (f64, f64, usize) {
         let rows = self
             .retired
             .iter()

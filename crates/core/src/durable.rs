@@ -111,7 +111,7 @@ pub enum DurableOp {
     TxnPrepare {
         /// Raw transaction id.
         txn: u64,
-        /// Participant shard index (KV/MVCC routing).
+        /// Participant shard index (MVCC routing).
         shard: u32,
         /// The shard's ops, in program order.
         ops: Vec<DurableOp>,
@@ -148,7 +148,7 @@ impl DurableOp {
     }
 
     /// Whether this op may appear inside a [`DurableOp::TxnPrepare`].
-    pub fn is_txn_leaf(&self) -> bool {
+    pub(crate) fn is_txn_leaf(&self) -> bool {
         matches!(self, DurableOp::Position { .. } | DurableOp::Attr { .. })
     }
 
@@ -256,6 +256,16 @@ fn read_point(r: &mut SliceReader<'_>) -> Option<Point> {
     Some(Point::new(r.f64()?, r.f64()?))
 }
 
+/// A flag is one byte, 0 or 1: any other byte is damage, not "probably
+/// true", so the decoder refuses it.
+fn read_bool(r: &mut SliceReader<'_>) -> Option<bool> {
+    match r.u8()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
 impl DurableOp {
     /// Encode into the canonical byte form (a WAL record value).
     pub fn encode(&self) -> Vec<u8> {
@@ -267,7 +277,7 @@ impl DurableOp {
     /// Append the canonical byte form to `out` — what [`Self::encode`]
     /// returns, written in place (a logged op goes straight into its
     /// group-commit batch).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             DurableOp::Spawn { name, kind, position, ts } => {
                 out.push(1);
@@ -351,9 +361,11 @@ impl DurableOp {
             5 => DurableOp::AreaEffect {
                 space: space_from_tag(r.u8()?)?,
                 effect: read_str(&mut r)?,
-                region: Aabb::new(read_point(&mut r)?, read_point(&mut r)?),
+                // The corners as written: a live apply uses the region
+                // exactly as built, so replay must too.
+                region: Aabb { lo: read_point(&mut r)?, hi: read_point(&mut r)? },
                 action: read_str(&mut r)?,
-                retire: r.u8()? != 0,
+                retire: read_bool(&mut r)?,
                 ts: SimTime(r.u64()?),
             },
             6 => {
@@ -373,17 +385,12 @@ impl DurableOp {
                 }
                 DurableOp::TxnPrepare { txn, shard, ops, ts: SimTime(r.u64()?) }
             }
-            7 => {
-                let txn = r.u64()?;
-                let commit = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    // Unknown decision tags are damage, not "probably
-                    // commit": refuse them.
-                    _ => return None,
-                };
-                DurableOp::TxnDecision { txn, commit, commit_ts: r.u64()?, ts: SimTime(r.u64()?) }
-            }
+            7 => DurableOp::TxnDecision {
+                txn: r.u64()?,
+                commit: read_bool(&mut r)?,
+                commit_ts: r.u64()?,
+                ts: SimTime(r.u64()?),
+            },
             _ => return None,
         };
         r.done().then_some(op)
@@ -419,11 +426,7 @@ fn decode_entity(r: &mut SliceReader<'_>) -> Option<Entity> {
     for _ in 0..r.u32()? {
         e.attrs.push(read_str(r)?.into(), r.f64()?)?;
     }
-    e.retired = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
+    e.retired = read_bool(r)?;
     Some(e)
 }
 
@@ -999,6 +1002,87 @@ mod tests {
             for cut in 0..bytes.len() {
                 assert_eq!(DurableOp::decode(&bytes[..cut]), None, "{op:?} truncated at {cut}");
             }
+        }
+    }
+
+    /// The op codec is canonical: from one encoding of each variant
+    /// (a nested prepare, an inverted region, a NaN-cornered region, NaN
+    /// and ±∞ floats), every truncation and three flips of every byte,
+    /// whatever bytes the decoder accepts re-encode to themselves.
+    #[test]
+    fn accepted_op_bytes_re_encode_to_themselves() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let id = EntityId::new(5);
+        let raid = |region, retire| DurableOp::AreaEffect {
+            space: Space::Virtual,
+            effect: "raid".into(),
+            region,
+            action: "perish".into(),
+            retire,
+            ts: t(3),
+        };
+        let ops = [
+            DurableOp::Spawn { name: "s".into(), kind: EntityKind::Person, position: p(inf, -inf), ts: t(1) },
+            DurableOp::Position { id, position: p(nan, 1.0), ts: t(2) },
+            DurableOp::Attr { id, name: "hp".into(), value: -inf, ts: t(2) },
+            DurableOp::Retire { id, ts: t(2) },
+            raid(Aabb { lo: p(10.0, 10.0), hi: p(-1.0, -1.0) }, true),
+            raid(Aabb { lo: p(0.0, 0.0), hi: p(nan, 3.0) }, false),
+            DurableOp::TxnPrepare {
+                txn: 9,
+                shard: 1,
+                ops: vec![
+                    DurableOp::Attr { id, name: "gold".into(), value: nan, ts: t(4) },
+                    DurableOp::Position { id, position: p(-inf, inf), ts: t(4) },
+                ],
+                ts: t(4),
+            },
+            DurableOp::TxnDecision { txn: 9, commit: false, commit_ts: 0, ts: t(5) },
+        ];
+        for op in &ops {
+            let bytes = op.encode();
+            let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+            for at in 0..bytes.len() {
+                for bit in [0u8, 4, 7] {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= 1 << bit;
+                    damaged.push(flipped);
+                }
+            }
+            for b in std::iter::once(&bytes).chain(&damaged) {
+                if let Some(decoded) = DurableOp::decode(b) {
+                    assert_eq!(&decoded.encode(), b, "{op:?} accepted as {decoded:?}");
+                }
+            }
+        }
+    }
+
+    /// An area effect replays with its region as built: over an inverted
+    /// box or one with a NaN corner a live apply retires nobody, and so
+    /// must the replay of the log.
+    #[test]
+    fn an_area_effect_replays_as_it_was_applied() {
+        let inverted = Aabb { lo: p(10.0, 10.0), hi: p(-1.0, -1.0) };
+        let nan_corner = Aabb { lo: p(0.0, 0.0), hi: p(f64::NAN, 3.0) };
+        for region in [inverted, nan_corner] {
+            let mut dm = DurableMetaverse::with_defaults(2);
+            for i in 0..4 {
+                dm.spawn(format!("p{i}"), EntityKind::Person, p(i as f64, i as f64), t(1));
+            }
+            dm.commit(t(1));
+            let raid = DurableOp::AreaEffect {
+                space: Space::Virtual,
+                effect: "raid".into(),
+                region,
+                action: "perish".into(),
+                retire: true,
+                ts: t(2),
+            };
+            dm.apply(&raid, None).unwrap();
+            dm.commit(t(2));
+            let live = dm.state_encoding();
+            dm.crash_and_recover();
+            assert_eq!(dm.state_encoding(), live, "{region:?}");
         }
     }
 

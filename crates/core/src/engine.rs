@@ -40,6 +40,7 @@ impl Default for SyncPolicy {
 /// What one applied [`DurableOp`] did — the outcome every layer's
 /// `apply` returns.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(dead-pub): returned by every layer's `apply`, which other crates call
 pub enum Applied {
     /// A spawn registered the entity with this id.
     Spawned(EntityId),

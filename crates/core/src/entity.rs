@@ -26,7 +26,7 @@ pub enum EntityKind {
 
 impl EntityKind {
     /// Which space owns the ground truth for this kind.
-    pub fn authoritative_space(self) -> Space {
+    pub(crate) fn authoritative_space(self) -> Space {
         match self {
             EntityKind::Person | EntityKind::Vehicle | EntityKind::Sensor => Space::Physical,
             EntityKind::Product => Space::Physical, // quantity-on-hand is physical truth
@@ -37,7 +37,7 @@ impl EntityKind {
 
 /// A registered co-space entity.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Entity {
+pub(crate) struct Entity {
     /// Identifier (shared across both presences).
     pub id: EntityId,
     /// Human-readable name.
@@ -70,17 +70,12 @@ impl Entity {
             retired: false,
         }
     }
-
-    /// Distance between truth and the materialized twin — the §IV-C
-    /// incoherency of this entity.
-    pub fn divergence(&self) -> f64 {
-        self.position.dist(self.twin_position)
-    }
 }
 
 /// One entity's attributes, sorted by name: each one's value and the
 /// commit timestamp of its MVCC head (0: none).
 #[derive(Debug, Clone, Default, PartialEq)]
+// lint:allow(dead-pub): the type of `EntityRef::attrs`, which other crates read
 pub struct Attrs(Vec<(Box<str>, f64, u64)>);
 
 impl Attrs {
@@ -146,12 +141,6 @@ mod tests {
         assert_eq!(EntityKind::Person.authoritative_space(), Space::Physical);
         assert_eq!(EntityKind::Avatar.authoritative_space(), Space::Virtual);
         assert_eq!(EntityKind::Product.authoritative_space(), Space::Physical);
-    }
-
-    #[test]
-    fn divergence_starts_at_zero() {
-        let e = Entity::new(EntityId::new(1), "alice", EntityKind::Person, Point::new(1.0, 2.0));
-        assert_eq!(e.divergence(), 0.0);
     }
 
     #[test]

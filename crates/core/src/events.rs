@@ -4,7 +4,7 @@
 //! relayed instructions to actors in the *other* space (the paper's
 //! military example: a virtual air-raid ⇒ ground troops "perish").
 //!
-//! An engine keeps its events on an [`EventBus`] until they are
+//! An engine keeps its events on an `EventBus` until they are
 //! drained. A bus that nobody drains for reading (a durable engine's, a
 //! raft replica's) only counts them: the ids stay the same and no event
 //! is built.
@@ -42,6 +42,7 @@ pub enum EventKind {
 
 /// One event on the co-space timeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lint:allow(dead-pub): returned by `drain_events`, which other crates call
 pub struct CoEvent {
     /// Identifier.
     pub id: EventId,
@@ -77,7 +78,7 @@ pub struct Command {
 /// Both number events alike, so the ids a log hands out do not depend
 /// on which kind of bus kept it.
 #[derive(Debug)]
-pub struct EventBus {
+pub(crate) struct EventBus {
     /// Recorded, not yet drained; stays empty when counting.
     events: Vec<CoEvent>,
     /// Total events ever emitted.
@@ -106,7 +107,7 @@ impl EventBus {
 
     /// Record an event; returns its id. `kind` is built only when the
     /// bus records.
-    pub fn emit(
+    pub(crate) fn emit(
         &mut self,
         ts: SimTime,
         space: Space,
@@ -122,7 +123,8 @@ impl EventBus {
     }
 
     /// Events recorded so far (not yet drained; none when counting).
-    pub fn pending(&self) -> &[CoEvent] {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> &[CoEvent] {
         &self.events
     }
 
@@ -136,11 +138,6 @@ impl EventBus {
     pub fn drain(&mut self) -> Vec<CoEvent> {
         self.drained = self.next;
         std::mem::take(&mut self.events)
-    }
-
-    /// Total events ever emitted.
-    pub fn emitted(&self) -> u64 {
-        self.next
     }
 
     /// Capacity of the event buffer (0 on a counting bus: it never
@@ -166,7 +163,7 @@ mod tests {
         let drained = bus.drain();
         assert_eq!(drained.len(), 2);
         assert!(bus.pending().is_empty());
-        assert_eq!(bus.emitted(), 2);
+        assert_eq!(bus.next, 2);
     }
 
     #[test]
@@ -177,7 +174,7 @@ mod tests {
         assert!(a < b);
         assert_eq!((bus.pending().len(), bus.pending_count(), bus.buffer_capacity()), (0, 2, 0));
         assert!(bus.drain().is_empty());
-        assert_eq!((bus.pending_count(), bus.emitted()), (0, 2));
+        assert_eq!((bus.pending_count(), bus.next), (0, 2));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use mv_common::{MvError, MvResult};
 
 /// A delta delivered to one client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(dead-pub): returned by `InterestManager::tick`, which other crates call
 pub enum InterestUpdate {
     /// An entity entered the client's AOI (ship full state).
     Entered(ClientId, EntityId),
@@ -62,11 +63,6 @@ impl InterestManager {
         self.aois.remove(&client).is_some()
     }
 
-    /// Subscribed clients.
-    pub fn client_count(&self) -> usize {
-        self.aois.len()
-    }
-
     /// Diff every client's AOI against the world; returns the deltas in
     /// deterministic (client, entity) order.
     pub fn tick(&mut self, world: &Metaverse) -> MvResult<Vec<InterestUpdate>> {
@@ -106,11 +102,6 @@ impl InterestManager {
         }
         Ok(out)
     }
-
-    /// Entities currently replicated at a client.
-    pub fn replica_count(&self, client: ClientId) -> usize {
-        self.aois.get(&client).map_or(0, |a| a.known.len())
-    }
 }
 
 #[cfg(test)]
@@ -142,14 +133,12 @@ mod tests {
         let npc = world.spawn("npc", EntityKind::Avatar, Point::new(10.0, 0.0), t(1));
         let updates = im.tick(&world).unwrap();
         assert_eq!(updates, vec![InterestUpdate::Entered(client, npc)]);
-        assert_eq!(im.replica_count(client), 1);
         // No change, no traffic.
         assert!(im.tick(&world).unwrap().is_empty());
         // The NPC wanders off.
         world.update_position(npc, Point::new(500.0, 0.0), t(2)).unwrap();
         let updates = im.tick(&world).unwrap();
         assert_eq!(updates, vec![InterestUpdate::Left(client, npc)]);
-        assert_eq!(im.replica_count(client), 0);
     }
 
     #[test]
@@ -210,8 +199,6 @@ mod tests {
         let updates = im.tick(&world).unwrap();
         // Only client 2's AOI holds x; client 1 sees nobody.
         assert_eq!(updates, vec![InterestUpdate::Entered(ClientId::new(2), near_v2)]);
-        // Deterministic order: client 1's (possibly empty) deltas first.
-        assert_eq!(im.client_count(), 2);
     }
 
     #[test]

@@ -58,12 +58,11 @@ pub mod replicated;
 pub mod sharded;
 pub mod txn;
 
-pub use arena::EntityRef;
 pub use durable::{DurableMetaverse, DurableOp};
 pub use replicated::{RegionConfig, ReplicatedMetaverse};
 pub use txn::{MetaTxn, TxnCrashPoint};
-pub use engine::{Applied, Metaverse, SyncPolicy};
-pub use entity::{Entity, EntityKind};
-pub use events::{Command, CoEvent, EventKind};
-pub use interest::{InterestManager, InterestUpdate};
+pub use engine::{Metaverse, SyncPolicy};
+pub use entity::EntityKind;
+pub use events::{Command, EventKind};
+pub use interest::InterestManager;
 pub use sharded::{ShardedMetaverse, WriteOp};

@@ -175,6 +175,7 @@ impl Op {
 /// the probes — implemented by the sequential [`Metaverse`], the
 /// [`ShardedMetaverse`] and the [`DurableMetaverse`], which is the whole
 /// point: one op sequence, several engines, comparable outcomes.
+// lint:allow(dead-pub): the bound of `replay` and `Replay::run`, which the differential tests call
 pub trait CoSpace {
     /// Apply one write: the engine's one write entry point.
     fn apply(&mut self, op: &DurableOp) -> MvResult<Applied>;

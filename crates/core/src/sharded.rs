@@ -28,7 +28,7 @@
 //! An engine built by the public constructors records its events for
 //! [`ShardedMetaverse::drain_events`]. The engines of a
 //! `DurableMetaverse` and of a raft replica only count theirs
-//! ([`EventBus`](crate::events::EventBus)): nothing reads them, and a
+//! (`EventBus`): nothing reads them, and a
 //! write then builds no event. Both number events alike, so the next
 //! event id a checkpoint image records is the same either way.
 //!
@@ -484,7 +484,7 @@ impl ShardedMetaverse {
     /// Number of entities ever spawned, retired ones included: ids are
     /// dense in spawn order, so theirs are `0..` this count, and it is
     /// the rows the shards hold.
-    pub fn spawned_count(&self) -> usize {
+    pub(crate) fn spawned_count(&self) -> usize {
         self.shards.iter().map(Metaverse::row_count).sum()
     }
 
@@ -539,7 +539,7 @@ impl ShardedMetaverse {
     /// for the whole probe set.
     ///
     /// [`query_truth`]: ShardedMetaverse::query_truth
-    pub fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
+    pub(crate) fn query_truth_batch(&self, space: Space, areas: &[Aabb]) -> Vec<Vec<EntityId>> {
         self.probe_batch(areas, |area| self.query_truth(space, area))
     }
 

@@ -373,8 +373,7 @@ pub(crate) fn decode_heads(engine: &mut ShardedMetaverse, r: &mut SliceReader<'_
 /// An open transaction against a [`DurableMetaverse`]: a snapshot
 /// handle with its read set, and the buffered writes as the durable ops
 /// to replay on commit. Reads go through
-/// [`DurableMetaverse::txn_read_attr`] /
-/// [`DurableMetaverse::txn_read_position`]; writes buffer locally here
+/// [`DurableMetaverse::txn_read_attr`]; writes buffer locally here
 /// and touch nothing until [`DurableMetaverse::commit_txn`], which keys
 /// them.
 pub struct MetaTxn {
@@ -400,14 +399,9 @@ impl MetaTxn {
     }
 
     /// Buffer a ground-truth position write.
-    pub fn write_position(&mut self, id: EntityId, position: Point, now: SimTime) {
+    #[cfg(test)]
+    pub(crate) fn write_position(&mut self, id: EntityId, position: Point, now: SimTime) {
         self.ops.push(DurableOp::Position { id, position, ts: now });
-    }
-
-    /// Number of buffered writes (distinct fields).
-    pub fn write_count(&self) -> usize {
-        let fields = || self.ops.iter().filter_map(Field::of);
-        fields().enumerate().filter(|(i, field)| !fields().skip(i + 1).any(|later| later == *field)).count()
     }
 
     /// The value the newest buffered write to `field` writes.
@@ -470,7 +464,8 @@ impl DurableMetaverse {
 
     /// Read a ground-truth position inside `txn` (same rules as
     /// [`Self::txn_read_attr`]).
-    pub fn txn_read_position(&self, txn: &mut MetaTxn, id: EntityId) -> Option<Point> {
+    #[cfg(test)]
+    pub(crate) fn txn_read_position(&self, txn: &mut MetaTxn, id: EntityId) -> Option<Point> {
         match self.txn_read(txn, Field::Position(id))? {
             FieldValue::Position(position) => Some(position),
             FieldValue::Attr(_) => None,
@@ -696,8 +691,16 @@ impl DurableMetaverse {
     }
 
     /// Current oracle timestamp (every committed txn so far is ≤ this).
-    pub fn txn_current_ts(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn txn_current_ts(&self) -> u64 {
         self.txns.mvcc.oracle().current()
+    }
+
+    /// Begin timestamp of the oldest open transaction, if any (the
+    /// automatic GC horizon clamp).
+    #[cfg(test)]
+    pub(crate) fn txn_oldest_live_snapshot(&self) -> Option<u64> {
+        self.txns.mvcc.oldest_live_snapshot()
     }
 
     /// Deterministic digest of the MVCC version chains — the physical
@@ -708,28 +711,6 @@ impl DurableMetaverse {
         let heads: Vec<_> = heads(&self.engine).map(|(field, (value, ts))| (names.key(field), ts, value)).collect();
         let key_bytes = |key: &FieldKey, out: &mut Vec<u8>| names.field(*key).into_iter().for_each(|field| field.put_key(out));
         self.txns.mvcc.digest_by(heads, key_bytes, |value, out| value.put(out))
-    }
-
-    /// Garbage-collect version chains at an explicit `horizon`;
-    /// versions dropped. Normally unnecessary: every commit and abort
-    /// runs the automatic collector (see [`Self::txn_auto_gc`]), which
-    /// tracks the oldest live snapshot by itself.
-    pub fn txn_gc(&mut self, horizon: u64) -> usize {
-        self.txns.mvcc.gc(horizon).dropped
-    }
-
-    /// Run the automatic collector now: GC at the oldest live
-    /// snapshot's begin timestamp (with no transaction open, the chains
-    /// go). A long-running transaction pins the horizon — nothing it
-    /// could still read is collected.
-    pub fn txn_auto_gc(&mut self) -> usize {
-        self.txns.collect()
-    }
-
-    /// Begin timestamp of the oldest open transaction, if any (the
-    /// automatic GC horizon clamp).
-    pub fn txn_oldest_live_snapshot(&self) -> Option<u64> {
-        self.txns.mvcc.oldest_live_snapshot()
     }
 
     /// Prepared-but-undecided locks (0 whenever no commit is mid-flight
@@ -744,28 +725,6 @@ impl DurableMetaverse {
     pub fn txn_version_count(&self) -> usize {
         let heads = heads(&self.engine).count();
         (self.txns.mvcc.version_count() + heads).saturating_sub(self.txns.mvcc.key_count())
-    }
-
-    /// Convenience retry loop: run `body` against fresh transactions
-    /// until it commits or `attempts` conflicts pass. Returns the commit
-    /// timestamp.
-    pub fn with_txn_retry(
-        &mut self,
-        now: SimTime,
-        attempts: usize,
-        mut body: impl FnMut(&mut Self, &mut MetaTxn),
-    ) -> MvResult<u64> {
-        let mut last = MvError::Conflict("zero attempts".into());
-        for _ in 0..attempts.max(1) {
-            let mut txn = self.txn(now);
-            body(self, &mut txn);
-            match self.commit_txn(txn, now) {
-                Ok(ts) => return Ok(ts),
-                Err(e) if e.is_retryable() => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last)
     }
 }
 
@@ -1273,22 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_loop_resolves_contention() {
-        let (mut dm, ids) = world(2, 2);
-        // Pre-commit a conflicting write between begin and commit is hard
-        // to stage via the public retry API alone, so just check the
-        // happy path: one attempt, commits.
-        let ts = dm
-            .with_txn_retry(t(2), 3, |dm, txn| {
-                let v = dm.txn_read_attr(txn, ids[0], "gold").unwrap_or(0.0);
-                txn.write_attr(ids[0], "gold", v + 1.0, t(2));
-            })
-            .expect("commits within retries");
-        assert!(ts > 0);
-        assert_eq!(dm.engine().entity(ids[0]).unwrap().attr("gold"), 101.0);
-    }
-
-    #[test]
     fn txn_gc_keeps_latest_state_readable() {
         let (mut dm, ids) = world(2, 2);
         for i in 0..10u64 {
@@ -1297,10 +1240,9 @@ mod tests {
             dm.commit_txn(txn, t(2 + i)).expect("serial commits");
         }
         // With no snapshot live, the automatic collector already trimmed
-        // each superseded version at commit time — manual GC is a no-op
-        // and the latest state stays readable.
+        // each superseded version at commit time, and the latest state
+        // stays readable.
         assert!(dm.txn_stats().get("gc_versions_auto") >= 9);
-        assert_eq!(dm.txn_gc(dm.txn_current_ts()), 0, "nothing left for the manual horizon");
         let mut check = dm.txn(t(20));
         assert_eq!(dm.txn_read_attr(&mut check, ids[0], "gold"), Some(9.0));
     }
@@ -1347,7 +1289,7 @@ mod tests {
                 group.push(txn);
             }
             for txn in group {
-                let writes = txn.write_count() as u64;
+                let writes = txn.ops.len() as u64;
                 if dm.commit_txn(txn, now).is_ok() {
                     installed += writes;
                 }

@@ -26,7 +26,7 @@ pub enum Bound {
 impl Bound {
     /// Does moving from `last_sent` to `v` violate the bound?
     #[inline]
-    pub fn violated(self, last_sent: f64, v: f64) -> bool {
+    pub(crate) fn violated(self, last_sent: f64, v: f64) -> bool {
         match self {
             Bound::Exact => v != last_sent,
             Bound::Absolute(eps) => (v - last_sent).abs() > eps,
@@ -40,6 +40,7 @@ impl Bound {
 
 /// One push to one client.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-pub): exposed by `CoherencyServer::subscribe`, which other crates use
 pub struct PushMsg {
     /// Destination client.
     pub client: ClientId,
@@ -91,11 +92,6 @@ impl CoherencyServer {
         }
         self.last_sent.remove(&(object, client));
         removed
-    }
-
-    /// Number of subscriptions on an object.
-    pub fn subscriber_count(&self, object: ObjectId) -> usize {
-        self.subs.get(&object).map_or(0, Vec::len)
     }
 
     /// Apply a source update; returns the pushes it triggers. Clients not
@@ -198,7 +194,7 @@ mod tests {
         let pushes = s.update(o(1), 1.0);
         assert_eq!(pushes.len(), 1);
         assert_eq!(pushes[0].client, c(1));
-        assert_eq!(s.subscriber_count(o(1)), 2);
+        assert_eq!(s.subs[&o(1)].len(), 2);
     }
 
     #[test]
@@ -217,7 +213,7 @@ mod tests {
         s.subscribe(c(1), o(1), Bound::Exact);
         s.update(o(1), 1.0);
         s.subscribe(c(1), o(1), Bound::Absolute(100.0));
-        assert_eq!(s.subscriber_count(o(1)), 1);
+        assert_eq!(s.subs[&o(1)].len(), 1);
         assert!(s.update(o(1), 50.0).is_empty());
     }
 

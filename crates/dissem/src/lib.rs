@@ -35,8 +35,8 @@ pub mod reliable;
 pub mod resume;
 pub mod sched;
 
-pub use coherency::{Bound, CoherencyServer, PushMsg};
-pub use payload::{DeltaCodec, MediaResolution, StateVector};
+pub use coherency::{Bound, CoherencyServer};
+pub use payload::{DeltaCodec, MediaResolution};
 pub use reliable::{PushServer, Replica};
 pub use resume::OutMsg;
 pub use sched::{LinkScheduler, Priority, SchedPolicy, TxRequest};

@@ -9,7 +9,7 @@ use mv_common::hash::FastMap;
 use serde::{Deserialize, Serialize};
 
 /// A numeric state vector (e.g. an avatar pose, a scoreboard page).
-pub type StateVector = Vec<f64>;
+pub(crate) type StateVector = Vec<f64>;
 
 /// Wire cost model: 8 bytes per f64 + 4 bytes per delta index + header.
 const HEADER_BYTES: u64 = 16;
@@ -18,6 +18,7 @@ const INDEX_BYTES: u64 = 4;
 
 /// An encoded transmission.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lint:allow(dead-pub): exposed by `DeltaCodec::encode`, which other crates use
 pub enum Encoded {
     /// Full snapshot of the vector.
     Full(StateVector),
@@ -135,15 +136,6 @@ impl MediaResolution {
         }
         MediaResolution::Animation
     }
-
-    /// Subjective quality score in \[0,1\] (for utility accounting in E3).
-    pub fn quality(self) -> f64 {
-        match self {
-            MediaResolution::High => 1.0,
-            MediaResolution::Low => 0.6,
-            MediaResolution::Animation => 0.2,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +189,6 @@ mod tests {
         assert_eq!(MediaResolution::fit(high, 20_000), MediaResolution::Animation);
         // Even an impossible budget yields the animation fallback.
         assert_eq!(MediaResolution::fit(high, 1), MediaResolution::Animation);
-        assert!(MediaResolution::High.quality() > MediaResolution::Animation.quality());
     }
 
     proptest! {

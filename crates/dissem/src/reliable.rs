@@ -60,7 +60,7 @@ impl PushServer {
     /// expiry, and reconnect replays, so every transport attempt for
     /// this value hangs off the same trace.
     #[allow(clippy::too_many_arguments)]
-    pub fn push_traced<R: Rng + ?Sized>(
+    pub(crate) fn push_traced<R: Rng + ?Sized>(
         &mut self,
         net: &mut Network,
         rng: &mut R,

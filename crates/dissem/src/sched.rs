@@ -93,6 +93,7 @@ impl SchedPolicy {
 
 /// Per-class results of one run.
 #[derive(Debug, Default)]
+// lint:allow(dead-pub): exposed by `LinkScheduler::run`, which other crates use
 pub struct TxReport {
     /// Latency (finish − arrival) histograms per class, ms.
     pub latency_ms: std::collections::BTreeMap<&'static str, Histogram>,

@@ -3,16 +3,16 @@
 //! §IV-A: metaverse data management "detects events that had taken place
 //! based on these data sources and depicts these events accurately and
 //! efficiently in the metaverse". Rules are predicates over an entity's
-//! fused belief history; firing produces a [`DetectedEvent`] that the
+//! fused belief history; firing produces a `DetectedEvent` that the
 //! co-space engine materializes in the other space.
 
 use crate::evidence::FusedBelief;
 use mv_common::hash::FastMap;
-use mv_common::time::{SimDuration, SimTime};
+use mv_common::time::SimTime;
 
 /// A detected event, ready for materialization in the co-space.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DetectedEvent {
+pub(crate) struct DetectedEvent {
     /// Rule that fired.
     pub rule: &'static str,
     /// Entity the event concerns.
@@ -24,10 +24,10 @@ pub struct DetectedEvent {
 }
 
 /// Predicate signature: `(previous belief, current belief) → fire?`.
-pub type RulePredicate = Box<dyn Fn(Option<&FusedBelief>, &FusedBelief) -> bool + Send>;
+pub(crate) type RulePredicate = Box<dyn Fn(Option<&FusedBelief>, &FusedBelief) -> bool + Send>;
 
 /// A detection rule: inspects the previous and current fused belief.
-pub struct Rule {
+pub(crate) struct Rule {
     /// Rule name (appears in events).
     pub name: &'static str,
     /// The firing predicate.
@@ -44,48 +44,24 @@ impl Rule {
     }
 
     /// Built-in: entity's winning hypothesis changed with confident margin.
-    pub fn state_changed(min_margin: f64) -> Self {
+    pub(crate) fn state_changed(min_margin: f64) -> Self {
         Rule::new("state_changed", move |prev, cur| {
             matches!(prev, Some(p) if p.hypothesis != cur.hypothesis && cur.margin >= min_margin)
         })
     }
-
-    /// Built-in: first confident sighting of an entity.
-    pub fn first_sighting() -> Self {
-        Rule::new("first_sighting", |prev, _| prev.is_none())
-    }
-
-    /// Built-in: belief became contested (margin below a floor).
-    pub fn contested(max_margin: f64) -> Self {
-        Rule::new("contested", move |_, cur| cur.margin < max_margin)
-    }
 }
 
 /// The detector: feeds fused beliefs through rules, tracking per-entity
-/// previous state, and also raises `missing` events for entities not
-/// re-observed within a timeout.
-pub struct EventDetector {
+/// previous state.
+pub(crate) struct EventDetector {
     rules: Vec<Rule>,
-    missing_after: Option<SimDuration>,
     last_seen: FastMap<usize, (FusedBelief, SimTime)>,
-    missing_raised: FastMap<usize, bool>,
 }
 
 impl EventDetector {
     /// A detector with the given rules.
     pub fn new(rules: Vec<Rule>) -> Self {
-        EventDetector {
-            rules,
-            missing_after: None,
-            last_seen: FastMap::default(),
-            missing_raised: FastMap::default(),
-        }
-    }
-
-    /// Builder: raise a `missing` event when an entity is silent this long.
-    pub fn with_missing_timeout(mut self, timeout: SimDuration) -> Self {
-        self.missing_after = Some(timeout);
-        self
+        EventDetector { rules, last_seen: FastMap::default() }
     }
 
     /// Feed the current fused belief of an entity; returns fired events.
@@ -103,26 +79,6 @@ impl EventDetector {
             }
         }
         self.last_seen.insert(entity, (belief, now));
-        self.missing_raised.insert(entity, false);
-        fired
-    }
-
-    /// Sweep for entities that have gone silent (call periodically).
-    pub fn sweep_missing(&mut self, now: SimTime) -> Vec<DetectedEvent> {
-        let Some(timeout) = self.missing_after else {
-            return Vec::new();
-        };
-        let mut last: Vec<(usize, SimTime)> =
-            self.last_seen.iter().map(|(&e, &(_, seen))| (e, seen)).collect();
-        last.sort_unstable_by_key(|&(e, _)| e);
-        let mut fired = Vec::new();
-        for (entity, seen) in last {
-            let already = self.missing_raised.get(&entity).copied().unwrap_or(false);
-            if !already && now.since(seen) > timeout {
-                fired.push(DetectedEvent { rule: "missing", entity, ts: now, hypothesis: None });
-                self.missing_raised.insert(entity, true);
-            }
-        }
         fired
     }
 }
@@ -136,12 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn first_sighting_then_state_change() {
-        let mut det =
-            EventDetector::new(vec![Rule::first_sighting(), Rule::state_changed(0.5)]);
-        let ev = det.observe(1, belief(10, 5.0), SimTime::from_millis(1));
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].rule, "first_sighting");
+    fn state_change_fires_on_a_confident_new_hypothesis() {
+        let mut det = EventDetector::new(vec![Rule::state_changed(0.5)]);
+        // A first sighting has no previous state to change from.
+        assert!(det.observe(1, belief(10, 5.0), SimTime::from_millis(1)).is_empty());
         // Same hypothesis: nothing fires.
         assert!(det.observe(1, belief(10, 5.0), SimTime::from_millis(2)).is_empty());
         // Changed hypothesis with margin: fires.
@@ -157,32 +111,6 @@ mod tests {
         det.observe(1, belief(10, 5.0), SimTime::from_millis(1));
         let ev = det.observe(1, belief(11, 0.2), SimTime::from_millis(2));
         assert!(ev.is_empty());
-    }
-
-    #[test]
-    fn contested_rule_fires_on_thin_margin() {
-        let mut det = EventDetector::new(vec![Rule::contested(0.5)]);
-        let ev = det.observe(1, belief(10, 0.1), SimTime::from_millis(1));
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].rule, "contested");
-        assert!(det.observe(1, belief(10, 3.0), SimTime::from_millis(2)).is_empty());
-    }
-
-    #[test]
-    fn missing_sweep_fires_once_until_reobserved() {
-        let mut det = EventDetector::new(vec![])
-            .with_missing_timeout(SimDuration::from_millis(10));
-        det.observe(1, belief(10, 5.0), SimTime::from_millis(0));
-        det.observe(2, belief(20, 5.0), SimTime::from_millis(18));
-        let ev = det.sweep_missing(SimTime::from_millis(20));
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].entity, 1);
-        // Second sweep: no duplicate.
-        assert!(det.sweep_missing(SimTime::from_millis(25)).is_empty());
-        // Re-observation re-arms the rule.
-        det.observe(1, belief(10, 5.0), SimTime::from_millis(30));
-        let ev = det.sweep_missing(SimTime::from_millis(45));
-        assert_eq!(ev.len(), 2); // both 1 (re-armed) and 2 (first timeout)
     }
 
     #[test]

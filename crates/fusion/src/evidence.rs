@@ -30,7 +30,7 @@ pub struct Observation {
 
 /// The fused belief for one entity.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusedBelief {
+pub(crate) struct FusedBelief {
     /// Winning hypothesis.
     pub hypothesis: u64,
     /// Its accumulated log-odds.
@@ -91,7 +91,7 @@ impl EvidencePool {
 
     /// The fused belief for an entity as of `now` (decay applied), if any
     /// evidence exists.
-    pub fn belief(&self, entity: usize, now: SimTime) -> Option<FusedBelief> {
+    pub(crate) fn belief(&self, entity: usize, now: SimTime) -> Option<FusedBelief> {
         let per_entity = self.beliefs.get(&entity)?;
         let mut scored: Vec<(u64, f64, usize)> = per_entity
             .iter()

@@ -12,10 +12,7 @@
 //!
 //! The crate implements that pipeline end to end:
 //!
-//! * [`record`] — a schema-less heterogeneous record model with typed
-//!   values and source descriptors (relational rows, RFID reads, camera
-//!   detections, social-text mentions…);
-//! * [`ooo`] — a bounded reorder buffer for late/out-of-order arrivals;
+//! * [`record`] — typed field values and source ids;
 //! * [`rfid`] — SMURF-style adaptive-window cleaning of raw RFID read
 //!   streams (missed-read smoothing vs. departure responsiveness);
 //! * [`resolve`] — entity resolution: blocking + trigram-Jaccard
@@ -33,14 +30,11 @@
 pub mod events;
 pub mod evidence;
 pub mod library;
-pub mod ooo;
 pub mod record;
 pub mod rfid;
 pub mod resolve;
 
-pub use events::{DetectedEvent, EventDetector, Rule};
-pub use evidence::{EvidencePool, FusedBelief, Observation};
-pub use ooo::ReorderBuffer;
-pub use record::{Record, SourceId, SourceKind, Value};
-pub use rfid::{AdaptiveCleaner, WindowPolicy};
-pub use resolve::{EntityResolver, ResolvedEntity};
+pub use evidence::{EvidencePool, Observation};
+pub use record::{SourceId, Value};
+pub use rfid::WindowPolicy;
+pub use resolve::EntityResolver;

@@ -62,6 +62,7 @@ impl Default for LibraryParams {
 
 /// Accuracy results for E2.
 #[derive(Debug, Clone, Copy)]
+// lint:allow(dead-pub): exposed by `LibraryScenario::run_fusion`, which other crates use
 pub struct LibraryReport {
     /// Accuracy of shelf assignment using RFID alone.
     pub rfid_acc: f64,

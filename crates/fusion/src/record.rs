@@ -1,55 +1,18 @@
-//! Heterogeneous record model.
+//! Typed field values and source ids.
 //!
 //! §III: metaverse data "may come in different formats (non-structured
 //! like video and textual and structured like personal data) … from
-//! multiple different data sources". Records here are schema-less field
-//! maps with typed values; a [`SourceKind`] says what produced them, and a
-//! per-source reliability drives the evidence combination downstream.
+//! multiple different data sources". A [`SourceId`] names one source and
+//! a [`Value`] is one typed field it reports.
 
 use mv_common::geom::Point;
-use mv_common::time::SimTime;
-use mv_common::Space;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 mv_common::define_id!(
     /// A registered data source (one RFID reader, one camera, one
     /// relational feed…).
     SourceId
 );
-
-/// What kind of system produced a record — drives default reliability and
-/// which fields are expected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SourceKind {
-    /// Rows from a relational database (catalog data; near-perfect).
-    Relational,
-    /// Scalar sensor samples (temperature, occupancy…).
-    Sensor,
-    /// RFID tag reads (subject to misses and ghost reads).
-    Rfid,
-    /// Camera/vision detections (subject to misclassification).
-    Camera,
-    /// Free-text social/web mentions (noisy, but broad coverage).
-    SocialText,
-    /// Annotations extracted from video streams.
-    VideoAnnotation,
-}
-
-impl SourceKind {
-    /// A defensible default reliability (probability an observation is
-    /// correct) per source class; callers override per deployment.
-    pub fn default_reliability(self) -> f64 {
-        match self {
-            SourceKind::Relational => 0.99,
-            SourceKind::Sensor => 0.95,
-            SourceKind::Rfid => 0.80,
-            SourceKind::Camera => 0.75,
-            SourceKind::SocialText => 0.60,
-            SourceKind::VideoAnnotation => 0.70,
-        }
-    }
-}
 
 /// A typed field value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -67,22 +30,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Text payload, if textual.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Location payload, if locational.
-    pub fn as_location(&self) -> Option<Point> {
-        match self {
-            Value::Location(p) => Some(*p),
-            _ => None,
-        }
-    }
-
     /// Float payload (Int widens).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -93,97 +40,13 @@ impl Value {
     }
 }
 
-/// A schema-less record from one source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Record {
-    /// Producing source.
-    pub source: SourceId,
-    /// Source class.
-    pub kind: SourceKind,
-    /// Event time.
-    pub ts: SimTime,
-    /// Which space the record describes.
-    pub space: Space,
-    /// The (possibly noisy) name under which the record mentions an
-    /// entity — entity resolution clusters these.
-    pub mention: String,
-    /// Remaining payload fields.
-    pub fields: BTreeMap<String, Value>,
-}
-
-impl Record {
-    /// Start building a record.
-    pub fn new(source: SourceId, kind: SourceKind, ts: SimTime, mention: impl Into<String>) -> Self {
-        Record {
-            source,
-            kind,
-            ts,
-            space: Space::Physical,
-            mention: mention.into(),
-            fields: BTreeMap::new(),
-        }
-    }
-
-    /// Builder: tag the space.
-    pub fn in_space(mut self, space: Space) -> Self {
-        self.space = space;
-        self
-    }
-
-    /// Builder: add a field.
-    pub fn with_field(mut self, name: impl Into<String>, v: Value) -> Self {
-        self.fields.insert(name.into(), v);
-        self
-    }
-
-    /// Shorthand: the record's `location` field.
-    pub fn location(&self) -> Option<Point> {
-        self.fields.get("location").and_then(Value::as_location)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builder_roundtrip() {
-        let r = Record::new(SourceId::new(1), SourceKind::Rfid, SimTime::from_millis(5), "Dune")
-            .in_space(Space::Physical)
-            .with_field("location", Value::Location(Point::new(1.0, 2.0)))
-            .with_field("rssi", Value::Float(-55.0));
-        assert_eq!(r.mention, "Dune");
-        assert_eq!(r.location(), Some(Point::new(1.0, 2.0)));
-        assert_eq!(r.fields["rssi"].as_f64(), Some(-55.0));
-    }
-
-    #[test]
     fn value_accessors() {
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
-        assert_eq!(Value::Text("x".into()).as_text(), Some("x"));
         assert_eq!(Value::Bool(true).as_f64(), None);
-        assert_eq!(Value::Float(1.5).as_location(), None);
-    }
-
-    #[test]
-    fn reliability_ordering_is_sane() {
-        assert!(
-            SourceKind::Relational.default_reliability()
-                > SourceKind::Rfid.default_reliability()
-        );
-        assert!(
-            SourceKind::Rfid.default_reliability() > SourceKind::SocialText.default_reliability()
-        );
-        for k in [
-            SourceKind::Relational,
-            SourceKind::Sensor,
-            SourceKind::Rfid,
-            SourceKind::Camera,
-            SourceKind::SocialText,
-            SourceKind::VideoAnnotation,
-        ] {
-            let p = k.default_reliability();
-            assert!(p > 0.5 && p < 1.0);
-        }
     }
 }

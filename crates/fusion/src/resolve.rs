@@ -10,6 +10,7 @@ use mv_common::hash::FastMap;
 
 /// A cluster of co-referent mentions.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(dead-pub): exposed by `EntityResolver::resolve`, which other crates use
 pub struct ResolvedEntity {
     /// Canonical mention (the longest member, ties lexicographic).
     pub canonical: String,
@@ -18,7 +19,7 @@ pub struct ResolvedEntity {
 }
 
 /// Normalize a mention: lowercase, keep alphanumerics, collapse spaces.
-pub fn normalize(mention: &str) -> String {
+pub(crate) fn normalize(mention: &str) -> String {
     let mut out = String::with_capacity(mention.len());
     let mut last_space = true;
     for c in mention.chars() {
@@ -39,7 +40,7 @@ pub fn normalize(mention: &str) -> String {
 /// Character-trigram overlap coefficient over normalized strings
 /// (`|A∩B| / min(|A|,|B|)`): containment-friendly, so "dune" matches
 /// "dune herbert" at 1.0 where plain Jaccard would score it 0.2.
-pub fn trigram_jaccard(a: &str, b: &str) -> f64 {
+pub(crate) fn trigram_jaccard(a: &str, b: &str) -> f64 {
     let grams = |s: &str| -> std::collections::BTreeSet<[char; 3]> {
         let cs: Vec<char> = s.chars().collect();
         if cs.len() < 3 {
@@ -115,11 +116,6 @@ impl EntityResolver {
         self.mentions.push(mention.to_string());
         self.seen.insert(mention.to_string(), i);
         i
-    }
-
-    /// Number of distinct raw mentions so far.
-    pub fn mention_count(&self) -> usize {
-        self.mentions.len()
     }
 
     /// Cluster all mentions. Returns entities sorted by canonical name,
@@ -222,7 +218,7 @@ mod tests {
         let a = r.add_mention("X");
         let b = r.add_mention("X");
         assert_eq!(a, b);
-        assert_eq!(r.mention_count(), 1);
+        assert_eq!(r.mentions.len(), 1);
     }
 
     #[test]
@@ -246,13 +242,13 @@ mod tests {
             }
             let (entities, assignment) = r.resolve();
             // Every distinct mention is assigned to exactly one entity.
-            prop_assert_eq!(assignment.len(), r.mention_count());
+            prop_assert_eq!(assignment.len(), r.mentions.len());
             for &e in &assignment {
                 prop_assert!(e < entities.len());
             }
             // Entities partition the mention set.
             let total: usize = entities.iter().map(|e| e.mentions.len()).sum();
-            prop_assert_eq!(total, r.mention_count());
+            prop_assert_eq!(total, r.mentions.len());
         }
 
         #[test]

@@ -8,7 +8,7 @@
 //! sliding-window smoothing, and the classic tension is window size:
 //! small windows flicker, large windows report departed tags as present.
 //!
-//! [`AdaptiveCleaner`] implements a SMURF-flavoured resolution: estimate
+//! `AdaptiveCleaner` implements a SMURF-flavoured resolution: estimate
 //! each tag's read rate `p̂` online, size the window so a present tag is
 //! missed for a whole window with probability ≤ δ
 //! (`W = ln δ / ln(1 − p̂)`), and declare departure early when the reads
@@ -61,7 +61,7 @@ impl WindowPolicy {
 /// The cleaner: consumes per-epoch read outcomes for tags under a policy
 /// and answers presence.
 #[derive(Debug)]
-pub struct AdaptiveCleaner {
+pub(crate) struct AdaptiveCleaner {
     policy: WindowPolicy,
     tags: FastMap<u64, TagState>,
     epoch: u64,
@@ -78,7 +78,7 @@ impl AdaptiveCleaner {
 
     /// Advance to the next epoch. Every interrogated tag must be
     /// reported via [`Self::observe`] before presence queries.
-    pub fn next_epoch(&mut self) -> u64 {
+    pub(crate) fn next_epoch(&mut self) -> u64 {
         self.epoch += 1;
         self.epoch
     }
@@ -117,7 +117,7 @@ impl AdaptiveCleaner {
     }
 
     /// Is the tag present, under the configured policy?
-    pub fn is_present(&self, tag: u64) -> bool {
+    pub(crate) fn is_present(&self, tag: u64) -> bool {
         let Some(st) = self.tags.get(&tag) else {
             return false;
         };
@@ -145,19 +145,6 @@ impl AdaptiveCleaner {
                 let sd = (n * st.p_hat * (1.0 - st.p_hat)).sqrt();
                 reads >= (mean - 2.0 * sd).max(1.0).min(mean)
             }
-        }
-    }
-
-    /// The effective window currently used for a tag (diagnostics; 1 for
-    /// raw, the configured value for fixed).
-    pub fn effective_window(&self, tag: u64) -> u64 {
-        match self.policy {
-            WindowPolicy::Raw => 1,
-            WindowPolicy::Fixed(w) => w,
-            WindowPolicy::Adaptive { delta } => self
-                .tags
-                .get(&tag)
-                .map_or(1, |st| Self::window_for(st.p_hat, delta)),
         }
     }
 }
@@ -231,12 +218,9 @@ mod tests {
             bad.next_epoch();
             bad.observe(1, i % 4 == 0); // weak reader: ~25% read rate
         }
-        assert!(good.effective_window(1) <= 3, "reliable tag needs a tiny window");
-        assert!(
-            bad.effective_window(1) >= 8,
-            "weak tag needs a long window, got {}",
-            bad.effective_window(1)
-        );
+        let window = |c: &AdaptiveCleaner| AdaptiveCleaner::window_for(c.tags[&1].p_hat, 0.05);
+        assert!(window(&good) <= 3, "reliable tag needs a tiny window");
+        assert!(window(&bad) >= 8, "weak tag needs a long window, got {}", window(&bad));
     }
 
     #[test]

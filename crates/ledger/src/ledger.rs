@@ -16,6 +16,7 @@ use mv_common::MvResult;
 
 /// A read receipt awaiting verification.
 #[derive(Debug, Clone)]
+// lint:allow(dead-pub): returned by `VerifiableKv::get`, which other crates call
 pub struct ReadPromise {
     /// The serialized log entry the read claims to reflect.
     pub entry: Vec<u8>,

@@ -9,7 +9,7 @@
 //!
 //! This crate builds that stack from the hash function up — no external
 //! crypto dependencies are on the allowed list, so SHA-256 is implemented
-//! in-crate ([`sha256()`](sha256::sha256), FIPS 180-4, pinned to the standard test
+//! in-crate (`sha256()`, FIPS 180-4, pinned to the standard test
 //! vectors):
 //!
 //! * [`merkle`] — an append-only RFC-6962-style Merkle tree with
@@ -29,6 +29,5 @@ pub mod sha256;
 
 pub use consensus::ReplicationModel;
 pub use ledger::VerifiableKv;
-pub use log::{Auditor, TransparencyLog, TreeHead};
-pub use merkle::{ConsistencyProof, Digest, InclusionProof, MerkleTree};
-pub use sha256::sha256;
+pub use log::{Auditor, TransparencyLog};
+pub use merkle::MerkleTree;

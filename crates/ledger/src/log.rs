@@ -8,14 +8,13 @@
 //! party": it retains the last verified head and checks every new head's
 //! consistency proof, catching history rewrites.
 
-use crate::merkle::{
-    verify_consistency, verify_inclusion, ConsistencyProof, Digest, InclusionProof, MerkleTree,
-};
+use crate::merkle::{verify_consistency, ConsistencyProof, Digest, InclusionProof, MerkleTree};
 use crate::sha256::sha256;
 use serde::{Deserialize, Serialize};
 
 /// A signed tree head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+// lint:allow(dead-pub): returned by `TransparencyLog::head`, which other crates call
 pub struct TreeHead {
     /// Number of entries covered.
     pub size: u64,
@@ -74,7 +73,7 @@ impl TransparencyLog {
     }
 
     /// Check a head's signature (clients and auditors do this first).
-    pub fn verify_signature(key: &[u8], head: &TreeHead) -> bool {
+    pub(crate) fn verify_signature(key: &[u8], head: &TreeHead) -> bool {
         sign(key, head.size, &head.root) == head.signature
     }
 }
@@ -116,17 +115,6 @@ impl Auditor {
         self.last = Some(*head);
         self.heads_verified += 1;
         true
-    }
-
-    /// Verify a client's inclusion proof against the auditor's last
-    /// accepted head.
-    pub fn check_inclusion(&self, data: &[u8], proof: &InclusionProof) -> bool {
-        match self.last {
-            Some(head) if proof.tree_size == head.size => {
-                verify_inclusion(data, proof, &head.root)
-            }
-            _ => false,
-        }
     }
 }
 
@@ -205,20 +193,6 @@ mod tests {
         let p = log2.prove_consistency(1, 1);
         assert!(!auditor.check_head(&small_head, &p));
         assert_eq!(auditor.violations, 2);
-    }
-
-    #[test]
-    fn inclusion_against_audited_head() {
-        let mut log = TransparencyLog::new(KEY);
-        let mut auditor = Auditor::new(KEY);
-        for i in 0..20u64 {
-            log.append(format!("tx-{i}").as_bytes());
-        }
-        let head = log.head();
-        auditor.check_head(&head, &log.prove_consistency(0, 20));
-        let proof = log.prove_inclusion(7);
-        assert!(auditor.check_inclusion(b"tx-7", &proof));
-        assert!(!auditor.check_inclusion(b"tx-8", &proof));
     }
 
     #[test]

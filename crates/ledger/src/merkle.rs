@@ -18,13 +18,13 @@ use mv_common::hash::FastMap;
 use serde::{Deserialize, Serialize};
 
 /// A 32-byte SHA-256 digest.
-pub type Digest = [u8; 32];
+pub(crate) type Digest = [u8; 32];
 
 const LEAF_PREFIX: u8 = 0x00;
 const NODE_PREFIX: u8 = 0x01;
 
 /// Hash a leaf (domain-separated).
-pub fn leaf_hash(data: &[u8]) -> Digest {
+pub(crate) fn leaf_hash(data: &[u8]) -> Digest {
     let mut buf = Vec::with_capacity(1 + data.len());
     buf.push(LEAF_PREFIX);
     buf.extend_from_slice(data);
@@ -33,12 +33,13 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
 
 /// Hash an interior node.
 #[inline]
-pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
+pub(crate) fn node_hash(left: &Digest, right: &Digest) -> Digest {
     sha256_pair(NODE_PREFIX, left, right)
 }
 
 /// An inclusion proof for one leaf against a tree root.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+// lint:allow(dead-pub): returned by `MerkleTree::prove_inclusion`, which other crates call
 pub struct InclusionProof {
     /// Leaf index.
     pub index: u64,
@@ -57,6 +58,7 @@ impl InclusionProof {
 
 /// A consistency proof between two historical sizes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+// lint:allow(dead-pub): returned by `MerkleTree::prove_consistency`, which other crates call
 pub struct ConsistencyProof {
     /// Old tree size.
     pub old_size: u64,
@@ -192,7 +194,7 @@ impl MerkleTree {
     ///
     /// # Panics
     /// Panics if `n` exceeds the current size.
-    pub fn root_at(&mut self, n: u64) -> Digest {
+    pub(crate) fn root_at(&mut self, n: u64) -> Digest {
         assert!(n <= self.size(), "root_at({n}) beyond size {}", self.size());
         if n == 0 {
             return sha256(b"");
@@ -279,7 +281,7 @@ pub fn verify_inclusion(data: &[u8], proof: &InclusionProof, root: &Digest) -> b
 
 /// Verify a consistency proof: `old_root` (over `old_size` leaves) is a
 /// prefix of `new_root` (over `new_size`).
-pub fn verify_consistency(proof: &ConsistencyProof, old_root: &Digest, new_root: &Digest) -> bool {
+pub(crate) fn verify_consistency(proof: &ConsistencyProof, old_root: &Digest, new_root: &Digest) -> bool {
     if proof.old_size > proof.new_size {
         return false;
     }

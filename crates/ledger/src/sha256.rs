@@ -85,7 +85,7 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
 }
 
 /// Compute the SHA-256 digest of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
     let mut state = H0;
     let mut chunks = data.chunks_exact(64);
     for block in &mut chunks {
@@ -110,7 +110,7 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 }
 
 /// Hash the concatenation of two byte strings (helper for Merkle nodes).
-pub fn sha256_pair(prefix: u8, a: &[u8], b: &[u8]) -> [u8; 32] {
+pub(crate) fn sha256_pair(prefix: u8, a: &[u8], b: &[u8]) -> [u8; 32] {
     let mut buf = Vec::with_capacity(1 + a.len() + b.len());
     buf.push(prefix);
     buf.extend_from_slice(a);

@@ -19,6 +19,7 @@
 //! allows are visible in review. See DESIGN.md §9 for the policy.
 
 pub mod callgraph;
+pub mod dead_pub;
 pub mod lexer;
 pub mod parse;
 pub mod report;

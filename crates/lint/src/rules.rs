@@ -52,12 +52,15 @@
 //!   paths where the workspace idiom is checked `try_from`. Literal
 //!   casts and provably bounded ones (`% N`, `.min(n)`, bool casts)
 //!   are exempt.
+//! * `dead-pub` — a library `pub` item whose name no file outside its
+//!   crate's `src/` uses (see [`crate::dead_pub`]); demote it to
+//!   `pub(crate)` or delete it.
 //!
 //! Two meta-rules police the escape hatch itself: `bad-allow` (unknown
 //! rule name, or a missing reason) and `unused-allow` (a directive that
 //! suppressed nothing). Neither can itself be allowed.
 
-use crate::callgraph;
+use crate::{callgraph, dead_pub};
 use crate::lexer::{Tok, Token};
 use crate::parse::{matching, FileUnit};
 
@@ -75,6 +78,7 @@ pub const RULES: &[&str] = &[
     "guard-across-sync",
     "span-leak",
     "cast-truncation",
+    "dead-pub",
 ];
 
 /// Where each rule applies. Paths are workspace-relative with `/`
@@ -234,6 +238,14 @@ pub const CATALOGUE: &[RuleSpec] = &[
         exclude: &[],
         advisory: false,
     },
+    RuleSpec {
+        name: "dead-pub",
+        summary: "library `pub` item no file outside its crate names (demote or delete)",
+        // The two tools' items serve their own binaries.
+        include: &["crates/"],
+        exclude: &["crates/lint/", "crates/bench/"],
+        advisory: false,
+    },
 ];
 
 /// One supporting location in a finding's evidence chain — the
@@ -308,15 +320,15 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
 
 /// Lint a set of source files as one workspace: per-file token rules
 /// first, then the call-graph analyses (`lock-order`,
-/// `guard-across-sync`, interprocedural `panic-path`) across all of
-/// them. Output is deterministic: files are processed in path order
+/// `guard-across-sync`, interprocedural `panic-path`) and the
+/// `dead-pub` name count across all of them. Output is deterministic: files are processed in path order
 /// and every analysis iterates BTree-ordered structures.
 pub fn lint_workspace(files: &[(String, String)]) -> Vec<Finding> {
     let mut units: Vec<FileUnit> =
         files.iter().map(|(p, s)| FileUnit::build(p, s)).collect();
     units.sort_by(|a, b| a.path.cmp(&b.path));
     let mut raw: Vec<Vec<RawFinding>> = units.iter().map(per_file_findings).collect();
-    for (fi, rf) in callgraph::global_findings(&units) {
+    for (fi, rf) in callgraph::global_findings(&units).into_iter().chain(dead_pub::findings(&units)) {
         raw[fi].push(rf);
     }
     let mut out = Vec::new();

@@ -33,20 +33,26 @@ fn markers(src: &str, tag: &str) -> BTreeSet<(usize, String)> {
 
 /// Lint `name` under `fake_path` and check findings against the markers.
 fn check(name: &str, fake_path: &str) {
-    let src = fixture(name);
-    let findings = lint_source(fake_path, &src);
-    let denied: BTreeSet<(usize, String)> = findings
-        .iter()
-        .filter(|f| !f.is_allowed())
-        .map(|f| (f.line as usize, f.rule.to_string()))
-        .collect();
-    let allowed: BTreeSet<(usize, String)> = findings
-        .iter()
-        .filter(|f| f.is_allowed())
-        .map(|f| (f.line as usize, f.rule.to_string()))
-        .collect();
-    assert_eq!(denied, markers(&src, "DENY"), "{name}: denied findings vs //~DENY markers");
-    assert_eq!(allowed, markers(&src, "ALLOWED"), "{name}: allowed findings vs //~ALLOWED markers");
+    check_workspace(&[(fake_path, &fixture(name))]);
+}
+
+/// Lint in-memory `(path, source)` files as one workspace and check
+/// every file's findings against its own markers.
+fn check_workspace(files: &[(&str, &str)]) {
+    let inputs: Vec<(String, String)> =
+        files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
+    let findings = lint_workspace(&inputs);
+    for (path, src) in files {
+        let of = |allowed: bool| -> BTreeSet<(usize, String)> {
+            findings
+                .iter()
+                .filter(|f| f.path == *path && f.is_allowed() == allowed)
+                .map(|f| (f.line as usize, f.rule.to_string()))
+                .collect()
+        };
+        assert_eq!(of(false), markers(src, "DENY"), "{path}: denied findings vs //~DENY markers");
+        assert_eq!(of(true), markers(src, "ALLOWED"), "{path}: allowed findings vs //~ALLOWED markers");
+    }
 }
 
 #[test]
@@ -262,4 +268,43 @@ fn workspace_report_is_deterministic() {
     let first = run();
     assert_eq!(first, run(), "same inputs must yield byte-identical JSONL");
     assert!(first.starts_with("{\"kind\":\"lint-meta\",\"schema\":\"mv-lint/v2\""));
+}
+
+/// `dead-pub`: a library `pub` item is a finding unless some file
+/// outside its crate's `src/` names it — another crate, the crate's own
+/// `tests/`, or the benchmark package. Re-exports, restricted
+/// visibilities and test code are not checked, and a name another crate
+/// also defines is never flagged.
+#[test]
+fn dead_pub_flags_library_items_no_other_crate_names() {
+    let lib = "\
+pub fn used_only_inside() -> u32 { LIMIT } //~DENY(dead-pub)
+pub const LIMIT: u32 = 1; //~DENY(dead-pub)
+pub fn used_by_another_crate() {}
+pub fn used_by_the_crates_tests() {}
+pub struct UsedByTheBenchmark;
+pub use std::fmt::Debug;
+pub(crate) fn restricted() {}
+pub fn shared_name() {}
+// lint:allow(dead-pub): kept as the crate's documented entry point
+pub fn allowed() {} //~ALLOWED(dead-pub)
+pub struct Plain { pub field: u32 } //~DENY(dead-pub)
+#[cfg(test)]
+mod tests {
+    pub fn test_helper() {}
+}
+";
+    check_workspace(&[
+        ("crates/x/src/lib.rs", lib),
+        ("crates/y/src/lib.rs", "pub fn shared_name() { mv_x::used_by_another_crate(); }\n"),
+        ("crates/x/tests/it.rs", "#[test]\nfn t() { mv_x::used_by_the_crates_tests(); }\n"),
+        (
+            "crates/bench/src/bin/benchmark/src/main.rs",
+            "fn main() { let _ = mv_x::UsedByTheBenchmark; }\n",
+        ),
+    ]);
+    // The same crate alone has no outside to judge by: nothing fires,
+    // and the allow it carries goes unused.
+    let alone = lint_source("crates/x/src/lib.rs", lib);
+    assert!(alone.iter().all(|f| f.rule == "unused-allow"), "{alone:?}");
 }

@@ -112,18 +112,6 @@ impl FaultPlan {
             .at(until, Fault::Heal { group_a, group_b })
     }
 
-    /// Degrade a link over `[from, until)`, restoring at `until`.
-    pub fn degrade_window(
-        self,
-        a: NodeId,
-        b: NodeId,
-        spec: LinkSpec,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.at(from, Fault::DegradeLink { a, b, spec }).at(until, Fault::RestoreLink { a, b })
-    }
-
     /// Crash a node over `[from, until)`, restarting at `until`.
     pub fn crash_window(self, node: NodeId, from: SimTime, until: SimTime) -> Self {
         self.at(from, Fault::Crash { node }).at(until, Fault::Restart { node })
@@ -252,14 +240,10 @@ mod tests {
     #[test]
     fn fault_counters_audit_every_injection() {
         let mut sim = Sim::new(world());
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
         FaultPlan::new()
-            .degrade_window(
-                NodeId::new(0),
-                NodeId::new(1),
-                LinkClass::Cellular4G.spec(),
-                SimTime::from_millis(10),
-                SimTime::from_millis(20),
-            )
+            .at(SimTime::from_millis(10), Fault::DegradeLink { a, b, spec: LinkClass::Cellular5G.spec() })
+            .at(SimTime::from_millis(20), Fault::RestoreLink { a, b })
             .partition_between(0, 1, SimTime::from_millis(30), SimTime::from_millis(40))
             .at(SimTime::from_millis(50), Fault::Crash { node: NodeId::new(7) }) // unknown
             .install(sim.scheduler());

@@ -44,8 +44,8 @@ pub mod sim;
 pub mod topology;
 
 pub use fault::{Fault, FaultPlan, FaultTarget};
-pub use link::{LinkClass, LinkSpec};
-pub use network::{Delivery, Network};
+pub use link::LinkSpec;
+pub use network::Network;
 pub use outbox::{Inbox, Outbox, Retained, Retention};
 pub use p2p::ChordRing;
 pub use reliable::{Event as ReliableEvent, ReliableTransport, RetryPolicy};

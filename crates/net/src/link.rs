@@ -29,7 +29,7 @@ impl LinkSpec {
     }
 
     /// Builder: set jitter fraction.
-    pub fn with_jitter(mut self, frac: f64) -> Self {
+    pub(crate) fn with_jitter(mut self, frac: f64) -> Self {
         self.jitter_frac = frac.max(0.0);
         self
     }
@@ -41,7 +41,7 @@ impl LinkSpec {
     }
 
     /// Serialization (transmission) delay for a payload of `bytes`.
-    pub fn serialization_delay(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn serialization_delay(&self, bytes: u64) -> SimDuration {
         if self.bandwidth_bps <= 0.0 {
             return SimDuration::ZERO; // modelled as infinite bandwidth
         }
@@ -51,21 +51,13 @@ impl LinkSpec {
 
 /// Canned link classes approximating the fabrics named in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LinkClass {
+pub(crate) enum LinkClass {
     /// RDMA / InfiniBand inside a rack: ~3 µs, 100 Gb/s.
     Rdma,
     /// Data-center LAN: ~100 µs, 10 Gb/s.
     Lan,
-    /// Metro WAN between nearby DCs: ~5 ms, 1 Gb/s.
-    Metro,
-    /// Continental WAN: ~40 ms, 1 Gb/s.
-    Wan,
-    /// Inter-continental WAN: ~120 ms, 300 Mb/s.
-    InterContinental,
     /// 5G device uplink: ~15 ms, 100 Mb/s, jittery and lossy.
     Cellular5G,
-    /// Legacy 4G device uplink: ~50 ms, 20 Mb/s, jittery and lossy.
-    Cellular4G,
 }
 
 impl LinkClass {
@@ -75,17 +67,9 @@ impl LinkClass {
         match self {
             LinkClass::Rdma => LinkSpec::new(SimDuration::from_micros(3), 12.5e9),
             LinkClass::Lan => LinkSpec::new(SimDuration::from_micros(100), 1.25e9),
-            LinkClass::Metro => LinkSpec::new(SimDuration::from_millis(5), 125e6),
-            LinkClass::Wan => LinkSpec::new(SimDuration::from_millis(40), 125e6),
-            LinkClass::InterContinental => {
-                LinkSpec::new(SimDuration::from_millis(120), 37.5e6)
-            }
             LinkClass::Cellular5G => LinkSpec::new(SimDuration::from_millis(15), 12.5e6)
                 .with_jitter(0.3)
                 .with_loss(0.001),
-            LinkClass::Cellular4G => LinkSpec::new(SimDuration::from_millis(50), 2.5e6)
-                .with_jitter(0.5)
-                .with_loss(0.005),
         }
     }
 }
@@ -113,9 +97,7 @@ mod tests {
         // Faster fabrics must have strictly lower latency.
         let l = |c: LinkClass| c.spec().latency;
         assert!(l(LinkClass::Rdma) < l(LinkClass::Lan));
-        assert!(l(LinkClass::Lan) < l(LinkClass::Metro));
-        assert!(l(LinkClass::Metro) < l(LinkClass::Wan));
-        assert!(l(LinkClass::Wan) < l(LinkClass::InterContinental));
+        assert!(l(LinkClass::Lan) < l(LinkClass::Cellular5G));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use rand::Rng;
 
 /// Outcome of a transfer attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(dead-pub): returned by `Network::transfer`, which other crates call
 pub enum Delivery {
     /// The message arrives at the destination at this time.
     At(SimTime),
@@ -88,7 +89,7 @@ impl Network {
     }
 
     /// Add a *directed* link. Use [`Self::add_link_bidi`] for the common case.
-    pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
+    pub(crate) fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
         self.links
             .insert((from, to), LinkState { spec, base: spec, busy_until: SimTime::ZERO });
         self.adjacency.entry(from).or_default().push(to);
@@ -119,7 +120,7 @@ impl Network {
     /// route touches it fails with [`MvError::Unreachable`]. Whatever state
     /// the node held is the *caller's* problem (see `fault::FaultTarget`'s
     /// crash hook) — the network only models reachability.
-    pub fn crash_node(&mut self, id: NodeId) -> MvResult<()> {
+    pub(crate) fn crash_node(&mut self, id: NodeId) -> MvResult<()> {
         if !self.nodes.contains_key(&id) {
             return Err(MvError::not_found("node", id.raw()));
         }
@@ -129,7 +130,7 @@ impl Network {
     }
 
     /// Restart a crashed node (a no-op reachability-wise if it was up).
-    pub fn restart_node(&mut self, id: NodeId) -> MvResult<()> {
+    pub(crate) fn restart_node(&mut self, id: NodeId) -> MvResult<()> {
         if !self.nodes.contains_key(&id) {
             return Err(MvError::not_found("node", id.raw()));
         }
@@ -139,13 +140,13 @@ impl Network {
     }
 
     /// Is the node registered and not crashed?
-    pub fn is_up(&self, id: NodeId) -> bool {
+    pub(crate) fn is_up(&self, id: NodeId) -> bool {
         self.nodes.contains_key(&id) && !self.down.contains(&id)
     }
 
     /// Replace a directed link's spec for a fault window (the healthy spec
     /// is remembered and comes back on [`Self::restore_link`]).
-    pub fn degrade_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> MvResult<()> {
+    pub(crate) fn degrade_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> MvResult<()> {
         let link = self
             .links
             .get_mut(&(from, to))
@@ -156,7 +157,7 @@ impl Network {
     }
 
     /// Restore a degraded directed link to its healthy spec.
-    pub fn restore_link(&mut self, from: NodeId, to: NodeId) -> MvResult<()> {
+    pub(crate) fn restore_link(&mut self, from: NodeId, to: NodeId) -> MvResult<()> {
         let link = self
             .links
             .get_mut(&(from, to))
@@ -167,13 +168,13 @@ impl Network {
     }
 
     /// [`Self::degrade_link`] in both directions.
-    pub fn degrade_link_bidi(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> MvResult<()> {
+    pub(crate) fn degrade_link_bidi(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> MvResult<()> {
         self.degrade_link(a, b, spec)?;
         self.degrade_link(b, a, spec)
     }
 
     /// [`Self::restore_link`] in both directions.
-    pub fn restore_link_bidi(&mut self, a: NodeId, b: NodeId) -> MvResult<()> {
+    pub(crate) fn restore_link_bidi(&mut self, a: NodeId, b: NodeId) -> MvResult<()> {
         self.restore_link(a, b)?;
         self.restore_link(b, a)
     }
@@ -452,7 +453,7 @@ mod tests {
         assert_eq!(net.stats.get("faults_link_degraded"), 2);
         assert_eq!(net.stats.get("faults_link_restored"), 2);
         // Degrading a non-existent link is an error.
-        assert!(net.degrade_link(a, NodeId::new(2), LinkClass::Wan.spec()).is_err());
+        assert!(net.degrade_link(a, NodeId::new(2), LinkClass::Lan.spec()).is_err());
     }
 
     #[test]
@@ -460,8 +461,8 @@ mod tests {
         let mut net = Network::new();
         net.add_node(NodeId::new(0), "dc");
         net.add_node(NodeId::new(1), "dc");
-        net.add_link_bidi(NodeId::new(0), NodeId::new(1), LinkClass::Wan.spec());
+        net.add_link_bidi(NodeId::new(0), NodeId::new(1), LinkClass::Lan.spec());
         let rtt = net.path_latency(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(rtt, SimDuration::from_millis(40));
+        assert_eq!(rtt, SimDuration::from_micros(100));
     }
 }

@@ -26,6 +26,7 @@ pub struct ChordRing {
 
 /// Result of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(dead-pub): returned by `ChordRing::lookup`, which other crates call
 pub struct Lookup {
     /// Index (into the peer list) of the key's owner.
     pub owner: usize,
@@ -64,7 +65,7 @@ impl ChordRing {
     }
 
     /// Index of the peer owning `key` (its successor on the ring).
-    pub fn owner_of(&self, key: u64) -> usize {
+    pub(crate) fn owner_of(&self, key: u64) -> usize {
         match self.peers.binary_search(&key) {
             Ok(i) => i,
             Err(i) => i % self.peers.len(),
@@ -88,18 +89,6 @@ impl ChordRing {
         if let Err(i) = self.peers.binary_search(&peer_id) {
             self.peers.insert(i, peer_id);
             self.rebuild_fingers();
-        }
-    }
-
-    /// Peer leaves; its keys fall to its successor.
-    pub fn leave(&mut self, peer_id: u64) -> bool {
-        match self.peers.binary_search(&peer_id) {
-            Ok(i) if self.peers.len() > 1 => {
-                self.peers.remove(i);
-                self.rebuild_fingers();
-                true
-            }
-            _ => false,
         }
     }
 
@@ -199,17 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn join_and_leave_preserve_correctness() {
+    fn join_preserves_correctness() {
         let mut ring = ChordRing::new(vec![100, 200, 300]);
         ring.join(250);
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.peers[ring.owner_of(220)], 250);
-        assert!(ring.leave(250));
-        assert_eq!(ring.peers[ring.owner_of(220)], 300, "keys fall to the successor");
-        assert!(!ring.leave(999));
-        // The last peer cannot leave.
-        let mut solo = ChordRing::new(vec![5]);
-        assert!(!solo.leave(5));
+        let solo = ChordRing::new(vec![5]);
         assert_eq!(solo.lookup(0, 42).hops, 0);
     }
 

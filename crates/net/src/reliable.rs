@@ -70,7 +70,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The timeout armed after transmission attempt `attempt` (0-based),
     /// jittered deterministically by `key`.
-    pub fn rto(&self, attempt: u32, key: u64) -> SimDuration {
+    pub(crate) fn rto(&self, attempt: u32, key: u64) -> SimDuration {
         let factor = self.backoff.max(1.0).powi(attempt.min(30) as i32);
         let base = self.initial_rto.mul_f64(factor).min(self.max_rto);
         if self.jitter_frac <= 0.0 {

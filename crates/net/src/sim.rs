@@ -11,7 +11,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// An event: a one-shot closure over the world and the scheduler.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
+pub(crate) type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
 
 struct Entry<W> {
     at: SimTime,
@@ -38,6 +38,7 @@ impl<W> Ord for Entry<W> {
 
 /// The scheduling half of the simulator, passed to firing events so they
 /// can enqueue follow-up events while the world is mutably borrowed.
+// lint:allow(dead-pub): returned by `Sim::scheduler` and taken by `FaultPlan::install`
 pub struct Scheduler<W> {
     now: SimTime,
     seq: u64,
@@ -75,11 +76,6 @@ impl<W> Scheduler<W> {
         self.at(at, f);
     }
 
-    /// Number of events fired so far.
-    pub fn events_fired(&self) -> u64 {
-        self.fired
-    }
-
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -110,7 +106,8 @@ impl<W> Sim<W> {
     }
 
     /// Schedule an event at absolute time `at`.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static) {
+    #[cfg(test)]
+    pub(crate) fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static) {
         self.sched.at(at, f);
     }
 
@@ -118,7 +115,7 @@ impl<W> Sim<W> {
     /// Returns the number of events fired by this call. Events scheduled
     /// later than `until` remain queued; the clock stops at the last fired
     /// event (or `until` if nothing fired beyond it).
-    pub fn run_until(&mut self, until: SimTime) -> u64 {
+    pub(crate) fn run_until(&mut self, until: SimTime) -> u64 {
         let mut fired = 0u64;
         while let Some(Reverse(head)) = self.sched.queue.peek() {
             if head.at > until {
@@ -143,11 +140,6 @@ impl<W> Sim<W> {
     /// Run until the event queue is completely drained.
     pub fn run_to_completion(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
-    }
-
-    /// Total events fired over the simulator's lifetime.
-    pub fn events_fired(&self) -> u64 {
-        self.sched.fired
     }
 }
 
@@ -190,7 +182,7 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(sim.world, 5);
         assert_eq!(sim.now(), SimTime::from_millis(4));
-        assert_eq!(sim.events_fired(), 5);
+        assert_eq!(sim.sched.fired, 5);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl MultiDcTopology {
         }
         MultiDcTopology { net, coordinators, replicas }
     }
-
-    /// Number of data centers.
-    pub fn dc_count(&self) -> usize {
-        self.coordinators.len()
-    }
 }
 
 /// The device–cloud–storage disaggregation of Fig. 7.
@@ -131,7 +126,7 @@ mod tests {
     #[test]
     fn multi_dc_mesh_latency() {
         let mut topo = MultiDcTopology::build(3, 2, SimDuration::from_millis(50));
-        assert_eq!(topo.dc_count(), 3);
+        assert_eq!(topo.coordinators.len(), 3);
         // Coordinator-to-coordinator is one WAN hop.
         let lat = topo
             .net

@@ -38,7 +38,7 @@ pub fn json_escape(s: &str) -> String {
 
 /// [`json_escape`] into a caller-owned buffer (no allocation when the
 /// buffer has capacity) — the hot-loop form used by [`JsonlSink`].
-pub fn json_escape_into(out: &mut String, s: &str) {
+pub(crate) fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -67,16 +67,8 @@ fn json_value_into(out: &mut String, cell: &str) {
     }
 }
 
-/// Export a rendered [`Table`] as JSONL: one object per data row, keyed
-/// by the column headers.
-pub fn table_to_jsonl(table: &Table) -> String {
-    let mut out = String::new();
-    table_to_jsonl_into(&mut out, table);
-    out
-}
-
-/// [`table_to_jsonl`] into a caller-owned buffer.
-pub fn table_to_jsonl_into(out: &mut String, table: &Table) {
+/// A table's rows as JSONL, into a caller-owned buffer.
+pub(crate) fn table_to_jsonl_into(out: &mut String, table: &Table) {
     for row in table.rows() {
         out.push_str("{\"kind\":\"table\",\"table\":\"");
         json_escape_into(out, table.title());
@@ -91,17 +83,8 @@ pub fn table_to_jsonl_into(out: &mut String, table: &Table) {
     }
 }
 
-/// Export span records as JSONL, one span per line, in the order given.
-/// Feed it `Tracer::trace_records` output (sorted) for deterministic
-/// files.
-pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    spans_to_jsonl_into(&mut out, spans);
-    out
-}
-
-/// [`spans_to_jsonl`] into a caller-owned buffer.
-pub fn spans_to_jsonl_into(out: &mut String, spans: &[SpanRecord]) {
+/// Span records as JSONL, into a caller-owned buffer.
+pub(crate) fn spans_to_jsonl_into(out: &mut String, spans: &[SpanRecord]) {
     for s in spans {
         out.push_str("{\"kind\":\"span\",\"trace\":");
         let _ = write!(out, "{}", s.trace);
@@ -117,16 +100,8 @@ pub fn spans_to_jsonl_into(out: &mut String, spans: &[SpanRecord]) {
     }
 }
 
-/// Export a registry snapshot as JSONL: counters, gauges, then
-/// histogram summaries, each name-sorted.
-pub fn registry_to_jsonl(reg: &Registry) -> String {
-    let mut out = String::new();
-    registry_to_jsonl_into(&mut out, reg);
-    out
-}
-
-/// [`registry_to_jsonl`] into a caller-owned buffer.
-pub fn registry_to_jsonl_into(out: &mut String, reg: &Registry) {
+/// A registry snapshot as JSONL, into a caller-owned buffer.
+pub(crate) fn registry_to_jsonl_into(out: &mut String, reg: &Registry) {
     for (name, v) in reg.counters() {
         out.push_str("{\"kind\":\"counter\",\"name\":\"");
         json_escape_into(out, name);
@@ -157,7 +132,7 @@ pub fn registry_to_jsonl_into(out: &mut String, reg: &Registry) {
 /// quantiles. `scratch` is the reusable histogram accumulator — pass
 /// the same one every tick and the encoder allocates nothing once warm
 /// (the [`JsonlSink::windows`] form owns one for you).
-pub fn windows_to_jsonl_into(
+pub(crate) fn windows_to_jsonl_into(
     out: &mut String,
     w: &MetricWindows,
     k: usize,
@@ -194,17 +169,9 @@ pub fn windows_to_jsonl_into(
     }
 }
 
-/// Allocating convenience form of [`windows_to_jsonl_into`].
-pub fn windows_to_jsonl(w: &MetricWindows, k: usize) -> String {
-    let mut out = String::new();
-    let mut scratch = WindowHisto::new();
-    windows_to_jsonl_into(&mut out, w, k, &mut scratch);
-    out
-}
-
 /// Export an [`SloEngine`]'s current status: one `{"kind":"slo"}` line
 /// per armed spec plus a `{"kind":"slo_totals"}` summary.
-pub fn slo_to_jsonl_into(out: &mut String, engine: &SloEngine) {
+pub(crate) fn slo_to_jsonl_into(out: &mut String, engine: &SloEngine) {
     for spec in engine.specs() {
         out.push_str("{\"kind\":\"slo\",\"slo\":\"");
         json_escape_into(out, &spec.name);
@@ -220,19 +187,12 @@ pub fn slo_to_jsonl_into(out: &mut String, engine: &SloEngine) {
     );
 }
 
-/// Allocating convenience form of [`slo_to_jsonl_into`].
-pub fn slo_to_jsonl(engine: &SloEngine) -> String {
-    let mut out = String::new();
-    slo_to_jsonl_into(&mut out, engine);
-    out
-}
-
 /// Export alert events as JSONL, one per line, in the order given —
 /// pass [`SloEngine::events`] (or a tail slice for the current tick's
 /// new events). Burn rates use the same fixed `{:.3}` formatting as the
 /// canonical alert log, so the lines are byte-stable across same-seed
 /// runs.
-pub fn alerts_to_jsonl_into(out: &mut String, events: &[AlertEvent]) {
+pub(crate) fn alerts_to_jsonl_into(out: &mut String, events: &[AlertEvent]) {
     for e in events {
         out.push_str("{\"kind\":\"alert\",\"seq\":");
         let _ = write!(out, "{},\"at_us\":{},\"slo\":\"", e.seq, e.at.as_micros());
@@ -250,13 +210,6 @@ pub fn alerts_to_jsonl_into(out: &mut String, events: &[AlertEvent]) {
             e.slow_total,
         );
     }
-}
-
-/// Allocating convenience form of [`alerts_to_jsonl_into`].
-pub fn alerts_to_jsonl(events: &[AlertEvent]) -> String {
-    let mut out = String::new();
-    alerts_to_jsonl_into(&mut out, events);
-    out
 }
 
 /// A reusable JSONL encode buffer for per-tick export loops.
@@ -339,7 +292,7 @@ impl JsonlSink {
     }
 
     /// Append the windowed view of every metric over the last `k`
-    /// ticks (see [`windows_to_jsonl_into`]); the histogram scratch is
+    /// ticks (see `windows_to_jsonl_into`); the histogram scratch is
     /// owned by the sink, so steady-state streaming is allocation-free.
     pub fn windows(&mut self, w: &MetricWindows, k: usize) {
         let before = self.buf.capacity();
@@ -349,29 +302,20 @@ impl JsonlSink {
         }
     }
 
-    /// Append an SLO engine's status lines (see [`slo_to_jsonl_into`]).
+    /// Append an SLO engine's status lines (see `slo_to_jsonl_into`).
     pub fn slo(&mut self, engine: &SloEngine) {
         self.track(|buf| slo_to_jsonl_into(buf, engine));
     }
 
-    /// Append alert events (see [`alerts_to_jsonl_into`]).
+    /// Append alert events (see `alerts_to_jsonl_into`).
     pub fn alerts(&mut self, events: &[AlertEvent]) {
         self.track(|buf| alerts_to_jsonl_into(buf, events));
-    }
-
-    /// Append one raw, pre-formed JSONL line (caller supplies valid
-    /// JSON; a newline is added).
-    pub fn raw_line(&mut self, line: &str) {
-        self.track(|buf| {
-            buf.push_str(line);
-            buf.push('\n');
-        });
     }
 
     /// Write through a closure with reallocation tracking — the hook
     /// custom encoders (e.g. [`crate::profile::TickProfiler::export_jsonl`])
     /// use to stay on the shared buffer.
-    pub fn write_with(&mut self, f: impl FnOnce(&mut String)) {
+    pub(crate) fn write_with(&mut self, f: impl FnOnce(&mut String)) {
         self.track(f);
     }
 }
@@ -381,6 +325,13 @@ mod tests {
     use super::*;
     use crate::trace::Tracer;
     use mv_common::time::SimTime;
+
+    /// What `write` appends to an empty sink.
+    fn jsonl(write: impl FnOnce(&mut JsonlSink)) -> String {
+        let mut sink = JsonlSink::default();
+        write(&mut sink);
+        sink.as_str().to_string()
+    }
 
     #[test]
     fn escaping_covers_specials() {
@@ -393,7 +344,7 @@ mod tests {
     fn table_rows_become_objects() {
         let mut t = Table::new("e18 stages", &["stage", "mean_ms", "note"]);
         t.row(&["wal".into(), "1.25".into(), "3.42x".into()]);
-        let j = table_to_jsonl(&t);
+        let j = jsonl(|s| s.table(&t));
         assert_eq!(
             j,
             "{\"kind\":\"table\",\"table\":\"e18 stages\",\"stage\":\"wal\",\
@@ -406,7 +357,7 @@ mod tests {
         let mut tr = Tracer::new();
         let ctx = tr.start_trace("root", SimTime::from_millis(1));
         tr.close(ctx.span, SimTime::from_millis(3), "ok");
-        let j = spans_to_jsonl(&tr.trace_records(ctx.trace));
+        let j = jsonl(|s| s.spans(&tr.trace_records(ctx.trace)));
         assert_eq!(
             j,
             "{\"kind\":\"span\",\"trace\":1,\"span\":1,\"parent\":0,\"name\":\"root\",\
@@ -426,17 +377,17 @@ mod tests {
         for _ in 0..3 {
             sink.clear();
             sink.table(&t);
-            sink.raw_line("{\"kind\":\"tick\",\"n\":1}");
+            sink.write_with(|buf| buf.push_str("{\"kind\":\"tick\",\"n\":1}\n"));
         }
         let after_warmup = sink.grows();
         for _ in 0..1000 {
             sink.clear();
             sink.table(&t);
-            sink.raw_line("{\"kind\":\"tick\",\"n\":1}");
+            sink.write_with(|buf| buf.push_str("{\"kind\":\"tick\",\"n\":1}\n"));
         }
         assert_eq!(sink.grows(), after_warmup, "steady-state export must not reallocate");
         assert!(sink.as_str().contains("\"stage\":\"ingest\""));
-        assert_eq!(sink.as_str(), table_to_jsonl(&t) + "{\"kind\":\"tick\",\"n\":1}\n");
+        assert_eq!(sink.as_str(), jsonl(|s| s.table(&t)) + "{\"kind\":\"tick\",\"n\":1}\n");
     }
 
     #[test]
@@ -466,7 +417,7 @@ mod tests {
             r.record(h, 8.0);
             w.roll(&r);
         }
-        let j = windows_to_jsonl(&w, 4);
+        let j = jsonl(|s| s.windows(&w, 4));
         assert!(j.contains(
             "{\"kind\":\"window_counter\",\"name\":\"net.transport.sent\",\
              \"ticks\":4,\"delta\":8,\"rate\":2}"
@@ -478,12 +429,12 @@ mod tests {
 
         let mut engine = SloEngine::new();
         engine.arm(SloSpec::availability("t.avail", "t.c.err", "t.c.total", 0.01));
-        let s = slo_to_jsonl(&engine);
+        let s = jsonl(|s| s.slo(&engine));
         assert!(s.contains("{\"kind\":\"slo\",\"slo\":\"t.avail\",\"active\":false}"));
         assert!(s.contains(
             "{\"kind\":\"slo_totals\",\"armed\":1,\"active\":0,\"fired\":0,\"cleared\":0}"
         ));
-        assert!(alerts_to_jsonl(engine.events()).is_empty());
+        assert!(jsonl(|s| s.alerts(engine.events())).is_empty());
     }
 
     #[test]
@@ -505,7 +456,7 @@ mod tests {
             }
             mon.tick(SimTime::from_millis(ms), &reg);
         }
-        let j = alerts_to_jsonl(mon.alert_log());
+        let j = jsonl(|s| s.alerts(mon.alert_log()));
         assert!(j.contains("\"kind\":\"alert\",\"seq\":0,"), "{j}");
         assert!(j.contains("\"slo\":\"t.avail\",\"alert\":\"fire\""), "{j}");
         assert!(j.contains("\"alert\":\"clear\""), "{j}");
@@ -581,7 +532,7 @@ mod tests {
         r.set_gauge(g, 2.5);
         let h = r.histo("lat");
         r.record(h, 4.0);
-        let j = registry_to_jsonl(&r);
+        let j = jsonl(|s| s.registry(&r));
         assert!(j.contains("{\"kind\":\"counter\",\"name\":\"net.sent\",\"value\":7}"));
         assert!(j.contains("{\"kind\":\"gauge\",\"name\":\"core.live\",\"value\":2.5}"));
         assert!(j.contains("\"kind\":\"histogram\",\"name\":\"lat\",\"count\":1"));

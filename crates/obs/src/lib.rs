@@ -52,8 +52,8 @@ pub mod trace;
 pub mod window;
 
 pub use profile::TickProfiler;
-pub use recorder::{DebugBundle, FlightRecorder, TickEvidence, BUNDLE_SCHEMA};
+pub use recorder::BUNDLE_SCHEMA;
 pub use registry::{CounterId, GaugeId, HistoId, LogHistogram, Registry};
-pub use slo::{AlertEvent, AlertKind, HealthMonitor, Objective, SloEngine, SloSpec};
+pub use slo::{AlertKind, HealthMonitor, SloEngine, SloSpec};
 pub use trace::{SharedTracer, SpanRecord, TraceCtx, Tracer};
-pub use window::{MetricWindows, WindowHisto};
+pub use window::MetricWindows;

@@ -76,11 +76,6 @@ impl TickProfiler {
         self.ticks
     }
 
-    /// Whole-tick duration histogram (complete ticks only).
-    pub fn tick_histogram(&self) -> &LogHistogram {
-        &self.tick_histo
-    }
-
     /// Stage histograms in name order.
     pub fn stages(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> + '_ {
         self.stages.iter().map(|(k, v)| (*k, v))
@@ -159,6 +154,7 @@ impl TickProfiler {
 }
 
 /// RAII guard from [`TickProfiler::scope`]; records on drop.
+// lint:allow(dead-pub): returned by `TickProfiler::scope`, which other crates call
 pub struct StageGuard<'a> {
     profiler: &'a mut TickProfiler,
     stage: &'static str,
@@ -188,7 +184,7 @@ mod tests {
         }
         p.finish();
         assert_eq!(p.ticks(), 3);
-        assert_eq!(p.tick_histogram().count(), 3);
+        assert_eq!(p.tick_histo.count(), 3);
         assert_eq!(p.stage("apply").unwrap().count(), 3);
         assert_eq!(p.stage("flush").unwrap().count(), 3);
         assert!(p.stage("missing").is_none());
@@ -233,6 +229,6 @@ mod tests {
     fn finish_without_tick_is_harmless() {
         let mut p = TickProfiler::new();
         p.finish();
-        assert_eq!(p.tick_histogram().count(), 0);
+        assert_eq!(p.tick_histo.count(), 0);
     }
 }

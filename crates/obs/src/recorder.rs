@@ -36,6 +36,7 @@ pub const BUNDLE_SCHEMA: &str = "mv-debug-bundle/v1";
 /// One tick's worth of evidence: metric deltas, gauge values, alert
 /// lines, and component event-log lines.
 #[derive(Debug, Clone, Default)]
+// lint:allow(dead-pub): taken by `FlightRecorder::push`, which other crates call
 pub struct TickEvidence {
     /// Sim timestamp of the tick, microseconds.
     pub at_us: u64,
@@ -60,6 +61,7 @@ impl TickEvidence {
 
 /// A frozen snapshot of the recorder's ring, rendered as JSONL.
 #[derive(Debug, Clone)]
+// lint:allow(dead-pub): returned by `FlightRecorder::bundles`, which other crates call
 pub struct DebugBundle {
     /// Bundle sequence number within this recorder (0-based).
     pub seq: u64,
@@ -75,6 +77,7 @@ pub struct DebugBundle {
 
 /// Bounded ring of recent evidence plus the bundles dumped so far.
 #[derive(Debug)]
+// lint:allow(dead-pub): the type of `HealthMonitor::recorder`, which other crates read
 pub struct FlightRecorder {
     cap_ticks: usize,
     max_bundles: usize,
@@ -92,7 +95,7 @@ impl FlightRecorder {
     }
 
     /// Fully parameterised constructor (all caps clamped to ≥ 1).
-    pub fn with_limits(cap_ticks: usize, max_bundles: usize, max_lines: usize) -> Self {
+    pub(crate) fn with_limits(cap_ticks: usize, max_bundles: usize, max_lines: usize) -> Self {
         FlightRecorder {
             cap_ticks: cap_ticks.max(1),
             max_bundles: max_bundles.max(1),
@@ -103,19 +106,9 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of ticks currently buffered.
-    pub fn ticks_buffered(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Bundles dumped so far, oldest first.
     pub fn bundles(&self) -> &[DebugBundle] {
         &self.bundles
-    }
-
-    /// Dumps refused because the bundle cap was reached.
-    pub fn dropped_bundles(&self) -> u64 {
-        self.dropped_bundles
     }
 
     /// Append one tick of evidence, evicting the oldest tick when the
@@ -161,7 +154,7 @@ impl FlightRecorder {
 
     /// All bundles concatenated — the byte string E22's determinism
     /// gate compares across same-seed runs.
-    pub fn bundle_bytes(&self) -> Vec<u8> {
+    pub(crate) fn bundle_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for b in &self.bundles {
             out.extend_from_slice(b.jsonl.as_bytes());
@@ -169,7 +162,7 @@ impl FlightRecorder {
         out
     }
 
-    /// Fingerprint of [`Self::bundle_bytes`].
+    /// Fingerprint of `Self::bundle_bytes`.
     pub fn bundle_hash(&self) -> u64 {
         fx_hash_one(&self.bundle_bytes())
     }
@@ -245,7 +238,7 @@ mod tests {
         for i in 0..5 {
             fr.push(tick(i * 1000, i));
         }
-        assert_eq!(fr.ticks_buffered(), 3);
+        assert_eq!(fr.ring.len(), 3);
         assert!(fr.dump("test", 5000));
         let b = &fr.bundles()[0];
         // Oldest retained tick is #2.
@@ -263,7 +256,7 @@ mod tests {
         assert!(fr.dump("b", 2));
         assert!(!fr.dump("c", 3));
         assert_eq!(fr.bundles().len(), 2);
-        assert_eq!(fr.dropped_bundles(), 1);
+        assert_eq!(fr.dropped_bundles, 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Number of power-of-two buckets in a [`LogHistogram`].
-pub const LOG_BUCKETS: usize = 64;
+pub(crate) const LOG_BUCKETS: usize = 64;
 /// Bucket 0 covers everything below `2^-BUCKET_OFFSET`.
 const BUCKET_OFFSET: i32 = 32;
 
@@ -175,13 +175,13 @@ impl LogHistogram {
 
     /// The raw per-bucket counts (index `i` covers `[bucket_floor(i),
     /// bucket_floor(i + 1))`). The window layer diffs these per tick.
-    pub fn bucket_counts(&self) -> &[u64; LOG_BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> &[u64; LOG_BUCKETS] {
         &self.buckets
     }
 
     /// Lower bound of bucket `i` (0 for the underflow bucket). Public so
     /// the window layer can reconstruct quantiles from bucket deltas.
-    pub fn bucket_floor(i: usize) -> f64 {
+    pub(crate) fn bucket_floor(i: usize) -> f64 {
         bucket_lo(i)
     }
 
@@ -255,11 +255,6 @@ impl Registry {
         self.add(id, 1);
     }
 
-    /// Read a counter by handle.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize]
-    }
-
     /// Read a counter by name (0 if never interned).
     pub fn counter_get(&self, name: &str) -> u64 {
         self.counter_index.get(name).map_or(0, |&i| self.counters[i as usize])
@@ -281,11 +276,6 @@ impl Registry {
     pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
         // lint:allow(panic-path): GaugeId handles are only minted by gauge() after pushing the slot; typed-handle invariant
         self.gauges[id.0 as usize] = v;
-    }
-
-    /// Read a gauge by handle.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize]
     }
 
     /// Read a gauge by name (0 if never interned).
@@ -310,20 +300,10 @@ impl Registry {
         self.histos[id.0 as usize].record(v);
     }
 
-    /// Borrow a histogram by handle.
-    pub fn histo_ref(&self, id: HistoId) -> &LogHistogram {
-        &self.histos[id.0 as usize]
-    }
-
     /// Merge a whole histogram into the one behind `id`, bucket-wise.
     pub fn merge_histo(&mut self, id: HistoId, other: &LogHistogram) {
         // lint:allow(panic-path): HistoId handles are only minted by histo() after pushing the slot; typed-handle invariant
         self.histos[id.0 as usize].merge(other);
-    }
-
-    /// Borrow a histogram by name, if interned.
-    pub fn histo_get(&self, name: &str) -> Option<&LogHistogram> {
-        self.histo_index.get(name).map(|&i| &self.histos[i as usize])
     }
 
     /// Counter `(name, value)` pairs in name order.
@@ -333,13 +313,13 @@ impl Registry {
     }
 
     /// Gauge `(name, value)` pairs in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
         // lint:allow(panic-path): gauge_index stores indices this registry interned; the two grow in lockstep
         self.gauge_index.iter().map(|(k, &i)| (k.as_str(), self.gauges[i as usize]))
     }
 
     /// Histogram `(name, histogram)` pairs in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> + '_ {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> + '_ {
         // lint:allow(panic-path): histo_index stores indices this registry interned; the two grow in lockstep
         self.histo_index.iter().map(|(k, &i)| (k.as_str(), &self.histos[i as usize]))
     }
@@ -451,19 +431,17 @@ mod tests {
         assert_eq!(c1, c2);
         r.incr(c1);
         r.add(c2, 4);
-        assert_eq!(r.counter_value(c1), 5);
         assert_eq!(r.counter_get("net.transport.sent"), 5);
         assert_eq!(r.counter_get("missing"), 0);
 
         let g = r.gauge("core.engine.live");
         r.set_gauge(g, 42.0);
-        assert_eq!(r.gauge_value(g), 42.0);
         assert_eq!(r.gauge_get("core.engine.live"), 42.0);
 
         let h = r.histo("storage.wal.batch_bytes");
         r.record(h, 128.0);
-        assert_eq!(r.histo_ref(h).count(), 1);
-        assert!(r.histo_get("storage.wal.batch_bytes").is_some());
+        let histos: Vec<_> = r.histograms().map(|(name, h)| (name, h.count())).collect();
+        assert_eq!(histos, [("storage.wal.batch_bytes", 1)]);
     }
 
     #[test]
@@ -493,7 +471,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter_get("x"), 7);
         assert_eq!(a.counter_get("y"), 1);
-        assert_eq!(a.histo_get("lat").unwrap().count(), 2);
+        let histos: Vec<_> = a.histograms().map(|(name, h)| (name, h.count())).collect();
+        assert_eq!(histos, [("lat", 2)]);
     }
 
     #[test]

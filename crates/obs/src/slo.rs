@@ -36,6 +36,7 @@ use std::fmt::Write as _;
 /// What an SLO watches, and what fraction of badness its budget
 /// tolerates.
 #[derive(Debug, Clone)]
+// lint:allow(dead-pub): the type of `SloSpec::objective`, which other crates set
 pub enum Objective {
     /// Fraction of `histo` samples at or above `threshold` must stay
     /// below `budget`. The threshold is bucketised by the log-scaled
@@ -149,6 +150,7 @@ impl AlertKind {
 
 /// One entry in the canonical alert event log.
 #[derive(Debug, Clone)]
+// lint:allow(dead-pub): returned by `HealthMonitor::alert_log`, which other crates call
 pub struct AlertEvent {
     /// Log sequence number (0-based).
     pub seq: u64,
@@ -193,7 +195,7 @@ impl AlertEvent {
     }
 
     /// Allocating form of [`Self::render_into`].
-    pub fn canonical_line(&self) -> String {
+    pub(crate) fn canonical_line(&self) -> String {
         let mut s = String::new();
         self.render_into(&mut s);
         s
@@ -239,12 +241,12 @@ impl SloEngine {
     }
 
     /// Number of currently-firing alerts.
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.active.iter().filter(|a| **a).count()
     }
 
     /// True when the named SLO is currently firing.
-    pub fn is_active(&self, name: &str) -> bool {
+    pub(crate) fn is_active(&self, name: &str) -> bool {
         self.specs
             .iter()
             .zip(self.active.iter())
@@ -471,7 +473,7 @@ impl HealthMonitor {
         self.engine.canonical_log()
     }
 
-    /// See [`SloEngine::active_count`].
+    /// See `SloEngine::active_count`.
     pub fn active_alerts(&self) -> usize {
         self.engine.active_count()
     }

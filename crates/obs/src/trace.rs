@@ -16,7 +16,6 @@
 //! [`Tracer::canonical_bytes`] sorts by `(trace, span)` — two same-seed
 //! runs produce byte-identical span logs ([`Tracer::log_hash`]).
 
-use crate::registry::LogHistogram;
 use mv_common::hash::{fx_hash_one, FastMap};
 use mv_common::time::SimTime;
 use parking_lot::Mutex;
@@ -234,16 +233,6 @@ impl Tracer {
         fx_hash_one(&self.canonical_bytes())
     }
 
-    /// Per-stage latency histograms: span durations (seconds) keyed by
-    /// span name, merged across all traces.
-    pub fn stage_histograms(&self) -> BTreeMap<&'static str, LogHistogram> {
-        let mut out: BTreeMap<&'static str, LogHistogram> = BTreeMap::new();
-        for r in &self.closed {
-            out.entry(r.name).or_default().record((r.end - r.start).as_secs_f64());
-        }
-        out
-    }
-
     /// Render one trace as an indented tree, children under parents,
     /// siblings in `(start, span)` order. Purely sim-time data, so the
     /// output is deterministic and safe to embed in golden files.
@@ -396,11 +385,6 @@ impl SharedTracer {
     pub fn render_trace(&self, trace: u64) -> Vec<String> {
         self.inner.lock().render_trace(trace)
     }
-
-    /// True when two handles share one tracer.
-    pub fn same_as(&self, other: &SharedTracer) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]
@@ -523,21 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_histograms_aggregate_by_name() {
-        let mut tr = Tracer::new();
-        for i in 0..3 {
-            let ctx = tr.start_trace("root", t(i * 10));
-            let s = tr.child(ctx, "stage", t(i * 10));
-            tr.close(s, t(i * 10 + 2), "ok");
-            tr.close(ctx.span, t(i * 10 + 5), "ok");
-        }
-        let h = tr.stage_histograms();
-        assert_eq!(h["stage"].count(), 3);
-        assert!((h["stage"].mean() - 0.002).abs() < 1e-9);
-        assert_eq!(h["root"].count(), 3);
-    }
-
-    #[test]
     fn shared_tracer_is_one_log() {
         let st = SharedTracer::new();
         let st2 = st.clone();
@@ -545,6 +514,6 @@ mod tests {
         st2.close(ctx.span, t(1), "ok");
         assert_eq!(st.open_count(), 0);
         assert_eq!(st.records().len(), 1);
-        assert!(st.same_as(&st2));
+        assert_eq!(st2.records().len(), 1);
     }
 }

@@ -64,6 +64,7 @@ struct GaugeTrack {
 /// window, so unlike [`LogHistogram::quantile`] estimates are clamped
 /// only to bucket bounds).
 #[derive(Debug, Clone, Default)]
+// lint:allow(dead-pub): returned by `MetricWindows::histo_window`, which other crates call
 pub struct WindowHisto {
     buckets: Vec<u64>,
     count: u64,
@@ -72,7 +73,7 @@ pub struct WindowHisto {
 
 impl WindowHisto {
     /// An empty window view (reusable across fills — see
-    /// [`MetricWindows::histo_window_into`]).
+    /// `MetricWindows::histo_window_into`).
     pub fn new() -> Self {
         Self::default()
     }
@@ -140,7 +141,7 @@ impl WindowHisto {
     /// effectively rounded up to a bucket boundary; SLO latency
     /// objectives should pick power-of-two thresholds to make the
     /// boundary exact.
-    pub fn at_or_above(&self, threshold: f64) -> u64 {
+    pub(crate) fn at_or_above(&self, threshold: f64) -> u64 {
         self.buckets
             .iter()
             .enumerate()
@@ -192,7 +193,7 @@ impl MetricWindows {
 
     /// Ticks of data a `k`-tick query actually covers (less than `k`
     /// until the ring has filled).
-    pub fn window_ticks(&self, k: usize) -> u64 {
+    pub(crate) fn window_ticks(&self, k: usize) -> u64 {
         k.max(1).min(self.valid()) as u64
     }
 
@@ -356,7 +357,7 @@ impl MetricWindows {
     /// Fill `out` with histogram `name`'s windowed view over the last
     /// `k` ticks, reusing `out`'s buffers. Returns false (and leaves
     /// `out` empty) for an unknown histogram.
-    pub fn histo_window_into(&self, name: &str, k: usize, out: &mut WindowHisto) -> bool {
+    pub(crate) fn histo_window_into(&self, name: &str, k: usize, out: &mut WindowHisto) -> bool {
         out.reset();
         let Some(t) = self.histos.get(name) else {
             return false;
@@ -377,7 +378,7 @@ impl MetricWindows {
         true
     }
 
-    /// Allocating convenience form of [`Self::histo_window_into`].
+    /// Allocating convenience form of `Self::histo_window_into`.
     pub fn histo_window(&self, name: &str, k: usize) -> WindowHisto {
         let mut out = WindowHisto::new();
         self.histo_window_into(name, k, &mut out);
@@ -385,13 +386,13 @@ impl MetricWindows {
     }
 
     /// Latest value of gauge `name` (0 if unknown).
-    pub fn gauge_last(&self, name: &str) -> f64 {
+    pub(crate) fn gauge_last(&self, name: &str) -> f64 {
         self.gauges.get(name).map_or(0.0, |t| t.last)
     }
 
     /// Ticks among the last `k` where gauge `name` exceeded
     /// `threshold`.
-    pub fn gauge_ticks_above(&self, name: &str, threshold: f64, k: usize) -> u64 {
+    pub(crate) fn gauge_ticks_above(&self, name: &str, threshold: f64, k: usize) -> u64 {
         let Some(t) = self.gauges.get(name) else {
             return 0;
         };
@@ -408,23 +409,23 @@ impl MetricWindows {
     }
 
     /// Counter names seen so far, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> + '_ {
+    pub(crate) fn counter_names(&self) -> impl Iterator<Item = &str> + '_ {
         self.counters.keys().map(String::as_str)
     }
 
     /// Histogram names seen so far, sorted.
-    pub fn histo_names(&self) -> impl Iterator<Item = &str> + '_ {
+    pub(crate) fn histo_names(&self) -> impl Iterator<Item = &str> + '_ {
         self.histos.keys().map(String::as_str)
     }
 
     /// Gauge names seen so far, sorted.
-    pub fn gauge_names(&self) -> impl Iterator<Item = &str> + '_ {
+    pub(crate) fn gauge_names(&self) -> impl Iterator<Item = &str> + '_ {
         self.gauges.keys().map(String::as_str)
     }
 
     /// Visit every counter with a non-zero delta on the most recent
     /// tick, in name order (the flight recorder's per-tick evidence).
-    pub fn for_each_last_counter_delta(&self, mut f: impl FnMut(&str, u64)) {
+    pub(crate) fn for_each_last_counter_delta(&self, mut f: impl FnMut(&str, u64)) {
         let Some(slot) = self.slot_back(0) else {
             return;
         };
@@ -437,7 +438,7 @@ impl MetricWindows {
     }
 
     /// Visit every gauge's latest value, in name order.
-    pub fn for_each_gauge(&self, mut f: impl FnMut(&str, f64)) {
+    pub(crate) fn for_each_gauge(&self, mut f: impl FnMut(&str, f64)) {
         for (name, t) in &self.gauges {
             f(name, t.last);
         }

@@ -70,11 +70,6 @@ impl BrokerTree {
         BrokerTree { brokers, parent, stats: Counters::new() }
     }
 
-    /// Total brokers.
-    pub fn broker_count(&self) -> usize {
-        self.brokers.len()
-    }
-
     /// Leaf broker ids (where clients attach).
     pub fn leaves(&self) -> Vec<usize> {
         (0..self.brokers.len()).filter(|&b| self.brokers[b].children.is_empty()).collect()
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn tree_shape() {
         let t = BrokerTree::new(3, 2);
-        assert_eq!(t.broker_count(), 7);
+        assert_eq!(t.brokers.len(), 7);
         assert_eq!(t.leaves().len(), 4);
     }
 

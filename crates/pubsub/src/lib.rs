@@ -30,6 +30,6 @@ pub mod subscription;
 
 pub use broker::BrokerTree;
 pub use matcher::{IndexedMatcher, LinearMatcher, Matcher};
-pub use reliable::{InboxDedup, PubMsg, ReliableBroker};
+pub use reliable::{InboxDedup, ReliableBroker};
 pub use publication::Publication;
-pub use subscription::{AttrPredicate, CmpOp, Subscription};
+pub use subscription::Subscription;

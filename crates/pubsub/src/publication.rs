@@ -62,7 +62,7 @@ impl Publication {
     }
 
     /// Does the publication contain the term?
-    pub fn has_term(&self, t: &str) -> bool {
+    pub(crate) fn has_term(&self, t: &str) -> bool {
         self.terms.iter().any(|x| x == t)
     }
 }

@@ -28,6 +28,7 @@ use std::collections::BTreeSet;
 
 /// One matched notification in flight (or retained).
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(dead-pub): exposed by `InboxDedup`, which other crates use
 pub struct PubMsg {
     /// Broker-assigned monotone id: the retention key, the app-level
     /// dedup key and the replay order.
@@ -105,7 +106,7 @@ impl ReliableBroker {
     /// [`Self::publish`] carrying the publish's causal context: every
     /// matched client's delivery (including retention and replay) hangs
     /// off the same trace.
-    pub fn publish_traced<R: Rng + ?Sized>(
+    pub(crate) fn publish_traced<R: Rng + ?Sized>(
         &mut self,
         net: &mut Network,
         rng: &mut R,

@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 /// Comparison operator for attribute predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+// lint:allow(dead-pub): exposed by `AttrPredicate::op`, which other crates use
 pub enum CmpOp {
     /// `attr < v`
     Lt,
@@ -23,6 +24,7 @@ pub enum CmpOp {
 /// One predicate over a named numeric attribute. The attribute must be
 /// present for the predicate (and hence the subscription) to match.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lint:allow(dead-pub): exposed by `Subscription::predicates`, which other crates use
 pub struct AttrPredicate {
     /// Attribute name.
     pub attr: String,
@@ -39,7 +41,7 @@ impl AttrPredicate {
     }
 
     /// Evaluate against a publication.
-    pub fn eval(&self, p: &Publication) -> bool {
+    pub(crate) fn eval(&self, p: &Publication) -> bool {
         match p.attrs.get(&self.attr) {
             None => false,
             Some(&v) => match self.op {
@@ -73,7 +75,8 @@ impl Subscription {
     }
 
     /// Builder: add an attribute predicate.
-    pub fn where_attr(mut self, attr: impl Into<String>, op: CmpOp, v: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn where_attr(mut self, attr: impl Into<String>, op: CmpOp, v: f64) -> Self {
         self.predicates.push(AttrPredicate::new(attr, op, v));
         self
     }
@@ -107,7 +110,7 @@ impl Subscription {
     /// Text relevance in \[0,1\] for top-k term matching (fraction of the
     /// publication's terms this subscription's terms cover; 0 when the
     /// subscription has no terms).
-    pub fn term_score(&self, p: &Publication) -> f64 {
+    pub(crate) fn term_score(&self, p: &Publication) -> f64 {
         if self.terms.is_empty() || p.terms.is_empty() {
             return 0.0;
         }

@@ -13,6 +13,7 @@ use rand::seq::SliceRandom;
 
 /// An approximate (or exact) aggregate answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-pub): exposed by `ApproxAggregator::mean_exact`, which other crates use
 pub struct ApproxAnswer {
     /// The estimate.
     pub value: f64,
@@ -73,22 +74,6 @@ impl ApproxAggregator {
         let std_error = (var / k as f64 * fpc).sqrt();
         ApproxAnswer { value: mean, std_error, touched: k }
     }
-
-    /// Exact sum.
-    pub fn sum_exact(&self) -> ApproxAnswer {
-        let s = self.values.iter().sum::<f64>();
-        ApproxAnswer { value: s, std_error: 0.0, touched: self.values.len() }
-    }
-
-    /// Sampled sum (scaled-up sample mean).
-    pub fn sum_sampled(&self, fraction: f64, seed: u64) -> ApproxAnswer {
-        let mean = self.mean_sampled(fraction, seed);
-        ApproxAnswer {
-            value: mean.value * self.values.len() as f64,
-            std_error: mean.std_error * self.values.len() as f64,
-            touched: mean.touched,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -143,14 +128,6 @@ mod tests {
         assert_eq!(a.touched, 3);
         assert!((a.value - 5.0).abs() < 1e-12);
         assert!(a.std_error.abs() < 1e-12, "fpc zeroes the error at full sample");
-    }
-
-    #[test]
-    fn sum_scales_mean() {
-        let agg = ApproxAggregator::new(vec![2.0; 1000]);
-        let s = agg.sum_sampled(0.1, 2);
-        assert!((s.value - 2000.0).abs() < 1e-9);
-        assert_eq!(agg.sum_exact().value, 2000.0);
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! * [`space_aware`] — "space"-aware execution: contended allocations
 //!   (the last item both a physical and an online shopper want) resolved
 //!   with physical-priority policies (E11b);
-//! * [`planner`] — device-aware plan selection: the optimizer §IV-G asks
-//!   for, choosing join strategies feasible within a device class's
-//!   memory and compute budget;
 //! * [`approx`] — approximate execution for virtual-space consumers
 //!   ("approximate data may be tolerated"): uniform sampling with error
 //!   accounting;
@@ -22,13 +19,11 @@
 //!   exchange".
 
 pub mod approx;
-pub mod planner;
 pub mod predicate;
 pub mod sketch;
 pub mod space_aware;
 
 pub use approx::ApproxAggregator;
-pub use planner::{DeviceClass, JoinPlan, Planner};
 pub use predicate::{optimal_order, PredicateSpec, PredicateExecutor};
 pub use sketch::Hll;
 pub use space_aware::{AllocPolicy, ContendedAllocator, PurchaseRequest};

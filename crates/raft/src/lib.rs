@@ -55,8 +55,8 @@ pub mod msg;
 pub mod node;
 pub mod record;
 
-pub use msg::{LogEntry, Outgoing, RaftMsg};
-pub use node::{RaftConfig, RaftNode, Role};
+pub use msg::{Outgoing, RaftMsg};
+pub use node::{RaftConfig, RaftNode};
 pub use record::RaftRecord;
 
 /// SplitMix64-style finalizer: maps a key pair to a well-mixed u64 with

@@ -11,6 +11,7 @@ use mv_common::id::NodeId;
 /// One replicated log entry: the term it was proposed in plus opaque
 /// command bytes (empty = leader no-op, skipped by state machines).
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(dead-pub): carried by `RaftMsg::Append`, which other crates match
 pub struct LogEntry {
     /// Proposing term.
     pub term: u64,

@@ -56,6 +56,7 @@ impl Default for RaftConfig {
 
 /// A node's current protocol role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(dead-pub): returned by `RaftNode::role`, which other crates call
 pub enum Role {
     /// Accepting entries from a leader.
     Follower,
@@ -202,15 +203,6 @@ impl RaftNode {
     /// Current term.
     pub fn term(&self) -> u64 {
         self.term
-    }
-
-    /// Where this node believes the leader is (itself when leading).
-    pub fn leader_hint(&self) -> Option<NodeId> {
-        if self.role == Role::Leader {
-            Some(self.id)
-        } else {
-            self.leader_hint
-        }
     }
 
     /// Highest log index (snapshot base + entries).
@@ -1249,7 +1241,7 @@ mod tests {
         let more = deliver(&mut c, fi, li, reply[0].clone());
         assert!(matches!(&more[..], [RaftMsg::Append { prev_index, entries, .. }] if *prev_index == base && !entries.is_empty()));
         assert_eq!(c.nodes[li].progress[&fid].state, PeerState::Replicate);
-        assert_eq!((c.nodes[fi].leader_hint(), c.nodes[fi].term()), (Some(leader_id), term));
+        assert_eq!((c.nodes[fi].leader_hint, c.nodes[fi].term()), (Some(leader_id), term));
     }
 
     /// What `crash` + `restart` must bring back: term, vote, snapshot

@@ -117,7 +117,7 @@ impl RaftRecord {
 /// delivered but this crate can't read is treated as absent rather
 /// than fatal — determinism over optimism).
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct FoldedState {
+pub(crate) struct FoldedState {
     /// Current term.
     pub term: u64,
     /// Vote cast in `term`, if any.
@@ -134,7 +134,7 @@ pub struct FoldedState {
 
 impl FoldedState {
     /// Replay `records` in order into a folded state.
-    pub fn from_records<'a>(records: impl Iterator<Item = &'a [u8]>) -> FoldedState {
+    pub(crate) fn from_records<'a>(records: impl Iterator<Item = &'a [u8]>) -> FoldedState {
         let mut st = FoldedState::default();
         for bytes in records {
             let Some(rec) = RaftRecord::decode(bytes) else { continue };

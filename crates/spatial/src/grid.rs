@@ -73,11 +73,6 @@ impl GridIndex {
         }
     }
 
-    /// Number of occupied cells (diagnostics for grain tuning).
-    pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Append the ids inside `area` (boundary inclusive) to `out`, in
     /// arbitrary order; `out` is never cleared, so one buffer can collect
     /// several probes or indexes.
@@ -242,7 +237,7 @@ mod tests {
         assert_eq!(g.len(), 1);
         assert!(g.range(&Aabb::centered(Point::new(0.5, 0.5), 0.4)).is_empty());
         assert_eq!(g.range(&Aabb::centered(Point::new(10.5, 10.5), 0.4)), vec![e(1)]);
-        assert_eq!(g.occupied_cells(), 1);
+        assert_eq!(g.cells.len(), 1);
     }
 
     #[test]
@@ -362,7 +357,7 @@ mod tests {
         g.update(e(2), Point::new(6.0, 6.0));
         assert_eq!(sorted(g.range(&around_origin)), vec![e(2), e(3)]);
         assert!(g.remove(e(1)).is_some_and(|p| p.y.is_nan()));
-        assert_eq!((g.len(), g.occupied_cells()), (2, 1));
+        assert_eq!((g.len(), g.cells.len()), (2, 1));
     }
 
     #[test]

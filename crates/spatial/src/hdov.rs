@@ -34,7 +34,7 @@ pub enum Lod {
 
 impl Lod {
     /// Classify a degree of visibility (apparent size, radius/distance).
-    pub fn classify(dov: f64) -> Option<Lod> {
+    pub(crate) fn classify(dov: f64) -> Option<Lod> {
         if dov >= FULL_DOV {
             Some(Lod::Full)
         } else if dov >= MEDIUM_DOV {
@@ -59,14 +59,15 @@ impl Lod {
 }
 
 /// Apparent size at and above which full detail is used.
-pub const FULL_DOV: f64 = 0.10;
+pub(crate) const FULL_DOV: f64 = 0.10;
 /// Apparent size at and above which medium detail is used.
-pub const MEDIUM_DOV: f64 = 0.02;
+pub(crate) const MEDIUM_DOV: f64 = 0.02;
 /// Apparent size below which an object is culled entirely.
-pub const CULL_DOV: f64 = 0.004;
+pub(crate) const CULL_DOV: f64 = 0.004;
 
 /// A visible object with its assigned detail level.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-pub): returned by `HdovTree::walkthrough`, which other crates call
 pub struct VisibleObject {
     /// The object.
     pub id: EntityId,

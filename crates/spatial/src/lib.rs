@@ -38,7 +38,7 @@ pub mod st2b;
 pub mod trajectory;
 
 pub use grid::GridIndex;
-pub use hdov::{HdovTree, Lod, VisibleObject};
+pub use hdov::{HdovTree, Lod};
 pub use index::{ScanIndex, SpatialIndex};
 pub use movingq::{MovingQueryEngine, QueryStrategy};
 pub use rtree::RTree;

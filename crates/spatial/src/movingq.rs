@@ -110,15 +110,6 @@ impl MovingQueryEngine {
         }
     }
 
-    /// Remove an object entirely.
-    pub fn remove_object(&mut self, id: EntityId) {
-        self.index.remove(id);
-        self.objects.remove(&id);
-        for q in self.queries.values_mut() {
-            q.candidates.remove(&id);
-        }
-    }
-
     /// Number of tracked objects.
     pub fn object_count(&self) -> usize {
         self.objects.len()
@@ -138,11 +129,6 @@ impl MovingQueryEngine {
             },
         );
         qid
-    }
-
-    /// Drop a continuous query.
-    pub fn unregister_query(&mut self, qid: QueryId) -> bool {
-        self.queries.remove(&qid).is_some()
     }
 
     /// Move a query's observer.
@@ -323,21 +309,9 @@ mod tests {
     }
 
     #[test]
-    fn remove_object_removes_from_results() {
-        let mut eng = MovingQueryEngine::new(QueryStrategy::SafeRegion { buffer: 5.0 }, 10.0);
-        eng.update_object(e(1), Point::new(1.0, 1.0));
-        let q = eng.register_query(Point::ORIGIN, 10.0);
-        assert_eq!(eng.result(q).unwrap(), vec![e(1)]);
-        eng.remove_object(e(1));
-        assert!(eng.result(q).unwrap().is_empty());
-        assert_eq!(eng.object_count(), 0);
-    }
-
-    #[test]
     fn unknown_query_errors() {
         let mut eng = MovingQueryEngine::new(QueryStrategy::NaiveReeval, 10.0);
         assert!(eng.result(QueryId::new(99)).is_err());
         assert!(eng.move_observer(QueryId::new(99), Point::ORIGIN).is_err());
-        assert!(!eng.unregister_query(QueryId::new(99)));
     }
 }

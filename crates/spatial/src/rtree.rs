@@ -46,6 +46,7 @@ impl Node {
         }
     }
 
+    #[cfg(test)]
     fn depth(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
@@ -74,7 +75,8 @@ impl RTree {
     }
 
     /// Height of the tree (diagnostics; 0 when empty).
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
         self.root.as_ref().map_or(0, Node::depth)
     }
 

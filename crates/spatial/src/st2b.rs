@@ -10,8 +10,7 @@
 //!    windows; an update lands in the subtree of its window's *phase*
 //!    (window index mod 2). A range query consults both phases. When a
 //!    window rolls over, the stale phase drains lazily: each object
-//!    migrates on its next update, and the infrequent updaters can be
-//!    swept with [`St2bTree::force_migrate`]. This keeps updates cheap
+//!    migrates on its next update. This keeps updates cheap
 //!    (no global reorganization) — the property §IV-F asks for in
 //!    *"update intensive applications and frequently changing scenes"*.
 //!
@@ -38,7 +37,6 @@ const TARGET_PER_CELL: f64 = 8.0;
 struct ObjState {
     pos: Point,
     key: u64,
-    phase: u8,
 }
 
 /// The index. See module docs for the design.
@@ -87,7 +85,7 @@ impl St2bTree {
     }
 
     /// Advance the index's notion of time (phase selection).
-    pub fn set_now(&mut self, now: SimTime) {
+    pub(crate) fn set_now(&mut self, now: SimTime) {
         self.now = self.now.max(now);
     }
 
@@ -139,11 +137,11 @@ impl St2bTree {
 
     /// Timestamped update — the primary ST2B operation. Also advances the
     /// index's clock.
-    pub fn update_at(&mut self, id: EntityId, p: Point, now: SimTime) {
+    pub(crate) fn update_at(&mut self, id: EntityId, p: Point, now: SimTime) {
         self.set_now(now);
         let phase = self.phase_at(self.now);
         let key = self.key_for(p, phase);
-        if let Some(old) = self.objs.insert(id, ObjState { pos: p, key, phase }) {
+        if let Some(old) = self.objs.insert(id, ObjState { pos: p, key }) {
             self.tree_remove(id, old.key);
             let (orx, ory) = self.region_of(old.pos);
             let oidx = self.region_idx(orx, ory);
@@ -153,26 +151,6 @@ impl St2bTree {
         let ridx = self.region_idx(rx, ry);
         self.region_counts[ridx] += 1;
         self.tree_insert(id, key);
-    }
-
-    /// Migrate every object still filed under the stale phase into the
-    /// current phase (the sweep that catches infrequent updaters after a
-    /// window rollover). Returns how many objects moved.
-    pub fn force_migrate(&mut self) -> usize {
-        let current = self.phase_at(self.now);
-        let mut stale: Vec<(EntityId, Point)> = self
-            .objs
-            .iter()
-            .filter(|(_, st)| st.phase != current)
-            .map(|(id, st)| (*id, st.pos))
-            .collect();
-        stale.sort_unstable_by_key(|&(id, _)| id);
-        let n = stale.len();
-        let now = self.now;
-        for (id, pos) in stale {
-            self.update_at(id, pos, now);
-        }
-        n
     }
 
     /// Re-tune every region's grain to the observed density. Objects in
@@ -375,20 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn force_migrate_drains_stale_phase() {
-        let mut t = tree();
-        for i in 0..20u64 {
-            t.update_at(e(i), Point::new(i as f64, 5.0), SimTime::ZERO);
-        }
-        t.set_now(SimTime::ZERO + SimDuration::from_secs(1));
-        let moved = t.force_migrate();
-        assert_eq!(moved, 20);
-        // Everything still findable, now all in the current phase.
-        assert_eq!(t.range(&Aabb::everything()).len(), 20);
-        assert_eq!(t.force_migrate(), 0);
-    }
-
-    #[test]
     fn tuning_refines_dense_regions() {
         let mut t = tree();
         let mut rng = seeded_rng(3);
@@ -425,9 +389,6 @@ mod tests {
             }
             if step == 4 {
                 t.tune();
-            }
-            if step == 7 {
-                t.force_migrate();
             }
             for _ in 0..10 {
                 let c = Point::new(rng.gen_range(0.0..200.0), rng.gen_range(0.0..200.0));

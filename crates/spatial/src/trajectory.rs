@@ -19,6 +19,7 @@ use mv_common::time::{SimDuration, SimTime};
 
 /// One kept trajectory sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-pub): returned by `TrajectoryStore::track`, which other crates call
 pub struct TrajSample {
     /// When.
     pub ts: SimTime,
@@ -29,32 +30,6 @@ pub struct TrajSample {
 #[derive(Debug, Default)]
 struct Track {
     samples: Vec<TrajSample>,
-    /// Samples offered (kept + compressed away).
-    offered: u64,
-}
-
-impl Track {
-    /// Linear interpolation of the position at `ts` from kept samples
-    /// (clamped to the track's ends).
-    fn position_at(&self, ts: SimTime) -> Option<Point> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let idx = self.samples.partition_point(|s| s.ts <= ts);
-        if idx == 0 {
-            return Some(self.samples[0].pos);
-        }
-        if idx == self.samples.len() {
-            return Some(self.samples[idx - 1].pos);
-        }
-        let (a, b) = (self.samples[idx - 1], self.samples[idx]);
-        let span = b.ts.since(a.ts).as_micros() as f64;
-        if span == 0.0 {
-            return Some(b.pos);
-        }
-        let frac = ts.since(a.ts).as_micros() as f64 / span;
-        Some(a.pos.lerp(b.pos, frac))
-    }
 }
 
 /// A trajectory store with dead-reckoning compression and a
@@ -112,7 +87,6 @@ impl TrajectoryStore {
         // Decide against the track first (borrow scope), then index.
         let kept = {
             let track = self.tracks.entry(id).or_default();
-            track.offered += 1;
             let n = track.samples.len();
             if n >= 1 {
                 debug_assert!(ts >= track.samples[n - 1].ts, "out-of-order trajectory report");
@@ -152,22 +126,6 @@ impl TrajectoryStore {
     /// Kept samples of one entity.
     pub fn track(&self, id: EntityId) -> &[TrajSample] {
         self.tracks.get(&id).map(|t| t.samples.as_slice()).unwrap_or(&[])
-    }
-
-    /// Interpolated position of an entity at `ts`.
-    pub fn position_at(&self, id: EntityId, ts: SimTime) -> Option<Point> {
-        self.tracks.get(&id)?.position_at(ts)
-    }
-
-    /// Compression ratio achieved so far (kept / offered; 1.0 when empty).
-    pub fn keep_ratio(&self) -> f64 {
-        let kept: u64 = self.tracks.values().map(|t| t.samples.len() as u64).sum();
-        let offered: u64 = self.tracks.values().map(|t| t.offered).sum();
-        if offered == 0 {
-            1.0
-        } else {
-            kept as f64 / offered as f64
-        }
     }
 
     /// Total kept samples.
@@ -262,7 +220,6 @@ mod tests {
         }
         // A perfectly linear walk keeps only the first two samples.
         assert_eq!(s.track(e(1)).len(), 2);
-        assert!(s.keep_ratio() < 0.05);
     }
 
     #[test]
@@ -293,27 +250,6 @@ mod tests {
             s.record(e(1), t(i), Point::new(i as f64, 0.0));
         }
         assert_eq!(s.track(e(1)).len(), 50);
-        assert_eq!(s.keep_ratio(), 1.0);
-    }
-
-    #[test]
-    fn interpolation_reconstructs_within_tolerance() {
-        let mut s = store(2.0);
-        for i in 0..=100u64 {
-            // Gentle sinusoid: compressible but not linear.
-            let y = (i as f64 / 10.0).sin() * 5.0;
-            s.record(e(1), t(i * 100), Point::new(i as f64, y));
-        }
-        assert!(s.keep_ratio() < 0.9, "some compression expected");
-        for i in (0..=100u64).step_by(7) {
-            let truth = Point::new(i as f64, (i as f64 / 10.0).sin() * 5.0);
-            let got = s.position_at(e(1), t(i * 100)).expect("covered time");
-            // Dead-reckoning guarantees the *kept decision* error ≤ tol;
-            // reconstruction error stays within a small multiple.
-            assert!(got.dist(truth) <= 6.0, "t={i}: {got:?} vs {truth:?}");
-        }
-        // Clamping beyond the ends.
-        assert_eq!(s.position_at(e(1), t(999_999)).unwrap(), s.track(e(1)).last().unwrap().pos);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::hash::Hasher as _;
 
 /// A fixed-size bloom filter over byte-string keys.
 #[derive(Debug, Clone)]
-pub struct Bloom {
+pub(crate) struct Bloom {
     bits: Vec<u64>,
     /// Total bit count (`bits.len() * 64`).
     nbits: u64,
@@ -36,7 +36,7 @@ impl Bloom {
     /// A filter sized for `expected_keys` at `bits_per_key` bits each.
     /// `k` is derived as `bits_per_key · ln 2`, clamped to `[1, 8]` —
     /// the optimum for the classic false-positive formula.
-    pub fn with_params(expected_keys: usize, bits_per_key: usize) -> Self {
+    pub(crate) fn with_params(expected_keys: usize, bits_per_key: usize) -> Self {
         let nbits = (expected_keys.max(1) * bits_per_key.max(1)).max(64) as u64;
         let words = nbits.div_ceil(64) as usize;
         let k = ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u32).clamp(1, 8);
@@ -44,7 +44,7 @@ impl Bloom {
     }
 
     /// Build a filter over an iterator of keys.
-    pub fn from_keys<'a>(
+    pub(crate) fn from_keys<'a>(
         keys: impl Iterator<Item = &'a [u8]>,
         expected_keys: usize,
         bits_per_key: usize,
@@ -75,14 +75,9 @@ impl Bloom {
 
     /// True when the key *may* be present; false means definitely absent.
     #[inline]
-    pub fn may_contain(&self, key: &[u8]) -> bool {
+    pub(crate) fn may_contain(&self, key: &[u8]) -> bool {
         self.probes(key)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
-    }
-
-    /// Size of the filter in bytes (diagnostics / space accounting).
-    pub fn byte_len(&self) -> usize {
-        self.bits.len() * 8
     }
 }
 
@@ -119,7 +114,7 @@ mod tests {
     fn empty_filter_rejects_everything() {
         let bloom = Bloom::with_params(100, 10);
         assert!(!bloom.may_contain(b"anything"));
-        assert!(bloom.byte_len() >= 100 * 10 / 8);
+        assert!(bloom.bits.len() * 8 >= 100 * 10 / 8);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Two classic LSM refinements keep the shape honest at ingest scale
 //! (§IV-F's "massive volumes of data … generated continuously"):
 //!
-//! * **Per-run bloom filters** ([`crate::bloom::Bloom`]) — a point get
+//! * **Per-run bloom filters** (`crate::bloom::Bloom`) — a point get
 //!   that misses the memtable consults each run's filter before binary
 //!   searching it, so lookups of absent keys cost bit tests instead of
 //!   `O(runs)` searches. E17 measures the probe savings.
@@ -343,11 +343,6 @@ impl KvStore {
         self.merge_window(0, self.runs.len());
     }
 
-    /// Number of immutable runs (diagnostics).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Total bytes held in immutable runs.
     pub fn run_bytes(&self) -> usize {
         self.runs.iter().map(|r| r.bytes).sum()
@@ -420,7 +415,7 @@ mod tests {
         for i in 0..100u32 {
             kv.put(Bytes::from(format!("key{i:03}")), Bytes::from(format!("v{i}")));
         }
-        assert!(kv.run_count() > 0, "small budget must have flushed");
+        assert!(!kv.runs.is_empty(), "small budget must have flushed");
         for i in 0..100u32 {
             assert_eq!(
                 kv.get(format!("key{i:03}").as_bytes()),
@@ -440,7 +435,7 @@ mod tests {
         assert_eq!(kv.get(b"k"), Some(b("new")));
         kv.compact();
         assert_eq!(kv.get(b"k"), Some(b("new")));
-        assert_eq!(kv.run_count(), 1);
+        assert_eq!(kv.runs.len(), 1);
     }
 
     #[test]
@@ -488,9 +483,9 @@ mod tests {
         // flush count (one run per ~put at this budget).
         assert!(kv.flushes > 50, "sanity: lots of flushes happened");
         assert!(
-            kv.run_count() <= 16,
+            kv.runs.len() <= 16,
             "size tiering must bound the run count: {} runs after {} flushes",
-            kv.run_count(),
+            kv.runs.len(),
             kv.flushes
         );
         // Every key is still readable through the tiers.
@@ -520,13 +515,13 @@ mod tests {
         kv.put(b("x"), b(""));
         kv.flush();
         assert!(kv.compactions > 0, "the two small runs must have merged");
-        assert!(kv.run_count() >= 2, "the oldest run must not be in the window");
+        assert!(kv.runs.len() >= 2, "the oldest run must not be in the window");
         assert_eq!(kv.get(b"k"), None, "tombstone still shadows the old value");
         assert_eq!(kv.get(b"x"), Some(b("")));
         // A major compaction finally drops both.
         kv.compact();
         assert_eq!(kv.get(b"k"), None);
-        assert_eq!(kv.run_count(), 1);
+        assert_eq!(kv.runs.len(), 1);
     }
 
     #[test]
@@ -563,7 +558,7 @@ mod tests {
         for i in 0..500u32 {
             kv.put(Bytes::from(format!("key-{i:04}")), Bytes::from(vec![1u8; 16]));
         }
-        assert!(kv.run_count() > 1);
+        assert!(kv.runs.len() > 1);
         for i in 0..500u32 {
             assert_eq!(kv.get(format!("absent-{i}").as_bytes()), None);
         }
@@ -587,7 +582,7 @@ mod tests {
         for i in 0..200u32 {
             kv.put(Bytes::from(format!("key-{i:04}")), Bytes::from(vec![1u8; 16]));
         }
-        let runs = kv.run_count() as u64;
+        let runs = kv.runs.len() as u64;
         assert!(runs > 1);
         assert_eq!(kv.get(b"absent"), None);
         assert_eq!(kv.stats().get("run_probes"), runs, "no filters: every run probed");

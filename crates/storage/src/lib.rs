@@ -22,15 +22,12 @@
 //! * [`bloom`] — double-hashed bloom filters for the LSM read path;
 //! * [`object`] — a content-addressed object store with refcounted
 //!   deduplication (shared avatar assets land here in E13);
-//! * [`block`] — a fixed-size block store with a free bitmap and extent
-//!   allocation;
 //! * [`bufferpool`] — a page cache with LRU, LFU and the **space-aware**
 //!   eviction policy §IV-F sketches (physical-space pages are protected
 //!   over virtual-space pages);
 //! * [`organization`] — the §IV-F unified / separate / hybrid layouts,
 //!   measurable against single-space and cross-space access mixes (E9).
 
-pub mod block;
 pub mod bloom;
 pub mod bufferpool;
 pub mod group_commit;
@@ -40,8 +37,6 @@ pub mod organization;
 pub mod sharded_kv;
 pub mod wal;
 
-pub use block::BlockStore;
-pub use bloom::Bloom;
 pub use bufferpool::{BufferPool, EvictionPolicy, PageId};
 pub use group_commit::{GroupCommitPolicy, GroupCommitWal};
 pub use kv::{KvConfig, KvStore};

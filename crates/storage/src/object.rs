@@ -12,6 +12,7 @@ use mv_common::{MvError, MvResult};
 
 /// Object metadata.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(dead-pub): returned by `ObjectStore::put`, which other crates call
 pub struct ObjectMeta {
     /// Content fingerprint.
     pub content_hash: u64,
@@ -69,11 +70,6 @@ impl ObjectStore {
         Ok(self.blobs[&meta.content_hash].data.clone())
     }
 
-    /// Metadata lookup.
-    pub fn stat(&self, name: &str) -> Option<&ObjectMeta> {
-        self.names.get(name)
-    }
-
     /// Delete a name; the blob is reclaimed when the last name drops.
     pub fn delete(&mut self, name: &str) -> bool {
         match self.names.remove(name) {
@@ -106,16 +102,6 @@ impl ObjectStore {
         let physical = self.blobs.values().map(|b| b.data.len() as u64).sum();
         (logical, physical)
     }
-
-    /// Dedup factor (logical / physical; 1.0 when empty).
-    pub fn dedup_factor(&self) -> f64 {
-        let (logical, physical) = self.bytes();
-        if physical == 0 {
-            1.0
-        } else {
-            logical as f64 / physical as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +114,7 @@ mod tests {
         s.put("mesh/1", Bytes::from_static(b"triangles"), Space::Virtual);
         assert_eq!(s.get("mesh/1").unwrap(), Bytes::from_static(b"triangles"));
         assert!(s.get("mesh/2").is_err());
-        assert_eq!(s.stat("mesh/1").unwrap().space, Space::Virtual);
+        assert_eq!(s.names["mesh/1"].space, Space::Virtual);
     }
 
     #[test]
@@ -141,7 +127,6 @@ mod tests {
         let (logical, physical) = s.bytes();
         assert_eq!(logical, 10_000);
         assert_eq!(physical, 1_000);
-        assert!((s.dedup_factor() - 10.0).abs() < 1e-9);
     }
 
     #[test]

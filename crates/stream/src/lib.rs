@@ -12,8 +12,7 @@
 //! * [`ops`] — composable operators: map, filter, **interpolate** (the
 //!   new operator §IV-G explicitly calls for: *"sensor data may have to
 //!   be interpolated … for them to be consumed by the virtual space"*),
-//!   tumbling/sliding window aggregation, and a symmetric hash window
-//!   join;
+//!   and tumbling/sliding window aggregation;
 //! * [`pipeline`] — single-threaded operator chains plus a key-partitioned
 //!   parallel executor built on `crossbeam` channels (operator replication
 //!   across threads);
@@ -27,7 +26,7 @@ pub mod pipeline;
 pub mod record;
 pub mod sched;
 
-pub use ops::{AggKind, FilterOp, InterpolateOp, JoinOp, MapOp, Operator, WindowAggOp, WindowKind};
+pub use ops::{AggKind, FilterOp, InterpolateOp, MapOp, WindowAggOp, WindowKind};
 pub use pipeline::{ParallelPipeline, Pipeline};
 pub use record::StreamRecord;
 pub use sched::{MultiQueryScheduler, Policy, QuerySpec};

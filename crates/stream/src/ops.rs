@@ -9,6 +9,7 @@ use mv_common::hash::FastMap;
 use mv_common::time::{SimDuration, SimTime};
 
 /// A single-input stream operator.
+// lint:allow(dead-pub): the bound of `Pipeline::then`, which other crates call
 pub trait Operator: Send {
     /// Consume one record, appending outputs to `out`.
     fn process(&mut self, rec: StreamRecord, out: &mut Vec<StreamRecord>);
@@ -281,73 +282,9 @@ impl Operator for WindowAggOp {
     }
 }
 
-/// A symmetric hash join between two streams over a time window: records
-/// from either side join with opposite-side records of the same key whose
-/// timestamps differ by at most `window`. Outputs carry the later
-/// timestamp and the *product* has value `left.value + right.value`
-/// mapped through a combiner.
-pub struct JoinOp {
-    window: SimDuration,
-    combiner: Box<dyn Fn(f64, f64) -> f64 + Send>,
-    left: FastMap<u64, Vec<StreamRecord>>,
-    right: FastMap<u64, Vec<StreamRecord>>,
-}
-
-impl JoinOp {
-    /// Create a window join with the given combiner (e.g. `|l, r| l - r`
-    /// for divergence between a physical and a virtual reading).
-    pub fn new(window: SimDuration, combiner: impl Fn(f64, f64) -> f64 + Send + 'static) -> Self {
-        JoinOp {
-            window,
-            combiner: Box::new(combiner),
-            left: FastMap::default(),
-            right: FastMap::default(),
-        }
-    }
-
-    fn expire(buf: &mut Vec<StreamRecord>, now: SimTime, window: SimDuration) {
-        buf.retain(|r| now.since(r.ts) <= window);
-    }
-
-    /// Push a left-side record, emitting joined outputs.
-    pub fn push_left(&mut self, rec: StreamRecord, out: &mut Vec<StreamRecord>) {
-        let window = self.window;
-        if let Some(matches) = self.right.get_mut(&rec.key) {
-            Self::expire(matches, rec.ts, window);
-            for m in matches.iter() {
-                out.push(StreamRecord {
-                    ts: rec.ts.max(m.ts),
-                    key: rec.key,
-                    value: (self.combiner)(rec.value, m.value),
-                    space: rec.space,
-                });
-            }
-        }
-        self.left.entry(rec.key).or_default().push(rec);
-    }
-
-    /// Push a right-side record, emitting joined outputs.
-    pub fn push_right(&mut self, rec: StreamRecord, out: &mut Vec<StreamRecord>) {
-        let window = self.window;
-        if let Some(matches) = self.left.get_mut(&rec.key) {
-            Self::expire(matches, rec.ts, window);
-            for m in matches.iter() {
-                out.push(StreamRecord {
-                    ts: rec.ts.max(m.ts),
-                    key: rec.key,
-                    value: (self.combiner)(m.value, rec.value),
-                    space: rec.space,
-                });
-            }
-        }
-        self.right.entry(rec.key).or_default().push(rec);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mv_common::Space;
 
     fn rec(ms: u64, key: u64, v: f64) -> StreamRecord {
         StreamRecord::physical(SimTime::from_millis(ms), key, v)
@@ -460,37 +397,5 @@ mod tests {
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].value, expect, "{agg:?}");
         }
-    }
-
-    #[test]
-    fn join_matches_within_window() {
-        let mut j = JoinOp::new(SimDuration::from_millis(10), |l, r| l - r);
-        let mut out = Vec::new();
-        j.push_left(rec(0, 1, 10.0), &mut out);
-        assert!(out.is_empty());
-        j.push_right(rec(5, 1, 4.0), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].value, 6.0);
-        assert_eq!(out[0].ts, SimTime::from_millis(5));
-        // Outside the window: no match.
-        out.clear();
-        j.push_right(rec(50, 1, 1.0), &mut out);
-        assert!(out.is_empty());
-        // Different key: no match.
-        j.push_right(rec(52, 2, 1.0), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn join_preserves_space_of_probe_side() {
-        let mut j = JoinOp::new(SimDuration::from_millis(10), |l, r| l + r);
-        let mut out = Vec::new();
-        j.push_left(rec(0, 1, 1.0), &mut out);
-        j.push_right(
-            StreamRecord { ts: SimTime::from_millis(1), key: 1, value: 2.0, space: Space::Virtual },
-            &mut out,
-        );
-        assert_eq!(out[0].space, Space::Virtual);
-        assert_eq!(out[0].value, 3.0);
     }
 }

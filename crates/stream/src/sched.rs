@@ -81,6 +81,7 @@ impl Policy {
 
 /// Results of one scheduling run.
 #[derive(Debug)]
+// lint:allow(dead-pub): returned by `MultiQueryScheduler::run`, which other crates call
 pub struct SchedReport {
     /// Batch response times, milliseconds.
     pub response_ms: Histogram,

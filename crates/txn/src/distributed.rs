@@ -84,6 +84,7 @@ impl Default for SimParams {
 
 /// Results of one run.
 #[derive(Debug)]
+// lint:allow(dead-pub): returned by `DistributedSim::run`, which other crates call
 pub struct TxnReport {
     /// Commit latency (ms) of committed transactions.
     pub latency_ms: Histogram,

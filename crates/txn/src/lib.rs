@@ -24,6 +24,6 @@ pub mod distributed;
 pub mod mvcc;
 pub mod sharded;
 
-pub use distributed::{CommitProtocol, DistributedSim, SimParams, TxnReport};
-pub use mvcc::{GcPass, IsolationLevel, MvccKey, MvccStore, Transaction};
-pub use sharded::{ShardRouter, ShardSets, ShardedMvcc};
+pub use distributed::{CommitProtocol, DistributedSim, SimParams};
+pub use mvcc::{IsolationLevel, MvccKey, MvccStore, Transaction};
+pub use sharded::ShardedMvcc;

@@ -22,9 +22,9 @@
 //! For two-phase commit the validate/install steps are exposed
 //! separately: [`MvccStore::prepare`] validates and write-locks a
 //! transaction's keys on this store (a prepared-but-undecided writer
-//! blocks conflicting preparers), [`MvccStore::install_prepared`]
+//! blocks conflicting preparers), `MvccStore::install_prepared`
 //! installs the versions at the coordinator's commit timestamp, and
-//! [`MvccStore::release_prepared`] backs a lock out on abort.
+//! `MvccStore::release_prepared` backs a lock out on abort.
 //!
 //! Keys and values are type parameters. [`Bytes`] for both serves
 //! callers keying by byte strings ([`MvccStore::new`],
@@ -92,6 +92,7 @@ pub enum IsolationLevel {
 
 /// What one collection pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// lint:allow(dead-pub): returned by `MvccStore::gc` and `ShardedMvcc::gc`, which other crates call
 pub struct GcPass {
     /// Chains the collector looked at.
     pub visited: usize,
@@ -278,7 +279,8 @@ impl MvccStore<Bytes, Bytes> {
     }
 
     /// An empty byte-keyed store at the given isolation level.
-    pub fn with_level(level: IsolationLevel) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_level(level: IsolationLevel) -> Self {
         MvccStore { level, ..Self::default() }
     }
 
@@ -291,7 +293,7 @@ impl MvccStore<Bytes, Bytes> {
 impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     /// An empty store sharing `oracle` (how shards of one logical
     /// database agree on timestamps).
-    pub fn with_oracle(level: IsolationLevel, oracle: Arc<TimestampOracle>) -> Self {
+    pub(crate) fn with_oracle(level: IsolationLevel, oracle: Arc<TimestampOracle>) -> Self {
         MvccStore { level, oracle, ..Self::default() }
     }
 
@@ -301,7 +303,7 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     }
 
     /// The isolation level commits validate at.
-    pub fn level(&self) -> IsolationLevel {
+    pub(crate) fn level(&self) -> IsolationLevel {
         self.level
     }
 
@@ -340,14 +342,16 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     }
 
     /// Read the newest version of `key` visible at timestamp `ts`.
-    pub fn read_at(&self, key: &K::Ref, ts: u64) -> Option<V> {
+    #[cfg(test)]
+    pub(crate) fn read_at(&self, key: &K::Ref, ts: u64) -> Option<V> {
         let g = self.inner.lock();
         let chain = g.chains.get(key)?;
         chain.iter().rev().find(|v| v.commit_ts <= ts).and_then(|v| v.value.clone())
     }
 
     /// Latest committed value (auto-commit read).
-    pub fn read_latest(&self, key: &K::Ref) -> Option<V> {
+    #[cfg(test)]
+    pub(crate) fn read_latest(&self, key: &K::Ref) -> Option<V> {
         self.read_at(key, self.oracle.current())
     }
 
@@ -364,7 +368,7 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     /// Commit at sim time `now`: validate (per the isolation level),
     /// then install versions at a fresh oracle timestamp, which is
     /// returned.
-    pub fn commit_at(&self, txn: Transaction<K, V>, now: SimTime) -> MvResult<u64> {
+    pub(crate) fn commit_at(&self, txn: Transaction<K, V>, now: SimTime) -> MvResult<u64> {
         let mut g = self.inner.lock();
         if let Err(e) = validate(&g, self.level, &txn, txn.read_only_keys(), txn.writes.keys()) {
             g.aborts += 1;
@@ -378,7 +382,7 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
         Ok(commit_ts)
     }
 
-    /// [`Self::commit_at`] at the sim origin (the oracle still advances
+    /// `Self::commit_at` at the sim origin (the oracle still advances
     /// strictly, so pure logical-clock use works unchanged).
     pub fn commit(&self, txn: Transaction<K, V>) -> MvResult<u64> {
         self.commit_at(txn, SimTime::ZERO)
@@ -420,7 +424,7 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     /// from the shared oracle once per transaction. A key with no chain
     /// first gets the head `before` finds for it, as
     /// [`Self::save_before_image`] would save it.
-    pub fn install_prepared(
+    pub(crate) fn install_prepared(
         &self,
         txn_id: TxnId,
         writes: Vec<(K, Option<V>)>,
@@ -439,7 +443,7 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     }
 
     /// Phase 2 (abort): release the locks `txn` holds on `writes`.
-    pub fn release_prepared(&self, txn_id: TxnId, writes: &[(K, Option<V>)]) {
+    pub(crate) fn release_prepared(&self, txn_id: TxnId, writes: &[(K, Option<V>)]) {
         let mut g = self.inner.lock();
         for (key, _) in writes {
             if g.locks.get(named(key)) == Some(&txn_id) {
@@ -580,7 +584,8 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> MvccStore<K, V> {
     }
 
     /// Aborts (validation failures + explicit).
-    pub fn aborts(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn aborts(&self) -> u64 {
         self.inner.lock().aborts
     }
 

@@ -6,9 +6,7 @@
 //! validate + write-lock on every touched shard, then install at a
 //! single oracle timestamp (or release on abort). The caller owning a
 //! durable log (see `mv-core`'s `DurableMetaverse::txn`) interleaves
-//! its prepare/decision records between those steps; callers without
-//! one get the same atomicity from [`ShardedMvcc::commit_at`] because
-//! the whole sequence runs under this process's control.
+//! its prepare/decision records between those steps.
 //!
 //! Routing is a caller-supplied pure function of the key, so a caller
 //! decides which keys share a shard. `mv-core` keys its chains by
@@ -20,9 +18,8 @@
 
 use crate::mvcc::{GcPass, IsolationLevel, MvccKey, MvccStore, Transaction};
 use bytes::Bytes;
-use mv_common::hash::fx_hash_one;
 use mv_common::id::{IdGen, TxnId};
-use mv_common::time::{SimTime, TimestampOracle};
+use mv_common::time::TimestampOracle;
 use mv_common::MvResult;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -31,17 +28,13 @@ use std::sync::Arc;
 
 /// A pure key → shard-index routing function over keys named by `R`.
 /// Must return a value in `0..shards` for every key.
-pub type ShardRouter<R> = fn(&R, usize) -> usize;
-
-/// The default router: Fx hash of the whole key.
-pub fn fx_router(key: &[u8], shards: usize) -> usize {
-    (fx_hash_one(&key) % shards.max(1) as u64) as usize
-}
+pub(crate) type ShardRouter<R> = fn(&R, usize) -> usize;
 
 /// One participant shard's share of a transaction's key sets, each in
 /// key order. [`ShardedMvcc::route`] builds the whole partition once per
 /// commit; prepare, install and release all take it from there.
 #[derive(Debug)]
+// lint:allow(dead-pub): taken and returned by `ShardedMvcc::route`/`prepare`/`install`, which mv-core calls
 pub struct ShardSets<K, V> {
     shard: usize,
     reads: Vec<K>,
@@ -119,8 +112,7 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> ShardedMvcc<K, V> {
     /// Begin a transaction snapshotted at the oracle's current
     /// timestamp. The handle works across every shard. The snapshot is
     /// registered live — it pins the automatic GC horizon until
-    /// [`ShardedMvcc::finish`] (or a [`ShardedMvcc::commit_at`] /
-    /// release path that calls it) retires the transaction.
+    /// [`ShardedMvcc::finish`] retires the transaction.
     pub fn begin(&self) -> Transaction<K, V> {
         // Id and snapshot are drawn under the registry lock, so both are
         // monotone in registration order: the first entry is the oldest.
@@ -177,12 +169,14 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> ShardedMvcc<K, V> {
     }
 
     /// Read the newest version of `key` visible at `ts`.
-    pub fn read_at(&self, key: &K::Ref, ts: u64) -> Option<V> {
+    #[cfg(test)]
+    pub(crate) fn read_at(&self, key: &K::Ref, ts: u64) -> Option<V> {
         self.store_for(key).read_at(key, ts)
     }
 
     /// Latest committed value of `key`.
-    pub fn read_latest(&self, key: &K::Ref) -> Option<V> {
+    #[cfg(test)]
+    pub(crate) fn read_latest(&self, key: &K::Ref) -> Option<V> {
         self.read_at(key, self.oracle.current())
     }
 
@@ -254,7 +248,8 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> ShardedMvcc<K, V> {
     /// One-call atomic commit across all shards at sim time `now` —
     /// prepare everywhere, then install at one fresh timestamp (or
     /// release everything and return the validation error).
-    pub fn commit_at(&self, txn: Transaction<K, V>, now: SimTime) -> MvResult<u64> {
+    #[cfg(test)]
+    pub(crate) fn commit_at(&self, txn: Transaction<K, V>, now: mv_common::time::SimTime) -> MvResult<u64> {
         let parts = self.route(&txn);
         for (i, part) in parts.iter().enumerate() {
             if let Err(e) = self.prepare(&txn, part) {
@@ -331,9 +326,16 @@ impl<K: MvccKey, V: Clone + PartialEq + Debug> ShardedMvcc<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mv_common::hash::fx_hash_one;
+    use mv_common::time::SimTime;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// Routes by the Fx hash of the whole key.
+    fn fx_router(key: &[u8], shards: usize) -> usize {
+        (fx_hash_one(&key) % shards.max(1) as u64) as usize
     }
 
     fn db(shards: usize) -> ShardedMvcc<Bytes, Bytes> {

@@ -102,6 +102,7 @@ impl DelugeOp {
 
 /// One tick of the trace.
 #[derive(Debug, Clone)]
+// lint:allow(dead-pub): exposed by `DelugeTrace::ticks`, which other crates use
 pub struct DelugeTick {
     /// Tick start on the sim clock.
     pub start: SimTime,

@@ -49,6 +49,7 @@ impl Default for GameParams {
 
 /// An encounter between a player and a POI.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-pub): exposed by `GameWorkload::encounters`, which other crates use
 pub struct Encounter {
     /// When.
     pub ts: SimTime,

@@ -43,6 +43,7 @@ impl Default for HealthParams {
 
 /// An episode's ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-pub): exposed by `VitalsStream::episodes`, which other crates use
 pub struct Episode {
     /// Patient index.
     pub patient: usize,

@@ -53,6 +53,7 @@ impl Default for MarketParams {
 
 /// One purchase request.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-pub): exposed by `FlashSale::requests`, which other crates use
 pub struct SaleRequest {
     /// Arrival time.
     pub ts: SimTime,
@@ -111,7 +112,7 @@ impl FlashSale {
     }
 
     /// Requests within a time window.
-    pub fn requests_between(&self, from: SimTime, to: SimTime) -> usize {
+    pub(crate) fn requests_between(&self, from: SimTime, to: SimTime) -> usize {
         self.requests.iter().filter(|r| r.ts >= from && r.ts < to).count()
     }
 

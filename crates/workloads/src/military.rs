@@ -111,26 +111,24 @@ impl MilitaryExercise {
             blast_radius: params.blast_radius,
         }
     }
-
-    /// Count of each op kind (diagnostics).
-    pub fn op_counts(&self) -> (usize, usize, usize) {
-        let mut reports = 0;
-        let mut moves = 0;
-        let mut strikes = 0;
-        for (_, op) in &self.timeline {
-            match op {
-                ExerciseOp::PhysicalReport(..) => reports += 1,
-                ExerciseOp::VirtualMove(..) => moves += 1,
-                ExerciseOp::Strike(_) => strikes += 1,
-            }
-        }
-        (reports, moves, strikes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Count of each op kind.
+    fn op_counts(ex: &MilitaryExercise) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for (_, op) in &ex.timeline {
+            match op {
+                ExerciseOp::PhysicalReport(..) => counts.0 += 1,
+                ExerciseOp::VirtualMove(..) => counts.1 += 1,
+                ExerciseOp::Strike(_) => counts.2 += 1,
+            }
+        }
+        counts
+    }
 
     #[test]
     fn scales_and_bounds_match_the_paper() {
@@ -163,7 +161,7 @@ mod tests {
             ..Default::default()
         });
         assert!(ex.timeline.windows(2).all(|w| w[0].0 <= w[1].0));
-        let (reports, moves, strikes) = ex.op_counts();
+        let (reports, moves, strikes) = op_counts(&ex);
         assert_eq!(reports, 10 * 30);
         assert_eq!(moves, 20 * 30);
         assert!(strikes >= 1, "a 30 s exercise should see a strike");
