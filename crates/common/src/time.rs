@@ -201,14 +201,13 @@ impl TimestampOracle {
         self.last.load(Ordering::SeqCst)
     }
 
-    /// Allocate the next timestamp at sim time `now`: the larger of
-    /// `last + 1` and `now << TS_SEQ_BITS`, so results are strictly
-    /// monotonic and never behind the sim clock.
+    /// Allocate the next timestamp at sim time `now`: [`Self::following`]
+    /// the last one, so results are strictly monotonic and never behind
+    /// the sim clock.
     pub fn next(&self, now: SimTime) -> u64 {
-        let floor = now.as_micros().saturating_mul(1 << TS_SEQ_BITS);
         let mut cur = self.last.load(Ordering::SeqCst);
         loop {
-            let candidate = floor.max(cur.saturating_add(1));
+            let candidate = Self::following(cur, now);
             match self.last.compare_exchange_weak(
                 cur,
                 candidate,
@@ -219,6 +218,16 @@ impl TimestampOracle {
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// The timestamp [`Self::next`] allocates at sim time `now` after
+    /// `last`: the larger of `last + 1` and `now << TS_SEQ_BITS`. A caller
+    /// that holds the only handle to an oracle may draw a run of
+    /// timestamps by this rule from [`Self::current`] and publish the
+    /// last with [`Self::advance_past`], paying one atomic for the run.
+    #[inline]
+    pub fn following(last: u64, now: SimTime) -> u64 {
+        now.as_micros().saturating_mul(1 << TS_SEQ_BITS).max(last.saturating_add(1))
     }
 
     /// Fast-forward past `ts` (recovery replays call this with each

@@ -266,6 +266,33 @@ fn read_bool(r: &mut SliceReader<'_>) -> Option<bool> {
     }
 }
 
+/// The canonical bytes of a move: tag 2, the id, the point, the time.
+fn put_position_op(out: &mut Vec<u8>, id: EntityId, position: Point, ts: SimTime) {
+    out.push(2);
+    put_u64(out, id.raw());
+    put_point(out, position);
+    put_u64(out, ts.as_micros());
+}
+
+/// The canonical bytes of an attribute write: tag 3, the id, the name,
+/// the value, the time.
+fn put_attr_op(out: &mut Vec<u8>, id: EntityId, name: &str, value: f64, ts: SimTime) {
+    out.push(3);
+    put_u64(out, id.raw());
+    put_str(out, name);
+    put_f64(out, value);
+    put_u64(out, ts.as_micros());
+}
+
+/// Append the canonical bytes of the batched write `op`: those of
+/// [`DurableOp::from_write`]`(op)`, with no op built.
+fn encode_write(op: &WriteOp, out: &mut Vec<u8>) {
+    match op {
+        WriteOp::Position { id, position, ts } => put_position_op(out, *id, *position, *ts),
+        WriteOp::Attr { id, name, value, ts } => put_attr_op(out, *id, name, *value, *ts),
+    }
+}
+
 impl DurableOp {
     /// Encode into the canonical byte form (a WAL record value).
     pub fn encode(&self) -> Vec<u8> {
@@ -286,19 +313,8 @@ impl DurableOp {
                 put_point(out, *position);
                 put_u64(out, ts.as_micros());
             }
-            DurableOp::Position { id, position, ts } => {
-                out.push(2);
-                put_u64(out, id.raw());
-                put_point(out, *position);
-                put_u64(out, ts.as_micros());
-            }
-            DurableOp::Attr { id, name, value, ts } => {
-                out.push(3);
-                put_u64(out, id.raw());
-                put_str(out, name);
-                put_f64(out, *value);
-                put_u64(out, ts.as_micros());
-            }
+            DurableOp::Position { id, position, ts } => put_position_op(out, *id, *position, *ts),
+            DurableOp::Attr { id, name, value, ts } => put_attr_op(out, *id, name, *value, *ts),
             DurableOp::Retire { id, ts } => {
                 out.push(4);
                 put_u64(out, id.raw());
@@ -727,10 +743,10 @@ impl DurableMetaverse {
         }
         let (ctx, minted) = self.ingest_ctx(op, ctx);
         self.log(op, ctx);
-        let live = self.txns.save_before_images(&self.engine, [op]);
+        let live = self.txns.save_before_write(&self.engine, op);
         let applied = self.engine.apply(op);
         if applied.is_ok() {
-            self.txns.plain_written(&mut self.engine, [op], live);
+            self.txns.plain_written(&mut self.engine, op, live);
         }
         // Mark the apply instant under `ctx`, and close a root minted here
         // (a caller's root stays open: the caller owns its lifetime).
@@ -767,23 +783,20 @@ impl DurableMetaverse {
         self.apply(&op, None).map(|applied| applied == Applied::Synced(true))
     }
 
-    /// Logged batched writes: each op is lifted to its logged form once
-    /// and logged individually, and the shards apply the lifted batch in
-    /// parallel, each op through
-    /// [`Metaverse::apply`](crate::Metaverse::apply) (per-entity replay
-    /// order is append order, which the batch's stable partitioning
-    /// preserves); then one pass in op order gives the accepted ops their
-    /// MVCC heads. Ops in a batch mint no ingest roots.
+    /// Logged batched writes, in one pass on each op's owner shard. Each
+    /// op's record is encoded straight into the pending group-commit
+    /// batch, the bytes [`DurableOp::from_write`]'s `encode` gives, with
+    /// no op lifted. Each op the engine will accept draws its MVCC head's
+    /// timestamp on the calling thread, in op order, and the owner
+    /// shard's worker applies the op, as it is, and stamps the row it
+    /// writes (per-entity replay order is append order, which the
+    /// batch's stable partitioning preserves). Ops in a batch mint no
+    /// ingest roots.
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
-        let logged: Vec<DurableOp> = ops.iter().map(DurableOp::from_write).collect();
-        for op in &logged {
-            self.log(op, None);
+        for op in ops {
+            self.wal.append_put_with(&[], op.ts(), None, |out| encode_write(op, out));
         }
-        let live = self.txns.save_before_images(&self.engine, &logged);
-        let results = self.engine.apply_ops(&logged);
-        let accepted = logged.iter().zip(&results).filter(|(_, r)| r.is_ok()).map(|(op, _)| op);
-        self.txns.plain_written(&mut self.engine, accepted, live);
-        results
+        self.txns.plain_batch(&mut self.engine, ops)
     }
 
     /// Group commit: seal the pending WAL batch, then
@@ -891,7 +904,7 @@ impl DurableMetaverse {
                     }
                     other => {
                         if self.engine.apply(&other).is_ok() {
-                            self.txns.plain_written(&mut self.engine, [&other], false);
+                            self.txns.plain_written(&mut self.engine, &other, false);
                         }
                     }
                 }
@@ -1147,6 +1160,76 @@ mod tests {
         assert_eq!(batches(&dm.wal), batches(&appended));
         assert_eq!(dm.wal.encoded_len(), appended.encoded_len());
         assert_eq!(dm.wal.stats.to_string(), appended.stats.to_string());
+    }
+
+    /// One batch through [`DurableMetaverse::apply_batch`] against the
+    /// same ops through single-op [`DurableMetaverse::apply`] on a twin,
+    /// at 1, 2 and 3 shards, with no snapshot and with one live: moves,
+    /// a first write to an attribute and repeated writes to one already
+    /// held, two writes to one field, a write to a retired entity and one
+    /// to an unknown id. The results, the log's bytes, the checkpoint
+    /// image after a commit (heads and oracle included), the oracle and
+    /// the MVCC digest are the twin's: no timestamp drifts, and no
+    /// refused op takes one.
+    #[test]
+    fn a_batch_is_op_at_a_time_byte_for_byte() {
+        let e = EntityId::new;
+        let ops = [
+            WriteOp::Position { id: e(0), position: p(10.0, 0.0), ts: t(5) },
+            WriteOp::Attr { id: e(1), name: "hp".into(), value: 3.0, ts: t(5) },
+            WriteOp::Attr { id: e(1), name: "gold".into(), value: 1.0, ts: t(5) },
+            WriteOp::Position { id: e(2), position: p(1.0, 1.0), ts: t(5) },
+            WriteOp::Attr { id: e(3), name: "gold".into(), value: 2.0, ts: t(6) },
+            WriteOp::Attr { id: e(99), name: "gold".into(), value: 2.0, ts: t(6) },
+            WriteOp::Position { id: e(4), position: p(0.5, 0.0), ts: t(6) },
+            WriteOp::Attr { id: e(1), name: "hp".into(), value: 4.0, ts: t(6) },
+            WriteOp::Position { id: e(0), position: p(80.0, 3.0), ts: t(4) },
+            WriteOp::Position { id: e(5), position: p(2.0, 2.0), ts: t(7) },
+            WriteOp::Attr { id: e(4), name: "gold".into(), value: 9.0, ts: t(7) },
+        ];
+        for shards in 1..=3 {
+            for snapshot in [false, true] {
+                let world = || {
+                    let mut dm = DurableMetaverse::with_defaults(shards);
+                    for i in 0..6 {
+                        dm.spawn(format!("e{i}"), EntityKind::Avatar, p(i as f64, 0.0), t(1));
+                    }
+                    dm.update_attr(e(1), "hp", 1.0, t(2)).expect("entity 1 is live");
+                    dm.apply(&DurableOp::Retire { id: e(2), ts: t(2) }, None).expect("entity 2 is live");
+                    dm.commit(t(2));
+                    let txn = snapshot.then(|| {
+                        let mut txn = dm.txn(t(3));
+                        assert_eq!(dm.txn_read_attr(&mut txn, e(1), "hp"), Some(1.0));
+                        txn
+                    });
+                    (dm, txn)
+                };
+                let ((mut batched, batch_txn), (mut single, single_txn)) = (world(), world());
+                let got = batched.apply_batch(&ops);
+                let want: Vec<MvResult<bool>> = ops
+                    .iter()
+                    .map(|op| single.apply(&DurableOp::from_write(op), None).map(|applied| applied == Applied::Synced(true)))
+                    .collect();
+                let at = format!("{shards} shards, snapshot {snapshot}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(got.iter().filter(|r| r.is_err()).count(), 2, "{at}");
+                assert_eq!((batched.txn_current_ts(), batched.txn_digest()), (single.txn_current_ts(), single.txn_digest()), "{at}");
+                for (dm, txn) in [(&mut batched, batch_txn), (&mut single, single_txn)] {
+                    if let Some(txn) = txn {
+                        dm.abort_txn(txn, t(8));
+                    }
+                    dm.commit(t(8));
+                }
+                let log = |dm: &DurableMetaverse| {
+                    let batches = dm.wal.durable_batches();
+                    batches.map(|batch| batch.map(|rec| rec.to_owned()).collect::<Vec<_>>()).collect::<Vec<_>>()
+                };
+                assert_eq!(log(&batched), log(&single), "{at}");
+                assert_eq!(batched.wal.encoded_len(), single.wal.encoded_len(), "{at}");
+                assert_eq!(batched.checkpoint_image(), single.checkpoint_image(), "{at}");
+                assert_eq!(batched.txn_stats().to_string(), single.txn_stats().to_string(), "{at}");
+            }
+        }
     }
 
     #[test]

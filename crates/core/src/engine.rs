@@ -13,6 +13,7 @@ use crate::arena::{EntityArena, EntityRef};
 use crate::durable::DurableOp;
 use crate::entity::{Attrs, Entity, EntityKind};
 use crate::events::{Command, CoEvent, EventBus, EventKind};
+use crate::sharded::WriteOp;
 use mv_common::geom::{Aabb, Point};
 use mv_common::id::EntityId;
 use mv_common::metrics::Counters;
@@ -59,7 +60,9 @@ pub struct Metaverse {
     /// Struct-of-arrays entity storage: dense hot columns behind u32
     /// slots that are arithmetic on the id (see `EntityArena`).
     entities: EntityArena,
-    /// Spatial index over *ground-truth* positions, per authoritative space.
+    /// Spatial index over *ground-truth* positions, per authoritative
+    /// space. Every index is built at the owner-shard count as its stride,
+    /// so it files an entity by its slot.
     truth_index: [GridIndex; 2],
     /// Spatial index over *twin* positions, per materialized space (the
     /// index entry lives in the OPPOSITE space of the entity's authority).
@@ -121,8 +124,10 @@ impl Metaverse {
         Metaverse {
             policy,
             entities: EntityArena::new(shards),
-            truth_index: [GridIndex::new(cell_size), GridIndex::new(cell_size)],
-            twin_index: [GridIndex::new(cell_size), GridIndex::new(cell_size)],
+            // Shard `s` holds ids `≡ s (mod shards)`, at slot `id / shards`:
+            // the grids' stride.
+            truth_index: [GridIndex::with_stride(cell_size, shards), GridIndex::with_stride(cell_size, shards)],
+            twin_index: [GridIndex::with_stride(cell_size, shards), GridIndex::with_stride(cell_size, shards)],
             bus: if record { EventBus::new() } else { EventBus::counting() },
             clock: SimTime::ZERO,
             stats: Counters::new(),
@@ -210,6 +215,32 @@ impl Metaverse {
             ),
             DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => Err(not_a_write()),
         }
+    }
+
+    /// Whether `id` names a live entity of this engine: one every write
+    /// to it is accepted by.
+    pub(crate) fn is_live(&self, id: EntityId) -> bool {
+        self.entities.slot_of(id).is_some_and(|slot| !self.entities.retired(slot))
+    }
+
+    /// Apply one batched write through [`Self::update_position`] or
+    /// [`Self::update_attr`]; once it is accepted, a nonzero `head`
+    /// becomes the commit timestamp of the written field's MVCC head, in
+    /// the row just written.
+    pub(crate) fn write(&mut self, op: &WriteOp, head: u64) -> MvResult<bool> {
+        let synced = match op {
+            WriteOp::Position { id, position, ts } => self.update_position(*id, *position, *ts)?,
+            WriteOp::Attr { id, name, value, ts } => self.update_attr(*id, name, *value, *ts)?,
+        };
+        if head > 0 {
+            if let Some((position_ts, attrs)) = self.entities.heads_mut(op.entity()) {
+                match op {
+                    WriteOp::Position { .. } => *position_ts = head,
+                    WriteOp::Attr { name, .. } => attrs.stamp(name, head),
+                }
+            }
+        }
+        Ok(synced)
     }
 
     /// The slot of a live entity, or the refusal every write to an

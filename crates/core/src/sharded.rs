@@ -7,14 +7,19 @@
 //! spawn order, and entity `k` lives on shard `k % n` at row `k / n` of
 //! its arena (round robin, `place`), so the id is the address and no
 //! table maps one to the other. A shard is a complete [`Metaverse`] —
-//! entity columns, truth/twin [`GridIndex`]es, event bus, counters —
+//! entity columns, truth/twin [`GridIndex`]es (built at the shard count
+//! as their stride, so each files an entity by its slot), event bus,
+//! counters —
 //! so every per-entity code path is byte-for-byte the code the
 //! sequential engine runs. What this module adds is the routing and the
 //! *deterministic reassembly*:
 //!
 //! * batched writes ([`ShardedMetaverse::apply_batch`]) are partitioned
-//!   by owner (stable, preserving per-entity order) and applied by one
-//!   scoped thread per shard;
+//!   by owner (stable, preserving per-entity order) and applied, as they
+//!   are, by one scoped thread per shard: one pass over each op, on its
+//!   owner. A durable engine's batch also draws each accepted op's MVCC
+//!   head timestamp while routing, on the calling thread and in op order,
+//!   and the owner's worker stamps it in the row it writes;
 //! * a cross-shard probe visits the shards on the calling thread,
 //!   collects their hits in one buffer and sorts it once (ownership makes
 //!   shard results disjoint); only the `*_batch` forms spend a thread
@@ -385,34 +390,36 @@ impl ShardedMetaverse {
     /// order) and the shard queues run on scoped threads. Returns one
     /// result per op, in input order, identical to applying the ops
     /// one-by-one on the sequential engine: `Ok(synced)` or the
-    /// per-entity error. Each shard's worker lifts its own ops to their
-    /// logged form and applies them through [`Metaverse::apply`].
+    /// per-entity error. Each shard's worker applies its own ops, as
+    /// they are, through [`Metaverse::update_position`] and
+    /// [`Metaverse::update_attr`].
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
-        self.apply_routed(ops, |op| Some((op.entity(), op.ts())), |shard, op| {
-            shard.apply(&DurableOp::from_write(op))
-        })
+        self.apply_stamped(ops, |_, _| 0)
     }
 
-    /// [`Self::apply_batch`] of ops already in their logged form: each
-    /// addresses one entity (a move or an attribute write); one that
-    /// addresses none is refused untouched.
-    pub(crate) fn apply_ops(&mut self, ops: &[DurableOp]) -> Vec<MvResult<bool>> {
-        self.apply_routed(ops, |op| Some((op.entity()?, op.ts())), Metaverse::apply)
-    }
-
-    /// The batch path: `target` names the entity an op addresses and its
-    /// timestamp (`None`: the op is refused untouched), and `apply` runs
-    /// each op on its owner shard's worker, in batch order per shard.
-    fn apply_routed<T: Sync>(
+    /// The one batch path ([`Self::apply_batch`]), each accepted op also
+    /// stamping its field's MVCC head. While the ops are routed, on the
+    /// calling thread and in op order, `head` gets each op and its owner
+    /// shard and returns the commit timestamp the op's head takes (0:
+    /// none). A batch of moves and attribute writes retires no one, so
+    /// whether the engine will accept an op is known here already: its
+    /// entity is held and live. The owner's worker stamps the timestamp
+    /// in the row it has just written.
+    pub(crate) fn apply_stamped<'o>(
         &mut self,
-        ops: &[T],
-        target: impl Fn(&T) -> Option<(EntityId, SimTime)>,
-        apply: impl Fn(&mut Metaverse, &T) -> MvResult<Applied> + Sync,
+        ops: &'o [WriteOp],
+        mut head: impl FnMut(&'o WriteOp, &Metaverse) -> u64,
     ) -> Vec<MvResult<bool>> {
         let n = self.shards.len();
-        if let Some(max_ts) = ops.iter().filter_map(|op| Some(target(op)?.1)).max() {
-            self.advance(max_ts);
+        let mut queues: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        let mut latest = SimTime::ZERO;
+        for (i, op) in ops.iter().enumerate() {
+            let owner = place(op.entity(), n).0;
+            let (Some(queue), Some(shard)) = (queues.get_mut(owner), self.shards.get(owner)) else { continue };
+            queue.push((i, head(op, shard)));
+            latest = latest.max(op.ts());
         }
+        self.advance(latest);
         // One sampled root per batch (not per op): the ingest marker the
         // observability layer keys on, at one Option check when untraced.
         if let Some(tr) = &self.tracer {
@@ -420,34 +427,24 @@ impl ShardedMetaverse {
                 tr.close(ctx.span, self.clock, "applied");
             }
         }
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut results: Vec<Option<MvResult<bool>>> = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let Some((id, _)) = target(op) else {
-                results.push(Some(Err(not_a_write())));
-                continue;
-            };
-            // lint:allow(panic-path): place is `id % n` with n == queues.len(); the routing index is local arithmetic, not decoded data
-            queues[place(id, n).0].push(i);
-            results.push(None);
-        }
-        let run_queue = |(shard, queue): (&mut Metaverse, &Vec<usize>)| {
+        let run_queue = |(shard, queue): (&mut Metaverse, &Vec<(usize, u64)>)| {
             // lint:allow(wall-clock): measures real CPU time of the serial critical path for the speedup report; never feeds sim state
             let t0 = Instant::now();
             let out: Vec<(usize, MvResult<bool>)> = queue
                 .iter()
-                .filter_map(|&i| Some((i, ops.get(i)?)))
-                .map(|(i, op)| (i, apply(shard, op).map(|applied| applied == Applied::Synced(true))))
+                .filter_map(|&(i, ts)| Some((i, shard.write(ops.get(i)?, ts))))
                 .collect();
             (out, t0.elapsed().as_secs_f64())
         };
         let done = fan_out(self.shards.iter_mut().zip(&queues), self.parallel_apply, run_queue);
+        let mut results: Vec<Option<MvResult<bool>>> = vec![None; ops.len()];
         let mut walls = Vec::with_capacity(n);
         for (out, wall) in done {
             walls.push(wall);
             for (i, r) in out {
-                // lint:allow(panic-path): i came from enumerating ops; results was sized to ops.len() above
-                results[i] = Some(r);
+                if let Some(slot) = results.get_mut(i) {
+                    *slot = Some(r);
+                }
             }
         }
         self.last_shard_walls = walls;

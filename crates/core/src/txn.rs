@@ -52,13 +52,13 @@
 use crate::arena::EntityRef;
 use crate::durable::{DurableMetaverse, DurableOp};
 use crate::entity::Attrs;
-use crate::sharded::ShardedMetaverse;
+use crate::sharded::{ShardedMetaverse, WriteOp};
 use mv_common::codec::{put_u64, wire_u32, SliceReader};
 use mv_common::geom::Point;
 use mv_common::hash::FastMap;
 use mv_common::id::{EntityId, TxnId};
 use mv_common::metrics::Counters;
-use mv_common::time::SimTime;
+use mv_common::time::{SimTime, TimestampOracle};
 use mv_common::{MvError, MvResult};
 use mv_obs::TraceCtx;
 use mv_txn::{IsolationLevel, MvccKey, ShardedMvcc, Transaction};
@@ -193,6 +193,15 @@ impl<'a> Field<'a> {
         }
     }
 
+    /// The field a batched write `op` writes and the value it writes
+    /// there.
+    fn of_write(op: &'a WriteOp) -> (Self, FieldValue) {
+        match op {
+            WriteOp::Position { id, position, .. } => (Field::Position(*id), FieldValue::Position(*position)),
+            WriteOp::Attr { id, name, value, .. } => (Field::Attr(*id, name), FieldValue::Attr(*value)),
+        }
+    }
+
     fn entity(self) -> EntityId {
         let (Field::Position(id) | Field::Attr(id, _)) = self;
         id
@@ -267,14 +276,14 @@ impl TxnState {
         self.names.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Whether a snapshot is live; if one is, before `ops` overwrite their
-    /// fields in `engine`, start each key's chain, if it has none, with the
-    /// head the write supersedes. A field with no head keeps nothing.
-    pub(crate) fn save_before_images<'a>(&self, engine: &ShardedMetaverse, ops: impl IntoIterator<Item = &'a DurableOp>) -> bool {
+    /// Whether a snapshot is live; if one is, before writes overwrite
+    /// `fields` in `engine`, start each key's chain, if it has none, with
+    /// the head the write supersedes. A field with no head keeps nothing.
+    fn save_before_images<'a>(&self, engine: &ShardedMetaverse, fields: impl IntoIterator<Item = Field<'a>>) -> bool {
         let live = self.mvcc.live_snapshot_count() > 0;
         if live {
             let mut names = self.names();
-            for field in ops.into_iter().filter_map(Field::of) {
+            for field in fields {
                 if let Some((value, ts)) = field.version(engine, 1..) {
                     self.mvcc.save_before_image(&names.key(field), value, ts);
                 }
@@ -283,25 +292,66 @@ impl TxnState {
         live
     }
 
-    /// The plain writes `accepted` (applied to `engine`, in op order)
-    /// each head their field at a fresh oracle timestamp drawn from the
-    /// op's own time — live and on recovery alike, so the timestamps
-    /// match. With a snapshot `live`, each also appends its version to
-    /// the key's chain, after [`Self::save_before_images`].
-    pub(crate) fn plain_written<'a>(&mut self, engine: &mut ShardedMetaverse, accepted: impl IntoIterator<Item = &'a DurableOp>, live: bool) {
-        let mut written = 0;
-        for (op, field) in accepted.into_iter().filter_map(|op| Some((op, Field::of(op)?))) {
-            let ts = self.mvcc.oracle().next(op.ts());
-            if let Some((value, _)) = live.then(|| field.version(engine, ..)).flatten() {
-                let key = names_mut(&mut self.names).key(field);
-                self.mvcc.install_version(&key, Some(value), ts);
+    /// [`Self::save_before_images`] for the one field `op` writes.
+    pub(crate) fn save_before_write(&self, engine: &ShardedMetaverse, op: &DurableOp) -> bool {
+        self.save_before_images(engine, Field::of(op))
+    }
+
+    /// With a snapshot `live`, append the version a plain write of
+    /// `value` to `field` committed at `ts`, after
+    /// [`Self::save_before_images`].
+    fn install_plain(&mut self, field: Field<'_>, value: FieldValue, ts: u64) {
+        let key = names_mut(&mut self.names).key(field);
+        self.mvcc.install_version(&key, Some(value), ts);
+    }
+
+    /// The plain write `op`, which `engine` applied, heads its field at a
+    /// fresh oracle timestamp drawn from the op's own time — live and on
+    /// recovery alike, so the timestamps match. With a snapshot `live`, it
+    /// also appends its version to the key's chain. Single-op writes and
+    /// replay come here; a batch goes through [`Self::plain_batch`].
+    pub(crate) fn plain_written(&mut self, engine: &mut ShardedMetaverse, op: &DurableOp, live: bool) {
+        let Some((field, value)) = Field::written(op) else { return };
+        let ts = self.mvcc.oracle().next(op.ts());
+        if live {
+            self.install_plain(field, value, ts);
+        }
+        stamp(engine, op, ts);
+        self.stats.incr("plain_versions");
+    }
+
+    /// Apply the plain writes `ops` to `engine` as one batch
+    /// ([`ShardedMetaverse::apply_stamped`]): the timestamps each accepted
+    /// op would draw written one at a time ([`Self::plain_written`]) are
+    /// drawn on the calling thread, in op order, by the oracle's own rule,
+    /// and each owner shard's worker stamps them in the rows it writes.
+    /// With a snapshot live, the before-images are saved before the
+    /// workers run and the versions installed after, both in op order.
+    pub(crate) fn plain_batch(&mut self, engine: &mut ShardedMetaverse, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
+        let live = self.save_before_images(engine, ops.iter().map(|op| Field::of_write(op).0));
+        let oracle = self.mvcc.oracle();
+        let (mut last, mut written) = (oracle.current(), 0);
+        let mut installs = Vec::new();
+        let results = engine.apply_stamped(ops, |op, owner| {
+            if !owner.is_live(op.entity()) {
+                return 0;
             }
-            stamp(engine, op, ts);
+            last = TimestampOracle::following(last, op.ts());
             written += 1;
+            if live {
+                installs.push((op, last));
+            }
+            last
+        });
+        oracle.advance_past(last);
+        for (op, ts) in installs {
+            let (field, value) = Field::of_write(op);
+            self.install_plain(field, value, ts);
         }
         if written > 0 {
             self.stats.add("plain_versions", written);
         }
+        results
     }
 
     /// Collect once a transaction ends: at the oldest live snapshot's

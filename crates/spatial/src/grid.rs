@@ -6,13 +6,28 @@
 //! uses for the physical space by default.
 //!
 //! A bucket holds `(id, point)` pairs, so a probe tests candidates out of
-//! contiguous memory, and a cell strictly inside the probe's cell
-//! rectangle is taken whole: `p ↦ floor(p / cell_size) as i64` is
-//! monotone (division by a positive constant, `floor` and the saturating
-//! cast all are), so `cell_of(p) < cell_of(hi)` implies `p < hi`, and
-//! likewise above `lo`. A NaN coordinate has no order; it is filed under
-//! cell `i64::MIN`, which is never strictly inside any rectangle, so the
-//! point test (false for NaN) keeps it out of every result.
+//! contiguous memory and emits ids with no lookup per hit, and a cell
+//! strictly inside the probe's cell rectangle is taken whole:
+//! `p ↦ floor(p / cell_size) as i64` is monotone (division by a positive
+//! constant, `floor` and the saturating cast all are), so
+//! `cell_of(p) < cell_of(hi)` implies `p < hi`, and likewise above `lo`.
+//! A NaN coordinate has no order; it is filed under cell `i64::MIN`,
+//! which is never strictly inside any rectangle, so the point test (false
+//! for NaN) keeps it out of every result.
+//!
+//! Where each id is filed lives in a dense column, not a map: id `k` is
+//! row `k / stride`, holding its point and its slot in that point's
+//! bucket. So an update finds its entry with no hash, and a move within
+//! one cell rewrites the entry in place, one bucket lookup in all. The
+//! column is as long as the largest row filed, which is what the stride
+//! contract on [`GridIndex`] bounds.
+//!
+//! A bucket a removal or a move empties is kept on a spare list, and the
+//! next cell to fill takes it, capacity and all: in a sparse world (a
+//! 50 m cell of a 10 km world holds under one entity per grid on
+//! average) entities leave and enter cells all the time, and that is no
+//! allocation. The bucket `Vec`s held, filed and spare, never outnumber
+//! the most non-empty cells the grid has had at once.
 
 use crate::index::SpatialIndex;
 use mv_common::geom::{Aabb, Point};
@@ -23,28 +38,74 @@ use std::collections::hash_map::Entry;
 /// Integer cell coordinates.
 type Cell = (i64, i64);
 
+/// One cell's entries.
+type Bucket = Vec<(EntityId, Point)>;
+
+/// The bucket slot of a column row that files no id.
+const VACANT: usize = usize::MAX;
+
+/// The column row of `id` at `stride`.
+#[inline]
+fn row_of(id: EntityId, stride: u64) -> usize {
+    usize::try_from(id.raw() / stride).unwrap_or(usize::MAX)
+}
+
 /// A uniform grid over the plane with square cells of `cell_size` metres.
+///
+/// **Stride contract.** The grid files id `k` at row `k / stride` of a
+/// dense column, so every id it holds at once must have its own row, and
+/// the column is as long as the largest row. Ids that are dense from 0
+/// meet it at stride 1: `movingq`, E10's benchmarks and their tests
+/// number objects `0..n`. An owner shard of the co-space engine holds
+/// the ids `≡ s (mod n)` of `n` shards, dense in that class, and builds
+/// its grids at stride `n` ([`GridIndex::with_stride`]). Two ids sharing
+/// a row would overwrite each other's entry; a sparse id (say `2^40`)
+/// makes the column that long.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell_size: f64,
+    /// Ids per column row (at least 1).
+    stride: u64,
     /// Every entry sits in `cell_of` its stored point; no bucket is empty.
-    cells: FastMap<Cell, Vec<(EntityId, Point)>>,
-    /// Each id's point and its slot in that point's bucket, so a move
-    /// out of a crowded cell costs no scan of the crowd.
-    positions: FastMap<EntityId, (Point, usize)>,
+    cells: FastMap<Cell, Bucket>,
+    /// Row `id / stride`: the id's point and its slot in that point's
+    /// bucket, the slot [`VACANT`] when the id is not filed.
+    column: Vec<(Point, usize)>,
+    /// Emptied buckets, kept for the next new cell.
+    spare: Vec<Bucket>,
+    /// Ids filed.
+    len: usize,
 }
 
 impl GridIndex {
-    /// Create a grid with the given cell size.
+    /// Create a grid with the given cell size, for ids dense from 0
+    /// (stride 1; see the stride contract on [`GridIndex`]).
     ///
     /// # Panics
     /// Panics if `cell_size` is not strictly positive and finite.
     pub fn new(cell_size: f64) -> Self {
+        GridIndex::with_stride(cell_size, 1)
+    }
+
+    /// Create a grid for ids that share one residue modulo `stride` and
+    /// are dense in it: id `k` files at column row `k / stride`. A stride
+    /// of zero is taken as one.
+    ///
+    /// # Panics
+    /// Panics if `cell_size` is not strictly positive and finite.
+    pub fn with_stride(cell_size: f64, stride: usize) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
             "cell_size must be positive and finite"
         );
-        GridIndex { cell_size, cells: FastMap::default(), positions: FastMap::default() }
+        GridIndex {
+            cell_size,
+            stride: stride.max(1) as u64,
+            cells: FastMap::default(),
+            column: Vec::new(),
+            spare: Vec::new(),
+            len: 0,
+        }
     }
 
     /// The configured cell size.
@@ -58,18 +119,37 @@ impl GridIndex {
         (axis(p.x), axis(p.y))
     }
 
-    /// Take the entry at `slot` out of `cell`'s bucket; the bucket's last
-    /// entry fills the hole and learns its new slot.
-    fn unfile(&mut self, cell: Cell, slot: usize) {
+    /// What column row `row` files: a point and its bucket slot.
+    #[inline]
+    fn filed(&self, row: usize) -> Option<(Point, usize)> {
+        self.column.get(row).copied().filter(|&(_, slot)| slot != VACANT)
+    }
+
+    /// Append `(id, p)` to `cell`'s bucket, a spare one if the cell is
+    /// empty, returning its slot.
+    fn file(&mut self, cell: Cell, id: EntityId, p: Point) -> usize {
+        let bucket = match self.cells.entry(cell) {
+            Entry::Occupied(filed) => filed.into_mut(),
+            Entry::Vacant(empty) => empty.insert(self.spare.pop().unwrap_or_default()),
+        };
+        bucket.push((id, p));
+        bucket.len() - 1
+    }
+
+    /// Take `id`'s entry at `slot` out of `cell`'s bucket; the bucket's
+    /// last entry fills the hole and learns its new slot, and an emptied
+    /// bucket goes on the spare list.
+    fn unfile(&mut self, cell: Cell, slot: usize, id: EntityId) {
         let Entry::Occupied(mut filed) = self.cells.entry(cell) else { return };
         let bucket = filed.get_mut();
-        bucket.swap_remove(slot);
+        let (gone, _) = bucket.swap_remove(slot);
+        debug_assert_eq!(gone, id, "two ids share a column row (see the stride contract)");
         if let Some(&(moved, _)) = bucket.get(slot) {
-            if let Some(entry) = self.positions.get_mut(&moved) {
+            if let Some(entry) = self.column.get_mut(row_of(moved, self.stride)) {
                 entry.1 = slot;
             }
         } else if bucket.is_empty() {
-            filed.remove();
+            self.spare.push(filed.remove());
         }
     }
 
@@ -117,12 +197,31 @@ impl GridIndex {
 
 impl SpatialIndex for GridIndex {
     fn insert(&mut self, id: EntityId, p: Point) {
-        let bucket = self.cells.entry(self.cell_of(p)).or_default();
-        bucket.push((id, p));
-        if let Some((old, slot)) = self.positions.insert(id, (p, bucket.len() - 1)) {
-            // Drop the stale entry. After a move within one cell that
-            // lets the fresh entry, the bucket's last, take its slot.
-            self.unfile(self.cell_of(old), slot);
+        let row = row_of(id, self.stride);
+        let cell = self.cell_of(p);
+        match self.filed(row) {
+            Some((old, slot)) if self.cell_of(old) == cell => {
+                // A move within one cell: the entry stays at its slot.
+                if let Some(entry) = self.cells.get_mut(&cell).and_then(|bucket| bucket.get_mut(slot)) {
+                    debug_assert_eq!(entry.0, id, "two ids share a column row (see the stride contract)");
+                    entry.1 = p;
+                }
+                if let Some(entry) = self.column.get_mut(row) {
+                    entry.0 = p;
+                }
+                return;
+            }
+            Some((old, slot)) => self.unfile(self.cell_of(old), slot, id),
+            None => {
+                if row >= self.column.len() {
+                    self.column.resize(row + 1, (Point::ORIGIN, VACANT));
+                }
+                self.len += 1;
+            }
+        }
+        let slot = self.file(cell, id, p);
+        if let Some(entry) = self.column.get_mut(row) {
+            *entry = (p, slot);
         }
     }
 
@@ -131,13 +230,18 @@ impl SpatialIndex for GridIndex {
     }
 
     fn remove(&mut self, id: EntityId) -> Option<Point> {
-        let (p, slot) = self.positions.remove(&id)?;
-        self.unfile(self.cell_of(p), slot);
+        let row = row_of(id, self.stride);
+        let (p, slot) = self.filed(row)?;
+        if let Some(entry) = self.column.get_mut(row) {
+            entry.1 = VACANT;
+        }
+        self.len -= 1;
+        self.unfile(self.cell_of(p), slot, id);
         Some(p)
     }
 
     fn get(&self, id: EntityId) -> Option<Point> {
-        self.positions.get(&id).map(|&(p, _)| p)
+        self.filed(row_of(id, self.stride)).map(|(p, _)| p)
     }
 
     fn range(&self, area: &Aabb) -> Vec<EntityId> {
@@ -147,7 +251,7 @@ impl SpatialIndex for GridIndex {
     }
 
     fn knn(&self, p: Point, k: usize) -> Vec<EntityId> {
-        if k == 0 || self.positions.is_empty() {
+        if k == 0 || self.len == 0 {
             return Vec::new();
         }
         // Expanding-ring search: examine cells in growing square rings
@@ -159,7 +263,7 @@ impl SpatialIndex for GridIndex {
         let mut seen = 0usize;
         let mut walked = 0usize;
         let mut ring = 0i64;
-        while seen < self.positions.len() {
+        while seen < self.len {
             if walked <= self.cells.len() {
                 // Visit cells at Chebyshev distance `ring` from the center
                 // (wrapping: a wrapped cell is merely visited early).
@@ -186,7 +290,7 @@ impl SpatialIndex for GridIndex {
                 // Rings over sparse or far-flung data have cost more cell
                 // lookups than there are buckets: one pass over the
                 // buckets is the cheaper way to the same answer.
-                seen = self.positions.len();
+                seen = self.len;
                 best.clear();
                 best.extend(self.cells.values().flatten().map(|&(id, q)| (p.dist_sq(q), id)));
             }
@@ -202,7 +306,7 @@ impl SpatialIndex for GridIndex {
     }
 
     fn len(&self) -> usize {
-        self.positions.len()
+        self.len
     }
 }
 
@@ -213,6 +317,7 @@ mod tests {
     use mv_common::seeded_rng;
     use proptest::prelude::*;
     use rand::Rng;
+    use std::collections::HashMap;
 
     fn e(i: u64) -> EntityId {
         EntityId::new(i)
@@ -380,6 +485,41 @@ mod tests {
         f64::from(units) * (cell / 4.0)
     }
 
+    /// What `prop_dense_column_equals_scan_at_every_stride` checks after
+    /// each op.
+    fn check_against_models(
+        g: &GridIndex,
+        s: &ScanIndex,
+        ids: &[EntityId],
+        model: &HashMap<EntityId, Point>,
+        probes: &[(i32, i32, i32)],
+        cell: f64,
+        peak_cells: &mut usize,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(g.len(), model.len());
+        for &id in ids {
+            prop_assert_eq!(g.get(id), model.get(&id).copied(), "get {}", id);
+        }
+        for (&c, bucket) in &g.cells {
+            for (slot, &(id, q)) in bucket.iter().enumerate() {
+                prop_assert_eq!(g.filed(row_of(id, g.stride)), Some((q, slot)));
+                prop_assert_eq!(g.cell_of(q), c);
+            }
+        }
+        prop_assert!(g.spare.iter().all(Vec::is_empty));
+        *peak_cells = (*peak_cells).max(g.cells.len());
+        prop_assert!(g.cells.len() + g.spare.len() <= *peak_cells, "{} filed + {} spare > {} peak", g.cells.len(), g.spare.len(), peak_cells);
+        for &(x, y, r) in probes {
+            let c = Point::new(quarter(x, cell), quarter(y, cell));
+            let area = Aabb::centered(c, quarter(r, cell));
+            prop_assert_eq!(sorted(g.range(&area)), s.range(&area));
+            for k in [1, 3, 12] {
+                prop_assert_eq!(g.knn(c, k), s.knn(c, k));
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn prop_range_into_equals_scan_on_cell_edges(
@@ -430,12 +570,47 @@ mod tests {
                 for (&c, bucket) in &g.cells {
                     prop_assert!(!bucket.is_empty());
                     for (slot, &(id, q)) in bucket.iter().enumerate() {
-                        prop_assert_eq!(g.positions.get(&id), Some(&(q, slot)));
+                        prop_assert_eq!(g.filed(row_of(id, g.stride)), Some((q, slot)));
                         prop_assert_eq!(g.cell_of(q), c);
                         filed += 1;
                     }
                 }
                 prop_assert_eq!(filed, g.len());
+            }
+        }
+
+        /// The dense column against the scan oracle at strides 1 to 8: ids
+        /// of one residue class, inserted, moved and removed so that cells
+        /// empty and refill and spare buckets are taken again. After every
+        /// op, ranges and `knn` equal `ScanIndex`'s, `get` and `len` a
+        /// `HashMap`'s, every column row files the entry its bucket holds,
+        /// and the buckets held, filed and spare, are no more than the
+        /// most non-empty cells seen.
+        #[test]
+        fn prop_dense_column_equals_scan_at_every_stride(
+            stride in 1usize..9,
+            residue in 0u64..8,
+            ops in proptest::collection::vec((0u8..4, 0u64..10, -12i32..12, -12i32..12), 1..150),
+            probes in proptest::collection::vec((-14i32..14, -14i32..14, 0i32..12), 1..4),
+            cell in 0.5f64..20.0,
+        ) {
+            // Every id the grid may hold, and one past them.
+            let ids: Vec<EntityId> = (0..11).map(|k| e(k * stride as u64 + residue % stride as u64)).collect();
+            let mut g = GridIndex::with_stride(cell, stride);
+            let mut s = ScanIndex::new();
+            let mut model: HashMap<EntityId, Point> = HashMap::new();
+            let mut peak_cells = 0;
+            for &(op, k, x, y) in &ops {
+                let (id, p) = (ids[k as usize], Point::new(quarter(x, cell), quarter(y, cell)));
+                if op < 2 {
+                    if op == 0 { g.insert(id, p) } else { g.update(id, p) }
+                    s.insert(id, p);
+                    model.insert(id, p);
+                } else {
+                    prop_assert_eq!(g.remove(id), model.remove(&id));
+                    s.remove(id);
+                }
+                check_against_models(&g, &s, &ids, &model, &probes, cell, &mut peak_cells)?;
             }
         }
 

@@ -10,52 +10,13 @@
 //! engine's types, so what a purchase allocates is its log record's
 //! attribute names and a few buffers, not a key per read and per write.
 
+mod common;
+
+use common::allocations;
 use metaverse_deluge::common::geom::Point;
 use metaverse_deluge::common::id::EntityId;
 use metaverse_deluge::common::time::SimTime;
 use metaverse_deluge::core::{DurableMetaverse, EntityKind, MetaTxn};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// The system allocator, counting this thread's allocations and
-/// reallocations.
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const PRODUCTS: usize = 2_048;
 const BUYERS: usize = 2_048;
